@@ -18,8 +18,8 @@ from .domain import (check_even_primitive, suitability_check,
 from .errors import VALIDATION_CODES, WorkbenchError
 from .io_json import (canonical_json, curve_to_dict, load_curve, load_domain,
                       load_lines)
-from .multiplicity import (enumerate_count, ev_matrix, mixed_h_product,
-                           multiplicity_det)
+from .multiplicity import (KAPPA_CAP, enumerate_count, ev_matrix,
+                           mixed_h_product, multiplicity_det)
 
 
 def _parser():
@@ -39,8 +39,9 @@ def _parser():
     p.add_argument("--relaxed", action="store_true",
                    help="allow weights > 1 away from the boundary")
     p.add_argument("--delta", help="offset for the wavefront, as p/q")
-    p.add_argument("--kappa-cap", type=int, default=8,
-                   help="end-count cap for the enumerator")
+    p.add_argument("--kappa-cap", type=int, default=KAPPA_CAP,
+                   help=f"end-count cap for the enumerator, at most "
+                        f"{KAPPA_CAP}")
     p.add_argument("--format", choices=["json", "table"], default="json")
     return p
 
@@ -83,8 +84,20 @@ def _parse_root(value):
     if value is None:
         return None
     if value.startswith("end:"):
-        return ("end", int(value[4:]))
+        try:
+            return ("end", int(value[4:]))
+        except ValueError:
+            raise WorkbenchError("USAGE", f"--root {value!r} is not "
+                                          f"end:<integer>") from None
     return value
+
+
+def _parse_delta(value):
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise WorkbenchError("USAGE", f"--delta {value!r} is not a "
+                                      f"rational p/q") from None
 
 
 def run_command(argv):
@@ -166,6 +179,9 @@ def run_command(argv):
 
         if args.command == "enumerate":
             _require(args, "curve", "lines")
+            if args.kappa_cap > KAPPA_CAP:
+                raise WorkbenchError("USAGE", f"--kappa-cap {args.kappa_cap} "
+                                              f"exceeds {KAPPA_CAP}")
             curve = load_curve(args.curve)
             lines = load_lines(args.lines)
             degree = toric_degree_of_ends(curve)
@@ -177,7 +193,7 @@ def run_command(argv):
         if args.command == "wavefront":
             _require(args, "domain", "delta")
             dom = load_domain(args.domain)
-            curve = wavefront(dom, Fraction(args.delta))
+            curve = wavefront(dom, _parse_delta(args.delta))
             report = curve_to_dict(curve)
             report["betti"] = betti_and_degree(curve).as_dict()
             return 0, _emit(report, fmt)

@@ -539,22 +539,6 @@ class TreeTopology:
                 return a
         raise KeyError(j)
 
-    def side_leaves(self, a, b):
-        """Leaves in the component of b after removing edge (a, b)."""
-        adj = self.adjacency()
-        seen = {a, b}
-        stack = [b]
-        out = []
-        while stack:
-            x = stack.pop()
-            if x < self.kappa:
-                out.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return sorted(set(out))
-
 
 def trivalent_trees(kappa: int):
     """All (2k-5)!! labeled 3-valent trees, by leaf insertion in order."""
@@ -609,17 +593,36 @@ def internal_directions_from_leaves(topology: TreeTopology,
         raise WorkbenchError("LABEL_MISMATCH",
                              f"{len(degree)} degree entries for "
                              f"{topology.kappa} leaves")
+    # one post-order pass: below[x] sums the leaf vectors under x
+    kappa = topology.kappa
+    adj = topology.adjacency()
+    stack = [topology.edges[0][0]] if topology.edges else []
+    parent = {x: None for x in stack}
+    order = []
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    zero = (0,) * (len(degree[0]) if degree else 0)
+    below = {x: degree[x] if x < kappa else zero for x in order}
+    for x in reversed(order):
+        if parent[x] is not None:
+            below[parent[x]] = vec_add(below[parent[x]], below[x])
+    total = below[order[0]] if order else zero
+
     dh = {}
     degenerate = []
     for a, b in topology.edges:
-        if a < topology.kappa:
+        if a < kappa:
             v = vec_neg(degree[a])     # oriented leaf -> node
             dh[(a, b)] = v
             dh[(b, a)] = degree[a]
         else:
-            s = topology.side_leaves(a, b)
-            v = tuple(sum(degree[j][i] for j in s)
-                      for i in range(len(degree[0])))
+            # the leaves on the b side of the edge
+            v = below[b] if parent[b] == a else vec_sub(total, below[a])
             dh[(a, b)] = v
             dh[(b, a)] = vec_neg(v)
             if is_zero(v):

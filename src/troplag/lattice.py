@@ -131,29 +131,88 @@ def mat_transpose(a):
     return tuple(zip(*a)) if a else ()
 
 
+def _bareiss_echelon(a, ncols):
+    """Fraction-free row echelon form of an integer matrix, in place.
+
+    Eliminates in the first ``ncols`` columns of the row lists ``a``
+    (further columns, such as a right-hand side, are carried along) and
+    skips a column with no pivot.  By Sylvester's identity (Bareiss 1968)
+    every division is exact and each entry stays a minor of the input, so
+    the last pivot of a square nonsingular matrix is its determinant up to
+    the sign of the row permutation.  Returns (pivot columns, that sign).
+    """
+    nr = len(a)
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        for i in range(r, nr):
+            if a[i][c] != 0:
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        p = a[r][c]
+        tail = a[r][c + 1:]
+        for i in range(r + 1, nr):
+            row = a[i]
+            f = row[c]
+            row[c + 1:] = [(x * p - f * y) // prev
+                           for x, y in zip(row[c + 1:], tail)]
+            row[c] = 0
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, sign
+
+
 def det_bareiss(rows) -> int:
     """Exact determinant of an integer matrix (fraction-free elimination)."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise WorkbenchError("DIMENSION_MISMATCH", "determinant needs a square matrix")
+    if n == 0:
+        return 1
     a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+    pivots, sign = _bareiss_echelon(a, n)
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
+
+
+def solve_bareiss(rows, rhs):
+    """Fraction-free solve of a square integer system A x = b.
+
+    Returns the plain tuple (det, numerators, consistent).  When
+    det = det(A) is nonzero, numerators[i] = det * x_i are the integer
+    Cramer numerators of the unique solution and consistent is True.
+    When det is 0, numerators is None and consistent tells a solvable
+    singular system from an inconsistent one.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows) or len(rhs) != n:
+        raise WorkbenchError("DIMENSION_MISMATCH",
+                             "fraction-free solve needs a square system")
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots, sign = _bareiss_echelon(a, n)
+    if len(pivots) < n:
+        return 0, None, all(a[i][n] == 0 for i in range(len(pivots), n))
+    # Row i of the echelon form is an equation of the system, and d * x_j
+    # is an integer for every j, so each division below is exact.
+    d = a[n - 1][n - 1] if n else 1
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        s = d * row[n]
+        for j in range(i + 1, n):
+            s -= row[j] * x[j]
+        x[i] = s // row[i]
+    if sign < 0:
+        x = [-v for v in x]
+    return sign * d, tuple(x), True
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .curve import (TropicalCurve, Edge, Skeleton,
                     internal_directions_from_leaves, split_at_edge,
@@ -26,7 +27,7 @@ from .curve import (TropicalCurve, Edge, Skeleton,
 from .domain import LineConfiguration
 from .errors import WorkbenchError
 from .lattice import (content, cross, det_bareiss, dot, is_zero, mixed,
-                      primitive_raw, solve_cross, solve_dot, solve_exact,
+                      primitive_raw, solve_bareiss, solve_cross, solve_dot,
                       vec_add, vec_neg, vec_scale)
 
 
@@ -502,11 +503,18 @@ def enumerate_count(degree, lines: LineConfiguration,
                     kappa_cap: int = KAPPA_CAP) -> EnumerationResult:
     """Count rational curves of the given degree through the lines.
 
-    Enumerates all (2k-5)!! labeled 3-valent trees, solves the exact
-    linear system per type, keeps the unique solution when all bounded
-    edge lengths are positive, and sums |det| of the evaluation
-    matrices.  Exactly-zero lengths, or a solvable singular system, mean
-    the configuration is not generic.
+    Enumerates all (2k-5)!! labeled 3-valent trees.  Each type costs one
+    integer evaluation matrix, built by a single walk from the reference
+    junction, and one fraction-free elimination of it against the
+    right-hand side rho_j . q_j, which is scaled to integers once per
+    call.  The elimination gives det and the Cramer numerators det * x_i;
+    a bounded edge length has the sign of det times its numerator.  A
+    type is kept when all lengths are positive, and the total sums |det|
+    over the kept types (the lattice index of the evaluation map).
+    Exactly-zero lengths, or a solvable singular system, mean the
+    configuration is not generic; an inconsistent singular system is a
+    "singular" type without curves.  Fractions (translation, lengths,
+    vertex positions) are built only for kept types.
     """
     degree = [tuple(d) for d in degree]
     kappa = len(degree)
@@ -524,8 +532,10 @@ def enumerate_count(degree, lines: LineConfiguration,
         raise WorkbenchError("UNBALANCED_DEGREE", "degree does not sum to 0")
 
     zs = [l.direction for l in lines.lines]
-    qs = [l.point for l in lines.lines]
     rhos = [cross(d, z) for d, z in zip(degree, zs)]
+    rhs = [Fraction(dot(rho, l.point)) for rho, l in zip(rhos, lines.lines)]
+    scale = lcm(*(r.denominator for r in rhs))
+    rhs = [r.numerator * (scale // r.denominator) for r in rhs]
 
     outcomes = []
     total = 0
@@ -534,82 +544,56 @@ def enumerate_count(degree, lines: LineConfiguration,
         if not sk.ok:
             outcomes.append(TypeOutcome(tree.edges, "degenerate", 0, None))
             continue
-        m = ev_matrix(sk, zs)
-        det = m.determinant()
-        internal = [cid for cid in tree.internal_edges()]
-        internal.sort()
-        ref = tree.leaf_neighbor(0)
-
+        # Row j: rho_j in the translation columns, rho_j . dh(e) in the
+        # column of each bounded edge e on the path from ref to leaf j.
+        col_of = {e: 3 + k for k, e in enumerate(tree.internal_edges())}
         adj = tree.adjacency()
-
-        def tree_path(target):
-            out = []
-
-            def dfs(at, parent):
-                if at == target:
-                    return True
-                if at < tree.kappa:
-                    return False
-                for other in adj[at]:
-                    if other == parent:
-                        continue
-                    key = tuple(sorted((at, other)))
-                    out.append((key, sk.dh[(at, other)]))
-                    if dfs(other, at):
-                        return True
-                    out.pop()
-                return False
-
-            dfs(ref, None)
-            return out
-
-        col_of = {cid: 3 + k for k, cid in enumerate(internal)}
-        rows = []
-        rhs = []
-        paths = {}
-        for j in range(kappa):
-            row = list(rhos[j]) + [0] * len(internal)
-            paths[j] = tree_path(j)
-            for key, dh in paths[j]:
-                if key in col_of:
-                    row[col_of[key]] = dot(rhos[j], dh)
-            rows.append(row)
-            rhs.append(dot(rhos[j], qs[j]))
-        sol = solve_exact(rows, rhs)
+        ref = tree.leaf_neighbor(0)
+        rows = [None] * kappa
+        steps = []          # (junction, next junction, column), ref first
+        stack = [(ref, None, ())]
+        while stack:
+            at, parent, path = stack.pop()
+            for other in adj[at]:
+                if other == parent:
+                    continue
+                if other < kappa:
+                    rho = rhos[other]
+                    row = list(rho) + [0] * (kappa - 3)
+                    for col, dh in path:
+                        row[col] = dot(rho, dh)
+                    rows[other] = row
+                    continue
+                col = col_of[(at, other) if at < other else (other, at)]
+                steps.append((at, other, col))
+                stack.append((other, at,
+                              path + ((col, sk.dh[(at, other)]),)))
+        det, num, consistent = solve_bareiss(rows, rhs)
         if det == 0:
             # a structurally singular type carries no curves for generic
             # base points; a solvable singular system is a wall crossing
-            if sol.status == "none":
+            if not consistent:
                 outcomes.append(TypeOutcome(tree.edges, "singular", 0, None))
                 continue
             raise WorkbenchError(
                 "NON_GENERIC_CONFIG",
                 f"singular system for topology {tree.edges}")
-        if not sol.unique:
-            raise WorkbenchError("NON_GENERIC_CONFIG",
-                                 f"singular system for topology {tree.edges}")
-        tau = sol.solution[:3]
-        lengths = {cid: sol.solution[col_of[cid]] for cid in internal}
-        if any(l == 0 for l in lengths.values()):
+        if det < 0:     # from here num[i] = |det| * x_i
+            det, num = -det, [-x for x in num]
+        lengths = num[3:]
+        if 0 in lengths:
             raise WorkbenchError("NON_GENERIC_CONFIG",
                                  f"zero edge length in topology {tree.edges}")
-        if any(l < 0 for l in lengths.values()):
-            outcomes.append(TypeOutcome(tree.edges, "rejected",
-                                        abs(det), None))
+        if any(x < 0 for x in lengths):
+            outcomes.append(TypeOutcome(tree.edges, "rejected", det, None))
             continue
 
-        node_pos = {ref: tuple(tau)}
-
-        def fill_positions(at, parent):
-            for other in adj[at]:
-                if other == parent or other < tree.kappa:
-                    continue
-                key = tuple(sorted((at, other)))
-                node_pos[other] = vec_add(
-                    node_pos[at], vec_scale(lengths[key], sk.dh[(at, other)]))
-                fill_positions(other, at)
-
-        fill_positions(ref, None)
+        den = det * scale
+        node_pos = {ref: tuple(Fraction(x, den) for x in num[:3])}
+        for at, other, col in steps:
+            node_pos[other] = vec_add(
+                node_pos[at],
+                vec_scale(Fraction(num[col], den), sk.dh[(at, other)]))
         verts = [(f"n{k}", node_pos[k]) for k in sorted(node_pos)]
         edges = []
         for a, b in tree.edges:
@@ -621,6 +605,6 @@ def enumerate_count(degree, lines: LineConfiguration,
                                   primitive_raw(sk.dh[(a, b)]),
                                   content(sk.dh[(a, b)]), None))
         curve = TropicalCurve(3, verts, edges)
-        outcomes.append(TypeOutcome(tree.edges, "accepted", abs(det), curve))
-        total += abs(det)
+        outcomes.append(TypeOutcome(tree.edges, "accepted", det, curve))
+        total += det
     return EnumerationResult(total, tuple(outcomes))

@@ -2,7 +2,8 @@ import json
 
 from conftest import fixture_path
 
-from troplag.cli import run_command
+from troplag.cli import _parser, run_command
+from troplag.multiplicity import KAPPA_CAP
 
 
 def run_json(argv):
@@ -130,6 +131,38 @@ def test_enumerate_command_and_cap(tmp_path):
     code, out = run_json(["enumerate", "--curve", str(path),
                           "--lines", str(lpath)])
     assert code == 1 and out["error"] == "KAPPA_CAP"
+
+
+def test_kappa_cap_default_and_limit():
+    assert _parser().parse_args(["enumerate"]).kappa_cap == KAPPA_CAP
+    argv = ["enumerate", "--curve", fixture_path("poincare.curve.json"),
+            "--lines", fixture_path("poincare.lines.json")]
+    code, out = run_json(argv + ["--kappa-cap", str(KAPPA_CAP)])
+    assert code == 0 and out["total"] == 1
+    code, out = run_json(argv + ["--kappa-cap", str(KAPPA_CAP + 1)])
+    assert code == 1 and out["error"] == "USAGE"
+
+
+def test_bad_root_is_usage_error():
+    code, out = run_json(["multiplicity",
+                          "--curve", fixture_path("poincare.curve.json"),
+                          "--lines", fixture_path("poincare.lines.json"),
+                          "--root", "end:x"])
+    assert code == 1 and out["error"] == "USAGE"
+
+
+def test_non_rational_delta_is_usage_error():
+    code, out = run_json(["wavefront", "--domain",
+                          fixture_path("unit_square.domain.json"),
+                          "--delta", "abc"])
+    assert code == 1 and out["error"] == "USAGE"
+
+
+def test_zero_denominator_delta_is_usage_error():
+    code, out = run_json(["wavefront", "--domain",
+                          fixture_path("unit_square.domain.json"),
+                          "--delta", "1/0"])
+    assert code == 1 and out["error"] == "USAGE"
 
 
 def test_wavefront_command_deterministic():

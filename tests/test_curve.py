@@ -212,6 +212,39 @@ def test_internal_directions_examples():
     assert not sk.ok and sk.degenerate == ((4, 5),)
 
 
+def _side_sum(topology, degree, a, b):
+    """Sum of the leaf vectors in the component of b without edge (a, b)."""
+    adj = topology.adjacency()
+    seen, stack, total = {a, b}, [b], (0, 0, 0)
+    while stack:
+        x = stack.pop()
+        if x < topology.kappa:
+            total = tuple(s + d for s, d in zip(total, degree[x]))
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return total
+
+
+def test_internal_directions_match_side_sums():
+    # also for degrees that do not sum to zero, where the two sides of an
+    # edge are not negatives of each other
+    rng = random.Random(12)
+    for kappa in range(3, 7):
+        for topo in trivalent_trees(kappa):
+            degree = [tuple(rng.randint(-1, 1) for _ in range(3))
+                      for _ in range(kappa)]
+            sk = internal_directions_from_leaves(topo, degree)
+            degenerate = []
+            for a, b in topo.internal_edges():
+                assert sk.dh[(a, b)] == _side_sum(topo, degree, a, b)
+                assert sk.dh[(b, a)] == tuple(-x for x in sk.dh[(a, b)])
+                if not any(sk.dh[(a, b)]):
+                    degenerate.append((a, b))
+            assert sk.degenerate == tuple(degenerate)
+
+
 def test_combinatorial_type_invariance():
     c = simplex_tripod_curve()
     relabeled = TropicalCurve(3, [

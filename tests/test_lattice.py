@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,8 @@ from troplag.errors import WorkbenchError
 from troplag.lattice import (SnfResult, complete_basis, content, cross,
                              det_bareiss, elementary_divisors, gcd_primitive,
                              lattice_index, mixed, smith_normal_form,
-                             solve_cross, solve_dot, solve_exact)
+                             solve_bareiss, solve_cross, solve_dot,
+                             solve_exact)
 
 
 def test_gcd_primitive_examples():
@@ -131,6 +133,55 @@ def test_solve_exact_underdetermined():
     assert len(res.kernel) == 1
     res2 = solve_exact([[1, 2], [2, 4]], [0, 1])
     assert res2.status == "none"
+
+
+def _system(rng, n, rank, in_span):
+    """Random n x n integer system of the given rank; b in the column
+    space when in_span, a random b otherwise."""
+    left = [[rng.randint(-6, 6) for _ in range(rank)] for _ in range(n)]
+    right = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rank)]
+    a = [[sum(left[i][k] * right[k][j] for k in range(rank))
+          for j in range(n)] for i in range(n)]
+    if in_span:
+        x = [rng.randint(-9, 9) for _ in range(n)]
+        return a, [sum(r * v for r, v in zip(row, x)) for row in a]
+    return a, [rng.randint(-30, 30) for _ in range(n)]
+
+
+def test_solve_bareiss_against_fraction_solve():
+    rng = random.Random(7)
+    seen = set()
+    # full rank, rank-deficient with b in the column space, and
+    # rank-deficient with a random b, for every size 1..8
+    cases = [(n, full, in_span) for n in range(1, 9)
+             for full, in_span in ((True, False), (False, True),
+                                   (False, False))] * 25
+    for n, full, in_span in cases:
+        rank = n if full else rng.randint(0, n - 1)
+        a, b = _system(rng, n, rank, in_span)
+        det, num, consistent = solve_bareiss(a, b)
+        assert det == det_bareiss(a)
+        ref = solve_exact(a, b)
+        if det != 0:
+            seen.add("unique")
+            assert consistent
+            assert tuple(Fraction(v, det) for v in num) == ref.solution
+        else:
+            assert num is None
+            assert consistent == (ref.status != "none")
+            seen.add("consistent" if consistent else "inconsistent")
+    assert seen == {"unique", "consistent", "inconsistent"}
+
+
+def test_solve_bareiss_examples():
+    assert solve_bareiss([[2, 0], [0, 3]], [4, 1]) == (6, (12, 2), True)
+    # a zero leading entry forces a row swap, which flips the sign
+    assert solve_bareiss([[0, 1], [1, 0]], [5, 7]) == (-1, (-7, -5), True)
+    # a column without a pivot is skipped, not a stop
+    assert solve_bareiss([[0, 1], [0, 2]], [1, 2]) == (0, None, True)
+    assert solve_bareiss([[0, 1], [0, 2]], [1, 3]) == (0, None, False)
+    with pytest.raises(WorkbenchError):
+        solve_bareiss([[1, 2]], [1])
 
 
 def test_solvers_for_corner_machinery():

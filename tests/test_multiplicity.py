@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_primitive, random_tree_problem
+from conftest import rand_nonzero, rand_primitive, random_tree_problem
 
-from troplag.curve import Edge, TropicalCurve, validate_curve
+from troplag.curve import (Edge, TropicalCurve,
+                           internal_directions_from_leaves, trivalent_trees,
+                           validate_curve)
 from troplag.domain import LineConfiguration
 from troplag.errors import WorkbenchError
-from troplag.lattice import cross, dot, is_zero
+from troplag.lattice import (cross, dot, is_zero, solve_exact, vec_add,
+                             vec_scale)
 from troplag.multiplicity import (RotationalMomentum, all_roots,
                                   enumerate_count, ev_matrix, leaf_momentum,
                                   mixed_h_product, multiplicity_det,
@@ -356,3 +359,130 @@ def test_enumerate_relabeling_invariance():
     lines2 = [lines[1], lines[0]] + lines[2:]
     res2 = enumerate_count(degree2, LineConfiguration(lines2))
     assert res.total == res2.total
+
+
+# ---------------------------------------------------------------------------
+# the enumerator against the determinant-plus-Fraction-solve path
+
+
+def reference_enumerate(degree, lines):
+    """Per-type (topology, status, multiplicity, vertices) computed the
+    slow way: the evaluation matrix determinant and a Fraction solve of
+    a second, hand-built matrix for every type."""
+    degree = [tuple(d) for d in degree]
+    kappa = len(degree)
+    zs = [l.direction for l in lines.lines]
+    qs = [l.point for l in lines.lines]
+    rhos = [cross(d, z) for d, z in zip(degree, zs)]
+    out = []
+    for tree in trivalent_trees(kappa):
+        sk = internal_directions_from_leaves(tree, degree)
+        if not sk.ok:
+            out.append((tree.edges, "degenerate", 0, None))
+            continue
+        det = ev_matrix(sk, zs).determinant()
+        internal = sorted(tree.internal_edges())
+        col_of = {cid: 3 + k for k, cid in enumerate(internal)}
+        ref = tree.leaf_neighbor(0)
+        adj = tree.adjacency()
+
+        def walk(at, parent, path, found):
+            for other in adj[at]:
+                if other == parent:
+                    continue
+                if other < kappa:
+                    found[other] = list(path)
+                else:
+                    key = tuple(sorted((at, other)))
+                    walk(other, at, path + [(key, sk.dh[(at, other)])],
+                         found)
+            return found
+
+        paths = walk(ref, None, [], {})
+        rows = []
+        for j in range(kappa):
+            row = list(rhos[j]) + [0] * len(internal)
+            for key, dh in paths[j]:
+                row[col_of[key]] = dot(rhos[j], dh)
+            rows.append(row)
+        sol = solve_exact(rows, [dot(rhos[j], qs[j]) for j in range(kappa)])
+        if det == 0:
+            if sol.status == "none":
+                out.append((tree.edges, "singular", 0, None))
+                continue
+            raise WorkbenchError("NON_GENERIC_CONFIG", "singular")
+        lengths = {cid: sol.solution[col_of[cid]] for cid in internal}
+        if any(l == 0 for l in lengths.values()):
+            raise WorkbenchError("NON_GENERIC_CONFIG", "zero length")
+        if any(l < 0 for l in lengths.values()):
+            out.append((tree.edges, "rejected", abs(det), None))
+            continue
+        pos = {ref: tuple(sol.solution[:3])}
+        stack = [(ref, None)]
+        while stack:
+            at, parent = stack.pop()
+            for other in adj[at]:
+                if other != parent and other >= kappa:
+                    key = tuple(sorted((at, other)))
+                    pos[other] = vec_add(pos[at], vec_scale(
+                        lengths[key], sk.dh[(at, other)]))
+                    stack.append((other, at))
+        verts = {f"n{k}": pos[k] for k in pos}
+        out.append((tree.edges, "accepted", abs(det), verts))
+    return out
+
+
+def random_enumeration(rng, kappa, num, den):
+    """A balanced degree with entries in [-1, 1] and one line per leaf,
+    transverse to it, through a random rational point."""
+    while True:
+        degree = [rand_nonzero(rng, -1, 1) for _ in range(kappa - 1)]
+        degree.append(tuple(-sum(d[i] for d in degree) for i in range(3)))
+        if any(degree[-1]) and max(map(abs, degree[-1])) <= 1:
+            break
+    lines = []
+    for d in degree:
+        z = rand_primitive(rng, -3, 3)
+        while is_zero(cross(d, z)):
+            z = rand_primitive(rng, -3, 3)
+        point = tuple(Fraction(rng.randint(-num, num), rng.randint(1, den))
+                      for _ in range(3))
+        lines.append({"point": point, "dir": z})
+    return degree, LineConfiguration(lines)
+
+
+def outcome(fn, degree, lines):
+    try:
+        return fn(degree, lines)
+    except WorkbenchError as err:
+        return err.code
+
+
+def fast_enumerate(degree, lines):
+    return [(t.topology, t.status, t.multiplicity,
+             None if t.curve is None else dict(t.curve.vertices))
+            for t in enumerate_count(degree, lines).per_type]
+
+
+@pytest.mark.parametrize("kappa,seed,count", [(4, 1, 30), (5, 2, 15),
+                                              (6, 3, 4), (7, 4, 1)])
+def test_enumerate_matches_fraction_solve_path(kappa, seed, count):
+    rng = random.Random(seed)
+    statuses = set()
+    for _ in range(count):
+        degree, lines = random_enumeration(rng, kappa, 20, 5)
+        got = outcome(fast_enumerate, degree, lines)
+        assert got == outcome(reference_enumerate, degree, lines)
+        statuses |= {t[1] for t in got} if isinstance(got, list) else {got}
+    assert {"accepted", "rejected", "degenerate", "singular"} <= statuses
+
+
+def test_enumerate_wall_matches_fraction_solve_path():
+    # every line through the origin: the solution is 0, every bounded
+    # edge has length 0, and both paths report a wall
+    degree = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+    lines = LineConfiguration([{"point": (0, 0, 0), "dir": z} for z in
+                               [(0, 1, 1), (1, 0, 2), (0, 1, 3), (1, 0, 1)]])
+    assert outcome(fast_enumerate, degree, lines) == "NON_GENERIC_CONFIG"
+    assert outcome(reference_enumerate, degree, lines) == \
+        "NON_GENERIC_CONFIG"
