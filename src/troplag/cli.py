@@ -22,8 +22,13 @@ from .multiplicity import (KAPPA_CAP, enumerate_count, ev_matrix,
                            mixed_h_product, multiplicity_det)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise WorkbenchError("USAGE", message)
+
+
 def _parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="troplag",
         description="Exact workbench for tropical curves in Delzant "
                     "domains and their Lagrangian invariants.")
@@ -80,6 +85,14 @@ def _zs_from_lines(curve, lines):
     return [l.direction for l in lines.lines]
 
 
+def _domain_or_zs(args, curve):
+    """Keyword arguments for a command taking --domain or else --lines."""
+    if args.domain:
+        return {"domain": load_domain(args.domain)}
+    _require(args, "lines")
+    return {"zs": _zs_from_lines(curve, load_lines(args.lines))}
+
+
 def _parse_root(value):
     if value is None:
         return None
@@ -102,9 +115,10 @@ def _parse_delta(value):
 
 def run_command(argv):
     """Run one command; returns (exit code, output text)."""
-    args = _parser().parse_args(argv)
-    fmt = args.format
+    fmt = "json"
     try:
+        args = _parser().parse_args(argv)
+        fmt = args.format
         if args.command == "validate":
             _require(args, "curve")
             curve = load_curve(args.curve)
@@ -134,13 +148,7 @@ def run_command(argv):
         if args.command == "h1":
             _require(args, "curve")
             curve = load_curve(args.curve)
-            if args.domain:
-                rep = topology.h1_order(curve, domain=load_domain(args.domain))
-            else:
-                _require(args, "lines")
-                lines = load_lines(args.lines)
-                rep = topology.h1_order(curve,
-                                        zs=_zs_from_lines(curve, lines))
+            rep = topology.h1_order(curve, **_domain_or_zs(args, curve))
             return 0, _emit(rep.as_dict(), fmt)
 
         if args.command == "surface":
@@ -153,28 +161,15 @@ def run_command(argv):
         if args.command == "pieces":
             _require(args, "curve")
             curve = load_curve(args.curve)
-            if args.domain:
-                rep = topology.piece_decomposition(
-                    curve, domain=load_domain(args.domain),
-                    relaxed=args.relaxed)
-            else:
-                _require(args, "lines")
-                lines = load_lines(args.lines)
-                rep = topology.piece_decomposition(
-                    curve, zs=_zs_from_lines(curve, lines))
+            rep = topology.piece_decomposition(
+                curve, relaxed=args.relaxed, **_domain_or_zs(args, curve))
             return 0, _emit(rep.as_dict(), fmt)
 
         if args.command == "lens":
             _require(args, "curve")
             curve = load_curve(args.curve)
-            if args.domain:
-                rep = topology.lens_parameters(curve,
-                                               domain=load_domain(args.domain))
-            else:
-                _require(args, "lines")
-                lines = load_lines(args.lines)
-                rep = topology.lens_parameters(
-                    curve, zs=_zs_from_lines(curve, lines))
+            rep = topology.lens_parameters(curve,
+                                           **_domain_or_zs(args, curve))
             return 0, _emit(rep.as_dict(), fmt)
 
         if args.command == "enumerate":

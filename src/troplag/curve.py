@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from .errors import WorkbenchError
 from .lattice import (content, gcd_primitive as _sign_normalized, is_zero,
-                      primitive_raw, rank_exact, vec_add, vec_neg, vec_scale,
-                      vec_sub)
+                      rank_exact, vec_add, vec_neg, vec_scale, vec_sub)
 
 
 @dataclass(frozen=True)
@@ -78,22 +77,24 @@ class TropicalCurve:
                                  tuple(e["dir"]), int(e.get("weight", 1)),
                                  e.get("leaf_label")))
         self.edges = tuple(norm)
+        # incidence index; a curve is never mutated after construction
+        inc = {}
+        for i, e in enumerate(self.edges):
+            inc.setdefault(e.tail, []).append((i, e.direction, e.weight))
+            if e.head is not None:
+                inc.setdefault(e.head, []).append(
+                    (i, vec_neg(e.direction), e.weight))
+        self._incident = {vid: tuple(x) for vid, x in inc.items()}
 
     def position(self, vid):
         return self.vertices[vid]
 
     def incident(self, vid):
-        """List of (edge_index, outward_direction, weight) at a vertex."""
-        out = []
-        for i, e in enumerate(self.edges):
-            if e.tail == vid:
-                out.append((i, e.direction, e.weight))
-            if e.head == vid:
-                out.append((i, vec_neg(e.direction), e.weight))
-        return out
+        """Tuple of (edge_index, outward_direction, weight) at a vertex."""
+        return self._incident.get(vid, ())
 
     def valence(self, vid):
-        return len(self.incident(vid))
+        return len(self._incident.get(vid, ()))
 
     def bounded_indices(self):
         return [i for i, e in enumerate(self.edges) if e.bounded]
@@ -131,16 +132,8 @@ class TropicalCurve:
             ends.sort(key=lambda x: x.label)
         return ends
 
-    def end_position(self, end):
-        if end.kind == "endpoint":
-            return self.position(end.endpoint)
-        return None
-
     def b1(self):
         return len(self.bounded_indices()) - len(self.vertices) + 1
-
-    def is_tree(self):
-        return self.b1() == 0
 
     # -- geometric edges (2-valent markings smoothed away) ------------------
 
@@ -572,12 +565,6 @@ class Skeleton:
     @property
     def ok(self):
         return not self.degenerate
-
-    def weight(self, a, b):
-        return content(self.dh[(a, b)])
-
-    def primitive(self, a, b):
-        return primitive_raw(self.dh[(a, b)])
 
 
 def internal_directions_from_leaves(topology: TreeTopology,

@@ -68,9 +68,6 @@ class LineConfiguration:
     def __len__(self):
         return len(self.lines)
 
-    def directions(self):
-        return [l.direction for l in self.lines]
-
 
 # ---------------------------------------------------------------------------
 # exact feasibility (Fourier-Motzkin)

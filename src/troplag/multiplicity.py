@@ -26,9 +26,9 @@ from .curve import (TropicalCurve, Edge, Skeleton,
                     trivalent_trees)
 from .domain import LineConfiguration
 from .errors import WorkbenchError
-from .lattice import (content, cross, det_bareiss, dot, is_zero, mixed,
-                      primitive_raw, solve_bareiss, solve_cross, solve_dot,
-                      vec_add, vec_neg, vec_scale)
+from .lattice import (content, cross, det_bareiss, dot, gcd_primitive,
+                      is_zero, mixed, primitive_raw, solve_bareiss,
+                      solve_cross, solve_dot, vec_add, vec_neg, vec_scale)
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,7 @@ class RotationalMomentum:
     @classmethod
     def from_vector(cls, v):
         v = tuple(v)
-        g = content(v)
-        p = tuple(x // g for x in v) if g else v
-        for x in p:
-            if x != 0:
-                if x < 0:
-                    p = tuple(-y for y in p)
-                break
-        return cls(v, g, p)
+        return cls(v, *gcd_primitive(v))
 
     @property
     def zero(self):
@@ -97,7 +90,12 @@ class Problem:
     """A 3-valent tree with a constraint direction at every end.
 
     Ends are the markers ("end", i); junctions are vertex keys.  Chains
-    carry the weighted displacement vector dh oriented a -> b.
+    carry the weighted displacement vector dh oriented a -> b.  Every
+    rooted computation (the mixed product, the evaluation matrix, the
+    torsion recursion) runs on one iterative walk from the chosen root,
+    `rooted`, and `momenta` propagates the momentum on every edge towards
+    that root in a single post-order pass: O(n) per root, with no
+    recursion limit on the depth of the tree.
     """
 
     def __init__(self, dim):
@@ -116,17 +114,64 @@ class Problem:
     def neighbors(self, key):
         return self.adj.get(key, [])
 
-    def towards(self, a, b):
-        for other, dh, w, cid in self.neighbors(a):
-            if other == b:
-                return dh, w, cid
-        raise WorkbenchError("INTERNAL_INCONSISTENCY", f"no chain {a}->{b}")
-
     def add_chain(self, a, b, dh_ab, weight, chain_id):
         self.adj.setdefault(a, []).append((b, tuple(dh_ab), weight,
                                            chain_id))
         self.adj.setdefault(b, []).append((a, vec_neg(dh_ab), weight,
                                            chain_id))
+
+    # -- the rooted pass -----------------------------------------------------
+
+    def rooted(self, root):
+        """Post-order and parent links of the tree hung from `root`.
+
+        Returns (order, link): every node reachable from the root, each
+        after all of its children (taken in adjacency order) and the root
+        last, and link[x] = (parent, dh x -> parent, weight, chain id),
+        None for the root.  Ends other than the root are leaves.
+        """
+        link = {root: None}
+        stack = [root]
+        order = []
+        while stack:
+            at = stack.pop()
+            order.append(at)
+            if at in self.end_z and at != root:
+                continue
+            for other, dh, w, cid in self.neighbors(at):
+                if other not in link:
+                    link[other] = (at, vec_neg(dh), w, cid)
+                    stack.append(other)
+        # children were pushed in adjacency order and so popped in reverse;
+        # reversing the pre-order puts them back in order, parents last
+        order.reverse()
+        return order, link
+
+    def momenta(self, root):
+        """Momentum flowing towards `root` along every edge, in one pass.
+
+        Returns (order, link, mom, arrived) with order and link as in
+        `rooted`, mom[x] the momentum from the subtree behind x towards
+        its parent, and arrived the momenta reaching the root, in
+        adjacency order.  An end sends d x z; a junction sends
+        (m1 x m2) x dh_out and must receive exactly two momenta.
+        """
+        order, link = self.rooted(root)
+        mom = {}
+        inbox = {x: [] for x in order}
+        for at in order[:-1]:
+            parent, dh_out, _, _ = link[at]
+            if at in self.end_z:
+                m = cross(vec_neg(dh_out), self.end_z[at])
+            else:
+                arrived = inbox[at]
+                if len(arrived) != 2:
+                    raise WorkbenchError("NOT_TRIVALENT",
+                                         f"junction {at} is not 3-valent")
+                m = cross(cross(arrived[0], arrived[1]), dh_out)
+            mom[at] = m
+            inbox[parent].append(m)
+        return order, link, mom, inbox[root]
 
     # -- momentum propagation ------------------------------------------------
 
@@ -138,22 +183,10 @@ class Problem:
     def end_momentum(self, end) -> RotationalMomentum:
         return leaf_momentum(self.outward(end), self.end_z[end])
 
-    def subtree_momentum(self, at, parent):
-        """Momentum flowing from the subtree behind `at` towards `parent`."""
-        dh_out, _, _ = self.towards(at, parent)
-        if at in self.end_z:
-            return cross(vec_neg(dh_out), self.end_z[at])
-        arrived = [self.subtree_momentum(o, at)
-                   for o, _, _, _ in self.neighbors(at) if o != parent]
-        if len(arrived) != 2:
-            raise WorkbenchError("NOT_TRIVALENT",
-                                 f"junction {at} is not 3-valent")
-        return cross(cross(arrived[0], arrived[1]), dh_out)
-
     def momentum_at_end(self, end):
         """Propagated momentum arriving at `end`, with root edge data."""
         (other, dh, w, cid), = self.neighbors(end)
-        return self.subtree_momentum(other, end), w, cid
+        return self.momenta(end)[3][0], w, cid
 
 
 def build_problem(c_or_sk, zs) -> Problem:
@@ -264,8 +297,7 @@ def mixed_h_product(c_or_sk, zs, root=None) -> int:
         return k // w_root
     if root not in prob.nodes:
         raise WorkbenchError("BAD_ROOT", f"no 3-valent vertex {root!r}")
-    arrived = [prob.subtree_momentum(o, root)
-               for o, _, _, _ in prob.neighbors(root)]
+    arrived = prob.momenta(root)[3]
     if len(arrived) != 3:
         raise WorkbenchError("NOT_TRIVALENT", f"vertex {root!r} is not 3-valent")
     return abs(mixed(*arrived))
@@ -343,36 +375,18 @@ def ev_matrix(c_or_sk, zs, ref=None) -> EvaluationMatrix:
     if ref not in prob.nodes:
         raise WorkbenchError("BAD_ROOT", f"reference {ref!r} is not a junction")
 
-    # paths from ref to each end through the junction tree
-    def path_to(end):
-        found = []
-
-        def dfs(at, parent, acc):
-            if at == end:
-                found.append(list(acc))
-                return True
-            if at in prob.end_z:
-                return False
-            for other, dh, w, cid in prob.neighbors(at):
-                if other == parent:
-                    continue
-                acc.append((cid, dh))
-                if dfs(other, at, acc):
-                    return True
-                acc.pop()
-            return False
-
-        dfs(ref, None, [])
-        return found[0]
-
+    # the path from ref to each end climbs the parent links of one walk
+    _, link = prob.rooted(ref)
     col_of = {cid: 3 + k for k, cid in enumerate(internal)}
     rows = []
     for e in ends:
         rho = cross(prob.outward(e), prob.end_z[e])
         row = list(rho) + [0] * len(internal)
-        for cid, dh in path_to(e):
+        at = e
+        while at != ref:
+            at, dh_up, _, cid = link[at]
             if cid in col_of:
-                row[col_of[cid]] = dot(rho, dh)
+                row[col_of[cid]] = -dot(rho, dh_up)
         rows.append(tuple(row))
     cols = ("t0", "t1", "t2") + tuple(f"e{cid}" for cid in internal)
     return EvaluationMatrix(tuple(rows), tuple(m[1] for m in ends), cols,

@@ -277,6 +277,20 @@ def _as_z_dict(c, zs):
     return {e.edge_index: tuple(z) for e, z in zip(ends, zs)}
 
 
+def _z_from_domain_or_zs(c, domain, zs):
+    """Constraint directions by end edge, from a domain or given directly.
+
+    A domain supplies its edge directions at the bissectrice boundary
+    points of a compact curve; otherwise the directions come from `zs`
+    (abstract curve and lines data: the rays are the leaves themselves).
+    """
+    if domain is not None:
+        return _resolve_boundary_z(c, domain)
+    if zs is not None:
+        return _as_z_dict(c, zs)
+    raise WorkbenchError("MISSING_Z", "need a domain or explicit directions")
+
+
 @dataclass(frozen=True)
 class ThreeManifoldReport:
     h1_order: int | None
@@ -309,42 +323,26 @@ class ThreeManifoldReport:
 def _torsion_recursion(prob: Problem, mult_of_node):
     """Torsion recursion along the tree rooted at the first end.
 
-    Returns (h1_rec, per-edge records); every n(e) must be divisible by
-    the product of vertex multiplicities behind the edge.
+    One post-order pass of `Problem.momenta` gives, for every edge, the
+    momentum rho(e) towards the root and the product mv(e) of the vertex
+    multiplicities behind it; every n(e) = content(rho(e)) must be
+    divisible by mv(e).  Returns (h1_rec, root edge record).
     """
     root = prob.ends()[0]
     (first, _, w_root, _), = prob.neighbors(root)
-
-    def far_mv(at, parent):
-        if at in prob.end_z:
-            return 1
-        out = mult_of_node[at]
-        for o, _, _, _ in prob.neighbors(at):
-            if o != parent:
-                out *= far_mv(o, at)
-        return out
-
-    records = []
-
-    def visit(at, parent):
-        rho = prob.subtree_momentum(at, parent)
-        n = content(rho)
-        mve = far_mv(at, parent)
+    order, link, mom, _ = prob.momenta(root)
+    behind = {at: 1 if at in prob.end_z else mult_of_node[at]
+              for at in order}
+    for at in order[:-1]:
+        n, mve = content(mom[at]), behind[at]
         if n % mve != 0:
             raise WorkbenchError(
                 "INTERNAL_INCONSISTENCY",
                 f"edge torsion n = {n} not divisible by mv = {mve}")
-        records.append({"towards": repr(parent), "rho": rho, "n": n,
-                        "mv": mve, "torsion": n // mve})
-        if at not in prob.end_z:
-            for o, _, _, _ in prob.neighbors(at):
-                if o != parent:
-                    visit(o, at)
-
-    visit(first, root)
-    rho_p = prob.subtree_momentum(first, root)
+        behind[link[at][0]] *= mve
+    rho_p = mom[first]
     n_p = content(rho_p)
-    mv_p = far_mv(first, root)
+    mv_p = behind[first]
     rho_root = prob.end_momentum(root)
     glue = content(cross(primitive_raw(rho_p), rho_root.vector))
     if w_root != 1:
@@ -353,7 +351,7 @@ def _torsion_recursion(prob: Problem, mult_of_node):
     h1_rec = (n_p // mv_p) * glue
     root_edge = {"rho": list(rho_p), "n": n_p,
                  "torsionAccumulated": n_p // mv_p, "glue": glue}
-    return h1_rec, root_edge, records
+    return h1_rec, root_edge
 
 
 def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
@@ -371,15 +369,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
     require_valid(c)
     if c.b1() != 0:
         raise WorkbenchError("TREE_ONLY", "h1 needs a tree curve")
-    if domain is not None:
-        # compact curve in a domain; _resolve_boundary_z rejects punctures
-        z_dict = _resolve_boundary_z(c, domain)
-    elif zs is not None:
-        # abstract (curve, lines) data: rays are the leaves themselves
-        z_dict = _as_z_dict(c, zs)
-    else:
-        raise WorkbenchError("MISSING_Z",
-                             "need a domain or explicit directions")
+    z_dict = _z_from_domain_or_zs(c, domain, zs)
 
     mult_of_node = {v: vertex_multiplicity(c, v)
                     for v in c.trivalent_vertices()}
@@ -410,7 +400,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
 
     if len(prob.ends()) >= 3:
         # node multiplicities keyed the way the problem names junctions
-        h1_rec, root_edge, _ = _torsion_recursion(prob, mult_of_node)
+        h1_rec, root_edge = _torsion_recursion(prob, mult_of_node)
         agrees = h1_rec == order
         if not agrees:
             raise WorkbenchError("INTERNAL_INCONSISTENCY",
@@ -568,14 +558,7 @@ def lens_parameters(c: TropicalCurve,
     if c.trivalent_vertices():
         raise WorkbenchError("NOT_A_LINE",
                              "lens parameters need a single-edge curve")
-    if domain is not None:
-        z_dict = _resolve_boundary_z(c, domain)
-    elif zs is not None:
-        z_dict = _as_z_dict(c, zs)
-    else:
-        raise WorkbenchError("MISSING_Z",
-                             "need a domain or explicit directions")
-    prob = build_problem(c, z_dict)
+    prob = build_problem(c, _z_from_domain_or_zs(c, domain, zs))
     ends = prob.ends()
     if len(ends) != 2:
         raise WorkbenchError("NOT_A_LINE", "lens needs exactly two ends")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import fixture_path
 
 from troplag.cli import _parser, run_command
@@ -201,3 +203,11 @@ def test_pieces_command():
     assert code == 0
     kinds = sorted(p["kind"] for p in out["pieces"])
     assert kinds == ["DISK_PIECE", "MOEBIUS_PIECE"]
+
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--kappa-cap", "abc"],
+                                  ["bogus"], []])
+def test_parse_errors_are_usage_errors(argv):
+    code, out = run_json(argv)
+    assert code == 1 and out["error"] == "USAGE"

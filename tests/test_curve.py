@@ -11,6 +11,7 @@ from troplag.curve import (Edge, TreeTopology, TropicalCurve,
                            regularity_check, split_at_edge, trivalent_trees,
                            validate_curve)
 from troplag.errors import WorkbenchError
+from troplag.lattice import content
 
 
 def simplex_tripod_curve():
@@ -205,7 +206,7 @@ def test_internal_directions_examples():
     assert sk.ok
     v = sk.dh[(4, 5)]
     assert v in ((1, 1, 0), (-1, -1, 0))
-    assert sk.weight(4, 5) == 1
+    assert content(sk.dh[(4, 5)]) == 1
 
     quad_bad = TreeTopology(4, ((0, 4), (2, 4), (1, 5), (3, 5), (4, 5)))
     sk = internal_directions_from_leaves(quad_bad, degree)
