@@ -126,8 +126,11 @@ def run_command(argv):
             ok = report["curve"]["ok"]
             if args.domain:
                 dom = load_domain(args.domain)
-                report["domain"] = validate_delzant(dom).as_dict()
                 even = check_even_primitive(curve, dom, args.relaxed)
+                drep = even.delzant
+                if drep is None:
+                    drep = validate_delzant(dom)
+                report["domain"] = drep.as_dict()
                 report["evenPrimitive"] = even.as_dict()
                 ok = ok and report["domain"]["ok"] and even.ok
             return (0 if ok else 2), _emit(report, fmt)

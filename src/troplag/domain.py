@@ -7,7 +7,13 @@ bissectrice test), checks the even/primitive conditions, generates wave
 fronts, and runs the suitability test for boundary line configurations.
 
 All feasibility questions are decided exactly by Fourier-Motzkin
-elimination over the rationals.
+elimination over the rationals.  The Delzant check visits the faces of
+the domain, not its facet subsets: from each face it asks, for every
+facet, for a relative-interior point of the face where that facet is
+tight, and the facets tight at that point name the smaller face.  That
+is one Fourier-Motzkin pass in at most dim variables per face and
+facet, so the check is polynomial in the facet count for a fixed
+dimension, non-simple corners included.
 """
 
 from __future__ import annotations
@@ -70,59 +76,143 @@ class LineConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# exact feasibility (Fourier-Motzkin)
+# exact face points (Fourier-Motzkin)
 
 
-def _fm_feasible(ineqs, nvars) -> bool:
-    """ineqs: (coeffs, rhs, strict) meaning coeffs . y >= rhs (> if strict)."""
+def _fm_point(ineqs, nvars):
+    """A relative-interior point of {y : co . y >= rhs} and the dimension
+    of that set, or None if it is empty.
+
+    ineqs: (co, rhs) pairs in nvars variables.  Fourier-Motzkin
+    elimination of the last variable gives the exact projection onto the
+    leading ones, down to the first.  Back-substitution then puts each
+    coordinate at the middle of the interval its fibre leaves open, and
+    the set is empty exactly when the first interval is.  Each prefix so
+    chosen lies in the relative interior of its projection, hence so
+    does the point (Rockafellar, Convex Analysis, Thm. 6.6 and
+    Cor. 6.5.1), and the fibres of positive length count the dimension.
+    """
+    levels = []
     for k in reversed(range(nvars)):
+        levels.append(ineqs)
+        if k == 0:
+            break
         pos, neg, new = [], [], []
-        for co, rhs, st in ineqs:
+        for co, rhs in ineqs:
             ck = co[k]
             if ck > 0:
-                pos.append((co, rhs, st))
+                pos.append((co, rhs))
             elif ck < 0:
-                neg.append((co, rhs, st))
+                neg.append((co, rhs))
             else:
-                new.append((co[:k], rhs, st))
-        for a, r1, s1 in pos:
-            for b, r2, s2 in neg:
+                new.append((co[:k], rhs))
+        for a, r1 in pos:
+            for b, r2 in neg:
                 ca, cb = a[k], b[k]
                 co = tuple(-cb * a[i] + ca * b[i] for i in range(k))
-                new.append((co, -cb * r1 + ca * r2, s1 or s2))
+                new.append((co, -cb * r1 + ca * r2))
         ineqs = new
-    for _, rhs, st in ineqs:
-        if (st and 0 <= rhs) or (not st and 0 < rhs):
-            return False
-    return True
+    if any(rhs > 0 for co, rhs in ineqs if not any(co)):
+        return None
+    y = []
+    dim = 0
+    for system in reversed(levels):
+        k = len(y)
+        lo = hi = None
+        for co, rhs in system:
+            ck = co[k]
+            if ck == 0:
+                continue
+            t = Fraction(rhs - sum(c * v for c, v in zip(co, y)), ck)
+            if ck > 0:
+                lo = t if lo is None else max(lo, t)
+            else:
+                hi = t if hi is None else min(hi, t)
+        if lo is None and hi is None:
+            t = Fraction(0)
+        elif hi is None:
+            t = lo + 1
+        elif lo is None:
+            t = hi - 1
+        elif lo <= hi:
+            t = (lo + hi) / 2
+        else:
+            return None   # only at k = 0: the later fibres are projections
+        y.append(t)
+        dim += lo is None or hi is None or lo < hi
+    return tuple(y), dim
 
 
-def _stratum_feasible(domain, active, strict_elsewhere=True):
-    """Is there a point with the given facets tight (others strict)?"""
-    eq_rows = [list(domain.facets[j].normal) for j in active]
-    eq_rhs = [domain.facets[j].offset for j in active]
-    sol = solve_exact(eq_rows, eq_rhs) if active else None
-    if active:
-        if sol.status == "none":
-            return False
-        x0, kernel = sol.solution, sol.kernel
+def _frame(domain, tight):
+    """Coordinates on the affine span of the points where `tight` is tight.
+
+    The span is x0 + sum of y_i * kernel[i] over integer kernel vectors.
+    Returns (nvars, rows): the number of coordinates y_i, and rows[j] =
+    (co, rhs), integers meaning co . y >= rhs, for each facet j not in
+    `tight`.  `tight` must be consistent.
+    """
+    if tight:
+        sol = solve_exact([list(domain.facets[j].normal) for j in tight],
+                          [domain.facets[j].offset for j in tight])
+        x0 = sol.solution
+        kernel = tuple(_rational_direction(k) for k in sol.kernel)
     else:
         x0 = tuple(Fraction(0) for _ in range(domain.dim))
-        kernel = tuple(tuple(Fraction(1) if i == j else Fraction(0)
-                             for i in range(domain.dim))
+        kernel = tuple(tuple(int(i == j) for i in range(domain.dim))
                        for j in range(domain.dim))
-    ineqs = []
+    rows = {}
     for j, f in enumerate(domain.facets):
-        if j in active:
-            continue
-        co = tuple(dot(f.normal, k) for k in kernel)
-        rhs = f.offset - dot(f.normal, x0)
-        ineqs.append((co, rhs, strict_elsewhere))
-    return _fm_feasible(ineqs, len(kernel))
+        if j not in tight:
+            rhs = Fraction(f.offset - dot(f.normal, x0))
+            rows[j] = (tuple(dot(f.normal, k) * rhs.denominator
+                             for k in kernel), rhs.numerator)
+    return len(kernel), rows
 
 
-def domain_nonempty(domain) -> bool:
-    return _stratum_feasible(domain, (), strict_elsewhere=False)
+def _tight_at(tight, rows, y):
+    """The facets tight at the point y of a frame, in index order."""
+    return tuple(sorted(tight + tuple(j for j, (co, rhs) in rows.items()
+                                      if dot(co, y) == rhs)))
+
+
+def _face_sets(domain):
+    """Closed active set of every nonempty face, or None for an empty domain.
+
+    The closed active set of a face holds every facet tight on all of
+    it; it is the set of facets tight at any relative-interior point.
+    The search starts at the whole domain, whose set holds the implicit
+    equalities of a lower-dimensional domain.  From each face F of
+    positive dimension with set S it tries each facet j not in S: one
+    Fourier-Motzkin pass, in F's own coordinates, finds a relative-
+    interior point of the face of F where j is tight, if that face is
+    nonempty, and so its set.  Every face is reached, because a maximal
+    proper face of F is the face of F where any of its extra facets is
+    tight.  The cost is one exact solve per face of positive dimension
+    and n passes in at most dim variables from each: polynomial in the
+    facet count n for a fixed dimension, even where many facets meet.
+    """
+    nvars, rows = _frame(domain, ())
+    top = _fm_point(list(rows.values()), nvars)
+    if top is None:
+        return None
+    root = (_tight_at((), rows, top[0]), top[1])
+    seen = {root[0]}
+    stack = [root]
+    while stack:
+        S, dim = stack.pop()
+        if dim == 0:
+            continue  # a point: every facet meeting it is already in S
+        nvars, rows = _frame(domain, S)
+        face = list(rows.values())
+        for co, rhs in rows.values():
+            found = _fm_point(face + [(vec_neg(co), -rhs)], nvars)
+            if found is None:
+                continue
+            closed = _tight_at(S, rows, found[0])
+            if closed not in seen:
+                seen.add(closed)
+                stack.append((closed, found[1]))
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +244,21 @@ class DelzantReport:
 def validate_delzant(d: PolyhedralDomain) -> DelzantReport:
     """Saturation test at every nonempty boundary stratum.
 
-    A stratum with active facet set S passes when the primitive normals
-    indexed by S generate a saturated sublattice (all Smith divisors 1).
-    Strata met by more facets than their codimension are flagged as
-    non-simple.  An empty domain raises EMPTY_DOMAIN.
+    A stratum is the relative interior of a face, and its active facet
+    set S is the face's closed active set.  It passes when the primitive
+    normals indexed by S generate a saturated sublattice (all Smith
+    divisors 1).  Strata met by more facets than their codimension are
+    flagged as non-simple.  A facet whose index alone is no such set
+    supports no facet of the domain and is reported as redundant.  An
+    empty domain raises EMPTY_DOMAIN.
+
+    The sets come from a search over the faces (`_face_sets`), not over
+    all 2^n facet subsets of n facets.  It costs one exact solve per face
+    of positive dimension and at most n Fourier-Motzkin passes, in at
+    most dim variables, from each: n^2 + 1 passes for an n-gon, and
+    3n^2 - 6n + 5 for a pyramid over an (n - 1)-gon, whose apex lies on
+    n - 1 facets.  Strata are reported ordered by (size, indices), as
+    the subset search found them.
     """
     issues = []
     failures = []
@@ -170,30 +271,28 @@ def validate_delzant(d: PolyhedralDomain) -> DelzantReport:
             issues.append(f"facet {j}: normal {f.normal} not primitive")
     if issues:
         return DelzantReport(False, tuple(issues), ())
-    if not domain_nonempty(d):
+    strata = _face_sets(d)
+    if strata is None:
         raise WorkbenchError("EMPTY_DOMAIN", "domain has no points")
     for j in range(len(d.facets)):
-        if not _stratum_feasible(d, (j,)):
+        if (j,) not in strata:
             issues.append(f"facet {j} is redundant (supports no facet)")
-    n = len(d.facets)
-    for size in range(2, n + 1):
-        for S in itertools.combinations(range(n), size):
-            if not _stratum_feasible(d, S):
-                continue
-            normals = [d.facets[j].normal for j in S]
-            divisors = elementary_divisors(normals)
-            rank = len(divisors)
-            if rank < len(S) or rank > d.dim or len(S) > d.dim:
-                failures.append(DelzantFailure(S, "non_simple", None))
-                issues.append(f"stratum {S}: non-simple corner")
-                continue
-            index = 1
-            for dv in divisors:
-                index *= dv
-            if index != 1:
-                failures.append(DelzantFailure(S, "saturation", index))
-                issues.append(
-                    f"stratum {S}: normals span a sublattice of index {index}")
+    for S in sorted((S for S in strata if len(S) >= 2),
+                    key=lambda S: (len(S), S)):
+        normals = [d.facets[j].normal for j in S]
+        divisors = elementary_divisors(normals)
+        rank = len(divisors)
+        if rank < len(S) or rank > d.dim or len(S) > d.dim:
+            failures.append(DelzantFailure(S, "non_simple", None))
+            issues.append(f"stratum {S}: non-simple corner")
+            continue
+        index = 1
+        for dv in divisors:
+            index *= dv
+        if index != 1:
+            failures.append(DelzantFailure(S, "saturation", index))
+            issues.append(
+                f"stratum {S}: normals span a sublattice of index {index}")
     return DelzantReport(not issues, tuple(issues), tuple(failures))
 
 
@@ -432,6 +531,7 @@ class EvennessReport:
     bissectrice: int
     punctures: int        # ends escaping to infinity inside the domain
     crossings: tuple      # transverse double points inside the domain
+    delzant: DelzantReport | None = None   # None when the curve is invalid
 
     def as_dict(self):
         return {"ok": self.ok, "issues": list(self.issues),
@@ -456,10 +556,10 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
         return EvennessReport(False, vrep.issues, (), 0, 0, 0, ())
     drep = validate_delzant(d)
     if not drep.ok:
-        return EvennessReport(False, drep.issues, (), 0, 0, 0, ())
+        return EvennessReport(False, drep.issues, (), 0, 0, 0, (), drep)
     if c.dim != d.dim:
         return EvennessReport(False, ("curve and domain dimension differ",),
-                              (), 0, 0, 0, ())
+                              (), 0, 0, 0, (), drep)
 
     for vid in c.vertices:
         if not d.contains(c.position(vid)):
@@ -570,7 +670,7 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
     j = sum(1 for b in boundary if b.kind == "MOMENTUM2")
     n_biss = sum(1 for b in boundary if b.kind == "BISSECTRICE")
     return EvennessReport(not issues, tuple(issues), tuple(boundary),
-                          j, n_biss, punctures, crossings)
+                          j, n_biss, punctures, crossings, drep)
 
 
 def require_even_primitive(c, d, relaxed=False):

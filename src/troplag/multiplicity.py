@@ -188,6 +188,40 @@ class Problem:
         (other, dh, w, cid), = self.neighbors(end)
         return self.momenta(end)[3][0], w, cid
 
+    def mixed_product(self, root=None) -> int:
+        """`mixed_h_product` of this problem towards `root`."""
+        ends = self.ends()
+        if len(ends) < 2:
+            raise WorkbenchError("KAPPA_TOO_SMALL", "need at least two ends")
+        if len(ends) == 2:
+            e0, e1 = ends
+            (other, dh, w, cid), = self.neighbors(e0)
+            if other != e1:
+                raise WorkbenchError("NOT_TRIVALENT",
+                                     "a two-end curve must be a single line")
+            return abs(mixed(self.end_z[e0], self.end_z[e1],
+                             primitive_raw(dh)))
+        if root is None:
+            root = ends[0]
+        if isinstance(root, tuple) and len(root) == 2 and root[0] == "end":
+            if root not in self.end_z:
+                raise WorkbenchError("BAD_ROOT", f"no end {root}")
+            rho_in, w_root, _ = self.momentum_at_end(root)
+            rho_root = self.end_momentum(root)
+            k = pairing_coefficient(RotationalMomentum.from_vector(rho_in),
+                                    rho_root, self.outward(root))
+            if k % w_root != 0:
+                raise WorkbenchError("INTERNAL_INCONSISTENCY",
+                                     "pairing not divisible by root weight")
+            return k // w_root
+        if root not in self.nodes:
+            raise WorkbenchError("BAD_ROOT", f"no 3-valent vertex {root!r}")
+        arrived = self.momenta(root)[3]
+        if len(arrived) != 3:
+            raise WorkbenchError("NOT_TRIVALENT",
+                                 f"vertex {root!r} is not 3-valent")
+        return abs(mixed(*arrived))
+
 
 def build_problem(c_or_sk, zs) -> Problem:
     if isinstance(c_or_sk, Skeleton):
@@ -271,36 +305,7 @@ def mixed_h_product(c_or_sk, zs, root=None) -> int:
     """
     if isinstance(c_or_sk, TropicalCurve) and c_or_sk.b1() != 0:
         raise WorkbenchError("TREE_ONLY", "the mixed product needs a tree")
-    prob = build_problem(c_or_sk, zs)
-    ends = prob.ends()
-    if len(ends) < 2:
-        raise WorkbenchError("KAPPA_TOO_SMALL", "need at least two ends")
-    if len(ends) == 2:
-        e0, e1 = ends
-        (other, dh, w, cid), = prob.neighbors(e0)
-        if other != e1:
-            raise WorkbenchError("NOT_TRIVALENT",
-                                 "a two-end curve must be a single line")
-        return abs(mixed(prob.end_z[e0], prob.end_z[e1], primitive_raw(dh)))
-    if root is None:
-        root = ends[0]
-    if isinstance(root, tuple) and len(root) == 2 and root[0] == "end":
-        if root not in prob.end_z:
-            raise WorkbenchError("BAD_ROOT", f"no end {root}")
-        rho_in, w_root, _ = prob.momentum_at_end(root)
-        rho_root = prob.end_momentum(root)
-        k = pairing_coefficient(RotationalMomentum.from_vector(rho_in),
-                                rho_root, prob.outward(root))
-        if k % w_root != 0:
-            raise WorkbenchError("INTERNAL_INCONSISTENCY",
-                                 "pairing not divisible by root weight")
-        return k // w_root
-    if root not in prob.nodes:
-        raise WorkbenchError("BAD_ROOT", f"no 3-valent vertex {root!r}")
-    arrived = prob.momenta(root)[3]
-    if len(arrived) != 3:
-        raise WorkbenchError("NOT_TRIVALENT", f"vertex {root!r} is not 3-valent")
-    return abs(mixed(*arrived))
+    return build_problem(c_or_sk, zs).mixed_product(root)
 
 
 def all_roots(c_or_sk, zs):

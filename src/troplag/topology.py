@@ -20,8 +20,7 @@ from .errors import WorkbenchError
 from .lattice import (content, cross, det_bareiss, is_zero,
                       lattice_index, primitive_raw, rot90, solve_cross,
                       solve_exact, vec_add, vec_scale)
-from .multiplicity import (Problem, RotationalMomentum, build_problem,
-                           mixed_h_product)
+from .multiplicity import Problem, RotationalMomentum, build_problem
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
         mv *= m
 
     prob = build_problem(c, z_dict)
-    product = mixed_h_product(c, z_dict)
+    product = prob.mixed_product()
     leaf_data = tuple((marker[1], RotationalMomentum.from_vector(
         cross(prob.outward(marker), prob.end_z[marker])))
         for marker in prob.ends())

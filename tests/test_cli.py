@@ -4,6 +4,7 @@ import pytest
 
 from conftest import fixture_path
 
+from troplag import domain
 from troplag.cli import _parser, run_command
 from troplag.multiplicity import KAPPA_CAP
 
@@ -211,3 +212,27 @@ def test_pieces_command():
 def test_parse_errors_are_usage_errors(argv):
     code, out = run_json(argv)
     assert code == 1 and out["error"] == "USAGE"
+
+
+@pytest.mark.parametrize("curve", ["rp2.curve.json", "poincare.curve.json",
+                                   "bad"])
+def test_validate_searches_the_domain_once(monkeypatch, tmp_path, curve):
+    """Valid, dimension-mismatched and invalid curves: one face search."""
+    if curve == "bad":
+        path = tmp_path / "bad.curve.json"
+        path.write_text(json.dumps({
+            "dim": 2, "vertices": [{"id": "a", "pos": ["0", "0"]},
+                                   {"id": "b", "pos": ["1/2", "1/2"]}],
+            "edges": [{"tail": "a", "head": "b", "dir": [1, 0],
+                       "weight": 1, "leaf_label": None}]}))
+    else:
+        path = fixture_path(curve)
+    searches = []
+    real = domain._face_sets
+    monkeypatch.setattr(domain, "_face_sets",
+                        lambda d: searches.append(d) or real(d))
+    code, out = run_json(["validate", "--curve", str(path), "--domain",
+                          fixture_path("triangle.domain.json")])
+    assert len(searches) == 1
+    assert out["domain"]["ok"] is True
+    assert code == (0 if curve == "rp2.curve.json" else 2)

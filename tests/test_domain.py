@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,13 +6,16 @@ import pytest
 
 from conftest import rand_primitive
 
+from troplag import domain as domain_mod
 from troplag.curve import Edge, TropicalCurve, betti_and_degree
-from troplag.domain import (LineConfiguration, PolyhedralDomain,
+from troplag.domain import (DelzantFailure, DelzantReport, LineConfiguration,
+                            PolyhedralDomain,
                             check_even_primitive, classify_boundary_point,
                             corner_basis, curve_self_crossings,
                             suitability_check, validate_delzant, wavefront)
 from troplag.errors import WorkbenchError
-from troplag.lattice import content, cross, det_bareiss, mixed
+from troplag.lattice import (content, cross, det_bareiss, dot,
+                             elementary_divisors, is_zero, mixed, solve_exact)
 
 
 def triangle():
@@ -93,6 +97,329 @@ def test_delzant_non_simple_apex():
     rep = validate_delzant(pyramid)
     assert not rep.ok
     assert any(f.problem == "non_simple" for f in rep.failures)
+
+
+# ---------------------------------------------------------------------------
+# the face search against the exhaustive stratum search
+
+
+def _oracle_fm_feasible(ineqs, nvars):
+    """ineqs: (coeffs, rhs, strict) meaning coeffs . y >= rhs (> if strict)."""
+    for k in reversed(range(nvars)):
+        pos, neg, new = [], [], []
+        for co, rhs, st in ineqs:
+            ck = co[k]
+            if ck > 0:
+                pos.append((co, rhs, st))
+            elif ck < 0:
+                neg.append((co, rhs, st))
+            else:
+                new.append((co[:k], rhs, st))
+        for a, r1, s1 in pos:
+            for b, r2, s2 in neg:
+                ca, cb = a[k], b[k]
+                co = tuple(-cb * a[i] + ca * b[i] for i in range(k))
+                new.append((co, -cb * r1 + ca * r2, s1 or s2))
+        ineqs = new
+    for _, rhs, st in ineqs:
+        if (st and 0 <= rhs) or (not st and 0 < rhs):
+            return False
+    return True
+
+
+def _oracle_stratum_feasible(domain, active, strict_elsewhere=True):
+    """Is there a point with the given facets tight (others strict)?"""
+    eq_rows = [list(domain.facets[j].normal) for j in active]
+    eq_rhs = [domain.facets[j].offset for j in active]
+    sol = solve_exact(eq_rows, eq_rhs) if active else None
+    if active:
+        if sol.status == "none":
+            return False
+        x0, kernel = sol.solution, sol.kernel
+    else:
+        x0 = tuple(Fraction(0) for _ in range(domain.dim))
+        kernel = tuple(tuple(Fraction(1) if i == j else Fraction(0)
+                             for i in range(domain.dim))
+                       for j in range(domain.dim))
+    ineqs = []
+    for j, f in enumerate(domain.facets):
+        if j in active:
+            continue
+        co = tuple(dot(f.normal, k) for k in kernel)
+        rhs = f.offset - dot(f.normal, x0)
+        ineqs.append((co, rhs, strict_elsewhere))
+    return _oracle_fm_feasible(ineqs, len(kernel))
+
+
+def oracle_validate_delzant(d):
+    """The exhaustive routine: every facet subset of size 2 to n."""
+    issues = []
+    failures = []
+    for j, f in enumerate(d.facets):
+        if len(f.normal) != d.dim:
+            issues.append(f"facet {j}: normal has wrong dimension")
+        elif is_zero(f.normal):
+            issues.append(f"facet {j}: zero normal")
+        elif content(f.normal) != 1:
+            issues.append(f"facet {j}: normal {f.normal} not primitive")
+    if issues:
+        return DelzantReport(False, tuple(issues), ())
+    if not _oracle_stratum_feasible(d, (), strict_elsewhere=False):
+        raise WorkbenchError("EMPTY_DOMAIN", "domain has no points")
+    for j in range(len(d.facets)):
+        if not _oracle_stratum_feasible(d, (j,)):
+            issues.append(f"facet {j} is redundant (supports no facet)")
+    n = len(d.facets)
+    for size in range(2, n + 1):
+        for S in itertools.combinations(range(n), size):
+            if not _oracle_stratum_feasible(d, S):
+                continue
+            normals = [d.facets[j].normal for j in S]
+            divisors = elementary_divisors(normals)
+            rank = len(divisors)
+            if rank < len(S) or rank > d.dim or len(S) > d.dim:
+                failures.append(DelzantFailure(S, "non_simple", None))
+                issues.append(f"stratum {S}: non-simple corner")
+                continue
+            index = 1
+            for dv in divisors:
+                index *= dv
+            if index != 1:
+                failures.append(DelzantFailure(S, "saturation", index))
+                issues.append(
+                    f"stratum {S}: normals span a sublattice of index {index}")
+    return DelzantReport(not issues, tuple(issues), tuple(failures))
+
+
+def _outcome(validate, d):
+    try:
+        return validate(d)
+    except WorkbenchError as err:
+        return err.code
+
+
+def _domain(dim, facets):
+    return PolyhedralDomain(dim, [{"normal": u, "offset": a}
+                                  for u, a in facets])
+
+
+def _corner(f, g):
+    (u, a), (v, b) = f, g
+    det = u[0] * v[1] - u[1] * v[0]
+    return (Fraction(a * v[1] - b * u[1], det),
+            Fraction(u[0] * b - v[0] * a, det))
+
+
+def _edge_length(facets, i):
+    """Lattice length of the edge on facet i of a cyclic polygon."""
+    p = _corner(facets[i - 1], facets[i])
+    q = _corner(facets[i], facets[(i + 1) % len(facets)])
+    u = facets[i][0]
+    k = 0 if u[1] != 0 else 1
+    return (q[k] - p[k]) / (u[1], -u[0])[k]
+
+
+def blown_up_polygon(rng, count, spoiled=False):
+    """Cyclic (normal, offset) facets: a square with corners cut off.
+
+    A cut at the corner of u and v adds u + v and shortens both edges by
+    at most a third of the shorter one; with `spoiled` the last cut adds
+    2u + v instead, which leaves one corner of index 2.
+    """
+    facets = [((1, 0), Fraction(0)), ((0, 1), Fraction(0)),
+              ((-1, 0), Fraction(-12)), ((0, -1), Fraction(-12))]
+    while len(facets) < count:
+        i = rng.randrange(len(facets))
+        j = (i + 1) % len(facets)
+        (u, _), (v, _) = facets[i], facets[j]
+        w = (u[0] + v[0], u[1] + v[1])
+        if spoiled and len(facets) == count - 1:
+            w = (w[0] + u[0], w[1] + u[1])
+        eps = min(_edge_length(facets, i), _edge_length(facets, j)) \
+            / rng.randint(3, 5)
+        x = _corner(facets[i], facets[j])
+        facets.insert(i + 1, (w, w[0] * x[0] + w[1] * x[1] + eps))
+    return facets
+
+
+def prism(facets, height=3):
+    return [((u[0], u[1], 0), a) for u, a in facets] + \
+        [((0, 0, 1), Fraction(0)), ((0, 0, -1), Fraction(-height))]
+
+
+def pyramid(base_normals):
+    """Cone z >= -u . (x, y) over each u, cut by z <= 1: apex at 0."""
+    return [((u[0], u[1], 1), 0) for u in base_normals] + \
+        [((0, 0, -1), -1)]
+
+
+def parabola_pyramid(m):
+    """Pyramid over an m-gon, m >= 4: sides (t, t^2 - 1, 1), primitive
+    and in convex position around the origin."""
+    return pyramid([(t, t * t - 1) for t in range(1 - m // 2, m - m // 2 + 1)])
+
+
+def _random_domain(rng, dim):
+    """Up to 10 random facets around a centre; some through it."""
+    centre = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                   for _ in range(dim))
+    facets = []
+    for _ in range(rng.randint(dim, 9 if dim == 2 else 8)):
+        u = rand_primitive(rng, -2, 2, dim)
+        slack = rng.choice([0, 0, Fraction(1, 2), 1, 2, 3]) \
+            if rng.random() < 0.9 else rng.randint(-3, 3)
+        facets.append((u, dot(u, centre) - slack))
+    if rng.random() < 0.2:
+        u, a = facets[0]
+        facets.append((tuple(-c for c in u), -a))
+    return _domain(dim, facets)
+
+
+def _named_domains():
+    rng = random.Random(5)
+    cases = {}
+    for count in (5, 7, 8, 10):
+        cases[f"polygon{count}"] = _domain(2, blown_up_polygon(rng, count))
+        cases[f"polygon{count}-spoiled"] = _domain(
+            2, blown_up_polygon(rng, count, spoiled=True))
+    for count in (5, 6, 8):
+        cases[f"prism{count}"] = _domain(
+            3, prism(blown_up_polygon(rng, count)))
+        cases[f"prism{count}-spoiled"] = _domain(
+            3, prism(blown_up_polygon(rng, count, spoiled=True)))
+    cases["square-pyramid"] = _domain(3, pyramid(
+        [(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    cases["hexagon-pyramid"] = _domain(3, pyramid(
+        [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]))
+    square = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -2)]
+    cases["redundant-outside"] = _domain(2, square + [((1, 1), -1)])
+    cases["redundant-at-corner"] = _domain(2, square + [((1, 1), 0)])
+    cases["redundant-repeated"] = _domain(2, square + [((1, 0), 0)])
+    cases["quadrant"] = _domain(2, [((1, 0), 0), ((0, 1), 0)])
+    cases["strip"] = _domain(2, [((1, 0), 0), ((-1, 0), -1)])
+    cases["half-space"] = _domain(3, [((1, 1, 0), 2)])
+    cases["octant-corner-cut"] = _domain(
+        3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+            ((1, 1, 1), 1)])
+    cases["lower-dim-segment"] = _domain(
+        2, [((0, 1), 1), ((0, -1), -1), ((1, 0), 0), ((-1, 0), -3)])
+    cases["lower-dim-plane-slab"] = _domain(
+        3, [((1, 2, 0), "1/2"), ((-1, -2, 0), "-1/2"), ((0, 0, 1), 0)])
+    cases["single-point"] = _domain(
+        2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 0)])
+    cases["empty"] = _domain(2, [((1, 0), 1), ((-1, 0), 1)])
+    cases["empty-3d"] = _domain(
+        3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+            ((-1, -1, -1), 1)])
+    return cases
+
+
+NAMED_DOMAINS = _named_domains()
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_DOMAINS))
+def test_face_search_matches_exhaustive_named(name):
+    d = NAMED_DOMAINS[name]
+    assert _outcome(validate_delzant, d) == \
+        _outcome(oracle_validate_delzant, d)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_face_search_matches_exhaustive_random(dim):
+    rng = random.Random(100 + dim)
+    kinds = set()
+    for _ in range(120 if dim == 2 else 80):
+        d = _random_domain(rng, dim)
+        got = _outcome(validate_delzant, d)
+        assert got == _outcome(oracle_validate_delzant, d), d.facets
+        if isinstance(got, str):
+            kinds.add(got)
+            continue
+        kinds.add("ok" if got.ok else "not ok")
+        kinds.update(f.problem for f in got.failures)
+        if any("redundant" in s for s in got.issues):
+            kinds.add("redundant")
+    # the draws reach every branch of the report
+    assert kinds == {"EMPTY_DOMAIN", "ok", "not ok", "non_simple",
+                     "saturation", "redundant"}
+
+
+def test_named_domain_reports():
+    """Spot values the oracle comparison pins; each case is what it says."""
+    for name, d in NAMED_DOMAINS.items():
+        if name.startswith("empty"):
+            assert _outcome(validate_delzant, d) == "EMPTY_DOMAIN"
+            continue
+        rep = validate_delzant(d)
+        problems = [f.problem for f in rep.failures]
+        if name.startswith(("polygon", "prism")):
+            if name.endswith("-spoiled"):
+                assert [f.index for f in rep.failures] \
+                    == [2] * len(rep.failures) != []
+            else:
+                assert rep.ok
+        elif name.endswith("pyramid"):
+            sides = tuple(range(len(d.facets) - 1))
+            assert DelzantFailure(sides, "non_simple", None) in rep.failures
+        elif name.startswith("redundant"):
+            assert any("redundant" in s for s in rep.issues)
+        elif name.startswith("lower-dim"):
+            assert "non_simple" in problems
+    assert validate_delzant(NAMED_DOMAINS["quadrant"]).ok
+    assert validate_delzant(NAMED_DOMAINS["strip"]).ok
+    assert validate_delzant(NAMED_DOMAINS["half-space"]).ok
+
+
+def _count_passes(monkeypatch):
+    """Count the Fourier-Motzkin feasibility passes of the face search."""
+    calls = []
+    real = domain_mod._fm_point
+
+    def counted(ineqs, nvars):
+        calls.append(nvars)
+        return real(ineqs, nvars)
+
+    monkeypatch.setattr(domain_mod, "_fm_point", counted)
+    return calls
+
+
+def test_face_search_polygon_passes_quadratic(monkeypatch):
+    facets = blown_up_polygon(random.Random(40), 40)
+    d = _domain(2, facets)
+    calls = _count_passes(monkeypatch)
+    assert validate_delzant(d).ok
+    n = len(facets)
+    # one pass for the domain, n from it and n - 1 from each edge;
+    # the exhaustive search made 2^n
+    assert len(calls) <= n * n + 1
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+def test_pyramid_apex_matches_exhaustive(m):
+    d = _domain(3, parabola_pyramid(m))
+    rep = validate_delzant(d)
+    assert rep == oracle_validate_delzant(d)
+    non_simple = [f.facets for f in rep.failures if f.problem == "non_simple"]
+    assert non_simple == [tuple(range(m))]
+
+
+def test_pyramid_apex_passes_quadratic(monkeypatch):
+    m = 20
+    d = _domain(3, parabola_pyramid(m))
+    calls = _count_passes(monkeypatch)
+    rep = validate_delzant(d)
+    n = m + 1
+    # 1 + n + (n - 1) per 2-face + (n - 2) per edge = 3n^2 - 6n + 5;
+    # a level-wise search over tight subsets would meet 2^m at the apex
+    assert len(calls) <= 3 * n * n
+    # the pattern of m <= 8: only the apex is non-simple, and every
+    # other failure sits on an edge or a base corner of adjacent sides
+    non_simple = [f.facets for f in rep.failures if f.problem == "non_simple"]
+    assert non_simple == [tuple(range(m))]
+    adjacent = {tuple(sorted((i, (i + 1) % m))) for i in range(m)}
+    for f in rep.failures:
+        if f.problem == "saturation":
+            assert tuple(j for j in f.facets if j != m) in adjacent
 
 
 # ---------------------------------------------------------------------------
