@@ -17,7 +17,7 @@ from .domain import (Facet, Line, LineConfiguration, PolyhedralDomain,
                      wavefront)
 from .errors import WorkbenchError
 from .lattice import (SnfResult, cross, gcd_primitive, lattice_index, mixed,
-                      smith_normal_form, solve_exact)
+                      smith_normal_form)
 from .multiplicity import (EvaluationMatrix, MultiplicityValue,
                            RotationalMomentum, enumerate_count, ev_matrix,
                            leaf_momentum, mixed_h_product, multiplicity_det,
@@ -37,7 +37,7 @@ __all__ = [
     "suitability_check", "validate_delzant", "wavefront",
     "WorkbenchError",
     "SnfResult", "cross", "gcd_primitive", "lattice_index", "mixed",
-    "smith_normal_form", "solve_exact",
+    "smith_normal_form",
     "EvaluationMatrix", "MultiplicityValue", "RotationalMomentum",
     "enumerate_count", "ev_matrix", "leaf_momentum", "mixed_h_product",
     "multiplicity_det", "pairing_coefficient", "propagate",

@@ -26,8 +26,8 @@ from math import lcm
 from .curve import TropicalCurve, Edge, validate_curve
 from .errors import WorkbenchError
 from .lattice import (content, cross, dot, elementary_divisors, is_zero,
-                      mixed, primitive_raw, rot90, solve_dot, solve_exact,
-                      vec_add, vec_neg, vec_scale, vec_sub)
+                      mixed, primitive_raw, rank_exact, rot90, solve_bareiss,
+                      solve_dot, vec_add, vec_neg, vec_scale, vec_sub)
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,14 @@ def _frame(domain, tight):
     `tight`.  `tight` must be consistent.
     """
     if tight:
-        sol = solve_exact([list(domain.facets[j].normal) for j in tight],
-                          [domain.facets[j].offset for j in tight])
-        x0 = sol.solution
-        kernel = tuple(_rational_direction(k) for k in sol.kernel)
+        d, num, kernel = solve_bareiss(
+            [domain.facets[j].normal for j in tight],
+            [domain.facets[j].offset for j in tight])
+        x0 = tuple(Fraction(v, d) for v in num)
+        # kernel[i] / d is the reduced-echelon kernel vector; keeping its
+        # orientation keeps the points the face search visits
+        kernel = tuple(primitive_raw(k if d > 0 else vec_neg(k))
+                       for k in kernel)
     else:
         x0 = tuple(Fraction(0) for _ in range(domain.dim))
         kernel = tuple(tuple(int(i == j) for i in range(domain.dim))
@@ -371,11 +375,11 @@ def intersect_geometries(g1: EdgeGeometry, g2: EdgeGeometry):
     n = len(g1.base)
     rows = [[g1.direction[k], -g2.direction[k]] for k in range(n)]
     rhs = [g2.base[k] - g1.base[k] for k in range(n)]
-    sol = solve_exact(rows, rhs)
-    if sol.status == "none":
+    d, num, kernel = solve_bareiss(rows, rhs)
+    if num is None:
         return None
-    if sol.status == "unique":
-        t1, t2 = sol.solution
+    if not kernel:
+        t1, t2 = Fraction(num[0], d), Fraction(num[1], d)
         if _in_range(t1, g1.tmax) and _in_range(t2, g2.tmax):
             return ("point", g1.point(t1), t1, t2)
         return None
@@ -477,7 +481,7 @@ def classify_point_on_edge(c, domain, point, edge_index, outward,
         return BoundaryPointInfo(point, edge_index, (), 0, (), "INTERIOR",
                                  None, e.weight, "", end_key)
     normals = [domain.facets[j].normal for j in active]
-    codim = len(elementary_divisors(normals))
+    codim = rank_exact(normals)
     momenta = tuple((j, abs(dot(domain.facets[j].normal, dh)))
                     for j in active)
     kind = "OTHER"
@@ -577,8 +581,7 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
             issues.append(f"vertex {vid} has valence {len(inc)} > 3")
             continue
         dirs = [vec_scale(w, dd) for _, dd, w in inc]
-        rank = len(elementary_divisors(dirs))
-        if rank != 2:
+        if rank_exact(dirs) != 2:
             issues.append(f"vertex {vid}: edges do not span a 2-plane")
         if vid in interior and not interior[vid]:
             issues.append(f"vertex {vid} lies on the boundary")
@@ -697,18 +700,18 @@ def _polygon_vertices(d: PolyhedralDomain, offsets):
     n = len(d.facets)
     for i in range(n):
         for j in range(i + 1, n):
-            sol = solve_exact([list(d.facets[i].normal),
-                               list(d.facets[j].normal)],
-                              [offsets[i], offsets[j]])
-            if sol.status != "unique":
+            det, num, kernel = solve_bareiss(
+                [d.facets[i].normal, d.facets[j].normal],
+                [offsets[i], offsets[j]])
+            if kernel:
                 continue
-            x = sol.solution
+            x = tuple(Fraction(v, det) for v in num)
             vals = [dot(d.facets[k].normal, x) - offsets[k]
                     for k in range(n)]
             if any(v < 0 for v in vals):
                 continue
             active = tuple(k for k, v in enumerate(vals) if v == 0)
-            verts.append({"point": tuple(x), "pair": (i, j),
+            verts.append({"point": x, "pair": (i, j),
                           "active": active})
     return verts
 
@@ -802,10 +805,10 @@ def _leaf_line_intersection(base, direction, line: Line):
     n = len(base)
     rows = [[direction[k], -line.direction[k]] for k in range(n)]
     rhs = [line.point[k] - base[k] for k in range(n)]
-    sol = solve_exact(rows, rhs)
-    if sol.status != "unique":
+    d, num, kernel = solve_bareiss(rows, rhs)
+    if num is None or kernel:
         return None
-    t, _ = sol.solution
+    t = Fraction(num[0], d)
     if t < 0:
         return None
     return vec_add(base, vec_scale(t, direction))
@@ -815,12 +818,13 @@ def _in_convex_hull(x, pts, dim):
     """Exact membership of x in the convex hull of pts (Caratheodory)."""
     for size in range(1, dim + 2):
         for sub in itertools.combinations(pts, size):
-            rows = [[Fraction(1)] * size]
+            rows = [[1] * size]
             for k in range(dim):
                 rows.append([q[k] for q in sub])
-            rhs = [Fraction(1)] + [x[k] for k in range(dim)]
-            sol = solve_exact(rows, rhs)
-            if sol.status == "unique" and all(l >= 0 for l in sol.solution):
+            d, num, kernel = solve_bareiss(rows, [1, *x])
+            # the weights num / d are all >= 0
+            if num is not None and not kernel and \
+                    all(v * d >= 0 for v in num):
                 return True
     return False
 

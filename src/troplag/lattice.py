@@ -1,16 +1,18 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything in here is plain ``int`` / ``fractions.Fraction`` arithmetic:
-vector products, primitivity, Smith normal form, lattice indices, and a
-small exact linear solver.  No floating point is used anywhere in the
+Everything in here is plain ``int`` arithmetic, with ``Fraction`` input
+cleared of denominators: vector products and primitivity; one
+fraction-free (Bareiss) elimination for determinants, solutions, ranks
+and kernels; and the Smith normal form for lattice indices, saturation
+and basis completion.  No floating point is used anywhere in the
 package.  Vectors are tuples, matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import WorkbenchError
 
@@ -183,36 +185,74 @@ def det_bareiss(rows) -> int:
     return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
-def solve_bareiss(rows, rhs):
-    """Fraction-free solve of a square integer system A x = b.
+def _integer_rows(rows):
+    """Rows of ints: a system holding a Fraction has each row scaled by
+    the lcm of its denominators; an all-int system is returned as it is."""
+    # a sum of ints is an int, and a single Fraction makes it a Fraction
+    if type(sum(chain.from_iterable(rows))) is int:
+        return rows
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
 
-    Returns the plain tuple (det, numerators, consistent).  When
-    det = det(A) is nonzero, numerators[i] = det * x_i are the integer
-    Cramer numerators of the unique solution and consistent is True.
-    When det is 0, numerators is None and consistent tells a solvable
-    singular system from an inconsistent one.
+
+def solve_bareiss(rows, rhs):
+    """Fraction-free solve of an m x n system A x = b (int or Fraction).
+
+    Returns the plain tuple (d, numerators, kernel), all integers:
+    - d is nonzero; it is det(A) when A is a square nonsingular integer
+      matrix.
+    - numerators[i] = d * x_i for the solution whose free variables are
+      0, or None when the system is inconsistent.
+    - kernel[k] / d is the k-th reduced-echelon kernel vector: d at the
+      k-th free column, 0 at the other free columns.  It is empty
+      exactly when the solution is unique.
+    Each row is cleared of denominators on its own, which changes
+    neither the solutions nor the kernel, only d.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows) or len(rhs) != len(rows):
         raise WorkbenchError("DIMENSION_MISMATCH",
-                             "fraction-free solve needs a square system")
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+                             "ragged rows or a right-hand side of the "
+                             "wrong length")
+    a = _integer_rows([[*r, b] for r, b in zip(rows, rhs)])
     pivots, sign = _bareiss_echelon(a, n)
-    if len(pivots) < n:
-        return 0, None, all(a[i][n] == 0 for i in range(len(pivots), n))
-    # Row i of the echelon form is an equation of the system, and d * x_j
-    # is an integer for every j, so each division below is exact.
-    d = a[n - 1][n - 1] if n else 1
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        s = d * row[n]
-        for j in range(i + 1, n):
-            s -= row[j] * x[j]
-        x[i] = s // row[i]
-    if sign < 0:
-        x = [-v for v in x]
-    return sign * d, tuple(x), True
+    r = len(pivots)
+    # The last pivot is the r x r minor of the pivot rows and columns, so
+    # by Cramer's rule d * x is integral for the solution and the kernel
+    # vectors below, and each division in the back-substitution over the
+    # echelon rows is exact.
+    d = sign * a[r - 1][pivots[-1]] if r else 1
+
+    def back(col, scale):
+        # the pivot variables of the echelon rows with right-hand side
+        # scale * column col, every free variable 0
+        x = [0] * n
+        for i in range(r - 1, -1, -1):
+            row = a[i]
+            s = scale * row[col]
+            for c in pivots[i + 1:]:
+                s -= row[c] * x[c]
+            x[pivots[i]] = s // row[pivots[i]]
+        return x
+
+    num = None if any(row[n] for row in a[r:]) else tuple(back(n, d))
+    kernel = []
+    if r < n:
+        for f in range(n):
+            if f not in pivots:
+                k = back(f, -d)     # move column f to the right, x_f = 1
+                k[f] = d
+                kernel.append(tuple(k))
+    return d, num, tuple(kernel)
+
+
+def rank_exact(rows) -> int:
+    """Rank over Q: the pivot count of the fraction-free echelon form."""
+    a = _integer_rows([list(r) for r in rows])
+    return len(_bareiss_echelon(a, len(a[0]) if a else 0)[0])
 
 
 @dataclass(frozen=True)
@@ -369,92 +409,6 @@ def lattice_index(gens) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact rational solving
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    status: str                 # "unique" | "none" | "underdetermined"
-    solution: tuple | None
-    kernel: tuple               # basis of the homogeneous solution space
-    det: Fraction | None        # exact determinant when the matrix is square
-
-    @property
-    def unique(self):
-        return self.status == "unique"
-
-
-def solve_exact(rows, rhs) -> SolveResult:
-    """Gaussian elimination over Q.
-
-    Returns the unique solution, reports inconsistency, or returns a
-    kernel basis together with one particular solution.
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    if len(rhs) != nr:
-        raise WorkbenchError("DIMENSION_MISMATCH",
-                             f"{nr} rows versus {len(rhs)} right-hand sides")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-         for i, row in enumerate(rows)]
-
-    det = Fraction(1) if nr == nc else None
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if pr is None:
-            if det is not None:
-                det = Fraction(0)
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-            if det is not None:
-                det = -det
-        if det is not None:
-            det *= a[r][c]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    if det is not None and r < nr:
-        det = Fraction(0)
-
-    for i in range(r, nr):
-        if a[i][nc] != 0:
-            return SolveResult("none", None, (), det)
-
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = a[i][nc]
-
-    free = [c for c in range(nc) if c not in pivots]
-    kernel = []
-    for fc in free:
-        k = [Fraction(0)] * nc
-        k[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            k[c] = -a[i][fc]
-        kernel.append(tuple(k))
-
-    if free:
-        return SolveResult("underdetermined", tuple(x), tuple(kernel), det)
-    return SolveResult("unique", tuple(x), (), det)
-
-
-def rank_exact(rows) -> int:
-    if not rows:
-        return 0
-    nc = len(rows[0])
-    res = solve_exact(rows, [0] * len(rows))
-    return nc - len(res.kernel)
-
-
-# ---------------------------------------------------------------------------
 # small integer solvers used by the corner-basis and splitting machinery
 
 
@@ -499,9 +453,8 @@ def invert_unimodular(m):
         raise WorkbenchError("NOT_UNIMODULAR", f"determinant {d}")
     cols = []
     for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        sol = solve_exact(m, rhs)
-        cols.append(tuple(int(x) for x in sol.solution))
+        _, num, _ = solve_bareiss(m, [int(i == j) for i in range(n)])
+        cols.append(tuple(d * x for x in num))   # x = num / d, d = +-1
     return tuple(zip(*cols))
 
 

@@ -587,11 +587,11 @@ def enumerate_count(degree, lines: LineConfiguration,
                 steps.append((at, other, col))
                 stack.append((other, at,
                               path + ((col, sk.dh[(at, other)]),)))
-        det, num, consistent = solve_bareiss(rows, rhs)
-        if det == 0:
+        det, num, kernel = solve_bareiss(rows, rhs)
+        if kernel:
             # a structurally singular type carries no curves for generic
             # base points; a solvable singular system is a wall crossing
-            if not consistent:
+            if num is None:
                 outcomes.append(TypeOutcome(tree.edges, "singular", 0, None))
                 continue
             raise WorkbenchError(

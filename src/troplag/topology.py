@@ -17,9 +17,8 @@ from .domain import (PolyhedralDomain, check_even_primitive,
                      curve_self_crossings, is_standard_simplex_3,
                      require_even_primitive)
 from .errors import WorkbenchError
-from .lattice import (content, cross, det_bareiss, is_zero,
-                      lattice_index, primitive_raw, rot90, solve_cross,
-                      solve_exact, vec_add, vec_scale)
+from .lattice import (content, cross, det_bareiss, is_zero, primitive_raw,
+                      rot90, solve_bareiss, solve_cross, vec_add, vec_scale)
 from .multiplicity import Problem, RotationalMomentum, build_problem
 
 
@@ -31,7 +30,10 @@ def vertex_multiplicity(c: TropicalCurve, vid) -> int:
     """Lattice index of two independent edge vectors at a 3-valent vertex.
 
     The index is taken inside the integer points of the plane the vectors
-    span; balancing makes the answer independent of the chosen pair.
+    span; balancing makes the answer independent of the chosen pair.  For
+    two independent vectors it is the product of their two elementary
+    divisors, that is the gcd of their 2 x 2 minors: |det| in the plane,
+    the content of the cross product in space.
     """
     inc = c.incident(vid)
     if len(inc) != 3:
@@ -40,10 +42,10 @@ def vertex_multiplicity(c: TropicalCurve, vid) -> int:
     vecs = [vec_scale(w, d) for _, d, w in inc]
     for i in range(3):
         a, b = vecs[(i + 1) % 3], vecs[(i + 2) % 3]
-        independent = (a[0] * b[1] - a[1] * b[0] != 0) if c.dim == 2 \
-            else not is_zero(cross(a, b))
-        if independent:
-            return lattice_index([a, b])
+        index = abs(a[0] * b[1] - a[1] * b[0]) if c.dim == 2 \
+            else content(cross(a, b))
+        if index:
+            return index
     raise WorkbenchError("DEGENERATE_VERTEX",
                          f"edges at {vid} do not span a 2-plane")
 
@@ -86,20 +88,25 @@ def dual_vertex_delta(c: TropicalCurve, vid) -> int:
 # planar self-intersections
 
 
-def self_intersections(c: TropicalCurve,
-                       domain: PolyhedralDomain | None = None):
-    """Transverse double points of a planar curve with det weights."""
-    if c.dim != 2:
-        raise WorkbenchError("DIMENSION_MISMATCH",
-                             "self_intersections is a planar operation")
+def _weighted(c, crossings):
+    """The crossings with their weights |det(dh_i, dh_j)|."""
     out = []
-    for crs in curve_self_crossings(c, domain):
+    for crs in crossings:
         i, j = crs["edges"]
         di = c.edges[i].dh()
         dj = c.edges[j].dh()
         w = abs(di[0] * dj[1] - di[1] * dj[0])
         out.append({"edges": (i, j), "point": crs["point"], "weight": w})
     return out
+
+
+def self_intersections(c: TropicalCurve,
+                       domain: PolyhedralDomain | None = None):
+    """Transverse double points of a planar curve with det weights."""
+    if c.dim != 2:
+        raise WorkbenchError("DIMENSION_MISMATCH",
+                             "self_intersections is a planar operation")
+    return _weighted(c, curve_self_crossings(c, domain))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +199,8 @@ def surface_report(c: TropicalCurve, d: PolyhedralDomain,
             if v is not None and ("v", v) in parent:
                 union(("e", i), ("v", v))
 
-    crossings = self_intersections(c, d)
-    inside = [cr for cr in crossings if d.contains(cr["point"])]
+    # the even/primitive test kept the crossings inside the domain
+    inside = _weighted(c, even.crossings)
 
     groups = {}
     for key in parent:
@@ -582,12 +589,12 @@ def lens_parameters(c: TropicalCurve,
     if p == 1:
         return LensParameters(1, 0)
     c_vec = solve_cross(a, u)
-    sol = solve_exact([[a[k], c_vec[k]] for k in range(3)], list(b))
-    if sol.status != "unique":
+    d, num, kernel = solve_bareiss([[a[k], c_vec[k]] for k in range(3)], b)
+    if num is None or kernel:
         raise WorkbenchError("INTERNAL_INCONSISTENCY",
                              "kernel basis failed to express b")
-    alpha, beta = sol.solution
-    if alpha.denominator != 1 or beta.denominator != 1 or abs(beta) != p:
+    alpha, beta = num
+    if alpha % d or beta % d or abs(beta // d) != p:
         raise WorkbenchError("INTERNAL_INCONSISTENCY",
                              "unexpected kernel coordinates")
-    return LensParameters(p, _canonical_q(p, int(alpha)))
+    return LensParameters(p, _canonical_q(p, alpha // d))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_primitive
+from exact_oracle import solve_exact
 
 from troplag import domain as domain_mod
 from troplag.curve import Edge, TropicalCurve, betti_and_degree
@@ -15,7 +16,7 @@ from troplag.domain import (DelzantFailure, DelzantReport, LineConfiguration,
                             suitability_check, validate_delzant, wavefront)
 from troplag.errors import WorkbenchError
 from troplag.lattice import (content, cross, det_bareiss, dot,
-                             elementary_divisors, is_zero, mixed, solve_exact)
+                             elementary_divisors, is_zero, mixed)
 
 
 def triangle():
@@ -703,6 +704,37 @@ def test_suitability_collinear_hull_failure():
     rep = suitability_check(c, lines)
     assert not rep.per_line[1]["isHullVertex"]
     assert not rep.ok
+
+
+def _oracle_in_convex_hull(x, pts, dim):
+    """The Caratheodory search with the Fraction reference solver."""
+    for size in range(1, dim + 2):
+        for sub in itertools.combinations(pts, size):
+            rows = [[Fraction(1)] * size]
+            for k in range(dim):
+                rows.append([q[k] for q in sub])
+            rhs = [Fraction(1)] + [x[k] for k in range(dim)]
+            sol = solve_exact(rows, rhs)
+            if sol.status == "unique" and all(l >= 0 for l in sol.solution):
+                return True
+    return False
+
+
+def test_in_convex_hull_against_fraction_solve():
+    rng = random.Random(41)
+    seen = set()
+    for dim in (2, 3):
+        for _ in range(150):
+            pts = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                         for _ in range(dim))
+                   for _ in range(rng.randint(1, dim + 2))]
+            a, b = rng.sample(pts, 2) if len(pts) > 1 else (pts[0], pts[0])
+            for x in (tuple(rng.randint(-2, 2) for _ in range(dim)),
+                      tuple((p + q) / 2 for p, q in zip(a, b))):
+                inside = domain_mod._in_convex_hull(x, pts, dim)
+                assert inside == _oracle_in_convex_hull(x, pts, dim)
+                seen.add(inside)
+    assert seen == {True, False}
 
 
 def test_corner_basis_examples():

@@ -1,0 +1,74 @@
+"""Package-wide invariants: exact arithmetic and no runtime dependencies.
+
+The package computes with ``int`` and ``Fraction`` only, so its source
+holds no float literal, names ``float`` only in ``isinstance`` tests
+(the JSON reader uses them to reject floats) and takes nothing from
+``math`` but ``gcd`` and ``lcm``.  ``pyproject.toml`` declares no
+dependencies.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "troplag").glob("*.py"))
+MATH_ALLOWED = {"gcd", "lcm"}
+
+
+def _isinstance_types(tree):
+    """The nodes that are the type argument of an isinstance call."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and len(node.args) == 2 and \
+                isinstance(node.func, ast.Name) and \
+                node.func.id == "isinstance":
+            arg = node.args[1]
+            out |= {id(n) for n in getattr(arg, "elts", [arg])}
+    return out
+
+
+def float_uses(tree):
+    """(line, what) in line order for each float literal, each float name
+    outside an isinstance test and each math import outside
+    MATH_ALLOWED in a parsed module."""
+    tests = _isinstance_types(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and \
+                isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, ast.Name) and node.id == "float" and \
+                id(node) not in tests:
+            found.append((node.lineno, "name float"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.split(".")[0] == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"from math import {a.name}")
+                      for a in node.names if a.name not in MATH_ALLOWED]
+    return sorted(found)
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"lattice.py", "domain.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floats(path):
+    assert float_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_checker_catches_floats():
+    src = ("import math\nfrom math import gcd, sqrt\nx = 0.5\n"
+           "y = float(1)\nz = 2j\nok = isinstance(x, (int, float))\n"
+           "bad = isinstance(float(x), int)\n")
+    assert [line for line, _ in float_uses(ast.parse(src))] == \
+        [1, 2, 3, 4, 5, 7]
+
+
+def test_no_dependencies():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)

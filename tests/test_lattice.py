@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from exact_oracle import solve_exact
 from troplag.errors import WorkbenchError
 from troplag.lattice import (SnfResult, complete_basis, content, cross,
                              det_bareiss, elementary_divisors, gcd_primitive,
-                             lattice_index, mixed, smith_normal_form,
-                             solve_bareiss, solve_cross, solve_dot,
-                             solve_exact)
+                             lattice_index, mixed, rank_exact,
+                             smith_normal_form, solve_bareiss, solve_cross,
+                             solve_dot)
 
 
 def test_gcd_primitive_examples():
@@ -115,9 +116,14 @@ def test_lattice_index_unimodular_recombination():
         assert lattice_index(gens) == before
 
 
+# The test_solve_exact_* tests check the Fraction reference solver
+# (tests/exact_oracle.py) and the same facts for solve_bareiss.
+
+
 def test_solve_exact_identity():
     res = solve_exact([[1, 0], [0, 1]], [3, 4])
     assert res.unique and res.solution == (3, 4)
+    assert solve_bareiss([[1, 0], [0, 1]], [3, 4]) == (1, (3, 4), ())
 
 
 def test_solve_exact_momenta_rows():
@@ -125,6 +131,9 @@ def test_solve_exact_momenta_rows():
     assert res.unique
     assert res.solution == (0, 0, 0)
     assert abs(res.det) == 1
+    d, num, kernel = solve_bareiss([[0, 2, -1], [-3, 0, 1], [5, -5, 1]],
+                                   [0, 0, 0])
+    assert num == (0, 0, 0) and kernel == () and abs(d) == 1
 
 
 def test_solve_exact_underdetermined():
@@ -133,55 +142,90 @@ def test_solve_exact_underdetermined():
     assert len(res.kernel) == 1
     res2 = solve_exact([[1, 2], [2, 4]], [0, 1])
     assert res2.status == "none"
+    d, num, kernel = solve_bareiss([[1, 2], [2, 4]], [0, 0])
+    assert num is not None and len(kernel) == 1
+    assert solve_bareiss([[1, 2], [2, 4]], [0, 1])[1] is None
 
 
-def _system(rng, n, rank, in_span):
-    """Random n x n integer system of the given rank; b in the column
-    space when in_span, a random b otherwise."""
-    left = [[rng.randint(-6, 6) for _ in range(rank)] for _ in range(n)]
+def _system(rng, m, n, rank, in_span, frac=False):
+    """Random m x n system of the given rank; b in the column space when
+    in_span, a random b otherwise.  With frac, row i is divided by a
+    random denominator and the solution and b are rational."""
+    left = [[rng.randint(-6, 6) for _ in range(rank)] for _ in range(m)]
     right = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rank)]
     a = [[sum(left[i][k] * right[k][j] for k in range(rank))
-          for j in range(n)] for i in range(n)]
+          for j in range(n)] for i in range(m)]
+    if frac:
+        a = [[Fraction(v, q) for v in row]
+             for row, q in zip(a, (rng.randint(1, 6) for _ in range(m)))]
     if in_span:
-        x = [rng.randint(-9, 9) for _ in range(n)]
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4) if frac else 1)
+             for _ in range(n)]
         return a, [sum(r * v for r, v in zip(row, x)) for row in a]
-    return a, [rng.randint(-30, 30) for _ in range(n)]
+    return a, [Fraction(rng.randint(-30, 30), rng.randint(1, 4) if frac
+                        else 1) for _ in range(m)]
 
 
 def test_solve_bareiss_against_fraction_solve():
     rng = random.Random(7)
     seen = set()
-    # full rank, rank-deficient with b in the column space, and
-    # rank-deficient with a random b, for every size 1..8
-    cases = [(n, full, in_span) for n in range(1, 9)
-             for full, in_span in ((True, False), (False, True),
-                                   (False, False))] * 25
-    for n, full, in_span in cases:
-        rank = n if full else rng.randint(0, n - 1)
-        a, b = _system(rng, n, rank, in_span)
-        det, num, consistent = solve_bareiss(a, b)
-        assert det == det_bareiss(a)
+    # square n x n for n = 1..8, overdetermined m x 2 (edge and line
+    # intersections), underdetermined k x 3 (affine spans of faces) and
+    # small systems with Fraction entries; each full rank, rank-deficient
+    # with b in the column space, and rank-deficient with a random b
+    shapes = [("square", n, n) for n in range(1, 9)] + \
+        [("over", m, 2) for m in (3, 4)] + \
+        [("under", k, 3) for k in (1, 2)] + \
+        [("fraction", m, n) for m in range(1, 5) for n in range(1, 5)]
+    cases = [(shape, m, n, full, in_span) for shape, m, n in shapes
+             for full, in_span in ((True, False), (True, True),
+                                   (False, True), (False, False))] * 12
+    for shape, m, n, full, in_span in cases:
+        rank = min(m, n) if full else rng.randint(0, min(m, n) - 1)
+        a, b = _system(rng, m, n, rank, in_span, shape == "fraction")
+        d, num, kernel = solve_bareiss(a, b)
         ref = solve_exact(a, b)
-        if det != 0:
-            seen.add("unique")
-            assert consistent
-            assert tuple(Fraction(v, det) for v in num) == ref.solution
-        else:
-            assert num is None
-            assert consistent == (ref.status != "none")
-            seen.add("consistent" if consistent else "inconsistent")
-    assert seen == {"unique", "consistent", "inconsistent"}
+        seen.add((shape, ref.status))
+        assert type(d) is int and d != 0
+        assert (num is None) == (ref.status == "none")
+        if num is not None:
+            assert all(type(v) is int for v in num)
+            assert tuple(Fraction(v, d) for v in num) == ref.solution
+        # the oracle reports no kernel for an inconsistent system
+        ref_kernel = solve_exact(a, [0] * m).kernel
+        assert len(kernel) == len(ref_kernel) == n - rank_exact(a)
+        for k, r in zip(kernel, ref_kernel):
+            assert all(type(v) is int for v in k)
+            assert tuple(Fraction(v, d) for v in k) == r
+        assert (not kernel and num is not None) == ref.unique
+        if shape == "square":
+            assert d == det_bareiss(a) if not kernel else det_bareiss(a) == 0
+    statuses = {"square": ("unique", "underdetermined", "none"),
+                "over": ("unique", "underdetermined", "none"),
+                "under": ("underdetermined", "none"),
+                "fraction": ("unique", "underdetermined", "none")}
+    assert seen == {(shape, st) for shape, sts in statuses.items()
+                    for st in sts}
 
 
 def test_solve_bareiss_examples():
-    assert solve_bareiss([[2, 0], [0, 3]], [4, 1]) == (6, (12, 2), True)
+    assert solve_bareiss([[2, 0], [0, 3]], [4, 1]) == (6, (12, 2), ())
     # a zero leading entry forces a row swap, which flips the sign
-    assert solve_bareiss([[0, 1], [1, 0]], [5, 7]) == (-1, (-7, -5), True)
-    # a column without a pivot is skipped, not a stop
-    assert solve_bareiss([[0, 1], [0, 2]], [1, 2]) == (0, None, True)
-    assert solve_bareiss([[0, 1], [0, 2]], [1, 3]) == (0, None, False)
+    assert solve_bareiss([[0, 1], [1, 0]], [5, 7]) == (-1, (-7, -5), ())
+    # a column without a pivot is skipped, not a stop, and is free
+    assert solve_bareiss([[0, 1], [0, 2]], [1, 2]) == (1, (0, 1), ((1, 0),))
+    assert solve_bareiss([[0, 1], [0, 2]], [1, 3]) == (1, None, ((1, 0),))
+    # rectangular systems, and rows cleared of their own denominators
+    assert solve_bareiss([[1, 2]], [1]) == (1, (1, 0), ((-2, 1),))
+    assert solve_bareiss([[1, 0], [0, 1], [1, 1]], [1, 2, 4]) == \
+        (1, None, ())
+    assert solve_bareiss([[Fraction(1, 2), 0], [0, 1]],
+                         [1, Fraction(1, 3)]) == (3, (6, 1), ())
+    assert solve_bareiss([], []) == (1, (), ())
     with pytest.raises(WorkbenchError):
-        solve_bareiss([[1, 2]], [1])
+        solve_bareiss([[1, 2], [1]], [1, 1])
+    with pytest.raises(WorkbenchError):
+        solve_bareiss([[1, 2]], [1, 2])
 
 
 def test_solvers_for_corner_machinery():

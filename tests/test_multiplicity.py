@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_nonzero, rand_primitive, random_tree_problem
+from exact_oracle import solve_exact
 
 from troplag.curve import (Edge, TropicalCurve,
                            internal_directions_from_leaves, trivalent_trees,
                            validate_curve)
 from troplag.domain import LineConfiguration
 from troplag.errors import WorkbenchError
-from troplag.lattice import (cross, dot, is_zero, solve_exact, vec_add,
-                             vec_scale)
+from troplag.lattice import cross, dot, is_zero, vec_add, vec_scale
 from troplag.multiplicity import (RotationalMomentum, all_roots,
                                   enumerate_count, ev_matrix, leaf_momentum,
                                   mixed_h_product, multiplicity_det,

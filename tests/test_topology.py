@@ -5,10 +5,13 @@ import pytest
 
 from conftest import rand_primitive, random_tree_problem
 
+from troplag import domain, topology
 from troplag.curve import Edge, TropicalCurve, validate_curve
 from troplag.domain import PolyhedralDomain, wavefront
 from troplag.errors import WorkbenchError
-from troplag.lattice import content, cross, det_bareiss
+from troplag.lattice import (content, cross, det_bareiss,
+                             elementary_divisors, lattice_index,
+                             primitive_raw)
 from troplag.multiplicity import mixed_h_product
 from troplag.topology import (dual_vertex_delta, h1_order, lens_parameters,
                               piece_decomposition, self_intersections,
@@ -92,6 +95,32 @@ def test_vertex_multiplicity_pair_independence():
         pairs = [content(cross(a, b)), content(cross(b, s)),
                  content(cross(s, a))]
         assert all(p == m for p in pairs)
+
+
+def test_vertex_multiplicity_against_lattice_index():
+    """|det| in the plane and the content of the cross product in space
+    equal the lattice index of the pair, for weighted edges too."""
+    rng = random.Random(93)
+    for dim in (2, 3):
+        for _ in range(300):
+            a, b = ([rng.randint(-6, 6) for _ in range(dim)]
+                    for _ in range(2))
+            s = [-(x + y) for x, y in zip(a, b)]
+            if not all(any(v) for v in (a, b, s)):
+                continue
+            ends = {"x": a, "y": b, "z": s}
+            c = TropicalCurve(dim, [("v", (0,) * dim)] +
+                              [(k, tuple(v)) for k, v in ends.items()],
+                              [Edge("v", k, primitive_raw(v), content(v))
+                               for k, v in ends.items()])
+            independent = [p for p in [(b, s), (s, a), (a, b)]
+                           if len(elementary_divisors(p)) == 2]
+            if not independent:
+                with pytest.raises(WorkbenchError):
+                    vertex_multiplicity(c, "v")
+                continue
+            m = vertex_multiplicity(c, "v")
+            assert all(lattice_index(p) == m for p in independent)
 
 
 def klein_curve():
@@ -191,13 +220,17 @@ def test_self_intersections_tree_embedding_empty():
     assert self_intersections(klein_curve()) == []
 
 
+def crossing_curve():
+    return TropicalCurve(2, [("v1", (0, 0)), ("v2", (4, 0))],
+                         [Edge("v1", None, (0, 1), 1, 0),
+                          Edge("v1", None, (-1, -1), 1, 1),
+                          Edge("v1", "v2", (1, 0)),
+                          Edge("v2", None, (-1, 3), 1, 2),
+                          Edge("v2", None, (2, -3), 1, 3)])
+
+
 def test_self_intersections_crossing_fixture():
-    c = TropicalCurve(2, [("v1", (0, 0)), ("v2", (4, 0))],
-                      [Edge("v1", None, (0, 1), 1, 0),
-                       Edge("v1", None, (-1, -1), 1, 1),
-                       Edge("v1", "v2", (1, 0)),
-                       Edge("v2", None, (-1, 3), 1, 2),
-                       Edge("v2", None, (2, -3), 1, 3)])
+    c = crossing_curve()
     assert validate_curve(c).ok
     hits = self_intersections(c)
     assert len(hits) == 1
@@ -271,6 +304,33 @@ def test_surface_unbounded_cylinder():
     rep = surface_report(wf, quadrant())
     assert rep.orientable and rep.genus == 0 and rep.punctures == 2
     assert rep.euler_characteristic == 0
+
+
+def test_surface_report_finds_the_crossings_once(monkeypatch):
+    """The report reads the crossings of the even/primitive test."""
+    calls = []
+    real = domain.curve_self_crossings
+
+    def counted(c, d=None):
+        calls.append(c)
+        return real(c, d)
+
+    monkeypatch.setattr(domain, "curve_self_crossings", counted)
+    monkeypatch.setattr(topology, "curve_self_crossings", counted)
+    sq = PolyhedralDomain(2, [{"normal": (1, 0), "offset": 0},
+                              {"normal": (0, 1), "offset": 0},
+                              {"normal": (-1, 0), "offset": -1},
+                              {"normal": (0, -1), "offset": -1}])
+    cases = [(klein_curve(), quadrant(), 0),
+             (klein_sum_curve(), quadrant(), 0),
+             (wavefront(sq, Fraction(1, 4)), sq, 0),
+             (wavefront(quadrant(), Fraction(1, 3)), quadrant(), 0),
+             (crossing_curve(), PolyhedralDomain(2, []), 1)]
+    for c, d, extra in cases:
+        calls.clear()
+        rep = surface_report(c, d)
+        assert len(calls) == 1
+        assert rep.extra_crossings == extra
 
 
 # ---------------------------------------------------------------------------
