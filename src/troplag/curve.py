@@ -27,6 +27,11 @@ from .lattice import (content, gcd_primitive as _sign_normalized, is_zero,
                       rank_exact, vec_add, vec_neg, vec_scale, vec_sub)
 
 
+def as_rational(x):
+    """x as a Fraction; one already parsed is kept as it is."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class Edge:
     tail: str
@@ -63,7 +68,7 @@ class TropicalCurve:
     def __init__(self, dim, vertices, edges):
         self.dim = dim
         vertices = list(vertices)
-        self.vertices = {vid: tuple(Fraction(c) for c in pos)
+        self.vertices = {vid: tuple(as_rational(c) for c in pos)
                          for vid, pos in vertices}
         if len(self.vertices) != len(vertices):
             raise WorkbenchError("INVALID_CURVE", "duplicate vertex ids")

@@ -6,14 +6,18 @@ points where a curve meets the boundary (codimension, boundary momenta,
 bissectrice test), checks the even/primitive conditions, generates wave
 fronts, and runs the suitability test for boundary line configurations.
 
-All feasibility questions are decided exactly by Fourier-Motzkin
-elimination over the rationals.  The Delzant check visits the faces of
-the domain, not its facet subsets: from each face it asks, for every
-facet, for a relative-interior point of the face where that facet is
-tight, and the facets tight at that point name the smaller face.  That
-is one Fourier-Motzkin pass in at most dim variables per face and
-facet, so the check is polynomial in the facet count for a fixed
-dimension, non-simple corners included.
+All feasibility questions are decided exactly, in integers: Fourier-
+Motzkin elimination over integer rows, and points in homogeneous
+coordinates (Y, D), integers with D > 0, meaning Y / D.  A facet test
+clears a point's denominators once and reads the sign of an integer
+expression.  A `Fraction` is built only where a point leaves the module.
+The Delzant check visits the faces of the domain, not its facet
+subsets: from each face it asks, for every facet, for a relative-
+interior point of the face where that facet is tight, and the facets
+tight at that point name the smaller face.  That is one Fourier-Motzkin
+pass in at most dim variables per face and facet, so the check is
+polynomial in the facet count for a fixed dimension, non-simple corners
+included.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .curve import TropicalCurve, Edge, validate_curve
+from .curve import TropicalCurve, Edge, as_rational, validate_curve
 from .errors import WorkbenchError
 from .lattice import (content, cross, dot, elementary_divisors, is_zero,
                       mixed, primitive_raw, rank_exact, rot90, solve_bareiss,
@@ -35,23 +39,28 @@ class Facet:
     normal: tuple   # primitive integer inner normal
     offset: Fraction
 
-    def value(self, x):
-        return dot(self.normal, x) - self.offset
-
 
 class PolyhedralDomain:
     def __init__(self, dim, facets):
         self.dim = dim
         self.facets = tuple(
             f if isinstance(f, Facet)
-            else Facet(tuple(f["normal"]), Fraction(f["offset"]))
+            else Facet(tuple(f["normal"]), as_rational(f["offset"]))
             for f in facets)
 
+    def _values(self, x):
+        """An integer with the sign of p . x - a for each facet p . x >= a:
+        with a = m / q and x = X / L, it is q (p . X) - m L."""
+        L = lcm(*(v.denominator for v in x))
+        X = [v.numerator * (L // v.denominator) for v in x]
+        return [f.offset.denominator * dot(f.normal, X)
+                - f.offset.numerator * L for f in self.facets]
+
     def contains(self, x):
-        return all(f.value(x) >= 0 for f in self.facets)
+        return all(v >= 0 for v in self._values(x))
 
     def active(self, x):
-        return tuple(j for j, f in enumerate(self.facets) if f.value(x) == 0)
+        return tuple(j for j, v in enumerate(self._values(x)) if v == 0)
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,7 @@ class LineConfiguration:
     def __init__(self, lines):
         self.lines = tuple(
             l if isinstance(l, Line)
-            else Line(tuple(Fraction(c) for c in l["point"]),
+            else Line(tuple(as_rational(c) for c in l["point"]),
                       tuple(l["dir"]))
             for l in lines)
         for l in self.lines:
@@ -76,21 +85,25 @@ class LineConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# exact face points (Fourier-Motzkin)
+# exact face points (Fourier-Motzkin, integer homogeneous coordinates)
 
 
 def _fm_point(ineqs, nvars):
     """A relative-interior point of {y : co . y >= rhs} and the dimension
     of that set, or None if it is empty.
 
-    ineqs: (co, rhs) pairs in nvars variables.  Fourier-Motzkin
-    elimination of the last variable gives the exact projection onto the
-    leading ones, down to the first.  Back-substitution then puts each
-    coordinate at the middle of the interval its fibre leaves open, and
-    the set is empty exactly when the first interval is.  Each prefix so
-    chosen lies in the relative interior of its projection, hence so
-    does the point (Rockafellar, Convex Analysis, Thm. 6.6 and
-    Cor. 6.5.1), and the fibres of positive length count the dimension.
+    ineqs: (co, rhs) pairs of integers in nvars variables.  The point is
+    returned as (Y, D), integers with D > 0, meaning y = Y / D.  Fourier-
+    Motzkin elimination of the last variable gives the exact projection
+    onto the leading ones, down to the first.  Back-substitution then
+    puts each coordinate at the middle of the interval its fibre leaves
+    open (one past a single bound, 0 with none), and the set is empty
+    exactly when the first interval is.  Each prefix so chosen lies in
+    the relative interior of its projection, hence so does the point
+    (Rockafellar, Convex Analysis, Thm. 6.6 and Cor. 6.5.1), and the
+    fibres of positive length count the dimension.  A bound on D * y_k
+    is kept as a pair (num, den) with den > 0 and compared by cross-
+    multiplying.
     """
     levels = []
     for k in reversed(range(nvars)):
@@ -114,69 +127,86 @@ def _fm_point(ineqs, nvars):
         ineqs = new
     if any(rhs > 0 for co, rhs in ineqs if not any(co)):
         return None
-    y = []
+    Y = []
+    D = 1
     dim = 0
     for system in reversed(levels):
-        k = len(y)
+        k = len(Y)
         lo = hi = None
         for co, rhs in system:
             ck = co[k]
             if ck == 0:
                 continue
-            t = Fraction(rhs - sum(c * v for c, v in zip(co, y)), ck)
+            # ck * (D * y_k) >= num
+            num = rhs * D - sum(c * v for c, v in zip(co, Y))
             if ck > 0:
-                lo = t if lo is None else max(lo, t)
-            else:
-                hi = t if hi is None else min(hi, t)
+                if lo is None or num * lo[1] > lo[0] * ck:  # num / ck > lo
+                    lo = (num, ck)
+            elif hi is None or num * hi[1] > hi[0] * ck:    # num / ck < hi
+                hi = (-num, -ck)
         if lo is None and hi is None:
-            t = Fraction(0)
+            num, den, wide = 0, 1, True
         elif hi is None:
-            t = lo + 1
+            num, den, wide = lo[0] + lo[1] * D, lo[1], True
         elif lo is None:
-            t = hi - 1
-        elif lo <= hi:
-            t = (lo + hi) / 2
+            num, den, wide = hi[0] - hi[1] * D, hi[1], True
         else:
-            return None   # only at k = 0: the later fibres are projections
-        y.append(t)
-        dim += lo is None or hi is None or lo < hi
-    return tuple(y), dim
+            gap = hi[0] * lo[1] - lo[0] * hi[1]
+            if gap < 0:
+                return None   # only at k = 0: the later fibres are projections
+            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+            wide = gap > 0
+        # y_k = num / (den * D)
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        Y = [v * den for v in Y]
+        Y.append(num)
+        D *= den
+        dim += wide
+    return (tuple(Y), D), dim
 
 
 def _frame(domain, tight):
     """Coordinates on the affine span of the points where `tight` is tight.
 
     The span is x0 + sum of y_i * kernel[i] over integer kernel vectors.
-    Returns (nvars, rows): the number of coordinates y_i, and rows[j] =
-    (co, rhs), integers meaning co . y >= rhs, for each facet j not in
-    `tight`.  `tight` must be consistent.
+    Returns (kernel, rows): the kernel vectors, one per coordinate y_i,
+    and rows[j] = (co, rhs), integers meaning co . y >= rhs, for each
+    facet j not in `tight`.  With x0 = num / d from the fraction-free
+    solve and a facet p . x >= a / q, the row is q d (p . k_i) y_i >=
+    a d - q p . num, divided by the gcd of a d - q p . num and q d,
+    taken with the sign of q d.  `tight` must be consistent.
     """
     if tight:
+        # each facet p . x >= a / q as the integer row (q p) . x >= a
+        facets = [domain.facets[j] for j in tight]
         d, num, kernel = solve_bareiss(
-            [domain.facets[j].normal for j in tight],
-            [domain.facets[j].offset for j in tight])
-        x0 = tuple(Fraction(v, d) for v in num)
+            [vec_scale(f.offset.denominator, f.normal) for f in facets],
+            [f.offset.numerator for f in facets])
         # kernel[i] / d is the reduced-echelon kernel vector; keeping its
         # orientation keeps the points the face search visits
         kernel = tuple(primitive_raw(k if d > 0 else vec_neg(k))
                        for k in kernel)
     else:
-        x0 = tuple(Fraction(0) for _ in range(domain.dim))
+        d, num = 1, (0,) * domain.dim
         kernel = tuple(tuple(int(i == j) for i in range(domain.dim))
                        for j in range(domain.dim))
     rows = {}
     for j, f in enumerate(domain.facets):
         if j not in tight:
-            rhs = Fraction(f.offset - dot(f.normal, x0))
-            rows[j] = (tuple(dot(f.normal, k) * rhs.denominator
-                             for k in kernel), rhs.numerator)
-    return len(kernel), rows
+            a, q = f.offset.numerator, f.offset.denominator
+            rhs, den = a * d - q * dot(f.normal, num), q * d
+            g = gcd(rhs, den) if den > 0 else -gcd(rhs, den)
+            rows[j] = (tuple(dot(f.normal, k) * (den // g) for k in kernel),
+                       rhs // g)
+    return kernel, rows
 
 
-def _tight_at(tight, rows, y):
-    """The facets tight at the point y of a frame, in index order."""
+def _tight_at(tight, rows, point):
+    """The facets tight at the point (Y, D) of a frame, in index order."""
+    Y, D = point
     return tuple(sorted(tight + tuple(j for j, (co, rhs) in rows.items()
-                                      if dot(co, y) == rhs)))
+                                      if dot(co, Y) == rhs * D)))
 
 
 def _face_sets(domain):
@@ -195,8 +225,8 @@ def _face_sets(domain):
     and n passes in at most dim variables from each: polynomial in the
     facet count n for a fixed dimension, even where many facets meet.
     """
-    nvars, rows = _frame(domain, ())
-    top = _fm_point(list(rows.values()), nvars)
+    kernel, rows = _frame(domain, ())
+    top = _fm_point(list(rows.values()), len(kernel))
     if top is None:
         return None
     root = (_tight_at((), rows, top[0]), top[1])
@@ -206,10 +236,10 @@ def _face_sets(domain):
         S, dim = stack.pop()
         if dim == 0:
             continue  # a point: every facet meeting it is already in S
-        nvars, rows = _frame(domain, S)
+        kernel, rows = _frame(domain, S)
         face = list(rows.values())
         for co, rhs in rows.values():
-            found = _fm_point(face + [(vec_neg(co), -rhs)], nvars)
+            found = _fm_point(face + [(vec_neg(co), -rhs)], len(kernel))
             if found is None:
                 continue
             closed = _tight_at(S, rows, found[0])
@@ -696,23 +726,27 @@ def _rational_direction(diff):
 
 
 def _polygon_vertices(d: PolyhedralDomain, offsets):
+    # each facet p . x >= a / q as the integer row (q p) . x >= a
+    rows = [(vec_scale(a.denominator, f.normal), a.numerator)
+            for f, a in zip(d.facets, offsets)]
     verts = []
-    n = len(d.facets)
+    n = len(rows)
     for i in range(n):
         for j in range(i + 1, n):
             det, num, kernel = solve_bareiss(
-                [d.facets[i].normal, d.facets[j].normal],
-                [offsets[i], offsets[j]])
+                [rows[i][0], rows[j][0]], [rows[i][1], rows[j][1]])
             if kernel:
                 continue
-            x = tuple(Fraction(v, det) for v in num)
-            vals = [dot(d.facets[k].normal, x) - offsets[k]
-                    for k in range(n)]
+            if det < 0:
+                det, num = -det, vec_neg(num)
+            # at x = num / det, (q p) . x - a has the sign of
+            # (q p) . num - a det
+            vals = [dot(p, num) - a * det for p, a in rows]
             if any(v < 0 for v in vals):
                 continue
             active = tuple(k for k, v in enumerate(vals) if v == 0)
-            verts.append({"point": x, "pair": (i, j),
-                          "active": active})
+            verts.append({"point": tuple(Fraction(v, det) for v in num),
+                          "pair": (i, j), "active": active})
     return verts
 
 

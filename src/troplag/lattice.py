@@ -97,16 +97,6 @@ def mixed(u, v, w):
     return dot(cross(u, v), w)
 
 
-def are_parallel(u, v):
-    """True when u and v span at most a line (works in any dimension)."""
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] - u[j] * v[i] != 0:
-                return False
-    return True
-
-
 def rot90(u):
     """Counterclockwise quarter turn in Z^2."""
     if len(u) != 2:
@@ -127,10 +117,6 @@ def mat_mul(a, b):
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(inner))
                        for j in range(cols))
                  for i in range(rows))
-
-
-def mat_transpose(a):
-    return tuple(zip(*a)) if a else ()
 
 
 def _bareiss_echelon(a, ncols):

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import domain_oracle
 from conftest import rand_primitive
 from exact_oracle import solve_exact
 
@@ -16,7 +18,8 @@ from troplag.domain import (DelzantFailure, DelzantReport, LineConfiguration,
                             suitability_check, validate_delzant, wavefront)
 from troplag.errors import WorkbenchError
 from troplag.lattice import (content, cross, det_bareiss, dot,
-                             elementary_divisors, is_zero, mixed)
+                             elementary_divisors, is_zero, mixed,
+                             solve_bareiss, vec_add, vec_neg, vec_scale)
 
 
 def triangle():
@@ -421,6 +424,205 @@ def test_pyramid_apex_passes_quadratic(monkeypatch):
     for f in rep.failures:
         if f.problem == "saturation":
             assert tuple(j for j in f.facets if j != m) in adjacent
+
+
+# ---------------------------------------------------------------------------
+# the integer face-search kernels against their Fraction versions
+
+
+def _random_system(rng, nvars):
+    """Integer rows co . y >= rhs in nvars variables, and their shape:
+    0 at most nvars rows (unbounded fibres), 1 with an equality pair
+    (a fibre with lo == hi), 2 with a contradictory pair, 3 free."""
+    def row():
+        return (tuple(rng.randint(-3, 3) for _ in range(nvars)),
+                rng.randint(-6, 6))
+
+    shape = rng.randrange(4)
+    if shape == 0:
+        return [row() for _ in range(rng.randint(0, nvars))], shape
+    rows = [row() for _ in range(rng.randint(1, 7))]
+    co, rhs = row()
+    neg = tuple(-c for c in co)
+    if shape == 1:
+        rows += [(co, rhs), (neg, -rhs)]
+    elif shape == 2:
+        rows += [(co, rhs), (neg, -rhs - rng.randint(1, 3))]
+    rng.shuffle(rows)
+    return rows, shape
+
+
+def _as_fractions(point):
+    Y, D = point
+    return tuple(Fraction(v, D) for v in Y)
+
+
+def test_fm_point_against_fraction_oracle():
+    rng = random.Random(61)
+    seen = collections.Counter()
+    for nvars in (1, 2, 3):
+        for _ in range(800):
+            ineqs, shape = _random_system(rng, nvars)
+            got = domain_mod._fm_point(ineqs, nvars)
+            want = domain_oracle.fm_point(ineqs, nvars)
+            if want is None:
+                assert got is None, ineqs
+                seen["empty", shape] += 1
+                continue
+            (Y, D), dim = got
+            assert D > 0 and len(Y) == nvars
+            assert (_as_fractions((Y, D)), dim) == want, ineqs
+            seen["flat" if dim < nvars else "full", shape] += 1
+    # empty sets, sets with a fibre of length 0 and full-dimensional sets,
+    # unbounded ones (shape 0) among them
+    assert all(seen[kind, shape] >= 20
+               for kind, shape in [("empty", 2), ("empty", 3), ("flat", 1),
+                                   ("full", 0), ("full", 3)])
+
+
+def _positive_multiple(row, ref):
+    u, v = (*row[0], row[1]), (*ref[0], ref[1])
+    i = next((i for i, x in enumerate(v) if x), None)
+    if i is None:
+        return not any(u)
+    return u[i] * v[i] > 0 and all(a * v[i] == b * u[i]
+                                   for a, b in zip(u, v))
+
+
+def _kernel_domains():
+    rng = random.Random(62)
+    named = [d for name, d in sorted(NAMED_DOMAINS.items())
+             if not name.startswith("empty")]
+    return named + [_random_domain(rng, dim)
+                    for dim in (2, 3) for _ in range(40)]
+
+
+def test_frame_and_face_points_against_fraction_oracle():
+    """_frame gives the reference kernel vectors and, up to a positive
+    factor, its rows; the face points and their tight sets agree."""
+    flipped = passes = 0
+    for d in _kernel_domains():
+        sets = domain_mod._face_sets(d)
+        if sets is None:
+            continue
+        for S in sorted(sets | {()}):
+            kernel, rows = domain_mod._frame(d, S)
+            ref_kernel, ref_rows = domain_oracle.frame(d, S)
+            assert kernel == ref_kernel, (d.facets, S)
+            assert rows.keys() == ref_rows.keys()
+            assert all(_positive_multiple(rows[j], ref_rows[j])
+                       for j in rows), (d.facets, S)
+            if S and solve_bareiss([d.facets[j].normal for j in S],
+                                   [d.facets[j].offset for j in S])[0] < 0 \
+                    and kernel:
+                flipped += 1
+            for j in rows:
+                found = domain_mod._fm_point(
+                    list(rows.values()) + [(vec_neg(rows[j][0]),
+                                            -rows[j][1])], len(kernel))
+                want = domain_oracle.fm_point(
+                    list(ref_rows.values()) + [(vec_neg(ref_rows[j][0]),
+                                                -ref_rows[j][1])],
+                    len(kernel))
+                if want is None:
+                    assert found is None
+                    continue
+                assert (_as_fractions(found[0]), found[1]) == want
+                assert domain_mod._tight_at(S, rows, found[0]) == \
+                    domain_oracle.tight_at(S, ref_rows, want[0])
+                passes += 1
+    # frames whose elimination has a negative d, where the kernel
+    # orientation is flipped
+    assert flipped >= 20 and passes >= 1000
+
+
+def _on_facet(rng, f, dim):
+    """A rational point exactly on the hyperplane of f."""
+    x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+              for _ in range(dim))
+    u = f.normal
+    return vec_add(x, vec_scale((f.offset - dot(u, x)) / dot(u, u), u))
+
+
+def test_contains_and_active_against_fraction_oracle():
+    rng = random.Random(63)
+    seen = collections.Counter()
+    domains = _kernel_domains()
+    for d in domains:
+        points = [tuple(rng.randint(-4, 4) for _ in range(d.dim))]
+        for _ in range(6):
+            points.append(tuple(Fraction(rng.randint(-12, 12),
+                                         rng.randint(1, 6))
+                                for _ in range(d.dim)))
+            points.append(_on_facet(rng, rng.choice(d.facets), d.dim))
+        for x in points:
+            inside = d.contains(x)
+            active = d.active(x)
+            assert inside == domain_oracle.contains(d, x), (d.facets, x)
+            assert active == domain_oracle.active(d, x), (d.facets, x)
+            seen["inside" if inside else "outside"] += 1
+            seen["on a facet"] += bool(active)
+    assert any(f.offset < 0 and f.offset.denominator > 1
+               for d in domains for f in d.facets)
+    assert min(seen.values()) >= 100, seen
+
+
+def _reflected(d):
+    """The mirror image in the line y = x: every pair determinant changes
+    sign."""
+    return PolyhedralDomain(2, [{"normal": f.normal[::-1],
+                                 "offset": f.offset} for f in d.facets])
+
+
+def test_polygon_vertices_against_fraction_oracle():
+    rng = random.Random(64)
+    negative = 0
+    for d in [d for d in _kernel_domains() if d.dim == 2] + [
+            _reflected(_domain(2, blown_up_polygon(rng, 9)))
+            for _ in range(10)]:
+        for delta in (0, Fraction(1, 7), Fraction(-2, 3)):
+            offsets = [f.offset + delta for f in d.facets]
+            got = domain_mod._polygon_vertices(d, offsets)
+            assert got == domain_oracle.polygon_vertices(d, offsets)
+            negative += sum(det_bareiss([d.facets[i].normal
+                                         for i in v["pair"]]) < 0
+                            for v in got)
+    assert negative >= 50
+
+
+def test_face_search_values_are_plain_ints(monkeypatch):
+    """Every value _frame, _fm_point and _tight_at produce is an int, so
+    Fraction arithmetic creeping back into the face search fails here."""
+    produced = []
+
+    def recorded(name):
+        real = getattr(domain_mod, name)
+
+        def call(*args):
+            out = real(*args)
+            produced.append((name, out))
+            return out
+        monkeypatch.setattr(domain_mod, name, call)
+
+    for name in ("_frame", "_fm_point", "_tight_at"):
+        recorded(name)
+
+    def leaves(value):
+        if isinstance(value, dict):
+            value = [*value, *value.values()]
+        if isinstance(value, (tuple, list)):
+            for v in value:
+                yield from leaves(v)
+        elif value is not None:
+            yield value
+
+    for d in _kernel_domains():
+        _outcome(validate_delzant, d)
+    assert {name for name, _ in produced} == {"_frame", "_fm_point",
+                                             "_tight_at"}
+    bad = [(name, out) for name, out in produced
+           if any(type(v) is not int for v in leaves(out))]
+    assert not bad, bad[:3]
 
 
 # ---------------------------------------------------------------------------
