@@ -19,10 +19,9 @@ Conventions for graph nodes:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import WorkbenchError
+from .errors import Record, WorkbenchError
 from .lattice import (content, gcd_primitive as _sign_normalized, is_zero,
                       rank_exact, vec_add, vec_neg, vec_scale, vec_sub)
 
@@ -32,13 +31,16 @@ def as_rational(x):
     return x if type(x) is Fraction else Fraction(x)
 
 
-@dataclass(frozen=True)
-class Edge:
-    tail: str
-    head: str | None
-    direction: tuple
-    weight: int = 1
-    leaf_label: int | None = None
+class Edge(Record):
+    __slots__ = ("tail", "head", "direction", "weight", "leaf_label")
+
+    def __init__(self, tail: str, head: str | None, direction: tuple,
+                 weight: int = 1, leaf_label: int | None = None):
+        self.tail = tail
+        self.head = head
+        self.direction = direction
+        self.weight = weight
+        self.leaf_label = leaf_label
 
     @property
     def bounded(self):
@@ -49,16 +51,20 @@ class Edge:
         return vec_scale(self.weight, self.direction)
 
 
-@dataclass(frozen=True)
-class End:
+class End(Record):
     """One end of the curve: an unbounded ray or a 1-valent endpoint."""
-    edge_index: int
-    kind: str                    # "ray" | "endpoint"
-    attach: str                  # vertex the end hangs off
-    outward: tuple               # primitive direction pointing out of the curve
-    weight: int
-    label: int | None
-    endpoint: str | None = None  # 1-valent vertex id for endpoint ends
+    __slots__ = ("edge_index", "kind", "attach", "outward", "weight", "label",
+                 "endpoint")
+
+    def __init__(self, edge_index: int, kind: str, attach: str, outward: tuple,
+                 weight: int, label: int | None, endpoint: str | None = None):
+        self.edge_index = edge_index
+        self.kind = kind          # "ray" | "endpoint"
+        self.attach = attach      # vertex the end hangs off
+        self.outward = outward    # primitive direction out of the curve
+        self.weight = weight
+        self.label = label
+        self.endpoint = endpoint  # 1-valent vertex id for endpoint ends
 
     def dh(self):
         return vec_scale(self.weight, self.outward)
@@ -209,10 +215,12 @@ class TropicalCurve:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    issues: tuple = ()
+class ValidationReport(Record):
+    __slots__ = ("ok", "issues")
+
+    def __init__(self, ok: bool, issues: tuple = ()):
+        self.ok = ok
+        self.issues = issues
 
     def as_dict(self):
         return {"ok": self.ok, "issues": list(self.issues)}
@@ -323,11 +331,13 @@ def require_valid(c):
 # Betti numbers and toric degree
 
 
-@dataclass(frozen=True)
-class BettiDegree:
-    b1: int
-    kappa: int
-    degree: tuple   # sorted multiset of weighted ray directions
+class BettiDegree(Record):
+    __slots__ = ("b1", "kappa", "degree")
+
+    def __init__(self, b1: int, kappa: int, degree: tuple):
+        self.b1 = b1
+        self.kappa = kappa
+        self.degree = degree  # sorted multiset of weighted ray directions
 
     def as_dict(self):
         return {"b1": self.b1, "kappa": self.kappa,
@@ -354,12 +364,15 @@ def toric_degree_of_ends(c: TropicalCurve):
 # regularity / deformation dimension
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    def_dim: int
-    expected_dim: int
-    regular: bool
-    rank: int
+class RegularityReport(Record):
+    __slots__ = ("def_dim", "expected_dim", "regular", "rank")
+
+    def __init__(self, def_dim: int, expected_dim: int, regular: bool,
+                 rank: int):
+        self.def_dim = def_dim
+        self.expected_dim = expected_dim
+        self.regular = regular
+        self.rank = rank
 
     def as_dict(self):
         return {"defDim": self.def_dim, "expectedDim": self.expected_dim,
@@ -448,15 +461,20 @@ def regularity_check(c: TropicalCurve) -> RegularityReport:
 # splitting a tree at an interior point of a bounded edge
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    h1: TropicalCurve
-    r1_index: int
-    h2: TropicalCurve
-    r2_index: int
-    point: tuple
-    h1_edge_map: dict = field(default_factory=dict)  # old index -> new index
-    h2_edge_map: dict = field(default_factory=dict)
+class SplitResult(Record):
+    __slots__ = ("h1", "r1_index", "h2", "r2_index", "point", "h1_edge_map",
+                 "h2_edge_map")
+
+    def __init__(self, h1: TropicalCurve, r1_index: int, h2: TropicalCurve,
+                 r2_index: int, point: tuple, h1_edge_map: dict,
+                 h2_edge_map: dict):
+        self.h1 = h1
+        self.r1_index = r1_index
+        self.h2 = h2
+        self.r2_index = r2_index
+        self.point = point
+        self.h1_edge_map = h1_edge_map  # old index -> new index
+        self.h2_edge_map = h2_edge_map
 
 
 def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
@@ -512,11 +530,13 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
 # abstract 3-valent tree topologies (enumerator support)
 
 
-@dataclass(frozen=True)
-class TreeTopology:
+class TreeTopology(Record):
     """Labeled 3-valent tree: leaves 0..kappa-1, internal nodes >= kappa."""
-    kappa: int
-    edges: tuple    # sorted (a, b) pairs with a < b
+    __slots__ = ("kappa", "edges")
+
+    def __init__(self, kappa: int, edges: tuple):
+        self.kappa = kappa
+        self.edges = edges  # sorted (a, b) pairs with a < b
 
     def adjacency(self):
         adj = {}
@@ -560,12 +580,15 @@ def trivalent_trees(kappa: int):
     return trees
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(Record):
     """A tree topology with direction data on every edge."""
-    topology: TreeTopology
-    dh: dict            # (a, b) oriented a -> b: weighted integer vector
-    degenerate: tuple   # internal edges with zero direction vector
+    __slots__ = ("topology", "dh", "degenerate")
+
+    def __init__(self, topology: TreeTopology, dh: dict, degenerate: tuple):
+        self.topology = topology
+        self.dh = dh  # (a, b) oriented a -> b: weighted integer vector
+        # internal edges with zero direction vector
+        self.degenerate = degenerate
 
     @property
     def ok(self):

@@ -23,21 +23,22 @@ included.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .curve import TropicalCurve, Edge, as_rational, validate_curve
-from .errors import WorkbenchError
+from .errors import Record, WorkbenchError
 from .lattice import (content, cross, dot, elementary_divisors, is_zero,
                       mixed, primitive_raw, rank_exact, rot90, solve_bareiss,
                       solve_dot, vec_add, vec_neg, vec_scale, vec_sub)
 
 
-@dataclass(frozen=True)
-class Facet:
-    normal: tuple   # primitive integer inner normal
-    offset: Fraction
+class Facet(Record):
+    __slots__ = ("normal", "offset")
+
+    def __init__(self, normal: tuple, offset: Fraction):
+        self.normal = normal  # primitive integer inner normal
+        self.offset = offset
 
 
 class PolyhedralDomain:
@@ -62,11 +63,21 @@ class PolyhedralDomain:
     def active(self, x):
         return tuple(j for j, v in enumerate(self._values(x)) if v == 0)
 
+    def locate(self, x):
+        """The facets active at x, or None when x lies outside: contains
+        and active from one evaluation of the facets."""
+        values = self._values(x)
+        if any(v < 0 for v in values):
+            return None
+        return tuple(j for j, v in enumerate(values) if v == 0)
 
-@dataclass(frozen=True)
-class Line:
-    point: tuple       # rational base point
-    direction: tuple   # primitive integer direction
+
+class Line(Record):
+    __slots__ = ("point", "direction")
+
+    def __init__(self, point: tuple, direction: tuple):
+        self.point = point          # rational base point
+        self.direction = direction  # primitive integer direction
 
 
 class LineConfiguration:
@@ -253,22 +264,26 @@ def _face_sets(domain):
 # Delzant validation
 
 
-@dataclass(frozen=True)
-class DelzantFailure:
-    facets: tuple
-    problem: str      # "saturation" | "non_simple"
-    index: int | None
+class DelzantFailure(Record):
+    __slots__ = ("facets", "problem", "index")
+
+    def __init__(self, facets: tuple, problem: str, index: int | None):
+        self.facets = facets
+        self.problem = problem  # "saturation" | "non_simple"
+        self.index = index
 
     def as_dict(self):
         return {"facets": list(self.facets), "problem": self.problem,
                 "index": self.index}
 
 
-@dataclass(frozen=True)
-class DelzantReport:
-    ok: bool
-    issues: tuple = ()
-    failures: tuple = ()
+class DelzantReport(Record):
+    __slots__ = ("ok", "issues", "failures")
+
+    def __init__(self, ok: bool, issues: tuple = (), failures: tuple = ()):
+        self.ok = ok
+        self.issues = issues
+        self.failures = failures
 
     def as_dict(self):
         return {"ok": self.ok, "issues": list(self.issues),
@@ -349,12 +364,15 @@ def is_standard_simplex_3(d: PolyhedralDomain) -> bool:
 # edge geometry: realized segments and rays, exact intersections
 
 
-@dataclass(frozen=True)
-class EdgeGeometry:
-    edge_index: int
-    base: tuple      # rational start point
-    direction: tuple  # primitive integer direction
-    tmax: Fraction | None  # None for an unclipped ray
+class EdgeGeometry(Record):
+    __slots__ = ("edge_index", "base", "direction", "tmax")
+
+    def __init__(self, edge_index: int, base: tuple, direction: tuple,
+                 tmax: Fraction | None):
+        self.edge_index = edge_index
+        self.base = base            # rational start point
+        self.direction = direction  # primitive integer direction
+        self.tmax = tmax            # None for an unclipped ray
 
     def point(self, t):
         return vec_add(self.base, vec_scale(t, self.direction))
@@ -463,18 +481,24 @@ def curve_self_crossings(c: TropicalCurve,
 # boundary classification
 
 
-@dataclass(frozen=True)
-class BoundaryPointInfo:
-    point: tuple
-    edge_index: int
-    active: tuple
-    codim: int
-    momenta: tuple        # ((facet index, |p . dh|), ...)
-    kind: str             # INTERIOR | MOMENTUM2 | BISSECTRICE | OTHER
-    z_direction: tuple | None
-    weight: int
-    note: str = ""
-    end_key: tuple | None = None   # (edge index, endpoint vertex or None)
+class BoundaryPointInfo(Record):
+    __slots__ = ("point", "edge_index", "active", "codim", "momenta", "kind",
+                 "z_direction", "weight", "note", "end_key")
+
+    def __init__(self, point: tuple, edge_index: int, active: tuple,
+                 codim: int, momenta: tuple, kind: str,
+                 z_direction: tuple | None, weight: int, note: str = "",
+                 end_key: tuple | None = None):
+        self.point = point
+        self.edge_index = edge_index
+        self.active = active
+        self.codim = codim
+        self.momenta = momenta  # ((facet index, |p . dh|), ...)
+        self.kind = kind        # INTERIOR | MOMENTUM2 | BISSECTRICE | OTHER
+        self.z_direction = z_direction
+        self.weight = weight
+        self.note = note
+        self.end_key = end_key  # (edge index, endpoint vertex or None)
 
     def as_dict(self):
         return {
@@ -501,12 +525,19 @@ def _stratum_direction(domain, active):
 
 def classify_point_on_edge(c, domain, point, edge_index, outward,
                            end_key=None) -> BoundaryPointInfo:
-    e = c.edges[edge_index]
-    dh = vec_scale(e.weight, outward)
-    if not domain.contains(point):
+    active = domain.locate(point)
+    if active is None:
         raise WorkbenchError("OUTSIDE_DOMAIN",
                              f"{point} violates a facet inequality")
-    active = domain.active(point)
+    return _classify_at(c, domain, point, active, edge_index, outward,
+                        end_key)
+
+
+def _classify_at(c, domain, point, active, edge_index, outward, end_key):
+    """classify_point_on_edge for a point in the domain whose active
+    facets are known."""
+    e = c.edges[edge_index]
+    dh = vec_scale(e.weight, outward)
     if not active:
         return BoundaryPointInfo(point, edge_index, (), 0, (), "INTERIOR",
                                  None, e.weight, "", end_key)
@@ -556,16 +587,24 @@ def classify_boundary_point(c: TropicalCurve, d: PolyhedralDomain,
                          f"{point} is not where a curve end meets the boundary")
 
 
-@dataclass(frozen=True)
-class EvennessReport:
-    ok: bool
-    issues: tuple
-    boundary: tuple       # BoundaryPointInfo per end hitting the boundary
-    j: int                # number of MOMENTUM2 points
-    bissectrice: int
-    punctures: int        # ends escaping to infinity inside the domain
-    crossings: tuple      # transverse double points inside the domain
-    delzant: DelzantReport | None = None   # None when the curve is invalid
+class EvennessReport(Record):
+    __slots__ = ("ok", "issues", "boundary", "j", "bissectrice", "punctures",
+                 "crossings", "delzant")
+
+    def __init__(self, ok: bool, issues: tuple, boundary: tuple, j: int,
+                 bissectrice: int, punctures: int, crossings: tuple,
+                 delzant: DelzantReport | None = None):
+        self.ok = ok
+        self.issues = issues
+        # BoundaryPointInfo per end hitting the boundary
+        self.boundary = boundary
+        self.j = j  # number of MOMENTUM2 points
+        self.bissectrice = bissectrice
+        # ends escaping to infinity inside the domain
+        self.punctures = punctures
+        # transverse double points inside the domain
+        self.crossings = crossings
+        self.delzant = delzant  # None when the curve is invalid
 
     def as_dict(self):
         return {"ok": self.ok, "issues": list(self.issues),
@@ -595,14 +634,12 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
         return EvennessReport(False, ("curve and domain dimension differ",),
                               (), 0, 0, 0, (), drep)
 
-    for vid in c.vertices:
-        if not d.contains(c.position(vid)):
+    # active facets per vertex, None outside: each point is located once
+    where = {vid: d.locate(c.position(vid)) for vid in c.vertices}
+    for vid, at in where.items():
+        if at is None:
             issues.append(f"vertex {vid} lies outside the domain")
-
-    interior = {}
-    for vid in c.vertices:
-        if d.contains(c.position(vid)):
-            interior[vid] = not d.active(c.position(vid))
+    interior = {vid: not at for vid, at in where.items() if at is not None}
 
     # vertex shape conditions
     for vid in c.trivalent_vertices():
@@ -637,7 +674,7 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
             continue
         mid = tuple(Fraction(a + b, 2) for a, b in
                     zip(c.position(e.tail), c.position(e.head)))
-        if d.contains(mid) and d.active(mid):
+        if d.locate(mid):
             issues.append(f"edge {i} runs inside the boundary")
 
     # boundary points
@@ -646,16 +683,16 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
     for end in c.ends():
         key = (end.edge_index, end.endpoint)
         if end.kind == "endpoint":
-            pt = c.position(end.endpoint)
-            if not d.contains(pt):
+            at = where[end.endpoint]
+            if at is None:
                 issues.append(f"endpoint {end.endpoint} outside the domain")
                 continue
-            if not d.active(pt):
+            if not at:
                 issues.append(
                     f"endpoint {end.endpoint} is interior to the domain")
                 continue
-            boundary.append(classify_point_on_edge(c, d, pt, end.edge_index,
-                                                   end.outward, key))
+            boundary.append(_classify_at(c, d, c.position(end.endpoint), at,
+                                         end.edge_index, end.outward, key))
         else:
             base = c.position(end.attach)
             t = _ray_exit(d, base, end.outward)
@@ -863,10 +900,12 @@ def _in_convex_hull(x, pts, dim):
     return False
 
 
-@dataclass(frozen=True)
-class SuitabilityReport:
-    per_line: tuple   # dicts: crossPrimitive, isHullVertex, point
-    ok: bool
+class SuitabilityReport(Record):
+    __slots__ = ("per_line", "ok")
+
+    def __init__(self, per_line: tuple, ok: bool):
+        self.per_line = per_line  # dicts: crossPrimitive, isHullVertex, point
+        self.ok = ok
 
     def as_dict(self):
         return {"perLine": [

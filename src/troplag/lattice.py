@@ -10,11 +10,10 @@ package.  Vectors are tuples, matrices are tuples of row tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import WorkbenchError
+from .errors import Record, WorkbenchError
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +240,14 @@ def rank_exact(rows) -> int:
     return len(_bareiss_echelon(a, len(a[0]) if a else 0)[0])
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """U * M * V == D with U, V unimodular and D a divisor chain."""
-    U: tuple
-    D: tuple
-    V: tuple
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: tuple, D: tuple, V: tuple):
+        self.U = U
+        self.D = D
+        self.V = V
 
     def divisors(self):
         r = min(len(self.D), len(self.D[0]) if self.D else 0)

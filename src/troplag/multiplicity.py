@@ -17,7 +17,6 @@ arbitrary weights (boundary-even inputs all have weight 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -25,17 +24,19 @@ from .curve import (TropicalCurve, Edge, Skeleton,
                     internal_directions_from_leaves, split_at_edge,
                     trivalent_trees)
 from .domain import LineConfiguration
-from .errors import WorkbenchError
+from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, dot, gcd_primitive,
                       is_zero, mixed, primitive_raw, solve_bareiss,
                       solve_cross, solve_dot, vec_add, vec_neg, vec_scale)
 
 
-@dataclass(frozen=True)
-class RotationalMomentum:
-    vector: tuple
-    n: int
-    primitive: tuple
+class RotationalMomentum(Record):
+    __slots__ = ("vector", "n", "primitive")
+
+    def __init__(self, vector: tuple, n: int, primitive: tuple):
+        self.vector = vector
+        self.n = n
+        self.primitive = primitive
 
     @classmethod
     def from_vector(cls, v):
@@ -321,12 +322,15 @@ def all_roots(c_or_sk, zs):
 # the evaluation matrix
 
 
-@dataclass(frozen=True)
-class EvaluationMatrix:
-    entries: tuple
-    row_labels: tuple
-    col_labels: tuple
-    ref: object
+class EvaluationMatrix(Record):
+    __slots__ = ("entries", "row_labels", "col_labels", "ref")
+
+    def __init__(self, entries: tuple, row_labels: tuple, col_labels: tuple,
+                 ref: object):
+        self.entries = entries
+        self.row_labels = row_labels
+        self.col_labels = col_labels
+        self.ref = ref
 
     def determinant(self) -> int:
         return det_bareiss(self.entries)
@@ -338,11 +342,13 @@ class EvaluationMatrix:
                 "ref": repr(self.ref)}
 
 
-@dataclass(frozen=True)
-class MultiplicityValue:
-    value: int
-    method: str          # "RECURSIVE" | "DETERMINANT"
-    note: str = ""
+class MultiplicityValue(Record):
+    __slots__ = ("value", "method", "note")
+
+    def __init__(self, value: int, method: str, note: str = ""):
+        self.value = value
+        self.method = method  # "RECURSIVE" | "DETERMINANT"
+        self.note = note
 
     def as_dict(self):
         return {"value": self.value, "method": self.method,
@@ -406,17 +412,21 @@ def multiplicity_det(m: EvaluationMatrix) -> MultiplicityValue:
 # the splitting identity
 
 
-@dataclass(frozen=True)
-class SplittingReport:
-    lhs: int
-    rhs: int
-    holds: bool
-    m1: int
-    m2: int
-    weight: int
-    point: tuple
-    z_a: tuple
-    z_b: tuple
+class SplittingReport(Record):
+    __slots__ = ("lhs", "rhs", "holds", "m1", "m2", "weight", "point", "z_a",
+                 "z_b")
+
+    def __init__(self, lhs: int, rhs: int, holds: bool, m1: int, m2: int,
+                 weight: int, point: tuple, z_a: tuple, z_b: tuple):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.holds = holds
+        self.m1 = m1
+        self.m2 = m2
+        self.weight = weight
+        self.point = point
+        self.z_a = z_a
+        self.z_b = z_b
 
     def as_dict(self):
         return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
@@ -494,12 +504,15 @@ def splitting_check(c: TropicalCurve, edge_index: int,
 KAPPA_CAP = 8
 
 
-@dataclass(frozen=True)
-class TypeOutcome:
-    topology: tuple          # tree edges
-    status: str              # "accepted" | "rejected" | "degenerate"
-    multiplicity: int
-    curve: TropicalCurve | None
+class TypeOutcome(Record):
+    __slots__ = ("topology", "status", "multiplicity", "curve")
+
+    def __init__(self, topology: tuple, status: str, multiplicity: int,
+                 curve: TropicalCurve | None):
+        self.topology = topology  # tree edges
+        self.status = status      # "accepted" | "rejected" | "degenerate"
+        self.multiplicity = multiplicity
+        self.curve = curve
 
     def as_dict(self):
         return {"topology": [list(e) for e in self.topology],
@@ -508,10 +521,12 @@ class TypeOutcome:
                 "curve": None if self.curve is None else "solved"}
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    total: int
-    per_type: tuple
+class EnumerationResult(Record):
+    __slots__ = ("total", "per_type")
+
+    def __init__(self, total: int, per_type: tuple):
+        self.total = total
+        self.per_type = per_type
 
     def as_dict(self):
         return {"total": self.total,

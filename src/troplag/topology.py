@@ -10,13 +10,12 @@ with a torsion recursion along the rooted tree as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .curve import TropicalCurve, require_valid
 from .domain import (PolyhedralDomain, check_even_primitive,
                      curve_self_crossings, is_standard_simplex_3,
                      require_even_primitive)
-from .errors import WorkbenchError
+from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, is_zero, primitive_raw,
                       rot90, solve_bareiss, solve_cross, vec_add, vec_scale)
 from .multiplicity import Problem, RotationalMomentum, build_problem
@@ -113,32 +112,42 @@ def self_intersections(c: TropicalCurve,
 # surface reports (planar curves)
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    vertices: tuple
-    wedges: tuple      # indices of weight > 1 edges in the component
-    b1: int
-    ends: int
-    delta: int
+class ComponentReport(Record):
+    __slots__ = ("vertices", "wedges", "b1", "ends", "delta")
+
+    def __init__(self, vertices: tuple, wedges: tuple, b1: int, ends: int,
+                 delta: int):
+        self.vertices = vertices
+        self.wedges = wedges  # indices of weight > 1 edges in the component
+        self.b1 = b1
+        self.ends = ends
+        self.delta = delta
 
     def as_dict(self):
         return {"vertices": list(self.vertices), "b1": self.b1,
                 "ends": self.ends, "delta": self.delta}
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
-    orientable: bool
-    genus: int | None
-    crosscaps: int | None
-    punctures: int
-    j: int
-    b1_curve: int
-    components: tuple
-    total_nodes: int
-    extra_crossings: int
-    euler_characteristic: int
-    surface_name: str
+class SurfaceReport(Record):
+    __slots__ = ("orientable", "genus", "crosscaps", "punctures", "j",
+                 "b1_curve", "components", "total_nodes", "extra_crossings",
+                 "euler_characteristic", "surface_name")
+
+    def __init__(self, orientable: bool, genus: int | None,
+                 crosscaps: int | None, punctures: int, j: int, b1_curve: int,
+                 components: tuple, total_nodes: int, extra_crossings: int,
+                 euler_characteristic: int, surface_name: str):
+        self.orientable = orientable
+        self.genus = genus
+        self.crosscaps = crosscaps
+        self.punctures = punctures
+        self.j = j
+        self.b1_curve = b1_curve
+        self.components = components
+        self.total_nodes = total_nodes
+        self.extra_crossings = extra_crossings
+        self.euler_characteristic = euler_characteristic
+        self.surface_name = surface_name
 
     def as_dict(self):
         return {"orientable": self.orientable, "genus": self.genus,
@@ -297,18 +306,27 @@ def _z_from_domain_or_zs(c, domain, zs):
     raise WorkbenchError("MISSING_Z", "need a domain or explicit directions")
 
 
-@dataclass(frozen=True)
-class ThreeManifoldReport:
-    h1_order: int | None
-    infinite_h1: bool
-    mv: int
-    product: int
-    rational_homology_sphere: bool
-    deformation_persists: bool
-    leaf_data: tuple
-    root_edge: dict | None
-    recursion_agrees: bool | None
-    parity_warning: str | None
+class ThreeManifoldReport(Record):
+    __slots__ = ("h1_order", "infinite_h1", "mv", "product",
+                 "rational_homology_sphere", "deformation_persists",
+                 "leaf_data", "root_edge", "recursion_agrees",
+                 "parity_warning")
+
+    def __init__(self, h1_order: int | None, infinite_h1: bool, mv: int,
+                 product: int, rational_homology_sphere: bool,
+                 deformation_persists: bool, leaf_data: tuple,
+                 root_edge: dict | None, recursion_agrees: bool | None,
+                 parity_warning: str | None):
+        self.h1_order = h1_order
+        self.infinite_h1 = infinite_h1
+        self.mv = mv
+        self.product = product
+        self.rational_homology_sphere = rational_homology_sphere
+        self.deformation_persists = deformation_persists
+        self.leaf_data = leaf_data
+        self.root_edge = root_edge
+        self.recursion_agrees = recursion_agrees
+        self.parity_warning = parity_warning
 
     def as_dict(self):
         return {
@@ -438,13 +456,16 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
 # piece decomposition
 
 
-@dataclass(frozen=True)
-class Piece:
-    kind: str           # PANTS_BUNDLE | SOLID_TORUS | MOEBIUS_PIECE
-                        # | DISK_PIECE | ANNULUS
-    anchor: str         # vertex id or "end:<edge index>"
-    delta: int | None = None
-    kernel: tuple | None = None
+class Piece(Record):
+    __slots__ = ("kind", "anchor", "delta", "kernel")
+
+    def __init__(self, kind: str, anchor: str, delta: int | None = None,
+                 kernel: tuple | None = None):
+        self.kind = kind      # PANTS_BUNDLE | SOLID_TORUS | MOEBIUS_PIECE
+                              # | DISK_PIECE | ANNULUS
+        self.anchor = anchor  # vertex id or "end:<edge index>"
+        self.delta = delta
+        self.kernel = kernel
 
     def as_dict(self):
         out = {"kind": self.kind, "anchor": self.anchor}
@@ -455,10 +476,12 @@ class Piece:
         return out
 
 
-@dataclass(frozen=True)
-class PieceDecomposition:
-    pieces: tuple
-    gluing: tuple       # (piece index, piece index, chain edge indices)
+class PieceDecomposition(Record):
+    __slots__ = ("pieces", "gluing")
+
+    def __init__(self, pieces: tuple, gluing: tuple):
+        self.pieces = pieces
+        self.gluing = gluing  # (piece index, piece index, chain edge indices)
 
     def as_dict(self):
         return {"pieces": [p.as_dict() for p in self.pieces],
@@ -533,10 +556,12 @@ def piece_decomposition(c: TropicalCurve,
 # lens parameters
 
 
-@dataclass(frozen=True)
-class LensParameters:
-    p: int
-    q_canonical: int
+class LensParameters(Record):
+    __slots__ = ("p", "q_canonical")
+
+    def __init__(self, p: int, q_canonical: int):
+        self.p = p
+        self.q_canonical = q_canonical
 
     def as_dict(self):
         return {"p": self.p, "qCanonical": self.q_canonical}

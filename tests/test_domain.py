@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import domain_oracle
-from conftest import rand_primitive
+from conftest import fixture_path, rand_primitive
 from exact_oracle import solve_exact
 
 from troplag import domain as domain_mod
@@ -17,6 +17,7 @@ from troplag.domain import (DelzantFailure, DelzantReport, LineConfiguration,
                             corner_basis, curve_self_crossings,
                             suitability_check, validate_delzant, wavefront)
 from troplag.errors import WorkbenchError
+from troplag.io_json import load_curve, load_domain
 from troplag.lattice import (content, cross, det_bareiss, dot,
                              elementary_divisors, is_zero, mixed,
                              solve_bareiss, vec_add, vec_neg, vec_scale)
@@ -565,6 +566,30 @@ def test_contains_and_active_against_fraction_oracle():
     assert any(f.offset < 0 and f.offset.denominator > 1
                for d in domains for f in d.facets)
     assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("curve, dom", [
+    ("rp2", "triangle"), ("klein", "quadrant"), ("klein_sum", "quadrant"),
+    ("sphere_w2", "rect42"), ("simplex_tripod", "simplex3")])
+def test_check_even_primitive_evaluates_each_point_once(monkeypatch, curve,
+                                                         dom):
+    """check_even_primitive locates every vertex, edge midpoint, boundary
+    point and crossing with one evaluation of the facets."""
+    c = load_curve(fixture_path(f"{curve}.curve.json"))
+    d = load_domain(fixture_path(f"{dom}.domain.json"))
+    values = PolyhedralDomain._values
+    calls = collections.Counter()
+
+    def counted(self, x):
+        calls[tuple(x)] += 1
+        return values(self, x)
+
+    monkeypatch.setattr(PolyhedralDomain, "_values", counted)
+    rep = check_even_primitive(c, d, relaxed=True)
+    assert rep.boundary
+    assert set(calls.values()) == {1}, calls
+    assert set(c.vertices.values()) <= set(calls)
+    assert {b.point for b in rep.boundary} <= set(calls)
 
 
 def _reflected(d):

@@ -1,21 +1,28 @@
-"""Package-wide invariants: exact arithmetic and no runtime dependencies.
+"""Package-wide invariants: exact arithmetic, a light import and no
+runtime dependencies.
 
 The package computes with ``int`` and ``Fraction`` only, so its source
 holds no float literal, names ``float`` only in ``isinstance`` tests
 (the JSON reader uses them to reject floats) and takes nothing from
-``math`` but ``gcd`` and ``lcm``.  ``pyproject.toml`` declares no
-dependencies.
+``math`` but ``gcd`` and ``lcm``.  It imports none of ``dataclasses``,
+``typing`` and ``inspect``, which would add tens of milliseconds to
+every CLI process.  ``pyproject.toml`` declares no dependencies.
 """
 
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "troplag").glob("*.py"))
 MATH_ALLOWED = {"gcd", "lcm"}
+HEAVY = {"dataclasses", "typing", "inspect"}
+# what `import troplag.cli` must not load, directly or through the stdlib
+NOT_LOADED = HEAVY | {"ast", "dis"}
 
 
 def _isinstance_types(tree):
@@ -30,10 +37,10 @@ def _isinstance_types(tree):
     return out
 
 
-def float_uses(tree):
+def banned_uses(tree):
     """(line, what) in line order for each float literal, each float name
-    outside an isinstance test and each math import outside
-    MATH_ALLOWED in a parsed module."""
+    outside an isinstance test, each math import outside MATH_ALLOWED
+    and each import of a HEAVY module in a parsed module."""
     tests = _isinstance_types(tree)
     found = []
     for node in ast.walk(tree):
@@ -45,10 +52,13 @@ def float_uses(tree):
             found.append((node.lineno, "name float"))
         elif isinstance(node, ast.Import):
             found += [(node.lineno, f"import {a.name}") for a in node.names
-                      if a.name.split(".")[0] == "math"]
-        elif isinstance(node, ast.ImportFrom) and node.module == "math":
-            found += [(node.lineno, f"from math import {a.name}")
-                      for a in node.names if a.name not in MATH_ALLOWED]
+                      if a.name.split(".")[0] in HEAVY | {"math"}]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top = node.module.split(".")[0]
+            found += [(node.lineno, f"from {node.module} import {a.name}")
+                      for a in node.names
+                      if top in HEAVY or
+                      (top == "math" and a.name not in MATH_ALLOWED)]
     return sorted(found)
 
 
@@ -58,15 +68,30 @@ def test_sources_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_floats(path):
-    assert float_uses(ast.parse(path.read_text(), str(path))) == []
+    assert banned_uses(ast.parse(path.read_text(), str(path))) == []
 
 
 def test_checker_catches_floats():
     src = ("import math\nfrom math import gcd, sqrt\nx = 0.5\n"
            "y = float(1)\nz = 2j\nok = isinstance(x, (int, float))\n"
-           "bad = isinstance(float(x), int)\n")
-    assert [line for line, _ in float_uses(ast.parse(src))] == \
-        [1, 2, 3, 4, 5, 7]
+           "bad = isinstance(float(x), int)\n"
+           "from dataclasses import dataclass\nimport typing as t\n"
+           "import os, inspect\nfrom typing import Any\n"
+           "from . import typing\nfrom .dataclasses import x\n")
+    assert [line for line, _ in banned_uses(ast.parse(src))] == \
+        [1, 2, 3, 4, 5, 7, 8, 9, 10, 11]
+
+
+def test_cli_import_loads_no_heavy_module():
+    """Counts modules, times nothing: under -I -S no site or environment
+    adds modules of its own."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import troplag.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code,
+                          str(ROOT / "src")], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert "troplag.cli" in out
+    assert NOT_LOADED.isdisjoint(out), sorted(NOT_LOADED.intersection(out))
 
 
 def test_no_dependencies():

@@ -511,6 +511,32 @@ def test_lens_parameters_table():
         lens_parameters(lens_curve(), zs=[(1, 0, 0), (-3, 5, 0)])
 
 
+def _doubled(solve):
+    return lambda a, u: tuple(2 * x for x in solve(a, u))
+
+
+def _half_shifted(solve):
+    """Still a cross solution over Q (a x a == 0), but off the lattice:
+    the coordinate along a becomes a half-integer for odd p."""
+    return lambda a, u: tuple(x + Fraction(y, 2)
+                              for x, y in zip(solve(a, u), a))
+
+
+@pytest.mark.parametrize("spoil", [_doubled, _half_shifted])
+@pytest.mark.parametrize("p, q", [(5, 2), (7, 3)])
+def test_lens_parameters_rejects_off_lattice_kernel_coordinates(
+        monkeypatch, spoil, p, q):
+    """A wrong cross solution gives kernel coordinates that are not
+    integers or whose second one is not +-p; lens_parameters must refuse
+    them, not round them.  Doubling trips the check on the second
+    coordinate, the half shift only the integrality check on the first."""
+    monkeypatch.setattr(topology, "solve_cross",
+                        spoil(topology.solve_cross))
+    with pytest.raises(WorkbenchError) as err:
+        lens_parameters(lens_curve(), zs=[(1, 0, 0), (-q, p, 0)])
+    assert err.value.code == "INTERNAL_INCONSISTENCY"
+
+
 def test_surface_chi_from_pieces():
     # Euler characteristic recomputed from the piece kinds
     cases = [
