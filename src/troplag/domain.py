@@ -22,7 +22,6 @@ included.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -886,18 +885,19 @@ def _leaf_line_intersection(base, direction, line: Line):
 
 
 def _in_convex_hull(x, pts, dim):
-    """Exact membership of x in the convex hull of pts (Caratheodory)."""
-    for size in range(1, dim + 2):
-        for sub in itertools.combinations(pts, size):
-            rows = [[1] * size]
-            for k in range(dim):
-                rows.append([q[k] for q in sub])
-            d, num, kernel = solve_bareiss(rows, [1, *x])
-            # the weights num / d are all >= 0
-            if num is not None and not kernel and \
-                    all(v * d >= 0 for v in num):
-                return True
-    return False
+    """Exact membership of x in the convex hull of pts.
+
+    x lies outside exactly when some a separates it strictly, which,
+    scaled, is a . (p - x) >= 1 for every p in pts (Farkas).  Each row
+    is cleared to integers for `_fm_point`.
+    """
+    rows = []
+    for p in pts:
+        diff = vec_sub(p, x)
+        L = lcm(*(v.denominator for v in diff))
+        rows.append((tuple(v.numerator * (L // v.denominator)
+                           for v in diff), L))
+    return _fm_point(rows, dim) is None
 
 
 class SuitabilityReport(Record):

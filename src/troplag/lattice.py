@@ -3,9 +3,9 @@
 Everything in here is plain ``int`` arithmetic, with ``Fraction`` input
 cleared of denominators: vector products and primitivity; one
 fraction-free (Bareiss) elimination for determinants, solutions, ranks
-and kernels; and the Smith normal form for lattice indices, saturation
-and basis completion.  No floating point is used anywhere in the
-package.  Vectors are tuples, matrices are tuples of row tuples.
+and kernels; and the Smith normal form for lattice indices and
+saturation.  No floating point is used anywhere in the package.
+Vectors are tuples, matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -432,44 +432,14 @@ def solve_dot(v, target=1):
     return tuple(m * c for c in coeffs)
 
 
-def invert_unimodular(m):
-    """Inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    d = det_bareiss(m)
-    if abs(d) != 1:
-        raise WorkbenchError("NOT_UNIMODULAR", f"determinant {d}")
-    cols = []
-    for j in range(n):
-        _, num, _ = solve_bareiss(m, [int(i == j) for i in range(n)])
-        cols.append(tuple(d * x for x in num))   # x = num / d, d = +-1
-    return tuple(zip(*cols))
-
-
-def complete_basis(u):
-    """Rows (u, v, w) forming a Z^3 basis with det +1; u must be primitive."""
-    if len(u) != 3 or content(u) != 1:
-        raise WorkbenchError("NOT_PRIMITIVE", f"{u} is not a primitive 3-vector")
-    snf = smith_normal_form([list(u)])
-    w_mat = invert_unimodular(snf.V)  # first row of V^{-1} is +-u
-    rows = [list(r) for r in w_mat]
-    if tuple(rows[0]) != tuple(u):
-        rows[0] = [-x for x in rows[0]]
-        rows[1] = [-x for x in rows[1]]
-    if tuple(rows[0]) != tuple(u):
-        raise WorkbenchError("INTERNAL_INCONSISTENCY", "basis completion failed")
-    if det_bareiss(rows) < 0:
-        rows[2] = [-x for x in rows[2]]
-    return tuple(tuple(r) for r in rows)
-
-
 def solve_cross(u, t):
-    """Deterministic z with u x z == t; u primitive, t orthogonal to u."""
+    """Deterministic z with u x z == t; u primitive, t orthogonal to u.
+
+    With u . x == 1, u x (t x x) == t (u . x) - x (u . t) == t.
+    """
     if dot(u, t) != 0:
         raise WorkbenchError("NO_SOLUTION", "target not orthogonal to u")
-    _, v, w = complete_basis(u)
-    # For a positively oriented basis (u, v, w): u x (a*v + b*w) spans the
-    # orthogonal lattice of u, with dual pairings against w and v.
-    z = vec_sub(vec_scale(dot(t, w), v), vec_scale(dot(t, v), w))
-    if cross(u, z) != tuple(t):
-        raise WorkbenchError("INTERNAL_INCONSISTENCY", "cross solve failed")
-    return z
+    x = solve_dot(u, 1)
+    if x is None:
+        raise WorkbenchError("NOT_PRIMITIVE", f"{u} is not primitive")
+    return cross(t, x)

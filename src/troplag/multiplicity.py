@@ -232,31 +232,21 @@ def build_problem(c_or_sk, zs) -> Problem:
 
 def _problem_from_curve(c: TropicalCurve, zs) -> Problem:
     ends = c.ends()
-    if isinstance(zs, dict):
-        z_list = []
-        for e in ends:
-            if e.edge_index not in zs:
-                raise WorkbenchError("MISSING_Z",
-                                     f"no constraint direction for edge "
-                                     f"{e.edge_index}")
-            z_list.append(tuple(zs[e.edge_index]))
-    else:
-        z_list = [tuple(z) for z in zs]
-        if len(z_list) != len(ends):
-            raise WorkbenchError("MISSING_Z",
-                                 f"{len(z_list)} directions for "
-                                 f"{len(ends)} ends")
+    z_list = [tuple(z) for z in zs]
+    if len(z_list) != len(ends):
+        raise WorkbenchError("MISSING_Z",
+                             f"{len(z_list)} directions for "
+                             f"{len(ends)} ends")
     prob = Problem(c.dim)
     for i, z in enumerate(z_list):
         prob.end_z[("end", i)] = z
     trivalent = set(c.trivalent_vertices())
     prob.nodes.update(trivalent)
 
-    # an end is recognized by the edge it sits on together with its side
-    marker_by_edge_side = {}
-    for i, e in enumerate(ends):
-        side = e.endpoint if e.kind == "endpoint" else None
-        marker_by_edge_side[(e.edge_index, side)] = ("end", i)
+    # an end is recognized by the edge it sits on together with its
+    # endpoint vertex (None for a ray)
+    marker_by_edge_side = {(e.edge_index, e.endpoint): ("end", i)
+                           for i, e in enumerate(ends)}
 
     def resolve(vertex, chain):
         if vertex is not None and vertex in trivalent:
@@ -299,10 +289,12 @@ def _problem_from_skeleton(sk: Skeleton, zs) -> Problem:
 def mixed_h_product(c_or_sk, zs, root=None) -> int:
     """|mixed product of rotational momenta| towards the chosen root.
 
-    The magnitude does not depend on the root, which may be ("end", j),
-    a 3-valent vertex id, or None for the first end.  With exactly two
-    ends the value is |mixed(z1, z2, u)| for the primitive direction u
-    of the single edge.
+    `zs` is a sequence of constraint directions, one per end: in
+    c.ends() order for a curve, by leaf for a skeleton.  The magnitude
+    does not depend on the root, which may be ("end", j) for the j-th
+    end, a 3-valent vertex id, or None for the first end.  With exactly
+    two ends the value is |mixed(z1, z2, u)| for the primitive direction
+    u of the single edge.
     """
     if isinstance(c_or_sk, TropicalCurve) and c_or_sk.b1() != 0:
         raise WorkbenchError("TREE_ONLY", "the mixed product needs a tree")
@@ -360,7 +352,8 @@ def ev_matrix(c_or_sk, zs, ref=None) -> EvaluationMatrix:
 
     Row j carries the rotational momentum of end j in the translation
     block and mixed(d_j, z_j, dh(e)) in the column of each bounded edge
-    on the path from the reference junction to end j.
+    on the path from the reference junction to end j.  `zs` is a
+    sequence in c.ends() order (by leaf for a skeleton).
     """
     if isinstance(c_or_sk, TropicalCurve) and c_or_sk.b1() != 0:
         raise WorkbenchError("TREE_ONLY",
@@ -439,7 +432,9 @@ def splitting_check(c: TropicalCurve, edge_index: int,
                     zs) -> SplittingReport:
     """Check the edge-splitting factorization of the multiplicity.
 
-    The curve is cut at the midpoint of the bounded edge; the two halves
+    `zs` is a sequence of constraint directions in c.ends() order; each
+    half gets the directions of its ends in its own ends() order.  The
+    curve is cut at the midpoint of the bounded edge; the two halves
     are completed by auxiliary lines through the cut point.  The line for
     the first half pairs to 1 against the primitive part of the arriving
     momentum; the line for the second half is the cross-solve of the edge
@@ -454,31 +449,25 @@ def splitting_check(c: TropicalCurve, edge_index: int,
                 zip(c.position(e.tail), c.position(e.head)))
     res = split_at_edge(c, edge_index, mid)
 
-    # constraint directions keyed by edge index, transported to the parts
-    ends = c.ends()
-    if isinstance(zs, dict):
-        z_of_edge = dict(zs)
-    else:
-        z_of_edge = {end.edge_index: tuple(z)
-                     for end, z in zip(ends, list(zs))}
-
-    def part_z(emap, ray_index, extra):
-        out = {ray_index: extra}
-        for old, new in emap.items():
-            if old in z_of_edge:
-                out[new] = z_of_edge[old]
-        return out
-
+    zs = [tuple(z) for z in zs]
     lhs = mixed_h_product(c, zs)
+    # an end of a part sits on the same endpoint of its mapped edge as
+    # in c, except the new ray, which gets `extra`
+    z_of_end = {(end.edge_index, end.endpoint): z
+                for end, z in zip(c.ends(), zs)}
+
+    def part_z(part, emap, ray_index, extra):
+        old_of = {new: old for old, new in emap.items()}
+        return [extra if end.edge_index == ray_index
+                else z_of_end[old_of[end.edge_index], end.endpoint]
+                for end in part.ends()]
+
     # the momentum arriving at the new ray ignores the ray's own direction
-    prob1 = build_problem(res.h1,
-                          part_z(res.h1_edge_map, res.r1_index, (1, 1, 1)))
-    # momentum arriving at the new ray of h1
-    marker = None
-    for i, end in enumerate(res.h1.ends()):
-        if end.edge_index == res.r1_index:
-            marker = ("end", i)
-    rho_r1, _, _ = prob1.momentum_at_end(marker)
+    prob1 = build_problem(res.h1, part_z(res.h1, res.h1_edge_map,
+                                         res.r1_index, (1, 1, 1)))
+    r1 = next(i for i, end in enumerate(res.h1.ends())
+              if end.edge_index == res.r1_index)
+    rho_r1, _, _ = prob1.momentum_at_end(("end", r1))
     if is_zero(rho_r1):
         raise WorkbenchError("SPLIT_DEGENERATE",
                              "propagated momentum at the cut vanishes")
@@ -486,8 +475,10 @@ def splitting_check(c: TropicalCurve, edge_index: int,
     u = e.direction
     z_a = solve_dot(rho_prime, 1)
     z_b = solve_cross(u, vec_neg(rho_prime))
-    m1 = mixed_h_product(res.h1, part_z(res.h1_edge_map, res.r1_index, z_a))
-    m2 = mixed_h_product(res.h2, part_z(res.h2_edge_map, res.r2_index, z_b))
+    m1 = mixed_h_product(res.h1, part_z(res.h1, res.h1_edge_map,
+                                        res.r1_index, z_a))
+    m2 = mixed_h_product(res.h2, part_z(res.h2, res.h2_edge_map,
+                                        res.r2_index, z_b))
     num = m1 * m2
     if num % e.weight != 0:
         raise WorkbenchError("INTERNAL_INCONSISTENCY",

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 
 from .curve import TropicalCurve, require_valid
-from .domain import (PolyhedralDomain, check_even_primitive,
-                     curve_self_crossings, is_standard_simplex_3,
-                     require_even_primitive)
+from .domain import (PolyhedralDomain, curve_self_crossings,
+                     is_standard_simplex_3, require_even_primitive)
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, is_zero, primitive_raw,
                       rot90, solve_bareiss, solve_cross, vec_add, vec_scale)
@@ -263,47 +262,36 @@ def surface_report(c: TropicalCurve, d: PolyhedralDomain,
 # three-manifold reports
 
 
-def _resolve_boundary_z(c, domain):
-    """Constraint directions from the domain edges at bissectrice points."""
-    even = check_even_primitive(c, domain)
-    if not even.ok:
-        raise WorkbenchError("NOT_EVEN_PRIMITIVE", "; ".join(even.issues))
-    if even.punctures:
-        raise WorkbenchError("NOT_COMPACT",
-                             "curve has ends escaping to infinity")
-    zs = {}
-    for info in even.boundary:
-        if info.kind != "BISSECTRICE":
-            raise WorkbenchError(
-                "NOT_BISSECTRICE",
-                f"boundary point {info.point} is {info.kind}")
-        zs[info.edge_index] = info.z_direction
-    return zs
+def _end_directions(c, domain, zs):
+    """Constraint directions in c.ends() order, from a domain or given.
 
-
-def _as_z_dict(c, zs):
-    if isinstance(zs, dict):
-        return {k: tuple(v) for k, v in zs.items()}
-    ends = c.ends()
-    if len(list(zs)) != len(ends):
-        raise WorkbenchError("MISSING_Z",
-                             f"{len(list(zs))} directions for "
-                             f"{len(ends)} ends")
-    return {e.edge_index: tuple(z) for e, z in zip(ends, zs)}
-
-
-def _z_from_domain_or_zs(c, domain, zs):
-    """Constraint directions by end edge, from a domain or given directly.
-
-    A domain supplies its edge directions at the bissectrice boundary
-    points of a compact curve; otherwise the directions come from `zs`
-    (abstract curve and lines data: the rays are the leaves themselves).
+    A domain supplies its stratum direction at the bissectrice boundary
+    point of each end of a compact curve, matched to the end by
+    `BoundaryPointInfo.end_key`; otherwise `zs` lists the directions in
+    c.ends() order (abstract curve and lines data).
     """
+    ends = c.ends()
     if domain is not None:
-        return _resolve_boundary_z(c, domain)
-    if zs is not None:
-        return _as_z_dict(c, zs)
-    raise WorkbenchError("MISSING_Z", "need a domain or explicit directions")
+        even = require_even_primitive(c, domain)
+        if even.punctures:
+            raise WorkbenchError("NOT_COMPACT",
+                                 "curve has ends escaping to infinity")
+        z_of_end = {}
+        for info in even.boundary:
+            if info.kind != "BISSECTRICE":
+                raise WorkbenchError(
+                    "NOT_BISSECTRICE",
+                    f"boundary point {info.point} is {info.kind}")
+            z_of_end[info.end_key] = info.z_direction
+        return [z_of_end[e.edge_index, e.endpoint] for e in ends]
+    if zs is None:
+        raise WorkbenchError("MISSING_Z",
+                             "need a domain or explicit directions")
+    zs = [tuple(z) for z in zs]
+    if len(zs) != len(ends):
+        raise WorkbenchError("MISSING_Z",
+                             f"{len(zs)} directions for {len(ends)} ends")
+    return zs
 
 
 class ThreeManifoldReport(Record):
@@ -350,7 +338,9 @@ def _torsion_recursion(prob: Problem, mult_of_node):
     One post-order pass of `Problem.momenta` gives, for every edge, the
     momentum rho(e) towards the root and the product mv(e) of the vertex
     multiplicities behind it; every n(e) = content(rho(e)) must be
-    divisible by mv(e).  Returns (h1_rec, root edge record).
+    divisible by mv(e).  On a single line the far end is the only edge
+    and the recursion is the gluing gcd.  Returns (h1_rec, root edge
+    record).
     """
     root = prob.ends()[0]
     (first, _, w_root, _), = prob.neighbors(root)
@@ -384,7 +374,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
 
     With a domain, the boundary points must all be bissectrice and the
     constraint directions are the domain edge directions; otherwise pass
-    the directions explicitly.  The order is the mixed product magnitude
+    the directions explicitly as `zs`, a sequence in c.ends() order.  The order is the mixed product magnitude
     divided by the product of the vertex multiplicities; the torsion
     recursion is recomputed independently and must agree.
     """
@@ -393,7 +383,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
     require_valid(c)
     if c.b1() != 0:
         raise WorkbenchError("TREE_ONLY", "h1 needs a tree curve")
-    z_dict = _z_from_domain_or_zs(c, domain, zs)
+    zs = _end_directions(c, domain, zs)
 
     mult_of_node = {v: vertex_multiplicity(c, v)
                     for v in c.trivalent_vertices()}
@@ -401,7 +391,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
     for m in mult_of_node.values():
         mv *= m
 
-    prob = build_problem(c, z_dict)
+    prob = build_problem(c, zs)
     product = prob.mixed_product()
     leaf_data = tuple((marker[1], RotationalMomentum.from_vector(
         cross(prob.outward(marker), prob.end_z[marker])))
@@ -422,28 +412,12 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
                              f"{product}")
     order = product // mv
 
-    if len(prob.ends()) >= 3:
-        # node multiplicities keyed the way the problem names junctions
-        h1_rec, root_edge = _torsion_recursion(prob, mult_of_node)
-        agrees = h1_rec == order
-        if not agrees:
-            raise WorkbenchError("INTERNAL_INCONSISTENCY",
-                                 f"torsion recursion gives {h1_rec}, "
-                                 f"determinant route gives {order}")
-    else:
-        # a single line: the recursion degenerates to the gluing gcd
-        e0, e1 = prob.ends()
-        rho_far = prob.end_momentum(e1)
-        rho_root = prob.end_momentum(e0)
-        glue = content(cross(rho_far.primitive, rho_root.vector))
-        h1_rec = rho_far.n * glue
-        root_edge = {"rho": list(rho_far.vector), "n": rho_far.n,
-                     "torsionAccumulated": rho_far.n, "glue": glue}
-        agrees = h1_rec == order
-        if not agrees:
-            raise WorkbenchError("INTERNAL_INCONSISTENCY",
-                                 f"gluing gcd gives {h1_rec}, "
-                                 f"determinant route gives {order}")
+    h1_rec, root_edge = _torsion_recursion(prob, mult_of_node)
+    agrees = h1_rec == order
+    if not agrees:
+        raise WorkbenchError("INTERNAL_INCONSISTENCY",
+                             f"torsion recursion gives {h1_rec}, "
+                             f"determinant route gives {order}")
 
     if parity_applies and order % 2 == 1:
         parity = ("odd H1 order in the standard simplex contradicts the "
@@ -491,31 +465,35 @@ class PieceDecomposition(Record):
 def piece_decomposition(c: TropicalCurve,
                         domain: PolyhedralDomain | None = None,
                         zs=None, relaxed=False) -> PieceDecomposition:
-    """Pieces of the Lagrangian over vertices, boundary points and ends."""
+    """Pieces of the Lagrangian over vertices, boundary points and ends.
+
+    The boundary data come from a domain or, for a spatial curve, from
+    `zs`, a sequence of constraint directions in c.ends() order.  The
+    kernel of a solid torus is primitive(d x z) for the outward weighted
+    direction d of its end.
+    """
     require_valid(c)
-    # ends are identified by (edge index, endpoint vertex or None)
-    kind_of_end = {}
-    kernel_of_end = {}
+    ends = c.ends()
     if domain is not None:
-        even = check_even_primitive(c, domain, relaxed)
-        if not even.ok:
-            raise WorkbenchError("NOT_EVEN_PRIMITIVE", "; ".join(even.issues))
-        for info in even.boundary:
-            if info.kind == "MOMENTUM2":
-                kind_of_end[info.end_key] = "MOEBIUS_PIECE"
+        even = require_even_primitive(c, domain, relaxed)
+        info_of = {info.end_key: info for info in even.boundary}
+        kinds, zs = [], []
+        for end in ends:
+            info = info_of.get((end.edge_index, end.endpoint))
+            z = None
+            if info is None:
+                kind = "ANNULUS"
+            elif info.kind == "MOMENTUM2":
+                kind = "MOEBIUS_PIECE"
             elif c.dim == 2:
-                kind_of_end[info.end_key] = "DISK_PIECE"
+                kind = "DISK_PIECE"
             else:
-                kind_of_end[info.end_key] = "SOLID_TORUS"
-                kernel_of_end[info.end_key] = primitive_raw(
-                    cross(c.edges[info.edge_index].dh(), info.z_direction))
+                kind, z = "SOLID_TORUS", info.z_direction
+            kinds.append(kind)
+            zs.append(z)
     elif zs is not None and c.dim == 3:
-        z_dict = _as_z_dict(c, zs)
-        for e in c.ends():
-            key = (e.edge_index, e.endpoint)
-            kind_of_end[key] = "SOLID_TORUS"
-            kernel_of_end[key] = primitive_raw(
-                cross(e.dh(), z_dict[e.edge_index]))
+        zs = _end_directions(c, None, zs)
+        kinds = ["SOLID_TORUS"] * len(ends)
     else:
         raise WorkbenchError("MISSING_Z",
                              "need a domain or explicit directions")
@@ -526,13 +504,12 @@ def piece_decomposition(c: TropicalCurve,
         delta = dual_vertex_delta(c, v) if c.dim == 2 else None
         index_of[("v", v)] = len(pieces)
         pieces.append(Piece("PANTS_BUNDLE", v, delta=delta))
-    for end in c.ends():
-        key = (end.edge_index, end.endpoint)
-        kind = kind_of_end.get(key, "ANNULUS")
-        index_of[("end", key)] = len(pieces)
+    for end, kind, z in zip(ends, kinds, zs):
+        index_of[("end", (end.edge_index, end.endpoint))] = len(pieces)
         anchor = f"end:{end.edge_index}" if end.endpoint is None \
             else f"end:{end.edge_index}:{end.endpoint}"
-        pieces.append(Piece(kind, anchor, kernel=kernel_of_end.get(key)))
+        kernel = None if z is None else primitive_raw(cross(end.dh(), z))
+        pieces.append(Piece(kind, anchor, kernel=kernel))
 
     gluing = []
     for ch in c.smoothed_edges():
@@ -582,14 +559,18 @@ def _canonical_q(p, q):
 def lens_parameters(c: TropicalCurve,
                     domain: PolyhedralDomain | None = None,
                     zs=None) -> LensParameters:
-    """Lens space parameters of the 3-manifold of a single-edge curve."""
+    """Lens space parameters of the 3-manifold of a single-edge curve.
+
+    The constraint directions come from a domain or from `zs`, a sequence
+    in c.ends() order.
+    """
     if c.dim != 3:
         raise WorkbenchError("DIMENSION_MISMATCH", "lens needs a 3-dim curve")
     require_valid(c)
     if c.trivalent_vertices():
         raise WorkbenchError("NOT_A_LINE",
                              "lens parameters need a single-edge curve")
-    prob = build_problem(c, _z_from_domain_or_zs(c, domain, zs))
+    prob = build_problem(c, _end_directions(c, domain, zs))
     ends = prob.ends()
     if len(ends) != 2:
         raise WorkbenchError("NOT_A_LINE", "lens needs exactly two ends")

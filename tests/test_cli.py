@@ -72,6 +72,34 @@ def test_h1_disappearing():
     assert out["deformationPersists"] is False
 
 
+def test_unmarked_segment_keeps_both_ends_apart(tmp_path):
+    """The segment (1/2,0,0) -> (0,1/2,1/2) of the simplex is one edge
+    with two ends.  Its invariants are those of the marked segment, with
+    the directions from the domain or as lines (end at b first: the ends
+    of a lone edge are listed head first)."""
+    curve = fixture_path("segment.curve.json")
+    lines = tmp_path / "strata.lines.json"
+    lines.write_text(json.dumps({"lines": [
+        {"point": ["0", "1/2", "1/2"], "dir": [0, 1, -1]},
+        {"point": ["1/2", "0", "0"], "dir": [1, 0, 0]}]}))
+    for source in (["--domain", fixture_path("simplex3.domain.json")],
+                   ["--lines", str(lines)]):
+        code, h1 = run_json(["h1", "--curve", curve] + source)
+        assert code == 0 and h1["h1Order"] == 2 and h1["product"] == 2
+        code, lens = run_json(["lens", "--curve", curve] + source)
+        assert code == 0 and (lens["p"], lens["qCanonical"]) == (2, 1)
+        code, pieces = run_json(["pieces", "--curve", curve] + source)
+        assert code == 0
+        assert {p["anchor"]: p["kernel"] for p in pieces["pieces"]} == \
+            {"end:0:a": [0, -1, 1], "end:0:b": [-2, -1, -1]}
+    for name in ("lens_2_1", "lens_5_2", "lens_7_3"):
+        source = ["--curve", curve, "--lines",
+                  fixture_path(f"{name}.lines.json")]
+        _, mult = run_json(["multiplicity"] + source)
+        _, h1 = run_json(["h1"] + source)
+        assert h1["product"] == mult["mixedHProduct"] == h1["h1Order"] > 0
+
+
 def test_validate_exit_codes(tmp_path):
     code, out = run_json(["validate",
                           "--curve", fixture_path("simplex_tripod.curve.json"),

@@ -954,7 +954,7 @@ def test_in_convex_hull_against_fraction_solve():
         for _ in range(150):
             pts = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                          for _ in range(dim))
-                   for _ in range(rng.randint(1, dim + 2))]
+                   for _ in range(rng.randint(1, dim + 6))]
             a, b = rng.sample(pts, 2) if len(pts) > 1 else (pts[0], pts[0])
             for x in (tuple(rng.randint(-2, 2) for _ in range(dim)),
                       tuple((p + q) / 2 for p, q in zip(a, b))):

@@ -55,6 +55,10 @@ def _cases():
                       "--lines", "poincare.lines", "--root", root])
     cases.append(["multiplicity", "--curve", "simplex_tripod.curve",
                   "--lines", "simplex_tripod.lines", "--root", "p"])
+    for cmd in ("h1", "pieces", "lens"):
+        for given in (["--domain", "simplex3.domain"],
+                      ["--lines", "lens_5_2.lines"]):
+            cases.append([cmd, "--curve", "segment.curve", *given])
     for c, d in IN_DOMAIN:
         for cmd in ("surface", "pieces", "h1", "lens"):
             cases.append([cmd, "--curve", f"{c}.curve",

@@ -12,7 +12,7 @@ from troplag.errors import WorkbenchError
 from troplag.lattice import (content, cross, det_bareiss,
                              elementary_divisors, lattice_index,
                              primitive_raw)
-from troplag.multiplicity import mixed_h_product
+from troplag.multiplicity import ev_matrix, mixed_h_product
 from troplag.topology import (dual_vertex_delta, h1_order, lens_parameters,
                               piece_decomposition, self_intersections,
                               surface_report, vertex_multiplicity)
@@ -374,6 +374,20 @@ def test_h1_infinite():
     assert not rep.deformation_persists
 
 
+def test_h1_weighted_line_is_not_primitive_boundary():
+    # the single line goes through the torsion recursion, whose root edge
+    # must have weight 1
+    line = TropicalCurve(3, [("m", (0, 0, 0)), ("b0", (0, 0, -1)),
+                             ("b1", (0, 0, 1))],
+                         [Edge("m", "b0", (0, 0, -1), 2, 0),
+                          Edge("m", "b1", (0, 0, 1), 2, 1)])
+    zs = [(1, 0, 0), (-2, 5, 0)]
+    assert mixed_h_product(line, zs) == 5
+    with pytest.raises(WorkbenchError) as err:
+        h1_order(line, zs=zs)
+    assert err.value.code == "NOT_PRIMITIVE_BOUNDARY"
+
+
 def test_h1_vertex_multiplicity_three():
     # edge directions (1,0,0), (1,3,0), (-2,-3,0): vertex multiplicity 3
     c = TropicalCurve(3, [("v", (0, 0, 0)), ("x", (1, 0, 0)),
@@ -610,3 +624,155 @@ def test_reports_unimodular_invariance():
                                  e.weight, e.leaf_label)
                             for e in tripod.edges])
         assert h1_order(c2, zs=[apply(z) for z in zs]).h1_order == base
+
+
+# ---------------------------------------------------------------------------
+# re-encoding invariance: per-end data follows the end, not the edge index
+
+
+def segment_curve(marked):
+    """The segment (1/2,0,0) -> (0,1/2,1/2) of the simplex, unmarked (one
+    edge, two unlabeled ends) or with a labeled marking at its midpoint."""
+    if not marked:
+        return TropicalCurve(3, [("a", ("1/2", 0, 0)),
+                                 ("b", (0, "1/2", "1/2"))],
+                             [Edge("a", "b", (-1, 1, 1))])
+    return TropicalCurve(3, [("a", ("1/2", 0, 0)), ("b", (0, "1/2", "1/2")),
+                             ("m", ("1/4", "1/4", "1/4"))],
+                         [Edge("m", "b", (-1, 1, 1), 1, 1),
+                          Edge("m", "a", (1, -1, -1), 1, 0)])
+
+
+def _rebuilt(c, edges, extra_vertices=()):
+    return TropicalCurve(c.dim, list(c.vertices.items()) + list(extra_vertices),
+                         edges)
+
+
+def reversed_edge(c, i):
+    """c with the stored orientation of bounded edge i flipped."""
+    edges = list(c.edges)
+    e = edges[i]
+    edges[i] = Edge(e.head, e.tail, tuple(-x for x in e.direction), e.weight,
+                    e.leaf_label)
+    return _rebuilt(c, edges)
+
+
+def marked_edge(c, i):
+    """c with a 2-valent marking at the midpoint of bounded edge i; a half
+    that ends at an endpoint keeps the edge's label."""
+    e = c.edges[i]
+    mid = tuple((a + b) / 2 for a, b in
+                zip(c.position(e.tail), c.position(e.head)))
+    label_tail = e.leaf_label if c.valence(e.tail) == 1 else None
+    label_head = e.leaf_label if c.valence(e.head) == 1 else None
+    edges = list(c.edges)
+    edges[i] = Edge(e.tail, "mk", e.direction, e.weight, label_tail)
+    edges.append(Edge("mk", e.head, e.direction, e.weight, label_head))
+    return _rebuilt(c, edges, [("mk", mid)])
+
+
+def clipped_tree(rng):
+    """A random primitive tree whose rays stop at endpoint vertices, with
+    a constraint direction for each endpoint."""
+    curve, zs = random_tree_problem(rng, rng.choice([3, 4, 5, 6]),
+                                    primitive=True)
+    tips, edges, z_at = [], [], {}
+    for e in curve.edges:
+        if e.bounded:
+            edges.append(e)
+            continue
+        tip = f"t{e.leaf_label}"
+        t = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        tips.append((tip, tuple(p + t * d for p, d in
+                                zip(curve.position(e.tail), e.direction))))
+        edges.append(Edge(e.tail, tip, e.direction, e.weight, e.leaf_label))
+        z_at[tip] = zs[e.leaf_label]
+    return _rebuilt(curve, edges, tips), z_at
+
+
+def _attempt(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).as_dict()
+    except WorkbenchError as err:
+        return err.code
+
+
+def outputs(c, domain=None, z_at=None):
+    """The h1, lens, multiplicity and pieces reports, with the directions
+    given per endpoint vertex (z_at) or by the domain."""
+    kw = {"domain": domain}
+    out = {}
+    if z_at is not None:
+        zs = [z_at[e.endpoint] for e in c.ends()]
+        kw = {"zs": zs}
+        out["multiplicity"] = mixed_h_product(c, zs)
+        if len(zs) >= 3:
+            out["determinant"] = abs(ev_matrix(c, zs).determinant())
+    out["h1"] = _attempt(h1_order, c, **kw)
+    out["lens"] = _attempt(lens_parameters, c, **kw)
+    out["pieces"] = _attempt(piece_decomposition, c, **kw)
+    return out
+
+
+def invariants(c, domain=None, z_at=None):
+    """What no re-encoding may change: H1 order and product, lens
+    parameters, and the piece kind and kernel of each end, keyed by its
+    endpoint vertex."""
+    out = outputs(c, domain, z_at)
+    h1 = out["h1"]
+    per_end = {}
+    for piece in out["pieces"]["pieces"]:
+        if piece["anchor"].startswith("end:"):
+            per_end[piece["anchor"].split(":")[2]] = (piece["kind"],
+                                                      piece.get("kernel"))
+    return {"h1Order": h1 if isinstance(h1, str) else h1["h1Order"],
+            "product": None if isinstance(h1, str) else h1["product"],
+            "lens": out["lens"], "ends": per_end}
+
+
+def reencoding_cases():
+    rng = random.Random(59)
+    seg_z = {"a": (1, 0, 0), "b": (-2, 5, 0)}
+    cases = [(segment_curve(marked), {"domain": simplex3()})
+             for marked in (False, True)]
+    cases += [(segment_curve(marked), {"z_at": seg_z})
+              for marked in (False, True)]
+    cases.append((simplex_tripod_curve(), {"domain": simplex3()}))
+    for _ in range(12):
+        tree, z_at = clipped_tree(rng)
+        cases.append((tree, {"z_at": z_at}))
+    return cases
+
+
+def test_segment_invariants_with_and_without_marking():
+    dom = invariants(segment_curve(False), domain=simplex3())
+    assert dom == invariants(segment_curve(True), domain=simplex3())
+    assert dom["h1Order"] == dom["product"] == 2
+    assert dom["lens"] == {"p": 2, "qCanonical": 1}
+    assert dom["ends"] == {"a": ("SOLID_TORUS", [0, -1, 1]),
+                           "b": ("SOLID_TORUS", [-2, -1, -1])}
+    z_at = {"a": (1, 0, 0), "b": (-2, 5, 0)}
+    lines = invariants(segment_curve(False), z_at=z_at)
+    assert lines == invariants(segment_curve(True), z_at=z_at)
+    assert lines["h1Order"] == lines["product"] == 5
+    assert lines["lens"] == {"p": 5, "qCanonical": 2}
+
+
+def test_reversing_an_edge_changes_no_output():
+    for c, kw in reencoding_cases():
+        base = outputs(c, **kw)
+        for i in c.bounded_indices():
+            flipped = reversed_edge(c, i)
+            if len(c.edges) == 1:
+                # the two unlabeled ends of a lone edge are listed head
+                # first, so flipping it swaps their order
+                assert invariants(flipped, **kw) == invariants(c, **kw)
+            else:
+                assert outputs(flipped, **kw) == base
+
+
+def test_inserting_a_marking_changes_no_invariant():
+    for c, kw in reencoding_cases():
+        base = invariants(c, **kw)
+        for i in c.bounded_indices():
+            assert invariants(marked_edge(c, i), **kw) == base
