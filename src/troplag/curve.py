@@ -31,6 +31,17 @@ def as_rational(x):
     return x if type(x) is Fraction else Fraction(x)
 
 
+def as_rational_point(xs):
+    """xs as a tuple of Fractions; one already so is kept as it is."""
+    if type(xs) is tuple:
+        for x in xs:
+            if type(x) is not Fraction:
+                break
+        else:
+            return xs
+    return tuple(map(as_rational, xs))
+
+
 class Edge(Record):
     __slots__ = ("tail", "head", "direction", "weight", "leaf_label")
 
@@ -74,19 +85,20 @@ class TropicalCurve:
     def __init__(self, dim, vertices, edges):
         self.dim = dim
         vertices = list(vertices)
-        self.vertices = {vid: tuple(as_rational(c) for c in pos)
-                         for vid, pos in vertices}
+        self.vertices = {vid: as_rational_point(pos) for vid, pos in vertices}
         if len(self.vertices) != len(vertices):
             raise WorkbenchError("INVALID_CURVE", "duplicate vertex ids")
         norm = []
         for e in edges:
             if isinstance(e, Edge):
-                norm.append(Edge(e.tail, e.head, tuple(e.direction),
-                                 int(e.weight), e.leaf_label))
+                if type(e) is not Edge or type(e.direction) is not tuple \
+                        or type(e.weight) is not int:
+                    e = Edge(e.tail, e.head, tuple(e.direction),
+                             int(e.weight), e.leaf_label)
             else:
-                norm.append(Edge(e["tail"], e.get("head"),
-                                 tuple(e["dir"]), int(e.get("weight", 1)),
-                                 e.get("leaf_label")))
+                e = Edge(e["tail"], e.get("head"), tuple(e["dir"]),
+                         int(e.get("weight", 1)), e.get("leaf_label"))
+            norm.append(e)
         self.edges = tuple(norm)
         # incidence index; a curve is never mutated after construction
         inc = {}
@@ -226,22 +238,32 @@ class ValidationReport(Record):
         return {"ok": self.ok, "issues": list(self.issues)}
 
 
-def _positive_multiple(delta, direction):
-    """The t > 0 with delta == t * direction, or None."""
-    t = None
-    for d, u in zip(delta, direction):
+def _positive_multiple(tail, head, direction):
+    """The t > 0 with head - tail == t * direction, as a pair (n, d) of
+    ints with t == n / d and d > 0, or None.
+
+    tail and head are tuples of Fractions.  Coordinate k of head - tail
+    is a_k / b_k with a_k, b_k the cross-multiplied numerator and the
+    product of the denominators, so t is a_k / (b_k u_k) on every k with
+    u_k != 0; these are compared by cross-multiplying, and a_k must be 0
+    where u_k == 0.  No Fraction is built.
+    """
+    n = d = None
+    for p, q, u in zip(head, tail, direction):
+        pd, qd = p.denominator, q.denominator
+        a = p.numerator * qd - q.numerator * pd
         if u == 0:
-            if d != 0:
+            if a:
                 return None
             continue
-        s = Fraction(d, u)
-        if t is None:
-            t = s
-        elif s != t:
+        b = pd * qd * u
+        if n is None:
+            n, d = a, b
+        elif a * d != n * b:
             return None
-    if t is None or t <= 0:
+    if n is None or n == 0 or (n < 0) != (d < 0):
         return None
-    return t
+    return (n, d) if d > 0 else (-n, -d)
 
 
 def validate_curve(c: TropicalCurve) -> ValidationReport:
@@ -262,10 +284,11 @@ def validate_curve(c: TropicalCurve) -> ValidationReport:
         if len(e.direction) != c.dim:
             issues.append(f"edge {i}: direction has wrong dimension")
             continue
-        if is_zero(e.direction):
+        g = content(e.direction)
+        if g == 0:
             issues.append(f"edge {i}: zero direction")
             continue
-        if content(e.direction) != 1:
+        if g != 1:
             issues.append(f"edge {i}: direction {e.direction} not primitive")
         if not isinstance(e.weight, int) or e.weight < 1:
             issues.append(f"edge {i}: weight must be a positive integer")
@@ -273,8 +296,8 @@ def validate_curve(c: TropicalCurve) -> ValidationReport:
             if e.head == e.tail:
                 issues.append(f"edge {i}: loop edge")
                 continue
-            delta = vec_sub(c.position(e.head), c.position(e.tail))
-            if _positive_multiple(delta, e.direction) is None:
+            if _positive_multiple(c.position(e.tail), c.position(e.head),
+                                  e.direction) is None:
                 issues.append(
                     f"edge {i}: head - tail is not a positive multiple "
                     f"of the direction")
@@ -291,12 +314,13 @@ def validate_curve(c: TropicalCurve) -> ValidationReport:
                     issues.append(
                         f"vertex {vid}: degenerate 2-valent vertex")
             elif len(inc) >= 3:
-                total = (0,) * c.dim
+                total = [0] * c.dim
                 for _, d, w in inc:
-                    total = vec_add(total, vec_scale(w, d))
-                if not is_zero(total):
-                    issues.append(
-                        f"vertex {vid}: balancing fails, outward sum {total}")
+                    for k, x in enumerate(d):
+                        total[k] += w * x
+                if any(total):
+                    issues.append(f"vertex {vid}: balancing fails, "
+                                  f"outward sum {tuple(total)}")
         # connectivity
         if c.vertices:
             seen = set()
@@ -486,11 +510,14 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
         raise WorkbenchError("SPLIT_UNBOUNDED",
                              "cannot split an unbounded edge")
     p = tuple(Fraction(x) for x in p)
-    delta = vec_sub(p, c.position(e.tail))
-    t = _positive_multiple(delta, e.direction)
-    tot = _positive_multiple(vec_sub(c.position(e.head), c.position(e.tail)),
+    if len(p) != c.dim:
+        raise WorkbenchError("DIMENSION_MISMATCH",
+                             f"split point has {len(p)} coordinates")
+    t = _positive_multiple(c.position(e.tail), p, e.direction)
+    tot = _positive_multiple(c.position(e.tail), c.position(e.head),
                              e.direction)
-    if t is None or tot is None or not (0 < t < tot):
+    # 0 < t by construction; t < tot compared as integer pairs
+    if t is None or tot is None or not t[0] * tot[1] < tot[0] * t[1]:
         raise WorkbenchError("SPLIT_POINT",
                              "split point must be strictly inside the edge")
 

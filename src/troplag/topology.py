@@ -472,6 +472,9 @@ def piece_decomposition(c: TropicalCurve,
     kernel of a solid torus is primitive(d x z) for the outward weighted
     direction d of its end.
     """
+    if domain is None and zs is not None and c.dim != 3:
+        raise WorkbenchError("DIMENSION_MISMATCH",
+                             "pieces needs a 3-dim curve")
     require_valid(c)
     ends = c.ends()
     if domain is not None:
@@ -491,12 +494,9 @@ def piece_decomposition(c: TropicalCurve,
                 kind, z = "SOLID_TORUS", info.z_direction
             kinds.append(kind)
             zs.append(z)
-    elif zs is not None and c.dim == 3:
+    else:
         zs = _end_directions(c, None, zs)
         kinds = ["SOLID_TORUS"] * len(ends)
-    else:
-        raise WorkbenchError("MISSING_Z",
-                             "need a domain or explicit directions")
 
     pieces = []
     index_of = {}

@@ -4,8 +4,10 @@ import pytest
 
 from conftest import fixture_path
 
-from troplag import domain
+from troplag import domain, topology
 from troplag.cli import _parser, run_command
+from troplag.errors import WorkbenchError
+from troplag.io_json import load_curve
 from troplag.multiplicity import KAPPA_CAP
 
 
@@ -233,6 +235,19 @@ def test_pieces_command():
     kinds = sorted(p["kind"] for p in out["pieces"])
     assert kinds == ["DISK_PIECE", "MOEBIUS_PIECE"]
 
+
+def test_pieces_with_lines_needs_a_spatial_curve():
+    """Directions given for a planar curve: a dimension error, as for h1
+    and lens, not a complaint that the directions are missing."""
+    for cmd in ("pieces", "h1", "lens"):
+        code, out = run_json([cmd, "--curve", fixture_path("rp2.curve.json"),
+                              "--lines", fixture_path("lens_2_1.lines.json")])
+        assert code == 1 and out["error"] == "DIMENSION_MISMATCH", cmd
+        assert out["message"].endswith(f"{cmd} needs a 3-dim curve")
+    rp2 = load_curve(fixture_path("rp2.curve.json"))
+    with pytest.raises(WorkbenchError) as err:
+        topology.piece_decomposition(rp2)
+    assert err.value.code == "MISSING_Z"
 
 
 @pytest.mark.parametrize("argv", [["enumerate", "--kappa-cap", "abc"],
