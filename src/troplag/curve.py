@@ -108,6 +108,27 @@ class TropicalCurve:
                 inc.setdefault(e.head, []).append(
                     (i, vec_neg(e.direction), e.weight))
         self._incident = {vid: tuple(x) for vid, x in inc.items()}
+        # the ends, by label when fully labeled; bad labels are an error
+        # of every ends() call
+        ends = []
+        for i, e in enumerate(self.edges):
+            if not e.bounded:
+                ends.append(End(i, "ray", e.tail, e.direction, e.weight,
+                                e.leaf_label))
+                continue
+            for at, out, tip in ((e.tail, e.direction, e.head),
+                                 (e.head, vec_neg(e.direction), e.tail)):
+                if self.valence(tip) == 1:
+                    ends.append(End(i, "endpoint", at, out, e.weight,
+                                    e.leaf_label, endpoint=tip))
+        labels = sorted(x.label for x in ends if x.label is not None)
+        self._ends_error = None
+        if ends and len(labels) == len(ends):
+            if labels != list(range(len(ends))):
+                self._ends_error = (f"end labels {labels} are not "
+                                    f"0..{len(ends) - 1}")
+            ends.sort(key=lambda x: x.label)
+        self._ends = tuple(ends)
 
     def position(self, vid):
         return self.vertices[vid]
@@ -132,28 +153,11 @@ class TropicalCurve:
         return [v for v in self.vertices if self.valence(v) == 2]
 
     def ends(self):
-        """Ends in deterministic order (by label when fully labeled)."""
-        ends = []
-        for i, e in enumerate(self.edges):
-            if not e.bounded:
-                ends.append(End(i, "ray", e.tail, e.direction, e.weight,
-                                e.leaf_label))
-            else:
-                if self.valence(e.head) == 1:
-                    ends.append(End(i, "endpoint", e.tail, e.direction,
-                                    e.weight, e.leaf_label, endpoint=e.head))
-                if self.valence(e.tail) == 1:
-                    ends.append(End(i, "endpoint", e.head,
-                                    vec_neg(e.direction), e.weight,
-                                    e.leaf_label, endpoint=e.tail))
-        labels = [x.label for x in ends]
-        if ends and all(l is not None for l in labels):
-            if sorted(labels) != list(range(len(ends))):
-                raise WorkbenchError(
-                    "INVALID_CURVE",
-                    f"end labels {sorted(labels)} are not 0..{len(ends) - 1}")
-            ends.sort(key=lambda x: x.label)
-        return ends
+        """Ends in deterministic order (by label when fully labeled), as
+        a tuple built with the curve."""
+        if self._ends_error:
+            raise WorkbenchError("INVALID_CURVE", self._ends_error)
+        return self._ends
 
     def b1(self):
         return len(self.bounded_indices()) - len(self.vertices) + 1
@@ -572,39 +576,32 @@ class TreeTopology(Record):
             adj.setdefault(b, []).append(a)
         return adj
 
-    def internal_edges(self):
-        return [e for e in self.edges
-                if e[0] >= self.kappa and e[1] >= self.kappa]
-
-    def leaf_neighbor(self, j):
-        for a, b in self.edges:
-            if a == j:
-                return b
-            if b == j:
-                return a
-        raise KeyError(j)
-
 
 def trivalent_trees(kappa: int):
-    """All (2k-5)!! labeled 3-valent trees, by leaf insertion in order."""
+    """All (2k-5)!! labeled 3-valent trees, by leaf insertion in order.
+
+    A generator, depth first: leaf j >= 3 splits each edge of a tree on
+    leaves 0..j-1 in turn, at the new junction kappa + j - 2."""
     if kappa < 3:
         raise WorkbenchError("KAPPA_TOO_SMALL",
                              "need at least three leaves")
-    base = TreeTopology(kappa, ((0, kappa), (1, kappa), (2, kappa)))
-    trees = [base]
-    next_internal = kappa + 1
-    for leaf in range(3, kappa):
-        new_trees = []
-        for t in trees:
-            m = next_internal
-            for e in t.edges:
-                rest = [x for x in t.edges if x != e]
-                rest += [tuple(sorted((e[0], m))), tuple(sorted((e[1], m))),
-                         tuple(sorted((leaf, m)))]
-                new_trees.append(TreeTopology(kappa, tuple(sorted(rest))))
-        trees = new_trees
-        next_internal += 1
-    return trees
+    return _insertions(kappa)
+
+
+def _insertions(kappa):
+    stack = [(((0, kappa), (1, kappa), (2, kappa)), 3)]
+    while stack:
+        edges, leaf = stack.pop()
+        if leaf == kappa:
+            yield TreeTopology(kappa, edges)
+            continue
+        m = kappa + leaf - 2
+        grown = []
+        for e in edges:
+            rest = [x for x in edges if x != e]
+            rest += [(e[0], m), (e[1], m), (leaf, m)]   # m is the largest
+            grown.append((tuple(sorted(rest)), leaf + 1))
+        stack += reversed(grown)    # popped in edge order
 
 
 class Skeleton(Record):
@@ -622,25 +619,18 @@ class Skeleton(Record):
         return not self.degenerate
 
 
-def internal_directions_from_leaves(topology: TreeTopology,
-                                    degree) -> Skeleton:
-    """Propagate leaf vectors to internal edges by balancing.
+def _rooted_sums(topology: TreeTopology, degree):
+    """One walk over the tree hung from ref, the junction of leaf 0.
 
-    The vector on an internal edge, oriented a -> b, is the sum of the
-    leaf degree vectors on the b side.  A zero internal vector makes the
-    topology DEGENERATE for this degree.
+    Returns (parent, order, below): parent[x] for every node (None for
+    ref), the pre-order of the nodes (ref first, every node before its
+    children), and below[x], the sum of the leaf vectors behind x.  By
+    balancing, below[x] is the displacement of the edge parent(x) -> x.
     """
-    degree = [tuple(d) for d in degree]
-    if len(degree) != topology.kappa:
-        raise WorkbenchError("LABEL_MISMATCH",
-                             f"{len(degree)} degree entries for "
-                             f"{topology.kappa} leaves")
-    # one post-order pass: below[x] sums the leaf vectors under x
     kappa = topology.kappa
     adj = topology.adjacency()
-    stack = [topology.edges[0][0]] if topology.edges else []
-    parent = {x: None for x in stack}
-    order = []
+    ref = adj[0][0]
+    parent, order, stack = {ref: None}, [], [ref]
     while stack:
         x = stack.pop()
         order.append(x)
@@ -648,27 +638,41 @@ def internal_directions_from_leaves(topology: TreeTopology,
             if y not in parent:
                 parent[y] = x
                 stack.append(y)
-    zero = (0,) * (len(degree[0]) if degree else 0)
+    zero = (0,) * len(degree[0])
     below = {x: degree[x] if x < kappa else zero for x in order}
-    for x in reversed(order):
-        if parent[x] is not None:
-            below[parent[x]] = vec_add(below[parent[x]], below[x])
-    total = below[order[0]] if order else zero
+    for x in reversed(order[1:]):
+        below[parent[x]] = vec_add(below[parent[x]], below[x])
+    return parent, order, below
 
+
+def internal_directions_from_leaves(topology: TreeTopology,
+                                    degree) -> Skeleton:
+    """Propagate leaf vectors to internal edges by balancing.
+
+    The vector on an internal edge, oriented a -> b, is the sum of the
+    leaf degree vectors on the b side.  A zero internal vector makes the
+    topology DEGENERATE for this degree.  The sums come from the rooted
+    walk that also gives `enumerate_count` its degenerate test, matrix
+    rows and vertex positions, `_rooted_sums`."""
+    degree = [tuple(d) for d in degree]
+    if len(degree) != topology.kappa:
+        raise WorkbenchError("LABEL_MISMATCH",
+                             f"{len(degree)} degree entries for "
+                             f"{topology.kappa} leaves")
+    kappa = topology.kappa
+    parent, order, below = _rooted_sums(topology, degree)
+    total = below[order[0]]
     dh = {}
     degenerate = []
     for a, b in topology.edges:
         if a < kappa:
             v = vec_neg(degree[a])     # oriented leaf -> node
-            dh[(a, b)] = v
-            dh[(b, a)] = degree[a]
         else:
-            # the leaves on the b side of the edge
             v = below[b] if parent[b] == a else vec_sub(total, below[a])
-            dh[(a, b)] = v
-            dh[(b, a)] = vec_neg(v)
             if is_zero(v):
                 degenerate.append((a, b))
+        dh[(a, b)] = v
+        dh[(b, a)] = vec_neg(v)
     return Skeleton(topology, dh, tuple(degenerate))
 
 

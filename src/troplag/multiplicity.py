@@ -20,9 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .curve import (TropicalCurve, Edge, Skeleton,
-                    internal_directions_from_leaves, split_at_edge,
-                    trivalent_trees)
+from .curve import (TropicalCurve, Edge, Skeleton, _rooted_sums,
+                    split_at_edge, trivalent_trees)
 from .domain import LineConfiguration
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, dot, gcd_primitive,
@@ -272,9 +271,7 @@ def _problem_from_skeleton(sk: Skeleton, zs) -> Problem:
     prob = Problem(3)
     for j in range(topo.kappa):
         prob.end_z[("end", j)] = tuple(zs[j])
-    for n, nb in topo.adjacency().items():
-        if n >= topo.kappa:
-            prob.nodes.add(n)
+    prob.nodes.update(x for e in topo.edges for x in e if x >= topo.kappa)
     for a, b in topo.edges:
         ka = ("end", a) if a < topo.kappa else a
         kb = ("end", b) if b < topo.kappa else b
@@ -529,8 +526,13 @@ def enumerate_count(degree, lines: LineConfiguration,
     """Count rational curves of the given degree through the lines.
 
     Enumerates all (2k-5)!! labeled 3-valent trees.  Each type costs one
-    integer evaluation matrix, built by a single walk from the reference
-    junction, and one fraction-free elimination of it against the
+    walk from ref, the junction of leaf 0 (`curve._rooted_sums`), one
+    integer evaluation matrix and one fraction-free elimination.  The
+    walk gives the balancing sums below[x], the displacement of the edge
+    parent(x) -> x: the type is degenerate when one of them vanishes on a
+    bounded edge, row j puts rho_j . below[x] in the column of every
+    junction x on the climb from leaf j to ref, and the vertex positions
+    follow in pre-order.  The matrix is eliminated against the
     right-hand side rho_j . q_j, which is scaled to integers once per
     call.  The elimination gives det and the Cramer numerators det * x_i;
     a bounded edge length has the sign of det times its numerator.  A
@@ -565,34 +567,24 @@ def enumerate_count(degree, lines: LineConfiguration,
     outcomes = []
     total = 0
     for tree in trivalent_trees(kappa):
-        sk = internal_directions_from_leaves(tree, degree)
-        if not sk.ok:
+        parent, order, below = _rooted_sums(tree, degree)
+        ref = order[0]
+        # the junctions below ref, each the head of one bounded edge
+        inner = [x for x in order[1:] if x >= kappa]
+        if any(not any(below[x]) for x in inner):
             outcomes.append(TypeOutcome(tree.edges, "degenerate", 0, None))
             continue
-        # Row j: rho_j in the translation columns, rho_j . dh(e) in the
-        # column of each bounded edge e on the path from ref to leaf j.
-        col_of = {e: 3 + k for k, e in enumerate(tree.internal_edges())}
-        adj = tree.adjacency()
-        ref = tree.leaf_neighbor(0)
-        rows = [None] * kappa
-        steps = []          # (junction, next junction, column), ref first
-        stack = [(ref, None, ())]
-        while stack:
-            at, parent, path = stack.pop()
-            for other in adj[at]:
-                if other == parent:
-                    continue
-                if other < kappa:
-                    rho = rhos[other]
-                    row = list(rho) + [0] * (kappa - 3)
-                    for col, dh in path:
-                        row[col] = dot(rho, dh)
-                    rows[other] = row
-                    continue
-                col = col_of[(at, other) if at < other else (other, at)]
-                steps.append((at, other, col))
-                stack.append((other, at,
-                              path + ((col, sk.dh[(at, other)]),)))
+        # Row j: rho_j in the translation columns, rho_j . below[x] in the
+        # column of each junction x on the climb from leaf j to ref.
+        col_of = {x: 3 + k for k, x in enumerate(inner)}
+        rows = []
+        for j, rho in enumerate(rhos):
+            row = list(rho) + [0] * (kappa - 3)
+            x = parent[j]
+            while x != ref:
+                row[col_of[x]] = dot(rho, below[x])
+                x = parent[x]
+            rows.append(row)
         det, num, kernel = solve_bareiss(rows, rhs)
         if kernel:
             # a structurally singular type carries no curves for generic
@@ -615,20 +607,20 @@ def enumerate_count(degree, lines: LineConfiguration,
 
         den = det * scale
         node_pos = {ref: tuple(Fraction(x, den) for x in num[:3])}
-        for at, other, col in steps:
-            node_pos[other] = vec_add(
-                node_pos[at],
-                vec_scale(Fraction(num[col], den), sk.dh[(at, other)]))
+        for x in inner:
+            node_pos[x] = vec_add(
+                node_pos[parent[x]],
+                vec_scale(Fraction(num[col_of[x]], den), below[x]))
         verts = [(f"n{k}", node_pos[k]) for k in sorted(node_pos)]
         edges = []
         for a, b in tree.edges:
-            if a < tree.kappa:
+            if a < kappa:
                 edges.append(Edge(f"n{b}", None, primitive_raw(degree[a]),
                                   content(degree[a]), a))
-            elif b >= tree.kappa:
-                edges.append(Edge(f"n{a}", f"n{b}",
-                                  primitive_raw(sk.dh[(a, b)]),
-                                  content(sk.dh[(a, b)]), None))
+            else:
+                v = below[b] if parent[b] == a else vec_neg(below[a])
+                edges.append(Edge(f"n{a}", f"n{b}", primitive_raw(v),
+                                  content(v), None))
         curve = TropicalCurve(3, verts, edges)
         outcomes.append(TypeOutcome(tree.edges, "accepted", det, curve))
         total += det

@@ -545,14 +545,15 @@ class LensParameters(Record):
 
 
 def _canonical_q(p, q):
+    """The least of +-q and +-q^-1 mod p; only +-q when q is not a unit."""
     q %= p
-    cands = {q % p, (-q) % p}
-    # q is a unit mod p for genuine lens data
-    for r in range(p):
-        if (r * q) % p == 1:
-            cands.add(r)
-            cands.add((-r) % p)
-            break
+    cands = {q, -q % p}
+    try:
+        r = pow(q, -1, p)
+    except ValueError:      # q is not a unit; lens data gives units
+        pass
+    else:
+        cands |= {r, -r % p}
     return min(cands)
 
 

@@ -66,6 +66,16 @@ def random_topology(rng, kappa):
     return TreeTopology(kappa, tuple(sorted(edges)))
 
 
+def internal_edges(topo):
+    """The edges of a tree topology between two junctions."""
+    return [e for e in topo.edges if e[0] >= topo.kappa and e[1] >= topo.kappa]
+
+
+def leaf_neighbor(topo, j):
+    """The junction of leaf j."""
+    return topo.adjacency()[j][0]
+
+
 def random_balanced_skeleton(rng, kappa, primitive=False, lo=-5, hi=5):
     """Topology plus a degree whose internal sums are all nonzero."""
     topo = random_topology(rng, kappa)
@@ -82,7 +92,7 @@ def random_balanced_skeleton(rng, kappa, primitive=False, lo=-5, hi=5):
         if not sk.ok:
             continue
         if primitive and any(content(sk.dh[e]) != 1
-                             for e in topo.internal_edges()):
+                             for e in internal_edges(topo)):
             continue
         return sk, degree
     raise RuntimeError("could not build a balanced skeleton")
@@ -92,7 +102,7 @@ def embed_skeleton(rng, sk):
     """Realize a skeleton as a curve with rays and rational positions."""
     topo = sk.topology
     adj = topo.adjacency()
-    ref = topo.leaf_neighbor(0)
+    ref = leaf_neighbor(topo, 0)
     pos = {ref: tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                       for _ in range(3))}
     order = [ref]

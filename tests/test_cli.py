@@ -64,6 +64,18 @@ def test_lens_commands():
         assert out["p"] == p and out["qCanonical"] == canonical
 
 
+def test_lens_command_with_a_large_prime(tmp_path):
+    """p = 10^9 + 7: q^-1 mod p is found without scanning the residues."""
+    lines = tmp_path / "lens.lines.json"
+    lines.write_text(json.dumps({"lines": [
+        {"point": ["0", "0", "0"], "dir": [1, 0, 0]},
+        {"point": ["0", "0", "1"], "dir": [-999999937, 1000000007, 0]}]}))
+    code, out = run_json(["lens", "--curve", fixture_path("lens.curve.json"),
+                          "--lines", str(lines)])
+    assert code == 0
+    assert out == {"p": 1000000007, "qCanonical": 70}
+
+
 def test_h1_disappearing():
     code, out = run_json(["h1",
                           "--curve", fixture_path("disappearing.curve.json"),

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_balanced_skeleton, embed_skeleton
+from conftest import (embed_skeleton, fixture_path, internal_edges,
+                      random_balanced_skeleton)
 
-from troplag.curve import (Edge, TreeTopology, TropicalCurve,
+from troplag.curve import (Edge, End, TreeTopology, TropicalCurve,
                            betti_and_degree, combinatorial_type,
                            extend_curve, internal_directions_from_leaves,
                            regularity_check, split_at_edge, trivalent_trees,
                            validate_curve)
 from troplag.errors import WorkbenchError
+from troplag.io_json import load_curve
 from troplag.lattice import content
 
 
@@ -187,18 +189,122 @@ def test_split_and_reglue_preserves_type():
             assert combinatorial_type(glued) == combinatorial_type(c)
 
 
+def listed_ends(c):
+    """The End records rebuilt from the edges, as every ends() call did
+    before they were built with the curve."""
+    ends = []
+    for i, e in enumerate(c.edges):
+        if not e.bounded:
+            ends.append(End(i, "ray", e.tail, e.direction, e.weight,
+                            e.leaf_label))
+        else:
+            if c.valence(e.head) == 1:
+                ends.append(End(i, "endpoint", e.tail, e.direction,
+                                e.weight, e.leaf_label, endpoint=e.head))
+            if c.valence(e.tail) == 1:
+                ends.append(End(i, "endpoint", e.head,
+                                tuple(-x for x in e.direction), e.weight,
+                                e.leaf_label, endpoint=e.tail))
+    labels = [x.label for x in ends]
+    if ends and all(l is not None for l in labels):
+        if sorted(labels) != list(range(len(ends))):
+            raise WorkbenchError(
+                "INVALID_CURVE",
+                f"end labels {sorted(labels)} are not 0..{len(ends) - 1}")
+        ends.sort(key=lambda x: x.label)
+    return ends
+
+
+def relabeled(c, labels):
+    """c with the leaf labels of its edges replaced, in edge order."""
+    it = iter(labels)
+    return TropicalCurve(c.dim, list(c.vertices.items()), [
+        Edge(e.tail, e.head, e.direction, e.weight,
+             None if e.leaf_label is None else next(it)) for e in c.edges])
+
+
+def test_ends_are_built_once_and_match_the_rebuilt_records():
+    rng = random.Random(21)
+    curves = [load_curve(fixture_path(f"{name}.curve.json")) for name in (
+        "crossing", "disappearing", "klein", "klein_sum", "lens", "poincare",
+        "rp2", "segment", "simplex_tripod", "sphere_w2")]
+    for kappa in range(3, 8):
+        sk, _ = random_balanced_skeleton(rng, kappa)
+        c = embed_skeleton(rng, sk)
+        curves.append(c)
+        # labels shuffled, one label dropped, all dropped
+        labels = list(range(kappa))
+        rng.shuffle(labels)
+        curves.append(relabeled(c, labels))
+        curves.append(relabeled(c, [None] + labels[1:]))
+        curves.append(relabeled(c, [None] * kappa))
+    for c in curves[:10]:
+        try:
+            curves.append(extend_curve(c))
+        except WorkbenchError:      # a bare segment needs a marking
+            pass
+    for c in curves:
+        assert c.ends() == tuple(listed_ends(c))
+        assert c.ends() is c.ends()
+
+
+def test_bad_end_labels_load_validate_and_fail_every_ends_call(tmp_path):
+    path = tmp_path / "bad.curve.json"
+    text = open(fixture_path("simplex_tripod.curve.json")).read()
+    path.write_text(text.replace('"leaf_label": 2', '"leaf_label": 5'))
+    c = load_curve(str(path))
+    assert sorted(e.leaf_label for e in c.edges) == [0, 1, 5]
+    assert validate_curve(c).ok
+    with pytest.raises(WorkbenchError) as expected:
+        listed_ends(c)
+    for _ in range(3):
+        with pytest.raises(WorkbenchError) as err:
+            c.ends()
+        assert err.value.code == "INVALID_CURVE"
+        assert str(err.value) == str(expected.value)
+
+
 def test_trivalent_tree_counts():
-    assert len(trivalent_trees(3)) == 1
-    assert len(trivalent_trees(4)) == 3
-    assert len(trivalent_trees(5)) == 15
-    assert len(trivalent_trees(6)) == 105
+    for kappa, count in [(3, 1), (4, 3), (5, 15), (6, 105)]:
+        assert sum(1 for _ in trivalent_trees(kappa)) == count
+
+
+def listed_trivalent_trees(kappa):
+    """The list-building enumeration, one leaf at a time over all trees:
+    the oracle for the order of `trivalent_trees`."""
+    base = TreeTopology(kappa, ((0, kappa), (1, kappa), (2, kappa)))
+    trees = [base]
+    next_internal = kappa + 1
+    for leaf in range(3, kappa):
+        new_trees = []
+        for t in trees:
+            m = next_internal
+            for e in t.edges:
+                rest = [x for x in t.edges if x != e]
+                rest += [tuple(sorted((e[0], m))), tuple(sorted((e[1], m))),
+                         tuple(sorted((leaf, m)))]
+                new_trees.append(TreeTopology(kappa, tuple(sorted(rest))))
+        trees = new_trees
+        next_internal += 1
+    return trees
+
+
+def test_trivalent_trees_yield_the_listed_order():
+    for kappa in range(3, 9):
+        trees = trivalent_trees(kappa)
+        assert not isinstance(trees, list)
+        assert list(trees) == listed_trivalent_trees(kappa)
+    # the argument is checked at the call, not at the first tree
+    with pytest.raises(WorkbenchError) as err:
+        trivalent_trees(2)
+    assert err.value.code == "KAPPA_TOO_SMALL"
 
 
 def test_internal_directions_examples():
     tripod = TreeTopology(3, ((0, 3), (1, 3), (2, 3)))
     sk = internal_directions_from_leaves(
         tripod, [(-1, 0, 0), (0, -1, 0), (1, 1, 0)])
-    assert sk.ok and not tripod.internal_edges()
+    assert sk.ok and not internal_edges(tripod)
 
     quad = TreeTopology(4, ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)))
     degree = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
@@ -238,7 +344,7 @@ def test_internal_directions_match_side_sums():
                       for _ in range(kappa)]
             sk = internal_directions_from_leaves(topo, degree)
             degenerate = []
-            for a, b in topo.internal_edges():
+            for a, b in internal_edges(topo):
                 assert sk.dh[(a, b)] == _side_sum(topo, degree, a, b)
                 assert sk.dh[(b, a)] == tuple(-x for x in sk.dh[(a, b)])
                 if not any(sk.dh[(a, b)]):

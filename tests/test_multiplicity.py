@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_nonzero, rand_primitive, random_tree_problem
+from conftest import (internal_edges, leaf_neighbor, rand_nonzero,
+                      rand_primitive, random_tree_problem)
 from exact_oracle import solve_exact
 
 from troplag.curve import (Edge, TropicalCurve,
@@ -381,9 +382,9 @@ def reference_enumerate(degree, lines):
             out.append((tree.edges, "degenerate", 0, None))
             continue
         det = ev_matrix(sk, zs).determinant()
-        internal = sorted(tree.internal_edges())
+        internal = sorted(internal_edges(tree))
         col_of = {cid: 3 + k for k, cid in enumerate(internal)}
-        ref = tree.leaf_neighbor(0)
+        ref = leaf_neighbor(tree, 0)
         adj = tree.adjacency()
 
         def walk(at, parent, path, found):
@@ -432,13 +433,13 @@ def reference_enumerate(degree, lines):
     return out
 
 
-def random_enumeration(rng, kappa, num, den):
-    """A balanced degree with entries in [-1, 1] and one line per leaf,
-    transverse to it, through a random rational point."""
+def random_enumeration(rng, kappa, num, den, bound=1):
+    """A balanced degree with entries in [-bound, bound] and one line per
+    leaf, transverse to it, through a random rational point."""
     while True:
-        degree = [rand_nonzero(rng, -1, 1) for _ in range(kappa - 1)]
+        degree = [rand_nonzero(rng, -bound, bound) for _ in range(kappa - 1)]
         degree.append(tuple(-sum(d[i] for d in degree) for i in range(3)))
-        if any(degree[-1]) and max(map(abs, degree[-1])) <= 1:
+        if any(degree[-1]) and max(map(abs, degree[-1])) <= bound:
             break
     lines = []
     for d in degree:
@@ -464,17 +465,38 @@ def fast_enumerate(degree, lines):
             for t in enumerate_count(degree, lines).per_type]
 
 
-@pytest.mark.parametrize("kappa,seed,count", [(4, 1, 30), (5, 2, 15),
-                                              (6, 3, 4), (7, 4, 1)])
-def test_enumerate_matches_fraction_solve_path(kappa, seed, count):
+@pytest.mark.parametrize("kappa,seed,count,bound", [
+    (4, 1, 30, 1), (5, 2, 15, 1), (6, 3, 4, 1), (7, 4, 1, 1),
+    (4, 5, 30, 2), (5, 6, 15, 2), (6, 7, 4, 2)], ids=[
+    "4-1-30", "5-2-15", "6-3-4", "7-4-1",
+    "4-5-30-wide", "5-6-15-wide", "6-7-4-wide"])
+def test_enumerate_matches_fraction_solve_path(kappa, seed, count, bound):
+    """Degree entries in [-2, 2], as in the benchmark's enumerate
+    workload, also give rays of weight above 1."""
     rng = random.Random(seed)
     statuses = set()
+    heavy = set()       # e.bounded for the accepted edges of weight > 1
     for _ in range(count):
-        degree, lines = random_enumeration(rng, kappa, 20, 5)
+        degree, lines = random_enumeration(rng, kappa, 20, 5, bound)
         got = outcome(fast_enumerate, degree, lines)
         assert got == outcome(reference_enumerate, degree, lines)
-        statuses |= {t[1] for t in got} if isinstance(got, list) else {got}
-    assert {"accepted", "rejected", "degenerate", "singular"} <= statuses
+        if not isinstance(got, list):
+            statuses.add(got)
+            continue
+        statuses |= {t[1] for t in got}
+        for t in enumerate_count(degree, lines).per_type:
+            if t.curve is not None:
+                # the positions are compared above, the edges here
+                assert validate_curve(t.curve).ok
+                heavy |= {e.bounded for e in t.curve.edges if e.weight > 1}
+    assert {"accepted", "rejected", "singular"} <= statuses
+    if bound == 1:
+        assert "degenerate" in statuses
+        assert heavy == {True}
+    else:
+        # at kappa = 4 two of the wider leaf vectors seldom cancel, so a
+        # degenerate type need not occur
+        assert heavy == {True, False}
 
 
 def test_enumerate_wall_matches_fraction_solve_path():

@@ -525,6 +525,25 @@ def test_lens_parameters_table():
         lens_parameters(lens_curve(), zs=[(1, 0, 0), (-3, 5, 0)])
 
 
+def looped_canonical_q(p, q):
+    """The least of +-q and +-q^-1 mod p, the inverse found by trying
+    every residue."""
+    q %= p
+    cands = {q % p, (-q) % p}
+    for r in range(p):
+        if (r * q) % p == 1:
+            cands.add(r)
+            cands.add((-r) % p)
+            break
+    return min(cands)
+
+
+def test_canonical_q_matches_the_residue_loop():
+    for p in range(1, 61):
+        for q in range(-p, 2 * p):
+            assert topology._canonical_q(p, q) == looped_canonical_q(p, q)
+
+
 def _doubled(solve):
     return lambda a, u: tuple(2 * x for x in solve(a, u))
 
