@@ -15,9 +15,9 @@ The Delzant check visits the faces of the domain, not its facet
 subsets: from each face it asks, for every facet, for a relative-
 interior point of the face where that facet is tight, and the facets
 tight at that point name the smaller face.  That is one Fourier-Motzkin
-pass in at most dim variables per face and facet, so the check is
-polynomial in the facet count for a fixed dimension, non-simple corners
-included.
+pass in at most dim variables per face and facet, and none from an edge,
+whose endpoints its own frame gives, so the check is polynomial in the
+facet count for a fixed dimension, non-simple corners included.
 """
 
 from __future__ import annotations
@@ -40,6 +40,12 @@ class Facet(Record):
         self.offset = offset
 
 
+def _homogeneous(x):
+    """A rational point as (X, L): integers with L > 0, meaning X / L."""
+    L = lcm(*(v.denominator for v in x))
+    return tuple(v.numerator * (L // v.denominator) for v in x), L
+
+
 class PolyhedralDomain:
     def __init__(self, dim, facets):
         self.dim = dim
@@ -51,8 +57,7 @@ class PolyhedralDomain:
     def _values(self, x):
         """An integer with the sign of p . x - a for each facet p . x >= a:
         with a = m / q and x = X / L, it is q (p . X) - m L."""
-        L = lcm(*(v.denominator for v in x))
-        X = [v.numerator * (L // v.denominator) for v in x]
+        X, L = _homogeneous(x)
         return [f.offset.denominator * dot(f.normal, X)
                 - f.offset.numerator * L for f in self.facets]
 
@@ -231,9 +236,14 @@ def _face_sets(domain):
     interior point of the face of F where j is tight, if that face is
     nonempty, and so its set.  Every face is reached, because a maximal
     proper face of F is the face of F where any of its extra facets is
-    tight.  The cost is one exact solve per face of positive dimension
-    and n passes in at most dim variables from each: polynomial in the
-    facet count n for a fixed dimension, even where many facets meet.
+    tight.  An edge needs no pass: its frame has one variable y, so its
+    rows are bounds on y, and the tightest lower and the tightest upper
+    bound are its endpoints, where `_tight_at` reads off the vertices'
+    sets; an open end has no child.  The cost is one exact solve per
+    face of positive dimension and n passes in at most dim variables
+    from each face of dimension >= 2: n + 1 passes for an n-gon,
+    polynomial in the facet count n for a fixed dimension, even where
+    many facets meet.
     """
     kernel, rows = _frame(domain, ())
     top = _fm_point(list(rows.values()), len(kernel))
@@ -247,6 +257,20 @@ def _face_sets(domain):
         if dim == 0:
             continue  # a point: every facet meeting it is already in S
         kernel, rows = _frame(domain, S)
+        if dim == 1:
+            # c y >= r bounds y below by r / c when c > 0, above when
+            # c < 0; each bound is kept as (r, c) with c > 0
+            lo = hi = None
+            for (c,), r in rows.values():
+                if c > 0:
+                    if lo is None or r * lo[1] > lo[0] * c:
+                        lo = (r, c)
+                elif c < 0 and (hi is None or r * hi[1] > hi[0] * c):
+                    hi = (-r, -c)
+            for end in (lo, hi):
+                if end is not None:
+                    seen.add(_tight_at(S, rows, ((end[0],), end[1])))
+            continue
         face = list(rows.values())
         for co, rhs in rows.values():
             found = _fm_point(face + [(vec_neg(co), -rhs)], len(kernel))
@@ -303,11 +327,18 @@ def validate_delzant(d: PolyhedralDomain) -> DelzantReport:
     The sets come from a search over the faces (`_face_sets`), not over
     all 2^n facet subsets of n facets.  It costs one exact solve per face
     of positive dimension and at most n Fourier-Motzkin passes, in at
-    most dim variables, from each: n^2 + 1 passes for an n-gon, and
-    3n^2 - 6n + 5 for a pyramid over an (n - 1)-gon, whose apex lies on
-    n - 1 facets.  Strata are reported ordered by (size, indices), as
-    the subset search found them.
+    most dim variables, from each face of dimension >= 2; an edge's
+    endpoints are read from its frame.  That is n + 1 passes for an
+    n-gon, and n^2 + 1 for a pyramid over an (n - 1)-gon, whose apex
+    lies on n - 1 facets.  Strata are reported ordered by (size,
+    indices), as the subset search found them.
     """
+    return _delzant(d)[0]
+
+
+def _delzant(d):
+    """validate_delzant's report and the closed active sets it searched,
+    None when a facet normal is malformed."""
     issues = []
     failures = []
     for j, f in enumerate(d.facets):
@@ -318,7 +349,7 @@ def validate_delzant(d: PolyhedralDomain) -> DelzantReport:
         elif content(f.normal) != 1:
             issues.append(f"facet {j}: normal {f.normal} not primitive")
     if issues:
-        return DelzantReport(False, tuple(issues), ())
+        return DelzantReport(False, tuple(issues), ()), None
     strata = _face_sets(d)
     if strata is None:
         raise WorkbenchError("EMPTY_DOMAIN", "domain has no points")
@@ -341,14 +372,7 @@ def validate_delzant(d: PolyhedralDomain) -> DelzantReport:
             failures.append(DelzantFailure(S, "saturation", index))
             issues.append(
                 f"stratum {S}: normals span a sublattice of index {index}")
-    return DelzantReport(not issues, tuple(issues), tuple(failures))
-
-
-def require_delzant(d):
-    rep = validate_delzant(d)
-    if not rep.ok:
-        raise WorkbenchError("INVALID_DOMAIN", "; ".join(rep.issues))
-    return rep
+    return DelzantReport(not issues, tuple(issues), tuple(failures)), strata
 
 
 def is_standard_simplex_3(d: PolyhedralDomain) -> bool:
@@ -407,32 +431,79 @@ def edge_geometries(c: TropicalCurve, domain: PolyhedralDomain | None = None):
     return geoms
 
 
-def _in_range(t, tmax):
-    if t < 0:
-        return False
-    return tmax is None or t <= tmax
+def _box(g):
+    """The closed bounding box of a realized edge: a (lo, hi) pair per
+    coordinate, None on a side a ray leaves open.  It is the box of the
+    segment from the base to the point at tmax, whatever the sign of
+    tmax, so it holds every point at which the pair test can meet it."""
+    box = []
+    for b, u in zip(g.base, g.direction):
+        if g.tmax is not None:
+            e = b + g.tmax * u
+            box.append((b, e) if b <= e else (e, b))
+        else:
+            box.append((b, None) if u > 0 else (None, b) if u < 0 else (b, b))
+    return box
 
 
-def intersect_geometries(g1: EdgeGeometry, g2: EdgeGeometry):
-    """Exact intersection of two realized edges.
+def _overlap(p, q):
+    """Do the closed intervals p and q, None for an open side, meet?"""
+    return ((p[0] is None or q[1] is None or p[0] <= q[1])
+            and (q[0] is None or p[1] is None or q[0] <= p[1]))
 
-    Returns ("point", point, t1, t2), ("overlap", None, None, None) for a
-    shared segment of positive length, or None.
+
+def _minor(u, v):
+    """The first nonzero 2 x 2 minor of the columns u, v as (i, k, m), or
+    None when they are dependent."""
+    n = len(u)
+    for i in range(n):
+        for k in range(i + 1, n):
+            m = u[i] * v[k] - u[k] * v[i]
+            if m:
+                return i, k, m
+    return None
+
+
+def _meet(g1, h1, g2, h2):
+    """Exact intersection of two realized edges, h1 and h2 their bases as
+    `_homogeneous` gives them.
+
+    Returns ("point", point) or ("overlap",) for a shared segment of
+    positive length, or None.  With base2 - base1 = w / L, the lines meet
+    where t1 u1 - t2 u2 = w / L: Cramer's rule on the first pair of
+    coordinates where u1, u2 are independent, checked on the others, in
+    integers; t = T / (L m) lies on an edge when 0 <= t <= tmax.  A
+    collinear pair compares the parameter ranges of g2 inside g1's.
     """
-    n = len(g1.base)
-    rows = [[g1.direction[k], -g2.direction[k]] for k in range(n)]
-    rhs = [g2.base[k] - g1.base[k] for k in range(n)]
-    d, num, kernel = solve_bareiss(rows, rhs)
-    if num is None:
-        return None
-    if not kernel:
-        t1, t2 = Fraction(num[0], d), Fraction(num[1], d)
-        if _in_range(t1, g1.tmax) and _in_range(t2, g2.tmax):
-            return ("point", g1.point(t1), t1, t2)
-        return None
-    # same line: compare parameter ranges of g2 inside g1's parameter
+    (X1, L1), (X2, L2) = h1, h2
+    u, v = g1.direction, g2.direction
+    L = L1 * L2
+    w = [x2 * L1 - x1 * L2 for x1, x2 in zip(X1, X2)]
+    found = _minor(u, v)
+    if found is None:
+        if _minor(u, w) is not None:
+            return None   # parallel lines
+        return _collinear_meet(g1, g2)
+    i, k, m = found
+    T = w[i] * v[k] - w[k] * v[i]
+    S = w[i] * u[k] - w[k] * u[i]
+    if any(T * a - S * b != c * m for a, b, c in zip(u, v, w)):
+        return None       # skew lines
+    den = L * m
+    if den < 0:
+        T, S, den = -T, -S, -den
+    for t, tmax in ((T, g1.tmax), (S, g2.tmax)):
+        if t < 0 or tmax is not None and \
+                t * tmax.denominator > tmax.numerator * den:
+            return None
+    return ("point", tuple(Fraction(x * den + T * a * L1, L1 * den)
+                           for x, a in zip(X1, u)))
+
+
+def _collinear_meet(g1, g2):
+    """_meet for edges on one line: g2's parameter range inside g1's."""
     d1 = g1.direction
-    k = next(i for i in range(n) if d1[i] != 0)
+    k = next(i for i in range(len(d1)) if d1[i] != 0)
     start = Fraction(g2.base[k] - g1.base[k], d1[k])
     step = Fraction(g2.direction[k], d1[k])
     lo2, hi2 = (start, None) if step > 0 else (None, start)
@@ -443,36 +514,59 @@ def intersect_geometries(g1: EdgeGeometry, g2: EdgeGeometry):
     lo = lo1 if lo2 is None else max(lo1, lo2)
     hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
     if hi is None or lo < hi:
-        return ("overlap", None, None, None)
+        return ("overlap",)
     if lo == hi:
-        return ("point", g1.point(lo), lo, None)
+        return ("point", g1.point(lo))
     return None
 
 
 def curve_self_crossings(c: TropicalCurve,
                          domain: PolyhedralDomain | None = None):
-    """All transverse double points of the realized curve.
+    """All transverse double points of the realized curve, in the order
+    of their edge pairs (a, b), a < b.
 
     Pairs of edges sharing a graph vertex may meet at that vertex only.
-    Overlapping collinear images raise NON_FINITE_SIGMA.
+    Overlapping collinear images raise NON_FINITE_SIGMA, naming the first
+    such pair.  Only edges whose closed bounding boxes overlap can meet,
+    so the edges are swept in the order of the low end of their first
+    coordinate, and each is tested against the later ones that start
+    before it ends and overlap it in the other coordinates: the box
+    filter of the Bentley-Ottmann sweep (IEEE Trans. Comput. C-28, 1979).
+    The pair test (`_meet`) is exact and runs in integers.
     """
     geoms = edge_geometries(c, domain)
+    bases = [_homogeneous(g.base) for g in geoms]
+    boxes = [_box(g) for g in geoms]
+    order = sorted(range(len(geoms)), key=lambda i: (
+        (0, 0) if boxes[i][0][0] is None else (1, boxes[i][0][0])))
+    hits = []
+    for pos, a in enumerate(order):
+        box = boxes[a]
+        end = box[0][1]
+        for later in range(pos + 1, len(order)):
+            b = order[later]
+            other = boxes[b]
+            start = other[0][0]
+            if end is not None and start is not None and start > end:
+                break
+            if all(map(_overlap, box[1:], other[1:])):
+                i, j = min(a, b), max(a, b)
+                hit = _meet(geoms[i], bases[i], geoms[j], bases[j])
+                if hit is not None:
+                    hits.append((i, j, hit))
+    hits.sort(key=lambda h: h[:2])
     crossings = []
-    for a in range(len(geoms)):
-        for b in range(a + 1, len(geoms)):
-            ea, eb = c.edges[a], c.edges[b]
-            shared = ({ea.tail, ea.head} & {eb.tail, eb.head}) - {None}
-            hit = intersect_geometries(geoms[a], geoms[b])
-            if hit is None:
-                continue
-            if hit[0] == "overlap":
-                raise WorkbenchError(
-                    "NON_FINITE_SIGMA",
-                    f"edges {a} and {b} overlap along a segment")
-            point = hit[1]
-            if shared and any(c.position(v) == point for v in shared):
-                continue
-            crossings.append({"edges": (a, b), "point": point})
+    for a, b, hit in hits:
+        if hit[0] == "overlap":
+            raise WorkbenchError(
+                "NON_FINITE_SIGMA",
+                f"edges {a} and {b} overlap along a segment")
+        ea, eb = c.edges[a], c.edges[b]
+        shared = ({ea.tail, ea.head} & {eb.tail, eb.head}) - {None}
+        point = hit[1]
+        if shared and any(c.position(v) == point for v in shared):
+            continue
+        crossings.append({"edges": (a, b), "point": point})
     return crossings
 
 
@@ -761,87 +855,86 @@ def _rational_direction(diff):
     return primitive_raw(tuple(int(x * denom) for x in diff))
 
 
-def _polygon_vertices(d: PolyhedralDomain, offsets):
-    # each facet p . x >= a / q as the integer row (q p) . x >= a
-    rows = [(vec_scale(a.denominator, f.normal), a.numerator)
-            for f, a in zip(d.facets, offsets)]
-    verts = []
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            det, num, kernel = solve_bareiss(
-                [rows[i][0], rows[j][0]], [rows[i][1], rows[j][1]])
-            if kernel:
-                continue
-            if det < 0:
-                det, num = -det, vec_neg(num)
-            # at x = num / det, (q p) . x - a has the sign of
-            # (q p) . num - a det
-            vals = [dot(p, num) - a * det for p, a in rows]
-            if any(v < 0 for v in vals):
-                continue
-            active = tuple(k for k, v in enumerate(vals) if v == 0)
-            verts.append({"point": tuple(Fraction(v, det) for v in num),
-                          "pair": (i, j), "active": active})
-    return verts
+def _vertex_rows(d, delta):
+    """Each facet p . x >= a + delta as the integer row (q p, m), where
+    a + delta = m / q."""
+    rows = []
+    for f in d.facets:
+        a = f.offset + delta
+        rows.append((vec_scale(a.denominator, f.normal), a.numerator))
+    return rows
+
+
+def _vertex(rows, pair):
+    """The point where the rows of two independent facets are tight, as
+    (num, det) with det > 0, meaning num / det: Cramer's rule."""
+    (u, a), (v, b) = rows[pair[0]], rows[pair[1]]
+    det = u[0] * v[1] - u[1] * v[0]
+    num = (a * v[1] - b * u[1], u[0] * b - v[0] * a)
+    if det < 0:
+        det, num = -det, vec_neg(num)
+    return num, det
 
 
 def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
     """Inner offset boundary plus corner segments of a Delzant polygon.
 
     The result is an even primitive curve whose boundary points are the
-    vertices of the polygon, each a bissectrice point.
+    vertices of the polygon, each a bissectrice point.  The vertices are
+    the closed active sets of size 2 that the Delzant check finds.  The
+    offset polygon keeps the combinatorial type exactly when the point
+    where each such pair of offset facets meets lies in it with only
+    that pair tight; otherwise delta is too large.
     """
     if d.dim != 2:
         raise WorkbenchError("DIMENSION_MISMATCH", "wavefront needs dim 2")
     delta = Fraction(delta)
     if delta <= 0:
         raise WorkbenchError("INVALID_DELTA", "delta must be positive")
-    require_delzant(d)
-
-    outer = _polygon_vertices(d, [f.offset for f in d.facets])
-    if not outer:
+    rep, strata = _delzant(d)
+    if not rep.ok:
+        raise WorkbenchError("INVALID_DOMAIN", "; ".join(rep.issues))
+    pairs = sorted(S for S in strata if len(S) == 2)
+    if not pairs:
         raise WorkbenchError("INVALID_DOMAIN",
                              "domain has no vertices to connect")
-    inner_off = [f.offset + delta for f in d.facets]
-    inner = _polygon_vertices(d, inner_off)
-    if {v["pair"] for v in outer} != {v["pair"] for v in inner} or \
-            any(v["active"] != v["pair"] for v in inner) or \
-            any(v["active"] != v["pair"] for v in outer) or \
-            len({v["point"] for v in inner}) != len(inner):
-        raise WorkbenchError("DELTA_TOO_LARGE",
-                             "offset domain changes combinatorial type")
+    outer_rows = _vertex_rows(d, 0)
+    inner_rows = _vertex_rows(d, delta)
+    outer, inner = [], []
+    for pair in pairs:
+        num, det = _vertex(outer_rows, pair)
+        outer.append(tuple(Fraction(v, det) for v in num))
+        # at x = num / det, (q p) . x - m has the sign of
+        # (q p) . num - m det
+        num, det = _vertex(inner_rows, pair)
+        vals = [dot(p, num) - m * det for p, m in inner_rows]
+        if any(v < 0 for v in vals) or \
+                tuple(k for k, v in enumerate(vals) if v == 0) != pair:
+            raise WorkbenchError("DELTA_TOO_LARGE",
+                                 "offset domain changes combinatorial type")
+        inner.append(tuple(Fraction(v, det) for v in num))
 
-    inner.sort(key=lambda v: v["pair"])
-    index_of = {v["pair"]: k for k, v in enumerate(inner)}
-    vertices = []
+    vertices = [(f"w{k}", p) for k, p in enumerate(inner)]
     edges = []
-    for k, v in enumerate(inner):
-        vertices.append((f"w{k}", v["point"]))
-    for k, (vi, vo) in enumerate(zip(inner, sorted(outer,
-                                                   key=lambda v: v["pair"]))):
-        vertices.append((f"b{k}", vo["point"]))
+    on_facet = {}
+    for k, (pair, vi, vo) in enumerate(zip(pairs, inner, outer)):
+        vertices.append((f"b{k}", vo))
         edges.append(Edge(f"w{k}", f"b{k}",
-                          _rational_direction(vec_sub(vo["point"],
-                                                      vi["point"])),
-                          1, None))
+                          _rational_direction(vec_sub(vo, vi)), 1, None))
+        for fidx in pair:
+            on_facet.setdefault(fidx, []).append(k)
 
     # boundary edges of the inner polygon, one per facet
     for fidx in range(len(d.facets)):
-        on_facet = [v for v in inner if fidx in v["pair"]]
-        if len(on_facet) == 2:
-            a, b = on_facet
-            ka, kb = index_of[a["pair"]], index_of[b["pair"]]
-            if ka > kb:
-                a, b, ka, kb = b, a, kb, ka
+        ks = on_facet.get(fidx, [])
+        if len(ks) == 2:
+            ka, kb = ks
             edges.append(Edge(f"w{ka}", f"w{kb}",
-                              _rational_direction(vec_sub(b["point"],
-                                                          a["point"])),
+                              _rational_direction(vec_sub(inner[kb],
+                                                          inner[ka])),
                               1, None))
-        elif len(on_facet) == 1:
+        elif len(ks) == 1:
             # unbounded facet: a ray along the facet line
-            v = on_facet[0]
-            k = index_of[v["pair"]]
             z = rot90(d.facets[fidx].normal)
             others = [d.facets[m].normal for m in range(len(d.facets))
                       if m != fidx]
@@ -853,7 +946,7 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
                 raise WorkbenchError("INVALID_DOMAIN",
                                      f"facet {fidx} has one vertex but no "
                                      f"recession direction")
-            edges.append(Edge(f"w{k}", None, z, 1, None))
+            edges.append(Edge(f"w{ks[0]}", None, z, 1, None))
         else:
             raise WorkbenchError("DELTA_TOO_LARGE",
                                  f"facet {fidx} supports no inner edge")
@@ -891,12 +984,7 @@ def _in_convex_hull(x, pts, dim):
     scaled, is a . (p - x) >= 1 for every p in pts (Farkas).  Each row
     is cleared to integers for `_fm_point`.
     """
-    rows = []
-    for p in pts:
-        diff = vec_sub(p, x)
-        L = lcm(*(v.denominator for v in diff))
-        rows.append((tuple(v.numerator * (L // v.denominator)
-                           for v in diff), L))
+    rows = [_homogeneous(vec_sub(p, x)) for p in pts]
     return _fm_point(rows, dim) is None
 
 

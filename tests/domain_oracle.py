@@ -1,17 +1,28 @@
 """The Fraction versions of the face-search kernels and facet tests that
 ``troplag.domain`` used before it moved to integer homogeneous
-coordinates, kept verbatim as an independent reference for the tests.
+coordinates, and the all-pairs routines it used before its planar
+pipeline lost its quadratic passes, kept as an independent reference
+for the tests.
 
-Two adaptations, both at the edges: `frame` returns its kernel vectors
+A few adaptations, all at the edges: `frame` returns its kernel vectors
 rather than their number, and `contains` / `active` take the domain as
 their first argument (they were methods, with `Facet.value` inlined).
+`polygon_vertices_int` is the integer form of `polygon_vertices` that
+`wavefront` used; the test-only `wavefront` builds on it and checks the
+domain with `validate_delzant` in place of the removed
+`require_delzant`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from troplag.lattice import dot, primitive_raw, solve_bareiss, vec_neg
+from troplag.curve import Edge, TropicalCurve, validate_curve
+from troplag.domain import edge_geometries, validate_delzant
+from troplag.errors import WorkbenchError
+from troplag.lattice import (dot, primitive_raw, rot90, solve_bareiss,
+                             vec_neg, vec_scale, vec_sub)
 
 
 def fm_point(ineqs, nvars):
@@ -131,3 +142,193 @@ def polygon_vertices(d, offsets):
             verts.append({"point": x, "pair": (i, j),
                           "active": active})
     return verts
+
+
+# ---------------------------------------------------------------------------
+# all-pairs self-crossings
+
+
+def _in_range(t, tmax):
+    if t < 0:
+        return False
+    return tmax is None or t <= tmax
+
+
+def intersect_geometries(g1, g2):
+    """Exact intersection of two realized edges.
+
+    Returns ("point", point, t1, t2), ("overlap", None, None, None) for a
+    shared segment of positive length, or None.
+    """
+    n = len(g1.base)
+    rows = [[g1.direction[k], -g2.direction[k]] for k in range(n)]
+    rhs = [g2.base[k] - g1.base[k] for k in range(n)]
+    d, num, kernel = solve_bareiss(rows, rhs)
+    if num is None:
+        return None
+    if not kernel:
+        t1, t2 = Fraction(num[0], d), Fraction(num[1], d)
+        if _in_range(t1, g1.tmax) and _in_range(t2, g2.tmax):
+            return ("point", g1.point(t1), t1, t2)
+        return None
+    # same line: compare parameter ranges of g2 inside g1's parameter
+    d1 = g1.direction
+    k = next(i for i in range(n) if d1[i] != 0)
+    start = Fraction(g2.base[k] - g1.base[k], d1[k])
+    step = Fraction(g2.direction[k], d1[k])
+    lo2, hi2 = (start, None) if step > 0 else (None, start)
+    if g2.tmax is not None:
+        end = start + step * g2.tmax
+        lo2, hi2 = (min(start, end), max(start, end))
+    lo1, hi1 = Fraction(0), g1.tmax
+    lo = lo1 if lo2 is None else max(lo1, lo2)
+    hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
+    if hi is None or lo < hi:
+        return ("overlap", None, None, None)
+    if lo == hi:
+        return ("point", g1.point(lo), lo, None)
+    return None
+
+
+def curve_self_crossings(c, domain=None):
+    """All transverse double points of the realized curve.
+
+    Pairs of edges sharing a graph vertex may meet at that vertex only.
+    Overlapping collinear images raise NON_FINITE_SIGMA.
+    """
+    geoms = edge_geometries(c, domain)
+    crossings = []
+    for a in range(len(geoms)):
+        for b in range(a + 1, len(geoms)):
+            ea, eb = c.edges[a], c.edges[b]
+            shared = ({ea.tail, ea.head} & {eb.tail, eb.head}) - {None}
+            hit = intersect_geometries(geoms[a], geoms[b])
+            if hit is None:
+                continue
+            if hit[0] == "overlap":
+                raise WorkbenchError(
+                    "NON_FINITE_SIGMA",
+                    f"edges {a} and {b} overlap along a segment")
+            point = hit[1]
+            if shared and any(c.position(v) == point for v in shared):
+                continue
+            crossings.append({"edges": (a, b), "point": point})
+    return crossings
+
+
+# ---------------------------------------------------------------------------
+# wave fronts from all facet pairs
+
+
+def polygon_vertices_int(d, offsets):
+    """polygon_vertices in integers: every facet pair solved by the
+    fraction-free elimination and tested against every facet."""
+    # each facet p . x >= a / q as the integer row (q p) . x >= a
+    rows = [(vec_scale(a.denominator, f.normal), a.numerator)
+            for f, a in zip(d.facets, offsets)]
+    verts = []
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            det, num, kernel = solve_bareiss(
+                [rows[i][0], rows[j][0]], [rows[i][1], rows[j][1]])
+            if kernel:
+                continue
+            if det < 0:
+                det, num = -det, vec_neg(num)
+            # at x = num / det, (q p) . x - a has the sign of
+            # (q p) . num - a det
+            vals = [dot(p, num) - a * det for p, a in rows]
+            if any(v < 0 for v in vals):
+                continue
+            active = tuple(k for k, v in enumerate(vals) if v == 0)
+            verts.append({"point": tuple(Fraction(v, det) for v in num),
+                          "pair": (i, j), "active": active})
+    return verts
+
+
+def _rational_direction(diff):
+    """Primitive integer vector parallel to a rational displacement."""
+    denom = 1
+    for x in diff:
+        denom = lcm(denom, Fraction(x).denominator)
+    return primitive_raw(tuple(int(x * denom) for x in diff))
+
+
+def wavefront(d, delta):
+    """Inner offset boundary plus corner segments of a Delzant polygon."""
+    if d.dim != 2:
+        raise WorkbenchError("DIMENSION_MISMATCH", "wavefront needs dim 2")
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise WorkbenchError("INVALID_DELTA", "delta must be positive")
+    rep = validate_delzant(d)
+    if not rep.ok:
+        raise WorkbenchError("INVALID_DOMAIN", "; ".join(rep.issues))
+
+    outer = polygon_vertices_int(d, [f.offset for f in d.facets])
+    if not outer:
+        raise WorkbenchError("INVALID_DOMAIN",
+                             "domain has no vertices to connect")
+    inner_off = [f.offset + delta for f in d.facets]
+    inner = polygon_vertices_int(d, inner_off)
+    if {v["pair"] for v in outer} != {v["pair"] for v in inner} or \
+            any(v["active"] != v["pair"] for v in inner) or \
+            any(v["active"] != v["pair"] for v in outer) or \
+            len({v["point"] for v in inner}) != len(inner):
+        raise WorkbenchError("DELTA_TOO_LARGE",
+                             "offset domain changes combinatorial type")
+
+    inner.sort(key=lambda v: v["pair"])
+    index_of = {v["pair"]: k for k, v in enumerate(inner)}
+    vertices = []
+    edges = []
+    for k, v in enumerate(inner):
+        vertices.append((f"w{k}", v["point"]))
+    for k, (vi, vo) in enumerate(zip(inner, sorted(outer,
+                                                   key=lambda v: v["pair"]))):
+        vertices.append((f"b{k}", vo["point"]))
+        edges.append(Edge(f"w{k}", f"b{k}",
+                          _rational_direction(vec_sub(vo["point"],
+                                                      vi["point"])),
+                          1, None))
+
+    # boundary edges of the inner polygon, one per facet
+    for fidx in range(len(d.facets)):
+        on_facet = [v for v in inner if fidx in v["pair"]]
+        if len(on_facet) == 2:
+            a, b = on_facet
+            ka, kb = index_of[a["pair"]], index_of[b["pair"]]
+            if ka > kb:
+                a, b, ka, kb = b, a, kb, ka
+            edges.append(Edge(f"w{ka}", f"w{kb}",
+                              _rational_direction(vec_sub(b["point"],
+                                                          a["point"])),
+                              1, None))
+        elif len(on_facet) == 1:
+            # unbounded facet: a ray along the facet line
+            v = on_facet[0]
+            k = index_of[v["pair"]]
+            z = rot90(d.facets[fidx].normal)
+            others = [d.facets[m].normal for m in range(len(d.facets))
+                      if m != fidx]
+            if all(dot(p, z) >= 0 for p in others):
+                pass
+            elif all(dot(p, vec_neg(z)) >= 0 for p in others):
+                z = vec_neg(z)
+            else:
+                raise WorkbenchError("INVALID_DOMAIN",
+                                     f"facet {fidx} has one vertex but no "
+                                     f"recession direction")
+            edges.append(Edge(f"w{k}", None, z, 1, None))
+        else:
+            raise WorkbenchError("DELTA_TOO_LARGE",
+                                 f"facet {fidx} supports no inner edge")
+
+    curve = TropicalCurve(2, vertices, edges)
+    vrep = validate_curve(curve)
+    if not vrep.ok:
+        raise WorkbenchError("INTERNAL_INCONSISTENCY",
+                             "wavefront failed validation: "
+                             + "; ".join(vrep.issues))
+    return curve

@@ -17,10 +17,12 @@ from troplag.domain import (DelzantFailure, DelzantReport, LineConfiguration,
                             corner_basis, curve_self_crossings,
                             suitability_check, validate_delzant, wavefront)
 from troplag.errors import WorkbenchError
-from troplag.io_json import load_curve, load_domain
+from troplag.io_json import (canonical_json, curve_to_dict, load_curve,
+                             load_domain)
 from troplag.lattice import (content, cross, det_bareiss, dot,
                              elementary_divisors, is_zero, mixed,
-                             solve_bareiss, vec_add, vec_neg, vec_scale)
+                             solve_bareiss, vec_add, vec_neg, vec_scale,
+                             vec_sub)
 
 
 def triangle():
@@ -388,15 +390,16 @@ def _count_passes(monkeypatch):
     return calls
 
 
-def test_face_search_polygon_passes_quadratic(monkeypatch):
+def test_face_search_polygon_passes_linear(monkeypatch):
     facets = blown_up_polygon(random.Random(40), 40)
     d = _domain(2, facets)
     calls = _count_passes(monkeypatch)
     assert validate_delzant(d).ok
     n = len(facets)
-    # one pass for the domain, n from it and n - 1 from each edge;
-    # the exhaustive search made 2^n
-    assert len(calls) <= n * n + 1
+    # one pass for the domain and n from it; an edge reads its two
+    # endpoints from its frame, with no pass; the exhaustive search made
+    # 2^n, and one pass per edge and facet n^2 + 1
+    assert len(calls) <= 2 * n + 1
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
@@ -414,9 +417,10 @@ def test_pyramid_apex_passes_quadratic(monkeypatch):
     calls = _count_passes(monkeypatch)
     rep = validate_delzant(d)
     n = m + 1
-    # 1 + n + (n - 1) per 2-face + (n - 2) per edge = 3n^2 - 6n + 5;
-    # a level-wise search over tight subsets would meet 2^m at the apex
-    assert len(calls) <= 3 * n * n
+    # 1 + n + (n - 1) per 2-face = n^2 + 1, none from an edge; one pass
+    # per edge and facet made 3n^2 - 6n + 5, and a level-wise search over
+    # tight subsets would meet 2^m at the apex
+    assert len(calls) <= n * n + 2 * n
     # the pattern of m <= 8: only the apex is non-simple, and every
     # other failure sits on an edge or a base corner of adjacent sides
     non_simple = [f.facets for f in rep.failures if f.problem == "non_simple"]
@@ -600,19 +604,36 @@ def _reflected(d):
 
 
 def test_polygon_vertices_against_fraction_oracle():
+    """wavefront's vertices against the all-pairs Fraction routine (and
+    its integer form, which the wavefront oracle uses): the face search's
+    sets of two independent facets are the pairs whose point lies in
+    the domain with only that pair tight, and `_vertex` solves every
+    pair the routine finds to the same point."""
     rng = random.Random(64)
-    negative = 0
+    negative = vertices = 0
     for d in [d for d in _kernel_domains() if d.dim == 2] + [
             _reflected(_domain(2, blown_up_polygon(rng, 9)))
             for _ in range(10)]:
         for delta in (0, Fraction(1, 7), Fraction(-2, 3)):
             offsets = [f.offset + delta for f in d.facets]
-            got = domain_mod._polygon_vertices(d, offsets)
-            assert got == domain_oracle.polygon_vertices(d, offsets)
+            want = domain_oracle.polygon_vertices(d, offsets)
+            assert domain_oracle.polygon_vertices_int(d, offsets) == want
+            rows = domain_mod._vertex_rows(d, delta)
+            for v in want:
+                num, det = domain_mod._vertex(rows, v["pair"])
+                assert det > 0
+                assert tuple(Fraction(x, det) for x in num) == v["point"]
+            sets = domain_mod._face_sets(_domain(2, [
+                (f.normal, a) for f, a in zip(d.facets, offsets)]))
+            got = sorted(S for S in sets or () if len(S) == 2
+                         and det_bareiss([d.facets[j].normal for j in S]))
+            assert got == [v["pair"] for v in want
+                           if v["active"] == v["pair"]]
+            vertices += len(got)
             negative += sum(det_bareiss([d.facets[i].normal
                                          for i in v["pair"]]) < 0
-                            for v in got)
-    assert negative >= 50
+                            for v in want)
+    assert negative >= 50 and vertices >= 200
 
 
 def test_face_search_values_are_plain_ints(monkeypatch):
@@ -783,6 +804,125 @@ def test_self_crossing_overlap_detected():
     assert err.value.code == "NON_FINITE_SIGMA"
 
 
+def _crossing_outcome(crossings, c, d=None):
+    try:
+        return crossings(c, d)
+    except WorkbenchError as err:
+        return str(err)
+
+
+def _random_planar_curve(rng):
+    """Up to 9 segments and rays in primitive directions on a small grid
+    of rational points: shared vertices, crossings at vertices, touching
+    ends and collinear overlaps all occur."""
+    den = rng.choice([1, 2, 3])
+    verts = {"v0": (Fraction(rng.randint(-6, 6), den),
+                    Fraction(rng.randint(-6, 6), den))}
+    edges = []
+    for _ in range(rng.randint(2, 9)):
+        tail = rng.choice(sorted(verts))
+        u = rand_primitive(rng, -4, 4, 2)
+        kind = rng.random()
+        if kind < 0.25:
+            edges.append(Edge(tail, None, u))
+            continue
+        if kind < 0.5:
+            head = rng.choice(sorted(verts))
+            diff = vec_sub(verts[head], verts[tail])
+            if not is_zero(diff):
+                edges.append(Edge(tail, head,
+                                  domain_oracle._rational_direction(diff)))
+                continue
+        head = f"v{len(verts)}"
+        t = Fraction(rng.randint(1, 12), rng.choice([1, 2, 3]))
+        verts[head] = vec_add(verts[tail], vec_scale(t, u))
+        edges.append(Edge(tail, head, u))
+    return TropicalCurve(2, list(verts.items()), edges)
+
+
+def _largest_offset(facets):
+    """The offset at which the first edge of a cyclic polygon shrinks to
+    a point: every lattice edge length is affine in the offset."""
+    shifted = [(u, a + 1) for u, a in facets]
+    limits = []
+    for i in range(len(facets)):
+        l0, l1 = _edge_length(facets, i), _edge_length(shifted, i)
+        if l0 > l1:
+            limits.append(l0 / (l0 - l1))
+    return min(limits)
+
+
+def _wave_curve(rng, count):
+    facets = blown_up_polygon(rng, count)
+    delta = _largest_offset(facets) * Fraction(rng.randint(20, 80), 100)
+    d = _domain(2, facets)
+    return wavefront(d, delta), d
+
+
+def test_crossings_match_all_pairs_oracle_on_fixtures():
+    """The box-filtered sweep reports the oracle's crossings in the same
+    order: the crossing fixture and every fixture curve, alone and in
+    each fixture domain of its dimension, and wave curves of 8 to 40
+    facets."""
+    domains = [load_domain(fixture_path(f"{n}.domain.json"))
+               for n in ("hexagon", "quadrant", "rect42", "simplex3",
+                         "triangle", "unit_square")]
+    cases = []
+    for name in ("crossing", "disappearing", "klein", "klein_sum", "lens",
+                 "poincare", "rp2", "segment", "simplex_tripod",
+                 "sphere_w2"):
+        c = load_curve(fixture_path(f"{name}.curve.json"))
+        cases += [(c, None)] + [(c, d) for d in domains if d.dim == c.dim]
+    rng = random.Random(65)
+    for count in (8, 12, 20, 30, 40):
+        c, d = _wave_curve(rng, count)
+        cases += [(c, d), (c, None)]
+    found = 0
+    for c, d in cases:
+        got = _crossing_outcome(curve_self_crossings, c, d)
+        assert got == _crossing_outcome(domain_oracle.curve_self_crossings,
+                                        c, d)
+        found += len(got)
+    # the crossing fixture's double point, alone and clipped to a domain
+    assert found >= 2
+
+
+def test_crossings_match_all_pairs_oracle_on_random_curves():
+    rng = random.Random(66)
+    seen = collections.Counter()
+    for k in range(400):
+        c = _random_planar_curve(rng)
+        d = _random_domain(rng, 2) if k % 2 else None
+        got = _crossing_outcome(curve_self_crossings, c, d)
+        assert got == _crossing_outcome(domain_oracle.curve_self_crossings,
+                                        c, d), (c.vertices, c.edges, d)
+        if isinstance(got, str):
+            assert got.startswith("NON_FINITE_SIGMA: edges ")
+            seen["overlap", d is None] += 1
+        else:
+            seen["crossings" if got else "none", d is None] += 1
+    # collinear overlaps, curves with and without crossings, each with
+    # and without a domain to clip the rays
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen
+
+
+def test_crossing_pair_tests_linear_on_wave_curve(monkeypatch):
+    """On the 2n-edge wave curve of a 40-gon, the exact pair test runs at
+    most 4n times; all pairs would be n (2n - 1) = 3,160."""
+    c, d = _wave_curve(random.Random(67), 40)
+    assert len(c.edges) == 80
+    calls = []
+    real = domain_mod._meet
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(domain_mod, "_meet", counted)
+    assert curve_self_crossings(c, d) == []
+    assert len(calls) <= 4 * 40
+
+
 # ---------------------------------------------------------------------------
 # wave fronts
 
@@ -863,6 +1003,42 @@ def test_wavefront_random_delzant_polygons():
         assert rep.ok and rep.j == 0
         checked += 1
     assert checked >= 40
+
+
+def _wavefront_outcome(make, d, delta):
+    try:
+        return canonical_json(curve_to_dict(make(d, delta)))
+    except WorkbenchError as err:
+        return str(err)
+
+
+def test_wavefront_matches_all_pairs_oracle():
+    """wavefront, which reads the vertices off the Delzant face search,
+    against the all-pairs routine: the same curve, byte for byte, or the
+    same error, for offsets inside and beyond the largest valid one."""
+    rng = random.Random(68)
+    cases = []
+    for _ in range(10):
+        facets = blown_up_polygon(rng, rng.randint(8, 40))
+        limit = _largest_offset(facets)
+        cases += [(_domain(2, facets), limit * r) for r in (
+            Fraction(rng.randint(1, 99), 100), Fraction(1, 1000), 1,
+            Fraction(rng.randint(101, 300), 100))]
+    strip = _domain(2, [((1, 0), 0), ((-1, 0), -3), ((0, 1), 0),
+                        ((1, 1), 1)])
+    for d in (load_domain(fixture_path("quadrant.domain.json")), strip):
+        cases += [(d, Fraction(k, 8)) for k in (1, 2, 3, 4, 6, 8, 12, 20)]
+    cases += [(unit_square(), Fraction(1, 2)), (triangle(), 0),
+              (_domain(2, [((1, 0), 0), ((-1, 0), -1)]), Fraction(1, 4)),
+              (_domain(2, [((1, 0), 0), ((1, 2), 0)]), Fraction(1, 4))]
+    outcomes = collections.Counter()
+    for d, delta in cases:
+        got = _wavefront_outcome(wavefront, d, delta)
+        assert got == _wavefront_outcome(domain_oracle.wavefront, d, delta)
+        outcomes[got.split(":")[0] if got[0] != "{" else "curve"] += 1
+    assert outcomes["curve"] >= 20 and outcomes["DELTA_TOO_LARGE"] >= 20
+    assert outcomes["INVALID_DOMAIN"] == 2 and \
+        outcomes["INVALID_DELTA"] == 1, outcomes
 
 
 # ---------------------------------------------------------------------------
