@@ -15,9 +15,12 @@ The Delzant check visits the faces of the domain, not its facet
 subsets: from each face it asks, for every facet, for a relative-
 interior point of the face where that facet is tight, and the facets
 tight at that point name the smaller face.  That is one Fourier-Motzkin
-pass in at most dim variables per face and facet, and none from an edge,
-whose endpoints its own frame gives, so the check is polynomial in the
-facet count for a fixed dimension, non-simple corners included.
+pass in at most dim variables per face of dimension >= 3 and facet.  A
+face of dimension 2 needs none: one integer scan along each facet's
+line reads off its edges and vertices.  An edge's endpoints come from
+its own frame.  An n-gon costs one pass, a pyramid over an (n - 1)-gon
+n + 1, so the check is polynomial in the facet count for a fixed
+dimension, non-simple corners included.
 """
 
 from __future__ import annotations
@@ -224,6 +227,63 @@ def _tight_at(tight, rows, point):
                                       if dot(co, Y) == rhs * D)))
 
 
+def _plane_faces(tight, rows):
+    """Closed active sets of the edges and vertices of a face of
+    dimension 2 with closed set `tight`, from its frame rows co . y >= rhs
+    in two variables.
+
+    Each row a . y >= r with a != 0 names a line, y = (P + s t) / D with
+    P = r a, D = a . a and t = rot90(a), on which every row reads
+    c s >= b in integers: c = co . t and b = D rhs - co . P.  A row with
+    c = 0 and b > 0 puts the line outside the face.  Otherwise the
+    tightest lower and upper bounds on s, compared by cross-multiplying
+    as in the edge branch of `_face_sets`, are the ends of the line's
+    meet with the face: crossing bounds leave it empty, equal ones make
+    it a vertex, and any other meet is an edge, with a relative-interior
+    point at its midpoint, one past its end on a ray and at s = 0 on a
+    whole line.  The facets tight at s = num / den are `tight` and every
+    row with c num = b den.  Every edge and vertex of the face lies on
+    the line of some row, so n rows cost O(n^2) integer operations.
+    """
+    found = set()
+    for (a0, a1), r in rows.values():
+        if not (a0 or a1):
+            continue  # a facet constant on the face, and not tight on it
+        t0, t1 = -a1, a0
+        D = a0 * a0 + a1 * a1
+        p0, p1 = r * a0, r * a1
+        line = []
+        lo = hi = None
+        for j, ((c0, c1), rhs) in rows.items():
+            c, b = c0 * t0 + c1 * t1, D * rhs - c0 * p0 - c1 * p1
+            line.append((j, c, b))
+            if c > 0:
+                if lo is None or b * lo[1] > lo[0] * c:
+                    lo = (b, c)
+            elif c < 0:
+                if hi is None or b * hi[1] > hi[0] * c:
+                    hi = (-b, -c)
+            elif b > 0:
+                break
+        else:
+            if lo is not None and hi is not None:
+                gap = hi[0] * lo[1] - lo[0] * hi[1]
+                if gap < 0:
+                    continue  # the bounds cross
+                points = [lo] if gap == 0 else [
+                    lo, hi, (lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])]
+            elif lo is not None:
+                points = [lo, (lo[0] + lo[1], lo[1])]
+            elif hi is not None:
+                points = [hi, (hi[0] - hi[1], hi[1])]
+            else:
+                points = [(0, 1)]
+            for num, den in points:
+                found.add(tuple(sorted(tight + tuple(
+                    j for j, c, b in line if c * num == b * den))))
+    return found
+
+
 def _face_sets(domain):
     """Closed active set of every nonempty face, or None for an empty domain.
 
@@ -231,19 +291,22 @@ def _face_sets(domain):
     it; it is the set of facets tight at any relative-interior point.
     The search starts at the whole domain, whose set holds the implicit
     equalities of a lower-dimensional domain.  From each face F of
-    positive dimension with set S it tries each facet j not in S: one
+    dimension >= 3 with set S it tries each facet j not in S: one
     Fourier-Motzkin pass, in F's own coordinates, finds a relative-
     interior point of the face of F where j is tight, if that face is
     nonempty, and so its set.  Every face is reached, because a maximal
     proper face of F is the face of F where any of its extra facets is
-    tight.  An edge needs no pass: its frame has one variable y, so its
-    rows are bounds on y, and the tightest lower and the tightest upper
-    bound are its endpoints, where `_tight_at` reads off the vertices'
-    sets; an open end has no child.  The cost is one exact solve per
-    face of positive dimension and n passes in at most dim variables
-    from each face of dimension >= 2: n + 1 passes for an n-gon,
-    polynomial in the facet count n for a fixed dimension, even where
-    many facets meet.
+    tight.  A face of dimension 2 needs no pass: `_plane_faces` reads
+    the sets of all its edges and vertices off its frame rows in one
+    integer scan per row, and pushes nothing.  Nor does an edge: its
+    frame has one variable y, so its rows are bounds on y, and the
+    tightest lower and the tightest upper bound are its endpoints, where
+    `_tight_at` reads off the vertices' sets; an open end has no child.
+    The cost is one exact solve per face of positive dimension, n passes
+    in at most dim variables from each face of dimension >= 3, and
+    O(n^2) integer operations per 2-face: one pass for an n-gon, n + 1
+    for a pyramid over an (n - 1)-gon, polynomial in the facet count n
+    for a fixed dimension, even where many facets meet.
     """
     kernel, rows = _frame(domain, ())
     top = _fm_point(list(rows.values()), len(kernel))
@@ -256,7 +319,12 @@ def _face_sets(domain):
         S, dim = stack.pop()
         if dim == 0:
             continue  # a point: every facet meeting it is already in S
-        kernel, rows = _frame(domain, S)
+        if S:
+            kernel, rows = _frame(domain, S)
+        # S is empty only at the root, popped first with the frame above
+        if dim == 2:
+            seen.update(_plane_faces(S, rows))
+            continue
         if dim == 1:
             # c y >= r bounds y below by r / c when c > 0, above when
             # c < 0; each bound is kept as (r, c) with c > 0
@@ -327,11 +395,12 @@ def validate_delzant(d: PolyhedralDomain) -> DelzantReport:
     The sets come from a search over the faces (`_face_sets`), not over
     all 2^n facet subsets of n facets.  It costs one exact solve per face
     of positive dimension and at most n Fourier-Motzkin passes, in at
-    most dim variables, from each face of dimension >= 2; an edge's
-    endpoints are read from its frame.  That is n + 1 passes for an
-    n-gon, and n^2 + 1 for a pyramid over an (n - 1)-gon, whose apex
-    lies on n - 1 facets.  Strata are reported ordered by (size,
-    indices), as the subset search found them.
+    most dim variables, from each face of dimension >= 3; a 2-face's
+    edges and vertices come from one integer line scan per facet, and an
+    edge's endpoints from its frame.  That is one pass for an n-gon, and
+    n + 1 for a pyramid over an (n - 1)-gon, whose apex lies on n - 1
+    facets.  Strata are reported ordered by (size, indices), as the
+    subset search found them.
     """
     return _delzant(d)[0]
 
@@ -532,8 +601,12 @@ def curve_self_crossings(c: TropicalCurve,
     coordinate, and each is tested against the later ones that start
     before it ends and overlap it in the other coordinates: the box
     filter of the Bentley-Ottmann sweep (IEEE Trans. Comput. C-28, 1979).
-    The pair test (`_meet`) is exact and runs in integers.
+    The pair test (`_meet`) is exact and runs in integers.  An edge with
+    a zero direction has no line and raises INVALID_CURVE first.
     """
+    for i, e in enumerate(c.edges):
+        if is_zero(e.direction):
+            raise WorkbenchError("INVALID_CURVE", f"edge {i}: zero direction")
     geoms = edge_geometries(c, domain)
     bases = [_homogeneous(g.base) for g in geoms]
     boxes = [_box(g) for g in geoms]

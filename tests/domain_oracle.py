@@ -2,7 +2,9 @@
 ``troplag.domain`` used before it moved to integer homogeneous
 coordinates, and the all-pairs routines it used before its planar
 pipeline lost its quadratic passes, kept as an independent reference
-for the tests.
+for the tests.  `face_sets` is the face search as it was before a face
+of dimension 2 read its edges and vertices off one integer line scan:
+one Fourier-Motzkin pass per face of dimension >= 2 and facet.
 
 A few adaptations, all at the edges: `frame` returns its kernel vectors
 rather than their number, and `contains` / `active` take the domain as
@@ -19,7 +21,8 @@ from fractions import Fraction
 from math import lcm
 
 from troplag.curve import Edge, TropicalCurve, validate_curve
-from troplag.domain import edge_geometries, validate_delzant
+from troplag.domain import (_fm_point, _frame, _tight_at, edge_geometries,
+                            validate_delzant)
 from troplag.errors import WorkbenchError
 from troplag.lattice import (dot, primitive_raw, rot90, solve_bareiss,
                              vec_neg, vec_scale, vec_sub)
@@ -109,6 +112,46 @@ def tight_at(tight, rows, y):
     """The facets tight at the point y of a frame, in index order."""
     return tuple(sorted(tight + tuple(j for j, (co, rhs) in rows.items()
                                       if dot(co, y) == rhs)))
+
+
+def face_sets(domain):
+    """Closed active set of every nonempty face, or None for an empty
+    domain: from each face of dimension >= 2, one `_fm_point` pass per
+    facet not tight on it; an edge reads its endpoints off its frame."""
+    kernel, rows = _frame(domain, ())
+    top = _fm_point(list(rows.values()), len(kernel))
+    if top is None:
+        return None
+    root = (_tight_at((), rows, top[0]), top[1])
+    seen = {root[0]}
+    stack = [root]
+    while stack:
+        S, dim = stack.pop()
+        if dim == 0:
+            continue
+        kernel, rows = _frame(domain, S)
+        if dim == 1:
+            lo = hi = None
+            for (c,), r in rows.values():
+                if c > 0:
+                    if lo is None or r * lo[1] > lo[0] * c:
+                        lo = (r, c)
+                elif c < 0 and (hi is None or r * hi[1] > hi[0] * c):
+                    hi = (-r, -c)
+            for end in (lo, hi):
+                if end is not None:
+                    seen.add(_tight_at(S, rows, ((end[0],), end[1])))
+            continue
+        face = list(rows.values())
+        for co, rhs in rows.values():
+            found = _fm_point(face + [(vec_neg(co), -rhs)], len(kernel))
+            if found is None:
+                continue
+            closed = _tight_at(S, rows, found[0])
+            if closed not in seen:
+                seen.add(closed)
+                stack.append((closed, found[1]))
+    return seen
 
 
 def _value(f, x):

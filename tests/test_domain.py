@@ -377,29 +377,32 @@ def test_named_domain_reports():
     assert validate_delzant(NAMED_DOMAINS["half-space"]).ok
 
 
-def _count_passes(monkeypatch):
-    """Count the Fourier-Motzkin feasibility passes of the face search."""
+def _count_calls(monkeypatch, name):
+    """Record the calls of one face-search kernel by their second
+    argument: the variable count of a pass, the tight set of a frame."""
     calls = []
-    real = domain_mod._fm_point
+    real = getattr(domain_mod, name)
 
-    def counted(ineqs, nvars):
-        calls.append(nvars)
-        return real(ineqs, nvars)
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
 
-    monkeypatch.setattr(domain_mod, "_fm_point", counted)
+    monkeypatch.setattr(domain_mod, name, counted)
     return calls
 
 
-def test_face_search_polygon_passes_linear(monkeypatch):
+def test_face_search_polygon_passes_constant(monkeypatch):
     facets = blown_up_polygon(random.Random(40), 40)
     d = _domain(2, facets)
-    calls = _count_passes(monkeypatch)
+    calls = _count_calls(monkeypatch, "_fm_point")
+    frames = _count_calls(monkeypatch, "_frame")
     assert validate_delzant(d).ok
-    n = len(facets)
-    # one pass for the domain and n from it; an edge reads its two
-    # endpoints from its frame, with no pass; the exhaustive search made
-    # 2^n, and one pass per edge and facet n^2 + 1
-    assert len(calls) <= 2 * n + 1
+    # one pass and one frame for the domain; the polygon is its only
+    # 2-face, whose edges and vertices one integer line scan per facet
+    # reads off; the exhaustive search made 2^n passes, one pass per edge
+    # and facet n^2 + 1, and one per 2-face and facet n + 1 (n = 40)
+    assert len(calls) <= 1
+    assert len(frames) <= 1
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
@@ -411,16 +414,20 @@ def test_pyramid_apex_matches_exhaustive(m):
     assert non_simple == [tuple(range(m))]
 
 
-def test_pyramid_apex_passes_quadratic(monkeypatch):
+def test_pyramid_apex_passes_linear(monkeypatch):
     m = 20
     d = _domain(3, parabola_pyramid(m))
-    calls = _count_passes(monkeypatch)
+    calls = _count_calls(monkeypatch, "_fm_point")
+    frames = _count_calls(monkeypatch, "_frame")
     rep = validate_delzant(d)
     n = m + 1
-    # 1 + n + (n - 1) per 2-face = n^2 + 1, none from an edge; one pass
-    # per edge and facet made 3n^2 - 6n + 5, and a level-wise search over
-    # tight subsets would meet 2^m at the apex
-    assert len(calls) <= n * n + 2 * n
+    # 1 + n from the domain, none from a 2-face (an integer line scan)
+    # or an edge; one frame for the domain and one per 2-face.  One pass
+    # per 2-face and facet made n^2 + 1, one per edge and facet
+    # 3n^2 - 6n + 5, and a level-wise search over tight subsets would
+    # meet 2^m at the apex
+    assert len(calls) <= n + 1
+    assert len(frames) <= n + 1
     # the pattern of m <= 8: only the apex is non-simple, and every
     # other failure sits on an edge or a base corner of adjacent sides
     non_simple = [f.facets for f in rep.failures if f.problem == "non_simple"]
@@ -429,6 +436,64 @@ def test_pyramid_apex_passes_quadratic(monkeypatch):
     for f in rep.failures:
         if f.problem == "saturation":
             assert tuple(j for j in f.facets if j != m) in adjacent
+
+
+def _face_oracle_domains():
+    """Domains for the face-set oracle: the named ones, the random draws
+    of the exhaustive comparison, seeded 8-60-gons (spoiled ones too) and
+    prisms over them, pyramids, and the cases a 2-face scan must get
+    right."""
+    domains = list(NAMED_DOMAINS.values())
+    for dim in (2, 3):
+        rng = random.Random(100 + dim)
+        domains += [_random_domain(rng, dim)
+                    for _ in range(120 if dim == 2 else 80)]
+    rng = random.Random(65)
+    for count in range(8, 61, 13):
+        for spoiled in (False, True):
+            facets = blown_up_polygon(rng, count, spoiled)
+            domains += [_domain(2, facets), _domain(3, prism(facets))]
+    domains += [_domain(3, parabola_pyramid(m)) for m in range(4, 13)]
+    square = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -2)]
+    domains += [
+        _domain(2, [((1, 0), 0)]),                           # half-plane
+        _domain(2, [((1, 0), 0), ((-1, 0), -1)]),            # strip
+        _domain(2, [((1, 0), 0), ((0, 1), 0)]),              # quadrant
+        _domain(2, [((1, 1), 0), ((0, 1), 0), ((-1, -1), -3)]),
+        _domain(2, square + [((1, 1), 0), ((-1, 1), -2)]),   # corners
+        _domain(2, square + [((1, 0), 0), ((0, -1), -2)]),   # duplicates
+        _domain(2, square + [((-1, 0), 0)]),                 # opposite
+        _domain(3, [((1, 2, 0), "1/2"), ((-1, -2, 0), "-1/2"),
+                    ((0, 0, 1), 0), ((0, 1, 0), 0)]),        # flat domain
+        _domain(3, [((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 0, 1), 0),
+                    ((0, 0, -1), -2), ((0, 1, 0), 0), ((0, 1, 0), 0)]),
+    ]
+    return domains
+
+
+def test_face_sets_match_fm_oracle():
+    """The face search against the search that ran one Fourier-Motzkin
+    pass per 2-face and facet: the same closed sets, or None for both."""
+    shapes = collections.Counter()
+    for d in _face_oracle_domains():
+        sets = domain_mod._face_sets(d)
+        assert sets == domain_oracle.face_sets(d), d.facets
+        for S in sets or ():
+            kernel, rows = domain_mod._frame(d, S)
+            if len(kernel) != 2:
+                continue
+            shapes["2-face"] += 1
+            shapes["constant facet"] += any(not any(co)
+                                            for co, _ in rows.values())
+            if S and solve_bareiss([d.facets[j].normal for j in S],
+                                   [d.facets[j].offset for j in S])[0] < 0:
+                shapes["negative d"] += 1
+            if not any(len(T) == len(S) + 2 and set(S) < set(T)
+                       for T in sets):
+                shapes["no vertex"] += 1
+    # strips, half-planes and flat domains give the 2-faces without one
+    assert shapes["no vertex"] >= 5 and min(shapes.values()) >= 5, shapes
+    assert shapes["negative d"] >= 100 and shapes["constant facet"] >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +702,9 @@ def test_polygon_vertices_against_fraction_oracle():
 
 
 def test_face_search_values_are_plain_ints(monkeypatch):
-    """Every value _frame, _fm_point and _tight_at produce is an int, so
-    Fraction arithmetic creeping back into the face search fails here."""
+    """Every value _frame, _fm_point, _tight_at and _plane_faces produce
+    is an int, so Fraction arithmetic creeping back into the face search
+    fails here."""
     produced = []
 
     def recorded(name):
@@ -650,13 +716,14 @@ def test_face_search_values_are_plain_ints(monkeypatch):
             return out
         monkeypatch.setattr(domain_mod, name, call)
 
-    for name in ("_frame", "_fm_point", "_tight_at"):
+    names = {"_frame", "_fm_point", "_tight_at", "_plane_faces"}
+    for name in names:
         recorded(name)
 
     def leaves(value):
         if isinstance(value, dict):
             value = [*value, *value.values()]
-        if isinstance(value, (tuple, list)):
+        if isinstance(value, (tuple, list, set)):
             for v in value:
                 yield from leaves(v)
         elif value is not None:
@@ -664,8 +731,7 @@ def test_face_search_values_are_plain_ints(monkeypatch):
 
     for d in _kernel_domains():
         _outcome(validate_delzant, d)
-    assert {name for name, _ in produced} == {"_frame", "_fm_point",
-                                             "_tight_at"}
+    assert {name for name, _ in produced} == names
     bad = [(name, out) for name, out in produced
            if any(type(v) is not int for v in leaves(out))]
     assert not bad, bad[:3]

@@ -220,6 +220,18 @@ def test_self_intersections_tree_embedding_empty():
     assert self_intersections(klein_curve()) == []
 
 
+def test_self_intersections_zero_direction_is_invalid():
+    """A zero-direction edge is a validation error naming the edge, even
+    where its box meets another edge's, not a bare StopIteration."""
+    c = TropicalCurve(2, [("a", (0, 0)), ("b", (0, 0)), ("x", (-1, 0)),
+                          ("y", (1, 0))],
+                      [Edge("a", "b", (0, 0)), Edge("x", "y", (1, 0))])
+    with pytest.raises(WorkbenchError) as err:
+        self_intersections(c)
+    assert err.value.code == "INVALID_CURVE"
+    assert "edge 0" in str(err.value)
+
+
 def crossing_curve():
     return TropicalCurve(2, [("v1", (0, 0)), ("v2", (4, 0))],
                          [Edge("v1", None, (0, 1), 1, 0),
