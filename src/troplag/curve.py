@@ -622,27 +622,38 @@ class Skeleton(Record):
 def _rooted_sums(topology: TreeTopology, degree):
     """One walk over the tree hung from ref, the junction of leaf 0.
 
-    Returns (parent, order, below): parent[x] for every node (None for
+    The nodes are 0..2k-3 (leaves first), so the results are lists
+    indexed by node: (parent, order, below) with parent[x] (None for
     ref), the pre-order of the nodes (ref first, every node before its
-    children), and below[x], the sum of the leaf vectors behind x.  By
-    balancing, below[x] is the displacement of the edge parent(x) -> x.
+    children), and below[x], the integer sum of the leaf 3-vectors behind
+    x.  By balancing, below[x] is the displacement of the edge
+    parent(x) -> x.
     """
     kappa = topology.kappa
-    adj = topology.adjacency()
+    size = 2 * kappa - 2
+    adj = [[] for _ in range(size)]
+    for a, b in topology.edges:
+        adj[a].append(b)
+        adj[b].append(a)
     ref = adj[0][0]
-    parent, order, stack = {ref: None}, [], [ref]
+    parent, order, stack = [None] * size, [], [ref]
     while stack:
         x = stack.pop()
         order.append(x)
+        up = parent[x]
         for y in adj[x]:
-            if y not in parent:
+            if y != up:
                 parent[y] = x
                 stack.append(y)
-    zero = (0,) * len(degree[0])
-    below = {x: degree[x] if x < kappa else zero for x in order}
-    for x in reversed(order[1:]):
-        below[parent[x]] = vec_add(below[parent[x]], below[x])
-    return parent, order, below
+    sx, sy, sz = [0] * size, [0] * size, [0] * size
+    for j in range(kappa):
+        sx[j], sy[j], sz[j] = degree[j]
+    for x in order[:0:-1]:      # children before parents, ref skipped
+        up = parent[x]
+        sx[up] += sx[x]
+        sy[up] += sy[x]
+        sz[up] += sz[x]
+    return parent, order, list(zip(sx, sy, sz))
 
 
 def internal_directions_from_leaves(topology: TreeTopology,
@@ -652,13 +663,15 @@ def internal_directions_from_leaves(topology: TreeTopology,
     The vector on an internal edge, oriented a -> b, is the sum of the
     leaf degree vectors on the b side.  A zero internal vector makes the
     topology DEGENERATE for this degree.  The sums come from the rooted
-    walk that also gives `enumerate_count` its degenerate test, matrix
-    rows and vertex positions, `_rooted_sums`."""
+    walk that also gives `enumerate_count` its degenerate test, subtree
+    planes and vertex positions, `_rooted_sums`."""
     degree = [tuple(d) for d in degree]
     if len(degree) != topology.kappa:
         raise WorkbenchError("LABEL_MISMATCH",
                              f"{len(degree)} degree entries for "
                              f"{topology.kappa} leaves")
+    if any(len(d) != 3 for d in degree):
+        raise WorkbenchError("DIMENSION_MISMATCH", "degree must be 3-vectors")
     kappa = topology.kappa
     parent, order, below = _rooted_sums(topology, degree)
     total = below[order[0]]

@@ -25,8 +25,8 @@ from .curve import (TropicalCurve, Edge, Skeleton, _rooted_sums,
 from .domain import LineConfiguration
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, dot, gcd_primitive,
-                      is_zero, mixed, primitive_raw, solve_bareiss,
-                      solve_cross, solve_dot, vec_add, vec_neg, vec_scale)
+                      is_consistent, is_zero, mixed, primitive_raw,
+                      solve_cross, solve_dot, vec_neg, vec_scale)
 
 
 class RotationalMomentum(Record):
@@ -525,23 +525,26 @@ def enumerate_count(degree, lines: LineConfiguration,
                     kappa_cap: int = KAPPA_CAP) -> EnumerationResult:
     """Count rational curves of the given degree through the lines.
 
-    Enumerates all (2k-5)!! labeled 3-valent trees.  Each type costs one
-    walk from ref, the junction of leaf 0 (`curve._rooted_sums`), one
-    integer evaluation matrix and one fraction-free elimination.  The
-    walk gives the balancing sums below[x], the displacement of the edge
-    parent(x) -> x: the type is degenerate when one of them vanishes on a
-    bounded edge, row j puts rho_j . below[x] in the column of every
-    junction x on the climb from leaf j to ref, and the vertex positions
-    follow in pre-order.  The matrix is eliminated against the
-    right-hand side rho_j . q_j, which is scaled to integers once per
-    call.  The elimination gives det and the Cramer numerators det * x_i;
-    a bounded edge length has the sign of det times its numerator.  A
-    type is kept when all lengths are positive, and the total sums |det|
-    over the kept types (the lattice index of the evaluation map).
-    Exactly-zero lengths, or a solvable singular system, mean the
-    configuration is not generic; an inconsistent singular system is a
-    "singular" type without curves.  Fractions (translation, lengths,
-    vertex positions) are built only for kept types.
+    Enumerates all (2k-5)!! labeled 3-valent trees and eliminates each
+    type along its own tree, on one walk from ref, the junction of leaf 0
+    (`curve._rooted_sums`).  The walk gives the balancing sums below[x],
+    the displacement of the edge parent(x) -> x: the type is degenerate
+    when one of them vanishes on a bounded edge.  Otherwise every rooted
+    subtree becomes one integer plane (`_subtree_planes`), and the three
+    planes at ref give D = n1 . (n2 x n3), which is +-det of the type's
+    evaluation matrix, and ref's position by Cramer's rule.  Walking back
+    down in pre-order, each bounded edge length follows from a child
+    plane that is not parallel to the edge, with every position kept as
+    integers over one positive denominator.  The right-hand sides
+    rho_j . q_j are scaled to integers once per call.  A type is kept
+    when all lengths are positive, and the total sums |D| over the kept
+    types (the lattice index of the evaluation map).  An exactly-zero
+    length, or a solvable system with D = 0, means the configuration is
+    not generic; when D = 0 the type's rows are built and checked by one
+    echelon pass (`_singular_type`), and an inconsistent system is a
+    "singular" type without curves.  A line parallel to its leaf
+    (d x z = 0) is rejected before any type.  Fractions (vertex
+    positions) are built only for kept types.
     """
     degree = [tuple(d) for d in degree]
     kappa = len(degree)
@@ -560,58 +563,76 @@ def enumerate_count(degree, lines: LineConfiguration,
 
     zs = [l.direction for l in lines.lines]
     rhos = [cross(d, z) for d, z in zip(degree, zs)]
+    for j, rho in enumerate(rhos):
+        if not any(rho):
+            # row j of every type would read 0 = 0
+            raise WorkbenchError("NON_GENERIC_CONFIG",
+                                 f"line {j} is parallel to leaf {j} "
+                                 f"(d x z = 0)")
     rhs = [Fraction(dot(rho, l.point)) for rho, l in zip(rhos, lines.lines)]
     scale = lcm(*(r.denominator for r in rhs))
     rhs = [r.numerator * (scale // r.denominator) for r in rhs]
+    leaf_planes = list(zip(rhos, rhs))
+    junctions = range(kappa, 2 * kappa - 2)
 
     outcomes = []
     total = 0
     for tree in trivalent_trees(kappa):
         parent, order, below = _rooted_sums(tree, degree)
         ref = order[0]
-        # the junctions below ref, each the head of one bounded edge
-        inner = [x for x in order[1:] if x >= kappa]
-        if any(not any(below[x]) for x in inner):
+        if any(below[x] == (0, 0, 0) for x in junctions if x != ref):
             outcomes.append(TypeOutcome(tree.edges, "degenerate", 0, None))
             continue
-        # Row j: rho_j in the translation columns, rho_j . below[x] in the
-        # column of each junction x on the climb from leaf j to ref.
-        col_of = {x: 3 + k for k, x in enumerate(inner)}
-        rows = []
-        for j, rho in enumerate(rhos):
-            row = list(rho) + [0] * (kappa - 3)
-            x = parent[j]
-            while x != ref:
-                row[col_of[x]] = dot(rho, below[x])
-                x = parent[x]
-            rows.append(row)
-        det, num, kernel = solve_bareiss(rows, rhs)
-        if kernel:
+        kids = _subtree_planes(kappa, parent, order, below, leaf_planes)
+        (n1, c1), (n2, c2), (n3, c3) = kids[ref]
+        m23, m31, m12 = cross(n2, n3), cross(n3, n1), cross(n1, n2)
+        det = dot(n1, m23)
+        if det == 0:
             # a structurally singular type carries no curves for generic
             # base points; a solvable singular system is a wall crossing
-            if num is None:
+            if _singular_type(kappa, parent, order, below, rhos, rhs):
                 outcomes.append(TypeOutcome(tree.edges, "singular", 0, None))
                 continue
             raise WorkbenchError(
                 "NON_GENERIC_CONFIG",
                 f"singular system for topology {tree.edges}")
-        if det < 0:     # from here num[i] = |det| * x_i
-            det, num = -det, [-x for x in num]
-        lengths = num[3:]
-        if 0 in lengths:
-            raise WorkbenchError("NON_GENERIC_CONFIG",
-                                 f"zero edge length in topology {tree.edges}")
-        if any(x < 0 for x in lengths):
+        # position[x] = pos[x] / den[x] with den[x] > 0, scaled by `scale`
+        if det < 0:
+            det, c1, c2, c3 = -det, -c1, -c2, -c3
+        pos = [None] * len(parent)
+        den = [0] * len(parent)
+        pos[ref] = tuple(c1 * s + c2 * t + c3 * v
+                         for s, t, v in zip(m23, m31, m12))
+        den[ref] = det
+        rejected = False
+        for x in order[1:]:
+            if x < kappa:
+                continue
+            u0, u1, u2 = below[x]
+            for (a0, a1, a2), c in kids[x]:
+                p = a0 * u0 + a1 * u1 + a2 * u2
+                if p:
+                    break
+            # D != 0, so the plane of x is not 0 and some child has p != 0
+            y = parent[x]
+            q0, q1, q2 = pos[y]
+            e = den[y]
+            num = c * e - (a0 * q0 + a1 * q1 + a2 * q2)  # length num/(e p)
+            if p < 0:
+                p, num = -p, -num
+            if num == 0:
+                raise WorkbenchError(
+                    "NON_GENERIC_CONFIG",
+                    f"zero edge length in topology {tree.edges}")
+            rejected = rejected or num < 0
+            pos[x] = (q0 * p + num * u0, q1 * p + num * u1, q2 * p + num * u2)
+            den[x] = e * p
+        if rejected:
             outcomes.append(TypeOutcome(tree.edges, "rejected", det, None))
             continue
 
-        den = det * scale
-        node_pos = {ref: tuple(Fraction(x, den) for x in num[:3])}
-        for x in inner:
-            node_pos[x] = vec_add(
-                node_pos[parent[x]],
-                vec_scale(Fraction(num[col_of[x]], den), below[x]))
-        verts = [(f"n{k}", node_pos[k]) for k in sorted(node_pos)]
+        verts = [(f"n{x}", tuple(Fraction(v, den[x] * scale) for v in pos[x]))
+                 for x in junctions]
         edges = []
         for a, b in tree.edges:
             if a < kappa:
@@ -625,3 +646,54 @@ def enumerate_count(degree, lines: LineConfiguration,
         outcomes.append(TypeOutcome(tree.edges, "accepted", det, curve))
         total += det
     return EnumerationResult(total, tuple(outcomes))
+
+
+def _subtree_planes(kappa, parent, order, below, leaf_planes):
+    """The plane of every rooted subtree of one type, leaves first.
+
+    Seen from its parent junction y, the subtree behind node x holds y's
+    position P on one plane n . P = c.  Leaf j gives leaf_planes[j] =
+    (rho_j, rho_j . q_j).  A junction x other than ref sits at
+    P + l_x u, u = below[x], and with p = n . u its child planes
+    (n_a, c_a) and (n_b, c_b) read n . P + l_x p = c; eliminating the
+    length leaves (p_b n_a - p_a n_b, p_b c_a - p_a c_b).  In the type's
+    evaluation matrix only those two (combined) rows have an entry in
+    l_x's column, so each step keeps |det|, and the three planes at ref
+    give it as n1 . (n2 x n3) (Gathmann-Markwig gluing).  A zero plane
+    stays zero up to ref.  Returns kids, kids[x] the planes of x's
+    children: two for a junction, three for ref.
+    """
+    kids = [[] for _ in parent]
+    for x in order[:0:-1]:      # children before parents, ref skipped
+        if x < kappa:
+            plane = leaf_planes[x]
+        else:
+            ((a0, a1, a2), ca), ((b0, b1, b2), cb) = kids[x]
+            u0, u1, u2 = below[x]
+            pa = a0 * u0 + a1 * u1 + a2 * u2
+            pb = b0 * u0 + b1 * u1 + b2 * u2
+            plane = ((pb * a0 - pa * b0, pb * a1 - pa * b1,
+                      pb * a2 - pa * b2), pb * ca - pa * cb)
+        kids[parent[x]].append(plane)
+    return kids
+
+
+def _singular_type(kappa, parent, order, below, rhos, rhs) -> bool:
+    """Whether a type with D = 0 is "singular" (no curves) rather than a
+    wall: its evaluation system is inconsistent.
+
+    Row j holds rho_j in the translation columns and rho_j . below[x] in
+    the column of each junction x on the climb from leaf j to ref; one
+    echelon pass on [A | b] decides, with no back-substitution."""
+    ref = order[0]
+    inner = [x for x in order[1:] if x >= kappa]
+    col_of = {x: 3 + k for k, x in enumerate(inner)}
+    rows = []
+    for j, rho in enumerate(rhos):
+        row = list(rho) + [0] * len(inner)
+        x = parent[j]
+        while x != ref:
+            row[col_of[x]] = dot(rho, below[x])
+            x = parent[x]
+        rows.append(row)
+    return not is_consistent(rows, rhs)

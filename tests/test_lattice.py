@@ -7,7 +7,7 @@ from exact_oracle import solve_exact
 from troplag.errors import WorkbenchError
 from troplag.lattice import (SnfResult, content, cross, det_bareiss,
                              elementary_divisors, gcd_primitive,
-                             lattice_index, mixed, rank_exact,
+                             is_consistent, lattice_index, mixed, rank_exact,
                              smith_normal_form, solve_bareiss, solve_cross,
                              solve_dot)
 
@@ -188,6 +188,7 @@ def test_solve_bareiss_against_fraction_solve():
         seen.add((shape, ref.status))
         assert type(d) is int and d != 0
         assert (num is None) == (ref.status == "none")
+        assert is_consistent(a, b) == (ref.status != "none")
         if num is not None:
             assert all(type(v) is int for v in num)
             assert tuple(Fraction(v, d) for v in num) == ref.solution
@@ -226,6 +227,19 @@ def test_solve_bareiss_examples():
         solve_bareiss([[1, 2], [1]], [1, 1])
     with pytest.raises(WorkbenchError):
         solve_bareiss([[1, 2]], [1, 2])
+
+
+def test_is_consistent_examples():
+    assert is_consistent([[1, 2], [2, 4]], [1, 2])
+    assert not is_consistent([[1, 2], [2, 4]], [1, 3])
+    # a zero column is skipped, and a zero row needs a zero right side
+    assert is_consistent([[0, 1], [0, 2]], [1, 2])
+    assert not is_consistent([[0, 0], [0, 1]], [1, 0])
+    assert not is_consistent([[1, 0], [0, 1], [1, 1]], [1, 2, 4])
+    assert is_consistent([[Fraction(1, 2), 0]], [Fraction(1, 3)])
+    assert is_consistent([], [])
+    with pytest.raises(WorkbenchError):
+        is_consistent([[1, 2]], [1, 2])
 
 
 def test_solvers_for_corner_machinery():

@@ -7,17 +7,19 @@ from conftest import (internal_edges, leaf_neighbor, rand_nonzero,
                       rand_primitive, random_tree_problem)
 from exact_oracle import solve_exact
 
-from troplag.curve import (Edge, TropicalCurve,
+from troplag import multiplicity
+from troplag.curve import (Edge, TropicalCurve, _rooted_sums,
                            internal_directions_from_leaves, trivalent_trees,
                            validate_curve)
 from troplag.domain import LineConfiguration
 from troplag.errors import WorkbenchError
-from troplag.lattice import cross, dot, is_zero, vec_add, vec_scale
-from troplag.multiplicity import (RotationalMomentum, all_roots,
-                                  enumerate_count, ev_matrix, leaf_momentum,
-                                  mixed_h_product, multiplicity_det,
-                                  pairing_coefficient, propagate,
-                                  splitting_check)
+from troplag.lattice import (cross, det_bareiss, dot, is_zero, vec_add,
+                             vec_scale)
+from troplag.multiplicity import (RotationalMomentum, _subtree_planes,
+                                  all_roots, enumerate_count, ev_matrix,
+                                  leaf_momentum, mixed_h_product,
+                                  multiplicity_det, pairing_coefficient,
+                                  propagate, splitting_check)
 
 
 def poincare_curve():
@@ -369,12 +371,18 @@ def test_enumerate_relabeling_invariance():
 def reference_enumerate(degree, lines):
     """Per-type (topology, status, multiplicity, vertices) computed the
     slow way: the evaluation matrix determinant and a Fraction solve of
-    a second, hand-built matrix for every type."""
+    a second, hand-built matrix for every type.  A wall raises with the
+    enumerator's message."""
     degree = [tuple(d) for d in degree]
     kappa = len(degree)
     zs = [l.direction for l in lines.lines]
     qs = [l.point for l in lines.lines]
     rhos = [cross(d, z) for d, z in zip(degree, zs)]
+    for j, rho in enumerate(rhos):
+        if is_zero(rho):
+            raise WorkbenchError("NON_GENERIC_CONFIG",
+                                 f"line {j} is parallel to leaf {j} "
+                                 f"(d x z = 0)")
     out = []
     for tree in trivalent_trees(kappa):
         sk = internal_directions_from_leaves(tree, degree)
@@ -411,10 +419,14 @@ def reference_enumerate(degree, lines):
             if sol.status == "none":
                 out.append((tree.edges, "singular", 0, None))
                 continue
-            raise WorkbenchError("NON_GENERIC_CONFIG", "singular")
+            raise WorkbenchError(
+                "NON_GENERIC_CONFIG",
+                f"singular system for topology {tree.edges}")
         lengths = {cid: sol.solution[col_of[cid]] for cid in internal}
         if any(l == 0 for l in lengths.values()):
-            raise WorkbenchError("NON_GENERIC_CONFIG", "zero length")
+            raise WorkbenchError(
+                "NON_GENERIC_CONFIG",
+                f"zero edge length in topology {tree.edges}")
         if any(l < 0 for l in lengths.values()):
             out.append((tree.edges, "rejected", abs(det), None))
             continue
@@ -457,6 +469,13 @@ def outcome(fn, degree, lines):
         return fn(degree, lines)
     except WorkbenchError as err:
         return err.code
+
+
+def outcome_text(fn, degree, lines):
+    try:
+        return fn(degree, lines)
+    except WorkbenchError as err:
+        return err.code, str(err)
 
 
 def fast_enumerate(degree, lines):
@@ -508,3 +527,115 @@ def test_enumerate_wall_matches_fraction_solve_path():
     assert outcome(fast_enumerate, degree, lines) == "NON_GENERIC_CONFIG"
     assert outcome(reference_enumerate, degree, lines) == \
         "NON_GENERIC_CONFIG"
+
+
+def test_enumerate_walls_match_fraction_solve_path():
+    """Small-integer points put many placements on a wall: the outcome,
+    down to the error message, is the reference's."""
+    rng = random.Random(5)
+    seen = set()
+    for kappa, count in ((4, 150), (5, 100), (6, 50)):
+        for _ in range(count):
+            degree, lines = random_enumeration(rng, kappa, 2, 1)
+            got = outcome_text(fast_enumerate, degree, lines)
+            assert got == outcome_text(reference_enumerate, degree, lines)
+            if isinstance(got, list):
+                seen |= {t[1] for t in got}
+            else:
+                seen.add(got[1].split(" in topology")[0]
+                         .split(" for topology")[0])
+    assert {"singular", "NON_GENERIC_CONFIG: zero edge length",
+            "NON_GENERIC_CONFIG: singular system"} <= seen
+
+
+def type_rows(tree, degree, rhos):
+    """A type's evaluation rows as built before the elimination along the
+    tree: rho_j in the translation columns, rho_j . below[x] in the column
+    of each junction x on the climb from leaf j to ref."""
+    kappa = tree.kappa
+    parent, order, below = _rooted_sums(tree, degree)
+    ref = order[0]
+    inner = [x for x in order[1:] if x >= kappa]
+    col_of = {x: 3 + k for k, x in enumerate(inner)}
+    rows = []
+    for j, rho in enumerate(rhos):
+        row = list(rho) + [0] * len(inner)
+        x = parent[j]
+        while x != ref:
+            row[col_of[x]] = dot(rho, below[x])
+            x = parent[x]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("kappa,seed,count,bound", [
+    (4, 11, 30, 1), (5, 12, 12, 1), (6, 13, 4, 2), (7, 14, 1, 1),
+    (8, 15, 1, 2)])
+def test_subtree_planes_give_the_evaluation_determinant(kappa, seed, count,
+                                                        bound):
+    """|n1 . (n2 x n3)| of the three planes at ref is |det| of the type's
+    rows, for every type, also where one child plane of a junction is
+    parallel to its edge (p = 0) and the other is not."""
+    rng = random.Random(seed)
+    one_zero = types = 0
+    for _ in range(count):
+        degree, lines = random_enumeration(rng, kappa, 20, 5, bound)
+        rhos = [cross(d, l.direction) for d, l in zip(degree, lines.lines)]
+        leaf_planes = [(rho, 0) for rho in rhos]
+        for tree in trivalent_trees(kappa):
+            parent, order, below = _rooted_sums(tree, degree)
+            kids = _subtree_planes(kappa, parent, order, below, leaf_planes)
+            (n1, _), (n2, _), (n3, _) = kids[order[0]]
+            assert abs(dot(n1, cross(n2, n3))) == \
+                abs(det_bareiss(type_rows(tree, degree, rhos)))
+            types += 1
+            one_zero += any(
+                [dot(n, below[x]) for n, _ in kids[x]].count(0) == 1
+                for x in order[1:] if x >= kappa)
+    assert 0 < one_zero < types
+
+
+def test_matrix_fallback_runs_once_per_singular_type(monkeypatch):
+    calls = []
+    fallback = multiplicity._singular_type
+
+    def counted(*args):
+        calls.append(args)
+        return fallback(*args)
+
+    monkeypatch.setattr(multiplicity, "_singular_type", counted)
+    rng = random.Random(23)
+    counts = []
+    for kappa, count in ((4, 20), (5, 10), (6, 4)):
+        for _ in range(count):
+            degree, lines = random_enumeration(rng, kappa, 20, 5, 2)
+            calls.clear()
+            try:
+                res = enumerate_count(degree, lines)
+            except WorkbenchError as err:
+                assert err.code == "NON_GENERIC_CONFIG"
+                continue
+            singular = [t.status for t in res.per_type].count("singular")
+            assert len(calls) == singular
+            counts.append(singular)
+    # configurations with and without a singular type
+    assert 0 in counts and max(counts) > 0
+
+
+def test_enumerate_rejects_a_line_parallel_to_its_leaf(monkeypatch):
+    degree = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+    dirs = [(0, 1, 1), (1, 0, 2), (1, 0, 0), (1, 0, 1)]
+    lines = LineConfiguration([{"point": (j, 2 * j, 1), "dir": z}
+                               for j, z in enumerate(dirs)])
+    visited = []
+    monkeypatch.setattr(multiplicity, "trivalent_trees",
+                        lambda kappa: visited.append(kappa) or [])
+    with pytest.raises(WorkbenchError) as err:
+        enumerate_count(degree, lines)
+    assert err.value.code == "NON_GENERIC_CONFIG"
+    assert str(err.value) == \
+        "NON_GENERIC_CONFIG: line 2 is parallel to leaf 2 (d x z = 0)"
+    assert visited == []
+    monkeypatch.undo()
+    assert outcome_text(reference_enumerate, degree, lines) == \
+        ("NON_GENERIC_CONFIG", str(err.value))
