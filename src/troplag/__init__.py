@@ -8,8 +8,7 @@ dimension three.
 """
 
 from .curve import (Edge, TropicalCurve, betti_and_degree,
-                    combinatorial_type, extend_curve,
-                    internal_directions_from_leaves, regularity_check,
+                    combinatorial_type, extend_curve, regularity_check,
                     split_at_edge, trivalent_trees, validate_curve)
 from .domain import (Facet, Line, LineConfiguration, PolyhedralDomain,
                      check_even_primitive, classify_boundary_point,
@@ -30,8 +29,8 @@ from .topology import (LensParameters, PieceDecomposition, SurfaceReport,
 
 __all__ = [
     "Edge", "TropicalCurve", "betti_and_degree", "combinatorial_type",
-    "extend_curve", "internal_directions_from_leaves", "regularity_check",
-    "split_at_edge", "trivalent_trees", "validate_curve",
+    "extend_curve", "regularity_check", "split_at_edge", "trivalent_trees",
+    "validate_curve",
     "Facet", "Line", "LineConfiguration", "PolyhedralDomain",
     "check_even_primitive", "classify_boundary_point", "corner_basis",
     "suitability_check", "validate_delzant", "wavefront",

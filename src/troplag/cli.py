@@ -18,8 +18,8 @@ from .domain import (check_even_primitive, suitability_check,
 from .errors import VALIDATION_CODES, WorkbenchError
 from .io_json import (canonical_json, curve_to_dict, load_curve, load_domain,
                       load_lines)
-from .multiplicity import (KAPPA_CAP, enumerate_count, ev_matrix,
-                           mixed_h_product, multiplicity_det)
+from .multiplicity import (DET_KAPPA_CAP, KAPPA_CAP, enumerate_count,
+                           ev_matrix, mixed_h_product, multiplicity_det)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,7 +142,7 @@ def run_command(argv):
             zs = _zs_from_lines(curve, lines)
             value = mixed_h_product(curve, zs, _parse_root(args.root))
             report = {"mixedHProduct": value, "method": "RECURSIVE"}
-            if len(curve.ends()) >= 3:
+            if 3 <= len(curve.ends()) <= DET_KAPPA_CAP:
                 det = multiplicity_det(ev_matrix(curve, zs))
                 report["determinant"] = det.value
                 report["agree"] = det.value == value

@@ -22,8 +22,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import Record, WorkbenchError
-from .lattice import (content, gcd_primitive as _sign_normalized, is_zero,
-                      rank_exact, vec_add, vec_neg, vec_scale, vec_sub)
+from .lattice import (content, gcd_primitive as _sign_normalized, rank_exact,
+                      vec_add, vec_neg, vec_scale)
 
 
 def as_rational(x):
@@ -604,21 +604,6 @@ def _insertions(kappa):
         stack += reversed(grown)    # popped in edge order
 
 
-class Skeleton(Record):
-    """A tree topology with direction data on every edge."""
-    __slots__ = ("topology", "dh", "degenerate")
-
-    def __init__(self, topology: TreeTopology, dh: dict, degenerate: tuple):
-        self.topology = topology
-        self.dh = dh  # (a, b) oriented a -> b: weighted integer vector
-        # internal edges with zero direction vector
-        self.degenerate = degenerate
-
-    @property
-    def ok(self):
-        return not self.degenerate
-
-
 def _rooted_sums(topology: TreeTopology, degree):
     """One walk over the tree hung from ref, the junction of leaf 0.
 
@@ -654,39 +639,6 @@ def _rooted_sums(topology: TreeTopology, degree):
         sy[up] += sy[x]
         sz[up] += sz[x]
     return parent, order, list(zip(sx, sy, sz))
-
-
-def internal_directions_from_leaves(topology: TreeTopology,
-                                    degree) -> Skeleton:
-    """Propagate leaf vectors to internal edges by balancing.
-
-    The vector on an internal edge, oriented a -> b, is the sum of the
-    leaf degree vectors on the b side.  A zero internal vector makes the
-    topology DEGENERATE for this degree.  The sums come from the rooted
-    walk that also gives `enumerate_count` its degenerate test, subtree
-    planes and vertex positions, `_rooted_sums`."""
-    degree = [tuple(d) for d in degree]
-    if len(degree) != topology.kappa:
-        raise WorkbenchError("LABEL_MISMATCH",
-                             f"{len(degree)} degree entries for "
-                             f"{topology.kappa} leaves")
-    if any(len(d) != 3 for d in degree):
-        raise WorkbenchError("DIMENSION_MISMATCH", "degree must be 3-vectors")
-    kappa = topology.kappa
-    parent, order, below = _rooted_sums(topology, degree)
-    total = below[order[0]]
-    dh = {}
-    degenerate = []
-    for a, b in topology.edges:
-        if a < kappa:
-            v = vec_neg(degree[a])     # oriented leaf -> node
-        else:
-            v = below[b] if parent[b] == a else vec_sub(total, below[a])
-            if is_zero(v):
-                degenerate.append((a, b))
-        dh[(a, b)] = v
-        dh[(b, a)] = vec_neg(v)
-    return Skeleton(topology, dh, tuple(degenerate))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .curve import (TropicalCurve, Edge, Skeleton, _rooted_sums,
-                    split_at_edge, trivalent_trees)
+from .curve import (TropicalCurve, Edge, _rooted_sums, split_at_edge,
+                    trivalent_trees)
 from .domain import LineConfiguration
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, dot, gcd_primitive,
@@ -223,13 +223,7 @@ class Problem:
         return abs(mixed(*arrived))
 
 
-def build_problem(c_or_sk, zs) -> Problem:
-    if isinstance(c_or_sk, Skeleton):
-        return _problem_from_skeleton(c_or_sk, zs)
-    return _problem_from_curve(c_or_sk, zs)
-
-
-def _problem_from_curve(c: TropicalCurve, zs) -> Problem:
+def build_problem(c: TropicalCurve, zs) -> Problem:
     ends = c.ends()
     z_list = [tuple(z) for z in zs]
     if len(z_list) != len(ends):
@@ -266,45 +260,22 @@ def _problem_from_curve(c: TropicalCurve, zs) -> Problem:
     return prob
 
 
-def _problem_from_skeleton(sk: Skeleton, zs) -> Problem:
-    topo = sk.topology
-    prob = Problem(3)
-    for j in range(topo.kappa):
-        prob.end_z[("end", j)] = tuple(zs[j])
-    prob.nodes.update(x for e in topo.edges for x in e if x >= topo.kappa)
-    for a, b in topo.edges:
-        ka = ("end", a) if a < topo.kappa else a
-        kb = ("end", b) if b < topo.kappa else b
-        prob.add_chain(ka, kb, sk.dh[(a, b)], content(sk.dh[(a, b)]), (a, b))
-    return prob
-
-
 # ---------------------------------------------------------------------------
 # the mixed h-product
 
 
-def mixed_h_product(c_or_sk, zs, root=None) -> int:
+def mixed_h_product(c: TropicalCurve, zs, root=None) -> int:
     """|mixed product of rotational momenta| towards the chosen root.
 
-    `zs` is a sequence of constraint directions, one per end: in
-    c.ends() order for a curve, by leaf for a skeleton.  The magnitude
-    does not depend on the root, which may be ("end", j) for the j-th
-    end, a 3-valent vertex id, or None for the first end.  With exactly
-    two ends the value is |mixed(z1, z2, u)| for the primitive direction
-    u of the single edge.
+    `zs` is a sequence of constraint directions, one per end, in
+    c.ends() order.  The magnitude does not depend on the root, which
+    may be ("end", j) for the j-th end, a 3-valent vertex id, or None
+    for the first end.  With exactly two ends the value is
+    |mixed(z1, z2, u)| for the primitive direction u of the single edge.
     """
-    if isinstance(c_or_sk, TropicalCurve) and c_or_sk.b1() != 0:
+    if c.b1() != 0:
         raise WorkbenchError("TREE_ONLY", "the mixed product needs a tree")
-    return build_problem(c_or_sk, zs).mixed_product(root)
-
-
-def all_roots(c_or_sk, zs):
-    """Every admissible root: all ends and all 3-valent vertices."""
-    prob = build_problem(c_or_sk, zs)
-    roots = list(prob.ends())
-    if len(roots) > 2:
-        roots += sorted(prob.nodes, key=repr)
-    return roots
+    return build_problem(c, zs).mixed_product(root)
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +315,18 @@ class MultiplicityValue(Record):
                 "note": self.note}
 
 
-def ev_matrix(c_or_sk, zs, ref=None) -> EvaluationMatrix:
+def ev_matrix(c: TropicalCurve, zs, ref=None) -> EvaluationMatrix:
     """Evaluation matrix: 3 translation columns + one per bounded edge.
 
     Row j carries the rotational momentum of end j in the translation
     block and mixed(d_j, z_j, dh(e)) in the column of each bounded edge
-    on the path from the reference junction to end j.  `zs` is a
-    sequence in c.ends() order (by leaf for a skeleton).
+    on the path from the reference junction to end j, dh(e) pointing
+    away from the reference.  `zs` is a sequence in c.ends() order.
     """
-    if isinstance(c_or_sk, TropicalCurve) and c_or_sk.b1() != 0:
+    if c.b1() != 0:
         raise WorkbenchError("TREE_ONLY",
                              "evaluation matrix needs a tree")
-    prob = build_problem(c_or_sk, zs)
+    prob = build_problem(c, zs)
     ends = prob.ends()
     kappa = len(ends)
     if kappa < 3:
@@ -376,22 +347,37 @@ def ev_matrix(c_or_sk, zs, ref=None) -> EvaluationMatrix:
     if ref not in prob.nodes:
         raise WorkbenchError("BAD_ROOT", f"reference {ref!r} is not a junction")
 
-    # the path from ref to each end climbs the parent links of one walk
-    _, link = prob.rooted(ref)
-    col_of = {cid: 3 + k for k, cid in enumerate(internal)}
-    rows = []
-    for e in ends:
-        rho = cross(prob.outward(e), prob.end_z[e])
-        row = list(rho) + [0] * len(internal)
-        at = e
-        while at != ref:
-            at, dh_up, _, cid = link[at]
-            if cid in col_of:
-                row[col_of[cid]] = -dot(rho, dh_up)
-        rows.append(tuple(row))
+    # a junction x below ref stands for the chain x -> parent(x)
+    order, link = prob.rooted(ref)
+    col_of_chain = {cid: 3 + k for k, cid in enumerate(internal)}
+    parent, below, col_of = {}, {}, {}
+    for x in order[:-1]:
+        parent[x], dh_up, _, cid = link[x]
+        below[x] = vec_neg(dh_up)
+        if x in prob.nodes:
+            col_of[x] = col_of_chain[cid]
+    rhos = [cross(prob.outward(e), prob.end_z[e]) for e in ends]
+    rows = _evaluation_rows(rhos, ends, parent, below, ref, col_of)
     cols = ("t0", "t1", "t2") + tuple(f"e{cid}" for cid in internal)
-    return EvaluationMatrix(tuple(rows), tuple(m[1] for m in ends), cols,
-                            ref)
+    return EvaluationMatrix(tuple(map(tuple, rows)),
+                            tuple(m[1] for m in ends), cols, ref)
+
+
+def _evaluation_rows(rhos, leaves, parent, below, ref, col_of):
+    """The rows of an evaluation matrix, one per leaf, as lists.
+
+    Row j holds rhos[j] in the translation columns and rhos[j] . below[x]
+    in column col_of[x] of each junction x on the climb from leaves[j] to
+    ref, below[x] being the displacement of the edge parent(x) -> x."""
+    rows = []
+    for rho, leaf in zip(rhos, leaves):
+        row = list(rho) + [0] * len(col_of)
+        x = parent[leaf]
+        while x != ref:
+            row[col_of[x]] = dot(rho, below[x])
+            x = parent[x]
+        rows.append(row)
+    return rows
 
 
 def multiplicity_det(m: EvaluationMatrix) -> MultiplicityValue:
@@ -490,6 +476,9 @@ def splitting_check(c: TropicalCurve, edge_index: int,
 
 
 KAPPA_CAP = 8
+# the largest evaluation matrix whose determinant the CLI cross-checks:
+# det_bareiss is O(kappa^3) on entries that grow with kappa
+DET_KAPPA_CAP = 64
 
 
 class TypeOutcome(Record):
@@ -682,18 +671,11 @@ def _singular_type(kappa, parent, order, below, rhos, rhs) -> bool:
     """Whether a type with D = 0 is "singular" (no curves) rather than a
     wall: its evaluation system is inconsistent.
 
-    Row j holds rho_j in the translation columns and rho_j . below[x] in
-    the column of each junction x on the climb from leaf j to ref; one
-    echelon pass on [A | b] decides, with no back-substitution."""
+    The rows are the type's evaluation matrix (`_evaluation_rows`), with
+    the junctions in pre-order as columns; one echelon pass on [A | b]
+    decides, with no back-substitution."""
     ref = order[0]
     inner = [x for x in order[1:] if x >= kappa]
     col_of = {x: 3 + k for k, x in enumerate(inner)}
-    rows = []
-    for j, rho in enumerate(rhos):
-        row = list(rho) + [0] * len(inner)
-        x = parent[j]
-        while x != ref:
-            row[col_of[x]] = dot(rho, below[x])
-            x = parent[x]
-        rows.append(row)
+    rows = _evaluation_rows(rhos, range(kappa), parent, below, ref, col_of)
     return not is_consistent(rows, rhs)

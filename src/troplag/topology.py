@@ -374,9 +374,10 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
 
     With a domain, the boundary points must all be bissectrice and the
     constraint directions are the domain edge directions; otherwise pass
-    the directions explicitly as `zs`, a sequence in c.ends() order.  The order is the mixed product magnitude
-    divided by the product of the vertex multiplicities; the torsion
-    recursion is recomputed independently and must agree.
+    the directions explicitly as `zs`, a sequence in c.ends() order.  The
+    order is the mixed product magnitude divided by the product of the
+    vertex multiplicities; the torsion recursion is recomputed
+    independently and must agree.
     """
     if c.dim != 3:
         raise WorkbenchError("DIMENSION_MISMATCH", "h1 needs a 3-dim curve")

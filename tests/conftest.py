@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from troplag.curve import (Edge, TreeTopology, TropicalCurve,
-                           internal_directions_from_leaves)
-from troplag.lattice import content, primitive_raw
+from troplag.curve import Edge, TreeTopology, TropicalCurve, _rooted_sums
+from troplag.lattice import content, primitive_raw, vec_neg
+from troplag.multiplicity import build_problem
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -76,8 +76,22 @@ def leaf_neighbor(topo, j):
     return topo.adjacency()[j][0]
 
 
+def edge_vectors(topo, degree):
+    """dh[(a, b)], the displacement of the tree edge a -> b: the sum of
+    the leaf vectors on b's side.  The degree must be balanced, so that
+    this is minus the sum on a's side: dh[(j, x)] = -degree[j] from leaf
+    j to its junction x."""
+    parent, _, below = _rooted_sums(topo, degree)
+    dh = {}
+    for a, b in topo.edges:
+        v = below[b] if parent[b] == a else vec_neg(below[a])
+        dh[(a, b)], dh[(b, a)] = v, vec_neg(v)
+    return dh
+
+
 def random_balanced_skeleton(rng, kappa, primitive=False, lo=-5, hi=5):
-    """Topology plus a degree whose internal sums are all nonzero."""
+    """A skeleton (topology, edge_vectors) plus its degree, whose
+    internal sums are all nonzero."""
     topo = random_topology(rng, kappa)
     for _ in range(400):
         gen = rand_primitive if primitive else rand_nonzero
@@ -88,19 +102,19 @@ def random_balanced_skeleton(rng, kappa, primitive=False, lo=-5, hi=5):
         if primitive and content(last) != 1:
             continue
         degree.append(last)
-        sk = internal_directions_from_leaves(topo, degree)
-        if not sk.ok:
+        dh = edge_vectors(topo, degree)
+        bounded = [dh[e] for e in internal_edges(topo)]
+        if not all(map(any, bounded)):
             continue
-        if primitive and any(content(sk.dh[e]) != 1
-                             for e in internal_edges(topo)):
+        if primitive and any(content(v) != 1 for v in bounded):
             continue
-        return sk, degree
+        return (topo, dh), degree
     raise RuntimeError("could not build a balanced skeleton")
 
 
 def embed_skeleton(rng, sk):
     """Realize a skeleton as a curve with rays and rational positions."""
-    topo = sk.topology
+    topo, dh = sk
     adj = topo.adjacency()
     ref = leaf_neighbor(topo, 0)
     pos = {ref: tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -115,16 +129,16 @@ def embed_skeleton(rng, sk):
             seen.add(other)
             length = Fraction(rng.randint(1, 5), rng.randint(1, 4))
             pos[other] = tuple(p + length * d for p, d in
-                               zip(pos[at], sk.dh[(at, other)]))
+                               zip(pos[at], dh[(at, other)]))
             order.append(other)
     vertices = [(f"n{k}", pos[k]) for k in sorted(pos)]
     edges = []
     for a, b in topo.edges:
         if a < topo.kappa:
-            d = sk.dh[(b, a)]
+            d = dh[(b, a)]
             edges.append(Edge(f"n{b}", None, primitive_raw(d), content(d), a))
         else:
-            d = sk.dh[(a, b)]
+            d = dh[(a, b)]
             edges.append(Edge(f"n{a}", f"n{b}", primitive_raw(d),
                               content(d), None))
     return TropicalCurve(3, vertices, edges)
@@ -136,3 +150,12 @@ def random_tree_problem(rng, kappa, primitive=False):
     curve = embed_skeleton(rng, sk)
     zs = [rand_primitive(rng) for _ in range(kappa)]
     return curve, zs
+
+
+def all_roots(curve, zs):
+    """Every admissible root: all ends and all 3-valent vertices."""
+    prob = build_problem(curve, zs)
+    roots = list(prob.ends())
+    if len(roots) > 2:
+        roots += sorted(prob.nodes, key=repr)
+    return roots

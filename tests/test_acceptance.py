@@ -10,14 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_path, random_tree_problem
+from conftest import all_roots, fixture_path, random_tree_problem
 
 from troplag.domain import (PolyhedralDomain, check_even_primitive,
                             validate_delzant, wavefront)
 from troplag.errors import WorkbenchError
 from troplag.io_json import load_curve, load_domain, load_lines
 from troplag.lattice import smith_normal_form
-from troplag.multiplicity import (all_roots, ev_matrix, leaf_momentum,
+from troplag.multiplicity import (ev_matrix, leaf_momentum,
                                   mixed_h_product, multiplicity_det,
                                   splitting_check)
 from troplag.topology import (dual_vertex_delta, h1_order, lens_parameters,

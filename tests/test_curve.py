@@ -7,10 +7,9 @@ from conftest import (embed_skeleton, fixture_path, internal_edges,
                       random_balanced_skeleton)
 
 from troplag.curve import (Edge, End, TreeTopology, TropicalCurve,
-                           betti_and_degree, combinatorial_type,
-                           extend_curve, internal_directions_from_leaves,
-                           regularity_check, split_at_edge, trivalent_trees,
-                           validate_curve)
+                           _rooted_sums, betti_and_degree,
+                           combinatorial_type, extend_curve, regularity_check,
+                           split_at_edge, trivalent_trees, validate_curve)
 from troplag.errors import WorkbenchError
 from troplag.io_json import load_curve
 from troplag.lattice import content
@@ -302,21 +301,23 @@ def test_trivalent_trees_yield_the_listed_order():
 
 def test_internal_directions_examples():
     tripod = TreeTopology(3, ((0, 3), (1, 3), (2, 3)))
-    sk = internal_directions_from_leaves(
+    parent, order, below = _rooted_sums(
         tripod, [(-1, 0, 0), (0, -1, 0), (1, 1, 0)])
-    assert sk.ok and not internal_edges(tripod)
+    assert order[0] == 3 and parent == [3, 3, 3, None]
+    assert below[3] == (0, 0, 0) and not internal_edges(tripod)
 
+    # the junction of leaf 0 is ref; below[5] is the edge 4 -> 5
     quad = TreeTopology(4, ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)))
     degree = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
-    sk = internal_directions_from_leaves(quad, degree)
-    assert sk.ok
-    v = sk.dh[(4, 5)]
-    assert v in ((1, 1, 0), (-1, -1, 0))
-    assert content(sk.dh[(4, 5)]) == 1
+    parent, order, below = _rooted_sums(quad, degree)
+    assert order[0] == 4 and parent[5] == 4
+    assert below[5] == (-1, -1, 0)
+    assert content(below[5]) == 1
 
     quad_bad = TreeTopology(4, ((0, 4), (2, 4), (1, 5), (3, 5), (4, 5)))
-    sk = internal_directions_from_leaves(quad_bad, degree)
-    assert not sk.ok and sk.degenerate == ((4, 5),)
+    parent, order, below = _rooted_sums(quad_bad, degree)
+    assert order[0] == 4 and parent[5] == 4
+    assert below[5] == (0, 0, 0)
 
 
 def _side_sum(topology, degree, a, b):
@@ -342,14 +343,17 @@ def test_internal_directions_match_side_sums():
         for topo in trivalent_trees(kappa):
             degree = [tuple(rng.randint(-1, 1) for _ in range(3))
                       for _ in range(kappa)]
-            sk = internal_directions_from_leaves(topo, degree)
-            degenerate = []
-            for a, b in internal_edges(topo):
-                assert sk.dh[(a, b)] == _side_sum(topo, degree, a, b)
-                assert sk.dh[(b, a)] == tuple(-x for x in sk.dh[(a, b)])
-                if not any(sk.dh[(a, b)]):
-                    degenerate.append((a, b))
-            assert sk.degenerate == tuple(degenerate)
+            parent, order, below = _rooted_sums(topo, degree)
+            ref = order[0]
+            assert parent[ref] is None and ref in topo.adjacency()[0]
+            assert below[ref] == tuple(map(sum, zip(*degree)))
+            assert sorted(order) == list(range(2 * kappa - 2))
+            for a, b in topo.edges:
+                if parent[a] == b:
+                    a, b = b, a
+                assert parent[b] == a
+                assert order.index(a) < order.index(b)
+                assert below[b] == _side_sum(topo, degree, a, b)
 
 
 def test_combinatorial_type_invariance():

@@ -5,6 +5,7 @@ recursive walk of it goes kappa frames deep.  KAPPA is well above the
 interpreter's default recursion limit.
 """
 
+import json
 import random
 import sys
 from collections import Counter
@@ -13,15 +14,14 @@ import pytest
 
 from conftest import rand_primitive
 
+from troplag import cli
 from troplag.curve import Edge, TropicalCurve, validate_curve
+from troplag.io_json import canonical_json, curve_to_dict
 from troplag.lattice import cross, is_zero, vec_add, vec_sub
-from troplag.multiplicity import ev_matrix, mixed_h_product
+from troplag.multiplicity import DET_KAPPA_CAP, ev_matrix, mixed_h_product
 from troplag.topology import h1_order, piece_decomposition
 
 KAPPA = 2000
-# ev_matrix is kappa x kappa and its determinant is O(kappa^3) on
-# ever-longer integers: the oracle is only run up to this size
-DET_KAPPA_MAX = 64
 
 SPINE = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -93,9 +93,42 @@ def test_deep_pieces(deep):
                              "SOLID_TORUS": KAPPA})
 
 
-@pytest.mark.parametrize("kappa", [4, 9, DET_KAPPA_MAX])
+# ev_matrix is kappa x kappa and its determinant is O(kappa^3) on
+# ever-longer integers: the oracle is only run up to the CLI's cap
+@pytest.mark.parametrize("kappa", [4, 9, DET_KAPPA_CAP])
 def test_caterpillar_determinant_oracle(kappa):
     curve, zs = caterpillar(kappa, kappa)
     value = mixed_h_product(curve, zs)
     assert abs(ev_matrix(curve, zs).determinant()) == value
     assert mixed_h_product(curve, zs, f"v{kappa // 2 - 1}") == value
+
+
+def run_multiplicity(tmp_path, curve, zs):
+    cpath, lpath = tmp_path / "c.curve.json", tmp_path / "c.lines.json"
+    cpath.write_text(canonical_json(curve_to_dict(curve)))
+    lpath.write_text(canonical_json(
+        {"lines": [{"point": [0, 0, 0], "dir": list(z)} for z in zs]}))
+    code, text = cli.run_command(["multiplicity", "--curve", str(cpath),
+                                  "--lines", str(lpath)])
+    return code, json.loads(text)
+
+
+def test_multiplicity_command_skips_the_determinant_above_the_cap(
+        tmp_path, monkeypatch, deep):
+    curve, zs = deep
+    calls = []
+    monkeypatch.setattr(cli, "ev_matrix", lambda *args: calls.append(args))
+    code, report = run_multiplicity(tmp_path, curve, zs)
+    assert calls == []
+    assert code == 0
+    assert report == {"mixedHProduct": mixed_h_product(curve, zs),
+                      "method": "RECURSIVE"}
+
+
+def test_multiplicity_command_checks_the_determinant_at_the_cap(tmp_path):
+    curve, zs = caterpillar(DET_KAPPA_CAP, DET_KAPPA_CAP)
+    code, report = run_multiplicity(tmp_path, curve, zs)
+    assert code == 0
+    assert report["agree"] is True
+    assert report["determinant"] == report["mixedHProduct"] == \
+        mixed_h_product(curve, zs)

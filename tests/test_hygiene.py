@@ -6,7 +6,8 @@ holds no float literal, names ``float`` only in ``isinstance`` tests
 (the JSON reader uses them to reject floats) and takes nothing from
 ``math`` but ``gcd`` and ``lcm``.  It imports none of ``dataclasses``,
 ``typing`` and ``inspect``, which would add tens of milliseconds to
-every CLI process.  ``pyproject.toml`` declares no dependencies.
+every CLI process.  ``pyproject.toml`` declares no dependencies, and
+every name in ``troplag.__all__`` is listed once and exists.
 """
 
 import ast
@@ -16,6 +17,8 @@ import subprocess
 import sys
 
 import pytest
+
+import troplag
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "troplag").glob("*.py"))
@@ -97,3 +100,9 @@ def test_cli_import_loads_no_heavy_module():
 def test_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_public_names_resolve_once():
+    names = troplag.__all__
+    assert sorted(set(names)) == sorted(names)
+    assert [n for n in names if not hasattr(troplag, n)] == []

@@ -3,23 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (internal_edges, leaf_neighbor, rand_nonzero,
+from conftest import (all_roots, edge_vectors, fixture_path,
+                      internal_edges, leaf_neighbor, rand_nonzero,
                       rand_primitive, random_tree_problem)
 from exact_oracle import solve_exact
 
 from troplag import multiplicity
 from troplag.curve import (Edge, TropicalCurve, _rooted_sums,
-                           internal_directions_from_leaves, trivalent_trees,
-                           validate_curve)
+                           trivalent_trees, validate_curve)
 from troplag.domain import LineConfiguration
 from troplag.errors import WorkbenchError
+from troplag.io_json import load_curve, load_lines
 from troplag.lattice import (cross, det_bareiss, dot, is_zero, vec_add,
                              vec_scale)
-from troplag.multiplicity import (RotationalMomentum, _subtree_planes,
-                                  all_roots, enumerate_count, ev_matrix,
-                                  leaf_momentum, mixed_h_product,
-                                  multiplicity_det, pairing_coefficient,
-                                  propagate, splitting_check)
+from troplag.multiplicity import (EvaluationMatrix, RotationalMomentum,
+                                  _subtree_planes, build_problem,
+                                  enumerate_count, ev_matrix, leaf_momentum,
+                                  mixed_h_product, multiplicity_det,
+                                  pairing_coefficient, propagate,
+                                  splitting_check)
 
 
 def poincare_curve():
@@ -177,6 +179,60 @@ def test_ev_matrix_reference_independence():
         vals = {abs(ev_matrix(curve, zs, ref=n).determinant())
                 for n in nodes}
         assert len(vals) == 1
+
+
+def climbed_ev_matrix(curve, zs, ref):
+    """The evaluation matrix as built by climbing the `Problem.rooted`
+    links from every end to ref, writing -rho . dh_up in the column of
+    each bounded chain on the way."""
+    prob = build_problem(curve, zs)
+    ends = prob.ends()
+    internal = sorted(
+        {cid for key in prob.nodes
+         for other, dh, w, cid in prob.neighbors(key)
+         if other in prob.nodes}, key=repr)
+    _, link = prob.rooted(ref)
+    col_of = {cid: 3 + k for k, cid in enumerate(internal)}
+    rows = []
+    for e in ends:
+        rho = cross(prob.outward(e), prob.end_z[e])
+        row = list(rho) + [0] * len(internal)
+        at = e
+        while at != ref:
+            at, dh_up, _, cid = link[at]
+            if cid in col_of:
+                row[col_of[cid]] = -dot(rho, dh_up)
+        rows.append(tuple(row))
+    cols = ("t0", "t1", "t2") + tuple(f"e{cid}" for cid in internal)
+    return EvaluationMatrix(tuple(rows), tuple(m[1] for m in ends), cols,
+                            ref)
+
+
+def test_ev_matrix_matches_the_climb_from_every_reference():
+    """On fixture and random trees, weighted and primitive, with every
+    junction as ref: the same entries, labels and ref as the climb."""
+    problems = [(load_curve(fixture_path(f"{name}.curve.json")),
+                 [l.direction for l in load_lines(
+                     fixture_path(f"{name}.lines.json")).lines])
+                for name in ("poincare", "simplex_tripod")]
+    problems.append((_weighted_caterpillar(),
+                     [(0, 1, 2), (1, 0, 3), (0, 1, 5), (1, 1, 1)]))
+    rng = random.Random(62)
+    problems += [random_tree_problem(rng, rng.randint(3, 12), k % 2 == 0)
+                 for k in range(200)]
+    weights = set()
+    for curve, zs in problems:
+        weights |= {e.weight for e in curve.edges if e.bounded}
+        for ref in curve.trivalent_vertices():
+            got, want = ev_matrix(curve, zs, ref), climbed_ev_matrix(
+                curve, zs, ref)
+            assert got.entries == want.entries
+            assert got.row_labels == want.row_labels
+            assert got.col_labels == want.col_labels
+            assert got.ref == want.ref == ref
+        default = ev_matrix(curve, zs)
+        assert default == climbed_ev_matrix(curve, zs, default.ref)
+    assert 1 in weights and max(weights) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +426,8 @@ def test_enumerate_relabeling_invariance():
 
 def reference_enumerate(degree, lines):
     """Per-type (topology, status, multiplicity, vertices) computed the
-    slow way: the evaluation matrix determinant and a Fraction solve of
-    a second, hand-built matrix for every type.  A wall raises with the
+    slow way: the determinant and a Fraction solve of a hand-built
+    evaluation matrix for every type.  A wall raises with the
     enumerator's message."""
     degree = [tuple(d) for d in degree]
     kappa = len(degree)
@@ -385,12 +441,11 @@ def reference_enumerate(degree, lines):
                                  f"(d x z = 0)")
     out = []
     for tree in trivalent_trees(kappa):
-        sk = internal_directions_from_leaves(tree, degree)
-        if not sk.ok:
+        dh = edge_vectors(tree, degree)
+        internal = sorted(internal_edges(tree))
+        if not all(any(dh[e]) for e in internal):
             out.append((tree.edges, "degenerate", 0, None))
             continue
-        det = ev_matrix(sk, zs).determinant()
-        internal = sorted(internal_edges(tree))
         col_of = {cid: 3 + k for k, cid in enumerate(internal)}
         ref = leaf_neighbor(tree, 0)
         adj = tree.adjacency()
@@ -403,7 +458,7 @@ def reference_enumerate(degree, lines):
                     found[other] = list(path)
                 else:
                     key = tuple(sorted((at, other)))
-                    walk(other, at, path + [(key, sk.dh[(at, other)])],
+                    walk(other, at, path + [(key, dh[(at, other)])],
                          found)
             return found
 
@@ -411,9 +466,10 @@ def reference_enumerate(degree, lines):
         rows = []
         for j in range(kappa):
             row = list(rhos[j]) + [0] * len(internal)
-            for key, dh in paths[j]:
-                row[col_of[key]] = dot(rhos[j], dh)
+            for key, v in paths[j]:
+                row[col_of[key]] = dot(rhos[j], v)
             rows.append(row)
+        det = det_bareiss(rows)
         sol = solve_exact(rows, [dot(rhos[j], qs[j]) for j in range(kappa)])
         if det == 0:
             if sol.status == "none":
@@ -438,7 +494,7 @@ def reference_enumerate(degree, lines):
                 if other != parent and other >= kappa:
                     key = tuple(sorted((at, other)))
                     pos[other] = vec_add(pos[at], vec_scale(
-                        lengths[key], sk.dh[(at, other)]))
+                        lengths[key], dh[(at, other)]))
                     stack.append((other, at))
         verts = {f"n{k}": pos[k] for k in pos}
         out.append((tree.edges, "accepted", abs(det), verts))
