@@ -604,24 +604,16 @@ def _insertions(kappa):
         stack += reversed(grown)    # popped in edge order
 
 
-def _rooted_sums(topology: TreeTopology, degree):
-    """One walk over the tree hung from ref, the junction of leaf 0.
+def _preorder(adj, root):
+    """The tree with adjacency lists adj[x], hung from node `root`.
 
-    The nodes are 0..2k-3 (leaves first), so the results are lists
-    indexed by node: (parent, order, below) with parent[x] (None for
-    ref), the pre-order of the nodes (ref first, every node before its
-    children), and below[x], the integer sum of the leaf 3-vectors behind
-    x.  By balancing, below[x] is the displacement of the edge
-    parent(x) -> x.
+    Returns (parent, order): parent[x] (None for the root), and the
+    pre-order of the nodes, root first and every node before its
+    children.  A node's children are pushed in adjacency order, so a
+    walk over the reversed pre-order meets them, and hands their data to
+    the node, in adjacency order.  No recursion: any depth works.
     """
-    kappa = topology.kappa
-    size = 2 * kappa - 2
-    adj = [[] for _ in range(size)]
-    for a, b in topology.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    ref = adj[0][0]
-    parent, order, stack = [None] * size, [], [ref]
+    parent, order, stack = [None] * len(adj), [], [root]
     while stack:
         x = stack.pop()
         order.append(x)
@@ -630,6 +622,26 @@ def _rooted_sums(topology: TreeTopology, degree):
             if y != up:
                 parent[y] = x
                 stack.append(y)
+    return parent, order
+
+
+def _rooted_sums(topology: TreeTopology, degree):
+    """One walk (`_preorder`) over the tree hung from ref, the junction
+    of leaf 0.
+
+    The nodes are 0..2k-3 (leaves first), so the results are lists
+    indexed by node: (parent, order, below) with parent[x] (None for
+    ref), the pre-order of the nodes, and below[x], the integer sum of
+    the leaf 3-vectors behind x.  By balancing, below[x] is the
+    displacement of the edge parent(x) -> x.
+    """
+    kappa = topology.kappa
+    size = 2 * kappa - 2
+    adj = [[] for _ in range(size)]
+    for a, b in topology.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent, order = _preorder(adj, adj[0][0])
     sx, sy, sz = [0] * size, [0] * size, [0] * size
     for j in range(kappa):
         sx[j], sy[j], sz[j] = degree[j]

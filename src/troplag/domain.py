@@ -56,13 +56,15 @@ class PolyhedralDomain:
             f if isinstance(f, Facet)
             else Facet(tuple(f["normal"]), as_rational(f["offset"]))
             for f in facets)
+        # each facet p . x >= m / q as the integer row (q p, m)
+        self.rows = tuple((vec_scale(f.offset.denominator, f.normal),
+                           f.offset.numerator) for f in self.facets)
 
     def _values(self, x):
         """An integer with the sign of p . x - a for each facet p . x >= a:
-        with a = m / q and x = X / L, it is q (p . X) - m L."""
+        with the row (q p, m) and x = X / L, it is (q p) . X - m L."""
         X, L = _homogeneous(x)
-        return [f.offset.denominator * dot(f.normal, X)
-                - f.offset.numerator * L for f in self.facets]
+        return [dot(qp, X) - m * L for qp, m in self.rows]
 
     def contains(self, x):
         return all(v >= 0 for v in self._values(x))
@@ -196,11 +198,10 @@ def _frame(domain, tight):
     taken with the sign of q d.  `tight` must be consistent.
     """
     if tight:
-        # each facet p . x >= a / q as the integer row (q p) . x >= a
-        facets = [domain.facets[j] for j in tight]
-        d, num, kernel = solve_bareiss(
-            [vec_scale(f.offset.denominator, f.normal) for f in facets],
-            [f.offset.numerator for f in facets])
+        # each facet as its integer row (q p) . x >= m
+        tight_rows = [domain.rows[j] for j in tight]
+        d, num, kernel = solve_bareiss([qp for qp, _ in tight_rows],
+                                       [m for _, m in tight_rows])
         # kernel[i] / d is the reduced-echelon kernel vector; keeping its
         # orientation keeps the points the face search visits
         kernel = tuple(primitive_raw(k if d > 0 else vec_neg(k))
@@ -649,12 +650,12 @@ def curve_self_crossings(c: TropicalCurve,
 
 class BoundaryPointInfo(Record):
     __slots__ = ("point", "edge_index", "active", "codim", "momenta", "kind",
-                 "z_direction", "weight", "note", "end_key")
+                 "z_direction", "weight", "note", "end_index")
 
     def __init__(self, point: tuple, edge_index: int, active: tuple,
                  codim: int, momenta: tuple, kind: str,
                  z_direction: tuple | None, weight: int, note: str = "",
-                 end_key: tuple | None = None):
+                 end_index: int | None = None):
         self.point = point
         self.edge_index = edge_index
         self.active = active
@@ -664,7 +665,7 @@ class BoundaryPointInfo(Record):
         self.z_direction = z_direction
         self.weight = weight
         self.note = note
-        self.end_key = end_key  # (edge index, endpoint vertex or None)
+        self.end_index = end_index  # the end's index in c.ends()
 
     def as_dict(self):
         return {
@@ -690,23 +691,23 @@ def _stratum_direction(domain, active):
 
 
 def classify_point_on_edge(c, domain, point, edge_index, outward,
-                           end_key=None) -> BoundaryPointInfo:
+                           end_index=None) -> BoundaryPointInfo:
     active = domain.locate(point)
     if active is None:
         raise WorkbenchError("OUTSIDE_DOMAIN",
                              f"{point} violates a facet inequality")
     return _classify_at(c, domain, point, active, edge_index, outward,
-                        end_key)
+                        end_index)
 
 
-def _classify_at(c, domain, point, active, edge_index, outward, end_key):
+def _classify_at(c, domain, point, active, edge_index, outward, end_index):
     """classify_point_on_edge for a point in the domain whose active
     facets are known."""
     e = c.edges[edge_index]
     dh = vec_scale(e.weight, outward)
     if not active:
         return BoundaryPointInfo(point, edge_index, (), 0, (), "INTERIOR",
-                                 None, e.weight, "", end_key)
+                                 None, e.weight, "", end_index)
     normals = [domain.facets[j].normal for j in active]
     codim = rank_exact(normals)
     momenta = tuple((j, abs(dot(domain.facets[j].normal, dh)))
@@ -731,7 +732,7 @@ def _classify_at(c, domain, point, active, edge_index, outward, end_key):
     else:
         note = f"boundary point of codimension {codim}"
     return BoundaryPointInfo(point, edge_index, active, codim, momenta,
-                             kind, z_dir, e.weight, note, end_key)
+                             kind, z_dir, e.weight, note, end_index)
 
 
 def classify_boundary_point(c: TropicalCurve, d: PolyhedralDomain,
@@ -846,8 +847,7 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
     # boundary points
     boundary = []
     punctures = 0
-    for end in c.ends():
-        key = (end.edge_index, end.endpoint)
+    for k, end in enumerate(c.ends()):
         if end.kind == "endpoint":
             at = where[end.endpoint]
             if at is None:
@@ -858,7 +858,7 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
                     f"endpoint {end.endpoint} is interior to the domain")
                 continue
             boundary.append(_classify_at(c, d, c.position(end.endpoint), at,
-                                         end.edge_index, end.outward, key))
+                                         end.edge_index, end.outward, k))
         else:
             base = c.position(end.attach)
             t = _ray_exit(d, base, end.outward)
@@ -870,7 +870,7 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
                 continue
             pt = vec_add(base, vec_scale(t, end.outward))
             boundary.append(classify_point_on_edge(c, d, pt, end.edge_index,
-                                                   end.outward, key))
+                                                   end.outward, k))
 
     for info in boundary:
         if info.kind not in ("MOMENTUM2", "BISSECTRICE"):
@@ -971,7 +971,7 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
     if not pairs:
         raise WorkbenchError("INVALID_DOMAIN",
                              "domain has no vertices to connect")
-    outer_rows = _vertex_rows(d, 0)
+    outer_rows = d.rows
     inner_rows = _vertex_rows(d, delta)
     outer, inner = [], []
     for pair in pairs:
@@ -1089,13 +1089,15 @@ def suitability_check(c: TropicalCurve,
         raise WorkbenchError("NOT_BOUNDARY_CONFIG",
                              f"{len(lines)} lines for {len(ends)} leaves")
     points = []
-    for end, line in zip(ends, lines.lines):
+    for i, (end, line) in enumerate(zip(ends, lines.lines)):
+        if len(line.point) != c.dim or len(line.direction) != c.dim:
+            raise WorkbenchError("DIMENSION_MISMATCH",
+                                 f"line {i} is not {c.dim}-dimensional")
         base = c.position(end.attach)
         pt = _leaf_line_intersection(base, end.outward, line)
         if pt is None:
-            raise WorkbenchError(
-                "NOT_BOUNDARY_CONFIG",
-                f"line {end.label} does not meet its leaf")
+            raise WorkbenchError("NOT_BOUNDARY_CONFIG",
+                                 f"line {i} does not meet its leaf")
         points.append(pt)
     per_line = []
     all_ok = True

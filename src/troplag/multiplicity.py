@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .curve import (TropicalCurve, Edge, _rooted_sums, split_at_edge,
-                    trivalent_trees)
+from .curve import (TropicalCurve, Edge, _preorder, _rooted_sums,
+                    split_at_edge, trivalent_trees)
 from .domain import LineConfiguration
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, dot, gcd_primitive,
@@ -87,136 +87,110 @@ def pairing_coefficient(a: RotationalMomentum, b: RotationalMomentum,
 
 
 class Problem:
-    """A 3-valent tree with a constraint direction at every end.
+    """A 3-valent tree with a constraint direction at every end, its
+    nodes numbered as the enumerator numbers a type.
 
-    Ends are the markers ("end", i); junctions are vertex keys.  Chains
-    carry the weighted displacement vector dh oriented a -> b.  Every
-    rooted computation (the mixed product, the evaluation matrix, the
-    torsion recursion) runs on one iterative walk from the chosen root,
-    `rooted`, and `momenta` propagates the momentum on every edge towards
-    that root in a single post-order pass: O(n) per root, with no
-    recursion limit on the depth of the tree.
+    The ends are the nodes 0..kappa-1, in c.ends() order, and the
+    junctions kappa.., in c.trivalent_vertices() order.  adj[x] lists
+    the neighbours of x in chain order, and chain[x, y] = (dh x -> y,
+    weight, chain id).  zs[j] is the constraint direction of end j and
+    rhos[j] = d_j x z_j its momentum, d_j the weighted outward vector.
+    junction_ids[x - kappa] is the vertex id of junction x, read only to
+    take a root and to name a junction in a message.  Every rooted
+    computation (the mixed product, the evaluation matrix, the torsion
+    recursion) runs on one iterative walk from its root
+    (`curve._preorder`), and the momenta follow the enumerator's plane
+    rule (`_subtree_planes`): O(n) per root, with no recursion limit on
+    the depth of the tree.
     """
+    __slots__ = ("zs", "rhos", "adj", "chain", "junction_ids")
 
-    def __init__(self, dim):
-        self.dim = dim
-        self.nodes = set()
-        self.adj = {}      # key -> [(other, dh key->other, weight, chain)]
-        self.end_z = {}
+    def __init__(self, zs, rhos, adj, chain, junction_ids):
+        self.zs = zs
+        self.rhos = rhos
+        self.adj = adj
+        self.chain = chain
+        self.junction_ids = junction_ids
 
     @property
     def kappa(self):
-        return len(self.end_z)
-
-    def ends(self):
-        return sorted(self.end_z, key=lambda m: m[1])
-
-    def neighbors(self, key):
-        return self.adj.get(key, [])
-
-    def add_chain(self, a, b, dh_ab, weight, chain_id):
-        self.adj.setdefault(a, []).append((b, tuple(dh_ab), weight,
-                                           chain_id))
-        self.adj.setdefault(b, []).append((a, vec_neg(dh_ab), weight,
-                                           chain_id))
-
-    # -- the rooted pass -----------------------------------------------------
+        return len(self.zs)
 
     def rooted(self, root):
-        """Post-order and parent links of the tree hung from `root`.
-
-        Returns (order, link): every node reachable from the root, each
-        after all of its children (taken in adjacency order) and the root
-        last, and link[x] = (parent, dh x -> parent, weight, chain id),
-        None for the root.  Ends other than the root are leaves.
-        """
-        link = {root: None}
-        stack = [root]
-        order = []
-        while stack:
-            at = stack.pop()
-            order.append(at)
-            if at in self.end_z and at != root:
-                continue
-            for other, dh, w, cid in self.neighbors(at):
-                if other not in link:
-                    link[other] = (at, vec_neg(dh), w, cid)
-                    stack.append(other)
-        # children were pushed in adjacency order and so popped in reverse;
-        # reversing the pre-order puts them back in order, parents last
-        order.reverse()
-        return order, link
+        """The tree hung from node `root`: (parent, order, below), parent
+        and the pre-order from `curve._preorder`, and below[x] the
+        displacement dh of the chain parent(x) -> x (None at the root)."""
+        parent, order = _preorder(self.adj, root)
+        below = [None] * len(parent)
+        for x in order[1:]:
+            below[x] = self.chain[parent[x], x][0]
+        return parent, order, below
 
     def momenta(self, root):
-        """Momentum flowing towards `root` along every edge, in one pass.
+        """Momentum flowing towards node `root` along every edge, in one
+        pass.
 
-        Returns (order, link, mom, arrived) with order and link as in
-        `rooted`, mom[x] the momentum from the subtree behind x towards
-        its parent, and arrived the momenta reaching the root, in
-        adjacency order.  An end sends d x z; a junction sends
-        (m1 x m2) x dh_out and must receive exactly two momenta.
+        Returns (parent, order, mom) with parent and order as in
+        `rooted`, and mom[x] the momentum from the subtree behind x
+        towards its parent (None at the root).  End j sends rhos[j]; a
+        junction receives two momenta m1, m2, from its children in
+        adjacency order, and sends (m1 x m2) x dh_out.  That is the
+        normal of `_subtree_planes` with leaf planes (rho_j, 0), as
+        (m1 x m2) x u = (m1 . u) m2 - (m2 . u) m1 for u = below[x] =
+        -dh_out.  The momenta reaching the root are mom[y] for y in
+        adj[root].
         """
-        order, link = self.rooted(root)
-        mom = {}
-        inbox = {x: [] for x in order}
-        for at in order[:-1]:
-            parent, dh_out, _, _ = link[at]
-            if at in self.end_z:
-                m = cross(vec_neg(dh_out), self.end_z[at])
-            else:
-                arrived = inbox[at]
-                if len(arrived) != 2:
-                    raise WorkbenchError("NOT_TRIVALENT",
-                                         f"junction {at} is not 3-valent")
-                m = cross(cross(arrived[0], arrived[1]), dh_out)
-            mom[at] = m
-            inbox[parent].append(m)
-        return order, link, mom, inbox[root]
-
-    # -- momentum propagation ------------------------------------------------
-
-    def outward(self, end):
-        """Weighted outward degree vector at an end."""
-        (other, dh, w, cid), = self.neighbors(end)
-        return vec_neg(dh)
-
-    def end_momentum(self, end) -> RotationalMomentum:
-        return leaf_momentum(self.outward(end), self.end_z[end])
-
-    def momentum_at_end(self, end):
-        """Propagated momentum arriving at `end`, with root edge data."""
-        (other, dh, w, cid), = self.neighbors(end)
-        return self.momenta(end)[3][0], w, cid
+        kappa, adj = self.kappa, self.adj
+        parent, order, below = self.rooted(root)
+        for x in order[:0:-1]:
+            if x >= kappa and len(adj[x]) != 3:
+                raise WorkbenchError(
+                    "NOT_TRIVALENT", f"junction "
+                    f"{self.junction_ids[x - kappa]} is not 3-valent")
+        kids = _subtree_planes(kappa, parent, order, below,
+                               [(rho, 0) for rho in self.rhos])
+        # the planes reached each parent in this same order
+        arrivals = [iter(k) for k in kids]
+        mom = [None] * len(adj)
+        for x in order[:0:-1]:
+            mom[x] = next(arrivals[parent[x]])[0]
+        return parent, order, mom
 
     def mixed_product(self, root=None) -> int:
-        """`mixed_h_product` of this problem towards `root`."""
-        ends = self.ends()
-        if len(ends) < 2:
+        """`mixed_h_product` of this problem towards `root`: ("end", j),
+        a junction's vertex id, or None for end 0."""
+        kappa, adj, chain = self.kappa, self.adj, self.chain
+        if kappa < 2:
             raise WorkbenchError("KAPPA_TOO_SMALL", "need at least two ends")
-        if len(ends) == 2:
-            e0, e1 = ends
-            (other, dh, w, cid), = self.neighbors(e0)
-            if other != e1:
+        if kappa == 2:
+            if adj[0][0] != 1:
                 raise WorkbenchError("NOT_TRIVALENT",
                                      "a two-end curve must be a single line")
-            return abs(mixed(self.end_z[e0], self.end_z[e1],
-                             primitive_raw(dh)))
+            return abs(mixed(self.zs[0], self.zs[1],
+                             primitive_raw(chain[0, 1][0])))
         if root is None:
-            root = ends[0]
-        if isinstance(root, tuple) and len(root) == 2 and root[0] == "end":
-            if root not in self.end_z:
+            node = 0
+        elif isinstance(root, tuple) and len(root) == 2 and root[0] == "end":
+            node = root[1]
+            if not (isinstance(node, int) and 0 <= node < kappa):
                 raise WorkbenchError("BAD_ROOT", f"no end {root}")
-            rho_in, w_root, _ = self.momentum_at_end(root)
-            rho_root = self.end_momentum(root)
-            k = pairing_coefficient(RotationalMomentum.from_vector(rho_in),
-                                    rho_root, self.outward(root))
+        elif root in self.junction_ids:
+            node = kappa + self.junction_ids.index(root)
+        else:
+            raise WorkbenchError("BAD_ROOT", f"no 3-valent vertex {root!r}")
+        mom = self.momenta(node)[2]
+        if node < kappa:
+            first, = adj[node]
+            outward, w_root, _ = chain[first, node]
+            rho_in = RotationalMomentum.from_vector(mom[first])
+            k = pairing_coefficient(rho_in,
+                                    leaf_momentum(outward, self.zs[node]),
+                                    outward)
             if k % w_root != 0:
                 raise WorkbenchError("INTERNAL_INCONSISTENCY",
                                      "pairing not divisible by root weight")
             return k // w_root
-        if root not in self.nodes:
-            raise WorkbenchError("BAD_ROOT", f"no 3-valent vertex {root!r}")
-        arrived = self.momenta(root)[3]
+        arrived = [mom[y] for y in adj[node]]
         if len(arrived) != 3:
             raise WorkbenchError("NOT_TRIVALENT",
                                  f"vertex {root!r} is not 3-valent")
@@ -224,40 +198,46 @@ class Problem:
 
 
 def build_problem(c: TropicalCurve, zs) -> Problem:
+    """The `Problem` of a tree curve in 3-space with constraint directions
+    `zs`, one per end in c.ends() order."""
     ends = c.ends()
-    z_list = [tuple(z) for z in zs]
-    if len(z_list) != len(ends):
+    zs = [tuple(z) for z in zs]
+    if len(zs) != len(ends):
         raise WorkbenchError("MISSING_Z",
-                             f"{len(z_list)} directions for "
-                             f"{len(ends)} ends")
-    prob = Problem(c.dim)
-    for i, z in enumerate(z_list):
-        prob.end_z[("end", i)] = z
-    trivalent = set(c.trivalent_vertices())
-    prob.nodes.update(trivalent)
-
+                             f"{len(zs)} directions for {len(ends)} ends")
+    if c.dim != 3:
+        raise WorkbenchError("DIMENSION_MISMATCH",
+                             "rotational momenta need a 3-dim curve")
+    kappa = len(ends)
+    junctions = tuple(c.trivalent_vertices())
+    node_of = {v: kappa + k for k, v in enumerate(junctions)}
     # an end is recognized by the edge it sits on together with its
     # endpoint vertex (None for a ray)
-    marker_by_edge_side = {(e.edge_index, e.endpoint): ("end", i)
-                           for i, e in enumerate(ends)}
+    end_of = {(e.edge_index, e.endpoint): j for j, e in enumerate(ends)}
 
     def resolve(vertex, chain):
-        if vertex is not None and vertex in trivalent:
-            return vertex
+        if vertex in node_of:
+            return node_of[vertex]
         for idx in chain["edges"]:
-            key = (idx, vertex)
-            if key in marker_by_edge_side:
-                return marker_by_edge_side[key]
+            if (idx, vertex) in end_of:
+                return end_of[idx, vertex]
         raise WorkbenchError("INTERNAL_INCONSISTENCY",
                              f"chain endpoint {vertex} is neither a "
                              f"junction nor an end")
 
+    adj = [[] for _ in range(kappa + len(junctions))]
+    chain = {}
     for cid, ch in enumerate(c.smoothed_edges()):
         a = resolve(ch["first"], ch)
         b = resolve(ch["second"], ch)
-        prob.add_chain(a, b, vec_scale(ch["weight"], ch["direction"]),
-                       ch["weight"], cid)
-    return prob
+        w = ch["weight"]
+        dh = vec_scale(w, ch["direction"])
+        adj[a].append(b)
+        adj[b].append(a)
+        chain[a, b] = (dh, w, cid)
+        chain[b, a] = (vec_neg(dh), w, cid)
+    rhos = [cross(chain[adj[j][0], j][0], z) for j, z in enumerate(zs)]
+    return Problem(zs, rhos, adj, chain, junctions)
 
 
 # ---------------------------------------------------------------------------
@@ -327,40 +307,36 @@ def ev_matrix(c: TropicalCurve, zs, ref=None) -> EvaluationMatrix:
         raise WorkbenchError("TREE_ONLY",
                              "evaluation matrix needs a tree")
     prob = build_problem(c, zs)
-    ends = prob.ends()
-    kappa = len(ends)
+    kappa = prob.kappa
     if kappa < 3:
         raise WorkbenchError("KAPPA_TOO_SMALL",
                              "evaluation matrix needs at least three ends")
-    if prob.dim != 3:
-        raise WorkbenchError("DIMENSION_MISMATCH",
-                             "evaluation matrix is a 3-space construction")
-    internal = sorted(
-        {cid for key in prob.nodes
-         for other, dh, w, cid in prob.neighbors(key)
-         if other in prob.nodes}, key=repr)
+    internal = sorted({cid for (a, b), (_, _, cid) in prob.chain.items()
+                       if a >= kappa and b >= kappa}, key=repr)
     if kappa != 3 + len(internal):
         raise WorkbenchError("NOT_TRIVALENT",
                              f"{kappa} ends vs {len(internal)} bounded edges")
     if ref is None:
-        ref = prob.neighbors(ends[0])[0][0]
-    if ref not in prob.nodes:
-        raise WorkbenchError("BAD_ROOT", f"reference {ref!r} is not a junction")
+        root = prob.adj[0][0]
+    elif ref in prob.junction_ids:
+        root = kappa + prob.junction_ids.index(ref)
+    else:
+        root = None
+    if root is None or root < kappa:
+        raise WorkbenchError("BAD_ROOT",
+                             f"reference {ref!r} is not a junction")
+    ref = prob.junction_ids[root - kappa]
 
-    # a junction x below ref stands for the chain x -> parent(x)
-    order, link = prob.rooted(ref)
+    # a junction x below the root stands for the chain parent(x) -> x
+    parent, order, below = prob.rooted(root)
     col_of_chain = {cid: 3 + k for k, cid in enumerate(internal)}
-    parent, below, col_of = {}, {}, {}
-    for x in order[:-1]:
-        parent[x], dh_up, _, cid = link[x]
-        below[x] = vec_neg(dh_up)
-        if x in prob.nodes:
-            col_of[x] = col_of_chain[cid]
-    rhos = [cross(prob.outward(e), prob.end_z[e]) for e in ends]
-    rows = _evaluation_rows(rhos, ends, parent, below, ref, col_of)
+    col_of = {x: col_of_chain[prob.chain[parent[x], x][2]]
+              for x in order[1:] if x >= kappa}
+    rows = _evaluation_rows(prob.rhos, range(kappa), parent, below, root,
+                            col_of)
     cols = ("t0", "t1", "t2") + tuple(f"e{cid}" for cid in internal)
-    return EvaluationMatrix(tuple(map(tuple, rows)),
-                            tuple(m[1] for m in ends), cols, ref)
+    return EvaluationMatrix(tuple(map(tuple, rows)), tuple(range(kappa)),
+                            cols, ref)
 
 
 def _evaluation_rows(rhos, leaves, parent, below, ref, col_of):
@@ -450,7 +426,7 @@ def splitting_check(c: TropicalCurve, edge_index: int,
                                          res.r1_index, (1, 1, 1)))
     r1 = next(i for i, end in enumerate(res.h1.ends())
               if end.edge_index == res.r1_index)
-    rho_r1, _, _ = prob1.momentum_at_end(("end", r1))
+    rho_r1 = prob1.momenta(r1)[2][prob1.adj[r1][0]]
     if is_zero(rho_r1):
         raise WorkbenchError("SPLIT_DEGENERATE",
                              "propagated momentum at the cut vanishes")

@@ -262,35 +262,39 @@ def surface_report(c: TropicalCurve, d: PolyhedralDomain,
 # three-manifold reports
 
 
+def _boundary_of_ends(c, domain, relaxed=False):
+    """The even/primitive report of c in the domain, and the boundary
+    point of each end (`BoundaryPointInfo`, None for a puncture) in
+    c.ends() order."""
+    even = require_even_primitive(c, domain, relaxed)
+    infos = [None] * len(c.ends())
+    for info in even.boundary:
+        infos[info.end_index] = info
+    return even, infos
+
+
 def _end_directions(c, domain, zs):
     """Constraint directions in c.ends() order, from a domain or given.
 
     A domain supplies its stratum direction at the bissectrice boundary
-    point of each end of a compact curve, matched to the end by
-    `BoundaryPointInfo.end_key`; otherwise `zs` lists the directions in
-    c.ends() order (abstract curve and lines data).
+    point of each end of a compact curve (`_boundary_of_ends`);
+    otherwise `zs` lists the directions in c.ends() order (abstract curve
+    and lines data), and `build_problem` checks their count.
     """
-    ends = c.ends()
     if domain is not None:
-        even = require_even_primitive(c, domain)
+        even, infos = _boundary_of_ends(c, domain)
         if even.punctures:
             raise WorkbenchError("NOT_COMPACT",
                                  "curve has ends escaping to infinity")
-        z_of_end = {}
-        for info in even.boundary:
+        for info in infos:
             if info.kind != "BISSECTRICE":
                 raise WorkbenchError(
                     "NOT_BISSECTRICE",
                     f"boundary point {info.point} is {info.kind}")
-            z_of_end[info.end_key] = info.z_direction
-        return [z_of_end[e.edge_index, e.endpoint] for e in ends]
+        return [info.z_direction for info in infos]
     if zs is None:
         raise WorkbenchError("MISSING_Z",
                              "need a domain or explicit directions")
-    zs = [tuple(z) for z in zs]
-    if len(zs) != len(ends):
-        raise WorkbenchError("MISSING_Z",
-                             f"{len(zs)} directions for {len(ends)} ends")
     return zs
 
 
@@ -332,34 +336,32 @@ class ThreeManifoldReport(Record):
         }
 
 
-def _torsion_recursion(prob: Problem, mult_of_node):
-    """Torsion recursion along the tree rooted at the first end.
+def _torsion_recursion(prob: Problem, mults):
+    """Torsion recursion along the tree rooted at end 0.
 
-    One post-order pass of `Problem.momenta` gives, for every edge, the
-    momentum rho(e) towards the root and the product mv(e) of the vertex
-    multiplicities behind it; every n(e) = content(rho(e)) must be
-    divisible by mv(e).  On a single line the far end is the only edge
-    and the recursion is the gluing gcd.  Returns (h1_rec, root edge
-    record).
+    One pass of `Problem.momenta` gives, for every edge, the momentum
+    rho(e) towards the root; the product mv(e) of the multiplicities
+    behind it accumulates on the same post-order, mults[x - kappa] being
+    that of junction x.  Every n(e) = content(rho(e)) must be divisible
+    by mv(e).  On a single line the far end is the only edge and the
+    recursion is the gluing gcd.  Returns (h1_rec, root edge record).
     """
-    root = prob.ends()[0]
-    (first, _, w_root, _), = prob.neighbors(root)
-    order, link, mom, _ = prob.momenta(root)
-    behind = {at: 1 if at in prob.end_z else mult_of_node[at]
-              for at in order}
-    for at in order[:-1]:
-        n, mve = content(mom[at]), behind[at]
+    kappa = prob.kappa
+    parent, order, mom = prob.momenta(0)
+    behind = [1] * kappa + mults
+    for x in order[:0:-1]:
+        n, mve = content(mom[x]), behind[x]
         if n % mve != 0:
             raise WorkbenchError(
                 "INTERNAL_INCONSISTENCY",
                 f"edge torsion n = {n} not divisible by mv = {mve}")
-        behind[link[at][0]] *= mve
+        behind[parent[x]] *= mve
+    first, = prob.adj[0]
     rho_p = mom[first]
     n_p = content(rho_p)
     mv_p = behind[first]
-    rho_root = prob.end_momentum(root)
-    glue = content(cross(primitive_raw(rho_p), rho_root.vector))
-    if w_root != 1:
+    glue = content(cross(primitive_raw(rho_p), prob.rhos[0]))
+    if prob.chain[0, first][1] != 1:
         raise WorkbenchError("NOT_PRIMITIVE_BOUNDARY",
                              "root edge must have weight 1")
     h1_rec = (n_p // mv_p) * glue
@@ -384,19 +386,15 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
     require_valid(c)
     if c.b1() != 0:
         raise WorkbenchError("TREE_ONLY", "h1 needs a tree curve")
-    zs = _end_directions(c, domain, zs)
-
-    mult_of_node = {v: vertex_multiplicity(c, v)
-                    for v in c.trivalent_vertices()}
+    prob = build_problem(c, _end_directions(c, domain, zs))
+    mults = [vertex_multiplicity(c, v) for v in c.trivalent_vertices()]
     mv = 1
-    for m in mult_of_node.values():
+    for m in mults:
         mv *= m
 
-    prob = build_problem(c, zs)
     product = prob.mixed_product()
-    leaf_data = tuple((marker[1], RotationalMomentum.from_vector(
-        cross(prob.outward(marker), prob.end_z[marker])))
-        for marker in prob.ends())
+    leaf_data = tuple((j, RotationalMomentum.from_vector(rho))
+                      for j, rho in enumerate(prob.rhos))
 
     parity = None
     if domain is not None and is_standard_simplex_3(domain):
@@ -413,7 +411,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
                              f"{product}")
     order = product // mv
 
-    h1_rec, root_edge = _torsion_recursion(prob, mult_of_node)
+    h1_rec, root_edge = _torsion_recursion(prob, mults)
     agrees = h1_rec == order
     if not agrees:
         raise WorkbenchError("INTERNAL_INCONSISTENCY",
@@ -479,11 +477,8 @@ def piece_decomposition(c: TropicalCurve,
     require_valid(c)
     ends = c.ends()
     if domain is not None:
-        even = require_even_primitive(c, domain, relaxed)
-        info_of = {info.end_key: info for info in even.boundary}
         kinds, zs = [], []
-        for end in ends:
-            info = info_of.get((end.edge_index, end.endpoint))
+        for info in _boundary_of_ends(c, domain, relaxed)[1]:
             z = None
             if info is None:
                 kind = "ANNULUS"
@@ -497,6 +492,9 @@ def piece_decomposition(c: TropicalCurve,
             zs.append(z)
     else:
         zs = _end_directions(c, None, zs)
+        if len(zs) != len(ends):
+            raise WorkbenchError("MISSING_Z",
+                                 f"{len(zs)} directions for {len(ends)} ends")
         kinds = ["SOLID_TORUS"] * len(ends)
 
     pieces = []
@@ -573,13 +571,11 @@ def lens_parameters(c: TropicalCurve,
         raise WorkbenchError("NOT_A_LINE",
                              "lens parameters need a single-edge curve")
     prob = build_problem(c, _end_directions(c, domain, zs))
-    ends = prob.ends()
-    if len(ends) != 2:
+    if prob.kappa != 2:
         raise WorkbenchError("NOT_A_LINE", "lens needs exactly two ends")
-    e0, e1 = ends
-    u = primitive_raw(prob.outward(e1))
-    a = cross(u, prob.end_z[e0])
-    b = cross(u, prob.end_z[e1])
+    u = primitive_raw(prob.chain[0, 1][0])
+    a = cross(u, prob.zs[0])
+    b = cross(u, prob.zs[1])
     if is_zero(a) or is_zero(b):
         raise WorkbenchError("DEGENERATE_VERTEX",
                              "a kernel class vanishes")

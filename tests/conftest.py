@@ -8,7 +8,6 @@ import pytest
 
 from troplag.curve import Edge, TreeTopology, TropicalCurve, _rooted_sums
 from troplag.lattice import content, primitive_raw, vec_neg
-from troplag.multiplicity import build_problem
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -152,10 +151,37 @@ def random_tree_problem(rng, kappa, primitive=False):
     return curve, zs
 
 
-def all_roots(curve, zs):
+def all_roots(curve):
     """Every admissible root: all ends and all 3-valent vertices."""
-    prob = build_problem(curve, zs)
-    roots = list(prob.ends())
+    roots = [("end", j) for j in range(len(curve.ends()))]
     if len(roots) > 2:
-        roots += sorted(prob.nodes, key=repr)
+        roots += sorted(curve.trivalent_vertices(), key=repr)
     return roots
+
+
+def curve_tree(curve):
+    """The tree of a curve's chains, keyed as the curve names it: a
+    junction by its vertex id, end j by ("end", j).
+
+    Returns adj, adj[key] = [(other, dh key -> other, weight, chain id)]
+    in chain order: the dict form `multiplicity.Problem` had, kept as a
+    test oracle for its node lists.
+    """
+    ends = curve.ends()
+    junctions = set(curve.trivalent_vertices())
+    end_of = {(e.edge_index, e.endpoint): ("end", j)
+              for j, e in enumerate(ends)}
+
+    def key(vertex, chain):
+        if vertex in junctions:
+            return vertex
+        return next(end_of[i, vertex] for i in chain["edges"]
+                    if (i, vertex) in end_of)
+
+    adj = {}
+    for cid, ch in enumerate(curve.smoothed_edges()):
+        a, b = key(ch["first"], ch), key(ch["second"], ch)
+        dh = tuple(ch["weight"] * x for x in ch["direction"])
+        adj.setdefault(a, []).append((b, dh, ch["weight"], cid))
+        adj.setdefault(b, []).append((a, vec_neg(dh), ch["weight"], cid))
+    return adj

@@ -52,7 +52,7 @@ def test_c01_poincare_fixture():
     ends = curve.ends()
     momenta = [leaf_momentum(e.dh(), z).vector for e, z in zip(ends, zs)]
     assert momenta == [(0, 2, -1), (-3, 0, 1), (5, -5, 1)]
-    for root in all_roots(curve, zs):
+    for root in all_roots(curve):
         assert mixed_h_product(curve, zs, root) == 1
     assert multiplicity_det(ev_matrix(curve, zs)).value == 1
     rep = h1_order(curve, zs=zs)
@@ -157,7 +157,7 @@ def test_c10_root_independence(corpus):
     plain, _ = corpus
     for curve, zs in plain:
         values = {mixed_h_product(curve, zs, root)
-                  for root in all_roots(curve, zs)}
+                  for root in all_roots(curve)}
         assert len(values) == 1
     _ok("c10 root independence on the corpus")
 

@@ -262,6 +262,21 @@ def test_pieces_with_lines_needs_a_spatial_curve():
     assert err.value.code == "MISSING_Z"
 
 
+def test_planar_curve_with_spatial_lines_is_a_dimension_error():
+    """klein.curve (planar, no end labels) with poincare.lines: each
+    command names the dimension, not a failed cross product or a line
+    "None"."""
+    args = ["--curve", fixture_path("klein.curve.json"),
+            "--lines", fixture_path("poincare.lines.json")]
+    for cmd, message in (
+            ("multiplicity", "rotational momenta need a 3-dim curve"),
+            ("suitability", "line 0 is not 2-dimensional")):
+        code, out = run_json([cmd] + args)
+        assert code == 1, cmd
+        assert out == {"error": "DIMENSION_MISMATCH",
+                       "message": f"DIMENSION_MISMATCH: {message}"}
+
+
 @pytest.mark.parametrize("argv", [["enumerate", "--kappa-cap", "abc"],
                                   ["bogus"], []])
 def test_parse_errors_are_usage_errors(argv):

@@ -18,7 +18,7 @@ from troplag.domain import (DelzantFailure, DelzantReport, LineConfiguration,
                             suitability_check, validate_delzant, wavefront)
 from troplag.errors import WorkbenchError
 from troplag.io_json import (canonical_json, curve_to_dict, load_curve,
-                             load_domain)
+                             load_domain, load_lines)
 from troplag.lattice import (content, cross, det_bareiss, dot,
                              elementary_divisors, is_zero, mixed,
                              solve_bareiss, vec_add, vec_neg, vec_scale,
@@ -1139,6 +1139,34 @@ def test_suitability_parallel_line():
     with pytest.raises(WorkbenchError) as err:
         suitability_check(poincare_curve(), lines)
     assert err.value.code == "NOT_BOUNDARY_CONFIG"
+
+
+def test_suitability_names_a_missed_line_by_its_index():
+    """klein.curve has no end labels: the line is named by its index."""
+    klein = load_curve(fixture_path("klein.curve.json"))
+    lines = LineConfiguration([
+        {"point": (0, 0), "dir": (1, -1)},
+        {"point": (0, 0), "dir": (-2, 3)},   # parallel to leaf 1, off it
+        {"point": (5, 0), "dir": (0, 1)}])
+    assert [end.label for end in klein.ends()] == [None] * 3
+    with pytest.raises(WorkbenchError) as err:
+        suitability_check(klein, lines)
+    assert str(err.value) == \
+        "NOT_BOUNDARY_CONFIG: line 1 does not meet its leaf"
+
+
+def test_suitability_rejects_lines_of_another_dimension():
+    klein = load_curve(fixture_path("klein.curve.json"))
+    lines = load_lines(fixture_path("poincare.lines.json"))
+    with pytest.raises(WorkbenchError) as err:
+        suitability_check(klein, lines)
+    assert str(err.value) == \
+        "DIMENSION_MISMATCH: line 0 is not 2-dimensional"
+    with pytest.raises(WorkbenchError) as err:
+        suitability_check(poincare_curve(), LineConfiguration(
+            list(lines.lines[:2]) + [{"point": (1, 1), "dir": (0, 1)}]))
+    assert str(err.value) == \
+        "DIMENSION_MISMATCH: line 2 is not 3-dimensional"
 
 
 def test_suitability_cross_not_primitive():

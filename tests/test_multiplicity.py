@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (all_roots, edge_vectors, fixture_path,
+from conftest import (all_roots, curve_tree, edge_vectors, fixture_path,
                       internal_edges, leaf_neighbor, rand_nonzero,
                       rand_primitive, random_tree_problem)
 from exact_oracle import solve_exact
@@ -15,7 +15,7 @@ from troplag.domain import LineConfiguration
 from troplag.errors import WorkbenchError
 from troplag.io_json import load_curve, load_lines
 from troplag.lattice import (cross, det_bareiss, dot, is_zero, vec_add,
-                             vec_scale)
+                             vec_neg, vec_scale)
 from troplag.multiplicity import (EvaluationMatrix, RotationalMomentum,
                                   _subtree_planes, build_problem,
                                   enumerate_count, ev_matrix, leaf_momentum,
@@ -107,7 +107,7 @@ def test_pairing_coefficient_examples():
 
 
 def test_mixed_h_product_poincare_all_roots():
-    for root in all_roots(poincare_curve(), POINCARE_Z):
+    for root in all_roots(poincare_curve()):
         assert mixed_h_product(poincare_curve(), POINCARE_Z, root) == 1
 
 
@@ -138,6 +138,109 @@ def test_mixed_h_product_rejects_high_valence():
     with pytest.raises(WorkbenchError) as err:
         mixed_h_product(star, [(0, 1, 2)] * 4)
     assert err.value.code == "NOT_TRIVALENT"
+
+
+def test_four_valent_vertex_messages_as_junction_and_as_root():
+    """A 4-valent vertex is named as a junction on the walk and as a
+    vertex when it is the root, on a star and on a two-junction tree."""
+    star = TropicalCurve(3, [("v", (0, 0, 0))],
+                         [Edge("v", None, (1, 0, 0), 1, 0),
+                          Edge("v", None, (0, 1, 0), 1, 1),
+                          Edge("v", None, (0, 0, 1), 1, 2),
+                          Edge("v", None, (-1, -1, -1), 1, 3)])
+    pair = TropicalCurve(3, [("u", (0, 0, 0)), ("v", (1, 1, 0))],
+                         [Edge("u", None, (-1, 0, 0), 1, 0),
+                          Edge("u", None, (0, -1, 0), 1, 1),
+                          Edge("u", "v", (1, 1, 0), 1, None),
+                          Edge("v", None, (1, 0, 1), 1, 2),
+                          Edge("v", None, (0, 1, 0), 1, 3),
+                          Edge("v", None, (0, 0, -1), 1, 4)])
+    assert validate_curve(pair).ok
+    for curve, roots in ((star, [None, ("end", 2)]),
+                         (pair, [None, ("end", 3), "u"])):
+        zs = [(0, 1, 2)] * len(curve.ends())
+        for root in roots + ["v"]:
+            with pytest.raises(WorkbenchError) as err:
+                mixed_h_product(curve, zs, root)
+            assert err.value.code == "NOT_TRIVALENT"
+            assert str(err.value) == (
+                "NOT_TRIVALENT: vertex 'v' is not 3-valent" if root == "v"
+                else "NOT_TRIVALENT: junction v is not 3-valent")
+
+
+def test_momenta_need_a_spatial_curve():
+    """A planar curve with spatial lines: a dimension error from
+    build_problem, before any cross product."""
+    klein = load_curve(fixture_path("klein.curve.json"))
+    zs = [l.direction for l in load_lines(
+        fixture_path("poincare.lines.json")).lines]
+    for fn in (mixed_h_product, ev_matrix, build_problem):
+        with pytest.raises(WorkbenchError) as err:
+            fn(klein, zs)
+        assert str(err.value) == \
+            "DIMENSION_MISMATCH: rotational momenta need a 3-dim curve"
+
+
+def oracle_momenta(curve, zs, root):
+    """The momenta towards root from the public `leaf_momentum` and
+    `propagate`, recursively over the curve's chains
+    (`conftest.curve_tree`): sent[key], the momentum from the subtree
+    behind key towards its neighbour on the way to root, and the momenta
+    arriving at root in chain order.  A junction propagates the momenta
+    of its other chains in chain order."""
+    adj = curve_tree(curve)
+    ends = curve.ends()
+    sent = {}
+
+    def send(at, up):
+        if isinstance(at, tuple):
+            m = leaf_momentum(ends[at[1]].dh(), zs[at[1]])
+        else:
+            m1, m2 = [send(other, at) for other, _, _, _ in adj[at]
+                      if other != up]
+            dh_out, = [dh for other, dh, _, _ in adj[at] if other == up]
+            m = propagate(m1, m2, dh_out)
+        sent[at] = m.vector
+        return m
+
+    arrived = [send(other, root).vector for other, _, _, _ in adj[root]]
+    return sent, arrived
+
+
+def test_momenta_match_the_leaf_and_propagate_oracle():
+    """`Problem.momenta`, on the enumerator's node numbering, against the
+    oracle on the fixtures, the weighted caterpillar and 200 random
+    trees (kappa 3-12, weighted and primitive), with every end and
+    junction as root: each edge's signed momentum and the arrival order
+    at the root."""
+    problems = [(load_curve(fixture_path(f"{curve}.curve.json")),
+                 [l.direction for l in load_lines(
+                     fixture_path(f"{lines}.lines.json")).lines])
+                for curve, lines in (("poincare", "poincare"),
+                                     ("simplex_tripod", "simplex_tripod"),
+                                     ("lens", "lens_5_2"),
+                                     ("disappearing", "disappearing"))]
+    problems.append((_weighted_caterpillar(),
+                     [(0, 1, 2), (1, 0, 3), (0, 1, 5), (1, 1, 1)]))
+    rng = random.Random(63)
+    problems += [random_tree_problem(rng, rng.randint(3, 12), k % 2 == 0)
+                 for k in range(200)]
+    edges = weights = 0
+    for curve, zs in problems:
+        prob = build_problem(curve, zs)
+        node = {("end", j): j for j in range(prob.kappa)}
+        node.update((v, prob.kappa + k)
+                    for k, v in enumerate(curve.trivalent_vertices()))
+        assert len(node) == len(prob.adj)
+        for root in all_roots(curve):
+            sent, arrived = oracle_momenta(curve, zs, root)
+            _, order, mom = prob.momenta(node[root])
+            assert len(order) == len(node)
+            assert {key: mom[node[key]] for key in sent} == sent
+            assert [mom[y] for y in prob.adj[node[root]]] == arrived
+            edges += len(sent)
+        weights += any(e.weight > 1 for e in curve.edges if e.bounded)
+    assert edges > 10000 and weights > 50
 
 
 # ---------------------------------------------------------------------------
@@ -182,30 +285,37 @@ def test_ev_matrix_reference_independence():
 
 
 def climbed_ev_matrix(curve, zs, ref):
-    """The evaluation matrix as built by climbing the `Problem.rooted`
-    links from every end to ref, writing -rho . dh_up in the column of
-    each bounded chain on the way."""
-    prob = build_problem(curve, zs)
-    ends = prob.ends()
-    internal = sorted(
-        {cid for key in prob.nodes
-         for other, dh, w, cid in prob.neighbors(key)
-         if other in prob.nodes}, key=repr)
-    _, link = prob.rooted(ref)
+    """The evaluation matrix as built by climbing the parent links of the
+    curve's chain tree (`conftest.curve_tree`) from every end to ref,
+    writing -rho . dh_up in the column of each bounded chain on the way."""
+    adj = curve_tree(curve)
+    kappa = len(curve.ends())
+    junctions = curve.trivalent_vertices()
+    internal = sorted({cid for key in junctions
+                       for other, _, _, cid in adj[key]
+                       if other in junctions}, key=repr)
+    link = {ref: None}
+    stack = [ref]
+    while stack:
+        at = stack.pop()
+        for other, dh, _, cid in adj[at]:
+            if other not in link:
+                link[other] = (at, vec_neg(dh), cid)
+                stack.append(other)
     col_of = {cid: 3 + k for k, cid in enumerate(internal)}
     rows = []
-    for e in ends:
-        rho = cross(prob.outward(e), prob.end_z[e])
+    for j in range(kappa):
+        at = ("end", j)
+        (_, dh_in, _, _), = adj[at]
+        rho = cross(vec_neg(dh_in), zs[j])
         row = list(rho) + [0] * len(internal)
-        at = e
         while at != ref:
-            at, dh_up, _, cid = link[at]
+            at, dh_up, cid = link[at]
             if cid in col_of:
                 row[col_of[cid]] = -dot(rho, dh_up)
         rows.append(tuple(row))
     cols = ("t0", "t1", "t2") + tuple(f"e{cid}" for cid in internal)
-    return EvaluationMatrix(tuple(rows), tuple(m[1] for m in ends), cols,
-                            ref)
+    return EvaluationMatrix(tuple(rows), tuple(range(kappa)), cols, ref)
 
 
 def test_ev_matrix_matches_the_climb_from_every_reference():
@@ -256,7 +366,7 @@ def test_root_independence_random_corpus():
     for _ in range(60):
         curve, zs = random_tree_problem(rng, rng.choice([3, 4, 5, 6]))
         values = {mixed_h_product(curve, zs, root)
-                  for root in all_roots(curve, zs)}
+                  for root in all_roots(curve)}
         assert len(values) == 1
 
 

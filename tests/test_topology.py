@@ -509,6 +509,34 @@ def test_pieces_unbounded_wavefront_has_annuli():
     assert kinds == ["ANNULUS", "ANNULUS", "DISK_PIECE", "PANTS_BUNDLE"]
 
 
+def test_each_end_gets_its_boundary_point():
+    """`_boundary_of_ends` lists each end's boundary point, None for a
+    puncture, in c.ends() order: each point stores its end's index and
+    sits on that end's edge, and pieces gives exactly the punctures an
+    annulus."""
+    wf = wavefront(quadrant(), Fraction(1, 3))
+    cases = [(wf, quadrant()), (simplex_tripod_curve(), simplex3())]
+    cases += [(wavefront(triangle(), Fraction(1, 5)), triangle())]
+    nones = 0
+    for c, d in cases:
+        even, infos = topology._boundary_of_ends(c, d)
+        ends = c.ends()
+        assert len(infos) == len(ends)
+        assert [info for info in infos if info is not None] == \
+            list(even.boundary)
+        for j, (end, info) in enumerate(zip(ends, infos)):
+            if info is not None:
+                assert info.end_index == j
+                assert info.edge_index == end.edge_index
+        assert infos.count(None) == even.punctures
+        nones += even.punctures
+        # the end pieces follow the junction pieces, in c.ends() order
+        pieces = piece_decomposition(c, domain=d).pieces[-len(ends):]
+        assert [p.kind == "ANNULUS" for p in pieces] == \
+            [info is None for info in infos]
+    assert nones == 2
+
+
 def test_h1_rejects_cycles():
     pad = (0,)
     verts = [("v0", (0, 0) + pad), ("v1", (1, 0) + pad),
