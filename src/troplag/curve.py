@@ -226,6 +226,39 @@ class TropicalCurve:
             })
         return chains
 
+    def chain_nodes(self):
+        """(junctions, [(a, b, chain), ...]): each chain of
+        smoothed_edges() from the node a of its first side to the node b
+        of its second.  The ends are nodes 0..kappa-1 in ends() order and
+        the junctions (valence >= 3) follow in trivalent_vertices() order.
+        A side that is no junction is the end at an endpoint or infinite
+        end of one of the chain's edges, one not taken by the other side;
+        a line's two rays are ordered so that its direction runs a -> b.
+        """
+        ends = self.ends()
+        junctions = self.trivalent_vertices()
+        node = {v: len(ends) + k for k, v in enumerate(junctions)}
+        end_at = {(e.edge_index, e.endpoint): j for j, e in enumerate(ends)}
+        out = []
+        for ch in self.smoothed_edges():
+            pair = []
+            for v in (ch["first"], ch["second"]):
+                x = node.get(v)
+                if x is None:
+                    x = next((end_at[i, v] for i in ch["edges"]
+                              if (i, v) in end_at
+                              and end_at[i, v] not in pair), None)
+                if x is None:
+                    raise WorkbenchError(
+                        "NOT_TRIVALENT", f"chain endpoint {v} is neither "
+                        f"a junction nor an end")
+                pair.append(x)
+            if ch["first"] is None and ch["second"] is None and \
+                    ends[pair[0]].outward == ch["direction"]:
+                pair.reverse()
+            out.append((*pair, ch))
+        return junctions, out
+
 
 # ---------------------------------------------------------------------------
 # validation

@@ -156,29 +156,33 @@ class Problem:
             mom[x] = next(arrivals[parent[x]])[0]
         return parent, order, mom
 
-    def mixed_product(self, root=None) -> int:
-        """`mixed_h_product` of this problem towards `root`: ("end", j),
-        a junction's vertex id, or None for end 0."""
-        kappa, adj, chain = self.kappa, self.adj, self.chain
+    def root_node(self, root=None) -> int:
+        """The node of `root`: ("end", j), a junction's vertex id, or None
+        for end 0."""
+        kappa = self.kappa
         if kappa < 2:
             raise WorkbenchError("KAPPA_TOO_SMALL", "need at least two ends")
+        if root is None:
+            return 0
+        if isinstance(root, tuple) and len(root) == 2 and root[0] == "end":
+            if not (isinstance(root[1], int) and 0 <= root[1] < kappa):
+                raise WorkbenchError("BAD_ROOT", f"no end {root}")
+            return root[1]
+        if root in self.junction_ids:
+            return kappa + self.junction_ids.index(root)
+        raise WorkbenchError("BAD_ROOT", f"no 3-valent vertex {root!r}")
+
+    def pair_at(self, node, mom) -> int:
+        """|mixed product| at `node`, from the momenta `mom` towards it
+        (`momenta(node)`).  With two ends the value is
+        |mixed(z0, z1, u)| on the single line, and `mom` is not read."""
+        kappa, adj, chain = self.kappa, self.adj, self.chain
         if kappa == 2:
             if adj[0][0] != 1:
                 raise WorkbenchError("NOT_TRIVALENT",
                                      "a two-end curve must be a single line")
             return abs(mixed(self.zs[0], self.zs[1],
                              primitive_raw(chain[0, 1][0])))
-        if root is None:
-            node = 0
-        elif isinstance(root, tuple) and len(root) == 2 and root[0] == "end":
-            node = root[1]
-            if not (isinstance(node, int) and 0 <= node < kappa):
-                raise WorkbenchError("BAD_ROOT", f"no end {root}")
-        elif root in self.junction_ids:
-            node = kappa + self.junction_ids.index(root)
-        else:
-            raise WorkbenchError("BAD_ROOT", f"no 3-valent vertex {root!r}")
-        mom = self.momenta(node)[2]
         if node < kappa:
             first, = adj[node]
             outward, w_root, _ = chain[first, node]
@@ -192,9 +196,16 @@ class Problem:
             return k // w_root
         arrived = [mom[y] for y in adj[node]]
         if len(arrived) != 3:
-            raise WorkbenchError("NOT_TRIVALENT",
-                                 f"vertex {root!r} is not 3-valent")
+            raise WorkbenchError(
+                "NOT_TRIVALENT",
+                f"vertex {self.junction_ids[node - kappa]!r} is not 3-valent")
         return abs(mixed(*arrived))
+
+    def mixed_product(self, root=None) -> int:
+        """`mixed_h_product` of this problem towards `root` (`root_node`)."""
+        node = self.root_node(root)
+        mom = self.momenta(node)[2] if self.kappa > 2 else None
+        return self.pair_at(node, mom)
 
 
 def build_problem(c: TropicalCurve, zs) -> Problem:
@@ -208,28 +219,10 @@ def build_problem(c: TropicalCurve, zs) -> Problem:
     if c.dim != 3:
         raise WorkbenchError("DIMENSION_MISMATCH",
                              "rotational momenta need a 3-dim curve")
-    kappa = len(ends)
-    junctions = tuple(c.trivalent_vertices())
-    node_of = {v: kappa + k for k, v in enumerate(junctions)}
-    # an end is recognized by the edge it sits on together with its
-    # endpoint vertex (None for a ray)
-    end_of = {(e.edge_index, e.endpoint): j for j, e in enumerate(ends)}
-
-    def resolve(vertex, chain):
-        if vertex in node_of:
-            return node_of[vertex]
-        for idx in chain["edges"]:
-            if (idx, vertex) in end_of:
-                return end_of[idx, vertex]
-        raise WorkbenchError("INTERNAL_INCONSISTENCY",
-                             f"chain endpoint {vertex} is neither a "
-                             f"junction nor an end")
-
-    adj = [[] for _ in range(kappa + len(junctions))]
+    junctions, chains = c.chain_nodes()
+    adj = [[] for _ in range(len(ends) + len(junctions))]
     chain = {}
-    for cid, ch in enumerate(c.smoothed_edges()):
-        a = resolve(ch["first"], ch)
-        b = resolve(ch["second"], ch)
+    for cid, (a, b, ch) in enumerate(chains):
         w = ch["weight"]
         dh = vec_scale(w, ch["direction"])
         adj[a].append(b)
@@ -237,7 +230,7 @@ def build_problem(c: TropicalCurve, zs) -> Problem:
         chain[a, b] = (dh, w, cid)
         chain[b, a] = (vec_neg(dh), w, cid)
     rhos = [cross(chain[adj[j][0], j][0], z) for j, z in enumerate(zs)]
-    return Problem(zs, rhos, adj, chain, junctions)
+    return Problem(zs, rhos, adj, chain, tuple(junctions))
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def surface_report(c: TropicalCurve, d: PolyhedralDomain,
         groups.setdefault(find(key), []).append(key)
     components = []
     total_nodes = 0
-    folded = 0
+    extra = sum(cr["weight"] for cr in inside)
     for members in groups.values():
         kv = sorted(m[1] for m in members if m[0] == "v")
         ke = sorted(m[1] for m in members if m[0] == "e")
@@ -235,15 +235,11 @@ def surface_report(c: TropicalCurve, d: PolyhedralDomain,
         for cr in inside:
             if cr["edges"][0] in ke and cr["edges"][1] in ke:
                 delta += cr["weight"]
-                folded += 1
+                extra -= cr["weight"]
         components.append(ComponentReport(tuple(kv), tuple(ke), b1_k,
                                           thin_ends + len(ray_ke), delta))
         total_nodes += delta
     components.sort(key=lambda k: k.vertices)
-    extra = sum(cr["weight"] for cr in inside) - sum(
-        cr["weight"] for cr in inside
-        if any(cr["edges"][0] in k.wedges and cr["edges"][1] in k.wedges
-               for k in components))
 
     euler = -len(verts) + even.bissectrice
     expected_euler = 2 - (2 * genus if orientable else crosscaps) - punctures
@@ -262,40 +258,49 @@ def surface_report(c: TropicalCurve, d: PolyhedralDomain,
 # three-manifold reports
 
 
-def _boundary_of_ends(c, domain, relaxed=False):
-    """The even/primitive report of c in the domain, and the boundary
-    point of each end (`BoundaryPointInfo`, None for a puncture) in
-    c.ends() order."""
-    even = require_even_primitive(c, domain, relaxed)
-    infos = [None] * len(c.ends())
-    for info in even.boundary:
-        infos[info.end_index] = info
-    return even, infos
+def _end_pieces(c, domain, zs, relaxed=False):
+    """Each end's (kind, z, info), in c.ends() order.
 
-
-def _end_directions(c, domain, zs):
-    """Constraint directions in c.ends() order, from a domain or given.
-
-    A domain supplies its stratum direction at the bissectrice boundary
-    point of each end of a compact curve (`_boundary_of_ends`);
-    otherwise `zs` lists the directions in c.ends() order (abstract curve
-    and lines data), and `build_problem` checks their count.
+    With a domain, info is the end's `BoundaryPointInfo` from the
+    even/primitive test, None for a puncture (an ANNULUS); a MOMENTUM2
+    point is a MOEBIUS_PIECE, any other a DISK_PIECE in the plane or a
+    SOLID_TORUS in space, z its stratum direction.  Without a domain `zs`
+    gives z in c.ends() order, and every end is a SOLID_TORUS, no info.
     """
-    if domain is not None:
-        even, infos = _boundary_of_ends(c, domain)
-        if even.punctures:
-            raise WorkbenchError("NOT_COMPACT",
-                                 "curve has ends escaping to infinity")
-        for info in infos:
-            if info.kind != "BISSECTRICE":
-                raise WorkbenchError(
-                    "NOT_BISSECTRICE",
-                    f"boundary point {info.point} is {info.kind}")
-        return [info.z_direction for info in infos]
-    if zs is None:
-        raise WorkbenchError("MISSING_Z",
-                             "need a domain or explicit directions")
-    return zs
+    if domain is None:
+        if zs is None:
+            raise WorkbenchError("MISSING_Z",
+                                 "need a domain or explicit directions")
+        if len(zs) != len(c.ends()):
+            raise WorkbenchError(
+                "MISSING_Z", f"{len(zs)} directions for {len(c.ends())} ends")
+        return [("SOLID_TORUS", tuple(z), None) for z in zs]
+    boundary = require_even_primitive(c, domain, relaxed).boundary
+    out = [("ANNULUS", None, None)] * len(c.ends())
+    for info in boundary:
+        if info.kind == "MOMENTUM2":
+            out[info.end_index] = ("MOEBIUS_PIECE", None, info)
+        elif c.dim == 2:
+            out[info.end_index] = ("DISK_PIECE", None, info)
+        else:
+            out[info.end_index] = ("SOLID_TORUS", info.z_direction, info)
+    return out
+
+
+def _bissectrice_zs(c, domain, zs):
+    """The constraint directions of h1 and lens, in c.ends() order: with
+    a domain the curve must be compact with every end at a bissectrice
+    point, whose stratum direction is the end's z."""
+    ends = _end_pieces(c, domain, zs)
+    if any(kind == "ANNULUS" for kind, _, _ in ends):
+        raise WorkbenchError("NOT_COMPACT",
+                             "curve has ends escaping to infinity")
+    for _, _, info in ends:
+        if info is not None and info.kind != "BISSECTRICE":
+            raise WorkbenchError(
+                "NOT_BISSECTRICE",
+                f"boundary point {info.point} is {info.kind}")
+    return [z for _, z, _ in ends]
 
 
 class ThreeManifoldReport(Record):
@@ -336,19 +341,18 @@ class ThreeManifoldReport(Record):
         }
 
 
-def _torsion_recursion(prob: Problem, mults):
+def _torsion_recursion(prob: Problem, walk, mults):
     """Torsion recursion along the tree rooted at end 0.
 
-    One pass of `Problem.momenta` gives, for every edge, the momentum
-    rho(e) towards the root; the product mv(e) of the multiplicities
+    The pass `walk` = `Problem.momenta(0)` gives, for every edge, the
+    momentum rho(e) towards the root; the product mv(e) of the multiplicities
     behind it accumulates on the same post-order, mults[x - kappa] being
     that of junction x.  Every n(e) = content(rho(e)) must be divisible
     by mv(e).  On a single line the far end is the only edge and the
     recursion is the gluing gcd.  Returns (h1_rec, root edge record).
     """
-    kappa = prob.kappa
-    parent, order, mom = prob.momenta(0)
-    behind = [1] * kappa + mults
+    parent, order, mom = walk
+    behind = [1] * prob.kappa + mults
     for x in order[:0:-1]:
         n, mve = content(mom[x]), behind[x]
         if n % mve != 0:
@@ -386,21 +390,21 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
     require_valid(c)
     if c.b1() != 0:
         raise WorkbenchError("TREE_ONLY", "h1 needs a tree curve")
-    prob = build_problem(c, _end_directions(c, domain, zs))
+    prob = build_problem(c, _bissectrice_zs(c, domain, zs))
     mults = [vertex_multiplicity(c, v) for v in c.trivalent_vertices()]
     mv = 1
     for m in mults:
         mv *= m
 
-    product = prob.mixed_product()
+    # one momentum pass from end 0 feeds the product and the recursion
+    node = prob.root_node()
+    walk = prob.momenta(node)
+    product = prob.pair_at(node, walk[2])
     leaf_data = tuple((j, RotationalMomentum.from_vector(rho))
                       for j, rho in enumerate(prob.rhos))
 
     parity = None
-    if domain is not None and is_standard_simplex_3(domain):
-        parity_applies = True
-    else:
-        parity_applies = False
+    parity_applies = domain is not None and is_standard_simplex_3(domain)
 
     if product == 0:
         return ThreeManifoldReport(None, True, mv, 0, False, False,
@@ -411,7 +415,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
                              f"{product}")
     order = product // mv
 
-    h1_rec, root_edge = _torsion_recursion(prob, mults)
+    h1_rec, root_edge = _torsion_recursion(prob, walk, mults)
     agrees = h1_rec == order
     if not agrees:
         raise WorkbenchError("INTERNAL_INCONSISTENCY",
@@ -476,56 +480,24 @@ def piece_decomposition(c: TropicalCurve,
                              "pieces needs a 3-dim curve")
     require_valid(c)
     ends = c.ends()
-    if domain is not None:
-        kinds, zs = [], []
-        for info in _boundary_of_ends(c, domain, relaxed)[1]:
-            z = None
-            if info is None:
-                kind = "ANNULUS"
-            elif info.kind == "MOMENTUM2":
-                kind = "MOEBIUS_PIECE"
-            elif c.dim == 2:
-                kind = "DISK_PIECE"
-            else:
-                kind, z = "SOLID_TORUS", info.z_direction
-            kinds.append(kind)
-            zs.append(z)
-    else:
-        zs = _end_directions(c, None, zs)
-        if len(zs) != len(ends):
-            raise WorkbenchError("MISSING_Z",
-                                 f"{len(zs)} directions for {len(ends)} ends")
-        kinds = ["SOLID_TORUS"] * len(ends)
-
+    end_pieces = _end_pieces(c, domain, zs, relaxed)
+    junctions, chains = c.chain_nodes()
     pieces = []
-    index_of = {}
-    for v in sorted(c.trivalent_vertices()):
+    piece_of = [None] * (len(ends) + len(junctions))
+    for k, v in sorted(enumerate(junctions), key=lambda kv: kv[1]):
         delta = dual_vertex_delta(c, v) if c.dim == 2 else None
-        index_of[("v", v)] = len(pieces)
+        piece_of[len(ends) + k] = len(pieces)
         pieces.append(Piece("PANTS_BUNDLE", v, delta=delta))
-    for end, kind, z in zip(ends, kinds, zs):
-        index_of[("end", (end.edge_index, end.endpoint))] = len(pieces)
+    for j, (end, (kind, z, _)) in enumerate(zip(ends, end_pieces)):
+        piece_of[j] = len(pieces)
         anchor = f"end:{end.edge_index}" if end.endpoint is None \
             else f"end:{end.edge_index}:{end.endpoint}"
         kernel = None if z is None else primitive_raw(cross(end.dh(), z))
         pieces.append(Piece(kind, anchor, kernel=kernel))
-
-    gluing = []
-    for ch in c.smoothed_edges():
-        sides = []
-        for v in (ch["first"], ch["second"]):
-            if v is not None and ("v", v) in index_of:
-                sides.append(index_of[("v", v)])
-            else:
-                # the chain side is an end: a ray (v None) or an endpoint
-                for i in ch["edges"]:
-                    key = ("end", (i, v))
-                    if key in index_of and index_of[key] not in sides:
-                        sides.append(index_of[key])
-                        break
-        if len(sides) == 2:
-            gluing.append((min(sides), max(sides), ch["edges"]))
-    return PieceDecomposition(tuple(pieces), tuple(gluing))
+    gluing = tuple((min(piece_of[a], piece_of[b]),
+                    max(piece_of[a], piece_of[b]), ch["edges"])
+                   for a, b, ch in chains)
+    return PieceDecomposition(tuple(pieces), gluing)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +542,7 @@ def lens_parameters(c: TropicalCurve,
     if c.trivalent_vertices():
         raise WorkbenchError("NOT_A_LINE",
                              "lens parameters need a single-edge curve")
-    prob = build_problem(c, _end_directions(c, domain, zs))
+    prob = build_problem(c, _bissectrice_zs(c, domain, zs))
     if prob.kappa != 2:
         raise WorkbenchError("NOT_A_LINE", "lens needs exactly two ends")
     u = primitive_raw(prob.chain[0, 1][0])

@@ -1,13 +1,16 @@
 import json
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import fixture_path
+from conftest import fixture_path, rand_primitive, random_tree_problem
 
 from troplag import domain, topology
 from troplag.cli import _parser, run_command
 from troplag.errors import WorkbenchError
-from troplag.io_json import load_curve
+from troplag.io_json import curve_to_dict, load_curve
+from troplag.lattice import cross, mixed
 from troplag.multiplicity import KAPPA_CAP
 
 
@@ -306,3 +309,120 @@ def test_validate_searches_the_domain_once(monkeypatch, tmp_path, curve):
     assert len(searches) == 1
     assert out["domain"]["ok"] is True
     assert code == (0 if curve == "rp2.curve.json" else 2)
+
+
+# ---------------------------------------------------------------------------
+# curves whose chains end at something other than a 3-valent vertex
+
+LINE_COMMANDS = ("multiplicity", "h1", "lens", "pieces")
+
+
+def two_ray_line(u, first=1):
+    """Two opposite rays from one 2-valent marking, the ray along
+    first * u listed first."""
+    return {"dim": 3, "vertices": [{"id": "m", "pos": ["1/2", "0", "-1"]}],
+            "edges": [{"tail": "m", "dir": [first * x for x in u]},
+                      {"tail": "m", "dir": [-first * x for x in u]}]}
+
+
+def one_ray():
+    """A single ray from a 1-valent vertex, which is not an end."""
+    return {"dim": 3, "vertices": [{"id": "a", "pos": ["0", "0", "0"]}],
+            "edges": [{"tail": "a", "dir": [1, 2, 3]}]}
+
+
+def write_problem(where, curve, zs):
+    """Curve and lines files for `curve` (a dict) and directions zs."""
+    cpath, lpath = where / "c.curve.json", where / "z.lines.json"
+    cpath.write_text(json.dumps(curve))
+    lpath.write_text(json.dumps({"lines": [
+        {"point": [str(k), "0", "1/2"], "dir": list(z)}
+        for k, z in enumerate(zs)]}))
+    return ["--curve", str(cpath), "--lines", str(lpath)]
+
+
+@pytest.mark.parametrize("first", [1, -1])
+def test_two_ray_line_resolves_both_ends(tmp_path, first):
+    """Both sides of the one chain are ends 0 and 1, whichever ray comes
+    first: the mixed product is |mixed(z0, z1, u)|, lens p is the H1
+    order, and each end's momentum is d x z for its outward d."""
+    u, zs = (1, -2, 3), [(1, 0, 0), (-2, 5, 0)]
+    files = write_problem(tmp_path, two_ray_line(u, first), zs)
+    out = {}
+    for cmd in LINE_COMMANDS:
+        code, out[cmd] = run_json([cmd] + files)
+        assert code == 0, out[cmd]
+    assert out["multiplicity"]["mixedHProduct"] == abs(mixed(*zs, u)) == 15
+    assert out["lens"]["p"] == out["h1"]["h1Order"] == 15
+    outward = [tuple(first * x for x in u), tuple(-first * x for x in u)]
+    assert [tuple(leaf["rho"]) for leaf in out["h1"]["leafData"]] == \
+        [cross(d, z) for d, z in zip(outward, zs)]
+    assert out["pieces"]["gluing"] == [[0, 1, [0, 1]]]
+
+
+def test_ray_from_a_one_valent_vertex_is_rejected(tmp_path):
+    """The 1-valent vertex is neither a junction nor an end: a
+    validation error on every command that maps chains to nodes."""
+    files = write_problem(tmp_path, one_ray(), [(1, 0, 0)])
+    for cmd in LINE_COMMANDS:
+        code, out = run_json([cmd] + files)
+        assert code == 2 and out["error"] == "NOT_TRIVALENT", (cmd, out)
+        assert "neither a junction nor an end" in out["message"]
+
+
+# ---------------------------------------------------------------------------
+# schema-valid curves and lines never reach a traceback or an internal
+# error (INTERNAL_INCONSISTENCY stays reserved for real bugs)
+
+PROPERTY = settings(max_examples=200, deadline=None, database=None,
+                    derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+SHAPES = ("tree", "primitive tree", "line", "ray")
+
+
+def drawn_problem(seed, shape):
+    """A curve of the given shape and one random primitive line direction
+    per end, as (curve dict, zs, whether every weight is 1)."""
+    rng = random.Random(seed)
+    if shape in ("tree", "primitive tree"):
+        curve, zs = random_tree_problem(rng, rng.randint(3, 7),
+                                        primitive=shape != "tree")
+        return (curve_to_dict(curve), zs,
+                all(e.weight == 1 for e in curve.edges))
+    if shape == "line":
+        return two_ray_line(rand_primitive(rng)), \
+            [rand_primitive(rng) for _ in range(2)], True
+    return one_ray(), [rand_primitive(rng)], True
+
+
+def check_answer(argv):
+    code, text = run_command(argv)
+    assert code in (0, 1, 2)
+    json.loads(text)
+    assert "INTERNAL_INCONSISTENCY" not in text, (argv[0], text)
+
+
+@pytest.fixture(scope="module")
+def drawn_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.sampled_from(SHAPES))
+def test_chain_commands_answer_every_drawn_curve(drawn_dir, seed, shape):
+    """multiplicity, lens and pieces on every drawn curve, h1 on those
+    with every weight 1 (weighted trees: the test below)."""
+    curve, zs, unit = drawn_problem(seed, shape)
+    files = write_problem(drawn_dir, curve, zs)
+    for cmd in LINE_COMMANDS:
+        if cmd != "h1" or unit:
+            check_answer([cmd] + files)
+
+
+@pytest.mark.xfail(strict=True, reason="h1 on a weighted tree still "
+                   "reaches INTERNAL_INCONSISTENCY (ROADMAP item 3)")
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.sampled_from(SHAPES))
+def test_h1_answers_every_drawn_curve(drawn_dir, seed, shape):
+    curve, zs, _ = drawn_problem(seed, shape)
+    check_answer(["h1"] + write_problem(drawn_dir, curve, zs))

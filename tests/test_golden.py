@@ -55,6 +55,9 @@ def _cases():
                       "--lines", "poincare.lines", "--root", root])
     cases.append(["multiplicity", "--curve", "simplex_tripod.curve",
                   "--lines", "simplex_tripod.lines", "--root", "p"])
+    for root in ("end:7", "nonsense"):
+        cases.append(["multiplicity", "--curve", "lens.curve",
+                      "--lines", "lens_5_2.lines", "--root", root])
     for cmd in ("h1", "pieces", "lens"):
         for given in (["--domain", "simplex3.domain"],
                       ["--lines", "lens_5_2.lines"]):

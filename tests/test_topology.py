@@ -12,7 +12,7 @@ from troplag.errors import WorkbenchError
 from troplag.lattice import (content, cross, det_bareiss,
                              elementary_divisors, lattice_index,
                              primitive_raw)
-from troplag.multiplicity import ev_matrix, mixed_h_product
+from troplag.multiplicity import Problem, ev_matrix, mixed_h_product
 from troplag.topology import (dual_vertex_delta, h1_order, lens_parameters,
                               piece_decomposition, self_intersections,
                               surface_report, vertex_multiplicity)
@@ -450,6 +450,21 @@ def test_h1_parity_machinery():
     assert rep2.parity_warning is None
 
 
+def test_h1_propagates_the_momenta_once(monkeypatch):
+    """One `Problem.momenta` pass from end 0 feeds both the mixed product
+    and the torsion recursion of h1."""
+    rng = random.Random(16)
+    curve, zs = random_tree_problem(rng, 8, primitive=True)
+    roots = []
+    real = Problem.momenta
+    monkeypatch.setattr(Problem, "momenta",
+                        lambda self, root: roots.append(root) or
+                        real(self, root))
+    rep = h1_order(curve, zs=zs)
+    assert roots == [0]
+    assert rep.product == mixed_h_product(curve, zs)
+
+
 def test_h1_consistency_random_corpus():
     rng = random.Random(95)
     seen = 0
@@ -510,17 +525,19 @@ def test_pieces_unbounded_wavefront_has_annuli():
 
 
 def test_each_end_gets_its_boundary_point():
-    """`_boundary_of_ends` lists each end's boundary point, None for a
+    """`_end_pieces` lists each end's boundary point, None for a
     puncture, in c.ends() order: each point stores its end's index and
-    sits on that end's edge, and pieces gives exactly the punctures an
-    annulus."""
+    sits on that end's edge, exactly the punctures are annuli, and the
+    end pieces of `pieces` have the same kinds."""
     wf = wavefront(quadrant(), Fraction(1, 3))
     cases = [(wf, quadrant()), (simplex_tripod_curve(), simplex3())]
     cases += [(wavefront(triangle(), Fraction(1, 5)), triangle())]
     nones = 0
     for c, d in cases:
-        even, infos = topology._boundary_of_ends(c, d)
+        even = domain.require_even_primitive(c, d)
         ends = c.ends()
+        resolved = topology._end_pieces(c, d, None)
+        infos = [info for _, _, info in resolved]
         assert len(infos) == len(ends)
         assert [info for info in infos if info is not None] == \
             list(even.boundary)
@@ -530,10 +547,11 @@ def test_each_end_gets_its_boundary_point():
                 assert info.edge_index == end.edge_index
         assert infos.count(None) == even.punctures
         nones += even.punctures
+        assert [kind == "ANNULUS" for kind, _, _ in resolved] == \
+            [info is None for info in infos]
         # the end pieces follow the junction pieces, in c.ends() order
         pieces = piece_decomposition(c, domain=d).pieces[-len(ends):]
-        assert [p.kind == "ANNULUS" for p in pieces] == \
-            [info is None for info in infos]
+        assert [p.kind for p in pieces] == [kind for kind, _, _ in resolved]
     assert nones == 2
 
 
