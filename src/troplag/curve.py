@@ -613,28 +613,74 @@ class TreeTopology(Record):
 def trivalent_trees(kappa: int):
     """All (2k-5)!! labeled 3-valent trees, by leaf insertion in order.
 
-    A generator, depth first: leaf j >= 3 splits each edge of a tree on
-    leaves 0..j-1 in turn, at the new junction kappa + j - 2."""
+    A generator over `_insertion_walk`: a tree is yielded each time its
+    last leaf is in place."""
     if kappa < 3:
         raise WorkbenchError("KAPPA_TOO_SMALL",
                              "need at least three leaves")
-    return _insertions(kappa)
+    return _complete_trees(kappa)
 
 
-def _insertions(kappa):
-    stack = [(((0, kappa), (1, kappa), (2, kappa)), 3)]
-    while stack:
-        edges, leaf = stack.pop()
-        if leaf == kappa:
-            yield TreeTopology(kappa, edges)
-            continue
+def _complete_trees(kappa):
+    parent = [None] * (2 * kappa - 2)
+    pair = _edge_pairs(kappa)
+    for leaf, _, placed in _insertion_walk(kappa, parent):
+        if placed and leaf == kappa - 1:
+            yield TreeTopology(kappa, _tree_edges(parent, pair))
+
+
+def _insertion_walk(kappa, parent):
+    """Depth-first walk of the leaf-insertion tree, on one tree held in
+    `parent`, which is filled in place.
+
+    The tree hangs from leaf 0: parent[x] is None at leaf 0 and at the
+    nodes not yet placed.  The walk starts from the edge 0 - 1.  Leaf
+    k = 2, 3, ... goes on the edge above each node x of the tree on
+    leaves 0..k-1 in turn, ordered by the edge (min, max) of x and
+    parent[x], at the new junction m = kappa + k - 2, which takes x's
+    place below parent[x].  Yields (k, x, True) once leaf k is in place
+    and (k, x, False) just before it is taken out again, so that a
+    caller can keep data on the tree in step with it.  The trees on all
+    kappa leaves are those after (kappa - 1, x, True).
+    """
+    pair = _edge_pairs(kappa)
+    parent[1] = 0
+    levels = [[2, [1], None]]   # leaf, nodes still to split, node split
+    while levels:
+        level = levels[-1]
+        leaf, todo, x = level
         m = kappa + leaf - 2
-        grown = []
-        for e in edges:
-            rest = [x for x in edges if x != e]
-            rest += [(e[0], m), (e[1], m), (leaf, m)]   # m is the largest
-            grown.append((tuple(sorted(rest)), leaf + 1))
-        stack += reversed(grown)    # popped in edge order
+        if x is not None:
+            yield leaf, x, False
+            parent[x] = parent[m]
+            parent[m] = parent[leaf] = None
+        if not todo:
+            levels.pop()
+            continue
+        level[2] = x = todo.pop()
+        parent[m] = parent[x]
+        parent[x] = parent[leaf] = m
+        yield leaf, x, True
+        if leaf + 1 < kappa:
+            nodes = [*range(1, leaf + 1), *range(kappa, m + 1)]
+            nodes.sort(key=lambda v: pair[v][parent[v]],
+                       reverse=True)        # popped in edge order
+            levels.append([leaf + 1, nodes, None])
+
+
+def _edge_pairs(kappa):
+    """pair[x][y] = (min, max) of the nodes x and y of a tree on kappa
+    leaves: one tuple per edge, shared by all the trees of a walk."""
+    size = 2 * kappa - 2
+    return [[(x, y) if x < y else (y, x) for y in range(size)]
+            for x in range(size)]
+
+
+def _tree_edges(parent, pair):
+    """The sorted edges (a, b), a < b, of a tree hung from leaf 0, taken
+    from the table pair = `_edge_pairs(kappa)`."""
+    return tuple(sorted([pair[x][y] for x, y in enumerate(parent)
+                         if y is not None]))
 
 
 def _preorder(adj, root):
@@ -644,7 +690,8 @@ def _preorder(adj, root):
     pre-order of the nodes, root first and every node before its
     children.  A node's children are pushed in adjacency order, so a
     walk over the reversed pre-order meets them, and hands their data to
-    the node, in adjacency order.  No recursion: any depth works.
+    the node, in adjacency order.  No recursion: any depth works.  A
+    node reached a second time closes a cycle: TREE_ONLY.
     """
     parent, order, stack = [None] * len(adj), [], [root]
     while stack:
@@ -653,37 +700,12 @@ def _preorder(adj, root):
         up = parent[x]
         for y in adj[x]:
             if y != up:
+                if y == root or parent[y] is not None:
+                    raise WorkbenchError("TREE_ONLY",
+                                         "a rooted walk needs a tree")
                 parent[y] = x
                 stack.append(y)
     return parent, order
-
-
-def _rooted_sums(topology: TreeTopology, degree):
-    """One walk (`_preorder`) over the tree hung from ref, the junction
-    of leaf 0.
-
-    The nodes are 0..2k-3 (leaves first), so the results are lists
-    indexed by node: (parent, order, below) with parent[x] (None for
-    ref), the pre-order of the nodes, and below[x], the integer sum of
-    the leaf 3-vectors behind x.  By balancing, below[x] is the
-    displacement of the edge parent(x) -> x.
-    """
-    kappa = topology.kappa
-    size = 2 * kappa - 2
-    adj = [[] for _ in range(size)]
-    for a, b in topology.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent, order = _preorder(adj, adj[0][0])
-    sx, sy, sz = [0] * size, [0] * size, [0] * size
-    for j in range(kappa):
-        sx[j], sy[j], sz[j] = degree[j]
-    for x in order[:0:-1]:      # children before parents, ref skipped
-        up = parent[x]
-        sx[up] += sx[x]
-        sy[up] += sy[x]
-        sz[up] += sz[x]
-    return parent, order, list(zip(sx, sy, sz))
 
 
 # ---------------------------------------------------------------------------

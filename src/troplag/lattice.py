@@ -234,19 +234,6 @@ def solve_bareiss(rows, rhs):
     return d, num, tuple(kernel)
 
 
-def is_consistent(rows, rhs) -> bool:
-    """Whether A x = b has a rational solution: one fraction-free echelon
-    pass on [A | b], with no back-substitution."""
-    n = len(rows[0]) if rows else 0
-    if any(len(r) != n for r in rows) or len(rhs) != len(rows):
-        raise WorkbenchError("DIMENSION_MISMATCH",
-                             "ragged rows or a right-hand side of the "
-                             "wrong length")
-    a = _integer_rows([[*r, b] for r, b in zip(rows, rhs)])
-    r = len(_bareiss_echelon(a, n)[0])
-    return not any(row[n] for row in a[r:])
-
-
 def rank_exact(rows) -> int:
     """Rank over Q: the pivot count of the fraction-free echelon form."""
     a = _integer_rows([list(r) for r in rows])

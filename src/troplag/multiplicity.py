@@ -20,12 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .curve import (TropicalCurve, Edge, _preorder, _rooted_sums,
-                    split_at_edge, trivalent_trees)
+from .curve import (TropicalCurve, Edge, _edge_pairs, _insertion_walk,
+                    _preorder, _tree_edges, split_at_edge)
 from .domain import LineConfiguration
 from .errors import Record, WorkbenchError
-from .lattice import (content, cross, det_bareiss, dot, gcd_primitive,
-                      is_consistent, is_zero, mixed, primitive_raw,
+from .lattice import (_bareiss_echelon, content, cross, det_bareiss, dot,
+                      gcd_primitive, is_zero, mixed, primitive_raw,
                       solve_cross, solve_dot, vec_neg, vec_scale)
 
 
@@ -100,8 +100,8 @@ class Problem:
     computation (the mixed product, the evaluation matrix, the torsion
     recursion) runs on one iterative walk from its root
     (`curve._preorder`), and the momenta follow the enumerator's plane
-    rule (`_subtree_planes`): O(n) per root, with no recursion limit on
-    the depth of the tree.
+    rule (`_glue`, in `_subtree_planes`): O(n) per root, with no
+    recursion limit on the depth of the tree.
     """
     __slots__ = ("zs", "rhos", "adj", "chain", "junction_ids")
 
@@ -483,25 +483,30 @@ def enumerate_count(degree, lines: LineConfiguration,
                     kappa_cap: int = KAPPA_CAP) -> EnumerationResult:
     """Count rational curves of the given degree through the lines.
 
-    Enumerates all (2k-5)!! labeled 3-valent trees and eliminates each
-    type along its own tree, on one walk from ref, the junction of leaf 0
-    (`curve._rooted_sums`).  The walk gives the balancing sums below[x],
-    the displacement of the edge parent(x) -> x: the type is degenerate
-    when one of them vanishes on a bounded edge.  Otherwise every rooted
-    subtree becomes one integer plane (`_subtree_planes`), and the three
-    planes at ref give D = n1 . (n2 x n3), which is +-det of the type's
-    evaluation matrix, and ref's position by Cramer's rule.  Walking back
-    down in pre-order, each bounded edge length follows from a child
+    Visits all (2k-5)!! labeled 3-valent trees in `trivalent_trees`
+    order, on one depth-first walk of the leaf-insertion tree
+    (`curve._insertion_walk`), and eliminates each type along its tree.
+    Every type hangs from leaf 0; ref is the junction below it.  The
+    walk keeps, in arrays it updates and undoes, each node's parent,
+    the two children of each junction, the balancing sums below[x] (the
+    displacement of the edge parent(x) -> x) and each rooted subtree's
+    integer plane (`_subtree_planes`' rule, `_glue`).  Leaf k on the
+    edge above x adds the junction m: only m's plane, and the sums and
+    planes on the path from m to leaf 0, change.  The planes at ref
+    give D = n1 . (n2 x n3), +-det of the type's evaluation matrix, and
+    ref's position by Cramer's rule.  Walking down a parent-first list
+    of the junctions, each bounded edge length follows from a child
     plane that is not parallel to the edge, with every position kept as
     integers over one positive denominator.  The right-hand sides
     rho_j . q_j are scaled to integers once per call.  A type is kept
     when all lengths are positive, and the total sums |D| over the kept
     types (the lattice index of the evaluation map).  An exactly-zero
-    length, or a solvable system with D = 0, means the configuration is
-    not generic; when D = 0 the type's rows are built and checked by one
-    echelon pass (`_singular_type`), and an inconsistent system is a
-    "singular" type without curves.  A line parallel to its leaf
-    (d x z = 0) is rejected before any type.  Fractions (vertex
+    length means the configuration is not generic.  D = 0 has three
+    causes: a zero sum on a bounded edge (the type is "degenerate": its
+    plane is 0 up to ref), an inconsistent system (a "singular" type
+    without curves, decided on the tree by `_inconsistent_type`), or a
+    solvable one, which is not generic either.  A line parallel to its
+    leaf (d x z = 0) is rejected before any type.  Fractions (vertex
     positions) are built only for kept types.
     """
     degree = [tuple(d) for d in degree]
@@ -531,120 +536,225 @@ def enumerate_count(degree, lines: LineConfiguration,
     scale = lcm(*(r.denominator for r in rhs))
     rhs = [r.numerator * (scale // r.denominator) for r in rhs]
     leaf_planes = list(zip(rhos, rhs))
-    junctions = range(kappa, 2 * kappa - 2)
+    n1, c1 = leaf_planes[0]
+    x1, y1, z1 = n1
 
+    size = 2 * kappa - 2
+    junctions = range(kappa, size)
+    parent = [None] * size      # filled by the walk
+    pair = _edge_pairs(kappa)
+    kids = [None] * size        # the two children of a junction
+    below = degree + [None] * (kappa - 2)
+    plane = leaf_planes + [None] * (kappa - 2)
+    order = []                  # the junctions, each before its children
+    saved = []                  # the planes each insertion overwrote
+    # position[x] = pos[x] / den[x] with den[x] > 0, scaled by `scale`
+    pos = [None] * size
+    den = [0] * size
+    ref = None
     outcomes = []
     total = 0
-    for tree in trivalent_trees(kappa):
-        parent, order, below = _rooted_sums(tree, degree)
-        ref = order[0]
-        if any(below[x] == (0, 0, 0) for x in junctions if x != ref):
-            outcomes.append(TypeOutcome(tree.edges, "degenerate", 0, None))
+    for leaf, x, placed in _insertion_walk(kappa, parent):
+        m = kappa + leaf - 2
+        y = parent[m]
+        d0, d1, d2 = degree[leaf]
+        if not placed:
+            if y == 0:          # m was ref
+                ref = x
+            else:
+                kids[y][kids[y].index(m)] = x
+            order.remove(m)
+            for old in saved.pop():     # the path from y to ref again
+                b0, b1, b2 = below[y]
+                below[y] = (b0 - d0, b1 - d1, b2 - d2)
+                plane[y] = old
+                y = parent[y]
             continue
-        kids = _subtree_planes(kappa, parent, order, below, leaf_planes)
-        (n1, c1), (n2, c2), (n3, c3) = kids[ref]
-        m23, m31, m12 = cross(n2, n3), cross(n3, n1), cross(n1, n2)
-        det = dot(n1, m23)
+        kids[m] = [x, leaf]
+        if y == 0:              # x was ref
+            ref = m
+        else:
+            kids[y][kids[y].index(x)] = m
+        if x < kappa:
+            order.append(m)
+        else:
+            order.insert(order.index(x), m)
+        b0, b1, b2 = below[x]
+        below[m] = (b0 + d0, b1 + d1, b2 + d2)
+        plane[m] = _glue(plane[x], plane[leaf], below[m])
+        old = []
+        while y:
+            b0, b1, b2 = below[y]
+            below[y] = u = (b0 + d0, b1 + d1, b2 + d2)
+            a, b = kids[y]
+            old.append(plane[y])
+            plane[y] = _glue(plane[a], plane[b], u)
+            y = parent[y]
+        saved.append(old)
+        if leaf < kappa - 1:
+            continue
+
+        # a type: the planes at ref, leaf 0's among them
+        a, b = kids[ref]
+        n2, c2 = plane[a]
+        n3, c3 = plane[b]
+        m23 = cross(n2, n3)
+        det = x1 * m23[0] + y1 * m23[1] + z1 * m23[2]
+        edges = _tree_edges(parent, pair)
         if det == 0:
+            if (0, 0, 0) in [below[v] for v in order[1:]]:
+                outcomes.append(TypeOutcome(edges, "degenerate", 0, None))
+                continue
             # a structurally singular type carries no curves for generic
             # base points; a solvable singular system is a wall crossing
-            if _singular_type(kappa, parent, order, below, rhos, rhs):
-                outcomes.append(TypeOutcome(tree.edges, "singular", 0, None))
+            if _inconsistent_type(kappa, order, kids, below, plane):
+                outcomes.append(TypeOutcome(edges, "singular", 0, None))
                 continue
             raise WorkbenchError(
                 "NON_GENERIC_CONFIG",
-                f"singular system for topology {tree.edges}")
-        # position[x] = pos[x] / den[x] with den[x] > 0, scaled by `scale`
-        if det < 0:
-            det, c1, c2, c3 = -det, -c1, -c2, -c3
-        pos = [None] * len(parent)
-        den = [0] * len(parent)
-        pos[ref] = tuple(c1 * s + c2 * t + c3 * v
-                         for s, t, v in zip(m23, m31, m12))
+                f"singular system for topology {edges}")
+        # Cramer: det P = c1 (n2 x n3) + c2 (n3 x n1) + c3 (n1 x n2)
+        #               = c1 (n2 x n3) + n1 x (c3 n2 - c2 n3)
+        (a0, a1, a2), (b0, b1, b2) = n2, n3
+        w0, w1, w2 = cross(n1, (c3 * a0 - c2 * b0, c3 * a1 - c2 * b1,
+                                c3 * a2 - c2 * b2))
+        s0, s1, s2 = m23
+        if det > 0:
+            pos[ref] = (c1 * s0 + w0, c1 * s1 + w1, c1 * s2 + w2)
+        else:
+            det = -det
+            pos[ref] = (-c1 * s0 - w0, -c1 * s1 - w1, -c1 * s2 - w2)
         den[ref] = det
         rejected = False
-        for x in order[1:]:
-            if x < kappa:
-                continue
-            u0, u1, u2 = below[x]
-            for (a0, a1, a2), c in kids[x]:
+        for v in order[1:]:
+            u0, u1, u2 = below[v]
+            for w in kids[v]:
+                (a0, a1, a2), c = plane[w]
                 p = a0 * u0 + a1 * u1 + a2 * u2
                 if p:
                     break
-            # D != 0, so the plane of x is not 0 and some child has p != 0
-            y = parent[x]
-            q0, q1, q2 = pos[y]
-            e = den[y]
+            # D != 0, so the plane of v is not 0 and some child has p != 0
+            up = parent[v]
+            q0, q1, q2 = pos[up]
+            e = den[up]
             num = c * e - (a0 * q0 + a1 * q1 + a2 * q2)  # length num/(e p)
             if p < 0:
                 p, num = -p, -num
             if num == 0:
                 raise WorkbenchError(
                     "NON_GENERIC_CONFIG",
-                    f"zero edge length in topology {tree.edges}")
+                    f"zero edge length in topology {edges}")
             rejected = rejected or num < 0
-            pos[x] = (q0 * p + num * u0, q1 * p + num * u1, q2 * p + num * u2)
-            den[x] = e * p
+            pos[v] = (q0 * p + num * u0, q1 * p + num * u1, q2 * p + num * u2)
+            den[v] = e * p
         if rejected:
-            outcomes.append(TypeOutcome(tree.edges, "rejected", det, None))
+            outcomes.append(TypeOutcome(edges, "rejected", det, None))
             continue
 
-        verts = [(f"n{x}", tuple(Fraction(v, den[x] * scale) for v in pos[x]))
-                 for x in junctions]
-        edges = []
-        for a, b in tree.edges:
+        verts = [(f"n{v}", tuple(Fraction(t, den[v] * scale) for t in pos[v]))
+                 for v in junctions]
+        rays_and_edges = []
+        for a, b in edges:
             if a < kappa:
-                edges.append(Edge(f"n{b}", None, primitive_raw(degree[a]),
-                                  content(degree[a]), a))
+                rays_and_edges.append(Edge(f"n{b}", None,
+                                           primitive_raw(degree[a]),
+                                           content(degree[a]), a))
             else:
                 v = below[b] if parent[b] == a else vec_neg(below[a])
-                edges.append(Edge(f"n{a}", f"n{b}", primitive_raw(v),
-                                  content(v), None))
-        curve = TropicalCurve(3, verts, edges)
-        outcomes.append(TypeOutcome(tree.edges, "accepted", det, curve))
+                rays_and_edges.append(Edge(f"n{a}", f"n{b}", primitive_raw(v),
+                                           content(v), None))
+        curve = TropicalCurve(3, verts, rays_and_edges)
+        outcomes.append(TypeOutcome(edges, "accepted", det, curve))
         total += det
     return EnumerationResult(total, tuple(outcomes))
 
 
-def _subtree_planes(kappa, parent, order, below, leaf_planes):
-    """The plane of every rooted subtree of one type, leaves first.
+def _glue(plane_a, plane_b, u):
+    """The plane of a junction x from the planes of its two children.
 
-    Seen from its parent junction y, the subtree behind node x holds y's
-    position P on one plane n . P = c.  Leaf j gives leaf_planes[j] =
-    (rho_j, rho_j . q_j).  A junction x other than ref sits at
-    P + l_x u, u = below[x], and with p = n . u its child planes
+    Seen from its parent junction y, the subtree behind a node holds y's
+    position P on one plane n . P = c.  x sits at P + l_x u, u the
+    displacement of the edge y -> x, and with p = n . u its child planes
     (n_a, c_a) and (n_b, c_b) read n . P + l_x p = c; eliminating the
     length leaves (p_b n_a - p_a n_b, p_b c_a - p_a c_b).  In the type's
     evaluation matrix only those two (combined) rows have an entry in
-    l_x's column, so each step keeps |det|, and the three planes at ref
-    give it as n1 . (n2 x n3) (Gathmann-Markwig gluing).  A zero plane
-    stays zero up to ref.  Returns kids, kids[x] the planes of x's
-    children: two for a junction, three for ref.
+    l_x's column, so each step keeps |det| (Gathmann-Markwig gluing).
+    A zero plane stays zero.
+    """
+    (a0, a1, a2), ca = plane_a
+    (b0, b1, b2), cb = plane_b
+    u0, u1, u2 = u
+    pa = a0 * u0 + a1 * u1 + a2 * u2
+    pb = b0 * u0 + b1 * u1 + b2 * u2
+    return ((pb * a0 - pa * b0, pb * a1 - pa * b1, pb * a2 - pa * b2),
+            pb * ca - pa * cb)
+
+
+def _subtree_planes(kappa, parent, order, below, leaf_planes):
+    """The plane of every rooted subtree of one tree, leaves first.
+
+    Leaf j gives leaf_planes[j] = (rho_j, rho_j . q_j), and a junction
+    x other than the root `order[0]` the `_glue` of its children's
+    planes along below[x], the displacement of the edge parent(x) -> x.
+    Returns kids, kids[x] the planes of x's children in the order of
+    the reversed pre-order: two for a junction, three for a junction
+    root.
     """
     kids = [[] for _ in parent]
-    for x in order[:0:-1]:      # children before parents, ref skipped
+    for x in order[:0:-1]:      # children before parents, root skipped
         if x < kappa:
             plane = leaf_planes[x]
         else:
-            ((a0, a1, a2), ca), ((b0, b1, b2), cb) = kids[x]
-            u0, u1, u2 = below[x]
-            pa = a0 * u0 + a1 * u1 + a2 * u2
-            pb = b0 * u0 + b1 * u1 + b2 * u2
-            plane = ((pb * a0 - pa * b0, pb * a1 - pa * b1,
-                      pb * a2 - pa * b2), pb * ca - pa * cb)
+            plane = _glue(*kids[x], below[x])
         kids[parent[x]].append(plane)
     return kids
 
 
-def _singular_type(kappa, parent, order, below, rhos, rhs) -> bool:
-    """Whether a type with D = 0 is "singular" (no curves) rather than a
-    wall: its evaluation system is inconsistent.
+def _inconsistent_type(kappa, order, kids, below, plane):
+    """Whether a type with D = 0 has no solution, decided on its tree.
 
-    The rows are the type's evaluation matrix (`_evaluation_rows`), with
-    the junctions in pre-order as columns; one echelon pass on [A | b]
-    decides, with no back-substitution."""
-    ref = order[0]
-    inner = [x for x in order[1:] if x >= kappa]
-    col_of = {x: 3 + k for k, x in enumerate(inner)}
-    rows = _evaluation_rows(rhos, range(kappa), parent, below, ref, col_of)
-    return not is_consistent(rows, rhs)
+    Each subtree hands its parent the rows (n, c), at most three, that
+    it puts on the parent's position P.  A leaf hands plane[j].  A
+    junction x gathers its children's rows, which hold on P + l_x u
+    with u = below[x]; a row with n . u != 0 eliminates l_x from the
+    others (`_glue`) and is dropped, and when no row has n . u != 0 all
+    rows pass up unchanged.  More than three rows are reduced by
+    `_echelon`, which may find them inconsistent: then so is the type.
+    At ref, the first junction of the parent-first `order`, leaf 0's
+    row joins its children's: the type is singular exactly when this
+    system is inconsistent, so this equals one echelon pass on the
+    type's evaluation rows.
+    """
+    systems = {}
+    for x in reversed(order):
+        rows = []
+        for y in kids[x]:
+            if y < kappa:
+                rows.append(plane[y])
+            else:
+                rows += systems[y]
+        if x == order[0]:
+            rows.append(plane[0])
+            return _echelon(rows) is None
+        u0, u1, u2 = below[x]
+        for k, ((a0, a1, a2), _) in enumerate(rows):
+            if a0 * u0 + a1 * u1 + a2 * u2:
+                pivot = rows.pop(k)
+                rows = [_glue(r, pivot, below[x]) for r in rows]
+                break
+        if len(rows) > 3:
+            rows = _echelon(rows)
+            if rows is None:
+                return True
+        systems[x] = rows
+
+
+def _echelon(rows):
+    """At most three rows (n, c), in fraction-free row-echelon form
+    (`lattice._bareiss_echelon`), with the solution set of the rows
+    n . P = c in three unknowns, or None when that set is empty."""
+    a = [[*n, c] for n, c in rows]
+    r = len(_bareiss_echelon(a, 3)[0])
+    if any(row[3] for row in a[r:]):
+        return None
+    return [(tuple(row[:3]), row[3]) for row in a[:r]]

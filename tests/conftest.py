@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from troplag.curve import Edge, TreeTopology, TropicalCurve, _rooted_sums
+from enumeration_oracle import rooted_sums
+
+from troplag.curve import Edge, TreeTopology, TropicalCurve
 from troplag.lattice import content, primitive_raw, vec_neg
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -80,7 +82,7 @@ def edge_vectors(topo, degree):
     the leaf vectors on b's side.  The degree must be balanced, so that
     this is minus the sum on a's side: dh[(j, x)] = -degree[j] from leaf
     j to its junction x."""
-    parent, _, below = _rooted_sums(topo, degree)
+    parent, _, below = rooted_sums(topo, degree)
     dh = {}
     for a, b in topo.edges:
         v = below[b] if parent[b] == a else vec_neg(below[a])

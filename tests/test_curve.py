@@ -6,8 +6,10 @@ import pytest
 from conftest import (embed_skeleton, fixture_path, internal_edges,
                       random_balanced_skeleton)
 
+from enumeration_oracle import rooted_sums
+
 from troplag.curve import (Edge, End, TreeTopology, TropicalCurve,
-                           _rooted_sums, betti_and_degree,
+                           betti_and_degree,
                            combinatorial_type, extend_curve, regularity_check,
                            split_at_edge, trivalent_trees, validate_curve)
 from troplag.errors import WorkbenchError
@@ -301,7 +303,7 @@ def test_trivalent_trees_yield_the_listed_order():
 
 def test_internal_directions_examples():
     tripod = TreeTopology(3, ((0, 3), (1, 3), (2, 3)))
-    parent, order, below = _rooted_sums(
+    parent, order, below = rooted_sums(
         tripod, [(-1, 0, 0), (0, -1, 0), (1, 1, 0)])
     assert order[0] == 3 and parent == [3, 3, 3, None]
     assert below[3] == (0, 0, 0) and not internal_edges(tripod)
@@ -309,13 +311,13 @@ def test_internal_directions_examples():
     # the junction of leaf 0 is ref; below[5] is the edge 4 -> 5
     quad = TreeTopology(4, ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)))
     degree = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
-    parent, order, below = _rooted_sums(quad, degree)
+    parent, order, below = rooted_sums(quad, degree)
     assert order[0] == 4 and parent[5] == 4
     assert below[5] == (-1, -1, 0)
     assert content(below[5]) == 1
 
     quad_bad = TreeTopology(4, ((0, 4), (2, 4), (1, 5), (3, 5), (4, 5)))
-    parent, order, below = _rooted_sums(quad_bad, degree)
+    parent, order, below = rooted_sums(quad_bad, degree)
     assert order[0] == 4 and parent[5] == 4
     assert below[5] == (0, 0, 0)
 
@@ -343,7 +345,7 @@ def test_internal_directions_match_side_sums():
         for topo in trivalent_trees(kappa):
             degree = [tuple(rng.randint(-1, 1) for _ in range(3))
                       for _ in range(kappa)]
-            parent, order, below = _rooted_sums(topo, degree)
+            parent, order, below = rooted_sums(topo, degree)
             ref = order[0]
             assert parent[ref] is None and ref in topo.adjacency()[0]
             assert below[ref] == tuple(map(sum, zip(*degree)))

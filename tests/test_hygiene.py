@@ -106,3 +106,49 @@ def test_public_names_resolve_once():
     names = troplag.__all__
     assert sorted(set(names)) == sorted(names)
     assert [n for n in names if not hasattr(troplag, n)] == []
+
+
+def unused_private(modules):
+    """(module, name) for each module-level _private function or class
+    of the parsed modules {module: tree} that no module references
+    (as a name, an attribute or an imported name) outside its own
+    definition."""
+    refs = []           # (module, line, name)
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((mod, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((mod, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(mod, node.lineno, a.name) for a in node.names]
+    unused = []
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    node.name.startswith("_") and \
+                    not node.name.startswith("__"):
+                own = range(node.lineno, node.end_lineno + 1)
+                if not any(name == node.name and
+                           (m != mod or line not in own)
+                           for m, line, name in refs):
+                    unused.append((mod, node.name))
+    return sorted(unused)
+
+
+def test_every_private_definition_is_used():
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert unused_private(modules) == []
+
+
+def test_checker_catches_unused_private_definitions():
+    a = ("def _used(): return 1\n"
+         "def _self_only(n):\n    return _self_only(n - 1)\n"
+         "class _Orphan:\n    pass\n"
+         "def __dunder__(): pass\n"
+         "def _by_attribute(): pass\n"
+         "def public(): return _used()\n")
+    b = ("from a import _imported_only\nimport a\nx = a._by_attribute\n")
+    a += "def _imported_only(): pass\n"
+    modules = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert unused_private(modules) == [("a", "_Orphan"), ("a", "_self_only")]

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from enumeration_oracle import is_consistent
 from exact_oracle import solve_exact
 from troplag.errors import WorkbenchError
 from troplag.lattice import (SnfResult, content, cross, det_bareiss,
                              elementary_divisors, gcd_primitive,
-                             is_consistent, lattice_index, mixed, rank_exact,
+                             lattice_index, mixed, rank_exact,
                              smith_normal_form, solve_bareiss, solve_cross,
                              solve_dot)
 

@@ -6,11 +6,13 @@ import pytest
 from conftest import (all_roots, curve_tree, edge_vectors, fixture_path,
                       internal_edges, leaf_neighbor, rand_nonzero,
                       rand_primitive, random_tree_problem)
+from enumeration_oracle import enumerate_count as per_type_enumerate
+from enumeration_oracle import rooted_sums, singular_type
 from exact_oracle import solve_exact
 
 from troplag import multiplicity
-from troplag.curve import (Edge, TropicalCurve, _rooted_sums,
-                           trivalent_trees, validate_curve)
+from troplag.curve import (Edge, TropicalCurve, trivalent_trees,
+                           validate_curve)
 from troplag.domain import LineConfiguration
 from troplag.errors import WorkbenchError
 from troplag.io_json import load_curve, load_lines
@@ -272,6 +274,25 @@ def test_ev_matrix_needs_tree():
     with pytest.raises(WorkbenchError) as err:
         ev_matrix(cyc, [(0, 1, 2)] * 4)
     assert err.value.code == "TREE_ONLY"
+
+
+def test_momenta_refuse_a_cycle():
+    """A triangle with one ray at each corner is a valid curve with
+    b1 = 1: build_problem takes it, and the rooted walk of momenta
+    stops at the first node it reaches twice instead of running on."""
+    tri = TropicalCurve(3, [("a", (0, 0, 0)), ("b", (1, 0, 0)),
+                            ("c", (0, 1, 0))],
+                        [Edge("a", "b", (1, 0, 0)), Edge("b", "c", (-1, 1, 0)),
+                         Edge("c", "a", (0, -1, 0)),
+                         Edge("a", None, (-1, -1, 0), 1, 0),
+                         Edge("b", None, (2, -1, 0), 1, 1),
+                         Edge("c", None, (-1, 2, 0), 1, 2)])
+    assert validate_curve(tri).ok and tri.b1() == 1
+    prob = build_problem(tri, [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
+    for root in range(6):
+        with pytest.raises(WorkbenchError) as err:
+            prob.momenta(root)
+        assert str(err.value) == "TREE_ONLY: a rooted walk needs a tree"
 
 
 def test_ev_matrix_reference_independence():
@@ -719,7 +740,7 @@ def type_rows(tree, degree, rhos):
     tree: rho_j in the translation columns, rho_j . below[x] in the column
     of each junction x on the climb from leaf j to ref."""
     kappa = tree.kappa
-    parent, order, below = _rooted_sums(tree, degree)
+    parent, order, below = rooted_sums(tree, degree)
     ref = order[0]
     inner = [x for x in order[1:] if x >= kappa]
     col_of = {x: 3 + k for k, x in enumerate(inner)}
@@ -749,7 +770,7 @@ def test_subtree_planes_give_the_evaluation_determinant(kappa, seed, count,
         rhos = [cross(d, l.direction) for d, l in zip(degree, lines.lines)]
         leaf_planes = [(rho, 0) for rho in rhos]
         for tree in trivalent_trees(kappa):
-            parent, order, below = _rooted_sums(tree, degree)
+            parent, order, below = rooted_sums(tree, degree)
             kids = _subtree_planes(kappa, parent, order, below, leaf_planes)
             (n1, _), (n2, _), (n3, _) = kids[order[0]]
             assert abs(dot(n1, cross(n2, n3))) == \
@@ -763,13 +784,13 @@ def test_subtree_planes_give_the_evaluation_determinant(kappa, seed, count,
 
 def test_matrix_fallback_runs_once_per_singular_type(monkeypatch):
     calls = []
-    fallback = multiplicity._singular_type
+    fallback = multiplicity._inconsistent_type
 
     def counted(*args):
         calls.append(args)
         return fallback(*args)
 
-    monkeypatch.setattr(multiplicity, "_singular_type", counted)
+    monkeypatch.setattr(multiplicity, "_inconsistent_type", counted)
     rng = random.Random(23)
     counts = []
     for kappa, count in ((4, 20), (5, 10), (6, 4)):
@@ -794,8 +815,8 @@ def test_enumerate_rejects_a_line_parallel_to_its_leaf(monkeypatch):
     lines = LineConfiguration([{"point": (j, 2 * j, 1), "dir": z}
                                for j, z in enumerate(dirs)])
     visited = []
-    monkeypatch.setattr(multiplicity, "trivalent_trees",
-                        lambda kappa: visited.append(kappa) or [])
+    monkeypatch.setattr(multiplicity, "_insertion_walk",
+                        lambda kappa, parent: visited.append(kappa) or [])
     with pytest.raises(WorkbenchError) as err:
         enumerate_count(degree, lines)
     assert err.value.code == "NON_GENERIC_CONFIG"
@@ -805,3 +826,87 @@ def test_enumerate_rejects_a_line_parallel_to_its_leaf(monkeypatch):
     monkeypatch.undo()
     assert outcome_text(reference_enumerate, degree, lines) == \
         ("NON_GENERIC_CONFIG", str(err.value))
+
+
+# ---------------------------------------------------------------------------
+# the walk of the insertion tree against the per-type route
+
+
+def outcome_record(fn, degree, lines):
+    """The total and, per type, the topology, status, multiplicity,
+    vertices and edges of the curve; or the error code and text."""
+    try:
+        res = fn(degree, lines)
+    except WorkbenchError as err:
+        return err.code, str(err)
+    return res.total, [(t.topology, t.status, t.multiplicity,
+                        None if t.curve is None else
+                        (t.curve.vertices, t.curve.edges))
+                       for t in res.per_type]
+
+
+@pytest.mark.parametrize("kappa,seed,count,num,den,bound", [
+    (4, 31, 40, 20, 5, 1), (5, 32, 15, 20, 5, 2), (6, 33, 5, 300, 40, 2),
+    (7, 34, 2, 20, 5, 1), (8, 35, 1, 300, 40, 2),
+    (4, 36, 120, 2, 1, 1), (5, 37, 60, 2, 1, 1), (6, 38, 25, 2, 1, 2),
+    (7, 39, 4, 2, 1, 1)], ids=[
+    "4", "5-wide", "6-wide", "7", "8-wide",
+    "4-walls", "5-walls", "6-walls-wide", "7-walls"])
+def test_enumerate_matches_the_per_type_route(kappa, seed, count, num, den,
+                                              bound):
+    """The walk gives the per-type route's total, statuses,
+    multiplicities, curves and error texts.  Points with num = 2 and
+    den = 1 put many placements on a wall, so the first wall type and
+    its message are compared too."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(count):
+        degree, lines = random_enumeration(rng, kappa, num, den, bound)
+        got = outcome_record(enumerate_count, degree, lines)
+        assert got == outcome_record(per_type_enumerate, degree, lines)
+        if isinstance(got[0], str):
+            seen.add(got[1].split(" in topology")[0]
+                     .split(" for topology")[0])
+        else:
+            seen |= {t[1] for t in got[1]}
+    assert {"accepted", "rejected"} <= seen
+    if num == 2:
+        assert "singular" in seen
+        assert {"NON_GENERIC_CONFIG: zero edge length",
+                "NON_GENERIC_CONFIG: singular system"} & seen
+
+
+def test_tree_decision_matches_the_echelon_pass(monkeypatch):
+    """On every type with D = 0 and no zero sum on a bounded edge, the
+    decision on the tree equals one echelon pass on the type's
+    evaluation rows, and both answers occur."""
+    decide = multiplicity._inconsistent_type
+    answers = []
+
+    def checked(kappa, order, kids, below, plane):
+        got = decide(kappa, order, kids, below, plane)
+        # the oracle's tree hangs from ref, with leaf 0 below it
+        ref = order[0]
+        parent = [None] * len(below)
+        for x in order:
+            for y in kids[x]:
+                parent[y] = x
+        parent[0] = ref
+        assert not any(below[x] == (0, 0, 0) for x in order[1:])
+        rhos, rhs = zip(*plane[:kappa])
+        assert got == singular_type(kappa, parent, order, below, rhos, rhs)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(multiplicity, "_inconsistent_type", checked)
+    rng = random.Random(41)
+    for kappa, count, num, den, bound in (
+            (4, 150, 2, 1, 1), (5, 80, 2, 1, 1), (6, 20, 2, 1, 2),
+            (7, 3, 2, 1, 1), (6, 6, 20, 5, 2), (7, 2, 20, 5, 1)):
+        for _ in range(count):
+            degree, lines = random_enumeration(rng, kappa, num, den, bound)
+            try:
+                enumerate_count(degree, lines)
+            except WorkbenchError as err:
+                assert err.code == "NON_GENERIC_CONFIG"
+    assert True in answers and False in answers
