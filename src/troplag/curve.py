@@ -42,6 +42,12 @@ def as_rational_point(xs):
     return tuple(map(as_rational, xs))
 
 
+def point_text(xs):
+    """A point as messages print it: its coordinates as the JSON writes
+    them (p/q strings), in parentheses."""
+    return f"({', '.join(map(str, xs))})"
+
+
 class Edge(Record):
     __slots__ = ("tail", "head", "direction", "weight", "leaf_label")
 
@@ -691,7 +697,8 @@ def _preorder(adj, root):
     children.  A node's children are pushed in adjacency order, so a
     walk over the reversed pre-order meets them, and hands their data to
     the node, in adjacency order.  No recursion: any depth works.  A
-    node reached a second time closes a cycle: TREE_ONLY.
+    node reached a second time closes a cycle, and a node never reached
+    lies in another component: either is TREE_ONLY.
     """
     parent, order, stack = [None] * len(adj), [], [root]
     while stack:
@@ -705,6 +712,8 @@ def _preorder(adj, root):
                                          "a rooted walk needs a tree")
                 parent[y] = x
                 stack.append(y)
+    if len(order) != len(adj):
+        raise WorkbenchError("TREE_ONLY", "a rooted walk needs a tree")
     return parent, order
 
 

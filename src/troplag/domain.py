@@ -8,27 +8,27 @@ fronts, and runs the suitability test for boundary line configurations.
 
 All feasibility questions are decided exactly, in integers: Fourier-
 Motzkin elimination over integer rows, and points in homogeneous
-coordinates (Y, D), integers with D > 0, meaning Y / D.  A facet test
-clears a point's denominators once and reads the sign of an integer
-expression.  A `Fraction` is built only where a point leaves the module.
-The Delzant check visits the faces of the domain, not its facet
-subsets: from each face it asks, for every facet, for a relative-
-interior point of the face where that facet is tight, and the facets
-tight at that point name the smaller face.  That is one Fourier-Motzkin
-pass in at most dim variables per face of dimension >= 3 and facet.  A
-face of dimension 2 needs none: one integer scan along each facet's
-line reads off its edges and vertices.  An edge's endpoints come from
-its own frame.  An n-gon costs one pass, a pyramid over an (n - 1)-gon
-n + 1, so the check is polynomial in the facet count for a fixed
-dimension, non-simple corners included.
+coordinates (Y, D), integers with D > 0, meaning Y / D.  The face search
+and the facet tests of `PolyhedralDomain` are integer-only; `_meet` and
+`wavefront` build a `Fraction` only for a point they return.  Ray exits,
+edge lengths, collinear overlaps, leaf-line meets and edge midpoints
+are computed in Fractions.
+
+The Delzant check visits the faces of the domain, not its facet subsets
+(`_face_sets`): polynomial in the facet count for a fixed dimension,
+non-simple corners included.  Every bound on one parameter there, a
+fibre of the elimination or a line of a 2-face or an edge, goes
+through one interval rule (`_interval`, `_inside`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .curve import TropicalCurve, Edge, as_rational, validate_curve
+from .curve import (TropicalCurve, Edge, as_rational, point_text,
+                    validate_curve)
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, dot, elementary_divisors, is_zero,
                       mixed, primitive_raw, rank_exact, rot90, solve_bareiss,
@@ -108,6 +108,40 @@ class LineConfiguration:
 # exact face points (Fourier-Motzkin, integer homogeneous coordinates)
 
 
+def _interval(rows):
+    """The s with c s >= b for every integer pair (c, b) in rows, as
+    (lo, hi), or None when no s fits.  Each end is (num, den) with
+    den > 0, meaning num / den, or None on a side left open."""
+    lo = hi = None
+    for c, b in rows:
+        if c > 0:
+            if lo is None or b * lo[1] > lo[0] * c:     # b / c > lo
+                lo = (b, c)
+        elif c < 0:
+            if hi is None or b * hi[1] > hi[0] * c:     # b / c < hi
+                hi = (-b, -c)
+        elif b > 0:
+            return None
+    if lo is not None and hi is not None and hi[0] * lo[1] < lo[0] * hi[1]:
+        return None
+    return lo, hi
+
+
+def _inside(lo, hi, step):
+    """A relative-interior point (num, den) of the interval from lo to
+    hi, as `_interval` gives them, and the interval's dimension: 1, or 0
+    for a single point.  The point is the midpoint, `step` past a single
+    bound, or 0 on the whole line."""
+    if lo is None:
+        if hi is None:
+            return (0, 1), 1
+        return (hi[0] - hi[1] * step, hi[1]), 1
+    if hi is None:
+        return (lo[0] + lo[1] * step, lo[1]), 1
+    return ((lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]),
+            int(hi[0] * lo[1] != lo[0] * hi[1]))
+
+
 def _fm_point(ineqs, nvars):
     """A relative-interior point of {y : co . y >= rhs} and the dimension
     of that set, or None if it is empty.
@@ -116,14 +150,12 @@ def _fm_point(ineqs, nvars):
     returned as (Y, D), integers with D > 0, meaning y = Y / D.  Fourier-
     Motzkin elimination of the last variable gives the exact projection
     onto the leading ones, down to the first.  Back-substitution then
-    puts each coordinate at the middle of the interval its fibre leaves
-    open (one past a single bound, 0 with none), and the set is empty
-    exactly when the first interval is.  Each prefix so chosen lies in
-    the relative interior of its projection, hence so does the point
-    (Rockafellar, Convex Analysis, Thm. 6.6 and Cor. 6.5.1), and the
-    fibres of positive length count the dimension.  A bound on D * y_k
-    is kept as a pair (num, den) with den > 0 and compared by cross-
-    multiplying.
+    puts each coordinate inside the interval its fibre leaves open
+    (`_inside`, with step D), and the set is empty exactly when the first
+    interval is.  Each prefix so chosen lies in the relative interior of
+    its projection, hence so does the point (Rockafellar, Convex
+    Analysis, Thm. 6.6 and Cor. 6.5.1), and the fibres of positive length
+    count the dimension.
     """
     levels = []
     for k in reversed(range(nvars)):
@@ -152,37 +184,19 @@ def _fm_point(ineqs, nvars):
     dim = 0
     for system in reversed(levels):
         k = len(Y)
-        lo = hi = None
-        for co, rhs in system:
-            ck = co[k]
-            if ck == 0:
-                continue
-            # ck * (D * y_k) >= num
-            num = rhs * D - sum(c * v for c, v in zip(co, Y))
-            if ck > 0:
-                if lo is None or num * lo[1] > lo[0] * ck:  # num / ck > lo
-                    lo = (num, ck)
-            elif hi is None or num * hi[1] > hi[0] * ck:    # num / ck < hi
-                hi = (-num, -ck)
-        if lo is None and hi is None:
-            num, den, wide = 0, 1, True
-        elif hi is None:
-            num, den, wide = lo[0] + lo[1] * D, lo[1], True
-        elif lo is None:
-            num, den, wide = hi[0] - hi[1] * D, hi[1], True
-        else:
-            gap = hi[0] * lo[1] - lo[0] * hi[1]
-            if gap < 0:
-                return None   # only at k = 0: the later fibres are projections
-            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
-            wide = gap > 0
+        # co[k] * (D * y_k) >= rhs * D - co . Y
+        bounds = _interval((co[k], rhs * D - sum(map(mul, co, Y)))
+                           for co, rhs in system if co[k])
+        if bounds is None:
+            return None   # only at k = 0: the later fibres are projections
+        (num, den), fibre_dim = _inside(*bounds, D)
         # y_k = num / (den * D)
         g = gcd(num, den)
         num, den = num // g, den // g
         Y = [v * den for v in Y]
         Y.append(num)
         D *= den
-        dim += wide
+        dim += fibre_dim
     return (tuple(Y), D), dim
 
 
@@ -228,6 +242,22 @@ def _tight_at(tight, rows, point):
                                       if dot(co, Y) == rhs * D)))
 
 
+def _line_sets(tight, facets, line):
+    """The closed active sets at the ends of the s with c s >= b for
+    every (c, b) in line, and at a relative-interior point of them; none
+    when no s fits.  The i-th pair of line comes from the row of the
+    i-th facet in `facets`, and the facets in `tight` hold with
+    equality for every s."""
+    bounds = _interval(line)
+    if bounds is None:
+        return ()
+    point, dim = _inside(*bounds, 1)
+    ends = [end for end in bounds if end is not None] if dim else []
+    return [tuple(sorted([*tight, *[
+        j for j, (c, b) in zip(facets, line) if c * num == b * den]]))
+        for num, den in [point, *ends]]
+
+
 def _plane_faces(tight, rows):
     """Closed active sets of the edges and vertices of a face of
     dimension 2 with closed set `tight`, from its frame rows co . y >= rhs
@@ -235,16 +265,10 @@ def _plane_faces(tight, rows):
 
     Each row a . y >= r with a != 0 names a line, y = (P + s t) / D with
     P = r a, D = a . a and t = rot90(a), on which every row reads
-    c s >= b in integers: c = co . t and b = D rhs - co . P.  A row with
-    c = 0 and b > 0 puts the line outside the face.  Otherwise the
-    tightest lower and upper bounds on s, compared by cross-multiplying
-    as in the edge branch of `_face_sets`, are the ends of the line's
-    meet with the face: crossing bounds leave it empty, equal ones make
-    it a vertex, and any other meet is an edge, with a relative-interior
-    point at its midpoint, one past its end on a ray and at s = 0 on a
-    whole line.  The facets tight at s = num / den are `tight` and every
-    row with c num = b den.  Every edge and vertex of the face lies on
-    the line of some row, so n rows cost O(n^2) integer operations.
+    c s >= b in integers: c = co . t and b = D rhs - co . P.  Every edge
+    and vertex of the face lies on the line of some row, and
+    `_line_sets` reads their sets off it, so n rows cost O(n^2) integer
+    operations.
     """
     found = set()
     for (a0, a1), r in rows.values():
@@ -254,34 +278,13 @@ def _plane_faces(tight, rows):
         D = a0 * a0 + a1 * a1
         p0, p1 = r * a0, r * a1
         line = []
-        lo = hi = None
-        for j, ((c0, c1), rhs) in rows.items():
+        for (c0, c1), rhs in rows.values():
             c, b = c0 * t0 + c1 * t1, D * rhs - c0 * p0 - c1 * p1
-            line.append((j, c, b))
-            if c > 0:
-                if lo is None or b * lo[1] > lo[0] * c:
-                    lo = (b, c)
-            elif c < 0:
-                if hi is None or b * hi[1] > hi[0] * c:
-                    hi = (-b, -c)
-            elif b > 0:
-                break
+            if not c and b > 0:
+                break   # the line misses the face: skip its other rows
+            line.append((c, b))
         else:
-            if lo is not None and hi is not None:
-                gap = hi[0] * lo[1] - lo[0] * hi[1]
-                if gap < 0:
-                    continue  # the bounds cross
-                points = [lo] if gap == 0 else [
-                    lo, hi, (lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])]
-            elif lo is not None:
-                points = [lo, (lo[0] + lo[1], lo[1])]
-            elif hi is not None:
-                points = [hi, (hi[0] - hi[1], hi[1])]
-            else:
-                points = [(0, 1)]
-            for num, den in points:
-                found.add(tuple(sorted(tight + tuple(
-                    j for j, c, b in line if c * num == b * den))))
+            found.update(_line_sets(tight, rows, line))
     return found
 
 
@@ -300,14 +303,13 @@ def _face_sets(domain):
     tight.  A face of dimension 2 needs no pass: `_plane_faces` reads
     the sets of all its edges and vertices off its frame rows in one
     integer scan per row, and pushes nothing.  Nor does an edge: its
-    frame has one variable y, so its rows are bounds on y, and the
-    tightest lower and the tightest upper bound are its endpoints, where
-    `_tight_at` reads off the vertices' sets; an open end has no child.
-    The cost is one exact solve per face of positive dimension, n passes
-    in at most dim variables from each face of dimension >= 3, and
-    O(n^2) integer operations per 2-face: one pass for an n-gon, n + 1
-    for a pyramid over an (n - 1)-gon, polynomial in the facet count n
-    for a fixed dimension, even where many facets meet.
+    frame rows are bounds on its one variable, and `_line_sets` reads
+    the sets at its ends off them.  The cost is one exact solve per
+    face of positive dimension, n passes in at most dim variables from
+    each face of dimension >= 3, and O(n^2) integer operations per
+    2-face: one pass for an n-gon, n + 1 for a pyramid over an
+    (n - 1)-gon, polynomial in the facet count n for a fixed dimension,
+    even where many facets meet.
     """
     kernel, rows = _frame(domain, ())
     top = _fm_point(list(rows.values()), len(kernel))
@@ -327,18 +329,8 @@ def _face_sets(domain):
             seen.update(_plane_faces(S, rows))
             continue
         if dim == 1:
-            # c y >= r bounds y below by r / c when c > 0, above when
-            # c < 0; each bound is kept as (r, c) with c > 0
-            lo = hi = None
-            for (c,), r in rows.values():
-                if c > 0:
-                    if lo is None or r * lo[1] > lo[0] * c:
-                        lo = (r, c)
-                elif c < 0 and (hi is None or r * hi[1] > hi[0] * c):
-                    hi = (-r, -c)
-            for end in (lo, hi):
-                if end is not None:
-                    seen.add(_tight_at(S, rows, ((end[0],), end[1])))
+            seen.update(_line_sets(S, rows, [(c, r) for (c,), r
+                                             in rows.values()]))
             continue
         face = list(rows.values())
         for co, rhs in rows.values():
@@ -393,15 +385,9 @@ def validate_delzant(d: PolyhedralDomain) -> DelzantReport:
     supports no facet of the domain and is reported as redundant.  An
     empty domain raises EMPTY_DOMAIN.
 
-    The sets come from a search over the faces (`_face_sets`), not over
-    all 2^n facet subsets of n facets.  It costs one exact solve per face
-    of positive dimension and at most n Fourier-Motzkin passes, in at
-    most dim variables, from each face of dimension >= 3; a 2-face's
-    edges and vertices come from one integer line scan per facet, and an
-    edge's endpoints from its frame.  That is one pass for an n-gon, and
-    n + 1 for a pyramid over an (n - 1)-gon, whose apex lies on n - 1
-    facets.  Strata are reported ordered by (size, indices), as the
-    subset search found them.
+    The sets come from the face search (`_face_sets`), not from all 2^n
+    subsets of n facets.  Strata are reported ordered by (size,
+    indices), as the subset search found them.
     """
     return _delzant(d)[0]
 
@@ -694,8 +680,9 @@ def classify_point_on_edge(c, domain, point, edge_index, outward,
                            end_index=None) -> BoundaryPointInfo:
     active = domain.locate(point)
     if active is None:
-        raise WorkbenchError("OUTSIDE_DOMAIN",
-                             f"{point} violates a facet inequality")
+        raise WorkbenchError(
+            "OUTSIDE_DOMAIN",
+            f"{point_text(point)} violates a facet inequality")
     return _classify_at(c, domain, point, active, edge_index, outward,
                         end_index)
 
@@ -750,8 +737,9 @@ def classify_boundary_point(c: TropicalCurve, d: PolyhedralDomain,
                     vec_add(base, vec_scale(t, end.outward)) == point:
                 return classify_point_on_edge(c, d, point, end.edge_index,
                                               end.outward)
-    raise WorkbenchError("NOT_A_BOUNDARY_POINT",
-                         f"{point} is not where a curve end meets the boundary")
+    raise WorkbenchError(
+        "NOT_A_BOUNDARY_POINT",
+        f"{point_text(point)} is not where a curve end meets the boundary")
 
 
 class EvennessReport(Record):
@@ -837,8 +825,6 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
     for i, e in enumerate(c.edges):
         if not e.bounded:
             continue
-        if e.tail not in c.vertices or e.head not in c.vertices:
-            continue
         mid = tuple(Fraction(a + b, 2) for a, b in
                     zip(c.position(e.tail), c.position(e.head)))
         if d.locate(mid):
@@ -875,8 +861,8 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
     for info in boundary:
         if info.kind not in ("MOMENTUM2", "BISSECTRICE"):
             issues.append(
-                f"boundary point {info.point} on edge {info.edge_index} "
-                f"is {info.kind} {info.note}".rstrip())
+                f"boundary point {point_text(info.point)} on edge "
+                f"{info.edge_index} is {info.kind} {info.note}".rstrip())
 
     pts = [info.point for info in boundary]
     if len(set(pts)) != len(pts):
@@ -884,7 +870,8 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
     vertex_positions = {c.position(v) for v in c.trivalent_vertices()}
     for info in boundary:
         if info.point in vertex_positions:
-            issues.append(f"boundary point {info.point} is a curve vertex")
+            issues.append(f"boundary point {point_text(info.point)} "
+                          "is a curve vertex")
 
     try:
         crossings = tuple(c2 for c2 in curve_self_crossings(c, d)
@@ -897,11 +884,11 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
     cross_pts = {cr["point"] for cr in crossings}
     for info in boundary:
         if info.point in cross_pts:
-            issues.append(
-                f"boundary point {info.point} is a self-intersection")
+            issues.append(f"boundary point {point_text(info.point)} "
+                          "is a self-intersection")
     for pt in cross_pts:
         if pt in vertex_positions:
-            issues.append(f"vertex at {pt} lies on another edge")
+            issues.append(f"vertex at {point_text(pt)} lies on another edge")
 
     j = sum(1 for b in boundary if b.kind == "MOMENTUM2")
     n_biss = sum(1 for b in boundary if b.kind == "BISSECTRICE")
@@ -926,16 +913,6 @@ def _rational_direction(diff):
     for x in diff:
         denom = lcm(denom, Fraction(x).denominator)
     return primitive_raw(tuple(int(x * denom) for x in diff))
-
-
-def _vertex_rows(d, delta):
-    """Each facet p . x >= a + delta as the integer row (q p, m), where
-    a + delta = m / q."""
-    rows = []
-    for f in d.facets:
-        a = f.offset + delta
-        rows.append((vec_scale(a.denominator, f.normal), a.numerator))
-    return rows
 
 
 def _vertex(rows, pair):
@@ -972,7 +949,8 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
         raise WorkbenchError("INVALID_DOMAIN",
                              "domain has no vertices to connect")
     outer_rows = d.rows
-    inner_rows = _vertex_rows(d, delta)
+    inner_rows = PolyhedralDomain(
+        d.dim, [Facet(f.normal, f.offset + delta) for f in d.facets]).rows
     outer, inner = [], []
     for pair in pairs:
         num, det = _vertex(outer_rows, pair)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .errors import Record, WorkbenchError
 
@@ -40,7 +41,7 @@ def dot(u, v):
     if len(u) != len(v):
         raise WorkbenchError("DIMENSION_MISMATCH",
                              f"dot of lengths {len(u)} and {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero(u):

@@ -11,7 +11,7 @@ with a torsion recursion along the rooted tree as a cross-check.
 from __future__ import annotations
 
 
-from .curve import TropicalCurve, require_valid
+from .curve import TropicalCurve, point_text, require_valid
 from .domain import (PolyhedralDomain, curve_self_crossings,
                      is_standard_simplex_3, require_even_primitive)
 from .errors import Record, WorkbenchError
@@ -299,7 +299,7 @@ def _bissectrice_zs(c, domain, zs):
         if info is not None and info.kind != "BISSECTRICE":
             raise WorkbenchError(
                 "NOT_BISSECTRICE",
-                f"boundary point {info.point} is {info.kind}")
+                f"boundary point {point_text(info.point)} is {info.kind}")
     return [z for _, z, _ in ends]
 
 

@@ -187,3 +187,20 @@ def curve_tree(curve):
         adj.setdefault(a, []).append((b, dh, ch["weight"], cid))
         adj.setdefault(b, []).append((a, vec_neg(dh), ch["weight"], cid))
     return adj
+
+
+def triangle_and_tripod():
+    """A triangle with one ray at each corner and, apart from it, a
+    tripod whose rays come first: b1() reads 3 - 4 + 1 = 0, but the
+    curve is no tree."""
+    pos = {"t": ["5", "5", "5"], "a": ["0", "0", "0"], "b": ["1", "0", "0"],
+           "c": ["0", "1", "0"]}
+    edges = [("t", None, (1, 0, 0)), ("t", None, (0, 1, 0)),
+             ("t", None, (-1, -1, 0)), ("a", "b", (1, 0, 0)),
+             ("b", "c", (-1, 1, 0)), ("c", "a", (0, -1, 0)),
+             ("a", None, (-1, -1, 0)), ("b", None, (2, -1, 0)),
+             ("c", None, (-1, 2, 0))]
+    return {"dim": 3,
+            "vertices": [{"id": v, "pos": p} for v, p in pos.items()],
+            "edges": [{"tail": t, "head": h, "dir": list(d)}
+                      for t, h, d in edges]}

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import fixture_path, rand_primitive, random_tree_problem
+from conftest import (fixture_path, rand_primitive, random_tree_problem,
+                      triangle_and_tripod)
 
 from troplag import domain, topology
 from troplag.cli import _parser, run_command
@@ -368,6 +369,19 @@ def test_ray_from_a_one_valent_vertex_is_rejected(tmp_path):
         code, out = run_json([cmd] + files)
         assert code == 2 and out["error"] == "NOT_TRIVALENT", (cmd, out)
         assert "neither a junction nor an end" in out["message"]
+
+
+def test_a_curve_in_two_pieces_is_no_tree(tmp_path):
+    """The rooted walk of the multiplicity misses the triangle and is
+    refused, with JSON on stdout; the topology commands find the curve
+    disconnected."""
+    zs = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 3), (2, 1, 3)]
+    files = write_problem(tmp_path, triangle_and_tripod(), zs)
+    for cmd in LINE_COMMANDS:
+        code, out = run_json([cmd] + files)
+        want = ((1, "TREE_ONLY") if cmd == "multiplicity"
+                else (2, "INVALID_CURVE"))
+        assert (code, out["error"]) == want, (cmd, out)
 
 
 # ---------------------------------------------------------------------------

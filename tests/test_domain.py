@@ -683,13 +683,13 @@ def test_polygon_vertices_against_fraction_oracle():
             offsets = [f.offset + delta for f in d.facets]
             want = domain_oracle.polygon_vertices(d, offsets)
             assert domain_oracle.polygon_vertices_int(d, offsets) == want
-            rows = domain_mod._vertex_rows(d, delta)
+            shifted = _domain(2, [(f.normal, a)
+                                  for f, a in zip(d.facets, offsets)])
             for v in want:
-                num, det = domain_mod._vertex(rows, v["pair"])
+                num, det = domain_mod._vertex(shifted.rows, v["pair"])
                 assert det > 0
                 assert tuple(Fraction(x, det) for x in num) == v["point"]
-            sets = domain_mod._face_sets(_domain(2, [
-                (f.normal, a) for f, a in zip(d.facets, offsets)]))
+            sets = domain_mod._face_sets(shifted)
             got = sorted(S for S in sets or () if len(S) == 2
                          and det_bareiss([d.facets[j].normal for j in S]))
             assert got == [v["pair"] for v in want
@@ -702,9 +702,8 @@ def test_polygon_vertices_against_fraction_oracle():
 
 
 def test_face_search_values_are_plain_ints(monkeypatch):
-    """Every value _frame, _fm_point, _tight_at and _plane_faces produce
-    is an int, so Fraction arithmetic creeping back into the face search
-    fails here."""
+    """Every value the face search's kernels produce is an int, so
+    Fraction arithmetic creeping back into the face search fails here."""
     produced = []
 
     def recorded(name):
@@ -716,7 +715,8 @@ def test_face_search_values_are_plain_ints(monkeypatch):
             return out
         monkeypatch.setattr(domain_mod, name, call)
 
-    names = {"_frame", "_fm_point", "_tight_at", "_plane_faces"}
+    names = {"_frame", "_fm_point", "_tight_at", "_plane_faces",
+             "_interval", "_inside", "_line_sets"}
     for name in names:
         recorded(name)
 

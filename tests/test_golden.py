@@ -116,6 +116,12 @@ def test_golden_files_match_cases():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
 
 
+def test_goldens_print_no_python_reprs():
+    """Points in messages read as the JSON's p/q strings."""
+    assert not [p.name for p in GOLDEN.glob("*.txt")
+                if "Fraction(" in p.read_text(encoding="utf-8")]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.glob("*.txt"):

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import (all_roots, curve_tree, edge_vectors, fixture_path,
                       internal_edges, leaf_neighbor, rand_nonzero,
-                      rand_primitive, random_tree_problem)
+                      rand_primitive, random_tree_problem,
+                      triangle_and_tripod)
 from enumeration_oracle import enumerate_count as per_type_enumerate
 from enumeration_oracle import rooted_sums, singular_type
 from exact_oracle import solve_exact
@@ -15,7 +16,7 @@ from troplag.curve import (Edge, TropicalCurve, trivalent_trees,
                            validate_curve)
 from troplag.domain import LineConfiguration
 from troplag.errors import WorkbenchError
-from troplag.io_json import load_curve, load_lines
+from troplag.io_json import curve_from_dict, load_curve, load_lines
 from troplag.lattice import (cross, det_bareiss, dot, is_zero, vec_add,
                              vec_neg, vec_scale)
 from troplag.multiplicity import (EvaluationMatrix, RotationalMomentum,
@@ -292,6 +293,20 @@ def test_momenta_refuse_a_cycle():
     for root in range(6):
         with pytest.raises(WorkbenchError) as err:
             prob.momenta(root)
+        assert str(err.value) == "TREE_ONLY: a rooted walk needs a tree"
+
+
+def test_a_walk_that_misses_a_component_is_refused():
+    """The triangle of the test above plus a separate tripod, whose rays
+    come first: b1() reads 0, and the walk from the first end sees the
+    tripod alone."""
+    c = curve_from_dict(triangle_and_tripod())
+    assert c.b1() == 0
+    assert validate_curve(c).issues == ("curve is not connected",)
+    zs = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 3), (2, 1, 3)]
+    for compute in (mixed_h_product, ev_matrix):
+        with pytest.raises(WorkbenchError) as err:
+            compute(c, zs)
         assert str(err.value) == "TREE_ONLY: a rooted walk needs a tree"
 
 
