@@ -12,7 +12,8 @@ import sys
 from fractions import Fraction
 
 from . import topology
-from .curve import betti_and_degree, toric_degree_of_ends, validate_curve
+from .curve import (betti_and_degree, require_valid, toric_degree_of_ends,
+                    validate_curve)
 from .domain import (check_even_primitive, suitability_check,
                      validate_delzant, wavefront)
 from .errors import VALIDATION_CODES, WorkbenchError
@@ -56,7 +57,7 @@ def _table(obj, prefix=""):
     if isinstance(obj, dict):
         for k in sorted(obj):
             lines.extend(_table(obj[k], f"{prefix}{k}."))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             lines.extend(_table(v, f"{prefix}{i}."))
     else:
@@ -140,6 +141,7 @@ def run_command(argv):
             curve = load_curve(args.curve)
             lines = load_lines(args.lines)
             zs = _zs_from_lines(curve, lines)
+            require_valid(curve)
             value = mixed_h_product(curve, zs, _parse_root(args.root))
             report = {"mixedHProduct": value, "method": "RECURSIVE"}
             if 3 <= len(curve.ends()) <= DET_KAPPA_CAP:

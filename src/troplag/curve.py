@@ -676,10 +676,14 @@ def _insertion_walk(kappa, parent):
 
 def _edge_pairs(kappa):
     """pair[x][y] = (min, max) of the nodes x and y of a tree on kappa
-    leaves: one tuple per edge, shared by all the trees of a walk."""
+    leaves: one tuple per edge, in both orientations, shared by all the
+    trees of a walk."""
     size = 2 * kappa - 2
-    return [[(x, y) if x < y else (y, x) for y in range(size)]
-            for x in range(size)]
+    pair = [[None] * size for _ in range(size)]
+    for x in range(size):
+        for y in range(x, size):
+            pair[x][y] = pair[y][x] = (x, y)
+    return pair
 
 
 def _tree_edges(parent, pair):

@@ -12,7 +12,10 @@ accepted and how it is rejected.  A pointer travels as a tuple of keys
 and indices and is formatted only for an error.  `canonical_json`
 writes the reports directly, byte for byte as
 `json.dumps(obj, sort_keys=True, indent=2) + "\n"` would, without the
-stdlib's pure-Python indenting encoder.
+stdlib's pure-Python indenting encoder.  Within one call it writes a
+tuple object that recurs at the same indentation once and copies that
+text for each later occurrence, so a report whose types share their
+edge tuples costs one pass per distinct tuple; the bytes do not change.
 """
 
 from __future__ import annotations
@@ -231,12 +234,16 @@ def lines_to_dict(lc: LineConfiguration):
                        "dir": list(l.direction)} for l in lc.lines]}
 
 
-def _emit(o, nl, out):
+def _emit(o, nl, out, seen):
     """Append the JSON text of o to out; nl is a newline followed by the
     indentation of o's own level.  Containers are tested first: no type
     is both a container and a scalar, so json's order of tests gives the
-    same answer.  Members that are exact ints or strs are written in
-    place, anything else by a nested call."""
+    same answer.  Members that are exact ints or strs, or None, are
+    written in place, anything else by a nested call.  An exact tuple
+    met again as a member of a list or tuple at the same indentation is
+    written from the text its first call built: seen maps its id to
+    (the tuple, its indentation, its text), and holding the tuple keeps
+    the id from being reused while seen lives."""
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -249,9 +256,20 @@ def _emit(o, nl, out):
                 out.append(sep + int.__repr__(value))
             elif t is str:
                 out.append(sep + _quote(value))
+            elif value is None:
+                out.append(sep + "null")
+            elif t is tuple:
+                out.append(sep)
+                hit = seen.get(id(value))
+                if hit is not None and hit[1] == inner:
+                    out.append(hit[2])
+                else:
+                    start = len(out)
+                    _emit(value, inner, out, seen)
+                    seen[id(value)] = (value, inner, "".join(out[start:]))
             else:
                 out.append(sep)
-                _emit(value, inner, out)
+                _emit(value, inner, out, seen)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(o, dict):
@@ -270,9 +288,11 @@ def _emit(o, nl, out):
                 out.append(sep + _quote(key) + ": " + int.__repr__(value))
             elif t is str:
                 out.append(sep + _quote(key) + ": " + _quote(value))
+            elif value is None:
+                out.append(sep + _quote(key) + ": null")
             else:
                 out.append(sep + _quote(key) + ": ")
-                _emit(value, inner, out)
+                _emit(value, inner, out, seen)
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(o, str):
@@ -296,9 +316,12 @@ def canonical_json(obj) -> str:
     Reports hold dicts with str keys, lists, tuples, str, int (an int
     subclass is written as int.__repr__), bool and None.  Any other key
     or value raises TypeError; floats are among them, since the package
-    computes without floating point.
+    computes without floating point.  A tuple object repeated within obj
+    at one indentation, like the edge pairs an enumeration's types
+    share, is written once and its text reused (`_emit`); the memo is
+    local to the call.
     """
     out = []
-    _emit(obj, "\n", out)
+    _emit(obj, "\n", out, {})
     out.append("\n")
     return "".join(out)

@@ -461,7 +461,7 @@ class TypeOutcome(Record):
         self.curve = curve
 
     def as_dict(self):
-        return {"topology": [list(e) for e in self.topology],
+        return {"topology": self.topology,
                 "status": self.status,
                 "multiplicity": self.multiplicity,
                 "curve": None if self.curve is None else "solved"}
@@ -536,6 +536,8 @@ def enumerate_count(degree, lines: LineConfiguration,
     scale = lcm(*(r.denominator for r in rhs))
     rhs = [r.numerator * (scale // r.denominator) for r in rhs]
     leaf_planes = list(zip(rhos, rhs))
+    # each leaf ray's direction and weight, for the curves of kept types
+    rays = [(primitive_raw(d), content(d)) for d in degree]
     n1, c1 = leaf_planes[0]
     x1, y1, z1 = n1
 
@@ -656,9 +658,7 @@ def enumerate_count(degree, lines: LineConfiguration,
         rays_and_edges = []
         for a, b in edges:
             if a < kappa:
-                rays_and_edges.append(Edge(f"n{b}", None,
-                                           primitive_raw(degree[a]),
-                                           content(degree[a]), a))
+                rays_and_edges.append(Edge(f"n{b}", None, *rays[a], a))
             else:
                 v = below[b] if parent[b] == a else vec_neg(below[a])
                 rays_and_edges.append(Edge(f"n{a}", f"n{b}", primitive_raw(v),

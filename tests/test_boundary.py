@@ -15,12 +15,14 @@ from hypothesis import given, settings, strategies as st
 import boundary_oracle as oracle
 from conftest import fixture_path, load_fixture_json, random_tree_problem
 from test_golden import CASES, _run
+from test_multiplicity import random_enumeration
 
 from troplag import cli, io_json
 from troplag.curve import (Edge, TropicalCurve, _positive_multiple,
                            split_at_edge, validate_curve)
 from troplag.errors import WorkbenchError
 from troplag.lattice import vec_sub
+from troplag.multiplicity import enumerate_count
 
 SETTINGS = settings(max_examples=400, deadline=None, database=None,
                     derandomize=True)
@@ -71,6 +73,67 @@ def test_canonical_json_named_objects():
         assert io_json.canonical_json(obj) == oracle.canonical_json(obj)
 
 
+class Pair(tuple):
+    """A tuple subclass: written as an array, never from the memo."""
+
+
+def test_canonical_json_repeated_tuples():
+    """A tuple object met again is written from its first text only at
+    the same indentation, and only the same object, never an equal one."""
+    t = (1, "a", None, (2, ()))
+    a, b, c = (1, 2), (True, 2), (Count(1), 2)
+    p = Pair((3, [4]))
+    mixed = ([1, {"b": 2, "a": (5,)}], {"a": [3]})
+    objs = [[t, [t], {"k": [t, t]}, (t, [[t]]), t],
+            [a, b, c, a, b, c, [a, b, c], {"a": a, "b": b, "c": c}],
+            [p, p, [p], (p, p)],
+            [mixed, mixed, (mixed,), {"x": mixed}, [mixed, [mixed]]]]
+    for obj in objs:
+        assert io_json.canonical_json(obj) == oracle.canonical_json(obj)
+
+
+def test_canonical_json_keeps_no_text_between_calls():
+    t = ([1],)
+    assert io_json.canonical_json([t, t]) == oracle.canonical_json([t, t])
+    t[0].append(2)
+    assert io_json.canonical_json([t, t]) == oracle.canonical_json([t, t])
+
+
+@SETTINGS
+@given(VALUES)
+def test_canonical_json_of_a_value_placed_several_times(v):
+    obj = [v, (v,), {"a": v, "b": [v]}]
+    assert io_json.canonical_json(obj) == oracle.canonical_json(obj)
+
+
+def test_canonical_json_writes_each_shared_edge_pair_once(monkeypatch):
+    """A kappa = 6 enumeration report: each type costs its dict and its
+    topology, and each distinct edge pair one call, its first."""
+    rng = random.Random(6)
+    while True:
+        degree, lines = random_enumeration(rng, 6, 50, 7)
+        try:
+            rep = enumerate_count(degree, lines)
+            break
+        except WorkbenchError:
+            pass
+    report = rep.as_dict()
+    report["kappa"] = 6
+    pairs = {id(e) for t in rep.per_type for e in t.topology}
+    calls = []
+    emit = io_json._emit
+
+    def counted(*args):
+        calls.append(args[0])
+        return emit(*args)
+
+    monkeypatch.setattr(io_json, "_emit", counted)
+    text = io_json.canonical_json(report)
+    assert len(rep.per_type) == 105 and len(pairs) <= 45
+    assert len(calls) <= 2 * len(rep.per_type) + len(pairs) + 4
+    assert text == oracle.canonical_json(report)
+
+
 def test_canonical_json_of_every_fixture_report(monkeypatch):
     reports = []
 
@@ -81,7 +144,8 @@ def test_canonical_json_of_every_fixture_report(monkeypatch):
     monkeypatch.setattr(cli, "canonical_json", keep)
     for argv in CASES.values():
         _run(argv)
-    assert len(reports) >= len(CASES) - 1  # the table case emits no JSON
+    # the table cases emit no JSON
+    assert len(reports) == len([a for a in CASES.values() if "table" not in a])
     for obj in reports:
         assert io_json.canonical_json(obj) == oracle.canonical_json(obj)
 

@@ -372,16 +372,28 @@ def test_ray_from_a_one_valent_vertex_is_rejected(tmp_path):
 
 
 def test_a_curve_in_two_pieces_is_no_tree(tmp_path):
-    """The rooted walk of the multiplicity misses the triangle and is
-    refused, with JSON on stdout; the topology commands find the curve
-    disconnected."""
+    """Every command taking lines validates the curve first and finds it
+    disconnected, with JSON on stdout."""
     zs = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 3), (2, 1, 3)]
     files = write_problem(tmp_path, triangle_and_tripod(), zs)
     for cmd in LINE_COMMANDS:
         code, out = run_json([cmd] + files)
-        want = ((1, "TREE_ONLY") if cmd == "multiplicity"
-                else (2, "INVALID_CURVE"))
-        assert (code, out["error"]) == want, (cmd, out)
+        assert (code, out["error"]) == (2, "INVALID_CURVE"), (cmd, out)
+        assert "not connected" in out["message"], (cmd, out)
+
+
+def test_an_unbalanced_tripod_is_refused(tmp_path):
+    """Rays (1,0,0), (0,1,0), (0,0,1) from one vertex do not balance:
+    the multiplicity refuses the curve as h1 does, instead of reporting
+    a product and a determinant of 0 that agree."""
+    curve = {"dim": 3, "vertices": [{"id": "o", "pos": ["0", "0", "0"]}],
+             "edges": [{"tail": "o", "dir": list(d)}
+                       for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]}
+    files = write_problem(tmp_path, curve, [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    for cmd in LINE_COMMANDS:
+        code, out = run_json([cmd] + files)
+        assert (code, out["error"]) == (2, "INVALID_CURVE"), (cmd, out)
+        assert "balancing fails" in out["message"], (cmd, out)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,8 @@ def _cases():
                       "--lines", "poincare.lines", "--kappa-cap", cap])
     cases.append(["h1", "--curve", "poincare.curve",
                   "--lines", "poincare.lines", "--format", "table"])
+    cases.append(["enumerate", "--curve", "poincare.curve",
+                  "--lines", "poincare.lines", "--format", "table"])
     return cases
 
 
