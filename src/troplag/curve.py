@@ -364,22 +364,9 @@ def validate_curve(c: TropicalCurve) -> ValidationReport:
                 if any(total):
                     issues.append(f"vertex {vid}: balancing fails, "
                                   f"outward sum {tuple(total)}")
-        # connectivity
-        if c.vertices:
-            seen = set()
-            stack = [next(iter(c.vertices))]
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                for i, _, _ in c.incident(v):
-                    e = c.edges[i]
-                    for w in (e.tail, e.head):
-                        if w is not None and w not in seen:
-                            stack.append(w)
-            if seen != set(c.vertices):
-                issues.append("curve is not connected")
+        if c.vertices and \
+                len(_reach(c, next(iter(c.vertices)))) != len(c.vertices):
+            issues.append("curve is not connected")
         # end labels, if any are present, must be usable
         labels = [e.leaf_label for e in c.edges if e.leaf_label is not None]
         if len(labels) != len(set(labels)):
@@ -392,6 +379,28 @@ def require_valid(c):
     if not rep.ok:
         raise WorkbenchError("INVALID_CURVE", "; ".join(rep.issues))
     return rep
+
+
+def _reach(c, start, keep=None):
+    """{vertex: index of the edge it was first reached by} for each
+    vertex reachable from `start` along bounded edges (those i with
+    keep(i) when a filter is given), `start` mapped to None, in
+    depth-first discovery order.  Each edge of the map joins its vertex
+    to one found before it, so the map is a spanning tree of what it
+    reaches."""
+    via = {start: None}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for i, _, _ in c.incident(v):
+            e = c.edges[i]
+            if e.head is None or (keep is not None and not keep(i)):
+                continue
+            w = e.head if e.tail == v else e.tail
+            if w not in via:
+                via[w] = i
+                stack.append(w)
+    return via
 
 
 # ---------------------------------------------------------------------------
@@ -463,55 +472,31 @@ def regularity_check(c: TropicalCurve) -> RegularityReport:
     b1 = c.b1()
     kappa = len(c.ray_indices())
 
-    # spanning tree over bounded edges
-    parent = {}
-    tree_edge = {}
-    order = []
-    if c.vertices:
-        root = next(iter(c.vertices))
-        parent[root] = None
-        stack = [root]
-        in_tree = set()
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for ei, _, _ in c.incident(v):
-                e = c.edges[ei]
-                if not e.bounded or ei in in_tree:
-                    continue
-                w = e.head if e.tail == v else e.tail
-                if w in parent:
-                    continue
-                parent[w] = v
-                tree_edge[w] = ei
-                in_tree.add(ei)
-                stack.append(w)
-        chords = [ei for ei in bounded if ei not in in_tree]
-    else:
-        chords = []
+    # spanning tree over bounded edges; each chord closes one cycle
+    via = _reach(c, next(iter(c.vertices))) if c.vertices else {}
+    if len(via) != len(c.vertices):
+        raise WorkbenchError("INVALID_CURVE", "curve is not connected")
+    in_tree = set(via.values())
+
+    def add_root_path(coeff, v, s):
+        """Add s times the tree path from v up to the root, each edge
+        signed +1 where the path runs head -> tail."""
+        while via[v] is not None:
+            i = via[v]
+            e = c.edges[i]
+            up = e.head == v
+            coeff[i] = coeff.get(i, 0) + (s if up else -s)
+            v = e.tail if up else e.head
 
     rows = []
-    for ei in chords:
+    for ei in bounded:
+        if ei in in_tree:
+            continue
         e = c.edges[ei]
-        # cycle: chord tail -> head, then tree path head -> tail
+        # cycle: chord tail -> head, then tree path head -> root -> tail
         coeff = {ei: 1}
-        # path from head up to common ancestor with tail, and down; since
-        # the tree is rooted, walk both to the root and cancel
-        def path_to_root(v):
-            out = {}
-            while parent[v] is not None:
-                te = tree_edge[v]
-                sign = 1 if c.edges[te].head == v else -1
-                out[te] = out.get(te, 0) + sign
-                v = parent[v]
-            return out
-
-        up_head = path_to_root(e.head)
-        up_tail = path_to_root(e.tail)
-        for k, s in up_head.items():
-            coeff[k] = coeff.get(k, 0) - s
-        for k, s in up_tail.items():
-            coeff[k] = coeff.get(k, 0) + s
+        add_root_path(coeff, e.head, -1)
+        add_root_path(coeff, e.tail, 1)
         for coord in range(n):
             row = [0] * b
             for k, s in coeff.items():
@@ -565,18 +550,7 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
                              "split point must be strictly inside the edge")
 
     # vertices on the tail side of the edge
-    side = {e.tail}
-    stack = [e.tail]
-    while stack:
-        v = stack.pop()
-        for ei, _, _ in c.incident(v):
-            if ei == edge_index:
-                continue
-            e2 = c.edges[ei]
-            for w in (e2.tail, e2.head):
-                if w is not None and w not in side:
-                    side.add(w)
-                    stack.append(w)
+    side = _reach(c, e.tail, lambda i: i != edge_index)
 
     def part(vertex_set, ray_tail, ray_dir):
         verts = [(v, c.position(v)) for v in c.vertices if v in vertex_set]
@@ -590,7 +564,7 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
         cur = TropicalCurve(c.dim, verts, edges)
         return cur, len(edges) - 1, emap
 
-    other = set(c.vertices) - side
+    other = c.vertices.keys() - side
     h1, r1, map1 = part(side, e.tail, e.direction)
     h2, r2, map2 = part(other, e.head, vec_neg(e.direction))
     return SplitResult(h1, r1, h2, r2, p, map1, map2)

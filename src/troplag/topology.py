@@ -11,12 +11,12 @@ with a torsion recursion along the rooted tree as a cross-check.
 from __future__ import annotations
 
 
-from .curve import TropicalCurve, point_text, require_valid
+from .curve import TropicalCurve, _reach, point_text, require_valid
 from .domain import (PolyhedralDomain, curve_self_crossings,
                      is_standard_simplex_3, require_even_primitive)
 from .errors import Record, WorkbenchError
-from .lattice import (content, cross, det_bareiss, is_zero, primitive_raw,
-                      rot90, solve_bareiss, solve_cross, vec_add, vec_scale)
+from .lattice import (content, cross, is_zero, primitive_raw, rot90,
+                      solve_bareiss, solve_cross, vec_scale)
 from .multiplicity import Problem, RotationalMomentum, build_problem
 
 
@@ -48,7 +48,13 @@ def vertex_multiplicity(c: TropicalCurve, vid) -> int:
                          f"edges at {vid} do not span a 2-plane")
 
 
-def _dual_triangle(c, vid):
+def dual_vertex_delta(c: TropicalCurve, vid) -> int:
+    """Interior lattice points of the dual triangle of a planar vertex.
+
+    The triangle's sides are the quarter-turned weighted edge vectors,
+    laid end to end; twice its area is |det| of any two of them.  The
+    count uses Pick's identity i = A - B/2 + 1 with exact data.
+    """
     inc = c.incident(vid)
     if len(inc) != 3:
         raise WorkbenchError("NOT_TRIVALENT",
@@ -57,22 +63,8 @@ def _dual_triangle(c, vid):
         raise WorkbenchError("DIMENSION_MISMATCH",
                              "dual triangles live in the plane")
     sides = [rot90(vec_scale(w, d)) for _, d, w in inc]
-    pts = [(0, 0)]
-    for s in sides[:-1]:
-        pts.append(vec_add(pts[-1], s))
-    return pts, sides
-
-
-def dual_vertex_delta(c: TropicalCurve, vid) -> int:
-    """Interior lattice points of the dual triangle of a planar vertex.
-
-    The triangle is spanned by the quarter-turned weighted edge vectors;
-    the count uses Pick's identity i = A - B/2 + 1 with exact data.
-    """
-    pts, sides = _dual_triangle(c, vid)
-    two_area = abs(det_bareiss([
-        [pts[1][0] - pts[0][0], pts[1][1] - pts[0][1]],
-        [pts[2][0] - pts[0][0], pts[2][1] - pts[0][1]]]))
+    (a, b), (p, q) = sides[0], sides[1]
+    two_area = abs(a * q - b * p)
     if two_area == 0:
         raise WorkbenchError("DEGENERATE_VERTEX",
                              f"dual triangle at {vid} has zero area")
@@ -186,60 +178,39 @@ def surface_report(c: TropicalCurve, d: PolyhedralDomain,
     genus = b1 if orientable else None
     crosscaps = None if orientable else j + 2 * b1
 
-    # components of W: vertices of the curve plus weight > 1 edges
-    verts = sorted(c.trivalent_vertices())
-    wedges = [i for i, e in enumerate(c.edges) if e.weight > 1]
-    parent = {("v", v): ("v", v) for v in verts}
-    parent.update({("e", i): ("e", i) for i in wedges})
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for i in wedges:
-        e = c.edges[i]
-        for v in (e.tail, e.head):
-            if v is not None and ("v", v) in parent:
-                union(("e", i), ("v", v))
-
     # the even/primitive test kept the crossings inside the domain
     inside = _weighted(c, even.crossings)
 
-    groups = {}
-    for key in parent:
-        groups.setdefault(find(key), []).append(key)
+    # components of W, the trivalent vertices plus the weight > 1 edges.
+    # A weight > 1 edge avoids the boundary, so its chain joins two
+    # trivalent vertices through 2-valent markings: one walk along such
+    # edges from each trivalent vertex not yet reached, in sorted order.
+    verts = sorted(c.trivalent_vertices())
+    reached = set()
     components = []
     total_nodes = 0
     extra = sum(cr["weight"] for cr in inside)
-    for members in groups.values():
-        kv = sorted(m[1] for m in members if m[0] == "v")
-        ke = sorted(m[1] for m in members if m[0] == "e")
-        bounded_ke = [i for i in ke if c.edges[i].bounded]
-        b1_k = len(bounded_ke) - len(kv) + 1 if kv else 0
-        ray_ke = [i for i in ke if not c.edges[i].bounded]
-        thin_ends = 0
-        for v in kv:
-            for ei, _, _ in c.incident(v):
-                if ei not in ke:
-                    thin_ends += 1
-        delta = 0
-        for v in kv:
-            delta += dual_vertex_delta(c, v)
-        for i in ke:
-            delta += c.edges[i].weight - 1
+    for start in verts:
+        if start in reached:
+            continue
+        via = _reach(c, start, lambda i: c.edges[i].weight > 1)
+        reached.update(via)
+        kv = sorted(v for v in via if c.valence(v) >= 3)
+        ke = sorted({i for v in via for i, _, w in c.incident(v) if w > 1})
+        ends = sum(w == 1 for v in kv for _, _, w in c.incident(v))
+        delta = sum(dual_vertex_delta(c, v) for v in kv)
+        delta += sum(c.edges[i].weight - 1 for i in ke)
+        # a marking splits one chain into two edges: count the chain once
+        delta -= sum(c.incident(v)[0][2] - 1 for v in via
+                     if c.valence(v) == 2)
         for cr in inside:
             if cr["edges"][0] in ke and cr["edges"][1] in ke:
                 delta += cr["weight"]
                 extra -= cr["weight"]
-        components.append(ComponentReport(tuple(kv), tuple(ke), b1_k,
-                                          thin_ends + len(ray_ke), delta))
+        components.append(ComponentReport(tuple(kv), tuple(ke),
+                                          len(ke) - len(via) + 1, ends,
+                                          delta))
         total_nodes += delta
-    components.sort(key=lambda k: k.vertices)
 
     euler = -len(verts) + even.bissectrice
     expected_euler = 2 - (2 * genus if orientable else crosscaps) - punctures

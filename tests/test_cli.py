@@ -426,6 +426,7 @@ def check_answer(argv):
     assert code in (0, 1, 2)
     json.loads(text)
     assert "INTERNAL_INCONSISTENCY" not in text, (argv[0], text)
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -443,6 +444,20 @@ def test_chain_commands_answer_every_drawn_curve(drawn_dir, seed, shape):
     for cmd in LINE_COMMANDS:
         if cmd != "h1" or unit:
             check_answer([cmd] + files)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.sampled_from(SHAPES))
+def test_curve_commands_answer_every_drawn_curve(drawn_dir, seed, shape):
+    """validate, suitability and enumerate on the same drawn problems:
+    every drawn curve is valid, and the other two answer or refuse it
+    (the lines are not a boundary configuration; a line or a ray has
+    too few ends to enumerate)."""
+    curve, zs, _ = drawn_problem(seed, shape)
+    files = write_problem(drawn_dir, curve, zs)
+    assert check_answer(["validate"] + files) == 0
+    for cmd in ("suitability", "enumerate"):
+        check_answer([cmd] + files)
 
 
 @pytest.mark.xfail(strict=True, reason="h1 on a weighted tree still "

@@ -130,6 +130,23 @@ def test_regularity_spatial_planar_cycle_fails():
     assert not rep.regular        # needs rank 3 in a 3-space
 
 
+def test_regularity_rejects_a_curve_in_two_pieces():
+    """Two square cycles far apart: each has a chord, but no spanning
+    tree joins them, so the check refuses the curve as validation does."""
+    sq = _square_cycle(dim=2)
+    verts = list(sq.vertices.items()) + [
+        (v + "'", (x + 100, y + 100)) for v, (x, y) in sq.vertices.items()]
+    edges = list(sq.edges) + [
+        Edge(e.tail + "'", e.head and e.head + "'", e.direction)
+        for e in sq.edges]
+    c = TropicalCurve(2, verts, edges)
+    assert validate_curve(c).issues == ("curve is not connected",)
+    with pytest.raises(WorkbenchError) as err:
+        regularity_check(c)
+    assert (err.value.code, str(err.value)) == \
+        ("INVALID_CURVE", "INVALID_CURVE: curve is not connected")
+
+
 def test_regularity_rejects_non_trivalent():
     with pytest.raises(WorkbenchError) as err:
         regularity_check(simplex_tripod_curve())     # endpoints are 1-valent

@@ -7,10 +7,13 @@ holds no float literal, names ``float`` only in ``isinstance`` tests
 ``math`` but ``gcd`` and ``lcm``.  It imports none of ``dataclasses``,
 ``typing`` and ``inspect``, which would add tens of milliseconds to
 every CLI process.  ``pyproject.toml`` declares no dependencies, and
-every name in ``troplag.__all__`` is listed once and exists.
+every name in ``troplag.__all__`` is listed once and exists.  The
+benchmark's layer table (``perfbench/measure.py``, read, not imported)
+names package functions, but for two known gaps.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 import subprocess
@@ -152,3 +155,31 @@ def test_checker_catches_unused_private_definitions():
     a += "def _imported_only(): pass\n"
     modules = {"a": ast.parse(a), "b": ast.parse(b)}
     assert unused_private(modules) == [("a", "_Orphan"), ("a", "_self_only")]
+
+
+def benchmark_layers():
+    """The (module, attribute, layer) triples of the benchmark's LAYERS
+    table, read from perfbench/measure.py without importing it."""
+    path = ROOT / "perfbench" / "measure.py"
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and \
+                any(getattr(t, "id", None) == "LAYERS"
+                    for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/measure.py defines no LAYERS")
+
+
+def test_benchmark_layers_resolve():
+    """Every layer the benchmark wraps names a function or method of the
+    package, except two that are gone from it and that ROADMAP item 1
+    drops from the table: a rename or removal that would leave another
+    measured layer reading zero fails here."""
+    missing = []
+    for mod, attr, layer in benchmark_layers():
+        obj = importlib.import_module(f"troplag.{mod}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(layer)
+    assert sorted(missing) == ["curve.internal_directions_from_leaves",
+                               "lattice.solve_exact"]

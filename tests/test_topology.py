@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_primitive, random_tree_problem
+from conftest import fixture_path, rand_primitive, random_tree_problem
 
 from troplag import domain, topology
 from troplag.curve import Edge, TropicalCurve, validate_curve
 from troplag.domain import PolyhedralDomain, wavefront
 from troplag.errors import WorkbenchError
+from troplag.io_json import load_curve, load_domain
 from troplag.lattice import (content, cross, det_bareiss,
                              elementary_divisors, lattice_index,
                              primitive_raw)
@@ -309,6 +310,27 @@ def test_surface_weight2_sphere():
     assert len(rep.components) == 1
     k = rep.components[0]
     assert k.b1 == 0 and k.ends == 4 and k.delta == 1
+
+
+def test_surface_report_ignores_a_marking_on_a_weight2_edge():
+    """A 2-valent marking at (2, 1) on the weight-2 edge v1 -> v2 of the
+    sphere fixture changes no part of the report: W is still one
+    component [v1, v2] with b1 0 and 4 ends, and the chain's one node is
+    counted once."""
+    curve = load_curve(fixture_path("sphere_w2.curve.json"))
+    rect = load_domain(fixture_path("rect42.domain.json"))
+    k, = [i for i, e in enumerate(curve.edges) if e.weight == 2]
+    heavy = curve.edges[k]
+    marked = TropicalCurve(
+        2, [*curve.vertices.items(), ("m", (2, 1))],
+        [*curve.edges[:k], Edge(heavy.tail, "m", heavy.direction, 2),
+         Edge("m", heavy.head, heavy.direction, 2), *curve.edges[k + 1:]])
+    assert validate_curve(marked).ok
+    base = surface_report(curve, rect, relaxed=True).as_dict()
+    assert base["totalNodes"] == 1
+    assert base["components"] == [
+        {"vertices": ["v1", "v2"], "b1": 0, "ends": 4, "delta": 1}]
+    assert surface_report(marked, rect, relaxed=True).as_dict() == base
 
 
 def test_surface_unbounded_cylinder():
