@@ -17,10 +17,8 @@ from .domain import (Facet, Line, LineConfiguration, PolyhedralDomain,
 from .errors import WorkbenchError
 from .lattice import (SnfResult, cross, gcd_primitive, lattice_index, mixed,
                       smith_normal_form)
-from .multiplicity import (EvaluationMatrix, MultiplicityValue,
-                           RotationalMomentum, enumerate_count, ev_matrix,
-                           leaf_momentum, mixed_h_product, multiplicity_det,
-                           pairing_coefficient, propagate, splitting_check)
+from .multiplicity import (EvaluationMatrix, enumerate_count, ev_matrix,
+                           mixed_h_product, splitting_check)
 from .topology import (LensParameters, PieceDecomposition, SurfaceReport,
                        ThreeManifoldReport, dual_vertex_delta, h1_order,
                        lens_parameters, piece_decomposition,
@@ -37,9 +35,7 @@ __all__ = [
     "WorkbenchError",
     "SnfResult", "cross", "gcd_primitive", "lattice_index", "mixed",
     "smith_normal_form",
-    "EvaluationMatrix", "MultiplicityValue", "RotationalMomentum",
-    "enumerate_count", "ev_matrix", "leaf_momentum", "mixed_h_product",
-    "multiplicity_det", "pairing_coefficient", "propagate",
+    "EvaluationMatrix", "enumerate_count", "ev_matrix", "mixed_h_product",
     "splitting_check",
     "LensParameters", "PieceDecomposition", "SurfaceReport",
     "ThreeManifoldReport", "dual_vertex_delta", "h1_order",

@@ -20,7 +20,7 @@ from .errors import VALIDATION_CODES, WorkbenchError
 from .io_json import (canonical_json, curve_to_dict, load_curve, load_domain,
                       load_lines)
 from .multiplicity import (DET_KAPPA_CAP, KAPPA_CAP, enumerate_count,
-                           ev_matrix, mixed_h_product, multiplicity_det)
+                           ev_matrix, mixed_h_product)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,9 +145,9 @@ def run_command(argv):
             value = mixed_h_product(curve, zs, _parse_root(args.root))
             report = {"mixedHProduct": value, "method": "RECURSIVE"}
             if 3 <= len(curve.ends()) <= DET_KAPPA_CAP:
-                det = multiplicity_det(ev_matrix(curve, zs))
-                report["determinant"] = det.value
-                report["agree"] = det.value == value
+                det = abs(ev_matrix(curve, zs).determinant())
+                report["determinant"] = det
+                report["agree"] = det == value
             return 0, _emit(report, fmt)
 
         if args.command == "h1":

@@ -549,6 +549,8 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
         raise WorkbenchError("SPLIT_POINT",
                              "split point must be strictly inside the edge")
 
+    if len(_reach(c, e.tail)) != len(c.vertices):
+        raise WorkbenchError("INVALID_CURVE", "curve is not connected")
     # vertices on the tail side of the edge
     side = _reach(c, e.tail, lambda i: i != edge_index)
 

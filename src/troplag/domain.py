@@ -907,14 +907,6 @@ def require_even_primitive(c, d, relaxed=False):
 # wave fronts
 
 
-def _rational_direction(diff):
-    """Primitive integer vector parallel to a rational displacement."""
-    denom = 1
-    for x in diff:
-        denom = lcm(denom, Fraction(x).denominator)
-    return primitive_raw(tuple(int(x * denom) for x in diff))
-
-
 def _vertex(rows, pair):
     """The point where the rows of two independent facets are tight, as
     (num, det) with det > 0, meaning num / det: Cramer's rule."""
@@ -970,8 +962,8 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
     on_facet = {}
     for k, (pair, vi, vo) in enumerate(zip(pairs, inner, outer)):
         vertices.append((f"b{k}", vo))
-        edges.append(Edge(f"w{k}", f"b{k}",
-                          _rational_direction(vec_sub(vo, vi)), 1, None))
+        u = primitive_raw(_homogeneous(vec_sub(vo, vi))[0])
+        edges.append(Edge(f"w{k}", f"b{k}", u, 1, None))
         for fidx in pair:
             on_facet.setdefault(fidx, []).append(k)
 
@@ -980,10 +972,8 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
         ks = on_facet.get(fidx, [])
         if len(ks) == 2:
             ka, kb = ks
-            edges.append(Edge(f"w{ka}", f"w{kb}",
-                              _rational_direction(vec_sub(inner[kb],
-                                                          inner[ka])),
-                              1, None))
+            u = primitive_raw(_homogeneous(vec_sub(inner[kb], inner[ka]))[0])
+            edges.append(Edge(f"w{ka}", f"w{kb}", u, 1, None))
         elif len(ks) == 1:
             # unbounded facet: a ray along the facet line
             z = rot90(d.facets[fidx].normal)

@@ -25,61 +25,8 @@ from .curve import (TropicalCurve, Edge, _edge_pairs, _insertion_walk,
 from .domain import LineConfiguration
 from .errors import Record, WorkbenchError
 from .lattice import (_bareiss_echelon, content, cross, det_bareiss, dot,
-                      gcd_primitive, is_zero, mixed, primitive_raw,
-                      solve_cross, solve_dot, vec_neg, vec_scale)
-
-
-class RotationalMomentum(Record):
-    __slots__ = ("vector", "n", "primitive")
-
-    def __init__(self, vector: tuple, n: int, primitive: tuple):
-        self.vector = vector
-        self.n = n
-        self.primitive = primitive
-
-    @classmethod
-    def from_vector(cls, v):
-        v = tuple(v)
-        return cls(v, *gcd_primitive(v))
-
-    @property
-    def zero(self):
-        return self.n == 0
-
-    def as_dict(self):
-        return {"vector": list(self.vector), "n": self.n,
-                "primitivePart": list(self.primitive)}
-
-
-def leaf_momentum(d, z) -> RotationalMomentum:
-    """Rotational momentum of a leaf: the vector product d x z.
-
-    A zero result (d parallel to z) is allowed and flagged via n == 0.
-    """
-    if is_zero(d):
-        raise WorkbenchError("ZERO_DIRECTION", "leaf direction is zero")
-    return RotationalMomentum.from_vector(cross(d, z))
-
-
-def propagate(r1: RotationalMomentum, r2: RotationalMomentum,
-              d_out) -> RotationalMomentum:
-    """Momentum of the outgoing edge: (r1 x r2) x d_out."""
-    if is_zero(d_out):
-        raise WorkbenchError("ZERO_DIRECTION", "outgoing direction is zero")
-    return RotationalMomentum.from_vector(
-        cross(cross(r1.vector, r2.vector), d_out))
-
-
-def pairing_coefficient(a: RotationalMomentum, b: RotationalMomentum,
-                        d_root) -> int:
-    """GCD of the coordinates of a x b, which must be parallel to d_root."""
-    c = cross(a.vector, b.vector)
-    if is_zero(c):
-        return 0
-    if not is_zero(cross(c, d_root)):
-        raise WorkbenchError("INCONSISTENT_MOMENTA",
-                             f"{c} is not parallel to {tuple(d_root)}")
-    return content(c)
+                      is_zero, mixed, primitive_raw, solve_cross, solve_dot,
+                      vec_neg, vec_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +133,14 @@ class Problem:
         if node < kappa:
             first, = adj[node]
             outward, w_root, _ = chain[first, node]
-            rho_in = RotationalMomentum.from_vector(mom[first])
-            k = pairing_coefficient(rho_in,
-                                    leaf_momentum(outward, self.zs[node]),
-                                    outward)
+            if is_zero(outward):
+                raise WorkbenchError("ZERO_DIRECTION",
+                                     "leaf direction is zero")
+            c = cross(mom[first], self.rhos[node])
+            if not is_zero(cross(c, outward)):
+                raise WorkbenchError("INCONSISTENT_MOMENTA",
+                                     f"{c} is not parallel to {outward}")
+            k = content(c)
             if k % w_root != 0:
                 raise WorkbenchError("INTERNAL_INCONSISTENCY",
                                      "pairing not divisible by root weight")
@@ -275,19 +226,6 @@ class EvaluationMatrix(Record):
                 "ref": repr(self.ref)}
 
 
-class MultiplicityValue(Record):
-    __slots__ = ("value", "method", "note")
-
-    def __init__(self, value: int, method: str, note: str = ""):
-        self.value = value
-        self.method = method  # "RECURSIVE" | "DETERMINANT"
-        self.note = note
-
-    def as_dict(self):
-        return {"value": self.value, "method": self.method,
-                "note": self.note}
-
-
 def ev_matrix(c: TropicalCurve, zs, ref=None) -> EvaluationMatrix:
     """Evaluation matrix: 3 translation columns + one per bounded edge.
 
@@ -347,10 +285,6 @@ def _evaluation_rows(rhos, leaves, parent, below, ref, col_of):
             x = parent[x]
         rows.append(row)
     return rows
-
-
-def multiplicity_det(m: EvaluationMatrix) -> MultiplicityValue:
-    return MultiplicityValue(abs(m.determinant()), "DETERMINANT")
 
 
 # ---------------------------------------------------------------------------

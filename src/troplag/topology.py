@@ -17,7 +17,7 @@ from .domain import (PolyhedralDomain, curve_self_crossings,
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, is_zero, primitive_raw, rot90,
                       solve_bareiss, solve_cross, vec_scale)
-from .multiplicity import Problem, RotationalMomentum, build_problem
+from .multiplicity import Problem, build_problem
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +304,8 @@ class ThreeManifoldReport(Record):
             "rationalHomologySphere": self.rational_homology_sphere,
             "deformationPersists": self.deformation_persists,
             "leafData": [
-                {"label": l, "rho": list(r.vector), "n": r.n}
-                for l, r in self.leaf_data],
+                {"label": l, "rho": list(rho), "n": content(rho)}
+                for l, rho in self.leaf_data],
             "rootEdge": self.root_edge,
             "recursionAgrees": self.recursion_agrees,
             "parityWarning": self.parity_warning,
@@ -371,8 +371,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
     node = prob.root_node()
     walk = prob.momenta(node)
     product = prob.pair_at(node, walk[2])
-    leaf_data = tuple((j, RotationalMomentum.from_vector(rho))
-                      for j, rho in enumerate(prob.rhos))
+    leaf_data = tuple(enumerate(prob.rhos))
 
     parity = None
     parity_applies = domain is not None and is_standard_simplex_3(domain)

@@ -187,6 +187,22 @@ def test_split_requires_interior_point():
         split_at_edge(c, 0, (Fraction(-1, 2), 0, 0))
 
 
+def test_split_rejects_a_curve_in_two_pieces():
+    """A square cycle plus a separate segment: b1() reads 0, but the
+    halves of a cut would not be curves, so the cut is refused as
+    validation refuses the curve."""
+    sq = _square_cycle(dim=3)
+    c = TropicalCurve(3, list(sq.vertices.items()) +
+                      [("x", (5, 5, 5)), ("y", (6, 5, 5))],
+                      list(sq.edges) + [Edge("x", "y", (1, 0, 0))])
+    assert c.b1() == 0
+    assert "curve is not connected" in validate_curve(c).issues
+    with pytest.raises(WorkbenchError) as err:
+        split_at_edge(c, 0, (Fraction(1, 2), 0, 0))
+    assert (err.value.code, str(err.value)) == \
+        ("INVALID_CURVE", "INVALID_CURVE: curve is not connected")
+
+
 def test_split_and_reglue_preserves_type():
     rng = random.Random(11)
     for _ in range(10):

@@ -701,6 +701,16 @@ def test_polygon_vertices_against_fraction_oracle():
     assert negative >= 50 and vertices >= 200
 
 
+def test_interval_of_rows_without_the_variable():
+    """A row 0 s >= b holds for every s when b <= 0 and for none when
+    b > 0; the face search's callers drop such rows before they get
+    here, so the branch is pinned directly."""
+    assert domain_mod._interval([(0, 1)]) is None
+    assert domain_mod._interval([(2, 3), (0, 1)]) is None
+    assert domain_mod._interval([(0, 0), (2, 3)]) == ((3, 2), None)
+    assert domain_mod._interval([(0, -1), (-1, -4)]) == (None, (4, 1))
+
+
 def test_face_search_values_are_plain_ints(monkeypatch):
     """Every value the face search's kernels produce is an int, so
     Fraction arithmetic creeping back into the face search fails here."""

@@ -7,7 +7,9 @@ holds no float literal, names ``float`` only in ``isinstance`` tests
 ``math`` but ``gcd`` and ``lcm``.  It imports none of ``dataclasses``,
 ``typing`` and ``inspect``, which would add tens of milliseconds to
 every CLI process.  ``pyproject.toml`` declares no dependencies, and
-every name in ``troplag.__all__`` is listed once and exists.  The
+every name in ``troplag.__all__`` is listed once and exists.  Every
+private definition is used, and every public one that only the tests
+reach is listed with its reason in ``TEST_ONLY_PUBLIC``.  The
 benchmark's layer table (``perfbench/measure.py``, read, not imported)
 names package functions, but for two known gaps.
 """
@@ -111,11 +113,11 @@ def test_public_names_resolve_once():
     assert [n for n in names if not hasattr(troplag, n)] == []
 
 
-def unused_private(modules):
-    """(module, name) for each module-level _private function or class
-    of the parsed modules {module: tree} that no module references
-    (as a name, an attribute or an imported name) outside its own
-    definition."""
+def _unreferenced(modules, wanted):
+    """(module, name) for each module-level function or class of the
+    parsed modules {module: tree} whose name passes `wanted` and that no
+    module references (as a name, an attribute or an imported name)
+    outside its own definition."""
     refs = []           # (module, line, name)
     for mod, tree in modules.items():
         for node in ast.walk(tree):
@@ -129,14 +131,29 @@ def unused_private(modules):
     for mod, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    node.name.startswith("_") and \
-                    not node.name.startswith("__"):
+                    wanted(node.name):
                 own = range(node.lineno, node.end_lineno + 1)
                 if not any(name == node.name and
                            (m != mod or line not in own)
                            for m, line, name in refs):
                     unused.append((mod, node.name))
     return sorted(unused)
+
+
+def unused_private(modules):
+    """The module-level _private functions and classes that nothing
+    references (`_unreferenced`)."""
+    return _unreferenced(modules, lambda name: name.startswith("_") and
+                         not name.startswith("__"))
+
+
+def unused_public(modules):
+    """The module-level public functions and classes that no module but
+    `__init__` references (`_unreferenced`): what only the exports and
+    the tests reach."""
+    return _unreferenced({m: t for m, t in modules.items()
+                          if m != "__init__"},
+                         lambda name: not name.startswith("_"))
 
 
 def test_every_private_definition_is_used():
@@ -155,6 +172,57 @@ def test_checker_catches_unused_private_definitions():
     a += "def _imported_only(): pass\n"
     modules = {"a": ast.parse(a), "b": ast.parse(b)}
     assert unused_private(modules) == [("a", "_Orphan"), ("a", "_self_only")]
+
+
+# Each public function or class that only the tests and `__init__`
+# reach, with the reason it stays in the package.
+TEST_ONLY_PUBLIC = {
+    ("curve", "regularity_check"):
+        "ROADMAP item 13: the precondition of H1 beyond trees",
+    ("curve", "combinatorial_type"):
+        "ROADMAP item 12: the dedupe key of the Lagrangian atlas",
+    ("multiplicity", "splitting_check"):
+        "ROADMAP item 8: a cross-check for the checks ledger; acceptance "
+        "c11 runs it on every bounded edge of its corpus",
+    ("lattice", "lattice_index"):
+        "ROADMAP item 3: the product that the H1 group's divisors feed",
+    ("curve", "trivalent_trees"):
+        "the benchmark wraps it: removing it would grow the unresolved "
+        "set of test_benchmark_layers_resolve; ROADMAP item 1 decides",
+    ("topology", "self_intersections"):
+        "the benchmark wraps it: removing it would grow the unresolved "
+        "set of test_benchmark_layers_resolve; ROADMAP item 1 decides",
+    ("curve", "extend_curve"): "a public operation of the paper, tested",
+    ("domain", "classify_boundary_point"):
+        "a public operation of the paper, tested",
+    ("domain", "corner_basis"): "a public operation of the paper, tested",
+    ("io_json", "domain_to_dict"): "the writer of the domain input format",
+    ("io_json", "lines_to_dict"): "the writer of the lines input format",
+}
+
+
+def test_every_public_definition_is_used_or_allowed():
+    """A public function that only tests reach is either put to work,
+    moved into the test oracles, or listed in TEST_ONLY_PUBLIC with its
+    reason; a stale entry fails too."""
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert unused_public(modules) == sorted(TEST_ONLY_PUBLIC)
+    assert all(TEST_ONLY_PUBLIC.values())
+
+
+def test_checker_catches_unused_public_definitions():
+    a = ("def used(): return 1\n"
+         "def self_only(n):\n    return self_only(n - 1)\n"
+         "class Exported:\n    pass\n"
+         "def _private(): pass\n"
+         "def by_attribute(): pass\n"
+         "def imported_only(): pass\n")
+    b = ("from a import imported_only\nimport a\nx = a.by_attribute\n"
+         "y = used()\n")
+    init = "from .a import Exported, self_only\n__all__ = ['Exported']\n"
+    modules = {"a": ast.parse(a), "b": ast.parse(b),
+               "__init__": ast.parse(init)}
+    assert unused_public(modules) == [("a", "Exported"), ("a", "self_only")]
 
 
 def benchmark_layers():

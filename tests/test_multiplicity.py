@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,10 @@ from troplag.errors import WorkbenchError
 from troplag.io_json import curve_from_dict, load_curve, load_lines
 from troplag.lattice import (cross, det_bareiss, dot, is_zero, vec_add,
                              vec_neg, vec_scale)
-from troplag.multiplicity import (EvaluationMatrix, RotationalMomentum,
+from troplag.multiplicity import (EvaluationMatrix, Problem, _glue,
                                   _subtree_planes, build_problem,
-                                  enumerate_count, ev_matrix, leaf_momentum,
-                                  mixed_h_product, multiplicity_det,
-                                  pairing_coefficient, propagate,
-                                  splitting_check)
+                                  enumerate_count, ev_matrix,
+                                  mixed_h_product, splitting_check)
 
 
 def poincare_curve():
@@ -54,55 +53,73 @@ TRIPOD_Z = [(1, 0, 0), (1, -1, 0), (0, 1, -1)]
 # momenta
 
 
+def propagate(m1, m2, d_out):
+    """The junction rule as the paper states it: the momentum sent along
+    d_out from the two arriving momenta m1 and m2."""
+    return cross(cross(m1, m2), d_out)
+
+
 def test_leaf_momenta_paper_values():
-    assert leaf_momentum((-1, 0, 0), (0, 1, 2)).vector == (0, 2, -1)
-    assert leaf_momentum((0, -1, 0), (1, 0, 3)).vector == (-3, 0, 1)
-    assert leaf_momentum((1, 1, 0), (0, 1, 5)).vector == (5, -5, 1)
-    zero = leaf_momentum((1, 0, 0), (1, 0, 0))
-    assert zero.zero and zero.vector == (0, 0, 0)
+    rhos = build_problem(poincare_curve(), POINCARE_Z).rhos
+    assert rhos == [(0, 2, -1), (-3, 0, 1), (5, -5, 1)]
+    parallel = [(1, 0, 0)] + POINCARE_Z[1:]
+    assert build_problem(poincare_curve(), parallel).rhos[0] == (0, 0, 0)
 
 
 def test_propagate_example():
-    r1 = RotationalMomentum.from_vector((0, 2, -1))
-    r2 = RotationalMomentum.from_vector((-3, 0, 1))
-    out = propagate(r1, r2, (1, 1, 0))
-    assert out.vector == (-6, 6, -1)
-    swapped = propagate(r2, r1, (1, 1, 0))
-    assert swapped.vector == (6, -6, 1)
-    assert swapped.n == out.n and swapped.primitive == out.primitive
+    """The paper's junction momentum of the Poincare tripod towards its
+    third end, from the oracle and from `Problem.momenta`."""
+    r1, r2 = (0, 2, -1), (-3, 0, 1)
+    assert propagate(r1, r2, (1, 1, 0)) == (-6, 6, -1)
+    assert propagate(r2, r1, (1, 1, 0)) == (6, -6, 1)
+    prob = build_problem(poincare_curve(), POINCARE_Z)
+    _, _, mom = prob.momenta(2)
+    assert mom[prob.adj[2][0]] == (-6, 6, -1)
 
 
 def test_propagate_orthogonal_and_parallel():
+    """`_glue`'s normal is the oracle's momentum, u being minus the
+    outgoing direction; it is orthogonal to that direction, and zero
+    for parallel arriving momenta."""
     rng = random.Random(51)
     for _ in range(100):
-        r1 = RotationalMomentum.from_vector(
-            tuple(rng.randint(-6, 6) for _ in range(3)))
-        r2 = RotationalMomentum.from_vector(
-            tuple(rng.randint(-6, 6) for _ in range(3)))
+        r1 = tuple(rng.randint(-6, 6) for _ in range(3))
+        r2 = tuple(rng.randint(-6, 6) for _ in range(3))
         d = rand_primitive(rng)
         out = propagate(r1, r2, d)
-        assert dot(out.vector, d) == 0
-    parallel = propagate(RotationalMomentum.from_vector((1, 2, 3)),
-                         RotationalMomentum.from_vector((2, 4, 6)),
-                         (1, 0, 0))
-    assert parallel.zero
+        assert dot(out, d) == 0
+        assert _glue((r1, 0), (r2, 0), vec_neg(d))[0] == out
+    assert propagate((1, 2, 3), (2, 4, 6), (1, 0, 0)) == (0, 0, 0)
+    assert _glue(((1, 2, 3), 0), ((2, 4, 6), 0), (-1, 0, 0))[0] == (0, 0, 0)
 
 
-def test_pairing_coefficient_examples():
-    a = RotationalMomentum.from_vector((-6, 6, -1))
-    b = RotationalMomentum.from_vector((5, -5, 1))
-    assert pairing_coefficient(a, b, (1, 1, 0)) == 1
+def _pair_at_end_0(outward, z, arriving, weight=1):
+    """`Problem.pair_at` at end 0 of a hand-built tripod: the root ray
+    has the weighted outward vector `outward` and constraint direction
+    `z`, and its junction (node 3) sends `arriving`."""
+    other = (0, 0, 1)
+    prob = Problem([z, other, other], [cross(outward, z), None, None],
+                   [[3], [3], [3], [0, 1, 2]], {(3, 0): (outward, weight, 0)},
+                   ("o",))
+    return prob.pair_at(0, [None, None, None, arriving])
+
+
+def test_pair_at_leaf_root_examples():
+    """The leaf-root case of `pair_at`: the content of the arriving
+    momentum crossed with the root's own d x z, divided by the root
+    weight, and its parallelism check (`ZERO_DIRECTION` is pinned through
+    `mixed_h_product` below)."""
+    assert _pair_at_end_0((1, 1, 0), (0, 1, 5), (-6, 6, -1)) == 1
     for p, q in [(2, 1), (5, 2), (7, 3)]:
-        x = RotationalMomentum.from_vector((0, 1, 0))
-        y = RotationalMomentum.from_vector((-p, -q, 0))
-        assert pairing_coefficient(x, y, (0, 0, 1)) == p
-    same = RotationalMomentum.from_vector((1, 1, 0))
-    assert pairing_coefficient(same, same, (0, 0, 1)) == 0
+        assert _pair_at_end_0((0, 0, 1), (-q, p, 0), (0, 1, 0)) == p
+    # the cross product (0, 0, 4) over the root weight 2
+    assert _pair_at_end_0((0, 0, 2), (-1, 2, 0), (0, 1, 0), 2) == 2
+    assert _pair_at_end_0((0, 0, 1), (1, 1, 0), (-1, 1, 0)) == 0
     with pytest.raises(WorkbenchError) as err:
-        pairing_coefficient(RotationalMomentum.from_vector((1, 0, 0)),
-                            RotationalMomentum.from_vector((0, 1, 0)),
-                            (1, 0, 0))
-    assert err.value.code == "INCONSISTENT_MOMENTA"
+        _pair_at_end_0((1, 0, 0), (0, 0, -1), (1, 0, 0))
+    assert (err.value.code, str(err.value)) == (
+        "INCONSISTENT_MOMENTA",
+        "INCONSISTENT_MOMENTA: (0, 0, 1) is not parallel to (1, 0, 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +133,19 @@ def test_mixed_h_product_poincare_all_roots():
 
 def test_mixed_h_product_simplex_tripod():
     assert mixed_h_product(simplex_tripod_curve(), TRIPOD_Z) == 4
+
+
+def test_mixed_h_product_rejects_a_zero_root_ray():
+    """An unvalidated tripod whose end-0 ray has direction 0 reaches the
+    leaf-root pairing, which refuses it."""
+    c = TropicalCurve(3, [("o", (0, 0, 0))],
+                      [Edge("o", None, (0, 0, 0), 1, 0),
+                       Edge("o", None, (0, -1, 0), 1, 1),
+                       Edge("o", None, (1, 1, 0), 1, 2)])
+    with pytest.raises(WorkbenchError) as err:
+        mixed_h_product(c, POINCARE_Z)
+    assert (err.value.code, str(err.value)) == \
+        ("ZERO_DIRECTION", "ZERO_DIRECTION: leaf direction is zero")
 
 
 def test_mixed_h_product_single_edge():
@@ -185,28 +215,28 @@ def test_momenta_need_a_spatial_curve():
 
 
 def oracle_momenta(curve, zs, root):
-    """The momenta towards root from the public `leaf_momentum` and
-    `propagate`, recursively over the curve's chains
-    (`conftest.curve_tree`): sent[key], the momentum from the subtree
-    behind key towards its neighbour on the way to root, and the momenta
-    arriving at root in chain order.  A junction propagates the momenta
-    of its other chains in chain order."""
+    """The momenta towards root from d x z at each end and `propagate`,
+    recursively over the curve's chains (`conftest.curve_tree`):
+    sent[key], the momentum from the subtree behind key towards its
+    neighbour on the way to root, and the momenta arriving at root in
+    chain order.  A junction propagates the momenta of its other chains
+    in chain order."""
     adj = curve_tree(curve)
     ends = curve.ends()
     sent = {}
 
     def send(at, up):
         if isinstance(at, tuple):
-            m = leaf_momentum(ends[at[1]].dh(), zs[at[1]])
+            m = cross(ends[at[1]].dh(), zs[at[1]])
         else:
             m1, m2 = [send(other, at) for other, _, _, _ in adj[at]
                       if other != up]
             dh_out, = [dh for other, dh, _, _ in adj[at] if other == up]
             m = propagate(m1, m2, dh_out)
-        sent[at] = m.vector
+        sent[at] = m
         return m
 
-    arrived = [send(other, root).vector for other, _, _, _ in adj[root]]
+    arrived = [send(other, root) for other, _, _, _ in adj[root]]
     return sent, arrived
 
 
@@ -253,11 +283,12 @@ def test_momenta_match_the_leaf_and_propagate_oracle():
 def test_ev_matrix_poincare():
     m = ev_matrix(poincare_curve(), POINCARE_Z)
     assert m.entries == ((0, 2, -1), (-3, 0, 1), (5, -5, 1))
-    assert multiplicity_det(m).value == 1
+    assert abs(m.determinant()) == 1
 
 
 def test_ev_matrix_simplex_tripod():
-    assert multiplicity_det(ev_matrix(simplex_tripod_curve(), TRIPOD_Z)).value == 4
+    m = ev_matrix(simplex_tripod_curve(), TRIPOD_Z)
+    assert abs(m.determinant()) == 4
 
 
 def test_ev_matrix_needs_tree():
@@ -391,7 +422,7 @@ def test_oracle_equivalence_random_corpus():
     while checked < 200:
         kappa = rng.choice([3, 4, 5, 6])
         curve, zs = random_tree_problem(rng, kappa)
-        det = multiplicity_det(ev_matrix(curve, zs)).value
+        det = abs(ev_matrix(curve, zs).determinant())
         rec = mixed_h_product(curve, zs)
         assert rec == det
         checked += 1
@@ -415,7 +446,7 @@ def test_sign_invariance_in_z():
         flipped = list(zs)
         flipped[j] = tuple(-x for x in flipped[j])
         assert mixed_h_product(curve, flipped) == base
-        assert multiplicity_det(ev_matrix(curve, flipped)).value == base
+        assert abs(ev_matrix(curve, flipped).determinant()) == base
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +487,7 @@ def test_splitting_weighted_edge_division_exact():
     assert validate_curve(curve).ok
     zs = [(0, 1, 2), (1, 0, 3), (0, 1, 5), (1, 1, 1)]
     assert mixed_h_product(curve, zs) == \
-        multiplicity_det(ev_matrix(curve, zs)).value
+        abs(ev_matrix(curve, zs).determinant())
     rep = splitting_check(curve, 2, zs)
     assert rep.weight == 2
     assert (rep.m1 * rep.m2) % 2 == 0
@@ -925,3 +956,42 @@ def test_tree_decision_matches_the_echelon_pass(monkeypatch):
             except WorkbenchError as err:
                 assert err.code == "NON_GENERIC_CONFIG"
     assert True in answers and False in answers
+
+
+# a kappa = 8 configuration (seeded draw: directions in [-3, 3]^3, points
+# n/d with |n| <= 999 and d <= 97) whose walk reaches the echelon pass
+# below the root of a singular type
+MID_TREE_DEGREE = [(0, 1, -1), (-1, 1, 0), (-1, 0, -1), (0, 0, -1),
+                   (1, -1, 1), (1, 0, 0), (1, 0, 1), (-1, -1, 1)]
+MID_TREE_LINES = [
+    (("309/20", "-136/11", "84/5"), (0, 1, 3)),
+    (("3/2", "-553/37", "-147/19"), (-3, -1, 0)),
+    (("-164/17", "-199/64", "-417/11"), (2, 2, -3)),
+    (("-20/13", "7/2", "45"), (-3, 2, 2)),
+    (("339/28", "770/71", "-33/7"), (-1, 2, 1)),
+    (("-149/46", "57/7", "481/15"), (2, 3, 0)),
+    (("-690/11", "-639/20", "-524/85"), (-1, 2, 0)),
+    (("-261", "-3/38", "-313/17"), (2, -1, -3))]
+
+
+def test_mid_tree_echelon_decides_singular_types(monkeypatch):
+    """`_inconsistent_type` reduces more than three rows below the root
+    with `_echelon`; here that pass finds inconsistent systems, and the
+    statuses it gives match the per-type route's."""
+    mid_tree = []
+    echelon = multiplicity._echelon
+
+    def spied(rows):
+        out = echelon(rows)
+        caller = sys._getframe(1).f_locals
+        if caller["x"] != caller["order"][0]:
+            mid_tree.append(out)
+        return out
+
+    monkeypatch.setattr(multiplicity, "_echelon", spied)
+    lines = LineConfiguration([{"point": q, "dir": z}
+                               for q, z in MID_TREE_LINES])
+    got = outcome_record(enumerate_count, MID_TREE_DEGREE, lines)
+    assert len(mid_tree) == 3 and all(out is None for out in mid_tree)
+    assert got[0] == 2688000
+    assert got == outcome_record(per_type_enumerate, MID_TREE_DEGREE, lines)

@@ -380,7 +380,7 @@ def test_h1_poincare():
     rep = h1_order(tripod, zs=[(0, 1, 2), (1, 0, 3), (0, 1, 5)])
     assert rep.h1_order == 1 and rep.mv == 1
     assert rep.rational_homology_sphere and rep.recursion_agrees
-    assert [r.vector for _, r in rep.leaf_data] == \
+    assert [rho for _, rho in rep.leaf_data] == \
         [(0, 2, -1), (-3, 0, 1), (5, -5, 1)]
 
 
