@@ -15,24 +15,32 @@ edge lengths, collinear overlaps, leaf-line meets and edge midpoints
 are computed in Fractions.
 
 The Delzant check visits the faces of the domain, not its facet subsets
-(`_face_sets`): polynomial in the facet count for a fixed dimension,
-non-simple corners included.  Every bound on one parameter there, a
-fibre of the elimination or a line of a 2-face or an edge, goes
-through one interval rule (`_interval`, `_inside`).
+(`_face_sets`).  A full-dimensional domain of dimension >= 3 is first
+walked over its vertex graph (`_vertex_walk`): exact ratio tests from
+vertex to vertex, O(V dim m) integer operations for V vertices and m
+facets, no elimination.  Where the walk cannot certify the domain as
+simple and pointed, and in 2-D, the face search (`_search_faces`) takes
+over: polynomial in the facet count for a fixed dimension, non-simple
+corners included.  Every bound on one parameter there, a fibre of the
+elimination or a line of a 2-face or an edge, goes through one interval
+rule (`_interval`, `_inside`).  A stratum inside a vertex set whose
+normals have |det| = 1 is saturated; only the others need a Smith form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
 from .curve import (TropicalCurve, Edge, as_rational, point_text,
                     validate_curve)
 from .errors import Record, WorkbenchError
-from .lattice import (content, cross, dot, elementary_divisors, is_zero,
-                      mixed, primitive_raw, rank_exact, rot90, solve_bareiss,
-                      solve_dot, vec_add, vec_neg, vec_scale, vec_sub)
+from .lattice import (content, cross, det_bareiss, dot, elementary_divisors,
+                      is_zero, mixed, primitive_raw, rank_exact, rot90,
+                      solve_bareiss, solve_dot, vec_add, vec_neg, vec_scale,
+                      vec_sub)
 
 
 class Facet(Record):
@@ -243,19 +251,20 @@ def _tight_at(tight, rows, point):
 
 
 def _line_sets(tight, facets, line):
-    """The closed active sets at the ends of the s with c s >= b for
-    every (c, b) in line, and at a relative-interior point of them; none
-    when no s fits.  The i-th pair of line comes from the row of the
-    i-th facet in `facets`, and the facets in `tight` hold with
-    equality for every s."""
+    """The closed active sets at a relative-interior point of the s with
+    c s >= b for every (c, b) in line, and at its lower end when it has
+    one; none when no s fits.  The i-th pair of line comes from the row
+    of the i-th facet in `facets`, and the facets in `tight` hold with
+    equality for every s.  The upper end is the lower end of the mirror
+    line, the pairs (-c, b)."""
     bounds = _interval(line)
     if bounds is None:
         return ()
     point, dim = _inside(*bounds, 1)
-    ends = [end for end in bounds if end is not None] if dim else []
+    lo = bounds[0]
     return [tuple(sorted([*tight, *[
         j for j, (c, b) in zip(facets, line) if c * num == b * den]]))
-        for num, den in [point, *ends]]
+        for num, den in ([point, lo] if dim and lo is not None else [point])]
 
 
 def _plane_faces(tight, rows):
@@ -267,8 +276,10 @@ def _plane_faces(tight, rows):
     P = r a, D = a . a and t = rot90(a), on which every row reads
     c s >= b in integers: c = co . t and b = D rhs - co . P.  Every edge
     and vertex of the face lies on the line of some row, and
-    `_line_sets` reads their sets off it, so n rows cost O(n^2) integer
-    operations.
+    `_line_sets` reads the sets at an interior point and the lower end
+    of each.  That is enough: t = rot90(a) orients all edges one way
+    round, so every vertex is the lower end of exactly one edge.  So n
+    rows cost O(n^2) integer operations.
     """
     found = set()
     for (a0, a1), r in rows.values():
@@ -293,6 +304,31 @@ def _face_sets(domain):
 
     The closed active set of a face holds every facet tight on all of
     it; it is the set of facets tight at any relative-interior point.
+    One Fourier-Motzkin pass finds a relative-interior point of the
+    whole domain.  Where no facet is tight there, the domain is full-
+    dimensional, and in dimension >= 3 the vertex walk (`_vertex_walk`)
+    reads every set off the vertex graph.  Otherwise, and where the walk
+    cannot certify the domain as simple and pointed, the face search
+    (`_search_faces`) finds them.  A polygon is left to the search: its
+    one 2-face is a single plane scan, of the walk's order and measured
+    faster than it.
+    """
+    kernel, rows = _frame(domain, ())
+    top = _fm_point(list(rows.values()), len(kernel))
+    if top is None:
+        return None
+    root = _tight_at((), rows, top[0])
+    if domain.dim >= 3 and not root:
+        sets = _vertex_walk(domain, top[0])
+        if sets is not None:
+            return sets
+    return _search_faces(domain, rows, (root, top[1]))
+
+
+def _search_faces(domain, rows, root):
+    """The face search of `_face_sets`, from the closed set and dimension
+    of the whole domain and its frame rows.
+
     The search starts at the whole domain, whose set holds the implicit
     equalities of a lower-dimensional domain.  From each face F of
     dimension >= 3 with set S it tries each facet j not in S: one
@@ -304,18 +340,15 @@ def _face_sets(domain):
     the sets of all its edges and vertices off its frame rows in one
     integer scan per row, and pushes nothing.  Nor does an edge: its
     frame rows are bounds on its one variable, and `_line_sets` reads
-    the sets at its ends off them.  The cost is one exact solve per
+    the sets at its interior and lower end off them, and at its upper
+    end off their mirror.  The cost is one exact solve per
     face of positive dimension, n passes in at most dim variables from
     each face of dimension >= 3, and O(n^2) integer operations per
     2-face: one pass for an n-gon, n + 1 for a pyramid over an
     (n - 1)-gon, polynomial in the facet count n for a fixed dimension,
     even where many facets meet.
     """
-    kernel, rows = _frame(domain, ())
-    top = _fm_point(list(rows.values()), len(kernel))
-    if top is None:
-        return None
-    root = (_tight_at((), rows, top[0]), top[1])
+    nvars = domain.dim
     seen = {root[0]}
     stack = [root]
     while stack:
@@ -324,17 +357,19 @@ def _face_sets(domain):
             continue  # a point: every facet meeting it is already in S
         if S:
             kernel, rows = _frame(domain, S)
-        # S is empty only at the root, popped first with the frame above
+            nvars = len(kernel)
+        # S is empty only at the root, popped first with its frame rows
         if dim == 2:
             seen.update(_plane_faces(S, rows))
             continue
         if dim == 1:
-            seen.update(_line_sets(S, rows, [(c, r) for (c,), r
-                                             in rows.values()]))
+            line = [(c, r) for (c,), r in rows.values()]
+            seen.update(_line_sets(S, rows, line))
+            seen.update(_line_sets(S, rows, [(-c, r) for c, r in line]))
             continue
         face = list(rows.values())
         for co, rhs in rows.values():
-            found = _fm_point(face + [(vec_neg(co), -rhs)], len(kernel))
+            found = _fm_point(face + [(vec_neg(co), -rhs)], nvars)
             if found is None:
                 continue
             closed = _tight_at(S, rows, found[0])
@@ -342,6 +377,127 @@ def _face_sets(domain):
                 seen.add(closed)
                 stack.append((closed, found[1]))
     return seen
+
+
+# ---------------------------------------------------------------------------
+# the vertex walk: simple pointed domains of dimension >= 3
+
+
+def _blocking(rows, slacks, e):
+    """The rows that stop a move along e first, and every row's a . e.
+
+    slacks[j] is a . X - m D for the row (a, m) at the point X / D, up to
+    one positive factor shared by all rows.  A row with a . e < 0 stops
+    the move at t = slacks[j] / -(a . e), in the same units for every
+    row, and the rows with the least t are returned, compared by
+    cross-multiplying: none on a ray, more than one on a tie.
+    """
+    cs = [sum(map(mul, a, e)) for a, _ in rows]
+    first = []
+    best_s, best_c = 1, 0     # t = 1 / 0: nothing stops the move yet
+    for j, c in enumerate(cs):
+        if c < 0:
+            s = slacks[j]
+            key = best_s * c - s * best_c   # the sign of t - best t
+            if key < 0:
+                first, best_s, best_c = [j], s, c
+            elif key == 0:
+                first.append(j)
+    return first, cs
+
+
+def _step(slacks, cs, j):
+    """The slacks where row j stops the move whose row products are cs:
+    -cs[j] s + slacks[j] c for each row's slack s and product c, which
+    is 0 for row j, divided by their gcd (0 once every row is tight)."""
+    k, sj = -cs[j], slacks[j]
+    new = [k * s + sj * c for s, c in zip(slacks, cs)]
+    g = gcd(*new) or 1
+    return [v // g for v in new]
+
+
+def _edge_directions(normals):
+    """For the dim independent normals of a vertex, the direction of the
+    edge that leaves each one's facet: orthogonal to the other normals,
+    with a positive product with its own.  It is the adjugate column
+    times the sign of det: cross products of the other two in 3-D,
+    a fraction-free solve in higher dimensions."""
+    if len(normals) == 3:
+        p, q, r = normals
+        cols = [cross(q, r), cross(r, p), cross(p, q)]
+        return cols if dot(p, cols[0]) > 0 else [vec_neg(c) for c in cols]
+    out = []
+    for i in range(len(normals)):
+        d, num, _ = solve_bareiss(normals, [int(k == i) for k in
+                                            range(len(normals))])
+        out.append(num if d > 0 else vec_neg(num))
+    return out
+
+
+def _vertex_walk(domain, point):
+    """Closed active sets of a simple pointed domain, read off its vertex
+    graph, or None when the walk cannot certify the domain as such.
+
+    point: (X, D), a point where no facet is tight.  Each point of the
+    walk is kept as its slacks (`_step`).  The descent moves along a
+    kernel vector of the tight normals, in either sign, to the first
+    facet it meets, until dim facets are tight: a vertex.  No facet met
+    in either sign means a line in the domain, which is not pointed.
+    Each facet j met has a . e != 0 along a direction orthogonal to the
+    normals already tight, so a vertex reached without a tie has
+    exactly dim tight facets with independent normals.  From each
+    vertex, the ratio test (`_blocking`) along each edge gives the
+    next vertex, or a ray.  The walk gives up at a tie, where two
+    facets stop a move at once: the point reached may lie on more than
+    dim facets.  Without one the domain is pointed and simple: every
+    vertex lies on exactly dim facets, every face holds a vertex, the
+    graph of vertices and edges is connected, and the closed active
+    sets are exactly the subsets of the vertex sets, () the whole
+    domain's.  The cost is O(V dim m) integer operations for V
+    vertices and m facets, and no Fourier-Motzkin pass.
+    """
+    rows = domain.rows
+    normals = [f.normal for f in domain.facets]
+    dim = domain.dim
+    X, D = point
+    slacks = [sum(map(mul, a, X)) - m * D for a, m in rows]
+    tight = []
+    while len(tight) < dim:
+        if tight:
+            u = solve_bareiss([normals[j] for j in tight],
+                              [0] * len(tight))[2][0]
+        else:
+            u = (1,) + (0,) * (dim - 1)
+        for e in (u, vec_neg(u)):
+            first, cs = _blocking(rows, slacks, e)
+            if first:
+                break
+        else:
+            return None   # a line: the domain is not pointed
+        if len(first) > 1:
+            return None
+        slacks = _step(slacks, cs, first[0])
+        tight.append(first[0])
+    vertex = tuple(sorted(tight))
+    sets = set()
+    seen = {vertex}
+    stack = [(vertex, slacks)]
+    while stack:
+        T, slacks = stack.pop()
+        for k in range(dim + 1):
+            sets.update(combinations(T, k))
+        edges = _edge_directions([normals[j] for j in T])
+        for i, e in zip(T, edges):
+            first, cs = _blocking(rows, slacks, e)
+            if not first:
+                continue  # a ray
+            if len(first) > 1:
+                return None
+            nxt = tuple(sorted([j for j in T if j != i] + first))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, _step(slacks, cs, first[0])))
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +541,26 @@ def validate_delzant(d: PolyhedralDomain) -> DelzantReport:
     supports no facet of the domain and is reported as redundant.  An
     empty domain raises EMPTY_DOMAIN.
 
-    The sets come from the face search (`_face_sets`), not from all 2^n
-    subsets of n facets.  Strata are reported ordered by (size,
+    The sets come from the vertex walk or the face search
+    (`_face_sets`), not from all 2^n subsets of n facets.  A stratum
+    inside the facet set of a vertex whose dim normals have |det| = 1
+    lies in a Z-basis and so passes without a Smith form; only the
+    others are reduced.  Strata are reported ordered by (size,
     indices), as the subset search found them.
     """
     return _delzant(d)[0]
+
+
+def _det(rows):
+    """Determinant of a square integer matrix, by hand in 2-D and 3-D: a
+    fraction-free elimination costs 3-6 us there against 0.1-0.7 us,
+    which showed on the `domains` benchmark's median."""
+    if len(rows) == 2:
+        (a, b), (c, e) = rows
+        return a * e - b * c
+    if len(rows) == 3:
+        return mixed(*rows)
+    return det_bareiss(rows)
 
 
 def _delzant(d):
@@ -412,8 +583,18 @@ def _delzant(d):
     for j in range(len(d.facets)):
         if (j,) not in strata:
             issues.append(f"facet {j} is redundant (supports no facet)")
+    # dim normals with |det| = 1 are a Z-basis, and every subset of a
+    # basis spans a saturated sublattice of its own rank
+    saturated = set()
+    for S in strata:
+        if len(S) == d.dim and abs(_det([d.facets[j].normal
+                                         for j in S])) == 1:
+            for k in range(2, d.dim + 1):
+                saturated.update(combinations(S, k))
     for S in sorted((S for S in strata if len(S) >= 2),
                     key=lambda S: (len(S), S)):
+        if S in saturated:
+            continue
         normals = [d.facets[j].normal for j in S]
         divisors = elementary_divisors(normals)
         rank = len(divisors)

@@ -391,11 +391,25 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _spy(monkeypatch, name):
+    """Record the results of one module function's calls, in order."""
+    results = []
+    real = getattr(domain_mod, name)
+
+    def spied(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(domain_mod, name, spied)
+    return results
+
+
 def test_face_search_polygon_passes_constant(monkeypatch):
     facets = blown_up_polygon(random.Random(40), 40)
     d = _domain(2, facets)
     calls = _count_calls(monkeypatch, "_fm_point")
     frames = _count_calls(monkeypatch, "_frame")
+    lines = _spy(monkeypatch, "_line_sets")
     assert validate_delzant(d).ok
     # one pass and one frame for the domain; the polygon is its only
     # 2-face, whose edges and vertices one integer line scan per facet
@@ -403,6 +417,11 @@ def test_face_search_polygon_passes_constant(monkeypatch):
     # and facet n^2 + 1, and one per 2-face and facet n + 1 (n = 40)
     assert len(calls) <= 1
     assert len(frames) <= 1
+    # each facet's line gives the set of its edge and of the edge's lower
+    # end, so every vertex is read once: 2n sets, not 3n
+    assert len(lines) == 40
+    assert sum(map(len, lines)) == 80
+    assert len({S for sets in lines for S in sets}) == 80
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
@@ -465,10 +484,15 @@ def _face_oracle_domains():
         _domain(2, square + [((-1, 0), 0)]),                 # opposite
         _domain(3, [((1, 2, 0), "1/2"), ((-1, -2, 0), "-1/2"),
                     ((0, 0, 1), 0), ((0, 1, 0), 0)]),        # flat domain
-        _domain(3, [((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 0, 1), 0),
-                    ((0, 0, -1), -2), ((0, 1, 0), 0), ((0, 1, 0), 0)]),
+        duplicate_facet_domain(),
     ]
     return domains
+
+
+def duplicate_facet_domain():
+    """A pointed 3-D domain with one facet given twice."""
+    return _domain(3, [((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 0, 1), 0),
+                       ((0, 0, -1), -2), ((0, 1, 0), 0), ((0, 1, 0), 0)])
 
 
 def test_face_sets_match_fm_oracle():
@@ -494,6 +518,124 @@ def test_face_sets_match_fm_oracle():
     # strips, half-planes and flat domains give the 2-faces without one
     assert shapes["no vertex"] >= 5 and min(shapes.values()) >= 5, shapes
     assert shapes["negative d"] >= 100 and shapes["constant facet"] >= 100
+
+
+# ---------------------------------------------------------------------------
+# the vertex walk in dimension >= 3
+
+
+def _cube_touched_at_a_corner():
+    """The cube [0, 2]^3 and a facet that meets it in the corner (2, 2, 2)
+    only: the descent ends at (0, 2, 2), and the edge from there meets
+    two facets at once."""
+    return _domain(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                       ((-1, 0, 0), -2), ((0, -1, 0), -2), ((0, 0, -1), -2),
+                       ((-1, -1, -1), -6)])
+
+
+# each domain the walk cannot certify, and where it stops: "root" when it
+# never starts, "descent" before its first vertex, "walk" after it
+WALK_FALLBACKS = {
+    "strip prism (a line)": (
+        lambda: _domain(3, prism([((1, 0), 0), ((-1, 0), -1)])), "descent"),
+    "half-space (a line)": (lambda: NAMED_DOMAINS["half-space"], "descent"),
+    "implicit equality": (
+        lambda: NAMED_DOMAINS["lower-dim-plane-slab"], "root"),
+    "square pyramid (non-simple)": (
+        lambda: _domain(3, parabola_pyramid(4)), "descent"),
+    "duplicate facet": (duplicate_facet_domain, "descent"),
+    "empty": (lambda: NAMED_DOMAINS["empty-3d"], "root"),
+    "descent meets two facets at once": (
+        lambda: NAMED_DOMAINS["octant-corner-cut"], "descent"),
+    "walk meets two facets at once": (_cube_touched_at_a_corner, "walk"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_FALLBACKS))
+def test_walk_falls_back_to_the_face_search(monkeypatch, name):
+    """Every case the walk leaves to the face search: the search runs
+    (none for an empty domain), and the report is the exhaustive one."""
+    make, stop = WALK_FALLBACKS[name]
+    d = make()
+    walks = _spy(monkeypatch, "_vertex_walk")
+    searches = _spy(monkeypatch, "_search_faces")
+    vertices = _spy(monkeypatch, "_edge_directions")
+    got = _outcome(validate_delzant, d)
+    assert got == _outcome(oracle_validate_delzant, d)
+    if stop == "root":
+        assert walks == []
+    else:
+        assert walks == [None]
+        assert bool(vertices) == (stop == "walk")
+    assert len(searches) == (got != "EMPTY_DOMAIN")
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_walk_on_prisms_is_linear(monkeypatch, n):
+    """A simple pointed prism over an n-gon: one pass and one frame for
+    the whole domain, no face search, one ratio test per edge end (at
+    most dim more in the descent), and no Smith form, since every vertex
+    has |det| = 1 and so covers its strata."""
+    d = _domain(3, prism(blown_up_polygon(random.Random(n), n)))
+    passes = _count_calls(monkeypatch, "_fm_point")
+    frames = _count_calls(monkeypatch, "_frame")
+    planes = _count_calls(monkeypatch, "_plane_faces")
+    tests = _count_calls(monkeypatch, "_blocking")
+    smith = _spy(monkeypatch, "elementary_divisors")
+    assert validate_delzant(d).ok
+    assert len(passes) == len(frames) == 1 and planes == []
+    # 2n vertices of 3 edges each; the descent tries at most both signs
+    # of dim kernel directions
+    assert 6 * n <= len(tests) <= 6 * n + 6
+    assert smith == []
+
+
+def test_walk_smith_forms_only_at_the_spoiled_corner(monkeypatch):
+    """On a prism over a polygon with one corner of index 2, the strata
+    left to the Smith form are the three that hold that corner's pair:
+    its edge and its two vertices."""
+    facets = blown_up_polygon(random.Random(9), 12, spoiled=True)
+    d = _domain(3, prism(facets))
+    corners = [(facets[i - 1][0], facets[i][0]) for i in range(12)]
+    spoiled = [set(c) for c in corners if abs(det_bareiss(c)) != 1]
+    assert len(spoiled) == 1
+    pair = {(*u, 0) for u in spoiled[0]}
+    normals = []
+    real = domain_mod.elementary_divisors
+
+    def smith(rows):
+        normals.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(domain_mod, "elementary_divisors", smith)
+    rep = validate_delzant(d)
+    assert rep == oracle_validate_delzant(d)
+    assert [f.index for f in rep.failures] == [2, 2, 2]
+    assert len(normals) == 3
+    assert all(pair <= set(rows) for rows in normals)
+
+
+def _product(p, q):
+    """The product of two polygons, given as (normal, offset) facets."""
+    return [((u[0], u[1], 0, 0), a) for u, a in p] + \
+        [((0, 0, v[0], v[1]), b) for v, b in q]
+
+
+def test_walk_in_four_dimensions(monkeypatch):
+    """Products of two polygons, Delzant or with one spoiled corner, and
+    a quadrant times a polygon: the walk's solve for the edge directions
+    gives the search's sets and the exhaustive report."""
+    rng = random.Random(4)
+    quadrant = [((1, 0), 0), ((0, 1), 0)]
+    walks = _spy(monkeypatch, "_vertex_walk")
+    for p, q in [(blown_up_polygon(rng, 5), blown_up_polygon(rng, 4)),
+                 (blown_up_polygon(rng, 4, spoiled=True),
+                  blown_up_polygon(rng, 5)),
+                 (quadrant, blown_up_polygon(rng, 5))]:
+        d = _domain(4, _product(p, q))
+        assert domain_mod._face_sets(d) == domain_oracle.face_sets(d)
+        assert validate_delzant(d) == oracle_validate_delzant(d)
+    assert len(walks) == 6 and None not in walks
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +868,8 @@ def test_face_search_values_are_plain_ints(monkeypatch):
         monkeypatch.setattr(domain_mod, name, call)
 
     names = {"_frame", "_fm_point", "_tight_at", "_plane_faces",
-             "_interval", "_inside", "_line_sets"}
+             "_interval", "_inside", "_line_sets", "_search_faces",
+             "_vertex_walk", "_blocking", "_step", "_edge_directions"}
     for name in names:
         recorded(name)
 

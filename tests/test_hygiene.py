@@ -11,15 +11,19 @@ every name in ``troplag.__all__`` is listed once and exists.  Every
 private definition is used, and every public one that only the tests
 reach is listed with its reason in ``TEST_ONLY_PUBLIC``.  The
 benchmark's layer table (``perfbench/measure.py``, read, not imported)
-names package functions, but for two known gaps.
+names package functions, but for two known gaps, and the names that
+``perfbench/run.py`` emits (read the same way) are those that
+``BENCHMARK.json`` declares.
 """
 
 import ast
 import importlib
+import json
 import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -251,3 +255,48 @@ def test_benchmark_layers_resolve():
             missing.append(layer)
     assert sorted(missing) == ["curve.internal_directions_from_leaves",
                                "lattice.solve_exact"]
+
+
+def _module_nodes(path, names):
+    """The top-level assignments to and definitions of `names` in a
+    module's source, parsed, not imported."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in names
+            or isinstance(node, ast.Assign) and
+            any(getattr(t, "id", None) in names for t in node.targets)]
+
+
+def benchmark_names():
+    """(workloads, end-to-end (name, unit) pairs, per-layer (name, unit)
+    pairs) as perfbench/run.py emits them, from its source and the two
+    constants of perfbench/measure.py it reads, without importing
+    either: only the assignments and functions that build the names
+    are run."""
+    measure = {}
+    for node in _module_nodes(ROOT / "perfbench" / "measure.py",
+                              {"ROOT", "MODULES"}):
+        measure[node.targets[0].id] = ast.literal_eval(node.value)
+    path = ROOT / "perfbench" / "run.py"
+    nodes = _module_nodes(path, {
+        "WORKLOADS", "END_TO_END", "SELF_MS_LAYERS", "CALLS_LAYERS",
+        "MAXIMA", "TYPES", "ERROR_CODES", "per_layer_names", "unit_of"})
+    space = {"measure": types.SimpleNamespace(**measure)}
+    exec(compile(ast.Module(body=nodes, type_ignores=[]), str(path), "exec"),
+         space)
+    unit_of = space["unit_of"]
+    return (list(space["WORKLOADS"]),
+            [list(pair) for pair in space["END_TO_END"]],
+            [[name, unit_of(name)] for name in space["per_layer_names"]()])
+
+
+def test_benchmark_names_match_benchmark_json():
+    """The workloads and metrics the harness emits are the ones
+    BENCHMARK.json declares, in its order and with its units, so a
+    metric renamed or dropped on one side only fails here."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads, end_to_end, per_layer = benchmark_names()
+    assert workloads == [w["name"] for w in bench["workloads"]]
+    assert end_to_end == [[m["name"], m["unit"]]
+                          for m in bench["end_to_end"]]
+    assert per_layer == [[m["name"], m["unit"]] for m in bench["per_layer"]]
