@@ -421,7 +421,9 @@ def _edge_directions(normals):
     edge that leaves each one's facet: orthogonal to the other normals,
     with a positive product with its own.  It is the adjugate column
     times the sign of det: cross products of the other two in 3-D,
-    a fraction-free solve in higher dimensions."""
+    a fraction-free solve per column in higher dimensions.  The solves
+    give the same columns in 3-D, but cost the `domains` benchmark a
+    tenth of its problems per second there."""
     if len(normals) == 3:
         p, q, r = normals
         cols = [cross(q, r), cross(r, p), cross(p, q)]
@@ -551,18 +553,6 @@ def validate_delzant(d: PolyhedralDomain) -> DelzantReport:
     return _delzant(d)[0]
 
 
-def _det(rows):
-    """Determinant of a square integer matrix, by hand in 2-D and 3-D: a
-    fraction-free elimination costs 3-6 us there against 0.1-0.7 us,
-    which showed on the `domains` benchmark's median."""
-    if len(rows) == 2:
-        (a, b), (c, e) = rows
-        return a * e - b * c
-    if len(rows) == 3:
-        return mixed(*rows)
-    return det_bareiss(rows)
-
-
 def _delzant(d):
     """validate_delzant's report and the closed active sets it searched,
     None when a facet normal is malformed."""
@@ -587,8 +577,8 @@ def _delzant(d):
     # basis spans a saturated sublattice of its own rank
     saturated = set()
     for S in strata:
-        if len(S) == d.dim and abs(_det([d.facets[j].normal
-                                         for j in S])) == 1:
+        if len(S) == d.dim and abs(det_bareiss([d.facets[j].normal
+                                               for j in S])) == 1:
             for k in range(2, d.dim + 1):
                 saturated.update(combinations(S, k))
     for S in sorted((S for S in strata if len(S) >= 2),

@@ -160,12 +160,19 @@ def _bareiss_echelon(a, ncols):
 
 
 def det_bareiss(rows) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    """Exact determinant of an integer matrix: by hand for 2 x 2 and
+    3 x 3, where the elimination costs ten times more, and by fraction-
+    free elimination above."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise WorkbenchError("DIMENSION_MISMATCH", "determinant needs a square matrix")
     if n == 0:
         return 1
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        return mixed(*rows)
     a = [list(r) for r in rows]
     pivots, sign = _bareiss_echelon(a, n)
     return sign * a[n - 1][n - 1] if len(pivots) == n else 0

@@ -377,38 +377,26 @@ def test_named_domain_reports():
     assert validate_delzant(NAMED_DOMAINS["half-space"]).ok
 
 
-def _count_calls(monkeypatch, name):
-    """Record the calls of one face-search kernel by their second
-    argument: the variable count of a pass, the tight set of a frame."""
+def _spy(monkeypatch, name):
+    """Record each call of one module function as (args, result), in
+    order, and let it run as before."""
     calls = []
     real = getattr(domain_mod, name)
 
-    def counted(*args):
-        calls.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(domain_mod, name, counted)
-    return calls
-
-
-def _spy(monkeypatch, name):
-    """Record the results of one module function's calls, in order."""
-    results = []
-    real = getattr(domain_mod, name)
-
     def spied(*args):
-        results.append(real(*args))
-        return results[-1]
+        out = real(*args)
+        calls.append((args, out))
+        return out
 
     monkeypatch.setattr(domain_mod, name, spied)
-    return results
+    return calls
 
 
 def test_face_search_polygon_passes_constant(monkeypatch):
     facets = blown_up_polygon(random.Random(40), 40)
     d = _domain(2, facets)
-    calls = _count_calls(monkeypatch, "_fm_point")
-    frames = _count_calls(monkeypatch, "_frame")
+    calls = _spy(monkeypatch, "_fm_point")
+    frames = _spy(monkeypatch, "_frame")
     lines = _spy(monkeypatch, "_line_sets")
     assert validate_delzant(d).ok
     # one pass and one frame for the domain; the polygon is its only
@@ -420,8 +408,8 @@ def test_face_search_polygon_passes_constant(monkeypatch):
     # each facet's line gives the set of its edge and of the edge's lower
     # end, so every vertex is read once: 2n sets, not 3n
     assert len(lines) == 40
-    assert sum(map(len, lines)) == 80
-    assert len({S for sets in lines for S in sets}) == 80
+    assert sum(len(sets) for _, sets in lines) == 80
+    assert len({S for _, sets in lines for S in sets}) == 80
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
@@ -436,8 +424,8 @@ def test_pyramid_apex_matches_exhaustive(m):
 def test_pyramid_apex_passes_linear(monkeypatch):
     m = 20
     d = _domain(3, parabola_pyramid(m))
-    calls = _count_calls(monkeypatch, "_fm_point")
-    frames = _count_calls(monkeypatch, "_frame")
+    calls = _spy(monkeypatch, "_fm_point")
+    frames = _spy(monkeypatch, "_frame")
     rep = validate_delzant(d)
     n = m + 1
     # 1 + n from the domain, none from a 2-face (an integer line scan)
@@ -565,7 +553,7 @@ def test_walk_falls_back_to_the_face_search(monkeypatch, name):
     if stop == "root":
         assert walks == []
     else:
-        assert walks == [None]
+        assert [out for _, out in walks] == [None]
         assert bool(vertices) == (stop == "walk")
     assert len(searches) == (got != "EMPTY_DOMAIN")
 
@@ -577,10 +565,10 @@ def test_walk_on_prisms_is_linear(monkeypatch, n):
     most dim more in the descent), and no Smith form, since every vertex
     has |det| = 1 and so covers its strata."""
     d = _domain(3, prism(blown_up_polygon(random.Random(n), n)))
-    passes = _count_calls(monkeypatch, "_fm_point")
-    frames = _count_calls(monkeypatch, "_frame")
-    planes = _count_calls(monkeypatch, "_plane_faces")
-    tests = _count_calls(monkeypatch, "_blocking")
+    passes = _spy(monkeypatch, "_fm_point")
+    frames = _spy(monkeypatch, "_frame")
+    planes = _spy(monkeypatch, "_plane_faces")
+    tests = _spy(monkeypatch, "_blocking")
     smith = _spy(monkeypatch, "elementary_divisors")
     assert validate_delzant(d).ok
     assert len(passes) == len(frames) == 1 and planes == []
@@ -600,19 +588,12 @@ def test_walk_smith_forms_only_at_the_spoiled_corner(monkeypatch):
     spoiled = [set(c) for c in corners if abs(det_bareiss(c)) != 1]
     assert len(spoiled) == 1
     pair = {(*u, 0) for u in spoiled[0]}
-    normals = []
-    real = domain_mod.elementary_divisors
-
-    def smith(rows):
-        normals.append(rows)
-        return real(rows)
-
-    monkeypatch.setattr(domain_mod, "elementary_divisors", smith)
+    smith = _spy(monkeypatch, "elementary_divisors")
     rep = validate_delzant(d)
     assert rep == oracle_validate_delzant(d)
     assert [f.index for f in rep.failures] == [2, 2, 2]
-    assert len(normals) == 3
-    assert all(pair <= set(rows) for rows in normals)
+    assert len(smith) == 3
+    assert all(pair <= set(rows) for (rows,), _ in smith)
 
 
 def _product(p, q):
@@ -635,7 +616,7 @@ def test_walk_in_four_dimensions(monkeypatch):
         d = _domain(4, _product(p, q))
         assert domain_mod._face_sets(d) == domain_oracle.face_sets(d)
         assert validate_delzant(d) == oracle_validate_delzant(d)
-    assert len(walks) == 6 and None not in walks
+    assert len(walks) == 6 and None not in [out for _, out in walks]
 
 
 # ---------------------------------------------------------------------------
@@ -856,22 +837,10 @@ def test_interval_of_rows_without_the_variable():
 def test_face_search_values_are_plain_ints(monkeypatch):
     """Every value the face search's kernels produce is an int, so
     Fraction arithmetic creeping back into the face search fails here."""
-    produced = []
-
-    def recorded(name):
-        real = getattr(domain_mod, name)
-
-        def call(*args):
-            out = real(*args)
-            produced.append((name, out))
-            return out
-        monkeypatch.setattr(domain_mod, name, call)
-
     names = {"_frame", "_fm_point", "_tight_at", "_plane_faces",
              "_interval", "_inside", "_line_sets", "_search_faces",
              "_vertex_walk", "_blocking", "_step", "_edge_directions"}
-    for name in names:
-        recorded(name)
+    spies = {name: _spy(monkeypatch, name) for name in names}
 
     def leaves(value):
         if isinstance(value, dict):
@@ -884,8 +853,8 @@ def test_face_search_values_are_plain_ints(monkeypatch):
 
     for d in _kernel_domains():
         _outcome(validate_delzant, d)
-    assert {name for name, _ in produced} == names
-    bad = [(name, out) for name, out in produced
+    assert all(spies.values())
+    bad = [(name, out) for name, calls in spies.items() for _, out in calls
            if any(type(v) is not int for v in leaves(out))]
     assert not bad, bad[:3]
 
