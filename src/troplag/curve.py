@@ -51,6 +51,7 @@ def point_text(xs):
 class Edge(Record):
     __slots__ = ("tail", "head", "direction", "weight", "leaf_label")
 
+    # Hand-written: one Edge per input edge, 3x faster than Record's loop.
     def __init__(self, tail: str, head: str | None, direction: tuple,
                  weight: int = 1, leaf_label: int | None = None):
         self.tail = tail
@@ -73,6 +74,7 @@ class End(Record):
     __slots__ = ("edge_index", "kind", "attach", "outward", "weight", "label",
                  "endpoint")
 
+    # Hand-written: several Ends per curve, 3x faster than Record's loop.
     def __init__(self, edge_index: int, kind: str, attach: str, outward: tuple,
                  weight: int, label: int | None, endpoint: str | None = None):
         self.edge_index = edge_index
@@ -272,10 +274,7 @@ class TropicalCurve:
 
 class ValidationReport(Record):
     __slots__ = ("ok", "issues")
-
-    def __init__(self, ok: bool, issues: tuple = ()):
-        self.ok = ok
-        self.issues = issues
+    _defaults = ((),)
 
     def as_dict(self):
         return {"ok": self.ok, "issues": list(self.issues)}
@@ -408,12 +407,8 @@ def _reach(c, start, keep=None):
 
 
 class BettiDegree(Record):
-    __slots__ = ("b1", "kappa", "degree")
-
-    def __init__(self, b1: int, kappa: int, degree: tuple):
-        self.b1 = b1
-        self.kappa = kappa
-        self.degree = degree  # sorted multiset of weighted ray directions
+    __slots__ = ("b1", "kappa",
+                 "degree")  # sorted multiset of weighted ray directions
 
     def as_dict(self):
         return {"b1": self.b1, "kappa": self.kappa,
@@ -442,13 +437,6 @@ def toric_degree_of_ends(c: TropicalCurve):
 
 class RegularityReport(Record):
     __slots__ = ("def_dim", "expected_dim", "regular", "rank")
-
-    def __init__(self, def_dim: int, expected_dim: int, regular: bool,
-                 rank: int):
-        self.def_dim = def_dim
-        self.expected_dim = expected_dim
-        self.regular = regular
-        self.rank = rank
 
     def as_dict(self):
         return {"defDim": self.def_dim, "expectedDim": self.expected_dim,
@@ -514,19 +502,9 @@ def regularity_check(c: TropicalCurve) -> RegularityReport:
 
 
 class SplitResult(Record):
-    __slots__ = ("h1", "r1_index", "h2", "r2_index", "point", "h1_edge_map",
+    __slots__ = ("h1", "r1_index", "h2", "r2_index", "point",
+                 "h1_edge_map",  # old index -> new index
                  "h2_edge_map")
-
-    def __init__(self, h1: TropicalCurve, r1_index: int, h2: TropicalCurve,
-                 r2_index: int, point: tuple, h1_edge_map: dict,
-                 h2_edge_map: dict):
-        self.h1 = h1
-        self.r1_index = r1_index
-        self.h2 = h2
-        self.r2_index = r2_index
-        self.point = point
-        self.h1_edge_map = h1_edge_map  # old index -> new index
-        self.h2_edge_map = h2_edge_map
 
 
 def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
@@ -578,11 +556,8 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
 
 class TreeTopology(Record):
     """Labeled 3-valent tree: leaves 0..kappa-1, internal nodes >= kappa."""
-    __slots__ = ("kappa", "edges")
-
-    def __init__(self, kappa: int, edges: tuple):
-        self.kappa = kappa
-        self.edges = edges  # sorted (a, b) pairs with a < b
+    __slots__ = ("kappa",
+                 "edges")  # sorted (a, b) pairs with a < b
 
     def adjacency(self):
         adj = {}

@@ -46,6 +46,7 @@ from .lattice import (content, cross, det_bareiss, dot, elementary_divisors,
 class Facet(Record):
     __slots__ = ("normal", "offset")
 
+    # Hand-written: one Facet per input facet, faster than Record's loop.
     def __init__(self, normal: tuple, offset: Fraction):
         self.normal = normal  # primitive integer inner normal
         self.offset = offset
@@ -92,6 +93,7 @@ class PolyhedralDomain:
 class Line(Record):
     __slots__ = ("point", "direction")
 
+    # Hand-written: one Line per input line, faster than Record's loop.
     def __init__(self, point: tuple, direction: tuple):
         self.point = point          # rational base point
         self.direction = direction  # primitive integer direction
@@ -447,15 +449,16 @@ def _vertex_walk(domain, point):
     in either sign means a line in the domain, which is not pointed.
     Each facet j met has a . e != 0 along a direction orthogonal to the
     normals already tight, so a vertex reached without a tie has
-    exactly dim tight facets with independent normals.  From each
-    vertex, the ratio test (`_blocking`) along each edge gives the
-    next vertex, or a ray.  The walk gives up at a tie, where two
-    facets stop a move at once: the point reached may lie on more than
-    dim facets.  Without one the domain is pointed and simple: every
-    vertex lies on exactly dim facets, every face holds a vertex, the
-    graph of vertices and edges is connected, and the closed active
-    sets are exactly the subsets of the vertex sets, () the whole
-    domain's.  The cost is O(V dim m) integer operations for V
+    exactly dim tight facets with independent normals.  Where facets
+    tie, stopping a step at once, all of them become tight, and the
+    descent gives up unless the tight normals are still independent
+    (so at most dim).  From each vertex, the ratio test (`_blocking`) along each
+    edge gives the next vertex, or a ray.  The walk gives up at a tie
+    there: the vertex reached would lie on more than dim facets.
+    Without one the domain is pointed and simple: every vertex lies on
+    exactly dim facets, every face holds a vertex, the graph of
+    vertices and edges is connected, and the closed active sets are
+    exactly the subsets of the vertex sets, () the whole domain's.  The cost is O(V dim m) integer operations for V
     vertices and m facets, and no Fourier-Motzkin pass.
     """
     rows = domain.rows
@@ -476,10 +479,12 @@ def _vertex_walk(domain, point):
                 break
         else:
             return None   # a line: the domain is not pointed
-        if len(first) > 1:
-            return None
         slacks = _step(slacks, cs, first[0])
-        tight.append(first[0])
+        tight += first
+        if len(first) > 1 and len(solve_bareiss(
+                [normals[j] for j in tight], [0] * len(tight))[2]) > (
+                dim - len(tight)):
+            return None   # a tie on dependent normals, or over dim of them
     vertex = tuple(sorted(tight))
     sets = set()
     seen = {vertex}
@@ -507,12 +512,9 @@ def _vertex_walk(domain, point):
 
 
 class DelzantFailure(Record):
-    __slots__ = ("facets", "problem", "index")
-
-    def __init__(self, facets: tuple, problem: str, index: int | None):
-        self.facets = facets
-        self.problem = problem  # "saturation" | "non_simple"
-        self.index = index
+    __slots__ = ("facets",
+                 "problem",  # "saturation" | "non_simple"
+                 "index")
 
     def as_dict(self):
         return {"facets": list(self.facets), "problem": self.problem,
@@ -521,11 +523,7 @@ class DelzantFailure(Record):
 
 class DelzantReport(Record):
     __slots__ = ("ok", "issues", "failures")
-
-    def __init__(self, ok: bool, issues: tuple = (), failures: tuple = ()):
-        self.ok = ok
-        self.issues = issues
-        self.failures = failures
+    _defaults = ((), ())
 
     def as_dict(self):
         return {"ok": self.ok, "issues": list(self.issues),
@@ -615,14 +613,10 @@ def is_standard_simplex_3(d: PolyhedralDomain) -> bool:
 
 
 class EdgeGeometry(Record):
-    __slots__ = ("edge_index", "base", "direction", "tmax")
-
-    def __init__(self, edge_index: int, base: tuple, direction: tuple,
-                 tmax: Fraction | None):
-        self.edge_index = edge_index
-        self.base = base            # rational start point
-        self.direction = direction  # primitive integer direction
-        self.tmax = tmax            # None for an unclipped ray
+    __slots__ = ("edge_index",
+                 "base",       # rational start point
+                 "direction",  # primitive integer direction
+                 "tmax")       # None for an unclipped ray
 
     def point(self, t):
         return vec_add(self.base, vec_scale(t, self.direction))
@@ -806,23 +800,12 @@ def curve_self_crossings(c: TropicalCurve,
 
 
 class BoundaryPointInfo(Record):
-    __slots__ = ("point", "edge_index", "active", "codim", "momenta", "kind",
-                 "z_direction", "weight", "note", "end_index")
-
-    def __init__(self, point: tuple, edge_index: int, active: tuple,
-                 codim: int, momenta: tuple, kind: str,
-                 z_direction: tuple | None, weight: int, note: str = "",
-                 end_index: int | None = None):
-        self.point = point
-        self.edge_index = edge_index
-        self.active = active
-        self.codim = codim
-        self.momenta = momenta  # ((facet index, |p . dh|), ...)
-        self.kind = kind        # INTERIOR | MOMENTUM2 | BISSECTRICE | OTHER
-        self.z_direction = z_direction
-        self.weight = weight
-        self.note = note
-        self.end_index = end_index  # the end's index in c.ends()
+    __slots__ = ("point", "edge_index", "active", "codim",
+                 "momenta",  # ((facet index, |p . dh|), ...)
+                 "kind",     # INTERIOR | MOMENTUM2 | BISSECTRICE | OTHER
+                 "z_direction", "weight", "note",
+                 "end_index")  # the end's index in c.ends()
+    _defaults = ("", None)
 
     def as_dict(self):
         return {
@@ -914,23 +897,14 @@ def classify_boundary_point(c: TropicalCurve, d: PolyhedralDomain,
 
 
 class EvennessReport(Record):
-    __slots__ = ("ok", "issues", "boundary", "j", "bissectrice", "punctures",
-                 "crossings", "delzant")
-
-    def __init__(self, ok: bool, issues: tuple, boundary: tuple, j: int,
-                 bissectrice: int, punctures: int, crossings: tuple,
-                 delzant: DelzantReport | None = None):
-        self.ok = ok
-        self.issues = issues
-        # BoundaryPointInfo per end hitting the boundary
-        self.boundary = boundary
-        self.j = j  # number of MOMENTUM2 points
-        self.bissectrice = bissectrice
-        # ends escaping to infinity inside the domain
-        self.punctures = punctures
-        # transverse double points inside the domain
-        self.crossings = crossings
-        self.delzant = delzant  # None when the curve is invalid
+    __slots__ = ("ok", "issues",
+                 "boundary",   # BoundaryPointInfo per end hitting the boundary
+                 "j",          # number of MOMENTUM2 points
+                 "bissectrice",
+                 "punctures",  # ends escaping to infinity inside the domain
+                 "crossings",  # transverse double points inside the domain
+                 "delzant")    # None when the curve is invalid
+    _defaults = (None,)
 
     def as_dict(self):
         return {"ok": self.ok, "issues": list(self.issues),
@@ -1201,11 +1175,8 @@ def _in_convex_hull(x, pts, dim):
 
 
 class SuitabilityReport(Record):
-    __slots__ = ("per_line", "ok")
-
-    def __init__(self, per_line: tuple, ok: bool):
-        self.per_line = per_line  # dicts: crossPrimitive, isHullVertex, point
-        self.ok = ok
+    __slots__ = ("per_line",  # dicts: crossPrimitive, isHullVertex, point
+                 "ok")
 
     def as_dict(self):
         return {"perLine": [

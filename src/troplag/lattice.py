@@ -252,11 +252,6 @@ class SnfResult(Record):
     """U * M * V == D with U, V unimodular and D a divisor chain."""
     __slots__ = ("U", "D", "V")
 
-    def __init__(self, U: tuple, D: tuple, V: tuple):
-        self.U = U
-        self.D = D
-        self.V = V
-
     def divisors(self):
         r = min(len(self.D), len(self.D[0]) if self.D else 0)
         return tuple(self.D[i][i] for i in range(r) if self.D[i][i] != 0)

@@ -209,13 +209,6 @@ def mixed_h_product(c: TropicalCurve, zs, root=None) -> int:
 class EvaluationMatrix(Record):
     __slots__ = ("entries", "row_labels", "col_labels", "ref")
 
-    def __init__(self, entries: tuple, row_labels: tuple, col_labels: tuple,
-                 ref: object):
-        self.entries = entries
-        self.row_labels = row_labels
-        self.col_labels = col_labels
-        self.ref = ref
-
     def determinant(self) -> int:
         return det_bareiss(self.entries)
 
@@ -294,18 +287,6 @@ def _evaluation_rows(rhos, leaves, parent, below, ref, col_of):
 class SplittingReport(Record):
     __slots__ = ("lhs", "rhs", "holds", "m1", "m2", "weight", "point", "z_a",
                  "z_b")
-
-    def __init__(self, lhs: int, rhs: int, holds: bool, m1: int, m2: int,
-                 weight: int, point: tuple, z_a: tuple, z_b: tuple):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.holds = holds
-        self.m1 = m1
-        self.m2 = m2
-        self.weight = weight
-        self.point = point
-        self.z_a = z_a
-        self.z_b = z_b
 
     def as_dict(self):
         return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
@@ -387,6 +368,7 @@ DET_KAPPA_CAP = 64
 class TypeOutcome(Record):
     __slots__ = ("topology", "status", "multiplicity", "curve")
 
+    # Hand-written: one per enumerated type, faster than Record's loop.
     def __init__(self, topology: tuple, status: str, multiplicity: int,
                  curve: TropicalCurve | None):
         self.topology = topology  # tree edges
@@ -403,10 +385,6 @@ class TypeOutcome(Record):
 
 class EnumerationResult(Record):
     __slots__ = ("total", "per_type")
-
-    def __init__(self, total: int, per_type: tuple):
-        self.total = total
-        self.per_type = per_type
 
     def as_dict(self):
         return {"total": self.total,

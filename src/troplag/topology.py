@@ -104,15 +104,9 @@ def self_intersections(c: TropicalCurve,
 
 
 class ComponentReport(Record):
-    __slots__ = ("vertices", "wedges", "b1", "ends", "delta")
-
-    def __init__(self, vertices: tuple, wedges: tuple, b1: int, ends: int,
-                 delta: int):
-        self.vertices = vertices
-        self.wedges = wedges  # indices of weight > 1 edges in the component
-        self.b1 = b1
-        self.ends = ends
-        self.delta = delta
+    __slots__ = ("vertices",
+                 "wedges",  # indices of weight > 1 edges in the component
+                 "b1", "ends", "delta")
 
     def as_dict(self):
         return {"vertices": list(self.vertices), "b1": self.b1,
@@ -123,22 +117,6 @@ class SurfaceReport(Record):
     __slots__ = ("orientable", "genus", "crosscaps", "punctures", "j",
                  "b1_curve", "components", "total_nodes", "extra_crossings",
                  "euler_characteristic", "surface_name")
-
-    def __init__(self, orientable: bool, genus: int | None,
-                 crosscaps: int | None, punctures: int, j: int, b1_curve: int,
-                 components: tuple, total_nodes: int, extra_crossings: int,
-                 euler_characteristic: int, surface_name: str):
-        self.orientable = orientable
-        self.genus = genus
-        self.crosscaps = crosscaps
-        self.punctures = punctures
-        self.j = j
-        self.b1_curve = b1_curve
-        self.components = components
-        self.total_nodes = total_nodes
-        self.extra_crossings = extra_crossings
-        self.euler_characteristic = euler_characteristic
-        self.surface_name = surface_name
 
     def as_dict(self):
         return {"orientable": self.orientable, "genus": self.genus,
@@ -280,22 +258,6 @@ class ThreeManifoldReport(Record):
                  "leaf_data", "root_edge", "recursion_agrees",
                  "parity_warning")
 
-    def __init__(self, h1_order: int | None, infinite_h1: bool, mv: int,
-                 product: int, rational_homology_sphere: bool,
-                 deformation_persists: bool, leaf_data: tuple,
-                 root_edge: dict | None, recursion_agrees: bool | None,
-                 parity_warning: str | None):
-        self.h1_order = h1_order
-        self.infinite_h1 = infinite_h1
-        self.mv = mv
-        self.product = product
-        self.rational_homology_sphere = rational_homology_sphere
-        self.deformation_persists = deformation_persists
-        self.leaf_data = leaf_data
-        self.root_edge = root_edge
-        self.recursion_agrees = recursion_agrees
-        self.parity_warning = parity_warning
-
     def as_dict(self):
         return {
             "h1Order": "INFINITE_H1" if self.infinite_h1 else self.h1_order,
@@ -406,6 +368,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
 class Piece(Record):
     __slots__ = ("kind", "anchor", "delta", "kernel")
 
+    # Hand-written: one Piece per tree node, faster than Record's loop.
     def __init__(self, kind: str, anchor: str, delta: int | None = None,
                  kernel: tuple | None = None):
         self.kind = kind      # PANTS_BUNDLE | SOLID_TORUS | MOEBIUS_PIECE
@@ -424,11 +387,8 @@ class Piece(Record):
 
 
 class PieceDecomposition(Record):
-    __slots__ = ("pieces", "gluing")
-
-    def __init__(self, pieces: tuple, gluing: tuple):
-        self.pieces = pieces
-        self.gluing = gluing  # (piece index, piece index, chain edge indices)
+    __slots__ = ("pieces",
+                 "gluing")  # (piece index, piece index, chain edge indices)
 
     def as_dict(self):
         return {"pieces": [p.as_dict() for p in self.pieces],
@@ -476,10 +436,6 @@ def piece_decomposition(c: TropicalCurve,
 
 class LensParameters(Record):
     __slots__ = ("p", "q_canonical")
-
-    def __init__(self, p: int, q_canonical: int):
-        self.p = p
-        self.q_canonical = q_canonical
 
     def as_dict(self):
         return {"p": self.p, "qCanonical": self.q_canonical}

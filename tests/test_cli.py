@@ -2,7 +2,8 @@ import json
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from conftest import (fixture_path, rand_primitive, random_tree_problem,
                       triangle_and_tripod)
@@ -464,6 +465,9 @@ def test_curve_commands_answer_every_drawn_curve(drawn_dir, seed, shape):
                    "reaches INTERNAL_INCONSISTENCY (ROADMAP item 3)")
 @PROPERTY
 @given(st.integers(0, 2 ** 32), st.sampled_from(SHAPES))
+# The known failure, pinned so that Hypothesis stops at it: h1 on this
+# weighted tree gives "edge torsion n = 72 not divisible by mv = 144".
+@example(234, "tree")
 def test_h1_answers_every_drawn_curve(drawn_dir, seed, shape):
     curve, zs, _ = drawn_problem(seed, shape)
     check_answer(["h1"] + write_problem(drawn_dir, curve, zs))

@@ -6,10 +6,11 @@ import pytest
 from conftest import (embed_skeleton, fixture_path, internal_edges,
                       random_balanced_skeleton)
 
+import boundary_oracle
 from enumeration_oracle import rooted_sums
 
 from troplag.curve import (Edge, End, TreeTopology, TropicalCurve,
-                           betti_and_degree,
+                           ValidationReport, betti_and_degree,
                            combinatorial_type, extend_curve, regularity_check,
                            split_at_edge, trivalent_trees, validate_curve)
 from troplag.errors import WorkbenchError
@@ -79,6 +80,52 @@ def test_validate_disconnected():
                       [Edge("a", "b", (1, 0)), Edge("x", "y", (1, 0))])
     rep = validate_curve(c)
     assert not rep.ok and any("connected" in s for s in rep.issues)
+
+
+# one small curve per validation message, with the issues it must give
+INVALID_CURVES = {
+    "dimension must be at least 2": (
+        TropicalCurve(1, [("a", (0,)), ("b", (1,))], [Edge("a", "b", (1,))]),
+        ("dimension must be at least 2",)),
+    "position has wrong dimension": (
+        TropicalCurve(2, [("a", (0, 0)), ("b", (1, 0)), ("z", (0, 0, 0))],
+                      [Edge("a", "b", (1, 0))]),
+        ("vertex z: position has wrong dimension",)),
+    "unknown tail": (
+        TropicalCurve(2, [("a", (0, 0))], [Edge("a", None, (1, 0)),
+                                           Edge("q", None, (0, 1))]),
+        ("edge 1: unknown tail q",)),
+    "unknown head": (
+        TropicalCurve(2, [("a", (0, 0))], [Edge("a", "q", (1, 0))]),
+        ("edge 0: unknown head q",)),
+    "direction has wrong dimension": (
+        TropicalCurve(2, [("a", (0, 0))], [Edge("a", None, (1, 0, 0))]),
+        ("edge 0: direction has wrong dimension",)),
+    "zero direction": (
+        TropicalCurve(2, [("a", (0, 0))], [Edge("a", None, (0, 0))]),
+        ("edge 0: zero direction",)),
+    "weight must be a positive integer": (
+        TropicalCurve(2, [("a", (0, 0))], [Edge("a", None, (1, 0), 0)]),
+        ("edge 0: weight must be a positive integer",)),
+    "loop edge": (
+        TropicalCurve(2, [("a", (0, 0))], [Edge("a", "a", (1, 0))]),
+        ("edge 0: loop edge",)),
+    "isolated": (
+        TropicalCurve(2, [("a", (0, 0))], []),
+        ("vertex a: isolated",)),
+    "duplicate leaf labels": (
+        TropicalCurve(2, [("a", (0, 0))], [Edge("a", None, (1, 0), 1, 0),
+                                           Edge("a", None, (-1, 0), 1, 0)]),
+        ("duplicate leaf labels",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CURVES))
+def test_validate_reports_each_message(name):
+    c, issues = INVALID_CURVES[name]
+    rep = validate_curve(c)
+    assert rep == ValidationReport(False, issues)
+    assert rep.issues == boundary_oracle.validate_curve(c)
 
 
 def test_betti_and_degree_tripod():

@@ -377,6 +377,20 @@ def test_named_domain_reports():
     assert validate_delzant(NAMED_DOMAINS["half-space"]).ok
 
 
+@pytest.mark.parametrize("normal,issue", [
+    ((1, 0, 0), "facet 1: normal has wrong dimension"),
+    ((0, 0), "facet 1: zero normal"),
+    ((2, 0), "facet 1: normal (2, 0) not primitive"),
+])
+def test_delzant_rejects_a_malformed_normal(normal, issue):
+    """A malformed normal is reported before any stratum is searched."""
+    d = _domain(2, [((0, 1), 0), (normal, 0)])
+    rep = validate_delzant(d)
+    assert rep == DelzantReport(False, (issue,), ())
+    assert rep == oracle_validate_delzant(d)
+    assert domain_mod._delzant(d)[1] is None
+
+
 def _spy(monkeypatch, name):
     """Record each call of one module function as (args, result), in
     order, and let it run as before."""
@@ -533,8 +547,6 @@ WALK_FALLBACKS = {
         lambda: _domain(3, parabola_pyramid(4)), "descent"),
     "duplicate facet": (duplicate_facet_domain, "descent"),
     "empty": (lambda: NAMED_DOMAINS["empty-3d"], "root"),
-    "descent meets two facets at once": (
-        lambda: NAMED_DOMAINS["octant-corner-cut"], "descent"),
     "walk meets two facets at once": (_cube_touched_at_a_corner, "walk"),
 }
 
@@ -556,6 +568,21 @@ def test_walk_falls_back_to_the_face_search(monkeypatch, name):
         assert [out for _, out in walks] == [None]
         assert bool(vertices) == (stop == "walk")
     assert len(searches) == (got != "EMPTY_DOMAIN")
+
+
+def test_descent_tie_at_a_simple_vertex_stays_on_the_walk(monkeypatch):
+    """The descent on octant-corner-cut meets two facets at once, at a
+    vertex on exactly 3 facets with independent normals: the walk
+    certifies the domain, no face search runs, and the report is the
+    exhaustive one."""
+    d = NAMED_DOMAINS["octant-corner-cut"]
+    walks = _spy(monkeypatch, "_vertex_walk")
+    tests = _spy(monkeypatch, "_blocking")
+    searches = _spy(monkeypatch, "_search_faces")
+    assert validate_delzant(d) == oracle_validate_delzant(d)
+    assert [out is not None for _, out in walks] == [True]
+    assert any(len(first) > 1 for _, (first, _) in tests)
+    assert searches == []
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -28,9 +28,17 @@ def _records():
 RECORDS = _records()
 
 
+# The records built once per input element or enumerated type keep a
+# hand-written __init__ for speed; every other record uses Record's.
+HAND_WRITTEN = {"Edge", "End", "Facet", "Line", "Piece", "TypeOutcome"}
+
+
 def _signature(cls):
-    """The parameter names and defaults of cls.__init__, self excluded."""
+    """The field names and defaults of cls: the parameters of a
+    hand-written __init__, self excluded, else (__slots__, _defaults)."""
     init = cls.__init__
+    if init is Record.__init__:
+        return cls.__slots__, cls._defaults
     code = init.__code__
     return code.co_varnames[1:code.co_argcount], init.__defaults__ or ()
 
@@ -64,6 +72,8 @@ def test_every_record_module_is_covered():
     assert {c.__module__ for c in RECORDS} == {
         "troplag.lattice", "troplag.curve", "troplag.domain",
         "troplag.multiplicity", "troplag.topology"}
+    assert {c.__name__ for c in RECORDS
+            if c.__init__ is not Record.__init__} == HAND_WRITTEN
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -111,3 +121,25 @@ def test_records_of_different_types_are_unequal():
                 assert not a(*row) == b(*row)
                 pairs += 1
     assert pairs > 0
+
+
+def _bad_calls(cls):
+    """Calls a dataclass rejects: too many arguments, a field given twice,
+    a missing field and an unknown keyword."""
+    names, defaults = _signature(cls)
+    first = len(names) - len(defaults)
+    calls = [(tuple(range(len(names) + 1)), {}),
+             ((0,), {names[0]: 0}),
+             (tuple(range(len(names))), {"no_such_field": 0})]
+    if first:
+        calls.append((tuple(range(first - 1)), {}))
+    return calls
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_rejects_what_the_frozen_dataclass_rejects(cls):
+    twin = _twin(cls)
+    for args, kwargs in _bad_calls(cls):
+        for make in (cls, twin):
+            with pytest.raises(TypeError):
+                make(*args, **kwargs)
