@@ -1,6 +1,11 @@
 """The Fraction Gauss-Jordan solver the package used before its one
 fraction-free elimination (``lattice.solve_bareiss``), kept verbatim as
-an independent reference for the tests."""
+an independent reference for the tests.
+
+`bareiss_echelon_eager` is that elimination as it was before it left
+alone the rows a pivot does not reach: it updates every row below the
+pivot at every step, dividing by the previous pivot.
+"""
 
 from __future__ import annotations
 
@@ -82,3 +87,36 @@ def solve_exact(rows, rhs) -> SolveResult:
     if free:
         return SolveResult("underdetermined", tuple(x), tuple(kernel), det)
     return SolveResult("unique", tuple(x), (), det)
+
+
+def bareiss_echelon_eager(a, ncols):
+    """Fraction-free row echelon form of the row lists ``a``, in place,
+    in the first ``ncols`` columns; (pivot columns, row-swap sign)."""
+    nr = len(a)
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        for i in range(r, nr):
+            if a[i][c] != 0:
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        p = a[r][c]
+        tail = a[r][c + 1:]
+        for i in range(r + 1, nr):
+            row = a[i]
+            f = row[c]
+            row[c + 1:] = [(x * p - f * y) // prev
+                           for x, y in zip(row[c + 1:], tail)]
+            row[c] = 0
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, sign

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import rand_primitive
+from conftest import rand_primitive, random_tree_problem
 
 from troplag import cli
 from troplag.curve import Edge, TropicalCurve, validate_curve
@@ -93,14 +93,23 @@ def test_deep_pieces(deep):
                              "SOLID_TORUS": KAPPA})
 
 
-# ev_matrix is kappa x kappa and its determinant is O(kappa^3) on
-# ever-longer integers: the oracle is only run up to the CLI's cap
+# ev_matrix is kappa x kappa with a determinant of O(kappa) bits, and the
+# oracle runs up to the CLI's cap.  At 256 ends the sparse elimination
+# takes 0.02-0.1 s and the dense one 1.2-3.2 s, so a fall back to dense
+# elimination shows in `pytest --durations`.
 @pytest.mark.parametrize("kappa", [4, 9, DET_KAPPA_CAP])
 def test_caterpillar_determinant_oracle(kappa):
     curve, zs = caterpillar(kappa, kappa)
     value = mixed_h_product(curve, zs)
     assert abs(ev_matrix(curve, zs).determinant()) == value
     assert mixed_h_product(curve, zs, f"v{kappa // 2 - 1}") == value
+
+
+def test_random_tree_determinant_oracle_at_the_cap():
+    curve, zs = random_tree_problem(random.Random(257), DET_KAPPA_CAP)
+    value = mixed_h_product(curve, zs)
+    assert value != 0
+    assert abs(ev_matrix(curve, zs).determinant()) == value
 
 
 def run_multiplicity(tmp_path, curve, zs):

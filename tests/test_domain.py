@@ -10,7 +10,7 @@ from conftest import fixture_path, rand_primitive
 from exact_oracle import solve_exact
 
 from troplag import domain as domain_mod
-from troplag.curve import Edge, TropicalCurve, betti_and_degree
+from troplag.curve import Edge, TropicalCurve, betti_and_degree, validate_curve
 from troplag.domain import (DelzantFailure, DelzantReport, LineConfiguration,
                             PolyhedralDomain,
                             check_even_primitive, classify_boundary_point,
@@ -1008,6 +1008,82 @@ def test_even_primitive_vertex_on_boundary():
                        Edge("v", "r", (-1, 0))])
     rep = check_even_primitive(c, quadrant())
     assert not rep.ok
+
+
+def _four_valent():
+    return TropicalCurve(2, [("v", (2, 2)), ("p", (0, 2)), ("q", (2, 0))],
+                         [Edge("v", "p", (-1, 0)), Edge("v", "q", (0, -1)),
+                          Edge("v", None, (1, 0)), Edge("v", None, (0, 1))])
+
+
+def _collinear():
+    # v's three edges lie on one line, and its two left edges overlap
+    return TropicalCurve(2, [("v", (2, 2)), ("p", (0, 2)), ("q", (1, 2))],
+                         [Edge("v", "p", (-1, 0)), Edge("v", "q", (-1, 0)),
+                          Edge("v", None, (1, 0), 2)])
+
+
+def _heavy_end():
+    return TropicalCurve(2, [("v", (2, 2)), ("p", (0, 2)), ("q", (2, 0))],
+                         [Edge("v", "p", (-1, 0), 2), Edge("v", "q", (0, -1)),
+                          Edge("v", None, (2, 1))])
+
+
+def _two_ends_at_the_origin():
+    return TropicalCurve(2, [("a", (1, 2)), ("b", (2, 1)), ("p", (0, 0)),
+                             ("q", (0, 0))],
+                         [Edge("a", "b", (1, -1)), Edge("a", "p", (-1, -2)),
+                          Edge("b", "q", (-2, -1)), Edge("a", None, (0, 1), 3),
+                          Edge("b", None, (1, 0), 3)])
+
+
+def _t_junction(h):
+    """The vertical ray of c runs through the junction w at (2, h): on
+    the boundary of the quadrant for h = 0, inside it for h = 1."""
+    return TropicalCurve(2, [("w", (2, h)), ("a", (1, h + 1)),
+                             ("b", (4, h + 1)), ("c", (2, h + 1))],
+                         [Edge("w", "a", (-1, 1)), Edge("w", "b", (2, 1)),
+                          Edge("w", None, (-1, -2)), Edge("a", "c", (1, 0)),
+                          Edge("a", None, (-2, 1)), Edge("c", None, (0, -1)),
+                          Edge("c", None, (1, 1)), Edge("b", None, (1, 0), 2),
+                          Edge("b", None, (0, 1))])
+
+
+@pytest.mark.parametrize("curve, relaxed, issue", [
+    (_four_valent, False, "vertex v has valence 4 > 3"),
+    (_collinear, False, "vertex v: edges do not span a 2-plane"),
+    (_collinear, False, "self-intersection locus is not finite"),
+    (_heavy_end, True, "edge 0: weight 2 > 1 touches the boundary"),
+    (_two_ends_at_the_origin, False,
+     "two curve ends meet the boundary at the same point"),
+    (lambda: _t_junction(0), False, "boundary point (2, 0) is a curve vertex"),
+    (lambda: _t_junction(1), False, "vertex at (2, 1) lies on another edge"),
+], ids=["valence", "plane", "overlap", "relaxed-weight", "shared-point",
+        "vertex-on-boundary-point", "vertex-on-edge"])
+def test_even_primitive_reports_each_issue(curve, relaxed, issue):
+    c = curve()
+    assert validate_curve(c).ok
+    rep = check_even_primitive(c, quadrant(), relaxed)
+    assert not rep.ok and issue in rep.issues
+
+
+def test_even_primitive_stops_at_a_failed_delzant_check():
+    bad = PolyhedralDomain(2, [{"normal": (1, 0), "offset": 0},
+                               {"normal": (1, 2), "offset": 0}])
+    drep = validate_delzant(bad)
+    assert not drep.ok
+    rep = check_even_primitive(rp2_curve(), bad)
+    assert (rep.ok, rep.issues, rep.boundary, rep.delzant) == \
+        (False, drep.issues, (), drep)
+
+
+def test_even_primitive_reraises_other_crossing_errors(monkeypatch):
+    def fail(c, d):
+        raise WorkbenchError("INTERNAL_INCONSISTENCY", "planted")
+    monkeypatch.setattr(domain_mod, "curve_self_crossings", fail)
+    with pytest.raises(WorkbenchError) as err:
+        check_even_primitive(klein_curve(), quadrant())
+    assert err.value.code == "INTERNAL_INCONSISTENCY"
 
 
 def test_self_crossing_overlap_detected():

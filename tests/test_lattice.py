@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from enumeration_oracle import is_consistent
-from exact_oracle import solve_exact
+from exact_oracle import bareiss_echelon_eager, solve_exact
 from troplag.errors import WorkbenchError
-from troplag.lattice import (SnfResult, content, cross, det_bareiss,
-                             elementary_divisors, gcd_primitive,
+from troplag.lattice import (SnfResult, _bareiss_echelon, content, cross,
+                             det_bareiss, elementary_divisors, gcd_primitive,
                              lattice_index, mixed, rank_exact,
                              smith_normal_form, solve_bareiss, solve_cross,
                              solve_dot)
@@ -69,6 +69,67 @@ def test_mixed_against_cofactors():
         u, v, w = (tuple(rng.randint(-20, 20) for _ in range(3))
                    for _ in range(3))
         assert mixed(u, v, w) == _cofactor_det(u, v, w)
+
+
+def _random_rows(rng, m, n, density, bound, spoil=None):
+    """An m x n integer matrix whose entries are nonzero with the given
+    probability, spoiled by a duplicate row, a zero column or rank at
+    most n // 2 when asked."""
+    def entry():
+        return rng.randint(-bound, bound) if rng.random() < density else 0
+    if spoil == "low rank":
+        k = n // 2
+        left = [[entry() for _ in range(k)] for _ in range(m)]
+        right = [[entry() for _ in range(n)] for _ in range(k)]
+        return [[sum(left[i][t] * right[t][j] for t in range(k))
+                 for j in range(n)] for i in range(m)]
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if spoil == "duplicate" and m >= 2:
+        i, j = rng.sample(range(m), 2)
+        rows[i] = list(rows[j])
+    if spoil == "zero column" and n:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+SPOILS = (None, "duplicate", "zero column", "low rank")
+
+
+def test_det_bareiss_against_fraction_elimination():
+    """det_bareiss, sign included, equals the determinant of the Fraction
+    Gaussian elimination (tests/exact_oracle.py) for n = 0..12, sparse to
+    dense, with entries of up to 200 bits, nonsingular and singular."""
+    rng = random.Random(11)
+    signs = set()
+    for n in range(13):
+        for density in (0.15, 0.4, 1.0):
+            for bound in (9, 2 ** 200):
+                for spoil in SPOILS:
+                    for _ in range(3):
+                        rows = _random_rows(rng, n, n, density, bound, spoil)
+                        det = det_bareiss(rows)
+                        assert det == solve_exact(rows, [0] * n).det
+                        signs.add((n, (det > 0) - (det < 0)))
+    assert {(n, s) for n in range(4, 13) for s in (-1, 0, 1)} <= signs
+
+
+def test_bareiss_echelon_matches_the_eager_elimination():
+    """The elimination that leaves unreached rows alone gives the rows,
+    pivots and sign of the eager one (tests/exact_oracle.py) on
+    rectangular systems with carried right-hand columns."""
+    rng = random.Random(13)
+    for _ in range(3000):
+        m, n, carried = rng.randint(0, 9), rng.randint(0, 9), \
+            rng.randint(0, 2)
+        rows = _random_rows(rng, m, n + carried, rng.choice((0.2, 0.5, 1.0)),
+                            rng.choice((2, 9, 2 ** 200)),
+                            rng.choice(SPOILS))
+        a = [list(r) for r in rows]
+        b = [list(r) for r in rows]
+        assert _bareiss_echelon(a, n) == bareiss_echelon_eager(b, n)
+        assert a == b
 
 
 def test_snf_examples():
