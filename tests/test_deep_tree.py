@@ -97,7 +97,7 @@ def test_deep_pieces(deep):
 # oracle runs up to the CLI's cap.  At 256 ends the sparse elimination
 # takes 0.02-0.1 s and the dense one 1.2-3.2 s, so a fall back to dense
 # elimination shows in `pytest --durations`.
-@pytest.mark.parametrize("kappa", [4, 9, DET_KAPPA_CAP])
+@pytest.mark.parametrize("kappa", [4, 9, 64, DET_KAPPA_CAP])
 def test_caterpillar_determinant_oracle(kappa):
     curve, zs = caterpillar(kappa, kappa)
     value = mixed_h_product(curve, zs)
