@@ -9,10 +9,12 @@ fronts, and runs the suitability test for boundary line configurations.
 All feasibility questions are decided exactly, in integers: Fourier-
 Motzkin elimination over integer rows, and points in homogeneous
 coordinates (Y, D), integers with D > 0, meaning Y / D.  The face search
-and the facet tests of `PolyhedralDomain` are integer-only; `_meet` and
-`wavefront` build a `Fraction` only for a point they return.  Ray exits,
-edge lengths, collinear overlaps, leaf-line meets and edge midpoints
-are computed in Fractions.
+and the facet tests of `PolyhedralDomain` are integer-only.  A curve
+checked inside a domain is written once over one common denominator
+(`_common_denominator`): its facet values, edge midpoints and crossing
+sweep are integer-only, and `_meet` and `wavefront` build a `Fraction`
+only for a point they return.  Ray exits and leaf-line meets are
+computed in Fractions.
 
 The Delzant check visits the faces of the domain, not its facet subsets
 (`_face_sets`).  A full-dimensional domain of dimension >= 3 is first
@@ -32,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import add, le, mul
 
 from .curve import (TropicalCurve, Edge, as_rational, point_text,
                     validate_curve)
@@ -69,25 +71,32 @@ class PolyhedralDomain:
         self.rows = tuple((vec_scale(f.offset.denominator, f.normal),
                            f.offset.numerator) for f in self.facets)
 
-    def _values(self, x):
-        """An integer with the sign of p . x - a for each facet p . x >= a:
-        with the row (q p, m) and x = X / L, it is (q p) . X - m L."""
-        X, L = _homogeneous(x)
+    def _values(self, X, L):
+        """An integer with the sign of p . x - a for each facet p . x >= a
+        at x = X / L, integers with L > 0: with the row (q p, m) it is
+        (q p) . X - m L.  It is affine in (X, L), so the values of two
+        points over one L add up to the values of their sum."""
         return [dot(qp, X) - m * L for qp, m in self.rows]
 
     def contains(self, x):
-        return all(v >= 0 for v in self._values(x))
+        return all(v >= 0 for v in self._values(*_homogeneous(x)))
 
     def active(self, x):
-        return tuple(j for j, v in enumerate(self._values(x)) if v == 0)
+        return tuple(j for j, v in enumerate(self._values(*_homogeneous(x)))
+                     if v == 0)
 
     def locate(self, x):
         """The facets active at x, or None when x lies outside: contains
         and active from one evaluation of the facets."""
-        values = self._values(x)
-        if any(v < 0 for v in values):
-            return None
-        return tuple(j for j, v in enumerate(values) if v == 0)
+        return _located(self._values(*_homogeneous(x)))
+
+
+def _located(values):
+    """The facets whose value is 0, or None when some value is negative
+    (the point lies outside)."""
+    if any(v < 0 for v in values):
+        return None
+    return tuple(j for j, v in enumerate(values) if v == 0)
 
 
 class Line(Record):
@@ -609,17 +618,8 @@ def is_standard_simplex_3(d: PolyhedralDomain) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# edge geometry: realized segments and rays, exact intersections
-
-
-class EdgeGeometry(Record):
-    __slots__ = ("edge_index",
-                 "base",       # rational start point
-                 "direction",  # primitive integer direction
-                 "tmax")       # None for an unclipped ray
-
-    def point(self, t):
-        return vec_add(self.base, vec_scale(t, self.direction))
+# edge geometry: realized segments and rays over one denominator, exact
+# intersections
 
 
 def _ray_exit(domain, base, direction):
@@ -634,43 +634,49 @@ def _ray_exit(domain, base, direction):
     return t_exit
 
 
-def edge_geometries(c: TropicalCurve, domain: PolyhedralDomain | None = None):
-    geoms = []
+def _common_denominator(c, domain=None):
+    """The realized edges of c in integers over one common denominator.
+
+    Returns (L, X, S): L > 0; X[vid] the integer tuple with X[vid] / L
+    the position of vertex vid; and S[i], for edge i along u from its
+    tail X, the integer at which its segment (X + s u) / L, 0 <= s <=
+    S[i], ends.  That is the head of a bounded edge, read on the first
+    coordinate where u is nonzero, and the point where a ray leaves
+    `domain` (`_ray_exit`); S[i] is None for a ray that never leaves it,
+    and for every ray when no domain is given.  L is the least common
+    denominator of the vertex coordinates and the ray exits, times what
+    makes every S[i] an integer: nothing where each head is a whole
+    multiple of its primitive direction away from its tail, as in a
+    valid curve.  Every edge must have a nonzero direction.
+    """
+    exits = {}
+    if domain is not None:
+        for i, e in enumerate(c.edges):
+            if not e.bounded:
+                t = _ray_exit(domain, c.position(e.tail), e.direction)
+                if t is not None:
+                    exits[i] = t
+    L = lcm(*{x.denominator for p in c.vertices.values() for x in p},
+            *{t.denominator for t in exits.values()})
+    X = {vid: tuple([x.numerator * (L // x.denominator) for x in p])
+         for vid, p in c.vertices.items()}
+    steps = []
     for i, e in enumerate(c.edges):
-        base = c.position(e.tail)
         if e.bounded:
-            delta = vec_sub(c.position(e.head), base)
-            t = None
-            for dcomp, ucomp in zip(delta, e.direction):
-                if ucomp != 0:
-                    t = Fraction(dcomp, ucomp)
-                    break
-            geoms.append(EdgeGeometry(i, base, e.direction, t))
-        else:
-            tmax = _ray_exit(domain, base, e.direction) if domain else None
-            geoms.append(EdgeGeometry(i, base, e.direction, tmax))
-    return geoms
-
-
-def _box(g):
-    """The closed bounding box of a realized edge: a (lo, hi) pair per
-    coordinate, None on a side a ray leaves open.  It is the box of the
-    segment from the base to the point at tmax, whatever the sign of
-    tmax, so it holds every point at which the pair test can meet it."""
-    box = []
-    for b, u in zip(g.base, g.direction):
-        if g.tmax is not None:
-            e = b + g.tmax * u
-            box.append((b, e) if b <= e else (e, b))
-        else:
-            box.append((b, None) if u > 0 else (None, b) if u < 0 else (b, b))
-    return box
-
-
-def _overlap(p, q):
-    """Do the closed intervals p and q, None for an open side, meet?"""
-    return ((p[0] is None or q[1] is None or p[0] <= q[1])
-            and (q[0] is None or p[1] is None or q[0] <= p[1]))
+            u = e.direction
+            a = next(filter(None, u))
+            k = u.index(a)
+            steps.append((i, X[e.head][k] - X[e.tail][k], a))
+    scale = lcm(*(abs(a) // gcd(n, a) for _, n, a in steps if n % a))
+    if scale > 1:
+        L *= scale
+        X = {vid: vec_scale(scale, p) for vid, p in X.items()}
+    S = [None] * len(c.edges)
+    for i, n, a in steps:
+        S[i] = n * scale // a
+    for i, t in exits.items():
+        S[i] = t.numerator * (L // t.denominator)
+    return L, X, S
 
 
 def _minor(u, v):
@@ -685,59 +691,60 @@ def _minor(u, v):
     return None
 
 
-def _meet(g1, h1, g2, h2):
-    """Exact intersection of two realized edges, h1 and h2 their bases as
-    `_homogeneous` gives them.
+def _meet(g1, g2, L):
+    """Exact intersection of two realized edges g = (X, u, S): the points
+    (X + s u) / L with 0 <= s <= S, or s >= 0 where S is None, all over
+    the curve's one denominator L (`_common_denominator`).
 
     Returns ("point", point) or ("overlap",) for a shared segment of
-    positive length, or None.  With base2 - base1 = w / L, the lines meet
-    where t1 u1 - t2 u2 = w / L: Cramer's rule on the first pair of
-    coordinates where u1, u2 are independent, checked on the others, in
-    integers; t = T / (L m) lies on an edge when 0 <= t <= tmax.  A
-    collinear pair compares the parameter ranges of g2 inside g1's.
+    positive length, or None.  With w = X2 - X1, the lines meet where
+    s1 u1 - s2 u2 = w: Cramer's rule on the first pair of coordinates
+    where u1, u2 are independent, checked on the others, in integers;
+    s = T / m lies on an edge when 0 <= s <= S.  A collinear pair
+    compares the parameter ranges of g2 inside g1's.
     """
-    (X1, L1), (X2, L2) = h1, h2
-    u, v = g1.direction, g2.direction
-    L = L1 * L2
-    w = [x2 * L1 - x1 * L2 for x1, x2 in zip(X1, X2)]
+    (X1, u, S1), (X2, v, S2) = g1, g2
+    w = [x2 - x1 for x1, x2 in zip(X1, X2)]
     found = _minor(u, v)
     if found is None:
         if _minor(u, w) is not None:
             return None   # parallel lines
-        return _collinear_meet(g1, g2)
+        return _collinear_meet(g1, g2, w, L)
     i, k, m = found
-    T = w[i] * v[k] - w[k] * v[i]
-    S = w[i] * u[k] - w[k] * u[i]
-    if any(T * a - S * b != c * m for a, b, c in zip(u, v, w)):
+    T1 = w[i] * v[k] - w[k] * v[i]
+    T2 = w[i] * u[k] - w[k] * u[i]
+    if any(T1 * a - T2 * b != c * m for a, b, c in zip(u, v, w)):
         return None       # skew lines
-    den = L * m
-    if den < 0:
-        T, S, den = -T, -S, -den
-    for t, tmax in ((T, g1.tmax), (S, g2.tmax)):
-        if t < 0 or tmax is not None and \
-                t * tmax.denominator > tmax.numerator * den:
+    if m < 0:
+        T1, T2, m = -T1, -T2, -m
+    for t, smax in ((T1, S1), (T2, S2)):
+        if t < 0 or smax is not None and t > smax * m:
             return None
-    return ("point", tuple(Fraction(x * den + T * a * L1, L1 * den)
+    return ("point", tuple(Fraction(x * m + T1 * a, L * m)
                            for x, a in zip(X1, u)))
 
 
-def _collinear_meet(g1, g2):
-    """_meet for edges on one line: g2's parameter range inside g1's."""
-    d1 = g1.direction
-    k = next(i for i in range(len(d1)) if d1[i] != 0)
-    start = Fraction(g2.base[k] - g1.base[k], d1[k])
-    step = Fraction(g2.direction[k], d1[k])
+def _collinear_meet(g1, g2, w, L):
+    """_meet for edges on one line, w = X2 - X1: g2's parameter range
+    inside g1's, both times |u1[k]| on the first coordinate k where g1's
+    direction u1 is nonzero, so that every bound is an integer."""
+    (X1, u, S1), (_, v, S2) = g1, g2
+    k = next(i for i in range(len(u)) if u[i] != 0)
+    sign = 1 if u[k] > 0 else -1
+    a = sign * u[k]
+    start, step = sign * w[k], sign * v[k]
     lo2, hi2 = (start, None) if step > 0 else (None, start)
-    if g2.tmax is not None:
-        end = start + step * g2.tmax
+    if S2 is not None:
+        end = start + step * S2
         lo2, hi2 = (min(start, end), max(start, end))
-    lo1, hi1 = Fraction(0), g1.tmax
+    lo1, hi1 = 0, None if S1 is None else S1 * a
     lo = lo1 if lo2 is None else max(lo1, lo2)
     hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
     if hi is None or lo < hi:
         return ("overlap",)
     if lo == hi:
-        return ("point", g1.point(lo))
+        return ("point", tuple(Fraction(x * a + lo * b, L * a)
+                               for x, b in zip(X1, u)))
     return None
 
 
@@ -748,37 +755,64 @@ def curve_self_crossings(c: TropicalCurve,
 
     Pairs of edges sharing a graph vertex may meet at that vertex only.
     Overlapping collinear images raise NON_FINITE_SIGMA, naming the first
-    such pair.  Only edges whose closed bounding boxes overlap can meet,
-    so the edges are swept in the order of the low end of their first
-    coordinate, and each is tested against the later ones that start
-    before it ends and overlap it in the other coordinates: the box
-    filter of the Bentley-Ottmann sweep (IEEE Trans. Comput. C-28, 1979).
-    The pair test (`_meet`) is exact and runs in integers.  An edge with
-    a zero direction has no line and raises INVALID_CURVE first.
+    such pair.  The curve is written once over one common denominator
+    (`_common_denominator`), and everything below compares integers.
+    Only edges whose closed bounding boxes overlap can meet, so the edges
+    are swept in the order of the low end of their first coordinate, and
+    each is tested against the later ones that start before it ends and
+    overlap it in the other coordinates: the box filter of the
+    Bentley-Ottmann sweep (IEEE Trans. Comput. C-28, 1979).  Two edges
+    through a shared vertex whose directions are independent meet there
+    and nowhere else, so they need no test; the others go through the
+    exact pair test (`_meet`).  An edge with a zero direction has no
+    line and raises INVALID_CURVE first.
     """
     for i, e in enumerate(c.edges):
         if is_zero(e.direction):
             raise WorkbenchError("INVALID_CURVE", f"edge {i}: zero direction")
-    geoms = edge_geometries(c, domain)
-    bases = [_homogeneous(g.base) for g in geoms]
-    boxes = [_box(g) for g in geoms]
-    order = sorted(range(len(geoms)), key=lambda i: (
-        (0, 0) if boxes[i][0][0] is None else (1, boxes[i][0][0])))
+    L, X, S = _common_denominator(c, domain)
+    geoms, ends, through = [], [], []
+    for e, s in zip(c.edges, S):
+        base = X[e.tail]
+        end = None if s is None else tuple(
+            x + s * a for x, a in zip(base, e.direction))
+        geoms.append((base, e.direction, s))
+        ends.append(end)
+        # the vertices on the segment: a head only where the segment ends
+        # there, as every bounded edge of a valid curve does
+        through.append({e.tail, e.head} if e.bounded and end == X[e.head]
+                       else {e.tail})
+    # the box of a segment spans its two ends; an open side of a ray's
+    # box is a bound beyond every finite one
+    finite = [x for (base, _, _), end in zip(geoms, ends)
+              for p in (base, end or ()) for x in p]
+    below, above = min(finite, default=0) - 1, max(finite, default=0) + 1
+    lows, highs = [], []
+    for (base, u, _), end in zip(geoms, ends):
+        if end is None:
+            lows.append(tuple(below if a < 0 else x for x, a in zip(base, u)))
+            highs.append(tuple(above if a > 0 else x
+                               for x, a in zip(base, u)))
+        else:
+            lows.append(tuple(map(min, base, end)))
+            highs.append(tuple(map(max, base, end)))
+    order = sorted(range(len(geoms)), key=lambda i: lows[i][0])
     hits = []
     for pos, a in enumerate(order):
-        box = boxes[a]
-        end = box[0][1]
-        for later in range(pos + 1, len(order)):
-            b = order[later]
-            other = boxes[b]
-            start = other[0][0]
-            if end is not None and start is not None and start > end:
+        low, high = lows[a], highs[a]
+        for b in order[pos + 1:]:
+            if lows[b][0] > high[0]:
                 break
-            if all(map(_overlap, box[1:], other[1:])):
-                i, j = min(a, b), max(a, b)
-                hit = _meet(geoms[i], bases[i], geoms[j], bases[j])
-                if hit is not None:
-                    hits.append((i, j, hit))
+            if not (all(map(le, low, highs[b]))
+                    and all(map(le, lows[b], high))):
+                continue
+            i, j = min(a, b), max(a, b)
+            if through[i] & through[j] and \
+                    _minor(geoms[i][1], geoms[j][1]) is not None:
+                continue
+            hit = _meet(geoms[i], geoms[j], L)
+            if hit is not None:
+                hits.append((i, j, hit))
     hits.sort(key=lambda h: h[:2])
     crossings = []
     for a, b, hit in hits:
@@ -832,18 +866,17 @@ def _stratum_direction(domain, active):
 
 def classify_point_on_edge(c, domain, point, edge_index, outward,
                            end_index=None) -> BoundaryPointInfo:
-    active = domain.locate(point)
+    return _classify_at(c, domain, point, domain.locate(point), edge_index,
+                        outward, end_index)
+
+
+def _classify_at(c, domain, point, active, edge_index, outward, end_index):
+    """classify_point_on_edge for a point whose active facets are known:
+    None for a point outside the domain, which raises OUTSIDE_DOMAIN."""
     if active is None:
         raise WorkbenchError(
             "OUTSIDE_DOMAIN",
             f"{point_text(point)} violates a facet inequality")
-    return _classify_at(c, domain, point, active, edge_index, outward,
-                        end_index)
-
-
-def _classify_at(c, domain, point, active, edge_index, outward, end_index):
-    """classify_point_on_edge for a point in the domain whose active
-    facets are known."""
     e = c.edges[edge_index]
     dh = vec_scale(e.weight, outward)
     if not active:
@@ -934,8 +967,11 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
         return EvennessReport(False, ("curve and domain dimension differ",),
                               (), 0, 0, 0, (), drep)
 
-    # active facets per vertex, None outside: each point is located once
-    where = {vid: d.locate(c.position(vid)) for vid in c.vertices}
+    # the facet values of each vertex, over the curve's one denominator,
+    # and its active facets, None outside: each point is evaluated once
+    L, X, S = _common_denominator(c, d)
+    values = {vid: d._values(x, L) for vid, x in X.items()}
+    where = {vid: _located(v) for vid, v in values.items()}
     for vid, at in where.items():
         if at is None:
             issues.append(f"vertex {vid} lies outside the domain")
@@ -966,13 +1002,11 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
             issues.append(
                 f"edge {i}: weight {e.weight} > 1 touches the boundary")
 
-    # no edge may run inside a boundary face: test the midpoint
+    # no edge may run inside a boundary face: test the midpoint, whose
+    # facet values have the signs of the sums of its two ends' values
     for i, e in enumerate(c.edges):
-        if not e.bounded:
-            continue
-        mid = tuple(Fraction(a + b, 2) for a, b in
-                    zip(c.position(e.tail), c.position(e.head)))
-        if d.locate(mid):
+        if e.bounded and _located(list(map(add, values[e.tail],
+                                           values[e.head]))):
             issues.append(f"edge {i} runs inside the boundary")
 
     # boundary points
@@ -991,17 +1025,19 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
             boundary.append(_classify_at(c, d, c.position(end.endpoint), at,
                                          end.edge_index, end.outward, k))
         else:
-            base = c.position(end.attach)
-            t = _ray_exit(d, base, end.outward)
-            if t is None:
+            s = S[end.edge_index]
+            if s is None:
                 punctures += 1
                 continue
-            if t <= 0:
+            if s <= 0:
                 issues.append(f"ray {end.edge_index} starts on the boundary")
                 continue
-            pt = vec_add(base, vec_scale(t, end.outward))
-            boundary.append(classify_point_on_edge(c, d, pt, end.edge_index,
-                                                   end.outward, k))
+            out = tuple(x + s * a for x, a in zip(X[end.attach],
+                                                  end.outward))
+            boundary.append(_classify_at(
+                c, d, tuple(Fraction(x, L) for x in out),
+                _located(d._values(out, L)), end.edge_index, end.outward,
+                k))
 
     for info in boundary:
         if info.kind not in ("MOMENTUM2", "BISSECTRICE"):
@@ -1063,6 +1099,20 @@ def _vertex(rows, pair):
     return num, det
 
 
+def _point(vertex):
+    """A vertex (num, det) of `_vertex` as its point num / det."""
+    num, det = vertex
+    return tuple(Fraction(v, det) for v in num)
+
+
+def _direction(start, stop):
+    """The primitive direction from the vertex start to the vertex stop,
+    both (num, det) with det > 0: that of num_stop det_start -
+    num_start det_stop, a positive multiple of stop - start."""
+    (a, p), (b, q) = start, stop
+    return primitive_raw([y * p - x * q for x, y in zip(a, b)])
+
+
 def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
     """Inner offset boundary plus corner segments of a Delzant polygon.
 
@@ -1090,8 +1140,7 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
         d.dim, [Facet(f.normal, f.offset + delta) for f in d.facets]).rows
     outer, inner = [], []
     for pair in pairs:
-        num, det = _vertex(outer_rows, pair)
-        outer.append(tuple(Fraction(v, det) for v in num))
+        outer.append(_vertex(outer_rows, pair))
         # at x = num / det, (q p) . x - m has the sign of
         # (q p) . num - m det
         num, det = _vertex(inner_rows, pair)
@@ -1100,15 +1149,14 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
                 tuple(k for k, v in enumerate(vals) if v == 0) != pair:
             raise WorkbenchError("DELTA_TOO_LARGE",
                                  "offset domain changes combinatorial type")
-        inner.append(tuple(Fraction(v, det) for v in num))
+        inner.append((num, det))
 
-    vertices = [(f"w{k}", p) for k, p in enumerate(inner)]
+    vertices = [(f"w{k}", _point(v)) for k, v in enumerate(inner)]
     edges = []
     on_facet = {}
     for k, (pair, vi, vo) in enumerate(zip(pairs, inner, outer)):
-        vertices.append((f"b{k}", vo))
-        u = primitive_raw(_homogeneous(vec_sub(vo, vi))[0])
-        edges.append(Edge(f"w{k}", f"b{k}", u, 1, None))
+        vertices.append((f"b{k}", _point(vo)))
+        edges.append(Edge(f"w{k}", f"b{k}", _direction(vi, vo), 1, None))
         for fidx in pair:
             on_facet.setdefault(fidx, []).append(k)
 
@@ -1117,8 +1165,8 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
         ks = on_facet.get(fidx, [])
         if len(ks) == 2:
             ka, kb = ks
-            u = primitive_raw(_homogeneous(vec_sub(inner[kb], inner[ka]))[0])
-            edges.append(Edge(f"w{ka}", f"w{kb}", u, 1, None))
+            edges.append(Edge(f"w{ka}", f"w{kb}",
+                              _direction(inner[ka], inner[kb]), 1, None))
         elif len(ks) == 1:
             # unbounded facet: a ray along the facet line
             z = rot90(d.facets[fidx].normal)

@@ -1,4 +1,5 @@
-"""Shared fixtures: corpus paths and random balanced-tree generators."""
+"""Shared fixtures: corpus paths, random balanced-tree generators and
+blown-up Delzant polygons."""
 
 import json
 from fractions import Fraction
@@ -204,3 +205,58 @@ def triangle_and_tripod():
             "vertices": [{"id": v, "pos": p} for v, p in pos.items()],
             "edges": [{"tail": t, "head": h, "dir": list(d)}
                       for t, h, d in edges]}
+
+
+# ---------------------------------------------------------------------------
+# Delzant polygons with corners cut off
+
+
+def _corner(f, g):
+    (u, a), (v, b) = f, g
+    det = u[0] * v[1] - u[1] * v[0]
+    return (Fraction(a * v[1] - b * u[1], det),
+            Fraction(u[0] * b - v[0] * a, det))
+
+
+def _edge_length(facets, i):
+    """Lattice length of the edge on facet i of a cyclic polygon."""
+    p = _corner(facets[i - 1], facets[i])
+    q = _corner(facets[i], facets[(i + 1) % len(facets)])
+    u = facets[i][0]
+    k = 0 if u[1] != 0 else 1
+    return (q[k] - p[k]) / (u[1], -u[0])[k]
+
+
+def blown_up_polygon(rng, count, spoiled=False):
+    """Cyclic (normal, offset) facets: a square with corners cut off.
+
+    A cut at the corner of u and v adds u + v and shortens both edges by
+    at most a third of the shorter one; with `spoiled` the last cut adds
+    2u + v instead, which leaves one corner of index 2.
+    """
+    facets = [((1, 0), Fraction(0)), ((0, 1), Fraction(0)),
+              ((-1, 0), Fraction(-12)), ((0, -1), Fraction(-12))]
+    while len(facets) < count:
+        i = rng.randrange(len(facets))
+        j = (i + 1) % len(facets)
+        (u, _), (v, _) = facets[i], facets[j]
+        w = (u[0] + v[0], u[1] + v[1])
+        if spoiled and len(facets) == count - 1:
+            w = (w[0] + u[0], w[1] + u[1])
+        eps = min(_edge_length(facets, i), _edge_length(facets, j)) \
+            / rng.randint(3, 5)
+        x = _corner(facets[i], facets[j])
+        facets.insert(i + 1, (w, w[0] * x[0] + w[1] * x[1] + eps))
+    return facets
+
+
+def largest_offset(facets):
+    """The offset at which the first edge of a cyclic polygon shrinks to
+    a point: every lattice edge length is affine in the offset."""
+    shifted = [(u, a + 1) for u, a in facets]
+    limits = []
+    for i in range(len(facets)):
+        l0, l1 = _edge_length(facets, i), _edge_length(shifted, i)
+        if l0 > l1:
+            limits.append(l0 / (l0 - l1))
+    return min(limits)

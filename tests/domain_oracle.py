@@ -12,7 +12,12 @@ their first argument (they were methods, with `Facet.value` inlined).
 `polygon_vertices_int` is the integer form of `polygon_vertices` that
 `wavefront` used; the test-only `wavefront` builds on it and checks the
 domain with `validate_delzant` in place of the removed
-`require_delzant`.
+`require_delzant`.  `check_even_primitive` is the test as it was before
+it wrote a curve over one common denominator: every point located in
+Fractions, one midpoint per bounded edge, the ray exits from `_ray_exit`
+and the crossings from the all-pairs `curve_self_crossings`, over the
+Fraction edge geometries (`edge_geometries`) that the package no longer
+uses.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from troplag.curve import Edge, TropicalCurve, validate_curve
-from troplag.domain import (_fm_point, _frame, _tight_at, edge_geometries,
-                            validate_delzant)
-from troplag.errors import WorkbenchError
-from troplag.lattice import (dot, primitive_raw, rot90, solve_bareiss,
-                             vec_neg, vec_scale, vec_sub)
+from troplag.curve import Edge, TropicalCurve, point_text, validate_curve
+from troplag.domain import (EvennessReport, _classify_at, _fm_point, _frame,
+                            _ray_exit, _tight_at, validate_delzant)
+from troplag.errors import Record, WorkbenchError
+from troplag.lattice import (dot, primitive_raw, rank_exact, rot90,
+                             solve_bareiss, vec_add, vec_neg, vec_scale,
+                             vec_sub)
 
 
 def fm_point(ineqs, nvars):
@@ -166,6 +172,11 @@ def active(domain, x):
     return tuple(j for j, f in enumerate(domain.facets) if _value(f, x) == 0)
 
 
+def locate(domain, x):
+    """The facets active at x, or None when x lies outside."""
+    return active(domain, x) if contains(domain, x) else None
+
+
 def polygon_vertices(d, offsets):
     verts = []
     n = len(d.facets)
@@ -189,6 +200,34 @@ def polygon_vertices(d, offsets):
 
 # ---------------------------------------------------------------------------
 # all-pairs self-crossings
+
+
+class EdgeGeometry(Record):
+    __slots__ = ("edge_index",
+                 "base",       # rational start point
+                 "direction",  # primitive integer direction
+                 "tmax")       # None for an unclipped ray
+
+    def point(self, t):
+        return vec_add(self.base, vec_scale(t, self.direction))
+
+
+def edge_geometries(c, domain=None):
+    geoms = []
+    for i, e in enumerate(c.edges):
+        base = c.position(e.tail)
+        if e.bounded:
+            delta = vec_sub(c.position(e.head), base)
+            t = None
+            for dcomp, ucomp in zip(delta, e.direction):
+                if ucomp != 0:
+                    t = Fraction(dcomp, ucomp)
+                    break
+            geoms.append(EdgeGeometry(i, base, e.direction, t))
+        else:
+            tmax = _ray_exit(domain, base, e.direction) if domain else None
+            geoms.append(EdgeGeometry(i, base, e.direction, tmax))
+    return geoms
 
 
 def _in_range(t, tmax):
@@ -257,6 +296,130 @@ def curve_self_crossings(c, domain=None):
                 continue
             crossings.append({"edges": (a, b), "point": point})
     return crossings
+
+
+# ---------------------------------------------------------------------------
+# the even/primitive test in Fractions
+
+
+def check_even_primitive(c, d, relaxed=False):
+    """Even/primitive test for a curve inside a Delzant domain."""
+    issues = []
+    vrep = validate_curve(c)
+    if not vrep.ok:
+        return EvennessReport(False, vrep.issues, (), 0, 0, 0, ())
+    drep = validate_delzant(d)
+    if not drep.ok:
+        return EvennessReport(False, drep.issues, (), 0, 0, 0, (), drep)
+    if c.dim != d.dim:
+        return EvennessReport(False, ("curve and domain dimension differ",),
+                              (), 0, 0, 0, (), drep)
+
+    where = {vid: locate(d, c.position(vid)) for vid in c.vertices}
+    for vid, at in where.items():
+        if at is None:
+            issues.append(f"vertex {vid} lies outside the domain")
+    interior = {vid: not at for vid, at in where.items() if at is not None}
+
+    for vid in c.trivalent_vertices():
+        inc = c.incident(vid)
+        if len(inc) != 3:
+            issues.append(f"vertex {vid} has valence {len(inc)} > 3")
+            continue
+        dirs = [vec_scale(w, dd) for _, dd, w in inc]
+        if rank_exact(dirs) != 2:
+            issues.append(f"vertex {vid}: edges do not span a 2-plane")
+        if vid in interior and not interior[vid]:
+            issues.append(f"vertex {vid} lies on the boundary")
+
+    for i, e in enumerate(c.edges):
+        if e.weight == 1:
+            continue
+        if not relaxed:
+            issues.append(f"edge {i} has weight {e.weight} > 1")
+            continue
+        ok_relaxed = e.bounded and interior.get(e.tail, False) \
+            and interior.get(e.head, False)
+        if not ok_relaxed:
+            issues.append(
+                f"edge {i}: weight {e.weight} > 1 touches the boundary")
+
+    for i, e in enumerate(c.edges):
+        if not e.bounded:
+            continue
+        mid = tuple(Fraction(a + b, 2) for a, b in
+                    zip(c.position(e.tail), c.position(e.head)))
+        if locate(d, mid):
+            issues.append(f"edge {i} runs inside the boundary")
+
+    boundary = []
+    punctures = 0
+    for k, end in enumerate(c.ends()):
+        if end.kind == "endpoint":
+            at = where[end.endpoint]
+            if at is None:
+                issues.append(f"endpoint {end.endpoint} outside the domain")
+                continue
+            if not at:
+                issues.append(
+                    f"endpoint {end.endpoint} is interior to the domain")
+                continue
+            boundary.append(_classify_at(c, d, c.position(end.endpoint), at,
+                                         end.edge_index, end.outward, k))
+        else:
+            base = c.position(end.attach)
+            t = _ray_exit(d, base, end.outward)
+            if t is None:
+                punctures += 1
+                continue
+            if t <= 0:
+                issues.append(f"ray {end.edge_index} starts on the boundary")
+                continue
+            pt = vec_add(base, vec_scale(t, end.outward))
+            at = locate(d, pt)
+            if at is None:
+                raise WorkbenchError(
+                    "OUTSIDE_DOMAIN",
+                    f"{point_text(pt)} violates a facet inequality")
+            boundary.append(_classify_at(c, d, pt, at, end.edge_index,
+                                         end.outward, k))
+
+    for info in boundary:
+        if info.kind not in ("MOMENTUM2", "BISSECTRICE"):
+            issues.append(
+                f"boundary point {point_text(info.point)} on edge "
+                f"{info.edge_index} is {info.kind} {info.note}".rstrip())
+
+    pts = [info.point for info in boundary]
+    if len(set(pts)) != len(pts):
+        issues.append("two curve ends meet the boundary at the same point")
+    vertex_positions = {c.position(v) for v in c.trivalent_vertices()}
+    for info in boundary:
+        if info.point in vertex_positions:
+            issues.append(f"boundary point {point_text(info.point)} "
+                          "is a curve vertex")
+
+    try:
+        crossings = tuple(c2 for c2 in curve_self_crossings(c, d)
+                          if contains(d, c2["point"]))
+    except WorkbenchError as err:
+        if err.code != "NON_FINITE_SIGMA":
+            raise
+        issues.append("self-intersection locus is not finite")
+        crossings = ()
+    cross_pts = {cr["point"] for cr in crossings}
+    for info in boundary:
+        if info.point in cross_pts:
+            issues.append(f"boundary point {point_text(info.point)} "
+                          "is a self-intersection")
+    for pt in cross_pts:
+        if pt in vertex_positions:
+            issues.append(f"vertex at {point_text(pt)} lies on another edge")
+
+    j = sum(1 for b in boundary if b.kind == "MOMENTUM2")
+    n_biss = sum(1 for b in boundary if b.kind == "BISSECTRICE")
+    return EvennessReport(not issues, tuple(issues), tuple(boundary),
+                          j, n_biss, punctures, crossings, drep)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from conftest import (fixture_path, rand_primitive, random_tree_problem,
+from conftest import (blown_up_polygon, fixture_path, largest_offset,
+                      rand_primitive, random_tree_problem,
                       triangle_and_tripod)
 
 from troplag import domain, topology
@@ -422,12 +424,18 @@ def drawn_problem(seed, shape):
     return one_ray(), [rand_primitive(rng)], True
 
 
-def check_answer(argv):
+def answer(argv):
+    """The exit code and stdout of a command that answers: exit 0, 1 or
+    2, JSON on stdout, and no internal error."""
     code, text = run_command(argv)
     assert code in (0, 1, 2)
     json.loads(text)
     assert "INTERNAL_INCONSISTENCY" not in text, (argv[0], text)
-    return code
+    return code, text
+
+
+def check_answer(argv):
+    return answer(argv)[0]
 
 
 @pytest.fixture(scope="module")
@@ -471,3 +479,33 @@ def test_curve_commands_answer_every_drawn_curve(drawn_dir, seed, shape):
 def test_h1_answers_every_drawn_curve(drawn_dir, seed, shape):
     curve, zs, _ = drawn_problem(seed, shape)
     check_answer(["h1"] + write_problem(drawn_dir, curve, zs))
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_domain_commands_answer_every_drawn_polygon(drawn_dir, seed, spoiled):
+    """wavefront --delta, and validate --domain and surface with a
+    fixture curve, on blown-up polygons, valid and spoiled (one corner
+    of index 2), with delta at 20-80% of the largest offset: each
+    answers.  On a valid polygon the wave front answers too, validates
+    in the polygon, and its surface is a torus."""
+    rng = random.Random(seed)
+    facets = blown_up_polygon(rng, rng.randint(5, 12), spoiled)
+    delta = largest_offset(facets) * Fraction(rng.randint(20, 80), 100)
+    dpath = drawn_dir / "p.domain.json"
+    dpath.write_text(json.dumps({"dim": 2, "facets": [
+        {"normal": list(u), "offset": str(a)} for u, a in facets]}))
+    dom = ["--domain", str(dpath)]
+    klein = ["--curve", fixture_path("klein.curve.json")]
+    for cmd in ("validate", "surface"):
+        check_answer([cmd] + klein + dom)
+    code, text = answer(["wavefront"] + dom + ["--delta", str(delta)])
+    assert code == (2 if spoiled else 0), text
+    if spoiled:
+        return
+    wpath = drawn_dir / "w.curve.json"
+    wpath.write_text(text)
+    wave = ["--curve", str(wpath)]
+    assert check_answer(["validate"] + wave + dom) == 0
+    code, text = answer(["surface"] + wave + dom)
+    assert code == 0 and json.loads(text)["surface"] == "torus", text

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import domain_oracle
-from conftest import fixture_path, rand_primitive
+from conftest import (blown_up_polygon, fixture_path, largest_offset,
+                      rand_primitive)
 from exact_oracle import solve_exact
 
 from troplag import domain as domain_mod
@@ -208,45 +209,6 @@ def _outcome(validate, d):
 def _domain(dim, facets):
     return PolyhedralDomain(dim, [{"normal": u, "offset": a}
                                   for u, a in facets])
-
-
-def _corner(f, g):
-    (u, a), (v, b) = f, g
-    det = u[0] * v[1] - u[1] * v[0]
-    return (Fraction(a * v[1] - b * u[1], det),
-            Fraction(u[0] * b - v[0] * a, det))
-
-
-def _edge_length(facets, i):
-    """Lattice length of the edge on facet i of a cyclic polygon."""
-    p = _corner(facets[i - 1], facets[i])
-    q = _corner(facets[i], facets[(i + 1) % len(facets)])
-    u = facets[i][0]
-    k = 0 if u[1] != 0 else 1
-    return (q[k] - p[k]) / (u[1], -u[0])[k]
-
-
-def blown_up_polygon(rng, count, spoiled=False):
-    """Cyclic (normal, offset) facets: a square with corners cut off.
-
-    A cut at the corner of u and v adds u + v and shortens both edges by
-    at most a third of the shorter one; with `spoiled` the last cut adds
-    2u + v instead, which leaves one corner of index 2.
-    """
-    facets = [((1, 0), Fraction(0)), ((0, 1), Fraction(0)),
-              ((-1, 0), Fraction(-12)), ((0, -1), Fraction(-12))]
-    while len(facets) < count:
-        i = rng.randrange(len(facets))
-        j = (i + 1) % len(facets)
-        (u, _), (v, _) = facets[i], facets[j]
-        w = (u[0] + v[0], u[1] + v[1])
-        if spoiled and len(facets) == count - 1:
-            w = (w[0] + u[0], w[1] + u[1])
-        eps = min(_edge_length(facets, i), _edge_length(facets, j)) \
-            / rng.randint(3, 5)
-        x = _corner(facets[i], facets[j])
-        facets.insert(i + 1, (w, w[0] * x[0] + w[1] * x[1] + eps))
-    return facets
 
 
 def prism(facets, height=3):
@@ -789,26 +751,30 @@ def test_contains_and_active_against_fraction_oracle():
 
 @pytest.mark.parametrize("curve, dom", [
     ("rp2", "triangle"), ("klein", "quadrant"), ("klein_sum", "quadrant"),
-    ("sphere_w2", "rect42"), ("simplex_tripod", "simplex3")])
+    ("sphere_w2", "rect42"), ("simplex_tripod", "simplex3"),
+    ("crossing", "hexagon")])
 def test_check_even_primitive_evaluates_each_point_once(monkeypatch, curve,
                                                          dom):
-    """check_even_primitive locates every vertex, edge midpoint, boundary
-    point and crossing with one evaluation of the facets."""
+    """check_even_primitive evaluates the facets once at every vertex,
+    boundary point and crossing, and nowhere else: a vertex and a ray's
+    exit over the curve's one denominator, and an edge midpoint by
+    adding its two ends' values, with no evaluation of its own."""
     c = load_curve(fixture_path(f"{curve}.curve.json"))
     d = load_domain(fixture_path(f"{dom}.domain.json"))
+    crossings = curve_self_crossings(c, d)
     values = PolyhedralDomain._values
     calls = collections.Counter()
 
-    def counted(self, x):
-        calls[tuple(x)] += 1
-        return values(self, x)
+    def counted(self, X, L):
+        calls[tuple(Fraction(x, L) for x in X)] += 1
+        return values(self, X, L)
 
     monkeypatch.setattr(PolyhedralDomain, "_values", counted)
     rep = check_even_primitive(c, d, relaxed=True)
     assert rep.boundary
     assert set(calls.values()) == {1}, calls
-    assert set(c.vertices.values()) <= set(calls)
-    assert {b.point for b in rep.boundary} <= set(calls)
+    assert set(calls) == set(c.vertices.values()) | {
+        b.point for b in rep.boundary} | {cr["point"] for cr in crossings}
 
 
 def _reflected(d):
@@ -1131,23 +1097,52 @@ def _random_planar_curve(rng):
     return TropicalCurve(2, list(verts.items()), edges)
 
 
-def _largest_offset(facets):
-    """The offset at which the first edge of a cyclic polygon shrinks to
-    a point: every lattice edge length is affine in the offset."""
-    shifted = [(u, a + 1) for u, a in facets]
-    limits = []
-    for i in range(len(facets)):
-        l0, l1 = _edge_length(facets, i), _edge_length(shifted, i)
-        if l0 > l1:
-            limits.append(l0 / (l0 - l1))
-    return min(limits)
-
-
 def _wave_curve(rng, count):
     facets = blown_up_polygon(rng, count)
-    delta = _largest_offset(facets) * Fraction(rng.randint(20, 80), 100)
+    delta = largest_offset(facets) * Fraction(rng.randint(20, 80), 100)
     d = _domain(2, facets)
     return wavefront(d, delta), d
+
+
+def _balanced(c):
+    """c with a ray added at every vertex of valence >= 2 that does not
+    balance, along minus its weighted outward sum: every vertex of the
+    result balances, a 2-valent one only as a straight marking."""
+    edges = list(c.edges)
+    for vid in c.vertices:
+        inc = c.incident(vid)
+        if len(inc) < 2:
+            continue
+        total = tuple(-sum(w * d[k] for _, d, w in inc) for k in range(2))
+        if any(total):
+            g = content(total)
+            edges.append(Edge(vid, None, (total[0] // g, total[1] // g), g))
+    return TropicalCurve(2, list(c.vertices.items()), edges)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def _coprime_curve():
+    """A valid planar curve whose vertex coordinates have the first 14
+    primes as denominators, their common denominator 54 bits long (192
+    with the ray exits from `_coprime_box`): a zigzag of segments,
+    balanced by rays, that crosses itself."""
+    verts = [(f"v{k}", (k * 2 + Fraction(1, PRIMES[k]),
+                        (k * k * 7) % 11 + Fraction(k, PRIMES[k + 1])))
+             for k in range(13)]
+    edges = [Edge(a, b, domain_oracle._rational_direction(vec_sub(q, p)))
+             for (a, p), (b, q) in zip(verts, verts[1:])]
+    return _balanced(TropicalCurve(2, verts, edges))
+
+
+def _coprime_box():
+    """A rectangle around `_coprime_curve` that holds some of its double
+    points, its offsets over more primes."""
+    return _domain(2, [((1, 0), -Fraction(7, 47)),
+                       ((0, 1), -(18 + Fraction(9, 53))),
+                       ((-1, 0), -(30 + Fraction(1, 59))),
+                       ((0, -1), -(100 + Fraction(1, 61)))])
 
 
 def test_crossings_match_all_pairs_oracle_on_fixtures():
@@ -1168,14 +1163,28 @@ def test_crossings_match_all_pairs_oracle_on_fixtures():
     for count in (8, 12, 20, 30, 40):
         c, d = _wave_curve(rng, count)
         cases += [(c, d), (c, None)]
+    c = _coprime_curve()
+    cases += [(c, None), (c, _coprime_box())]
+    # curves no validation has seen: a direction that is not primitive
+    # (the segment ends at a third of its step), and a head off the line
+    # of its edge, where the two edges at that head cross elsewhere
+    cases += [(TropicalCurve(2, [("a", (0, 0)), ("b", (1, 0)),
+                                 ("c", ("1/2", 1)), ("d", ("1/2", -1))],
+                             [Edge("a", "b", (3, 0)),
+                              Edge("c", "d", (0, -1))]), None),
+              (TropicalCurve(2, [("a", (0, 0)), ("h", (4, 1)),
+                                 ("b", (4, -3))],
+                             [Edge("a", "h", (1, 0)),
+                              Edge("h", "b", (0, -1))]), None)]
     found = 0
     for c, d in cases:
         got = _crossing_outcome(curve_self_crossings, c, d)
         assert got == _crossing_outcome(domain_oracle.curve_self_crossings,
                                         c, d)
         found += len(got)
-    # the crossing fixture's double point, alone and clipped to a domain
-    assert found >= 2
+    # the crossing fixture's double point, alone and clipped to a domain,
+    # the coprime curve's, and one on each unvalidated curve
+    assert found >= 6
 
 
 def test_crossings_match_all_pairs_oracle_on_random_curves():
@@ -1197,21 +1206,137 @@ def test_crossings_match_all_pairs_oracle_on_random_curves():
     assert min(seen.values()) >= 20 and len(seen) == 6, seen
 
 
+def _meet_pairs(monkeypatch, c, d):
+    """curve_self_crossings(c, d) and the edge pairs (i, j) whose realized
+    edges the exact pair test received, each pair read off the curve
+    over its one denominator."""
+    L, X, S = domain_mod._common_denominator(c, d)
+    edge_of = collections.defaultdict(list)
+    for i, e in enumerate(c.edges):
+        edge_of[X[e.tail], e.direction, S[i]].append(i)
+    spy = _spy(monkeypatch, "_meet")
+    got = _crossing_outcome(curve_self_crossings, c, d)
+    pairs = [(edge_of[g1], edge_of[g2]) for (g1, g2, _), _ in spy]
+    return got, pairs
+
+
+def _shares_vertex(c, i, j):
+    ei, ej = c.edges[i], c.edges[j]
+    return bool(({ei.tail, ei.head} & {ej.tail, ej.head}) - {None})
+
+
 def test_crossing_pair_tests_linear_on_wave_curve(monkeypatch):
-    """On the 2n-edge wave curve of a 40-gon, the exact pair test runs at
-    most 4n times; all pairs would be n (2n - 1) = 3,160."""
+    """On the 2n-edge wave curve of a 40-gon, the exact pair test never
+    runs: the box filter passes only pairs of edges that share a vertex
+    and are not parallel (all pairs would be n (2n - 1) = 3,160).  On
+    the fixture and random curves, every pair it gets shares no vertex
+    or is parallel."""
     c, d = _wave_curve(random.Random(67), 40)
     assert len(c.edges) == 80
-    calls = []
-    real = domain_mod._meet
+    assert _meet_pairs(monkeypatch, c, d) == ([], [])
+    rng = random.Random(69)
+    cases = [(load_curve(fixture_path(f"{name}.curve.json")), None)
+             for name in ("crossing", "klein_sum", "sphere_w2")]
+    cases += [(_coprime_curve(), None)] + [
+        (_random_planar_curve(rng), _random_domain(rng, 2) if k % 2 else None)
+        for k in range(100)]
+    tested = collections.Counter()
+    for c, d in cases:
+        monkeypatch.undo()
+        for edges_1, edges_2 in _meet_pairs(monkeypatch, c, d)[1]:
+            assert any(not _shares_vertex(c, i, j) or domain_mod._minor(
+                c.edges[i].direction, c.edges[j].direction) is None
+                for i in edges_1 for j in edges_2)
+            tested[min(len(edges_1), len(edges_2))] += 1
+    assert tested[1] >= 100, tested
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(domain_mod, "_meet", counted)
-    assert curve_self_crossings(c, d) == []
-    assert len(calls) <= 4 * 40
+def test_shared_vertex_rule(monkeypatch):
+    """Two edges at one vertex skip the exact test only when their
+    directions are independent: edges leaving a vertex the same way
+    still overlap, opposite edges at a marking are tested and touch only
+    there, and a crossing of edges with no vertex in common is still
+    reported."""
+    same_way = TropicalCurve(2, [("v", (0, 0)), ("a", (2, 2)), ("b", (1, 1))],
+                             [Edge("v", "a", (1, 1)), Edge("v", "b", (1, 1))])
+    assert _meet_pairs(monkeypatch, same_way, None) == (
+        "NON_FINITE_SIGMA: edges 0 and 1 overlap along a segment",
+        [([0], [1])])
+    marking = TropicalCurve(2, [("m", (1, 0)), ("a", (0, 0)), ("b", (3, 0))],
+                            [Edge("m", "a", (-1, 0)), Edge("m", "b", (1, 0))])
+    monkeypatch.undo()
+    assert _meet_pairs(monkeypatch, marking, None) == ([], [([0], [1])])
+    crossing = load_curve(fixture_path("crossing.curve.json"))
+    monkeypatch.undo()
+    got, pairs = _meet_pairs(monkeypatch, crossing, None)
+    assert got == [{"edges": (0, 3), "point": (0, 12)}]
+    assert ([0], [3]) in pairs
+    assert all(not _shares_vertex(crossing, i, j)
+               for edges_1, edges_2 in pairs
+               for i in edges_1 for j in edges_2)
+
+
+def _evenness_outcome(check, c, d, relaxed):
+    try:
+        return check(c, d, relaxed)
+    except WorkbenchError as err:
+        return str(err)
+
+
+def test_even_primitive_matches_fraction_oracle():
+    """check_even_primitive, on one denominator per curve, against the
+    Fraction test it replaced: the same whole report, its repr showing
+    the types of the values too, or the same error, on every fixture
+    curve in every fixture domain of its dimension, wave curves of 8 to
+    40 facets, the coprime curve, and 400 random planar curves (every
+    other one balanced) in random domains."""
+    domains = [load_domain(fixture_path(f"{n}.domain.json"))
+               for n in ("hexagon", "quadrant", "rect42", "simplex3",
+                         "triangle", "unit_square")]
+    cases = []
+    for name in ("crossing", "disappearing", "klein", "klein_sum", "lens",
+                 "poincare", "rp2", "segment", "simplex_tripod",
+                 "sphere_w2"):
+        c = load_curve(fixture_path(f"{name}.curve.json"))
+        cases += [(c, d, relaxed) for d in domains if d.dim == c.dim
+                  for relaxed in (False, True)]
+    rng = random.Random(70)
+    for count in (8, 12, 20, 30, 40):
+        c, d = _wave_curve(rng, count)
+        cases.append((c, d, False))
+    cases.append((_coprime_curve(), _coprime_box(), True))
+    for k in range(400):
+        c = _random_planar_curve(rng)
+        c = _balanced(c) if k % 2 else c
+        # a random domain, and a Delzant polygon that holds the grid
+        polygon = _domain(2, [(u, a - 6 * u[0] - 6 * u[1]) for u, a in
+                              blown_up_polygon(rng, rng.randint(4, 9))])
+        cases += [(c, _random_domain(rng, 2), k % 3 == 0),
+                  (c, polygon, k % 3 == 0)]
+    seen = collections.Counter()
+    for c, d, relaxed in cases:
+        got = _evenness_outcome(check_even_primitive, c, d, relaxed)
+        want = _evenness_outcome(domain_oracle.check_even_primitive, c, d,
+                                 relaxed)
+        assert repr(got) == repr(want), (c.vertices, c.edges, d.facets)
+        if isinstance(got, str):
+            seen[got.split(":")[0]] += 1
+        elif got.delzant is not None and got.delzant.ok and c.dim == d.dim:
+            seen["checked"] += 1
+            seen["ok"] += got.ok
+            seen["ray exits"] += any(c.edges[b.edge_index].head is None
+                                     for b in got.boundary)
+            seen["punctures"] += got.punctures > 0
+            seen["crossings"] += bool(got.crossings)
+            seen["not finite"] += \
+                "self-intersection locus is not finite" in got.issues
+            seen["runs inside"] += any("runs inside the boundary" in i
+                                       for i in got.issues)
+    # reports past both validations, each branch of the test, and the
+    # errors it raises
+    assert seen["checked"] >= 200 and min(seen[k] for k in (
+        "ok", "ray exits", "punctures", "crossings", "not finite",
+        "runs inside", "OUTSIDE_DOMAIN", "EMPTY_DOMAIN")) >= 5, seen
 
 
 # ---------------------------------------------------------------------------
@@ -1311,7 +1436,7 @@ def test_wavefront_matches_all_pairs_oracle():
     cases = []
     for _ in range(10):
         facets = blown_up_polygon(rng, rng.randint(8, 40))
-        limit = _largest_offset(facets)
+        limit = largest_offset(facets)
         cases += [(_domain(2, facets), limit * r) for r in (
             Fraction(rng.randint(1, 99), 100), Fraction(1, 1000), 1,
             Fraction(rng.randint(101, 300), 100))]

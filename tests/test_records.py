@@ -17,10 +17,13 @@ from troplag.errors import Record
 
 
 def _records():
+    """The package's records; a test oracle's own records are left out,
+    whichever test modules happen to be loaded."""
     out, todo = [], [Record]
     while todo:
         for sub in todo.pop().__subclasses__():
-            out.append(sub)
+            if sub.__module__.startswith("troplag."):
+                out.append(sub)
             todo.append(sub)
     return sorted(out, key=lambda c: (c.__module__, c.__qualname__))
 
@@ -68,7 +71,7 @@ def _value(rng):
 
 
 def test_every_record_module_is_covered():
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 25
     assert {c.__module__ for c in RECORDS} == {
         "troplag.lattice", "troplag.curve", "troplag.domain",
         "troplag.multiplicity", "troplag.topology"}
