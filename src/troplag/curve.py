@@ -1,9 +1,12 @@
 """Tropical curve data model and combinatorics.
 
-A curve is a graph mapped piecewise-linearly into Q^n.  Vertices carry
-exact rational positions.  Edges carry a primitive integer direction
-(oriented tail -> head, outward for rays), a positive integer weight and
-an optional leaf label used to match constraint lines.
+A curve is a graph mapped piecewise-linearly into Q^n.  Vertex
+positions are exact: integer vectors over one positive common
+denominator, the least one (`TropicalCurve.coords`, `.denominator`), so
+that edge and position tests compare integers.  Edges carry a primitive
+integer direction (oriented tail -> head, outward for rays), a positive
+integer weight and an optional leaf label used to match constraint
+lines.
 
 Conventions for graph nodes:
 
@@ -20,9 +23,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import neg
 
 from .errors import Record, WorkbenchError
-from .lattice import (content, gcd_primitive as _sign_normalized, rank_exact,
+from .lattice import (gcd_primitive as _sign_normalized, rank_exact,
                       vec_add, vec_neg, vec_scale)
 
 
@@ -31,15 +37,30 @@ def as_rational(x):
     return x if type(x) is Fraction else Fraction(x)
 
 
-def as_rational_point(xs):
-    """xs as a tuple of Fractions; one already so is kept as it is."""
-    if type(xs) is tuple:
-        for x in xs:
-            if type(x) is not Fraction:
-                break
-        else:
-            return xs
-    return tuple(map(as_rational, xs))
+def over_one_denominator(points):
+    """Rational points (sequences of Fractions, ints or rational strings)
+    as (X, L): integer tuples X[k] and the least L > 0 with X[k] / L the
+    point points[k]."""
+    points = [tuple(map(as_rational, p)) for p in points]
+    L = lcm(*{x.denominator for p in points for x in p})
+    return [tuple([x.numerator * (L // x.denominator) for x in p])
+            for p in points], L
+
+
+def least_denominator(X, L):
+    """Integer tuples X[k] over L > 0 written over the least common
+    denominator of the points X[k] / L: (X, L) again when it is L, else
+    both divided by gcd(L, every coordinate)."""
+    g = L if L == 1 else gcd(L, *itertools.chain.from_iterable(X))
+    if g == 1:
+        return X, L
+    return [tuple([x // g for x in p]) for p in X], L // g
+
+
+def rational_text(x, L):
+    """x / L as the JSON writes it, reduced: the text of str(Fraction)."""
+    g = gcd(x, L)
+    return str(x // g) if g == L else f"{x // g}/{L // g}"
 
 
 def point_text(xs):
@@ -89,46 +110,91 @@ class End(Record):
         return vec_scale(self.weight, self.outward)
 
 
+def _as_edge(e):
+    """A library caller's edge, an `Edge` or a dict with the keys of the
+    JSON format, as an `Edge` with a tuple direction and an int weight."""
+    if not isinstance(e, Edge):
+        return Edge(e["tail"], e.get("head"), tuple(e["dir"]),
+                    int(e.get("weight", 1)), e.get("leaf_label"))
+    if type(e) is Edge and type(e.direction) is tuple and \
+            type(e.weight) is int:
+        return e
+    return Edge(e.tail, e.head, tuple(e.direction), int(e.weight),
+                e.leaf_label)
+
+
 class TropicalCurve:
-    def __init__(self, dim, vertices, edges):
+    """A curve; never mutated after construction.
+
+    `vertices` is a sequence of (id, position).  Without a denominator
+    the positions are rationals (Fractions, ints or rational strings)
+    and the edges `Edge` records or dicts with the keys of the JSON
+    format, as library callers pass them.  With a denominator L > 0 the
+    positions are integer tuples X meaning X / L, and the edges `Edge`
+    records with tuple directions and int weights, taken as they are:
+    the readers and the package's own builders pass them so.  Either
+    way the curve keeps `coords[vid]`, an integer tuple, over the least
+    common `denominator`."""
+
+    def __init__(self, dim, vertices, edges, denominator=None):
         self.dim = dim
         vertices = list(vertices)
-        self.vertices = {vid: as_rational_point(pos) for vid, pos in vertices}
-        if len(self.vertices) != len(vertices):
+        ids = [vid for vid, _ in vertices]
+        points = [pos for _, pos in vertices]
+        if denominator is None:
+            points, denominator = over_one_denominator(points)
+            edges = map(_as_edge, edges)
+        else:
+            points, denominator = least_denominator(points, denominator)
+        self.coords = dict(zip(ids, points))
+        if len(self.coords) != len(ids):
             raise WorkbenchError("INVALID_CURVE", "duplicate vertex ids")
-        norm = []
-        for e in edges:
-            if isinstance(e, Edge):
-                if type(e) is not Edge or type(e.direction) is not tuple \
-                        or type(e.weight) is not int:
-                    e = Edge(e.tail, e.head, tuple(e.direction),
-                             int(e.weight), e.leaf_label)
-            else:
-                e = Edge(e["tail"], e.get("head"), tuple(e["dir"]),
-                         int(e.get("weight", 1)), e.get("leaf_label"))
-            norm.append(e)
-        self.edges = tuple(norm)
-        # incidence index; a curve is never mutated after construction
+        self.denominator = denominator
+        self.edges = edges = tuple(edges)
+        # the incidence lists and the rays in one pass over the edges,
+        # each bounded edge's direction negated once for its head
         inc = {}
-        for i, e in enumerate(self.edges):
-            inc.setdefault(e.tail, []).append((i, e.direction, e.weight))
-            if e.head is not None:
-                inc.setdefault(e.head, []).append(
-                    (i, vec_neg(e.direction), e.weight))
-        self._incident = {vid: tuple(x) for vid, x in inc.items()}
-        # the ends, by label when fully labeled; bad labels are an error
-        # of every ends() call
         ends = []
-        for i, e in enumerate(self.edges):
-            if not e.bounded:
-                ends.append(End(i, "ray", e.tail, e.direction, e.weight,
-                                e.leaf_label))
+        flipped = {}
+        for i, e in enumerate(edges):
+            u, w = e.direction, e.weight
+            tail, head = e.tail, e.head
+            at = inc.get(tail)
+            if at is None:
+                inc[tail] = [(i, u, w)]
+            else:
+                at.append((i, u, w))
+            if head is None:
+                ends.append(End(i, "ray", tail, u, w, e.leaf_label))
                 continue
-            for at, out, tip in ((e.tail, e.direction, e.head),
-                                 (e.head, vec_neg(e.direction), e.tail)):
-                if self.valence(tip) == 1:
-                    ends.append(End(i, "endpoint", at, out, e.weight,
-                                    e.leaf_label, endpoint=tip))
+            flipped[i] = back = tuple(map(neg, u))
+            at = inc.get(head)
+            if at is None:
+                inc[head] = [(i, back, w)]
+            else:
+                at.append((i, back, w))
+        self._incident = {vid: tuple(at) for vid, at in inc.items()}
+        # an endpoint end at each 1-valent end of a bounded edge, ordered
+        # as if met edge by edge, the end at the head first
+        tips = []
+        for vid, at in inc.items():
+            if len(at) == 1:
+                i, _, w = at[0]
+                e = edges[i]
+                if e.head == vid:
+                    tips.append(((i, 0), End(i, "endpoint", e.tail,
+                                             e.direction, w, e.leaf_label,
+                                             vid)))
+                elif e.head is not None:
+                    tips.append(((i, 1), End(i, "endpoint", e.head,
+                                             flipped[i], w, e.leaf_label,
+                                             vid)))
+        if tips:
+            tips += [((x.edge_index, 0), x) for x in ends]
+            tips.sort(key=lambda t: t[0])
+            ends = [x for _, x in tips]
+        # the ends by label when fully labeled; bad labels are an error
+        # of every ends() call
         labels = sorted(x.label for x in ends if x.label is not None)
         self._ends_error = None
         if ends and len(labels) == len(ends):
@@ -138,8 +204,16 @@ class TropicalCurve:
             ends.sort(key=lambda x: x.label)
         self._ends = tuple(ends)
 
+    @cached_property
+    def vertices(self):
+        """{vertex id: position as a tuple of Fractions}, in vertex
+        order, for library callers; built on first use."""
+        return {vid: self.position(vid) for vid in self.coords}
+
     def position(self, vid):
-        return self.vertices[vid]
+        """The position of a vertex as a tuple of Fractions."""
+        L = self.denominator
+        return tuple([Fraction(x, L) for x in self.coords[vid]])
 
     def incident(self, vid):
         """Tuple of (edge_index, outward_direction, weight) at a vertex."""
@@ -155,10 +229,12 @@ class TropicalCurve:
         return [i for i, e in enumerate(self.edges) if not e.bounded]
 
     def trivalent_vertices(self):
-        return [v for v in self.vertices if self.valence(v) >= 3]
+        inc = self._incident
+        return [v for v in self.coords if len(inc.get(v, ())) >= 3]
 
     def marking_vertices(self):
-        return [v for v in self.vertices if self.valence(v) == 2]
+        inc = self._incident
+        return [v for v in self.coords if len(inc.get(v, ())) == 2]
 
     def ends(self):
         """Ends in deterministic order (by label when fully labeled), as
@@ -168,7 +244,7 @@ class TropicalCurve:
         return self._ends
 
     def b1(self):
-        return len(self.bounded_indices()) - len(self.vertices) + 1
+        return len(self.bounded_indices()) - len(self.coords) + 1
 
     # -- geometric edges (2-valent markings smoothed away) ------------------
 
@@ -284,24 +360,22 @@ def _positive_multiple(tail, head, direction):
     """The t > 0 with head - tail == t * direction, as a pair (n, d) of
     ints with t == n / d and d > 0, or None.
 
-    tail and head are tuples of Fractions.  Coordinate k of head - tail
-    is a_k / b_k with a_k, b_k the cross-multiplied numerator and the
-    product of the denominators, so t is a_k / (b_k u_k) on every k with
-    u_k != 0; these are compared by cross-multiplying, and a_k must be 0
-    where u_k == 0.  No Fraction is built.
+    tail and head are integer tuples over one denominator, such as two
+    vertices' `coords`; t is then in units of that denominator.  The
+    quotients a_k / u_k of head - tail by the direction must agree on
+    every k with u_k != 0, compared by cross-multiplying, and a_k must
+    be 0 where u_k == 0.
     """
     n = d = None
     for p, q, u in zip(head, tail, direction):
-        pd, qd = p.denominator, q.denominator
-        a = p.numerator * qd - q.numerator * pd
+        a = p - q
         if u == 0:
             if a:
                 return None
             continue
-        b = pd * qd * u
         if n is None:
-            n, d = a, b
-        elif a * d != n * b:
+            n, d = a, u
+        elif a * d != n * u:
             return None
     if n is None or n == 0 or (n < 0) != (d < 0):
         return None
@@ -311,22 +385,23 @@ def _positive_multiple(tail, head, direction):
 def validate_curve(c: TropicalCurve) -> ValidationReport:
     """Check every tropical-curve axiom; report all violations."""
     issues = []
-    if c.dim < 2:
+    dim, X = c.dim, c.coords
+    if dim < 2:
         issues.append("dimension must be at least 2")
-    for vid, pos in c.vertices.items():
-        if len(pos) != c.dim:
+    for vid, pos in X.items():
+        if len(pos) != dim:
             issues.append(f"vertex {vid}: position has wrong dimension")
     for i, e in enumerate(c.edges):
-        if e.tail not in c.vertices:
+        if e.tail not in X:
             issues.append(f"edge {i}: unknown tail {e.tail}")
             continue
-        if e.head is not None and e.head not in c.vertices:
+        if e.head is not None and e.head not in X:
             issues.append(f"edge {i}: unknown head {e.head}")
             continue
-        if len(e.direction) != c.dim:
+        if len(e.direction) != dim:
             issues.append(f"edge {i}: direction has wrong dimension")
             continue
-        g = content(e.direction)
+        g = gcd(*e.direction)
         if g == 0:
             issues.append(f"edge {i}: zero direction")
             continue
@@ -334,37 +409,35 @@ def validate_curve(c: TropicalCurve) -> ValidationReport:
             issues.append(f"edge {i}: direction {e.direction} not primitive")
         if not isinstance(e.weight, int) or e.weight < 1:
             issues.append(f"edge {i}: weight must be a positive integer")
-        if e.bounded:
+        if e.head is not None:
             if e.head == e.tail:
                 issues.append(f"edge {i}: loop edge")
                 continue
-            if _positive_multiple(c.position(e.tail), c.position(e.head),
+            if _positive_multiple(X[e.tail], X[e.head],
                                   e.direction) is None:
                 issues.append(
                     f"edge {i}: head - tail is not a positive multiple "
                     f"of the direction")
     if not issues:
         # balancing and valence rules need consistent incidence data
-        for vid in c.vertices:
-            inc = c.incident(vid)
+        incident = c._incident
+        for vid in X:
+            inc = incident.get(vid, ())
             if len(inc) == 0:
                 issues.append(f"vertex {vid}: isolated")
             elif len(inc) == 2:
                 (i1, d1, w1), (i2, d2, w2) = inc
                 if w1 != w2 or vec_add(vec_scale(w1, d1),
-                                       vec_scale(w2, d2)) != (0,) * c.dim:
+                                       vec_scale(w2, d2)) != (0,) * dim:
                     issues.append(
                         f"vertex {vid}: degenerate 2-valent vertex")
             elif len(inc) >= 3:
-                total = [0] * c.dim
-                for _, d, w in inc:
-                    for k, x in enumerate(d):
-                        total[k] += w * x
+                total = tuple(map(sum, zip(*[
+                    d if w == 1 else [w * x for x in d] for _, d, w in inc])))
                 if any(total):
                     issues.append(f"vertex {vid}: balancing fails, "
-                                  f"outward sum {tuple(total)}")
-        if c.vertices and \
-                len(_reach(c, next(iter(c.vertices)))) != len(c.vertices):
+                                  f"outward sum {total}")
+        if X and len(_reach(c, next(iter(X)))) != len(X):
             issues.append("curve is not connected")
         # end labels, if any are present, must be usable
         labels = [e.leaf_label for e in c.edges if e.leaf_label is not None]
@@ -449,7 +522,7 @@ def regularity_check(c: TropicalCurve) -> RegularityReport:
     Every vertex must be 3-valent; the constraints say that around each
     independent cycle the weighted edge displacements sum to zero.
     """
-    for vid in c.vertices:
+    for vid in c.coords:
         if c.valence(vid) != 3:
             raise WorkbenchError("NOT_TRIVALENT",
                                  f"vertex {vid} has valence {c.valence(vid)}")
@@ -461,8 +534,8 @@ def regularity_check(c: TropicalCurve) -> RegularityReport:
     kappa = len(c.ray_indices())
 
     # spanning tree over bounded edges; each chord closes one cycle
-    via = _reach(c, next(iter(c.vertices))) if c.vertices else {}
-    if len(via) != len(c.vertices):
+    via = _reach(c, next(iter(c.coords))) if c.coords else {}
+    if len(via) != len(c.coords):
         raise WorkbenchError("INVALID_CURVE", "curve is not connected")
     in_tree = set(via.values())
 
@@ -519,21 +592,25 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
     if len(p) != c.dim:
         raise WorkbenchError("DIMENSION_MISMATCH",
                              f"split point has {len(p)} coordinates")
-    t = _positive_multiple(c.position(e.tail), p, e.direction)
-    tot = _positive_multiple(c.position(e.tail), c.position(e.head),
-                             e.direction)
+    # p, the tail and the head over one denominator M
+    X, L = c.coords, c.denominator
+    M = lcm(L, *(x.denominator for x in p))
+    P = tuple([x.numerator * (M // x.denominator) for x in p])
+    tail, head = (vec_scale(M // L, X[v]) for v in (e.tail, e.head))
+    t = _positive_multiple(tail, P, e.direction)
+    tot = _positive_multiple(tail, head, e.direction)
     # 0 < t by construction; t < tot compared as integer pairs
     if t is None or tot is None or not t[0] * tot[1] < tot[0] * t[1]:
         raise WorkbenchError("SPLIT_POINT",
                              "split point must be strictly inside the edge")
 
-    if len(_reach(c, e.tail)) != len(c.vertices):
+    if len(_reach(c, e.tail)) != len(X):
         raise WorkbenchError("INVALID_CURVE", "curve is not connected")
     # vertices on the tail side of the edge
     side = _reach(c, e.tail, lambda i: i != edge_index)
 
     def part(vertex_set, ray_tail, ray_dir):
-        verts = [(v, c.position(v)) for v in c.vertices if v in vertex_set]
+        verts = [(v, x) for v, x in X.items() if v in vertex_set]
         edges = []
         emap = {}
         for i in range(len(c.edges)):
@@ -541,10 +618,10 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
                 emap[i] = len(edges)
                 edges.append(c.edges[i])
         edges.append(Edge(ray_tail, None, ray_dir, e.weight, None))
-        cur = TropicalCurve(c.dim, verts, edges)
+        cur = TropicalCurve(c.dim, verts, edges, L)
         return cur, len(edges) - 1, emap
 
-    other = c.vertices.keys() - side
+    other = X.keys() - side
     h1, r1, map1 = part(side, e.tail, e.direction)
     h2, r2, map2 = part(other, e.head, vec_neg(e.direction))
     return SplitResult(h1, r1, h2, r2, p, map1, map2)
@@ -697,7 +774,7 @@ def combinatorial_type(c: TropicalCurve) -> str:
     first so the encoding is a homeomorphism invariant.
     """
     chains = c.smoothed_edges()
-    nodes = sorted(v for v in c.vertices if c.valence(v) != 2)
+    nodes = sorted(v for v in c.coords if c.valence(v) != 2)
 
     # incident descriptors per node
     inc = {v: [] for v in nodes}
@@ -768,7 +845,7 @@ def combinatorial_type(c: TropicalCurve) -> str:
 
 def extend_curve(c: TropicalCurve) -> TropicalCurve:
     """Replace 1-valent endpoints by unbounded rays from their neighbors."""
-    endpoints = {v for v in c.vertices if c.valence(v) == 1}
+    endpoints = {v for v in c.coords if c.valence(v) == 1}
     if not endpoints:
         return c
     edges = []
@@ -785,5 +862,5 @@ def extend_curve(c: TropicalCurve) -> TropicalCurve:
                               e.leaf_label))
         else:
             edges.append(e)
-    verts = [(v, p) for v, p in c.vertices.items() if v not in endpoints]
-    return TropicalCurve(c.dim, verts, edges)
+    verts = [(v, p) for v, p in c.coords.items() if v not in endpoints]
+    return TropicalCurve(c.dim, verts, edges, c.denominator)

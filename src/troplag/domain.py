@@ -36,8 +36,8 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import add, le, mul
 
-from .curve import (TropicalCurve, Edge, as_rational, point_text,
-                    validate_curve)
+from .curve import (TropicalCurve, Edge, as_rational, least_denominator,
+                    over_one_denominator, point_text, validate_curve)
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, dot, elementary_divisors,
                       is_zero, mixed, primitive_raw, rank_exact, rot90,
@@ -58,6 +58,14 @@ def _homogeneous(x):
     """A rational point as (X, L): integers with L > 0, meaning X / L."""
     L = lcm(*(v.denominator for v in x))
     return tuple(v.numerator * (L // v.denominator) for v in x), L
+
+
+def _over(x, L):
+    """The rational point x as integers over L > 0, or None when some
+    coordinate's denominator does not divide L."""
+    if any(L % v.denominator for v in x):
+        return None
+    return tuple([v.numerator * (L // v.denominator) for v in x])
 
 
 class PolyhedralDomain:
@@ -104,23 +112,44 @@ class Line(Record):
 
     # Hand-written: one Line per input line, faster than Record's loop.
     def __init__(self, point: tuple, direction: tuple):
-        self.point = point          # rational base point
+        self.point = point          # base point, as its configuration keeps it
         self.direction = direction  # primitive integer direction
 
 
 class LineConfiguration:
-    def __init__(self, lines):
+    """Lines whose base points are integer tuples over one positive
+    common denominator, the least one: line j passes through
+    lines[j].point / denominator.
+
+    Without a denominator, `lines` are `Line` records or dicts with the
+    keys of the JSON format whose points are rationals, as library
+    callers pass them; with one, `Line` records with integer points over
+    it, as the reader builds them."""
+
+    def __init__(self, lines, denominator=None):
+        if denominator is None:
+            lines = [l if isinstance(l, Line)
+                     else Line(l["point"], tuple(l["dir"])) for l in lines]
+            points, denominator = over_one_denominator(
+                [l.point for l in lines])
+        else:
+            lines = list(lines)
+            points, denominator = least_denominator(
+                [l.point for l in lines], denominator)
         self.lines = tuple(
-            l if isinstance(l, Line)
-            else Line(tuple(as_rational(c) for c in l["point"]),
-                      tuple(l["dir"]))
-            for l in lines)
-        for l in self.lines:
-            if is_zero(l.direction):
-                raise WorkbenchError("INVALID_LINES", "zero line direction")
+            l if l.point is p else Line(p, l.direction)
+            for l, p in zip(lines, points))
+        self.denominator = denominator
+        if not all(map(any, (l.direction for l in self.lines))):
+            raise WorkbenchError("INVALID_LINES", "zero line direction")
 
     def __len__(self):
         return len(self.lines)
+
+    def point(self, j):
+        """The base point of line j as a tuple of Fractions."""
+        L = self.denominator
+        return tuple([Fraction(x, L) for x in self.lines[j].point])
 
 
 # ---------------------------------------------------------------------------
@@ -622,16 +651,22 @@ def is_standard_simplex_3(d: PolyhedralDomain) -> bool:
 # intersections
 
 
-def _ray_exit(domain, base, direction):
-    """First positive parameter at which the ray leaves the domain."""
-    t_exit = None
-    for f in domain.facets:
-        slope = dot(f.normal, direction)
-        if slope < 0:
-            t = Fraction(f.offset - dot(f.normal, base), slope)
-            if t_exit is None or t < t_exit:
-                t_exit = t
-    return t_exit
+def _ray_exit(domain, X, L, direction):
+    """First parameter t at which the ray X / L + t u, X integers over
+    L > 0, leaves the domain, as a Fraction, or None when it never does.
+
+    Over a facet row (q p, m) the ray's value (q p) . X - m L falls by
+    L (q p) . u per unit of t, so the facet is crossed at t = v / (L s)
+    with v that value and s = -(q p) . u > 0; the least such t, compared
+    as integer pairs, is the exit."""
+    best = None
+    for qp, m in domain.rows:
+        s = -dot(qp, direction)
+        if s > 0:
+            v = dot(qp, X) - m * L
+            if best is None or v * best[1] < best[0] * s:
+                best = (v, s)
+    return None if best is None else Fraction(best[0], best[1] * L)
 
 
 def _common_denominator(c, domain=None):
@@ -643,23 +678,25 @@ def _common_denominator(c, domain=None):
     S[i], ends.  That is the head of a bounded edge, read on the first
     coordinate where u is nonzero, and the point where a ray leaves
     `domain` (`_ray_exit`); S[i] is None for a ray that never leaves it,
-    and for every ray when no domain is given.  L is the least common
-    denominator of the vertex coordinates and the ray exits, times what
-    makes every S[i] an integer: nothing where each head is a whole
-    multiple of its primitive direction away from its tail, as in a
-    valid curve.  Every edge must have a nonzero direction.
+    and for every ray when no domain is given.  The curve is kept over
+    its own denominator (`TropicalCurve.coords`); L is that times what
+    the ray exits need, times what makes every S[i] an integer: nothing
+    where each head is a whole multiple of its primitive direction away
+    from its tail, as in a valid curve.  Every edge must have a nonzero
+    direction.
     """
+    L, X = c.denominator, c.coords
     exits = {}
     if domain is not None:
         for i, e in enumerate(c.edges):
-            if not e.bounded:
-                t = _ray_exit(domain, c.position(e.tail), e.direction)
+            if e.head is None:
+                t = _ray_exit(domain, X[e.tail], L, e.direction)
                 if t is not None:
                     exits[i] = t
-    L = lcm(*{x.denominator for p in c.vertices.values() for x in p},
-            *{t.denominator for t in exits.values()})
-    X = {vid: tuple([x.numerator * (L // x.denominator) for x in p])
-         for vid, p in c.vertices.items()}
+    M = lcm(L, *{t.denominator for t in exits.values()})
+    if M != L:
+        X = {vid: vec_scale(M // L, p) for vid, p in X.items()}
+        L = M
     steps = []
     for i, e in enumerate(c.edges):
         if e.bounded:
@@ -823,7 +860,7 @@ def curve_self_crossings(c: TropicalCurve,
         ea, eb = c.edges[a], c.edges[b]
         shared = ({ea.tail, ea.head} & {eb.tail, eb.head}) - {None}
         point = hit[1]
-        if shared and any(c.position(v) == point for v in shared):
+        if shared and _over(point, L) in [X[v] for v in shared]:
             continue
         crossings.append({"edges": (a, b), "point": point})
     return crossings
@@ -919,7 +956,8 @@ def classify_boundary_point(c: TropicalCurve, d: PolyhedralDomain,
                                           end.outward)
         if end.kind == "ray":
             base = c.position(end.attach)
-            t = _ray_exit(d, base, end.outward)
+            t = _ray_exit(d, c.coords[end.attach], c.denominator,
+                          end.outward)
             if t is not None and \
                     vec_add(base, vec_scale(t, end.outward)) == point:
                 return classify_point_on_edge(c, d, point, end.edge_index,
@@ -1009,8 +1047,9 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
                                            values[e.head]))):
             issues.append(f"edge {i} runs inside the boundary")
 
-    # boundary points
+    # boundary points, each also as integers over L in pts
     boundary = []
+    pts = []
     punctures = 0
     for k, end in enumerate(c.ends()):
         if end.kind == "endpoint":
@@ -1022,8 +1061,7 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
                 issues.append(
                     f"endpoint {end.endpoint} is interior to the domain")
                 continue
-            boundary.append(_classify_at(c, d, c.position(end.endpoint), at,
-                                         end.edge_index, end.outward, k))
+            out = X[end.endpoint]
         else:
             s = S[end.edge_index]
             if s is None:
@@ -1034,10 +1072,11 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
                 continue
             out = tuple(x + s * a for x, a in zip(X[end.attach],
                                                   end.outward))
-            boundary.append(_classify_at(
-                c, d, tuple(Fraction(x, L) for x in out),
-                _located(d._values(out, L)), end.edge_index, end.outward,
-                k))
+            at = _located(d._values(out, L))
+        pts.append(out)
+        boundary.append(_classify_at(
+            c, d, tuple([Fraction(x, L) for x in out]), at, end.edge_index,
+            end.outward, k))
 
     for info in boundary:
         if info.kind not in ("MOMENTUM2", "BISSECTRICE"):
@@ -1045,12 +1084,11 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
                 f"boundary point {point_text(info.point)} on edge "
                 f"{info.edge_index} is {info.kind} {info.note}".rstrip())
 
-    pts = [info.point for info in boundary]
     if len(set(pts)) != len(pts):
         issues.append("two curve ends meet the boundary at the same point")
-    vertex_positions = {c.position(v) for v in c.trivalent_vertices()}
-    for info in boundary:
-        if info.point in vertex_positions:
+    vertex_positions = {X[v] for v in c.trivalent_vertices()}
+    for info, p in zip(boundary, pts):
+        if p in vertex_positions:
             issues.append(f"boundary point {point_text(info.point)} "
                           "is a curve vertex")
 
@@ -1062,13 +1100,18 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
             raise
         issues.append("self-intersection locus is not finite")
         crossings = ()
-    cross_pts = {cr["point"] for cr in crossings}
-    for info in boundary:
-        if info.point in cross_pts:
+    # the crossings over L; one off it meets no boundary point or vertex
+    cross_pts = {}
+    for cr in crossings:
+        p = _over(cr["point"], L)
+        if p is not None:
+            cross_pts.setdefault(p, cr["point"])
+    for info, p in zip(boundary, pts):
+        if p in cross_pts:
             issues.append(f"boundary point {point_text(info.point)} "
                           "is a self-intersection")
-    for pt in cross_pts:
-        if pt in vertex_positions:
+    for p, pt in cross_pts.items():
+        if p in vertex_positions:
             issues.append(f"vertex at {point_text(pt)} lies on another edge")
 
     j = sum(1 for b in boundary if b.kind == "MOMENTUM2")
@@ -1097,12 +1140,6 @@ def _vertex(rows, pair):
     if det < 0:
         det, num = -det, vec_neg(num)
     return num, det
-
-
-def _point(vertex):
-    """A vertex (num, det) of `_vertex` as its point num / det."""
-    num, det = vertex
-    return tuple(Fraction(v, det) for v in num)
 
 
 def _direction(start, stop):
@@ -1151,11 +1188,14 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
                                  "offset domain changes combinatorial type")
         inner.append((num, det))
 
-    vertices = [(f"w{k}", _point(v)) for k, v in enumerate(inner)]
+    # every vertex num / det over the common denominator L of them all
+    L = lcm(*{det for _, det in inner + outer})
+    vertices = [(f"w{k}", vec_scale(L // det, num))
+                for k, (num, det) in enumerate(inner)]
     edges = []
     on_facet = {}
     for k, (pair, vi, vo) in enumerate(zip(pairs, inner, outer)):
-        vertices.append((f"b{k}", _point(vo)))
+        vertices.append((f"b{k}", vec_scale(L // vo[1], vo[0])))
         edges.append(Edge(f"w{k}", f"b{k}", _direction(vi, vo), 1, None))
         for fidx in pair:
             on_facet.setdefault(fidx, []).append(k)
@@ -1185,7 +1225,7 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
             raise WorkbenchError("DELTA_TOO_LARGE",
                                  f"facet {fidx} supports no inner edge")
 
-    curve = TropicalCurve(2, vertices, edges)
+    curve = TropicalCurve(2, vertices, edges, L)
     vrep = validate_curve(curve)
     if not vrep.ok:
         raise WorkbenchError("INTERNAL_INCONSISTENCY",
@@ -1198,17 +1238,26 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
 # suitability of a boundary line configuration
 
 
-def _leaf_line_intersection(base, direction, line: Line):
-    n = len(base)
+def _leaf_line_intersection(base, direction, point):
+    """Where the ray base + t direction, t >= 0, meets the line point +
+    s z, z the direction of a `Line`: base and point are each an
+    integer tuple with its denominator, (X, L).  The system t direction
+    - s z = point - base is solved over the product of the two
+    denominators, in integers; None when they do not meet in one point
+    of the ray."""
+    (X, L), (line, M) = base, point
+    n = len(X)
     rows = [[direction[k], -line.direction[k]] for k in range(n)]
-    rhs = [line.point[k] - base[k] for k in range(n)]
+    rhs = [line.point[k] * L - X[k] * M for k in range(n)]
     d, num, kernel = solve_bareiss(rows, rhs)
     if num is None or kernel:
         return None
-    t = Fraction(num[0], d)
-    if t < 0:
+    # t = num[0] / (d L M), and the meeting point is base + t direction
+    t, LM = num[0], d * L * M
+    if t and (t < 0) != (LM < 0):
         return None
-    return vec_add(base, vec_scale(t, direction))
+    return tuple(Fraction(x * d * M + t * u, LM)
+                 for x, u in zip(X, direction))
 
 
 def _in_convex_hull(x, pts, dim):
@@ -1251,8 +1300,9 @@ def suitability_check(c: TropicalCurve,
         if len(line.point) != c.dim or len(line.direction) != c.dim:
             raise WorkbenchError("DIMENSION_MISMATCH",
                                  f"line {i} is not {c.dim}-dimensional")
-        base = c.position(end.attach)
-        pt = _leaf_line_intersection(base, end.outward, line)
+        pt = _leaf_line_intersection(
+            (c.coords[end.attach], c.denominator), end.outward,
+            (line, lines.denominator))
         if pt is None:
             raise WorkbenchError("NOT_BOUNDARY_CONFIG",
                                  f"line {i} does not meet its leaf")

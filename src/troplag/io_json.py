@@ -4,13 +4,18 @@ Rationals travel as "p/q" strings (plain integers are accepted);
 floating point numbers are rejected everywhere.  Schema violations
 report a JSON-pointer-style path.
 
-The readers build the final records in one pass.  A plain int, or a
-string of ASCII digits with an optional "-" and an optional nonzero
-"/" denominator, is converted directly; any other value goes through
-`Fraction(str)` / `int(str)` and the type checks, which decide what is
-accepted and how it is rejected.  A pointer travels as a tuple of keys
-and indices and is formatted only for an error.  `canonical_json`
-writes the reports directly, byte for byte as
+The readers build the final records in one pass.  A curve's vertex
+positions, and a line configuration's points, are parsed as one list
+of coordinates straight into integers over one common denominator
+(`_rationals`), with no `Fraction` built: when every coordinate is a
+string of ASCII digits with an optional "-" and an optional nonzero "/"
+denominator, the whole list is checked by one regular expression and
+converted by `int`.  Any other list goes coordinate by coordinate
+through `parse_rational`, whose `Fraction(str)` and type checks decide
+what is accepted and how it is rejected.  A pointer travels as a tuple
+of keys and indices and is formatted only for an error.  The writers
+print each coordinate X / L reduced, as `str(Fraction)` does.
+`canonical_json` writes the reports directly, byte for byte as
 `json.dumps(obj, sort_keys=True, indent=2) + "\n"` would, without the
 stdlib's pure-Python indenting encoder.  Within one call it writes a
 tuple object that recurs at the same indentation once and copies that
@@ -23,13 +28,20 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
+from operator import mul
 
-from .curve import Edge, TropicalCurve
+from .curve import Edge, TropicalCurve, over_one_denominator, rational_text
 from .domain import Facet, Line, LineConfiguration, PolyhedralDomain
 from .errors import WorkbenchError
 
-_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+_PLAIN = r"-?[0-9]+(?:/[0-9]+)?"
+_PLAIN_LIST = re.compile(f"{_PLAIN}(?:,{_PLAIN})*").fullmatch
+_BLOCK = 64
+_NUMERATORS = re.compile(r"(-?[0-9]+)(?:/[0-9]+)?").findall
+_DENOMINATORS = re.compile(r"-?[0-9]+(?:/([0-9]+))?").findall
 
 
 def _pointer(where):
@@ -43,32 +55,7 @@ def _schema_error(where, message):
     return WorkbenchError("SCHEMA_ERROR", message, _pointer(where))
 
 
-def _plain_rational(value):
-    """value as a Fraction if it is an int or a plain "n" / "n/d"
-    string with d nonzero; None for anything else, and for digit strings
-    longer than int() accepts."""
-    t = type(value)
-    if t is int:
-        return Fraction(value)
-    if t is str:
-        m = _PLAIN_RATIONAL(value)
-        if m is not None:
-            num, den = m.groups()
-            try:
-                if den is None:
-                    return Fraction(int(num))
-                den = int(den)
-                if den:
-                    return Fraction(int(num), den)
-            except ValueError:
-                pass
-    return None
-
-
 def parse_rational(value, pointer):
-    x = _plain_rational(value)
-    if x is not None:
-        return x
     if isinstance(value, bool):
         raise _schema_error(pointer, "expected a rational, got a boolean")
     if isinstance(value, int):
@@ -121,16 +108,67 @@ def _int_vector(value, where, dim=None):
     return tuple(value)
 
 
-def _rational_vector(value, where, dim=None):
+def _rational_list(value, where, dim=None):
+    """value, checked to be a list of dim coordinates when dim is given;
+    the coordinates are parsed by `_rationals`."""
     if not isinstance(value, list):
         raise _schema_error(where, "expected a list of rationals")
     if dim is not None and len(value) != dim:
         raise _schema_error(where, f"expected {dim} coordinates")
-    out = []
-    for i, v in enumerate(value):
-        x = _plain_rational(v)
-        out.append(parse_rational(v, (*where, i)) if x is None else x)
-    return tuple(out)
+    return value
+
+
+def _plain(text):
+    """The coordinates of rows joined by `_rationals` as (flat, L):
+    integers over one L > 0, in order.  None unless every coordinate is
+    plain, "n" or "n/d" of ASCII digits with d nonzero and no longer
+    than int() takes."""
+    if not _PLAIN_LIST(text):
+        return None
+    try:
+        if "/" not in text:
+            return list(map(int, text.split(","))), 1
+        dens = _DENOMINATORS(text)      # "" where there is none
+        values = {d: int(d) for d in set(dens) if d}
+        if not all(values.values()):
+            return None
+        L = lcm(*values.values())
+        scale = {d: L // v for d, v in values.items()}
+        scale[""] = L
+        return list(map(mul, map(int, _NUMERATORS(text)),
+                        map(scale.__getitem__, dens))), L
+    except ValueError:
+        return None
+
+
+def _rationals(rows, where):
+    """The lists of rational coordinates rows[k] as (X, L): integer
+    tuples X[k] over one L > 0, X[k] / L the point rows[k].  where(k)
+    is the pointer of rows[k], for errors.
+
+    Rows of plain strings are joined by commas and parsed at once
+    (`_plain`), up to _BLOCK rows at a time, which bounds the text and
+    the digit strings alive together; the count of what comes back
+    guards against a coordinate that holds a comma.  Any other rows go
+    through `parse_rational` coordinate by coordinate, which raises the
+    first bad coordinate's error.  L need not be the least denominator;
+    the constructors reduce it."""
+    blocks = []
+    for k in range(0, len(rows), _BLOCK):
+        block = rows[k:k + _BLOCK]
+        try:
+            plain = _plain(",".join(map(",".join, block)))
+        except TypeError:       # a coordinate that is no str
+            plain = None
+        if plain is None or len(plain[0]) != sum(map(len, block)):
+            return over_one_denominator(
+                [parse_rational(v, (*where(k), i)) for i, v in enumerate(row)]
+                for k, row in enumerate(rows))
+        blocks.append(plain)
+    L = lcm(*{b for _, b in blocks})
+    it = chain.from_iterable(flat if b == L else map((L // b).__mul__, flat)
+                             for flat, b in blocks)
+    return [tuple(islice(it, len(row))) for row in rows], L
 
 
 def _load_json(path):
@@ -144,31 +182,92 @@ def _load_json(path):
                              f"invalid JSON: {exc}", f"{path}:{exc.lineno}")
 
 
+def _column(items, key):
+    """[x[key] for x in items] when every item is a dict holding key;
+    None otherwise, for the item-by-item reading."""
+    if set(map(type, items)) - {dict}:
+        return None
+    try:
+        return [x[key] for x in items]
+    except KeyError:
+        return None
+
+
+def _lists(values, dim=None):
+    """Whether values are all lists, each of length dim when dim is
+    given."""
+    return not (set(map(type, values)) - {list}
+                or dim is not None and set(map(len, values)) - {dim})
+
+
+def _exact_ints(vectors, dim=None):
+    """Whether vectors are all lists of exact ints, each of length dim
+    when dim is given."""
+    return _lists(vectors, dim) and \
+        not set(map(type, chain.from_iterable(vectors))) - {int}
+
+
+def _plain_edges(raw, dim):
+    """The edges as `Edge` records when each is a dict with a "tail", a
+    "dir" of dim exact ints, and an exact int "weight" and "leaf_label"
+    where present: what the edge-by-edge reading makes of them.  None
+    for any other list."""
+    tails, dirs = _column(raw, "tail"), _column(raw, "dir")
+    if tails is None or dirs is None or not _exact_ints(dirs, dim):
+        return None
+    weights = [e.get("weight", 1) for e in raw]
+    labels = [e.get("leaf_label") for e in raw]
+    if set(map(type, weights)) - {int} or \
+            set(map(type, labels)) - {int, type(None)}:
+        return None
+    heads = [None if h is None else str(h) for h in
+             [e.get("head") for e in raw]]
+    return list(map(Edge, map(str, tails), heads, map(tuple, dirs), weights,
+                    labels))
+
+
 def curve_from_dict(data) -> TropicalCurve:
     dim = parse_int(_need(data, "dim", ()), "/dim")
     raw_vertices = _need(data, "vertices", ())
     raw_edges = _need(data, "edges", ())
     if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
         raise _schema_error("/", "vertices and edges must be lists")
-    vertices = []
-    for i, v in enumerate(raw_vertices):
-        where = ("vertices", i)
-        vid = _need(v, "id", where)
-        pos = _rational_vector(_need(v, "pos", where), (*where, "pos"), dim)
-        vertices.append((str(vid), pos))
-    edges = []
-    for i, e in enumerate(raw_edges):
-        where = ("edges", i)
-        tail = str(_need(e, "tail", where))
-        head = e.get("head")
-        head = None if head is None else str(head)
-        direction = _int_vector(_need(e, "dir", where), (*where, "dir"), dim)
-        weight = parse_int(e.get("weight", 1), (*where, "weight"))
-        label = e.get("leaf_label")
-        label = None if label is None else parse_int(
-            label, (*where, "leaf_label"))
-        edges.append(Edge(tail, head, direction, weight, label))
-    return TropicalCurve(dim, vertices, edges)
+
+    def pos_at(k):
+        return ("vertices", k, "pos")
+
+    ids, rows = _column(raw_vertices, "id"), _column(raw_vertices, "pos")
+    if ids is not None and rows is not None and _lists(rows, dim):
+        ids = list(map(str, ids))
+    else:
+        ids, rows = [], []
+        try:
+            for i, v in enumerate(raw_vertices):
+                vid = _need(v, "id", ("vertices", i))
+                rows.append(_rational_list(_need(v, "pos", ("vertices", i)),
+                                           pos_at(i), dim))
+                ids.append(str(vid))
+        except WorkbenchError:
+            _rationals(rows, pos_at)    # an earlier vertex's error first
+            raise
+    X, L = _rationals(rows, pos_at)
+    edges = _plain_edges(raw_edges, dim)
+    if edges is None:
+        edges = []
+        for i, e in enumerate(raw_edges):
+            where = ("edges", i)
+            tail = str(_need(e, "tail", where))
+            head = e.get("head")
+            head = None if head is None else str(head)
+            direction = _int_vector(_need(e, "dir", where), (*where, "dir"),
+                                    dim)
+            # an Edge's weight is an exact int
+            weight = int(parse_int(e.get("weight", 1), (*where, "weight")))
+            label = e.get("leaf_label")
+            label = None if label is None else parse_int(
+                label, (*where, "leaf_label"))
+            edges.append(Edge(tail, head, direction, weight, label))
+    return TropicalCurve(dim, zip(ids, X), edges, L)
 
 
 def load_curve(path) -> TropicalCurve:
@@ -178,8 +277,9 @@ def load_curve(path) -> TropicalCurve:
 def curve_to_dict(c: TropicalCurve):
     return {
         "dim": c.dim,
-        "vertices": [{"id": vid, "pos": [str(x) for x in pos]}
-                     for vid, pos in c.vertices.items()],
+        "vertices": [{"id": vid,
+                      "pos": [rational_text(x, c.denominator) for x in pos]}
+                     for vid, pos in c.coords.items()],
         "edges": [{"tail": e.tail, "head": e.head,
                    "dir": list(e.direction), "weight": e.weight,
                    "leaf_label": e.leaf_label}
@@ -216,13 +316,27 @@ def lines_from_dict(data) -> LineConfiguration:
     raw = _need(data, "lines", ())
     if not isinstance(raw, list):
         raise _schema_error("/lines", "expected a list")
-    lines = []
-    for i, l in enumerate(raw):
-        where = ("lines", i)
-        point = _rational_vector(_need(l, "point", where), (*where, "point"))
-        direction = _int_vector(_need(l, "dir", where), (*where, "dir"))
-        lines.append(Line(point, direction))
-    return LineConfiguration(lines)
+
+    def point_at(k):
+        return ("lines", k, "point")
+
+    rows, dirs = _column(raw, "point"), _column(raw, "dir")
+    if rows is not None and dirs is not None and _lists(rows) and \
+            _exact_ints(dirs):
+        dirs = list(map(tuple, dirs))
+    else:
+        rows, dirs = [], []
+        try:
+            for i, l in enumerate(raw):
+                rows.append(_rational_list(_need(l, "point", ("lines", i)),
+                                           point_at(i)))
+                dirs.append(_int_vector(_need(l, "dir", ("lines", i)),
+                                        ("lines", i, "dir")))
+        except WorkbenchError:
+            _rationals(rows, point_at)  # an earlier point's error first
+            raise
+    X, L = _rationals(rows, point_at)
+    return LineConfiguration(map(Line, X, dirs), L)
 
 
 def load_lines(path) -> LineConfiguration:
@@ -230,7 +344,8 @@ def load_lines(path) -> LineConfiguration:
 
 
 def lines_to_dict(lc: LineConfiguration):
-    return {"lines": [{"point": [str(x) for x in l.point],
+    L = lc.denominator
+    return {"lines": [{"point": [rational_text(x, L) for x in l.point],
                        "dir": list(l.direction)} for l in lc.lines]}
 
 

@@ -312,8 +312,8 @@ def splitting_check(c: TropicalCurve, edge_index: int,
     e = c.edges[edge_index]
     if not e.bounded:
         raise WorkbenchError("SPLIT_UNBOUNDED", "edge must be bounded")
-    mid = tuple(Fraction(a + b, 2) for a, b in
-                zip(c.position(e.tail), c.position(e.head)))
+    mid = tuple(Fraction(a + b, 2 * c.denominator) for a, b in
+                zip(c.coords[e.tail], c.coords[e.head]))
     res = split_at_edge(c, edge_index, mid)
 
     zs = [tuple(z) for z in zs]
@@ -411,7 +411,8 @@ def enumerate_count(degree, lines: LineConfiguration,
     of the junctions, each bounded edge length follows from a child
     plane that is not parallel to the edge, with every position kept as
     integers over one positive denominator.  The right-hand sides
-    rho_j . q_j are scaled to integers once per call.  A type is kept
+    rho_j . q_j are integers over the lines' one denominator
+    (`LineConfiguration`).  A type is kept
     when all lengths are positive, and the total sums |D| over the kept
     types (the lattice index of the evaluation map).  An exactly-zero
     length means the configuration is not generic.  D = 0 has three
@@ -419,8 +420,9 @@ def enumerate_count(degree, lines: LineConfiguration,
     plane is 0 up to ref), an inconsistent system (a "singular" type
     without curves, decided on the tree by `_inconsistent_type`), or a
     solvable one, which is not generic either.  A line parallel to its
-    leaf (d x z = 0) is rejected before any type.  Fractions (vertex
-    positions) are built only for kept types.
+    leaf (d x z = 0) is rejected before any type.  A kept type's curve
+    is built from the same integers, over one denominator; no Fraction
+    is built.
     """
     degree = [tuple(d) for d in degree]
     kappa = len(degree)
@@ -445,9 +447,9 @@ def enumerate_count(degree, lines: LineConfiguration,
             raise WorkbenchError("NON_GENERIC_CONFIG",
                                  f"line {j} is parallel to leaf {j} "
                                  f"(d x z = 0)")
-    rhs = [Fraction(dot(rho, l.point)) for rho, l in zip(rhos, lines.lines)]
-    scale = lcm(*(r.denominator for r in rhs))
-    rhs = [r.numerator * (scale // r.denominator) for r in rhs]
+    # rho_j . q_j times the lines' one denominator, in integers
+    scale = lines.denominator
+    rhs = [dot(rho, l.point) for rho, l in zip(rhos, lines.lines)]
     leaf_planes = list(zip(rhos, rhs))
     # each leaf ray's direction and weight, for the curves of kept types
     rays = [(primitive_raw(d), content(d)) for d in degree]
@@ -566,7 +568,9 @@ def enumerate_count(degree, lines: LineConfiguration,
             outcomes.append(TypeOutcome(edges, "rejected", det, None))
             continue
 
-        verts = [(f"n{v}", tuple(Fraction(t, den[v] * scale) for t in pos[v]))
+        # positions pos[v] / (den[v] scale) over one denominator
+        L = lcm(*{den[v] for v in junctions})
+        verts = [(f"n{v}", vec_scale(L // den[v], pos[v]))
                  for v in junctions]
         rays_and_edges = []
         for a, b in edges:
@@ -576,7 +580,7 @@ def enumerate_count(degree, lines: LineConfiguration,
                 v = below[b] if parent[b] == a else vec_neg(below[a])
                 rays_and_edges.append(Edge(f"n{a}", f"n{b}", primitive_raw(v),
                                            content(v), None))
-        curve = TropicalCurve(3, verts, rays_and_edges)
+        curve = TropicalCurve(3, verts, rays_and_edges, L * scale)
         outcomes.append(TypeOutcome(edges, "accepted", det, curve))
         total += det
     return EnumerationResult(total, tuple(outcomes))

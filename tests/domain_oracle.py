@@ -17,7 +17,8 @@ it wrote a curve over one common denominator: every point located in
 Fractions, one midpoint per bounded edge, the ray exits from `_ray_exit`
 and the crossings from the all-pairs `curve_self_crossings`, over the
 Fraction edge geometries (`edge_geometries`) that the package no longer
-uses.
+uses.  `_ray_exit` is the Fraction version the package had before it
+computed the exit from a curve's integer coordinates.
 """
 
 from __future__ import annotations
@@ -27,11 +28,23 @@ from math import lcm
 
 from troplag.curve import Edge, TropicalCurve, point_text, validate_curve
 from troplag.domain import (EvennessReport, _classify_at, _fm_point, _frame,
-                            _ray_exit, _tight_at, validate_delzant)
+                            _tight_at, validate_delzant)
 from troplag.errors import Record, WorkbenchError
 from troplag.lattice import (dot, primitive_raw, rank_exact, rot90,
                              solve_bareiss, vec_add, vec_neg, vec_scale,
                              vec_sub)
+
+
+def _ray_exit(domain, base, direction):
+    """First positive parameter at which the ray leaves the domain."""
+    t_exit = None
+    for f in domain.facets:
+        slope = dot(f.normal, direction)
+        if slope < 0:
+            t = Fraction(f.offset - dot(f.normal, base), slope)
+            if t_exit is None or t < t_exit:
+                t_exit = t
+    return t_exit
 
 
 def fm_point(ineqs, nvars):

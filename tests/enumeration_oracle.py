@@ -94,7 +94,8 @@ def enumerate_count(degree, lines) -> EnumerationResult:
             raise WorkbenchError("NON_GENERIC_CONFIG",
                                  f"line {j} is parallel to leaf {j} "
                                  f"(d x z = 0)")
-    rhs = [Fraction(dot(rho, l.point)) for rho, l in zip(rhos, lines.lines)]
+    rhs = [Fraction(dot(rho, l.point), lines.denominator)
+           for rho, l in zip(rhos, lines.lines)]
     scale = lcm(*(r.denominator for r in rhs))
     rhs = [r.numerator * (scale // r.denominator) for r in rhs]
     leaf_planes = list(zip(rhos, rhs))

@@ -1,8 +1,15 @@
+import importlib.util
 import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_path
+import io_oracle
+from conftest import fixture_path, load_fixture_json
 
 from troplag.errors import WorkbenchError
 from troplag.io_json import (canonical_json, curve_from_dict, curve_to_dict,
@@ -61,3 +68,186 @@ def test_big_integers_accepted_as_strings():
         "edges": [{"tail": "a", "head": "b", "dir": [1, 0],
                    "weight": str(big)}]})
     assert c.edges[0].weight == big
+
+
+# ---------------------------------------------------------------------------
+# the readers against the Fraction readers they replaced (io_oracle)
+
+ROOT = Path(__file__).resolve().parents[1]
+CURVE_FIXTURES = sorted(p.name for p in (ROOT / "fixtures").glob(
+    "*.curve.json"))
+LINES_FIXTURES = sorted(p.name for p in (ROOT / "fixtures").glob(
+    "*.lines.json"))
+
+
+SETTINGS = settings(max_examples=300, deadline=None, database=None,
+                    derandomize=True)
+
+
+class Count(int):
+    """An int subclass, which a coordinate list may hold."""
+
+
+def _outcome(fn, key, data):
+    try:
+        value = fn(data)
+    except WorkbenchError as err:
+        return ("error", err.code, str(err), err.pointer)
+    return ("ok", key(value))
+
+
+def _ends(c):
+    try:
+        return c.ends()
+    except WorkbenchError as err:
+        return str(err)
+
+
+def _curve_key(c):
+    """Everything a reader's curve shows: positions as Fractions, the
+    Edge records and the types in them, the ends, the incidence and the
+    written bytes."""
+    return (c.dim, list(c.vertices.items()), c.edges,
+            [(type(e.direction), type(e.weight)) for e in c.edges],
+            _ends(c), {v: c.incident(v) for v in c.vertices},
+            canonical_json(curve_to_dict(c)))
+
+
+def _lines_key(lc):
+    return ([lc.point(j) for j in range(len(lc))], lc.lines, lc.denominator,
+            canonical_json(lines_to_dict(lc)))
+
+
+def _same_curve(data):
+    assert _outcome(curve_from_dict, _curve_key, data) == \
+        _outcome(io_oracle.curve_from_dict, _curve_key, data)
+
+
+def _same_lines(data):
+    assert _outcome(lines_from_dict, _lines_key, data) == \
+        _outcome(io_oracle.lines_from_dict, _lines_key, data)
+
+
+@pytest.mark.parametrize("name", CURVE_FIXTURES + LINES_FIXTURES)
+def test_readers_match_oracle_on_fixtures(name):
+    data = load_fixture_json(name)
+    (_same_curve if name.endswith(".curve.json") else _same_lines)(data)
+
+
+def _perfbench_pools(workload, seeds):
+    """The input pools the benchmark draws for a workload and seeds."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    bytecode = sys.dont_write_bytecode
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", ROOT / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+        sys.dont_write_bytecode = bytecode
+    return [p for seed in seeds for p in
+            run.INPUTS[workload](random.Random(f"{workload}:{seed}"))[0]]
+
+
+def test_readers_match_oracle_on_benchmark_pools():
+    for p in _perfbench_pools("trees", (1, 2, 3)):
+        _same_curve(p["curve"])
+        _same_lines(p["lines"])
+    for p in _perfbench_pools("enumerate", (1, 2, 3)):
+        _same_lines(p["lines"])
+
+
+def test_readers_match_oracle_past_one_block():
+    """Lists of 200 points, parsed in blocks of rows: whole-number
+    blocks beside fractional ones, and a fallback form or a rejected
+    value in a late block."""
+    rng = random.Random(11)
+    for late in (None, "+3", " 4 ", "٣/7", "1/0", "3/-4", True, 7):
+        rows = [[str(k), f"{rng.randint(-9, 9)}/{3 if k > 100 else 1}"]
+                for k in range(200)]
+        if late is not None:
+            rows[150][1] = late
+        _same_curve({"dim": 2, "edges": [], "vertices": [
+            {"id": f"v{k}", "pos": pos} for k, pos in enumerate(rows)]})
+        _same_lines({"lines": [{"point": pos, "dir": [1, 0]}
+                               for pos in rows]})
+
+
+def test_plain_fixtures_parse_without_fractions(monkeypatch):
+    """Every fixture writes its coordinates in the plain grammar, and
+    reading one builds no Fraction: the positions and points go
+    straight into integers over one denominator."""
+    built = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    docs = {n: load_fixture_json(n) for n in CURVE_FIXTURES + LINES_FIXTURES}
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    for name, data in docs.items():
+        read = curve_from_dict if name in CURVE_FIXTURES else lines_from_dict
+        assert read(data) is not None and built == [], name
+    assert Fraction(1, 2) and built == [(1, 2)]
+
+
+# plain coordinates, forms only the Fraction(str) fallback accepts, and
+# rejected values: each kind anywhere in a list
+PLAIN = (st.integers(-10 ** 6, 10 ** 6).map(str)
+         | st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(
+             lambda t: f"{t[0]}/{t[1]}")
+         | st.sampled_from(["-0", "007", "03/04", "6/8", "-12/4", "0/5",
+                            str(10 ** 40), f"-{10 ** 30}/{10 ** 29 + 7}"]))
+FALLBACK = st.sampled_from(
+    ["+3", " 4 ", "1.5", "2e1", "1_000", "٣", "3/4 ", "-1.25", "+3/4",
+     "٣/٤", 0, -7, 10 ** 30, Count(5)])
+REJECTED = st.sampled_from(
+    ["1/0", "3/-4", "3/00", "", "/", "3/", "--3", "1,2", "1, 2", ",",
+     "0x10", "½", "1" * 5000, "1/" + "7" * 5000, True, False, None, 0.5,
+     1e30, [], {}, ["1"], Fraction(1, 2)])
+COORDINATES = st.lists(st.one_of(PLAIN, PLAIN, FALLBACK, REJECTED),
+                       max_size=4)
+
+
+@st.composite
+def curve_documents(draw):
+    dim = draw(st.integers(1, 3))
+    vertices = []
+    for k in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["list"] * 6 + ["short", "missing",
+                                                     "string", "no id"]))
+        v = {"id": f"v{k}"}
+        if shape in ("list", "no id"):
+            v["pos"] = draw(st.lists(st.one_of(PLAIN, PLAIN, PLAIN, FALLBACK,
+                                               REJECTED),
+                                     min_size=dim, max_size=dim))
+        elif shape == "short":
+            v["pos"] = draw(st.lists(PLAIN, max_size=dim - 1))
+        elif shape == "string":
+            v["pos"] = "0"
+        if shape == "no id":
+            del v["id"]
+        vertices.append(v)
+    edges = [{"tail": "v0", "dir": [1] + [0] * (dim - 1), "leaf_label": 0}]
+    if len(vertices) > 1:
+        edges.append({"tail": "v0", "head": "v1", "dir": [-1] * dim})
+    return {"dim": dim, "vertices": vertices, "edges": edges}
+
+
+@SETTINGS
+@given(curve_documents())
+def test_curve_reader_matches_oracle_on_drawn_coordinates(data):
+    _same_curve(data)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(
+    st.builds(lambda p, d: {"point": p, "dir": d}, COORDINATES,
+              st.just([1, 2, 3])),
+    st.builds(lambda p: {"point": p, "dir": [0, "x"]}, COORDINATES),
+    st.builds(lambda p: {"dir": [1]}, COORDINATES),
+    st.just({"point": "0", "dir": [1]})), max_size=4))
+def test_lines_reader_matches_oracle_on_drawn_coordinates(lines):
+    _same_lines({"lines": lines})

@@ -609,7 +609,7 @@ def reference_enumerate(degree, lines):
     degree = [tuple(d) for d in degree]
     kappa = len(degree)
     zs = [l.direction for l in lines.lines]
-    qs = [l.point for l in lines.lines]
+    qs = [lines.point(j) for j in range(len(lines))]
     rhos = [cross(d, z) for d, z in zip(degree, zs)]
     for j, rho in enumerate(rhos):
         if is_zero(rho):
