@@ -124,7 +124,9 @@ class LineConfiguration:
     Without a denominator, `lines` are `Line` records or dicts with the
     keys of the JSON format whose points are rationals, as library
     callers pass them; with one, `Line` records with integer points over
-    it, as the reader builds them."""
+    it, as the reader builds them.  The records of a configuration hold
+    their points over its denominator, so they go into another one with
+    that denominator, or rebuilt from `point(j)`."""
 
     def __init__(self, lines, denominator=None):
         if denominator is None:

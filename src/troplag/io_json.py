@@ -11,8 +11,10 @@ of coordinates straight into integers over one common denominator
 string of ASCII digits with an optional "-" and an optional nonzero "/"
 denominator, the whole list is checked by one regular expression and
 converted by `int`.  Any other list goes coordinate by coordinate
-through `parse_rational`, whose `Fraction(str)` and type checks decide
-what is accepted and how it is rejected.  A pointer travels as a tuple
+through `parse_rational`, as a facet offset does: a plain int or string
+is converted directly (`_plain_rational`), and any other value goes
+through `Fraction(str)` and the type checks, which decide what is
+accepted and how it is rejected.  A pointer travels as a tuple
 of keys and indices and is formatted only for an error.  The writers
 print each coordinate X / L reduced, as `str(Fraction)` does.
 `canonical_json` writes the reports directly, byte for byte as
@@ -37,11 +39,11 @@ from .curve import Edge, TropicalCurve, over_one_denominator, rational_text
 from .domain import Facet, Line, LineConfiguration, PolyhedralDomain
 from .errors import WorkbenchError
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_PLAIN_RATIONAL = _RATIONAL.fullmatch
 _PLAIN = r"-?[0-9]+(?:/[0-9]+)?"
 _PLAIN_LIST = re.compile(f"{_PLAIN}(?:,{_PLAIN})*").fullmatch
-_BLOCK = 64
-_NUMERATORS = re.compile(r"(-?[0-9]+)(?:/[0-9]+)?").findall
-_DENOMINATORS = re.compile(r"-?[0-9]+(?:/([0-9]+))?").findall
+_BLOCK = 64        # rows of coordinates parsed at once (`_rationals`)
 
 
 def _pointer(where):
@@ -55,7 +57,32 @@ def _schema_error(where, message):
     return WorkbenchError("SCHEMA_ERROR", message, _pointer(where))
 
 
+def _plain_rational(value):
+    """value as a Fraction if it is an int or a plain "n" / "n/d"
+    string with d nonzero; None for anything else, and for digit strings
+    longer than int() accepts."""
+    t = type(value)
+    if t is int:
+        return Fraction(value)
+    if t is str:
+        m = _PLAIN_RATIONAL(value)
+        if m is not None:
+            num, den = m.groups()
+            try:
+                if den is None:
+                    return Fraction(int(num))
+                den = int(den)
+                if den:
+                    return Fraction(int(num), den)
+            except ValueError:
+                pass
+    return None
+
+
 def parse_rational(value, pointer):
+    x = _plain_rational(value)
+    if x is not None:
+        return x
     if isinstance(value, bool):
         raise _schema_error(pointer, "expected a rational, got a boolean")
     if isinstance(value, int):
@@ -128,14 +155,14 @@ def _plain(text):
     try:
         if "/" not in text:
             return list(map(int, text.split(","))), 1
-        dens = _DENOMINATORS(text)      # "" where there is none
+        nums, dens = zip(*_RATIONAL.findall(text))  # den "" if none
         values = {d: int(d) for d in set(dens) if d}
         if not all(values.values()):
             return None
         L = lcm(*values.values())
         scale = {d: L // v for d, v in values.items()}
         scale[""] = L
-        return list(map(mul, map(int, _NUMERATORS(text)),
+        return list(map(mul, map(int, nums),
                         map(scale.__getitem__, dens))), L
     except ValueError:
         return None
@@ -143,8 +170,8 @@ def _plain(text):
 
 def _rationals(rows, where):
     """The lists of rational coordinates rows[k] as (X, L): integer
-    tuples X[k] over one L > 0, X[k] / L the point rows[k].  where(k)
-    is the pointer of rows[k], for errors.
+    tuples X[k] over one L > 0, X[k] / L the point rows[k].  where(k, i)
+    is the pointer of rows[k][i], for errors.
 
     Rows of plain strings are joined by commas and parsed at once
     (`_plain`), up to _BLOCK rows at a time, which bounds the text and
@@ -154,15 +181,15 @@ def _rationals(rows, where):
     first bad coordinate's error.  L need not be the least denominator;
     the constructors reduce it."""
     blocks = []
-    for k in range(0, len(rows), _BLOCK):
-        block = rows[k:k + _BLOCK]
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start:start + _BLOCK]
         try:
             plain = _plain(",".join(map(",".join, block)))
         except TypeError:       # a coordinate that is no str
             plain = None
         if plain is None or len(plain[0]) != sum(map(len, block)):
             return over_one_denominator(
-                [parse_rational(v, (*where(k), i)) for i, v in enumerate(row)]
+                [parse_rational(v, where(k, i)) for i, v in enumerate(row)]
                 for k, row in enumerate(rows))
         blocks.append(plain)
     L = lcm(*{b for _, b in blocks})
@@ -233,8 +260,8 @@ def curve_from_dict(data) -> TropicalCurve:
     if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
         raise _schema_error("/", "vertices and edges must be lists")
 
-    def pos_at(k):
-        return ("vertices", k, "pos")
+    def pos_at(k, i):
+        return ("vertices", k, "pos", i)
 
     ids, rows = _column(raw_vertices, "id"), _column(raw_vertices, "pos")
     if ids is not None and rows is not None and _lists(rows, dim):
@@ -245,7 +272,7 @@ def curve_from_dict(data) -> TropicalCurve:
             for i, v in enumerate(raw_vertices):
                 vid = _need(v, "id", ("vertices", i))
                 rows.append(_rational_list(_need(v, "pos", ("vertices", i)),
-                                           pos_at(i), dim))
+                                           ("vertices", i, "pos"), dim))
                 ids.append(str(vid))
         except WorkbenchError:
             _rationals(rows, pos_at)    # an earlier vertex's error first
@@ -317,8 +344,8 @@ def lines_from_dict(data) -> LineConfiguration:
     if not isinstance(raw, list):
         raise _schema_error("/lines", "expected a list")
 
-    def point_at(k):
-        return ("lines", k, "point")
+    def point_at(k, i):
+        return ("lines", k, "point", i)
 
     rows, dirs = _column(raw, "point"), _column(raw, "dir")
     if rows is not None and dirs is not None and _lists(rows) and \
@@ -329,7 +356,7 @@ def lines_from_dict(data) -> LineConfiguration:
         try:
             for i, l in enumerate(raw):
                 rows.append(_rational_list(_need(l, "point", ("lines", i)),
-                                           point_at(i)))
+                                           ("lines", i, "point")))
                 dirs.append(_int_vector(_need(l, "dir", ("lines", i)),
                                         ("lines", i, "dir")))
         except WorkbenchError:
