@@ -412,9 +412,9 @@ def enumerate_count(degree, lines: LineConfiguration,
     plane that is not parallel to the edge, with every position kept as
     integers over one positive denominator.  The right-hand sides
     rho_j . q_j are integers over the lines' one denominator
-    (`LineConfiguration`).  A type is kept
-    when all lengths are positive, and the total sums |D| over the kept
-    types (the lattice index of the evaluation map).  An exactly-zero
+    (`LineConfiguration`).  A type is kept when all lengths are
+    positive, and the total sums |D| over the kept types (the lattice
+    index of the evaluation map).  An exactly-zero
     length means the configuration is not generic.  D = 0 has three
     causes: a zero sum on a bounded edge (the type is "degenerate": its
     plane is 0 up to ref), an inconsistent system (a "singular" type

@@ -78,8 +78,6 @@ CURVE_FIXTURES = sorted(p.name for p in (ROOT / "fixtures").glob(
     "*.curve.json"))
 LINES_FIXTURES = sorted(p.name for p in (ROOT / "fixtures").glob(
     "*.lines.json"))
-
-
 SETTINGS = settings(max_examples=300, deadline=None, database=None,
                     derandomize=True)
 
