@@ -14,7 +14,7 @@ checked inside a domain is written once over one common denominator
 (`_common_denominator`): its facet values, edge midpoints and crossing
 sweep are integer-only, and `_meet` and `wavefront` build a `Fraction`
 only for a point they return.  Ray exits and leaf-line meets are
-computed in Fractions.
+found from integer coordinates too and returned as Fractions.
 
 The Delzant check visits the faces of the domain, not its facet subsets
 (`_face_sets`).  A full-dimensional domain of dimension >= 3 is first
@@ -32,7 +32,7 @@ normals have |det| = 1 is saturated; only the others need a Smith form.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import add, le, mul
 
@@ -108,38 +108,42 @@ def _located(values):
 
 
 class Line(Record):
-    __slots__ = ("point", "direction")
+    __slots__ = ("point", "direction", "denominator")
 
     # Hand-written: one Line per input line, faster than Record's loop.
-    def __init__(self, point: tuple, direction: tuple):
-        self.point = point          # base point, as its configuration keeps it
-        self.direction = direction  # primitive integer direction
+    def __init__(self, point: tuple, direction: tuple, denominator=1):
+        self.point = point              # the base point is point / denominator
+        self.direction = direction      # primitive integer direction
+        self.denominator = denominator  # a positive int
 
 
 class LineConfiguration:
     """Lines whose base points are integer tuples over one positive
     common denominator, the least one: line j passes through
-    lines[j].point / denominator.
+    lines[j].point / denominator, and each record holds that denominator.
 
-    Without a denominator, `lines` are `Line` records or dicts with the
-    keys of the JSON format whose points are rationals, as library
-    callers pass them; with one, `Line` records with integer points over
-    it, as the reader builds them.  The records of a configuration hold
-    their points over its denominator, so they go into another one with
-    that denominator, or rebuilt from `point(j)`."""
+    `lines` are `Line` records, or dicts with the keys of the JSON format
+    whose points are rationals.  Records whose points are exact ints over
+    one denominator, as the reader and every configuration build them,
+    are taken as they are; any other point is read as rationals over its
+    record's denominator."""
 
-    def __init__(self, lines, denominator=None):
-        if denominator is None:
-            lines = [l if isinstance(l, Line)
-                     else Line(l["point"], tuple(l["dir"])) for l in lines]
-            points, denominator = over_one_denominator(
-                [l.point for l in lines])
+    def __init__(self, lines):
+        lines = [l if isinstance(l, Line)
+                 else Line(tuple(l["point"]), tuple(l["dir"]))
+                 for l in lines]
+        points = [l.point for l in lines]
+        dens = {l.denominator for l in lines}
+        if len(dens) == 1 and \
+                not set(map(type, chain.from_iterable(points))) - {int}:
+            points, denominator = least_denominator(points, dens.pop())
         else:
-            lines = list(lines)
-            points, denominator = least_denominator(
-                [l.point for l in lines], denominator)
+            points, denominator = over_one_denominator(
+                [[as_rational(x) / l.denominator for x in l.point]
+                 for l in lines])
         self.lines = tuple(
-            l if l.point is p else Line(p, l.direction)
+            l if l.point is p and l.denominator == denominator
+            else Line(p, l.direction, denominator)
             for l, p in zip(lines, points))
         self.denominator = denominator
         if not all(map(any, (l.direction for l in self.lines))):
@@ -1102,17 +1106,15 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
             raise
         issues.append("self-intersection locus is not finite")
         crossings = ()
-    # the crossings over L; one off it meets no boundary point or vertex
-    cross_pts = {}
-    for cr in crossings:
-        p = _over(cr["point"], L)
-        if p is not None:
-            cross_pts.setdefault(p, cr["point"])
+    # each crossing point over L, None when off it (it then meets no
+    # boundary point or vertex), in the order of the set of the points
+    cross_pts = {pt: _over(pt, L) for pt in {cr["point"] for cr in crossings}}
+    cross_ints = set(cross_pts.values())
     for info, p in zip(boundary, pts):
-        if p in cross_pts:
+        if p in cross_ints:
             issues.append(f"boundary point {point_text(info.point)} "
                           "is a self-intersection")
-    for p, pt in cross_pts.items():
+    for pt, p in cross_pts.items():
         if p in vertex_positions:
             issues.append(f"vertex at {point_text(pt)} lies on another edge")
 

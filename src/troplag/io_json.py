@@ -209,50 +209,6 @@ def _load_json(path):
                              f"invalid JSON: {exc}", f"{path}:{exc.lineno}")
 
 
-def _column(items, key):
-    """[x[key] for x in items] when every item is a dict holding key;
-    None otherwise, for the item-by-item reading."""
-    if set(map(type, items)) - {dict}:
-        return None
-    try:
-        return [x[key] for x in items]
-    except KeyError:
-        return None
-
-
-def _lists(values, dim=None):
-    """Whether values are all lists, each of length dim when dim is
-    given."""
-    return not (set(map(type, values)) - {list}
-                or dim is not None and set(map(len, values)) - {dim})
-
-
-def _exact_ints(vectors, dim=None):
-    """Whether vectors are all lists of exact ints, each of length dim
-    when dim is given."""
-    return _lists(vectors, dim) and \
-        not set(map(type, chain.from_iterable(vectors))) - {int}
-
-
-def _plain_edges(raw, dim):
-    """The edges as `Edge` records when each is a dict with a "tail", a
-    "dir" of dim exact ints, and an exact int "weight" and "leaf_label"
-    where present: what the edge-by-edge reading makes of them.  None
-    for any other list."""
-    tails, dirs = _column(raw, "tail"), _column(raw, "dir")
-    if tails is None or dirs is None or not _exact_ints(dirs, dim):
-        return None
-    weights = [e.get("weight", 1) for e in raw]
-    labels = [e.get("leaf_label") for e in raw]
-    if set(map(type, weights)) - {int} or \
-            set(map(type, labels)) - {int, type(None)}:
-        return None
-    heads = [None if h is None else str(h) for h in
-             [e.get("head") for e in raw]]
-    return list(map(Edge, map(str, tails), heads, map(tuple, dirs), weights,
-                    labels))
-
-
 def curve_from_dict(data) -> TropicalCurve:
     dim = parse_int(_need(data, "dim", ()), "/dim")
     raw_vertices = _need(data, "vertices", ())
@@ -263,37 +219,30 @@ def curve_from_dict(data) -> TropicalCurve:
     def pos_at(k, i):
         return ("vertices", k, "pos", i)
 
-    ids, rows = _column(raw_vertices, "id"), _column(raw_vertices, "pos")
-    if ids is not None and rows is not None and _lists(rows, dim):
-        ids = list(map(str, ids))
-    else:
-        ids, rows = [], []
-        try:
-            for i, v in enumerate(raw_vertices):
-                vid = _need(v, "id", ("vertices", i))
-                rows.append(_rational_list(_need(v, "pos", ("vertices", i)),
-                                           ("vertices", i, "pos"), dim))
-                ids.append(str(vid))
-        except WorkbenchError:
-            _rationals(rows, pos_at)    # an earlier vertex's error first
-            raise
+    ids, rows = [], []
+    try:
+        for i, v in enumerate(raw_vertices):
+            vid = _need(v, "id", ("vertices", i))
+            rows.append(_rational_list(_need(v, "pos", ("vertices", i)),
+                                       ("vertices", i, "pos"), dim))
+            ids.append(str(vid))
+    except WorkbenchError:
+        _rationals(rows, pos_at)    # an earlier vertex's error first
+        raise
     X, L = _rationals(rows, pos_at)
-    edges = _plain_edges(raw_edges, dim)
-    if edges is None:
-        edges = []
-        for i, e in enumerate(raw_edges):
-            where = ("edges", i)
-            tail = str(_need(e, "tail", where))
-            head = e.get("head")
-            head = None if head is None else str(head)
-            direction = _int_vector(_need(e, "dir", where), (*where, "dir"),
-                                    dim)
-            # an Edge's weight is an exact int
-            weight = int(parse_int(e.get("weight", 1), (*where, "weight")))
-            label = e.get("leaf_label")
-            label = None if label is None else parse_int(
-                label, (*where, "leaf_label"))
-            edges.append(Edge(tail, head, direction, weight, label))
+    edges = []
+    for i, e in enumerate(raw_edges):
+        where = ("edges", i)
+        tail = str(_need(e, "tail", where))
+        head = e.get("head")
+        head = None if head is None else str(head)
+        direction = _int_vector(_need(e, "dir", where), (*where, "dir"), dim)
+        # an Edge's weight is an exact int
+        weight = int(parse_int(e.get("weight", 1), (*where, "weight")))
+        label = e.get("leaf_label")
+        label = None if label is None else parse_int(
+            label, (*where, "leaf_label"))
+        edges.append(Edge(tail, head, direction, weight, label))
     return TropicalCurve(dim, zip(ids, X), edges, L)
 
 
@@ -347,23 +296,18 @@ def lines_from_dict(data) -> LineConfiguration:
     def point_at(k, i):
         return ("lines", k, "point", i)
 
-    rows, dirs = _column(raw, "point"), _column(raw, "dir")
-    if rows is not None and dirs is not None and _lists(rows) and \
-            _exact_ints(dirs):
-        dirs = list(map(tuple, dirs))
-    else:
-        rows, dirs = [], []
-        try:
-            for i, l in enumerate(raw):
-                rows.append(_rational_list(_need(l, "point", ("lines", i)),
-                                           ("lines", i, "point")))
-                dirs.append(_int_vector(_need(l, "dir", ("lines", i)),
-                                        ("lines", i, "dir")))
-        except WorkbenchError:
-            _rationals(rows, point_at)  # an earlier point's error first
-            raise
+    rows, dirs = [], []
+    try:
+        for i, l in enumerate(raw):
+            rows.append(_rational_list(_need(l, "point", ("lines", i)),
+                                       ("lines", i, "point")))
+            dirs.append(_int_vector(_need(l, "dir", ("lines", i)),
+                                    ("lines", i, "dir")))
+    except WorkbenchError:
+        _rationals(rows, point_at)  # an earlier point's error first
+        raise
     X, L = _rationals(rows, point_at)
-    return LineConfiguration(map(Line, X, dirs), L)
+    return LineConfiguration([Line(x, z, L) for x, z in zip(X, dirs)])
 
 
 def load_lines(path) -> LineConfiguration:

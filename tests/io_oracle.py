@@ -1,10 +1,11 @@
-"""The JSON readers of curves and line configurations as the package
-had them before it parsed coordinate lists straight into integers over
-one denominator, kept verbatim as an independent reference for the
-tests: `curve_from_dict` and `lines_from_dict` build one `Fraction` per
-coordinate, through `_plain_rational` or, for any other form,
-`parse_rational`.  They hand those rationals to the package's
-constructors, which take rationals from library callers.
+"""The JSON readers as the package had them before it parsed coordinate
+lists straight into integers over one denominator, kept verbatim as the
+one independent reference reader for the tests: `curve_from_dict` and
+`lines_from_dict` build one `Fraction` per coordinate, through
+`_plain_rational` or, for any other form, `parse_rational`, and
+`domain_from_dict` reads a facet offset the same way.  They hand those
+rationals to the package's constructors, which take rationals from
+library callers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 from fractions import Fraction
 
 from troplag.curve import Edge, TropicalCurve
-from troplag.domain import Line, LineConfiguration
+from troplag.domain import Facet, Line, LineConfiguration, PolyhedralDomain
 from troplag.errors import WorkbenchError
 
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
@@ -145,6 +146,21 @@ def curve_from_dict(data) -> TropicalCurve:
             label, (*where, "leaf_label"))
         edges.append(Edge(tail, head, direction, weight, label))
     return TropicalCurve(dim, vertices, edges)
+
+
+def domain_from_dict(data) -> PolyhedralDomain:
+    dim = parse_int(_need(data, "dim", ()), "/dim")
+    raw = _need(data, "facets", ())
+    if not isinstance(raw, list):
+        raise _schema_error("/facets", "expected a list")
+    facets = []
+    for i, f in enumerate(raw):
+        where = ("facets", i)
+        normal = _int_vector(_need(f, "normal", where), (*where, "normal"),
+                             dim)
+        offset = parse_rational(_need(f, "offset", where), (*where, "offset"))
+        facets.append(Facet(normal, offset))
+    return PolyhedralDomain(dim, facets)
 
 
 def lines_from_dict(data) -> LineConfiguration:

@@ -1,7 +1,8 @@
-"""The JSON boundary against its previous implementation, kept in
-``boundary_oracle``: the direct emitter against ``json.dumps``, the
-one-pass readers against the old readers, and the integer edge test and
-``validate_curve`` against their ``Fraction`` versions."""
+"""The JSON boundary against its previous implementation: the direct
+emitter against ``json.dumps`` and the integer edge test and
+``validate_curve`` against their ``Fraction`` versions, kept in
+``boundary_oracle``, and the readers against the ``Fraction`` readers
+kept in ``io_oracle``."""
 
 import copy
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boundary_oracle as oracle
+import io_oracle
 from conftest import fixture_path, load_fixture_json, random_tree_problem
 from test_golden import CASES, _run
 from test_multiplicity import random_enumeration
@@ -221,7 +223,7 @@ def test_parse_rational_and_int_match_oracle(value):
     for name in ("parse_rational", "parse_int"):
         for pointer in ("/x", "/vertices/3/pos/1"):
             assert _outcome(getattr(io_json, name), value, pointer) == \
-                _outcome(getattr(oracle, name), value, pointer)
+                _outcome(getattr(io_oracle, name), value, pointer)
 
 
 def _curve_key(c):
@@ -304,13 +306,13 @@ def test_readers_match_oracle_on_spoiled_documents(kind):
     hit = set()
     for name in FIXTURE_DOCS[kind]:
         doc = load_fixture_json(name)
-        assert _read(kind, io_json, doc) == _read(kind, oracle, doc)
+        assert _read(kind, io_json, doc) == _read(kind, io_oracle, doc)
         for path in _paths(doc):
             shape = tuple(p for p in path if isinstance(p, str))
             for value in rng.sample(FAULTS, 6):
                 bad = _spoil(doc, path, value)
                 assert _read(kind, io_json, bad) == \
-                    _read(kind, oracle, bad), (name, path, value)
+                    _read(kind, io_oracle, bad), (name, path, value)
                 hit.add(shape)
         # optional fields added where they were absent
         for path in _paths(doc):
@@ -319,7 +321,7 @@ def test_readers_match_oracle_on_spoiled_documents(kind):
                     bad = _spoil(doc, path[:-1] + (field,),
                                  rng.choice(FAULTS[:-4]))
                     assert _read(kind, io_json, bad) == \
-                        _read(kind, oracle, bad), (name, path, field)
+                        _read(kind, io_oracle, bad), (name, path, field)
     assert TARGETS[kind] <= hit
 
 
@@ -333,7 +335,7 @@ def test_readers_match_oracle_on_seeded_trees():
         for v in doc["vertices"]:
             v["pos"] = [rng.choice([x, f" {x}", f"+{x}" if x[0] != "-"
                                     else x]) for x in v["pos"]]
-        assert _read("curve", io_json, doc) == _read("curve", oracle, doc)
+        assert _read("curve", io_json, doc) == _read("curve", io_oracle, doc)
 
 
 # ---------------------------------------------------------------------------

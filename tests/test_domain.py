@@ -1015,6 +1015,22 @@ def _t_junction(h):
                           Edge("b", None, (0, 1))])
 
 
+def _two_t_junctions(h):
+    """Two vertices each on an edge that does not touch it: w at (2, h)
+    on c's vertical ray, as in `_t_junction`, and v at (4, h + 3) on c's
+    diagonal ray.  For h = 1 and 2 the crossing sweep meets v first,
+    while the set of crossing points, and so the report, lists w first."""
+    return TropicalCurve(2, [("w", (2, h)), ("a", (1, h + 1)),
+                             ("b", (4, h + 1)), ("c", (2, h + 1)),
+                             ("v", (4, h + 3))],
+                         [Edge("w", "a", (-1, 1)), Edge("w", "b", (2, 1)),
+                          Edge("w", None, (-1, -2)), Edge("a", "c", (1, 0)),
+                          Edge("a", None, (-2, 1)), Edge("c", None, (0, -1)),
+                          Edge("c", None, (1, 1)), Edge("b", None, (1, 0), 2),
+                          Edge("b", "v", (0, 1)), Edge("v", None, (2, 1)),
+                          Edge("v", None, (-1, 0), 2)])
+
+
 @pytest.mark.parametrize("curve, relaxed, issue", [
     (_four_valent, False, "vertex v has valence 4 > 3"),
     (_collinear, False, "vertex v: edges do not span a 2-plane"),
@@ -1288,8 +1304,9 @@ def test_even_primitive_matches_fraction_oracle():
     Fraction test it replaced: the same whole report, its repr showing
     the types of the values too, or the same error, on every fixture
     curve in every fixture domain of its dimension, wave curves of 8 to
-    40 facets, the coprime curve, and 400 random planar curves (every
-    other one balanced) in random domains."""
+    40 facets, the coprime curve, curves with two vertices on other
+    edges, and 400 random planar curves (every other one balanced) in
+    random domains."""
     domains = [load_domain(fixture_path(f"{n}.domain.json"))
                for n in ("hexagon", "quadrant", "rect42", "simplex3",
                          "triangle", "unit_square")]
@@ -1305,6 +1322,7 @@ def test_even_primitive_matches_fraction_oracle():
         c, d = _wave_curve(rng, count)
         cases.append((c, d, False))
     cases.append((_coprime_curve(), _coprime_box(), True))
+    cases += [(_two_t_junctions(h), quadrant(), False) for h in (1, 2, 3)]
     for k in range(400):
         c = _random_planar_curve(rng)
         c = _balanced(c) if k % 2 else c

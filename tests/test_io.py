@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import io_oracle
 from conftest import fixture_path, load_fixture_json
 
+from troplag.domain import Line, LineConfiguration
 from troplag.errors import WorkbenchError
 from troplag.io_json import (canonical_json, curve_from_dict, curve_to_dict,
                              domain_from_dict, domain_to_dict, lines_from_dict,
@@ -170,6 +171,31 @@ def test_readers_match_oracle_past_one_block():
             {"id": f"v{k}", "pos": pos} for k, pos in enumerate(rows)]})
         _same_lines({"lines": [{"point": pos, "dir": [1, 0]}
                                for pos in rows]})
+
+
+def test_line_records_carry_their_denominator():
+    """A configuration's `Line` records hold integer points over its
+    denominator and that denominator, so a slice of them, or records of
+    two configurations mixed, or with records holding rational points,
+    make a configuration of the same lines."""
+    lc = lines_from_dict({"lines": [
+        {"point": ["1/2", "0"], "dir": [1, 0]},
+        {"point": ["2", "1/3"], "dir": [0, 1]},
+        {"point": ["-5", "4/3"], "dir": [1, 1]}]})
+    other = lines_from_dict({"lines": [{"point": ["3/5", "7"],
+                                        "dir": [1, 2]}]})
+    assert lc.denominator == 6 and other.denominator == 5
+    for records, points in [
+            (lc.lines[1:], [lc.point(1), lc.point(2)]),
+            (lc.lines[:1] + other.lines, [lc.point(0), other.point(0)]),
+            ([Line((Fraction(1, 4), 1), (1, 0)), lc.lines[2]],
+             [(Fraction(1, 4), 1), lc.point(2)])]:
+        sub = LineConfiguration(records)
+        assert [sub.point(j) for j in range(len(sub))] == points
+        assert all(l.denominator == sub.denominator for l in sub.lines)
+        assert [l.direction for l in sub.lines] == \
+            [l.direction for l in records]
+    assert LineConfiguration(lc.lines[1:]).denominator == 3
 
 
 def test_plain_fixtures_parse_without_fractions(monkeypatch):
