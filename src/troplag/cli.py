@@ -19,8 +19,8 @@ from .domain import (check_even_primitive, suitability_check,
 from .errors import VALIDATION_CODES, WorkbenchError
 from .io_json import (canonical_json, curve_to_dict, load_curve, load_domain,
                       load_lines)
-from .multiplicity import (DET_KAPPA_CAP, KAPPA_CAP, enumerate_count,
-                           ev_matrix, mixed_h_product)
+from .multiplicity import (DET_KAPPA_CAP, KAPPA_CAP, _tree_problem,
+                           enumerate_count)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,10 +142,12 @@ def run_command(argv):
             lines = load_lines(args.lines)
             zs = _zs_from_lines(curve, lines)
             require_valid(curve)
-            value = mixed_h_product(curve, zs, _parse_root(args.root))
+            root = _parse_root(args.root)
+            prob = _tree_problem(curve, zs)
+            value = prob.mixed_product(root)
             report = {"mixedHProduct": value, "method": "RECURSIVE"}
-            if 3 <= len(curve.ends()) <= DET_KAPPA_CAP:
-                det = abs(ev_matrix(curve, zs).determinant())
+            if 3 <= prob.kappa <= DET_KAPPA_CAP:
+                det = abs(prob.evaluation_matrix().determinant())
                 report["determinant"] = det
                 report["agree"] = det == value
             return 0, _emit(report, fmt)

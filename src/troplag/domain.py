@@ -8,13 +8,13 @@ fronts, and runs the suitability test for boundary line configurations.
 
 All feasibility questions are decided exactly, in integers: Fourier-
 Motzkin elimination over integer rows, and points in homogeneous
-coordinates (Y, D), integers with D > 0, meaning Y / D.  The face search
-and the facet tests of `PolyhedralDomain` are integer-only.  A curve
-checked inside a domain is written once over one common denominator
-(`_common_denominator`): its facet values, edge midpoints and crossing
-sweep are integer-only, and `_meet` and `wavefront` build a `Fraction`
-only for a point they return.  Ray exits and leaf-line meets are
-found from integer coordinates too and returned as Fractions.
+coordinates (Y, D), integers with D > 0, meaning Y / D.  A point meets
+the facets through one rule (`PolyhedralDomain._values`, `_located`).
+A curve checked inside a domain is written once over one common
+denominator (`_common_denominator`): its facet values, edge midpoints,
+ray exits, boundary points (`_boundary_ends`) and crossing sweep are
+integer-only, as are the leaf-line meets and the hull test.  A
+`Fraction` is built only for a caller's point or a reported point.
 
 The Delzant check visits the faces of the domain, not its facet subsets
 (`_face_sets`).  A full-dimensional domain of dimension >= 3 is first
@@ -54,12 +54,6 @@ class Facet(Record):
         self.offset = offset
 
 
-def _homogeneous(x):
-    """A rational point as (X, L): integers with L > 0, meaning X / L."""
-    L = lcm(*(v.denominator for v in x))
-    return tuple(v.numerator * (L // v.denominator) for v in x), L
-
-
 def _over(x, L):
     """The rational point x as integers over L > 0, or None when some
     coordinate's denominator does not divide L."""
@@ -87,16 +81,12 @@ class PolyhedralDomain:
         return [dot(qp, X) - m * L for qp, m in self.rows]
 
     def contains(self, x):
-        return all(v >= 0 for v in self._values(*_homogeneous(x)))
+        (X,), L = over_one_denominator([x])
+        return all(v >= 0 for v in self._values(X, L))
 
     def active(self, x):
-        return tuple(j for j, v in enumerate(self._values(*_homogeneous(x)))
-                     if v == 0)
-
-    def locate(self, x):
-        """The facets active at x, or None when x lies outside: contains
-        and active from one evaluation of the facets."""
-        return _located(self._values(*_homogeneous(x)))
+        (X,), L = over_one_denominator([x])
+        return tuple(j for j, v in enumerate(self._values(X, L)) if v == 0)
 
 
 def _located(values):
@@ -508,8 +498,7 @@ def _vertex_walk(domain, point):
     rows = domain.rows
     normals = [f.normal for f in domain.facets]
     dim = domain.dim
-    X, D = point
-    slacks = [sum(map(mul, a, X)) - m * D for a, m in rows]
+    slacks = domain._values(*point)
     tight = []
     while len(tight) < dim:
         if tight:
@@ -657,24 +646,6 @@ def is_standard_simplex_3(d: PolyhedralDomain) -> bool:
 # intersections
 
 
-def _ray_exit(domain, X, L, direction):
-    """First parameter t at which the ray X / L + t u, X integers over
-    L > 0, leaves the domain, as a Fraction, or None when it never does.
-
-    Over a facet row (q p, m) the ray's value (q p) . X - m L falls by
-    L (q p) . u per unit of t, so the facet is crossed at t = v / (L s)
-    with v that value and s = -(q p) . u > 0; the least such t, compared
-    as integer pairs, is the exit."""
-    best = None
-    for qp, m in domain.rows:
-        s = -dot(qp, direction)
-        if s > 0:
-            v = dot(qp, X) - m * L
-            if best is None or v * best[1] < best[0] * s:
-                best = (v, s)
-    return None if best is None else Fraction(best[0], best[1] * L)
-
-
 def _common_denominator(c, domain=None):
     """The realized edges of c in integers over one common denominator.
 
@@ -683,42 +654,44 @@ def _common_denominator(c, domain=None):
     tail X, the integer at which its segment (X + s u) / L, 0 <= s <=
     S[i], ends.  That is the head of a bounded edge, read on the first
     coordinate where u is nonzero, and the point where a ray leaves
-    `domain` (`_ray_exit`); S[i] is None for a ray that never leaves it,
-    and for every ray when no domain is given.  The curve is kept over
-    its own denominator (`TropicalCurve.coords`); L is that times what
-    the ray exits need, times what makes every S[i] an integer: nothing
-    where each head is a whole multiple of its primitive direction away
-    from its tail, as in a valid curve.  Every edge must have a nonzero
-    direction.
+    `domain`; S[i] is None for a ray that never leaves it, and for every
+    ray when no domain is given.  Over a facet row (q p, m) a ray's
+    value (q p) . X - m L falls by s = -(q p) . u per unit of its
+    parameter, so the facet is crossed at v / s, v that value and s > 0;
+    the least such, compared as integer pairs, is the exit.  The curve
+    is kept over its own denominator (`TropicalCurve.coords`); L is that
+    times what makes every S[i] an integer: nothing where each head is a
+    whole multiple of its primitive direction away from its tail, as in
+    a valid curve, and no ray leaves.  An edge with a zero direction has
+    no line and raises INVALID_CURVE.
     """
     L, X = c.denominator, c.coords
-    exits = {}
-    if domain is not None:
-        for i, e in enumerate(c.edges):
-            if e.head is None:
-                t = _ray_exit(domain, X[e.tail], L, e.direction)
-                if t is not None:
-                    exits[i] = t
-    M = lcm(L, *{t.denominator for t in exits.values()})
-    if M != L:
-        X = {vid: vec_scale(M // L, p) for vid, p in X.items()}
-        L = M
-    steps = []
+    stops = {}   # edge index: (n, a), its segment ending at s = n / a
     for i, e in enumerate(c.edges):
-        if e.bounded:
-            u = e.direction
+        u = e.direction
+        if is_zero(u):
+            raise WorkbenchError("INVALID_CURVE", f"edge {i}: zero direction")
+        if e.head is not None:
             a = next(filter(None, u))
             k = u.index(a)
-            steps.append((i, X[e.head][k] - X[e.tail][k], a))
-    scale = lcm(*(abs(a) // gcd(n, a) for _, n, a in steps if n % a))
+            stops[i] = (X[e.head][k] - X[e.tail][k], a)
+        elif domain is not None:
+            best = None
+            for qp, m in domain.rows:
+                s = -dot(qp, u)
+                if s > 0:
+                    v = dot(qp, X[e.tail]) - m * L
+                    if best is None or v * best[1] < best[0] * s:
+                        best = (v, s)
+            if best is not None:
+                stops[i] = best
+    scale = lcm(*(abs(a) // gcd(n, a) for n, a in stops.values() if n % a))
     if scale > 1:
         L *= scale
         X = {vid: vec_scale(scale, p) for vid, p in X.items()}
     S = [None] * len(c.edges)
-    for i, n, a in steps:
+    for i, (n, a) in stops.items():
         S[i] = n * scale // a
-    for i, t in exits.items():
-        S[i] = t.numerator * (L // t.denominator)
     return L, X, S
 
 
@@ -810,10 +783,12 @@ def curve_self_crossings(c: TropicalCurve,
     exact pair test (`_meet`).  An edge with a zero direction has no
     line and raises INVALID_CURVE first.
     """
-    for i, e in enumerate(c.edges):
-        if is_zero(e.direction):
-            raise WorkbenchError("INVALID_CURVE", f"edge {i}: zero direction")
-    L, X, S = _common_denominator(c, domain)
+    return _crossing_sweep(c, *_common_denominator(c, domain))
+
+
+def _crossing_sweep(c, L, X, S):
+    """curve_self_crossings over the curve's realized edges (L, X, S), as
+    `_common_denominator` writes them."""
     geoms, ends, through = [], [], []
     for e, s in zip(c.edges, S):
         base = X[e.tail]
@@ -907,15 +882,10 @@ def _stratum_direction(domain, active):
     return None
 
 
-def classify_point_on_edge(c, domain, point, edge_index, outward,
-                           end_index=None) -> BoundaryPointInfo:
-    return _classify_at(c, domain, point, domain.locate(point), edge_index,
-                        outward, end_index)
-
-
 def _classify_at(c, domain, point, active, edge_index, outward, end_index):
-    """classify_point_on_edge for a point whose active facets are known:
-    None for a point outside the domain, which raises OUTSIDE_DOMAIN."""
+    """The boundary point `point` of the edge `edge_index`, leaving the
+    curve along `outward`, whose active facets are `active`: None for a
+    point outside the domain, which raises OUTSIDE_DOMAIN."""
     if active is None:
         raise WorkbenchError(
             "OUTSIDE_DOMAIN",
@@ -952,22 +922,54 @@ def _classify_at(c, domain, point, active, edge_index, outward, end_index):
                              kind, z_dir, e.weight, note, end_index)
 
 
+def _boundary_ends(c, d, L, X, S, where):
+    """Where each end of c meets the boundary of d, in c.ends() order, over
+    the realized edges (L, X, S) of `_common_denominator`, with where[vid]
+    the active facets of vertex vid (None outside).
+
+    Yields (end, P, active, issue): P the integer point over L, active
+    its facets, and issue None for a boundary point, else why the end
+    gives none: an endpoint outside d or inside it, a ray that leaves d
+    at its start (P that start) or behind it (P None), or one that meets
+    the boundary outside d.  A puncture has P and issue None.
+    """
+    for end in c.ends():
+        if end.kind == "endpoint":
+            v = end.endpoint
+            at = where[v]
+            issue = (f"endpoint {v} outside the domain" if at is None else
+                     None if at else f"endpoint {v} is interior to the domain")
+            yield end, X[v], at, issue
+            continue
+        i = end.edge_index
+        s = S[i]
+        if s is None:
+            yield end, None, None, None
+        elif s < 0:
+            yield end, None, None, f"ray {i} starts on the boundary"
+        else:
+            P = tuple([x + s * a for x, a in zip(X[end.attach], end.outward)])
+            at = _located(d._values(P, L))
+            issue = (f"ray {i} starts on the boundary" if s == 0 else
+                     f"ray {i} meets the boundary outside the domain"
+                     if at is None else None)
+            yield end, P, at, issue
+
+
 def classify_boundary_point(c: TropicalCurve, d: PolyhedralDomain,
                             point) -> BoundaryPointInfo:
-    """Classify the boundary point of the curve at the given position."""
+    """Classify the boundary point of the curve at the given position: the
+    first end in c.ends() order that meets the boundary there, at or past
+    its start (`_boundary_ends`)."""
     point = tuple(Fraction(x) for x in point)
-    for end in c.ends():
-        if end.kind == "endpoint" and c.position(end.endpoint) == point:
-            return classify_point_on_edge(c, d, point, end.edge_index,
-                                          end.outward)
-        if end.kind == "ray":
-            base = c.position(end.attach)
-            t = _ray_exit(d, c.coords[end.attach], c.denominator,
-                          end.outward)
-            if t is not None and \
-                    vec_add(base, vec_scale(t, end.outward)) == point:
-                return classify_point_on_edge(c, d, point, end.edge_index,
-                                              end.outward)
+    L, X, S = _common_denominator(c, d)
+    target = _over(point, L)
+    if target is not None:
+        where = {vid: _located(d._values(x, L)) for vid, x in X.items()}
+        for end, P, at, _ in _boundary_ends(c, d, L, X, S, where):
+            if P == target:
+                return _classify_at(c, d, point, at, end.edge_index,
+                                    end.outward, None)
     raise WorkbenchError(
         "NOT_A_BOUNDARY_POINT",
         f"{point_text(point)} is not where a curve end meets the boundary")
@@ -1057,32 +1059,17 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
     boundary = []
     pts = []
     punctures = 0
-    for k, end in enumerate(c.ends()):
-        if end.kind == "endpoint":
-            at = where[end.endpoint]
-            if at is None:
-                issues.append(f"endpoint {end.endpoint} outside the domain")
-                continue
-            if not at:
-                issues.append(
-                    f"endpoint {end.endpoint} is interior to the domain")
-                continue
-            out = X[end.endpoint]
+    for k, (end, P, at, issue) in enumerate(
+            _boundary_ends(c, d, L, X, S, where)):
+        if issue:
+            issues.append(issue)
+        elif P is None:
+            punctures += 1
         else:
-            s = S[end.edge_index]
-            if s is None:
-                punctures += 1
-                continue
-            if s <= 0:
-                issues.append(f"ray {end.edge_index} starts on the boundary")
-                continue
-            out = tuple(x + s * a for x, a in zip(X[end.attach],
-                                                  end.outward))
-            at = _located(d._values(out, L))
-        pts.append(out)
-        boundary.append(_classify_at(
-            c, d, tuple([Fraction(x, L) for x in out]), at, end.edge_index,
-            end.outward, k))
+            pts.append(P)
+            boundary.append(_classify_at(
+                c, d, tuple([Fraction(x, L) for x in P]), at,
+                end.edge_index, end.outward, k))
 
     for info in boundary:
         if info.kind not in ("MOMENTUM2", "BISSECTRICE"):
@@ -1099,7 +1086,7 @@ def check_even_primitive(c: TropicalCurve, d: PolyhedralDomain,
                           "is a curve vertex")
 
     try:
-        crossings = tuple(c2 for c2 in curve_self_crossings(c, d)
+        crossings = tuple(c2 for c2 in _crossing_sweep(c, L, X, S)
                           if d.contains(c2["point"]))
     except WorkbenchError as err:
         if err.code != "NON_FINITE_SIGMA":
@@ -1176,18 +1163,13 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
     if not pairs:
         raise WorkbenchError("INVALID_DOMAIN",
                              "domain has no vertices to connect")
-    outer_rows = d.rows
-    inner_rows = PolyhedralDomain(
-        d.dim, [Facet(f.normal, f.offset + delta) for f in d.facets]).rows
+    offset = PolyhedralDomain(
+        d.dim, [Facet(f.normal, f.offset + delta) for f in d.facets])
     outer, inner = [], []
     for pair in pairs:
-        outer.append(_vertex(outer_rows, pair))
-        # at x = num / det, (q p) . x - m has the sign of
-        # (q p) . num - m det
-        num, det = _vertex(inner_rows, pair)
-        vals = [dot(p, num) - m * det for p, m in inner_rows]
-        if any(v < 0 for v in vals) or \
-                tuple(k for k, v in enumerate(vals) if v == 0) != pair:
+        outer.append(_vertex(d.rows, pair))
+        num, det = _vertex(offset.rows, pair)
+        if _located(offset._values(num, det)) != pair:
             raise WorkbenchError("DELTA_TOO_LARGE",
                                  "offset domain changes combinatorial type")
         inner.append((num, det))
@@ -1247,8 +1229,9 @@ def _leaf_line_intersection(base, direction, point):
     s z, z the direction of a `Line`: base and point are each an
     integer tuple with its denominator, (X, L).  The system t direction
     - s z = point - base is solved over the product of the two
-    denominators, in integers; None when they do not meet in one point
-    of the ray."""
+    denominators, in integers.  Returns the meet as (P, D), integers with
+    D > 0, meaning P / D; None when they do not meet in one point of the
+    ray."""
     (X, L), (line, M) = base, point
     n = len(X)
     rows = [[direction[k], -line.direction[k]] for k in range(n)]
@@ -1257,22 +1240,23 @@ def _leaf_line_intersection(base, direction, point):
     if num is None or kernel:
         return None
     # t = num[0] / (d L M), and the meeting point is base + t direction
-    t, LM = num[0], d * L * M
-    if t and (t < 0) != (LM < 0):
+    t = num[0]
+    if d < 0:
+        d, t = -d, -t
+    if t < 0:
         return None
-    return tuple(Fraction(x * d * M + t * u, LM)
-                 for x, u in zip(X, direction))
+    return tuple([x * d * M + t * u for x, u in zip(X, direction)]), d * L * M
 
 
-def _in_convex_hull(x, pts, dim):
-    """Exact membership of x in the convex hull of pts.
+def _in_convex_hull(x, pts, D, dim):
+    """Exact membership of x in the convex hull of pts, all integer
+    tuples over one D > 0.
 
     x lies outside exactly when some a separates it strictly, which,
-    scaled, is a . (p - x) >= 1 for every p in pts (Farkas).  Each row
-    is cleared to integers for `_fm_point`.
+    scaled, is a . (p - x) >= 1 for every p in pts (Farkas): over D, the
+    integer rows a . (P - X) >= D of `_fm_point`.
     """
-    rows = [_homogeneous(vec_sub(p, x)) for p in pts]
-    return _fm_point(rows, dim) is None
+    return _fm_point([(vec_sub(p, x), D) for p in pts], dim) is None
 
 
 class SuitabilityReport(Record):
@@ -1299,26 +1283,29 @@ def suitability_check(c: TropicalCurve,
     if len(ends) != len(lines):
         raise WorkbenchError("NOT_BOUNDARY_CONFIG",
                              f"{len(lines)} lines for {len(ends)} leaves")
-    points = []
+    meets = []
     for i, (end, line) in enumerate(zip(ends, lines.lines)):
         if len(line.point) != c.dim or len(line.direction) != c.dim:
             raise WorkbenchError("DIMENSION_MISMATCH",
                                  f"line {i} is not {c.dim}-dimensional")
-        pt = _leaf_line_intersection(
+        meet = _leaf_line_intersection(
             (c.coords[end.attach], c.denominator), end.outward,
             (line, lines.denominator))
-        if pt is None:
+        if meet is None:
             raise WorkbenchError("NOT_BOUNDARY_CONFIG",
                                  f"line {i} does not meet its leaf")
-        points.append(pt)
+        meets.append(meet)
+    # every meet over their least common denominator D
+    D = lcm(*(M for _, M in meets))
+    points, D = least_denominator([vec_scale(D // M, P) for P, M in meets], D)
     per_line = []
     all_ok = True
     for i, (end, line) in enumerate(zip(ends, lines.lines)):
         cp = content(cross(end.dh(), line.direction)) == 1
         others = [p for j, p in enumerate(points) if j != i]
-        hull_vertex = not _in_convex_hull(points[i], others, c.dim)
+        hull_vertex = not _in_convex_hull(points[i], others, D, c.dim)
         per_line.append({"crossPrimitive": cp, "isHullVertex": hull_vertex,
-                         "point": points[i]})
+                         "point": tuple([Fraction(x, D) for x in points[i]])})
         all_ok = all_ok and cp and hull_vertex
     return SuitabilityReport(tuple(per_line), all_ok)
 

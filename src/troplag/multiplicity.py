@@ -158,6 +158,41 @@ class Problem:
         mom = self.momenta(node)[2] if self.kappa > 2 else None
         return self.pair_at(node, mom)
 
+    def evaluation_matrix(self, ref=None) -> EvaluationMatrix:
+        """`ev_matrix` of this problem, with reference junction `ref`."""
+        kappa = self.kappa
+        if kappa < 3:
+            raise WorkbenchError(
+                "KAPPA_TOO_SMALL",
+                "evaluation matrix needs at least three ends")
+        internal = sorted({cid for (a, b), (_, _, cid) in self.chain.items()
+                           if a >= kappa and b >= kappa}, key=repr)
+        if kappa != 3 + len(internal):
+            raise WorkbenchError(
+                "NOT_TRIVALENT",
+                f"{kappa} ends vs {len(internal)} bounded edges")
+        if ref is None:
+            root = self.adj[0][0]
+        elif ref in self.junction_ids:
+            root = kappa + self.junction_ids.index(ref)
+        else:
+            root = None
+        if root is None or root < kappa:
+            raise WorkbenchError("BAD_ROOT",
+                                 f"reference {ref!r} is not a junction")
+        ref = self.junction_ids[root - kappa]
+
+        # a junction x below the root stands for the chain parent(x) -> x
+        parent, order, below = self.rooted(root)
+        col_of_chain = {cid: 3 + k for k, cid in enumerate(internal)}
+        col_of = {x: col_of_chain[self.chain[parent[x], x][2]]
+                  for x in order[1:] if x >= kappa}
+        rows = _evaluation_rows(self.rhos, range(kappa), parent, below, root,
+                                col_of)
+        cols = ("t0", "t1", "t2") + tuple(f"e{cid}" for cid in internal)
+        return EvaluationMatrix(tuple(map(tuple, rows)), tuple(range(kappa)),
+                                cols, ref)
+
 
 def build_problem(c: TropicalCurve, zs) -> Problem:
     """The `Problem` of a tree curve in 3-space with constraint directions
@@ -197,9 +232,14 @@ def mixed_h_product(c: TropicalCurve, zs, root=None) -> int:
     for the first end.  With exactly two ends the value is
     |mixed(z1, z2, u)| for the primitive direction u of the single edge.
     """
+    return _tree_problem(c, zs).mixed_product(root)
+
+
+def _tree_problem(c, zs, needs="the mixed product needs a tree"):
+    """build_problem for a tree; TREE_ONLY with the text `needs` else."""
     if c.b1() != 0:
-        raise WorkbenchError("TREE_ONLY", "the mixed product needs a tree")
-    return build_problem(c, zs).mixed_product(root)
+        raise WorkbenchError("TREE_ONLY", needs)
+    return build_problem(c, zs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,40 +267,8 @@ def ev_matrix(c: TropicalCurve, zs, ref=None) -> EvaluationMatrix:
     on the path from the reference junction to end j, dh(e) pointing
     away from the reference.  `zs` is a sequence in c.ends() order.
     """
-    if c.b1() != 0:
-        raise WorkbenchError("TREE_ONLY",
-                             "evaluation matrix needs a tree")
-    prob = build_problem(c, zs)
-    kappa = prob.kappa
-    if kappa < 3:
-        raise WorkbenchError("KAPPA_TOO_SMALL",
-                             "evaluation matrix needs at least three ends")
-    internal = sorted({cid for (a, b), (_, _, cid) in prob.chain.items()
-                       if a >= kappa and b >= kappa}, key=repr)
-    if kappa != 3 + len(internal):
-        raise WorkbenchError("NOT_TRIVALENT",
-                             f"{kappa} ends vs {len(internal)} bounded edges")
-    if ref is None:
-        root = prob.adj[0][0]
-    elif ref in prob.junction_ids:
-        root = kappa + prob.junction_ids.index(ref)
-    else:
-        root = None
-    if root is None or root < kappa:
-        raise WorkbenchError("BAD_ROOT",
-                             f"reference {ref!r} is not a junction")
-    ref = prob.junction_ids[root - kappa]
-
-    # a junction x below the root stands for the chain parent(x) -> x
-    parent, order, below = prob.rooted(root)
-    col_of_chain = {cid: 3 + k for k, cid in enumerate(internal)}
-    col_of = {x: col_of_chain[prob.chain[parent[x], x][2]]
-              for x in order[1:] if x >= kappa}
-    rows = _evaluation_rows(prob.rhos, range(kappa), parent, below, root,
-                            col_of)
-    cols = ("t0", "t1", "t2") + tuple(f"e{cid}" for cid in internal)
-    return EvaluationMatrix(tuple(map(tuple, rows)), tuple(range(kappa)),
-                            cols, ref)
+    prob = _tree_problem(c, zs, "evaluation matrix needs a tree")
+    return prob.evaluation_matrix(ref)
 
 
 def _evaluation_rows(rhos, leaves, parent, below, ref, col_of):

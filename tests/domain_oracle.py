@@ -17,8 +17,10 @@ it wrote a curve over one common denominator: every point located in
 Fractions, one midpoint per bounded edge, the ray exits from `_ray_exit`
 and the crossings from the all-pairs `curve_self_crossings`, over the
 Fraction edge geometries (`edge_geometries`) that the package no longer
-uses.  `_ray_exit` is the Fraction version the package had before it
-computed the exit from a curve's integer coordinates.
+uses; a ray that meets the boundary outside the domain is an issue of
+its report, as in the package.
+`_ray_exit` is the Fraction ray exit the package had before it computed
+exits from a curve's integer coordinates.
 """
 
 from __future__ import annotations
@@ -391,9 +393,9 @@ def check_even_primitive(c, d, relaxed=False):
             pt = vec_add(base, vec_scale(t, end.outward))
             at = locate(d, pt)
             if at is None:
-                raise WorkbenchError(
-                    "OUTSIDE_DOMAIN",
-                    f"{point_text(pt)} violates a facet inequality")
+                issues.append(f"ray {end.edge_index} meets the boundary "
+                              "outside the domain")
+                continue
             boundary.append(_classify_at(c, d, pt, at, end.edge_index,
                                          end.outward, k))
 

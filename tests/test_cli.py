@@ -509,3 +509,46 @@ def test_domain_commands_answer_every_drawn_polygon(drawn_dir, seed, spoiled):
     assert check_answer(["validate"] + wave + dom) == 0
     code, text = answer(["surface"] + wave + dom)
     assert code == 0 and json.loads(text)["surface"] == "torus", text
+
+
+SPATIAL_CURVES = ("poincare", "lens", "disappearing", "segment",
+                  "simplex_tripod")
+SPATIAL_DOMAINS = ("prism", "spoiled prism", "random", "simplex")
+
+
+def drawn_spatial_domain(seed, kind):
+    """A 3-D domain document: a prism over a blown-up polygon (spoiled
+    or not) of height 1-12, the simplex fixture, or up to 8 random facets
+    with normals in [-2, 2]^3 (not always primitive, nor bounded, nor
+    nonempty)."""
+    rng = random.Random(seed)
+    if kind == "simplex":
+        return json.loads(open(fixture_path("simplex3.domain.json")).read())
+    if kind == "random":
+        facets = []
+        for _ in range(rng.randint(0, 8)):
+            normal = [0, 0, 0]
+            while not any(normal):
+                normal = [rng.randint(-2, 2) for _ in range(3)]
+            facets.append({"normal": normal, "offset": str(
+                Fraction(rng.randint(-12, 12), rng.randint(1, 4)))})
+        return {"dim": 3, "facets": facets}
+    polygon = blown_up_polygon(rng, rng.randint(4, 9), kind != "prism")
+    return {"dim": 3, "facets": [
+        {"normal": [u[0], u[1], 0], "offset": str(a)} for u, a in polygon]
+        + [{"normal": [0, 0, 1], "offset": "0"},
+           {"normal": [0, 0, -1], "offset": str(-rng.randint(1, 12))}]}
+
+
+@settings(max_examples=40, deadline=5000, database=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.sampled_from(SPATIAL_DOMAINS))
+def test_spatial_domain_commands_answer(drawn_dir, seed, kind):
+    """h1, lens and pieces with --domain, for every 3-D fixture curve in
+    prisms, the simplex and random domains: each answers (exit 0, 1 or 2
+    with JSON, no internal error, no traceback), within the deadline."""
+    dpath = drawn_dir / "s.domain.json"
+    dpath.write_text(json.dumps(drawn_spatial_domain(seed, kind)))
+    for name in SPATIAL_CURVES:
+        for cmd in ("h1", "lens", "pieces"):
+            answer([cmd, "--curve", fixture_path(f"{name}.curve.json"),
+                    "--domain", str(dpath)])

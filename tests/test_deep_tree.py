@@ -18,7 +18,8 @@ from troplag import cli
 from troplag.curve import Edge, TropicalCurve, validate_curve
 from troplag.io_json import canonical_json, curve_to_dict
 from troplag.lattice import cross, is_zero, vec_add, vec_sub
-from troplag.multiplicity import DET_KAPPA_CAP, ev_matrix, mixed_h_product
+from troplag.multiplicity import (DET_KAPPA_CAP, Problem, ev_matrix,
+                                  mixed_h_product)
 from troplag.topology import h1_order, piece_decomposition
 
 KAPPA = 2000
@@ -126,7 +127,8 @@ def test_multiplicity_command_skips_the_determinant_above_the_cap(
         tmp_path, monkeypatch, deep):
     curve, zs = deep
     calls = []
-    monkeypatch.setattr(cli, "ev_matrix", lambda *args: calls.append(args))
+    monkeypatch.setattr(Problem, "evaluation_matrix",
+                        lambda *args: calls.append(args))
     code, report = run_multiplicity(tmp_path, curve, zs)
     assert calls == []
     assert code == 0

@@ -11,9 +11,10 @@ from conftest import (blown_up_polygon, fixture_path, largest_offset,
 from exact_oracle import solve_exact
 
 from troplag import domain as domain_mod
-from troplag.curve import Edge, TropicalCurve, betti_and_degree, validate_curve
-from troplag.domain import (DelzantFailure, DelzantReport, LineConfiguration,
-                            PolyhedralDomain,
+from troplag.curve import (Edge, TropicalCurve, betti_and_degree,
+                           over_one_denominator, validate_curve)
+from troplag.domain import (BoundaryPointInfo, DelzantFailure, DelzantReport,
+                            LineConfiguration, PolyhedralDomain,
                             check_even_primitive, classify_boundary_point,
                             corner_basis, curve_self_crossings,
                             suitability_check, validate_delzant, wavefront)
@@ -758,10 +759,14 @@ def test_check_even_primitive_evaluates_each_point_once(monkeypatch, curve,
     """check_even_primitive evaluates the facets once at every vertex,
     boundary point and crossing, and nowhere else: a vertex and a ray's
     exit over the curve's one denominator, and an edge midpoint by
-    adding its two ends' values, with no evaluation of its own."""
+    adding its two ends' values, with no evaluation of its own.  The
+    Delzant check's report is taken as computed before, since its vertex
+    walk evaluates its own start point."""
     c = load_curve(fixture_path(f"{curve}.curve.json"))
     d = load_domain(fixture_path(f"{dom}.domain.json"))
     crossings = curve_self_crossings(c, d)
+    drep = validate_delzant(d)
+    monkeypatch.setattr(domain_mod, "validate_delzant", lambda _: drep)
     values = PolyhedralDomain._values
     calls = collections.Counter()
 
@@ -920,6 +925,65 @@ def test_classify_momentum_unimodular_invariance():
             sorted(m2 for _, m2 in base.momenta)
 
 
+FIXTURE_DOMAINS = ("hexagon", "quadrant", "rect42", "simplex3", "triangle",
+                   "unit_square")
+FIXTURE_CURVES = ("crossing", "disappearing", "klein", "klein_sum", "lens",
+                  "poincare", "rp2", "segment", "simplex_tripod", "sphere_w2")
+
+
+def test_classify_agrees_with_the_check():
+    """classify_boundary_point at each boundary point that the
+    even/primitive check reports is the check's classification, its
+    end_index aside: every fixture curve in every fixture domain of its
+    dimension, and wave curves of 8 to 40 facets."""
+    domains = [load_domain(fixture_path(f"{n}.domain.json"))
+               for n in FIXTURE_DOMAINS]
+    cases = []
+    for name in FIXTURE_CURVES:
+        c = load_curve(fixture_path(f"{name}.curve.json"))
+        cases += [(c, d) for d in domains if d.dim == c.dim]
+    rng = random.Random(70)
+    waves = [_wave_curve(rng, count) for count in (8, 12, 20, 30, 40)]
+    seen = collections.Counter()
+    for kind, pairs in (("fixture", cases), ("wave", waves)):
+        for c, d in pairs:
+            for info in check_even_primitive(c, d).boundary:
+                fields = BoundaryPointInfo.__slots__[:-1]
+                want = BoundaryPointInfo(*[getattr(info, f) for f in fields])
+                assert classify_boundary_point(c, d, info.point) == want
+                seen[kind] += 1
+    # 40 fixture points: the crossing curve's ray 3 meets the boundary of
+    # the unit square outside it, and the check reports its other points
+    assert seen == {"fixture": 40, "wave": 110}, seen
+
+
+def test_classify_takes_ray_exits_at_or_past_the_start():
+    """Ray 0 of the tripod at (-1, 1) meets x = 0 at t = -1, behind its
+    start, so (0, 1) is no boundary point of it; from (0, 1) it leaves at
+    t = 0, and that point is its boundary point."""
+    def tripod(start):
+        return TropicalCurve(2, [("v", start)], [
+            Edge("v", None, (-1, 0)), Edge("v", None, (0, -1)),
+            Edge("v", None, (1, 1))])
+    with pytest.raises(WorkbenchError) as err:
+        classify_boundary_point(tripod((-1, 1)), quadrant(), (0, 1))
+    assert err.value.code == "NOT_A_BOUNDARY_POINT"
+    info = classify_boundary_point(tripod((0, 1)), quadrant(), (0, 1))
+    assert (info.edge_index, info.active, info.kind) == (0, (0,), "OTHER")
+
+
+def test_check_writes_the_curve_over_one_denominator_once(monkeypatch):
+    """check_even_primitive writes the curve's frame once and hands it
+    to the crossing sweep."""
+    spy = _spy(monkeypatch, "_common_denominator")
+    for name, dom in (("klein", "quadrant"), ("crossing", "hexagon"),
+                      ("simplex_tripod", "simplex3")):
+        spy.clear()
+        check_even_primitive(load_curve(fixture_path(f"{name}.curve.json")),
+                             load_domain(fixture_path(f"{dom}.domain.json")))
+        assert len(spy) == 1
+
+
 # ---------------------------------------------------------------------------
 # even/primitive checks
 
@@ -1060,9 +1124,9 @@ def test_even_primitive_stops_at_a_failed_delzant_check():
 
 
 def test_even_primitive_reraises_other_crossing_errors(monkeypatch):
-    def fail(c, d):
+    def fail(c, L, X, S):
         raise WorkbenchError("INTERNAL_INCONSISTENCY", "planted")
-    monkeypatch.setattr(domain_mod, "curve_self_crossings", fail)
+    monkeypatch.setattr(domain_mod, "_crossing_sweep", fail)
     with pytest.raises(WorkbenchError) as err:
         check_even_primitive(klein_curve(), quadrant())
     assert err.value.code == "INTERNAL_INCONSISTENCY"
@@ -1350,11 +1414,14 @@ def test_even_primitive_matches_fraction_oracle():
                 "self-intersection locus is not finite" in got.issues
             seen["runs inside"] += any("runs inside the boundary" in i
                                        for i in got.issues)
+            seen["exits outside"] += any(
+                "meets the boundary outside the domain" in i
+                for i in got.issues)
     # reports past both validations, each branch of the test, and the
     # errors it raises
     assert seen["checked"] >= 200 and min(seen[k] for k in (
         "ok", "ray exits", "punctures", "crossings", "not finite",
-        "runs inside", "OUTSIDE_DOMAIN", "EMPTY_DOMAIN")) >= 5, seen
+        "runs inside", "exits outside", "EMPTY_DOMAIN")) >= 5, seen
 
 
 # ---------------------------------------------------------------------------
@@ -1569,6 +1636,13 @@ def test_suitability_collinear_hull_failure():
     rep = suitability_check(c, lines)
     assert not rep.per_line[1]["isHullVertex"]
     assert not rep.ok
+    # the same lines through points over the denominator 3 meet the
+    # leaves in the same points
+    third = LineConfiguration([
+        {"point": [x + Fraction(z, 3) for x, z in zip(l.point, l.direction)],
+         "dir": l.direction} for l in lines.lines])
+    assert third.denominator == 3
+    assert suitability_check(c, third) == rep
 
 
 def _oracle_in_convex_hull(x, pts, dim):
@@ -1596,7 +1670,8 @@ def test_in_convex_hull_against_fraction_solve():
             a, b = rng.sample(pts, 2) if len(pts) > 1 else (pts[0], pts[0])
             for x in (tuple(rng.randint(-2, 2) for _ in range(dim)),
                       tuple((p + q) / 2 for p, q in zip(a, b))):
-                inside = domain_mod._in_convex_hull(x, pts, dim)
+                (X, *P), D = over_one_denominator([x, *pts])
+                inside = domain_mod._in_convex_hull(X, P, D, dim)
                 assert inside == _oracle_in_convex_hull(x, pts, dim)
                 seen.add(inside)
     assert seen == {True, False}

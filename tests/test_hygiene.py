@@ -197,6 +197,9 @@ TEST_ONLY_PUBLIC = {
         "the benchmark wraps it: removing it would grow the unresolved "
         "set of test_benchmark_layers_resolve; ROADMAP item 1 decides",
     ("curve", "extend_curve"): "a public operation of the paper, tested",
+    ("multiplicity", "ev_matrix"):
+        "the determinant route of the paper, tested; the benchmark's "
+        "worker calls it and its layer list wraps it",
     ("domain", "classify_boundary_point"):
         "a public operation of the paper, tested",
     ("domain", "corner_basis"): "a public operation of the paper, tested",

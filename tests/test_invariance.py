@@ -20,11 +20,12 @@ from conftest import (blown_up_polygon, fixture_path, largest_offset,
                       random_tree_problem)
 
 from troplag.curve import Edge, TropicalCurve, validate_curve
-from troplag.domain import (Facet, PolyhedralDomain, check_even_primitive,
-                            validate_delzant, wavefront)
+from troplag.domain import (Facet, LineConfiguration, PolyhedralDomain,
+                            check_even_primitive, validate_delzant, wavefront)
 from troplag.errors import WorkbenchError
 from troplag.io_json import load_curve, load_domain
-from troplag.multiplicity import mixed_h_product
+from troplag.lattice import content, cross
+from troplag.multiplicity import enumerate_count, mixed_h_product
 from troplag.topology import h1_order, surface_report
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
@@ -165,3 +166,50 @@ def test_spatial_reports_invariant(g):
         even_key(g, check_even_primitive(c, d))
     assert h1_dict(outcome(h1_order, mc, md)) == \
         h1_dict(outcome(h1_order, c, d))
+
+
+@st.composite
+def enumeration_problems(draw):
+    """A balanced degree of 4-6 leaf vectors in [-1, 1]^3 and one line
+    per leaf, with a primitive direction transverse to it, through a
+    rational point; a quarter of the time every line passes through one
+    point, which makes a wall (NON_GENERIC_CONFIG) when some type is
+    solvable."""
+    vector = st.tuples(*[st.integers(-1, 1)] * 3).filter(any)
+    size = draw(st.integers(3, 5))
+    degree = draw(st.lists(vector, min_size=size, max_size=size))
+    last = tuple(-sum(d[i] for d in degree) for i in range(3))
+    degree.append(draw(st.just(last).filter(any)))
+    coordinate = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 5))
+    common = draw(st.integers(0, 3)) == 0
+    point = draw(st.tuples(*[coordinate] * 3))
+    lines = []
+    for d in degree:
+        z = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(
+            lambda z: any(cross(d, z)) and content(z) == 1))
+        if not common:
+            point = draw(st.tuples(*[coordinate] * 3))
+        lines.append((point, z))
+    return degree, lines
+
+
+def enumeration_key(degree, lines):
+    """The total and every type's topology, status and multiplicity, or
+    the error code."""
+    try:
+        res = enumerate_count(degree, LineConfiguration(
+            [{"point": q, "dir": z} for q, z in lines]))
+    except WorkbenchError as err:
+        return err.code
+    return res.total, [(t.topology, t.status, t.multiplicity)
+                       for t in res.per_type]
+
+
+@PROPERTY
+@given(enumeration_problems(), lattice_maps(3))
+def test_enumeration_invariant(problem, g):
+    degree, lines = problem
+    A = g[0]
+    mapped = ([apply(A, d) for d in degree],
+              [(map_point(g, q), apply(A, z)) for q, z in lines])
+    assert enumeration_key(*mapped) == enumeration_key(degree, lines)

@@ -341,16 +341,16 @@ def test_surface_unbounded_cylinder():
 
 
 def test_surface_report_finds_the_crossings_once(monkeypatch):
-    """The report reads the crossings of the even/primitive test."""
+    """The report reads the crossings of the even/primitive test: the
+    crossing sweep, which every route to the crossings runs, runs once."""
     calls = []
-    real = domain.curve_self_crossings
+    real = domain._crossing_sweep
 
-    def counted(c, d=None):
+    def counted(c, L, X, S):
         calls.append(c)
-        return real(c, d)
+        return real(c, L, X, S)
 
-    monkeypatch.setattr(domain, "curve_self_crossings", counted)
-    monkeypatch.setattr(topology, "curve_self_crossings", counted)
+    monkeypatch.setattr(domain, "_crossing_sweep", counted)
     sq = PolyhedralDomain(2, [{"normal": (1, 0), "offset": 0},
                               {"normal": (0, 1), "offset": 0},
                               {"normal": (-1, 0), "offset": -1},
