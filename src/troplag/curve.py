@@ -248,99 +248,100 @@ class TropicalCurve:
 
     # -- geometric edges (2-valent markings smoothed away) ------------------
 
-    def smoothed_edges(self):
-        """Maximal straight chains through 2-valent markings.
+    def _chains(self):
+        """The maximal straight chains through 2-valent markings, in one
+        walk over the incidence lists.
 
-        Each chain is a dict with endpoints first/second (vertex id, or
-        None for an infinite ray end), the primitive direction oriented
-        first -> second, the weight, member edge indices, and the sorted
-        labels carried by the member edges.
+        Yields (first, second, direction, weight, edges) for each chain:
+        its end vertices (None for the infinite end of a ray), its
+        primitive direction oriented first -> second, its weight and its
+        edge indices in walk order.  A chain starts at the first terminal
+        (a non-marking end of an edge, or a ray's infinite end) of the
+        first edge, in edge order, that no chain has taken yet, tail
+        before head, and steps through each marking to its other edge.
+        A ray-ended chain puts the infinite end second; a line, infinite
+        at both ends, takes the sign-normalized direction.  Edges on a
+        closed loop of markings belong to no chain.
         """
+        edges, inc = self.edges, self._incident
         markings = set(self.marking_vertices())
-        seen = set()
-        chains = []
-
-        # chain terminals: a non-marking endpoint of an edge, or the
-        # infinite end of a ray (encoded as None)
-        terminals = []
-        for i, e in enumerate(self.edges):
-            if e.tail not in markings:
-                terminals.append((i, e.tail))
-            if e.bounded:
-                if e.head not in markings:
-                    terminals.append((i, e.head))
-            else:
-                terminals.append((i, None))
-
-        for i, start in terminals:
-            if i in seen:
+        taken = bytearray(len(edges))
+        for i, e in enumerate(edges):
+            if taken[i]:
                 continue
+            start, cur = e.tail, e.head
+            u = e.direction
+            if start in markings:
+                if cur is None:
+                    start, cur = None, start
+                elif cur in markings:
+                    continue
+                else:
+                    start, cur = cur, start
+                u = tuple(map(neg, u))
             idxs = [i]
-            e = self.edges[i]
-            if start is None:
-                cur = e.tail
-            else:
-                cur = e.head if e.tail == start else e.tail
-            while cur is not None and cur in markings:
-                nxt = next(j for j, _, _ in self.incident(cur)
-                           if j not in idxs)
-                idxs.append(nxt)
-                e2 = self.edges[nxt]
+            taken[i] = 1
+            j = i
+            while cur in markings:
+                (j1, _, _), (j2, _, _) = inc[cur]
+                j = j2 if j1 == j else j1
+                idxs.append(j)
+                taken[j] = 1
+                e2 = edges[j]
                 cur = e2.head if e2.tail == cur else e2.tail
-            seen.update(idxs)
-
-            first, second = start, cur
-            e0 = self.edges[idxs[0]]
             if start is None:
-                direction = vec_neg(e0.direction)
-            elif e0.tail == start:
-                direction = e0.direction
-            else:
-                direction = vec_neg(e0.direction)
-            if first is None and second is not None:
-                first, second = second, first
-                direction = vec_neg(direction)
-            if first is None and second is None:
-                _, direction = _sign_normalized(direction)
-            labels = tuple(sorted(self.edges[j].leaf_label for j in idxs
-                                  if self.edges[j].leaf_label is not None))
-            chains.append({
-                "first": first, "second": second, "direction": direction,
-                "weight": e0.weight, "edges": tuple(idxs), "labels": labels,
-            })
-        return chains
+                if cur is None:
+                    _, u = _sign_normalized(u)
+                else:
+                    start, cur = cur, None
+                    u = tuple(map(neg, u))
+            yield start, cur, u, e.weight, tuple(idxs)
 
     def chain_nodes(self):
-        """(junctions, [(a, b, chain), ...]): each chain of
-        smoothed_edges() from the node a of its first side to the node b
-        of its second.  The ends are nodes 0..kappa-1 in ends() order and
-        the junctions (valence >= 3) follow in trivalent_vertices() order.
-        A side that is no junction is the end at an endpoint or infinite
-        end of one of the chain's edges, one not taken by the other side;
-        a line's two rays are ordered so that its direction runs a -> b.
+        """(junctions, [(a, b, direction, weight, edges), ...]): each
+        chain of the one chain walk from the node a of its first side to
+        the node b of its second, the direction running first -> second.
+        The ends are nodes 0..kappa-1 in ends() order and the junctions
+        (valence >= 3) follow in trivalent_vertices() order.  A side that
+        is no junction is the end at its endpoint, or the end of the ray
+        whose infinite end it is; a line's two rays are ordered so that
+        its direction runs a -> b.
         """
         ends = self.ends()
         junctions = self.trivalent_vertices()
+        # a junction, or the 1-valent vertex of an endpoint end, by vertex
+        # id; a ray's end by its edge index
         node = {v: len(ends) + k for k, v in enumerate(junctions)}
-        end_at = {(e.edge_index, e.endpoint): j for j, e in enumerate(ends)}
+        ray = {}
+        for j, e in enumerate(ends):
+            if e.endpoint is None:
+                ray[e.edge_index] = j
+            else:
+                node[e.endpoint] = j
         out = []
-        for ch in self.smoothed_edges():
-            pair = []
-            for v in (ch["first"], ch["second"]):
-                x = node.get(v)
-                if x is None:
-                    x = next((end_at[i, v] for i in ch["edges"]
-                              if (i, v) in end_at
-                              and end_at[i, v] not in pair), None)
-                if x is None:
-                    raise WorkbenchError(
-                        "NOT_TRIVALENT", f"chain endpoint {v} is neither "
-                        f"a junction nor an end")
-                pair.append(x)
-            if ch["first"] is None and ch["second"] is None and \
-                    ends[pair[0]].outward == ch["direction"]:
-                pair.reverse()
-            out.append((*pair, ch))
+        for first, second, u, w, idxs in self._chains():
+            if first is None:
+                # a line: its rays are the first and last edges
+                a, b = ray[idxs[0]], ray[idxs[-1]]
+                if ends[a].outward == u:
+                    a, b = b, a
+                out.append((a, b, u, w, idxs))
+                continue
+            a = node.get(first)
+            if second is not None:
+                b = node.get(second)
+            else:
+                # the ray is the last edge, or the first if the walk
+                # started at its infinite end
+                b = ray.get(idxs[-1])
+                if b is None:
+                    b = ray[idxs[0]]
+            if a is None or b is None:
+                raise WorkbenchError(
+                    "NOT_TRIVALENT", f"chain endpoint "
+                    f"{first if a is None else second} is neither a "
+                    f"junction nor an end")
+            out.append((a, b, u, w, idxs))
         return junctions, out
 
 
@@ -773,24 +774,24 @@ def combinatorial_type(c: TropicalCurve) -> str:
     Stable under re-indexing of vertices; 2-valent markings are smoothed
     first so the encoding is a homeomorphism invariant.
     """
-    chains = c.smoothed_edges()
+    chains = [(a, b, u, w, tuple(sorted(
+        c.edges[j].leaf_label for j in idxs
+        if c.edges[j].leaf_label is not None)))
+        for a, b, u, w, idxs in c._chains()]
     nodes = sorted(v for v in c.coords if c.valence(v) != 2)
 
     # incident descriptors per node
     inc = {v: [] for v in nodes}
-    for k, ch in enumerate(chains):
-        lab = tuple(sorted(ch["labels"]))
-        if ch["first"] is not None:
-            inc[ch["first"]].append((k, ch["direction"], ch["weight"], lab))
-        if ch["second"] is not None:
-            inc[ch["second"]].append((k, vec_neg(ch["direction"]),
-                                      ch["weight"], lab))
+    for k, (a, b, u, w, lab) in enumerate(chains):
+        if a is not None:
+            inc[a].append((k, u, w, lab))
+        if b is not None:
+            inc[b].append((k, vec_neg(u), w, lab))
 
     def neighbors(v, f):
         out = []
         for k, d, w, lab in inc[v]:
-            ch = chains[k]
-            others = [x for x in (ch["first"], ch["second"]) if x != v]
+            others = [x for x in chains[k][:2] if x != v]
             other = others[0] if others else None
             out.append((tuple(d), w, lab, other is None,
                         f(other) if other is not None else -1))
@@ -818,21 +819,17 @@ def combinatorial_type(c: TropicalCurve) -> str:
             for v in part:
                 index[v] = len(index)
         enc_edges = []
-        for ch in chains:
-            a, b = ch["first"], ch["second"]
-            d = ch["direction"]
-            lab = tuple(sorted(ch["labels"]))
+        for a, b, d, w, lab in chains:
             if a is None and b is None:
-                enc_edges.append(("line", tuple(d), ch["weight"], lab))
+                enc_edges.append(("line", tuple(d), w, lab))
                 continue
             if a is None or (b is not None and index[b] < index[a]):
                 a, b, d = b, a, vec_neg(d)
             if b is None:
-                enc_edges.append(("ray", index[a], tuple(d),
-                                  ch["weight"], lab))
+                enc_edges.append(("ray", index[a], tuple(d), w, lab))
             else:
-                enc_edges.append(("seg", index[a], index[b], tuple(d),
-                                  ch["weight"], lab))
+                enc_edges.append(("seg", index[a], index[b], tuple(d), w,
+                                  lab))
         enc = tuple(sorted(enc_edges))
         if best is None or enc < best:
             best = enc

@@ -208,13 +208,13 @@ def build_problem(c: TropicalCurve, zs) -> Problem:
     junctions, chains = c.chain_nodes()
     adj = [[] for _ in range(len(ends) + len(junctions))]
     chain = {}
-    for cid, (a, b, ch) in enumerate(chains):
-        w = ch["weight"]
-        dh = vec_scale(w, ch["direction"])
+    for cid, (a, b, dh, w, _) in enumerate(chains):
+        if w != 1:
+            dh = tuple([w * x for x in dh])
         adj[a].append(b)
         adj[b].append(a)
         chain[a, b] = (dh, w, cid)
-        chain[b, a] = (vec_neg(dh), w, cid)
+        chain[b, a] = (tuple([-x for x in dh]), w, cid)
     rhos = [cross(chain[adj[j][0], j][0], z) for j, z in enumerate(zs)]
     return Problem(zs, rhos, adj, chain, tuple(junctions))
 

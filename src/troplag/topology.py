@@ -15,8 +15,8 @@ from .curve import TropicalCurve, _reach, point_text, require_valid
 from .domain import (PolyhedralDomain, curve_self_crossings,
                      is_standard_simplex_3, require_even_primitive)
 from .errors import Record, WorkbenchError
-from .lattice import (content, cross, is_zero, primitive_raw, rot90,
-                      solve_bareiss, solve_cross, vec_scale)
+from .lattice import (content, cross, is_zero, primitive_raw, solve_bareiss,
+                      solve_cross, vec_scale)
 from .multiplicity import Problem, build_problem
 
 
@@ -31,16 +31,23 @@ def vertex_multiplicity(c: TropicalCurve, vid) -> int:
     span; balancing makes the answer independent of the chosen pair.  For
     two independent vectors it is the product of their two elementary
     divisors, that is the gcd of their 2 x 2 minors: |det| in the plane,
-    the content of the cross product in space.
+    the content of the cross product in space (`_index`).
     """
-    inc = c.incident(vid)
-    if len(inc) != 3:
+    return _index(vid, [d if w == 1 else tuple([w * x for x in d])
+                        for _, d, w in c.incident(vid)], c.dim == 2)
+
+
+def _index(vid, vecs, planar=False):
+    """The multiplicity of the vertex `vid` from its weighted outward
+    edge vectors: the index of the first of the pairs (1, 2), (2, 0),
+    (0, 1) that spans a 2-plane.  The one rule of `vertex_multiplicity`
+    and of h1's junctions (`_junction_indices`)."""
+    if len(vecs) != 3:
         raise WorkbenchError("NOT_TRIVALENT",
-                             f"vertex {vid} has valence {len(inc)}")
-    vecs = [vec_scale(w, d) for _, d, w in inc]
+                             f"vertex {vid} has valence {len(vecs)}")
     for i in range(3):
         a, b = vecs[(i + 1) % 3], vecs[(i + 2) % 3]
-        index = abs(a[0] * b[1] - a[1] * b[0]) if c.dim == 2 \
+        index = abs(a[0] * b[1] - a[1] * b[0]) if planar \
             else content(cross(a, b))
         if index:
             return index
@@ -48,27 +55,30 @@ def vertex_multiplicity(c: TropicalCurve, vid) -> int:
                          f"edges at {vid} do not span a 2-plane")
 
 
+def _junction_indices(prob: Problem):
+    """The multiplicity of each junction of a spatial tree, in junction
+    order, from the displacements dh of its chains (`_index`).  On a
+    valid curve a chain's dh at a junction is its first edge's weighted
+    outward vector, so this is `vertex_multiplicity` at each
+    c.trivalent_vertices() vertex, with its errors in the same order."""
+    adj, chain = prob.adj, prob.chain
+    return [_index(vid, [chain[x, y][0] for y in adj[x]])
+            for x, vid in enumerate(prob.junction_ids, prob.kappa)]
+
+
 def dual_vertex_delta(c: TropicalCurve, vid) -> int:
     """Interior lattice points of the dual triangle of a planar vertex.
 
     The triangle's sides are the quarter-turned weighted edge vectors,
-    laid end to end; twice its area is |det| of any two of them.  The
-    count uses Pick's identity i = A - B/2 + 1 with exact data.
+    laid end to end; twice its area is |det| of any two of them, the
+    vertex multiplicity.  The count uses Pick's identity i = A - B/2 + 1
+    with exact data.
     """
-    inc = c.incident(vid)
-    if len(inc) != 3:
-        raise WorkbenchError("NOT_TRIVALENT",
-                             f"vertex {vid} has valence {len(inc)}")
-    if c.dim != 2:
+    if c.dim != 2 and c.valence(vid) == 3:
         raise WorkbenchError("DIMENSION_MISMATCH",
                              "dual triangles live in the plane")
-    sides = [rot90(vec_scale(w, d)) for _, d, w in inc]
-    (a, b), (p, q) = sides[0], sides[1]
-    two_area = abs(a * q - b * p)
-    if two_area == 0:
-        raise WorkbenchError("DEGENERATE_VERTEX",
-                             f"dual triangle at {vid} has zero area")
-    boundary = sum(content(s) for s in sides)
+    two_area = vertex_multiplicity(c, vid)
+    boundary = sum(content(vec_scale(w, d)) for _, d, w in c.incident(vid))
     # Pick: A = i + B/2 - 1, everything here is integral or half-integral
     interior2 = two_area - boundary + 2
     return interior2 // 2
@@ -324,7 +334,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
     if c.b1() != 0:
         raise WorkbenchError("TREE_ONLY", "h1 needs a tree curve")
     prob = build_problem(c, _bissectrice_zs(c, domain, zs))
-    mults = [vertex_multiplicity(c, v) for v in c.trivalent_vertices()]
+    mults = _junction_indices(prob)
     mv = 1
     for m in mults:
         mv *= m
@@ -425,8 +435,8 @@ def piece_decomposition(c: TropicalCurve,
         kernel = None if z is None else primitive_raw(cross(end.dh(), z))
         pieces.append(Piece(kind, anchor, kernel=kernel))
     gluing = tuple((min(piece_of[a], piece_of[b]),
-                    max(piece_of[a], piece_of[b]), ch["edges"])
-                   for a, b, ch in chains)
+                    max(piece_of[a], piece_of[b]), idxs)
+                   for a, b, _, _, idxs in chains)
     return PieceDecomposition(tuple(pieces), gluing)
 
 

@@ -10,7 +10,7 @@ import pytest
 from enumeration_oracle import rooted_sums
 
 from troplag.curve import Edge, TreeTopology, TropicalCurve
-from troplag.lattice import content, primitive_raw, vec_neg
+from troplag.lattice import content, gcd_primitive, primitive_raw, vec_neg
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -146,6 +146,26 @@ def embed_skeleton(rng, sk):
     return TropicalCurve(3, vertices, edges)
 
 
+def rebuilt(c, edges, extra_vertices=()):
+    """c with new edges, and extra vertices after its own."""
+    return TropicalCurve(c.dim, list(c.vertices.items()) + list(extra_vertices),
+                         edges)
+
+
+def marked_edge(c, i):
+    """c with a 2-valent marking at the midpoint of bounded edge i; a half
+    that ends at an endpoint keeps the edge's label."""
+    e = c.edges[i]
+    mid = tuple((a + b) / 2 for a, b in
+                zip(c.position(e.tail), c.position(e.head)))
+    label_tail = e.leaf_label if c.valence(e.tail) == 1 else None
+    label_head = e.leaf_label if c.valence(e.head) == 1 else None
+    edges = list(c.edges)
+    edges[i] = Edge(e.tail, "mk", e.direction, e.weight, label_tail)
+    edges.append(Edge("mk", e.head, e.direction, e.weight, label_head))
+    return rebuilt(c, edges, [("mk", mid)])
+
+
 def random_tree_problem(rng, kappa, primitive=False):
     """A random balanced tree curve with rays plus primitive directions."""
     sk, degree = random_balanced_skeleton(rng, kappa, primitive)
@@ -162,9 +182,56 @@ def all_roots(curve):
     return roots
 
 
+def smoothed_chains(curve):
+    """The maximal straight chains through 2-valent markings, found the
+    slow way: from each terminal (a non-marking end of an edge, or a
+    ray's infinite end, None) in edge order, tail before head, whose
+    edge no chain holds yet, each marking is left by the first of its
+    edges not yet in the chain.  Each chain is a dict with its sides
+    first/second (a ray's infinite end second), the primitive direction
+    first -> second (sign-normalized on a line), the weight and the edge
+    indices in walk order: an oracle for `TropicalCurve.chain_nodes`."""
+    markings = set(curve.marking_vertices())
+    terminals = []
+    for i, e in enumerate(curve.edges):
+        if e.tail not in markings:
+            terminals.append((i, e.tail))
+        if e.head is None:
+            terminals.append((i, None))
+        elif e.head not in markings:
+            terminals.append((i, e.head))
+    seen, chains = set(), []
+    for i, start in terminals:
+        if i in seen:
+            continue
+        e = curve.edges[i]
+        idxs = [i]
+        cur = e.tail if start is None else \
+            e.head if e.tail == start else e.tail
+        while cur in markings:
+            nxt = next(j for j, _, _ in curve.incident(cur) if j not in idxs)
+            idxs.append(nxt)
+            e2 = curve.edges[nxt]
+            cur = e2.head if e2.tail == cur else e2.tail
+        seen.update(idxs)
+        direction = e.direction if start is not None and e.tail == start \
+            else vec_neg(e.direction)
+        first, second = start, cur
+        if first is None and second is not None:
+            first, second, direction = second, first, vec_neg(direction)
+        if first is None and second is None:
+            direction = gcd_primitive(direction)[1]
+        chains.append({"first": first, "second": second,
+                       "direction": direction, "weight": e.weight,
+                       "edges": tuple(idxs)})
+    return chains
+
+
 def curve_tree(curve):
-    """The tree of a curve's chains, keyed as the curve names it: a
-    junction by its vertex id, end j by ("end", j).
+    """The tree of a curve's chains (`smoothed_chains`), keyed as the
+    curve names it: a junction by its vertex id, end j by ("end", j).
+    A line's two rays are keyed so that its direction runs from the
+    first to the second.
 
     Returns adj, adj[key] = [(other, dh key -> other, weight, chain id)]
     in chain order: the dict form `multiplicity.Problem` had, kept as a
@@ -175,15 +242,21 @@ def curve_tree(curve):
     end_of = {(e.edge_index, e.endpoint): ("end", j)
               for j, e in enumerate(ends)}
 
-    def key(vertex, chain):
-        if vertex in junctions:
-            return vertex
-        return next(end_of[i, vertex] for i in chain["edges"]
-                    if (i, vertex) in end_of)
+    def keys(chain):
+        out = []
+        for v in (chain["first"], chain["second"]):
+            out.append(v if v in junctions else
+                       next(end_of[i, v] for i in chain["edges"]
+                            if (i, v) in end_of
+                            and end_of[i, v] not in out))
+        if chain["first"] is None and chain["second"] is None and \
+                ends[out[0][1]].outward == chain["direction"]:
+            out.reverse()
+        return out
 
     adj = {}
-    for cid, ch in enumerate(curve.smoothed_edges()):
-        a, b = key(ch["first"], ch), key(ch["second"], ch)
+    for cid, ch in enumerate(smoothed_chains(curve)):
+        a, b = keys(ch)
         dh = tuple(ch["weight"] * x for x in ch["direction"])
         adj.setdefault(a, []).append((b, dh, ch["weight"], cid))
         adj.setdefault(b, []).append((a, vec_neg(dh), ch["weight"], cid))

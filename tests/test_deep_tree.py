@@ -2,12 +2,14 @@
 
 A caterpillar with kappa ends has a spine of kappa - 2 junctions, so any
 recursive walk of it goes kappa frames deep.  KAPPA is well above the
-interpreter's default recursion limit.
+interpreter's default recursion limit.  A segment through MARKINGS
+collinear 2-valent markings is one chain, walked in linear time.
 """
 
 import json
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -18,11 +20,13 @@ from troplag import cli
 from troplag.curve import Edge, TropicalCurve, validate_curve
 from troplag.io_json import canonical_json, curve_to_dict
 from troplag.lattice import cross, is_zero, vec_add, vec_sub
-from troplag.multiplicity import (DET_KAPPA_CAP, Problem, ev_matrix,
-                                  mixed_h_product)
-from troplag.topology import h1_order, piece_decomposition
+from troplag.multiplicity import (DET_KAPPA_CAP, Problem, build_problem,
+                                  ev_matrix, mixed_h_product)
+from troplag.topology import h1_order, lens_parameters, piece_decomposition
 
 KAPPA = 2000
+
+MARKINGS = 20000
 
 SPINE = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -143,3 +147,54 @@ def test_multiplicity_command_checks_the_determinant_at_the_cap(tmp_path):
     assert report["agree"] is True
     assert report["determinant"] == report["mixedHProduct"] == \
         mixed_h_product(curve, zs)
+
+
+def marked_segment(n, seed):
+    """The segment from b0 = (0, 0, 0) to b1 = (0, 0, n + 1), with a
+    2-valent marking at each integer height 1..n.  Edge k joins heights
+    k and k + 1, stored downwards for even k, and the edges are listed
+    in a shuffled order.  Returns the curve and walk[k], the index of
+    edge k."""
+    names = ["b0", *(f"m{k}" for k in range(1, n + 1)), "b1"]
+    edges = []
+    for k in range(n + 1):
+        label = 0 if k == 0 else 1 if k == n else None
+        edges.append(Edge(names[k], names[k + 1], (0, 0, 1), 1, label)
+                     if k % 2 else
+                     Edge(names[k + 1], names[k], (0, 0, -1), 1, label))
+    order = list(range(n + 1))
+    random.Random(seed).shuffle(order)
+    walk = [0] * (n + 1)
+    for i, k in enumerate(order):
+        walk[k] = i
+    curve = TropicalCurve(3, [(v, (0, 0, h)) for h, v in enumerate(names)],
+                          [edges[k] for k in order], 1)
+    return curve, walk
+
+
+def timed(fn, *args, **kwargs):
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - start
+
+
+def test_marked_segment_chain_in_linear_time():
+    """One chain through 20,000 markings, its edges in walk order from
+    the end met first; its Problem and lens parameters (those of the
+    one-marking lens fixture with lens_5_2's lines) each within 1 s."""
+    curve, walk = marked_segment(MARKINGS, 5)
+    zs = [(1, 0, 0), (-2, 5, 0)]
+    (junctions, chains), took = timed(curve.chain_nodes)
+    assert took < 1.0
+    if walk[-1] < walk[0]:
+        walk.reverse()
+    assert junctions == []
+    assert chains == [(chains[0][0], chains[0][1], chains[0][2], 1,
+                       tuple(walk))]
+    prob, took = timed(build_problem, curve, zs)
+    assert took < 1.0
+    assert prob.adj == [[1], [0]]
+    assert prob.chain[0, 1] == ((0, 0, 1), 1, 0)
+    lens, took = timed(lens_parameters, curve, zs=zs)
+    assert took < 1.0
+    assert lens.as_dict() == {"p": 5, "qCanonical": 2}

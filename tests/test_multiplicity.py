@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (all_roots, curve_tree, edge_vectors, fixture_path,
-                      internal_edges, leaf_neighbor, rand_nonzero,
-                      rand_primitive, random_tree_problem,
+                      internal_edges, leaf_neighbor, marked_edge,
+                      rand_nonzero, rand_primitive, random_tree_problem,
                       triangle_and_tripod)
 from enumeration_oracle import enumerate_count as per_type_enumerate
 from enumeration_oracle import rooted_sums, singular_type
@@ -24,6 +24,7 @@ from troplag.multiplicity import (EvaluationMatrix, Problem, _glue,
                                   _subtree_planes, build_problem,
                                   enumerate_count, ev_matrix,
                                   mixed_h_product, splitting_check)
+from troplag.topology import _junction_indices, vertex_multiplicity
 
 
 def poincare_curve():
@@ -274,6 +275,96 @@ def test_momenta_match_the_leaf_and_propagate_oracle():
             edges += len(sent)
         weights += any(e.weight > 1 for e in curve.edges if e.bounded)
     assert edges > 10000 and weights > 50
+
+
+def problem_tree(prob):
+    """A Problem's adjacency lists and chains keyed as
+    `conftest.curve_tree` keys them: adj[key] = [(other, dh key -> other,
+    weight, chain id)] in the Problem's adjacency order."""
+    key = [("end", j) for j in range(prob.kappa)] + list(prob.junction_ids)
+    return {key[x]: [(key[y], *prob.chain[x, y]) for y in ys]
+            for x, ys in enumerate(prob.adj)}
+
+
+def chain_oracle_problems():
+    """Spatial trees with constraint directions for the chain oracle: the
+    fixtures, the weighted caterpillar, two lines (two rays, through one
+    and through two markings), a tripod whose marked ray is listed
+    first, and 200 random trees (kappa 3-8, weighted and primitive), each
+    also with a marking on each bounded edge in turn."""
+    problems = [(load_curve(fixture_path(f"{curve}.curve.json")),
+                 [l.direction for l in load_lines(
+                     fixture_path(f"{lines}.lines.json")).lines])
+                for curve, lines in (("poincare", "poincare"),
+                                     ("simplex_tripod", "simplex_tripod"),
+                                     ("lens", "lens_5_2"),
+                                     ("segment", "lens_5_2"),
+                                     ("disappearing", "disappearing"))]
+    problems.append((_weighted_caterpillar(),
+                     [(0, 1, 2), (1, 0, 3), (0, 1, 5), (1, 1, 1)]))
+    lens_z = [(1, 0, 0), (-2, 5, 0)]
+    problems.append((TropicalCurve(3, [("m", (0, 0, 0))],
+                                   [Edge("m", None, (0, 0, 1), 1, 0),
+                                    Edge("m", None, (0, 0, -1), 1, 1)]),
+                     lens_z))
+    problems.append((TropicalCurve(3, [("m", (0, 0, 0)), ("n", (0, 0, 2))],
+                                   [Edge("m", "n", (0, 0, 1)),
+                                    Edge("n", None, (0, 0, 1), 1, 1),
+                                    Edge("m", None, (0, 0, -1), 1, 0)]),
+                     lens_z))
+    problems.append((TropicalCurve(3, [("m", (0, 0, 1)), ("v", (0, 0, 0))],
+                                   [Edge("m", None, (0, 0, 1), 1, 2),
+                                    Edge("v", None, (-1, 0, 0), 1, 0),
+                                    Edge("v", "m", (0, 0, 1)),
+                                    Edge("v", None, (1, 0, -1), 1, 1)]),
+                     [(0, 1, 2), (1, 0, 3), (0, 1, 5)]))
+    rng = random.Random(71)
+    for k in range(200):
+        curve, zs = random_tree_problem(rng, rng.randint(3, 8), k % 2 == 0)
+        problems.append((curve, zs))
+        problems += [(marked_edge(curve, i), zs)
+                     for i in curve.bounded_indices()]
+    return problems
+
+
+def _value_or_error(fn):
+    try:
+        return fn()
+    except WorkbenchError as err:
+        return str(err)
+
+
+def test_problem_matches_the_chain_tree_oracle():
+    """`build_problem` against the chain tree found the slow way
+    (`conftest.curve_tree`): every node's neighbours, dh, weight and
+    chain id in order, the junction ids and each end's d x z; and h1's
+    junction indices, read off the Problem, against
+    `vertex_multiplicity` at every junction, with the same first error
+    where a junction's edges do not span a plane."""
+    problems = chain_oracle_problems()
+    swapped = lines = marked = indices = degenerate = 0
+    for curve, zs in problems:
+        assert validate_curve(curve).ok
+        prob = build_problem(curve, zs)
+        assert problem_tree(prob) == curve_tree(curve)
+        assert prob.rhos == [cross(end.dh(), z)
+                             for end, z in zip(curve.ends(), zs)]
+        junctions = curve.trivalent_vertices()
+        assert prob.junction_ids == tuple(junctions)
+        mults = _value_or_error(
+            lambda: [vertex_multiplicity(curve, v) for v in junctions])
+        assert _value_or_error(lambda: _junction_indices(prob)) == mults
+        if isinstance(mults, str):
+            degenerate += 1
+        else:
+            indices += sum(m > 1 for m in mults)
+        lines += not junctions
+        marked += bool(curve.marking_vertices())
+        swapped += any(second is None and first is not None and
+                       curve.edges[idxs[0]].head is None and len(idxs) > 1
+                       for first, second, _, _, idxs in curve._chains())
+    assert lines == 5 and swapped == 1
+    assert marked > 400 and indices > 500 and degenerate > 0
 
 
 # ---------------------------------------------------------------------------

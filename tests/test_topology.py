@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_path, rand_primitive, random_tree_problem
+from conftest import (fixture_path, marked_edge, rand_primitive,
+                      random_tree_problem, rebuilt)
 
 from troplag import domain, topology
 from troplag.curve import Edge, TropicalCurve, validate_curve
@@ -422,6 +423,65 @@ def test_h1_weighted_line_is_not_primitive_boundary():
     assert err.value.code == "NOT_PRIMITIVE_BOUNDARY"
 
 
+def _four_valent_and_flat():
+    """A 4-valent star, a junction whose edges span a line, and a path of
+    three junctions u, w, x (w flat, x 4-valent) listed u, w, x and
+    u, x, w: every curve valid."""
+    star = TropicalCurve(3, [("v", (0, 0, 0))],
+                         [Edge("v", None, (1, 0, 0), 1, 0),
+                          Edge("v", None, (0, 1, 0), 1, 1),
+                          Edge("v", None, (0, 0, 1), 1, 2),
+                          Edge("v", None, (-1, -1, -1), 1, 3)])
+    flat = TropicalCurve(3, [("v", (0, 0, 0))],
+                         [Edge("v", None, (1, 0, 0), 2, 0),
+                          Edge("v", None, (-1, 0, 0), 1, 1),
+                          Edge("v", None, (-1, 0, 0), 1, 2)])
+    where = {"u": (0, 0, 0), "w": (1, 0, 0), "x": (3, 0, 0)}
+    edges = [Edge("u", None, (0, 1, 0), 1, 0),
+             Edge("u", None, (-1, -1, 0), 1, 1),
+             Edge("u", "w", (1, 0, 0)),
+             Edge("w", "x", (1, 0, 0), 2),
+             Edge("w", None, (-1, 0, 0), 1, 2),
+             Edge("x", None, (1, 0, 0), 2, 3),
+             Edge("x", None, (0, 1, 0), 1, 4),
+             Edge("x", None, (0, -1, 0), 1, 5)]
+    path = [TropicalCurve(3, [(v, where[v]) for v in order], edges)
+            for order in ("uwx", "uxw")]
+    curves = [star, flat, *path]
+    assert all(validate_curve(c).ok for c in curves)
+    return curves
+
+
+def test_h1_and_pieces_at_four_valent_and_flat_junctions():
+    """h1 names the first junction, in vertex order, that is not
+    3-valent or whose edges span no plane, with vertex_multiplicity's
+    code and text; pieces reads no junction index and answers."""
+    zs = [(0, 1, 2)] * 6
+    failures = [("v", "NOT_TRIVALENT: vertex v has valence 4"),
+                ("v", "DEGENERATE_VERTEX: edges at v do not span a 2-plane"),
+                ("w", "DEGENERATE_VERTEX: edges at w do not span a 2-plane"),
+                ("x", "NOT_TRIVALENT: vertex x has valence 4")]
+    gluings = [[[0, 1, [0]], [0, 2, [1]], [0, 3, [2]], [0, 4, [3]]],
+               [[0, 1, [0]], [0, 2, [1]], [0, 3, [2]]],
+               [[0, 3, [0]], [0, 4, [1]], [0, 1, [2]], [1, 2, [3]],
+                [1, 5, [4]], [2, 6, [5]], [2, 7, [6]], [2, 8, [7]]]]
+    gluings.append(gluings[-1])
+    for c, (vid, text), gluing in zip(_four_valent_and_flat(), failures,
+                                      gluings):
+        kappa = len(c.ends())
+        with pytest.raises(WorkbenchError) as err:
+            h1_order(c, zs=zs[:kappa])
+        assert str(err.value) == text
+        with pytest.raises(WorkbenchError) as err:
+            vertex_multiplicity(c, vid)
+        assert str(err.value) == text
+        rep = piece_decomposition(c, zs=zs[:kappa]).as_dict()
+        assert [p["kind"] for p in rep["pieces"]] == \
+            ["PANTS_BUNDLE"] * len(c.trivalent_vertices()) + \
+            ["SOLID_TORUS"] * kappa
+        assert rep["gluing"] == gluing
+
+
 def test_h1_vertex_multiplicity_three():
     # edge directions (1,0,0), (1,3,0), (-2,-3,0): vertex multiplicity 3
     c = TropicalCurve(3, [("v", (0, 0, 0)), ("x", (1, 0, 0)),
@@ -742,32 +802,13 @@ def segment_curve(marked):
                           Edge("m", "a", (1, -1, -1), 1, 0)])
 
 
-def _rebuilt(c, edges, extra_vertices=()):
-    return TropicalCurve(c.dim, list(c.vertices.items()) + list(extra_vertices),
-                         edges)
-
-
 def reversed_edge(c, i):
     """c with the stored orientation of bounded edge i flipped."""
     edges = list(c.edges)
     e = edges[i]
     edges[i] = Edge(e.head, e.tail, tuple(-x for x in e.direction), e.weight,
                     e.leaf_label)
-    return _rebuilt(c, edges)
-
-
-def marked_edge(c, i):
-    """c with a 2-valent marking at the midpoint of bounded edge i; a half
-    that ends at an endpoint keeps the edge's label."""
-    e = c.edges[i]
-    mid = tuple((a + b) / 2 for a, b in
-                zip(c.position(e.tail), c.position(e.head)))
-    label_tail = e.leaf_label if c.valence(e.tail) == 1 else None
-    label_head = e.leaf_label if c.valence(e.head) == 1 else None
-    edges = list(c.edges)
-    edges[i] = Edge(e.tail, "mk", e.direction, e.weight, label_tail)
-    edges.append(Edge("mk", e.head, e.direction, e.weight, label_head))
-    return _rebuilt(c, edges, [("mk", mid)])
+    return rebuilt(c, edges)
 
 
 def clipped_tree(rng):
@@ -786,7 +827,7 @@ def clipped_tree(rng):
                                 zip(curve.position(e.tail), e.direction))))
         edges.append(Edge(e.tail, tip, e.direction, e.weight, e.leaf_label))
         z_at[tip] = zs[e.leaf_label]
-    return _rebuilt(curve, edges, tips), z_at
+    return rebuilt(curve, edges, tips), z_at
 
 
 def _attempt(fn, *args, **kwargs):
