@@ -19,7 +19,7 @@ from .domain import (check_even_primitive, suitability_check,
 from .errors import VALIDATION_CODES, WorkbenchError
 from .io_json import (canonical_json, curve_to_dict, load_curve, load_domain,
                       load_lines)
-from .multiplicity import (DET_KAPPA_CAP, KAPPA_CAP, _tree_problem,
+from .multiplicity import (DET_KAPPA_CAP, KAPPA_CAP, build_problem,
                            enumerate_count)
 
 
@@ -143,7 +143,7 @@ def run_command(argv):
             zs = _zs_from_lines(curve, lines)
             require_valid(curve)
             root = _parse_root(args.root)
-            prob = _tree_problem(curve, zs)
+            prob = build_problem(curve, zs)
             value = prob.mixed_product(root)
             report = {"mixedHProduct": value, "method": "RECURSIVE"}
             if 3 <= prob.kappa <= DET_KAPPA_CAP:

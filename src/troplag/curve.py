@@ -302,13 +302,19 @@ class TropicalCurve:
         chain of the one chain walk from the node a of its first side to
         the node b of its second, the direction running first -> second.
         The ends are nodes 0..kappa-1 in ends() order and the junctions
-        (valence >= 3) follow in trivalent_vertices() order.  A side that
+        (valence >= 3) follow in trivalent_vertices() order; the first
+        junction whose valence is not 3 is NOT_TRIVALENT.  A side that
         is no junction is the end at its endpoint, or the end of the ray
         whose infinite end it is; a line's two rays are ordered so that
         its direction runs a -> b.
         """
         ends = self.ends()
         junctions = self.trivalent_vertices()
+        inc = self._incident
+        for v in junctions:
+            if len(inc[v]) != 3:
+                raise WorkbenchError("NOT_TRIVALENT",
+                                     f"vertex {v} has valence {len(inc[v])}")
         # a junction, or the 1-valent vertex of an endpoint end, by vertex
         # id; a ray's end by its edge index
         node = {v: len(ends) + k for k, v in enumerate(junctions)}

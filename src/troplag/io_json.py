@@ -207,6 +207,13 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         raise WorkbenchError("PARSE_ERROR",
                              f"invalid JSON: {exc}", f"{path}:{exc.lineno}")
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, nesting past the recursion limit, or
+        # an integer past the interpreter's digit limit (whose advice to
+        # raise that limit, after the ';', is dropped)
+        raise WorkbenchError("PARSE_ERROR",
+                             f"invalid JSON: {str(exc).partition(';')[0]}",
+                             path)
 
 
 def curve_from_dict(data) -> TropicalCurve:

@@ -43,7 +43,9 @@ class Problem:
     weight, chain id).  zs[j] is the constraint direction of end j and
     rhos[j] = d_j x z_j its momentum, d_j the weighted outward vector.
     junction_ids[x - kappa] is the vertex id of junction x, read only to
-    take a root and to name a junction in a message.  Every rooted
+    take a root and to name a junction in a message.  `build_problem`
+    refuses a curve with a cycle or a junction that is not 3-valent, so
+    no method checks either again.  Every rooted
     computation (the mixed product, the evaluation matrix, the torsion
     recursion) runs on one iterative walk from its root
     (`curve._preorder`), and the momenta follow the enumerator's plane
@@ -87,18 +89,12 @@ class Problem:
         -dh_out.  The momenta reaching the root are mom[y] for y in
         adj[root].
         """
-        kappa, adj = self.kappa, self.adj
         parent, order, below = self.rooted(root)
-        for x in order[:0:-1]:
-            if x >= kappa and len(adj[x]) != 3:
-                raise WorkbenchError(
-                    "NOT_TRIVALENT", f"junction "
-                    f"{self.junction_ids[x - kappa]} is not 3-valent")
-        kids = _subtree_planes(kappa, parent, order, below,
+        kids = _subtree_planes(self.kappa, parent, order, below,
                                [(rho, 0) for rho in self.rhos])
         # the planes reached each parent in this same order
         arrivals = [iter(k) for k in kids]
-        mom = [None] * len(adj)
+        mom = [None] * len(parent)
         for x in order[:0:-1]:
             mom[x] = next(arrivals[parent[x]])[0]
         return parent, order, mom
@@ -125,9 +121,6 @@ class Problem:
         |mixed(z0, z1, u)| on the single line, and `mom` is not read."""
         kappa, adj, chain = self.kappa, self.adj, self.chain
         if kappa == 2:
-            if adj[0][0] != 1:
-                raise WorkbenchError("NOT_TRIVALENT",
-                                     "a two-end curve must be a single line")
             return abs(mixed(self.zs[0], self.zs[1],
                              primitive_raw(chain[0, 1][0])))
         if node < kappa:
@@ -145,12 +138,7 @@ class Problem:
                 raise WorkbenchError("INTERNAL_INCONSISTENCY",
                                      "pairing not divisible by root weight")
             return k // w_root
-        arrived = [mom[y] for y in adj[node]]
-        if len(arrived) != 3:
-            raise WorkbenchError(
-                "NOT_TRIVALENT",
-                f"vertex {self.junction_ids[node - kappa]!r} is not 3-valent")
-        return abs(mixed(*arrived))
+        return abs(mixed(*[mom[y] for y in adj[node]]))
 
     def mixed_product(self, root=None) -> int:
         """`mixed_h_product` of this problem towards `root` (`root_node`)."""
@@ -167,10 +155,6 @@ class Problem:
                 "evaluation matrix needs at least three ends")
         internal = sorted({cid for (a, b), (_, _, cid) in self.chain.items()
                            if a >= kappa and b >= kappa}, key=repr)
-        if kappa != 3 + len(internal):
-            raise WorkbenchError(
-                "NOT_TRIVALENT",
-                f"{kappa} ends vs {len(internal)} bounded edges")
         if ref is None:
             root = self.adj[0][0]
         elif ref in self.junction_ids:
@@ -196,7 +180,11 @@ class Problem:
 
 def build_problem(c: TropicalCurve, zs) -> Problem:
     """The `Problem` of a tree curve in 3-space with constraint directions
-    `zs`, one per end in c.ends() order."""
+    `zs`, one per end in c.ends() order: TREE_ONLY for a curve with
+    b1 != 0, and NOT_TRIVALENT (`chain_nodes`) for a junction whose
+    valence is not 3."""
+    if c.b1() != 0:
+        raise WorkbenchError("TREE_ONLY", "the curve is not a tree")
     ends = c.ends()
     zs = [tuple(z) for z in zs]
     if len(zs) != len(ends):
@@ -232,14 +220,7 @@ def mixed_h_product(c: TropicalCurve, zs, root=None) -> int:
     for the first end.  With exactly two ends the value is
     |mixed(z1, z2, u)| for the primitive direction u of the single edge.
     """
-    return _tree_problem(c, zs).mixed_product(root)
-
-
-def _tree_problem(c, zs, needs="the mixed product needs a tree"):
-    """build_problem for a tree; TREE_ONLY with the text `needs` else."""
-    if c.b1() != 0:
-        raise WorkbenchError("TREE_ONLY", needs)
-    return build_problem(c, zs)
+    return build_problem(c, zs).mixed_product(root)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +248,7 @@ def ev_matrix(c: TropicalCurve, zs, ref=None) -> EvaluationMatrix:
     on the path from the reference junction to end j, dh(e) pointing
     away from the reference.  `zs` is a sequence in c.ends() order.
     """
-    prob = _tree_problem(c, zs, "evaluation matrix needs a tree")
-    return prob.evaluation_matrix(ref)
+    return build_problem(c, zs).evaluation_matrix(ref)
 
 
 def _evaluation_rows(rhos, leaves, parent, below, ref, col_of):

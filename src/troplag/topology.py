@@ -331,8 +331,6 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
     if c.dim != 3:
         raise WorkbenchError("DIMENSION_MISMATCH", "h1 needs a 3-dim curve")
     require_valid(c)
-    if c.b1() != 0:
-        raise WorkbenchError("TREE_ONLY", "h1 needs a tree curve")
     prob = build_problem(c, _bissectrice_zs(c, domain, zs))
     mults = _junction_indices(prob)
     mv = 1

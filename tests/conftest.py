@@ -280,6 +280,76 @@ def triangle_and_tripod():
                       for t, h, d in edges]}
 
 
+def triangle_with_rays():
+    """A triangle with one ray at each corner: valid, with b1 = 1."""
+    return TropicalCurve(3, [("a", (0, 0, 0)), ("b", (1, 0, 0)),
+                             ("c", (0, 1, 0))],
+                         [Edge("a", "b", (1, 0, 0)),
+                          Edge("b", "c", (-1, 1, 0)),
+                          Edge("c", "a", (0, -1, 0)),
+                          Edge("a", None, (-1, -1, 0), 1, 0),
+                          Edge("b", None, (2, -1, 0), 1, 1),
+                          Edge("c", None, (-1, 2, 0), 1, 2)])
+
+
+def four_valent_and_flat():
+    """Valid spatial trees whose junctions are not all 3-valent with
+    edges spanning a plane, by name: a 4-valent "star" at v, a "flat"
+    junction v whose edges span a line, and a path of three junctions
+    u, w, x (w flat, x 4-valent) listed u, w, x ("path-uwx") and u, x, w
+    ("path-uxw")."""
+    star = TropicalCurve(3, [("v", (0, 0, 0))],
+                         [Edge("v", None, (1, 0, 0), 1, 0),
+                          Edge("v", None, (0, 1, 0), 1, 1),
+                          Edge("v", None, (0, 0, 1), 1, 2),
+                          Edge("v", None, (-1, -1, -1), 1, 3)])
+    flat = TropicalCurve(3, [("v", (0, 0, 0))],
+                         [Edge("v", None, (1, 0, 0), 2, 0),
+                          Edge("v", None, (-1, 0, 0), 1, 1),
+                          Edge("v", None, (-1, 0, 0), 1, 2)])
+    where = {"u": (0, 0, 0), "w": (1, 0, 0), "x": (3, 0, 0)}
+    edges = [Edge("u", None, (0, 1, 0), 1, 0),
+             Edge("u", None, (-1, -1, 0), 1, 1),
+             Edge("u", "w", (1, 0, 0)),
+             Edge("w", "x", (1, 0, 0), 2),
+             Edge("w", None, (-1, 0, 0), 1, 2),
+             Edge("x", None, (1, 0, 0), 2, 3),
+             Edge("x", None, (0, 1, 0), 1, 4),
+             Edge("x", None, (0, -1, 0), 1, 5)]
+    curves = {"star": star, "flat": flat}
+    for order in ("uwx", "uxw"):
+        curves[f"path-{order}"] = TropicalCurve(
+            3, [(v, where[v]) for v in order], edges)
+    return curves
+
+
+def contracted(c, i):
+    """c with its bounded edge i shrunk to the edge's tail: the vertices
+    on the head's side move by tail - head, so that every edge keeps its
+    direction, and the tail takes the head's other edges.  On a tree
+    with 3-valent junctions the tail becomes 4-valent."""
+    e = c.edges[i]
+    tail, head = e.tail, e.head
+    side, stack = {head}, [head]
+    while stack:
+        for j, _, _ in c.incident(stack.pop()):
+            f = c.edges[j]
+            for v in (f.tail, f.head):
+                if j != i and v is not None and v not in side:
+                    side.add(v)
+                    stack.append(v)
+    shift = [a - b for a, b in zip(c.position(tail), c.position(head))]
+    vertices = [(v, tuple(map(sum, zip(pos, shift))) if v in side else pos)
+                for v, pos in c.vertices.items() if v != head]
+
+    def moved(v):
+        return tail if v == head else v
+    edges = [Edge(moved(f.tail), f.head and moved(f.head), f.direction,
+                  f.weight, f.leaf_label)
+             for j, f in enumerate(c.edges) if j != i]
+    return TropicalCurve(c.dim, vertices, edges)
+
+
 # ---------------------------------------------------------------------------
 # Delzant polygons with corners cut off
 

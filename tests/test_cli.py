@@ -1,21 +1,29 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from conftest import (blown_up_polygon, fixture_path, largest_offset,
-                      rand_primitive, random_tree_problem,
-                      triangle_and_tripod)
+from conftest import (blown_up_polygon, contracted, fixture_path,
+                      four_valent_and_flat, largest_offset, rand_primitive,
+                      random_tree_problem, triangle_and_tripod,
+                      triangle_with_rays)
 
 from troplag import domain, topology
 from troplag.cli import _parser, run_command
+from troplag.curve import validate_curve
 from troplag.errors import WorkbenchError
 from troplag.io_json import curve_to_dict, load_curve
 from troplag.lattice import cross, mixed
-from troplag.multiplicity import KAPPA_CAP
+from troplag.multiplicity import KAPPA_CAP, ev_matrix, mixed_h_product
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_json(argv):
@@ -140,6 +148,29 @@ def test_validate_exit_codes(tmp_path):
     code, out = run_json(["validate", "--curve", str(path)])
     assert code == 2
     assert not out["curve"]["ok"]
+
+
+@pytest.mark.parametrize("content, says", [
+    (b"\xff\xfe{}", "utf-8"),
+    (b"[" * 100000 + b"\n", "recursion"),
+    (b'{"dim": ' + b"7" * 5000 + b', "vertices": [], "edges": []}',
+     "digits")], ids=["not-utf8", "deep", "long-integer"])
+def test_unreadable_json_is_a_parse_error(tmp_path, content, says):
+    """Bytes that are not UTF-8, a list nested 100,000 deep and a
+    5,000-digit integer: PARSE_ERROR at the path, exit 1, the JSON
+    report on stdout and nothing on stderr, in a fresh interpreter."""
+    path = tmp_path / "bad.curve.json"
+    path.write_bytes(content)
+    run = ("import sys; sys.path.insert(0, sys.argv[1]); "
+           "from troplag.cli import main; sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-I", "-c", run, str(SRC),
+                           "validate", "--curve", str(path)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    out = json.loads(proc.stdout)
+    assert out["error"] == "PARSE_ERROR"
+    assert out["message"].startswith(f"PARSE_ERROR at {path}: invalid JSON: ")
+    assert says in out["message"]
 
 
 def test_parse_and_schema_errors(tmp_path):
@@ -372,6 +403,60 @@ def test_ray_from_a_one_valent_vertex_is_rejected(tmp_path):
         code, out = run_json([cmd] + files)
         assert code == 2 and out["error"] == "NOT_TRIVALENT", (cmd, out)
         assert "neither a junction nor an end" in out["message"]
+
+
+def _gate_cases():
+    """Spatial curves that the tree core refuses, as parameters (curve,
+    vertex, code, text): vertex is the one the refusal names, None for
+    a cycle.  Random trees get one internal chain contracted."""
+    curves = four_valent_and_flat()
+    cases = [("star", curves["star"], "v"),
+             ("path-uwx", curves["path-uwx"], "x"),
+             ("path-uxw", curves["path-uxw"], "x")]
+    rng = random.Random(29)
+    for k in range(5):
+        c, _ = random_tree_problem(rng, rng.randint(4, 8), k % 2 == 0)
+        i = rng.choice(c.bounded_indices())
+        cases.append((f"contracted-{k}", contracted(c, i), c.edges[i].tail))
+    out = [pytest.param(c, v, "NOT_TRIVALENT", f"vertex {v} has valence 4",
+                        id=name) for name, c, v in cases]
+    out.append(pytest.param(triangle_with_rays(), None, "TREE_ONLY",
+                            "the curve is not a tree", id="triangle"))
+    return out
+
+
+@pytest.mark.parametrize("curve, vertex, code, text", _gate_cases())
+def test_one_refusal_at_every_tree_core_entry(tmp_path, curve, vertex, code,
+                                              text):
+    """A junction whose valence is not 3 (`chain_nodes`) and a cycle
+    (`build_problem`) get one code and text from every entry point into
+    the tree core: the mixed product from every kind of root, the
+    evaluation matrix, h1, pieces and their commands.  NOT_TRIVALENT
+    exits 2 and TREE_ONLY 1.  pieces takes a curve with a cycle."""
+    assert validate_curve(curve).ok
+    rng = random.Random(len(curve.edges))
+    zs = [rand_primitive(rng) for _ in curve.ends()]
+    junctions = curve.trivalent_vertices()
+    calls = [lambda root=root: mixed_h_product(curve, zs, root)
+             for root in [None, ("end", len(zs) - 1)] + junctions]
+    calls += [lambda: ev_matrix(curve, zs),
+              lambda: topology.h1_order(curve, zs=zs)]
+    commands = ["multiplicity", "h1"]
+    if vertex is None:
+        assert topology.piece_decomposition(curve, zs=zs).pieces
+    else:
+        calls += [lambda: topology.piece_decomposition(curve, zs=zs),
+                  lambda: topology.vertex_multiplicity(curve, vertex)]
+        commands.append("pieces")
+    for compute in calls:
+        with pytest.raises(WorkbenchError) as err:
+            compute()
+        assert str(err.value) == f"{code}: {text}"
+    files = write_problem(tmp_path, curve_to_dict(curve), zs)
+    for cmd in commands:
+        assert run_json([cmd] + files) == (
+            2 if code == "NOT_TRIVALENT" else 1,
+            {"error": code, "message": f"{code}: {text}"}), cmd
 
 
 def test_a_curve_in_two_pieces_is_no_tree(tmp_path):

@@ -174,34 +174,6 @@ def test_mixed_h_product_rejects_high_valence():
     assert err.value.code == "NOT_TRIVALENT"
 
 
-def test_four_valent_vertex_messages_as_junction_and_as_root():
-    """A 4-valent vertex is named as a junction on the walk and as a
-    vertex when it is the root, on a star and on a two-junction tree."""
-    star = TropicalCurve(3, [("v", (0, 0, 0))],
-                         [Edge("v", None, (1, 0, 0), 1, 0),
-                          Edge("v", None, (0, 1, 0), 1, 1),
-                          Edge("v", None, (0, 0, 1), 1, 2),
-                          Edge("v", None, (-1, -1, -1), 1, 3)])
-    pair = TropicalCurve(3, [("u", (0, 0, 0)), ("v", (1, 1, 0))],
-                         [Edge("u", None, (-1, 0, 0), 1, 0),
-                          Edge("u", None, (0, -1, 0), 1, 1),
-                          Edge("u", "v", (1, 1, 0), 1, None),
-                          Edge("v", None, (1, 0, 1), 1, 2),
-                          Edge("v", None, (0, 1, 0), 1, 3),
-                          Edge("v", None, (0, 0, -1), 1, 4)])
-    assert validate_curve(pair).ok
-    for curve, roots in ((star, [None, ("end", 2)]),
-                         (pair, [None, ("end", 3), "u"])):
-        zs = [(0, 1, 2)] * len(curve.ends())
-        for root in roots + ["v"]:
-            with pytest.raises(WorkbenchError) as err:
-                mixed_h_product(curve, zs, root)
-            assert err.value.code == "NOT_TRIVALENT"
-            assert str(err.value) == (
-                "NOT_TRIVALENT: vertex 'v' is not 3-valent" if root == "v"
-                else "NOT_TRIVALENT: junction v is not 3-valent")
-
-
 def test_momenta_need_a_spatial_curve():
     """A planar curve with spatial lines: a dimension error from
     build_problem, before any cross product."""
@@ -399,36 +371,20 @@ def test_ev_matrix_needs_tree():
     assert err.value.code == "TREE_ONLY"
 
 
-def test_momenta_refuse_a_cycle():
-    """A triangle with one ray at each corner is a valid curve with
-    b1 = 1: build_problem takes it, and the rooted walk of momenta
-    stops at the first node it reaches twice instead of running on."""
-    tri = TropicalCurve(3, [("a", (0, 0, 0)), ("b", (1, 0, 0)),
-                            ("c", (0, 1, 0))],
-                        [Edge("a", "b", (1, 0, 0)), Edge("b", "c", (-1, 1, 0)),
-                         Edge("c", "a", (0, -1, 0)),
-                         Edge("a", None, (-1, -1, 0), 1, 0),
-                         Edge("b", None, (2, -1, 0), 1, 1),
-                         Edge("c", None, (-1, 2, 0), 1, 2)])
-    assert validate_curve(tri).ok and tri.b1() == 1
-    prob = build_problem(tri, [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
-    for root in range(6):
-        with pytest.raises(WorkbenchError) as err:
-            prob.momenta(root)
-        assert str(err.value) == "TREE_ONLY: a rooted walk needs a tree"
-
-
 def test_a_walk_that_misses_a_component_is_refused():
-    """The triangle of the test above plus a separate tripod, whose rays
-    come first: b1() reads 0, and the walk from the first end sees the
-    tripod alone."""
+    """A triangle with rays plus a separate tripod, whose rays come
+    first: b1() reads 0, so build_problem takes it.  The walk from the
+    first end sees the tripod alone, and a walk from the triangle's
+    junction a or its first end comes back to a node it has reached."""
     c = curve_from_dict(triangle_and_tripod())
     assert c.b1() == 0
     assert validate_curve(c).issues == ("curve is not connected",)
     zs = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 3), (2, 1, 3)]
-    for compute in (mixed_h_product, ev_matrix):
+    calls = [lambda root=root: mixed_h_product(c, zs, root)
+             for root in (None, "a", ("end", 3))]
+    for compute in calls + [lambda: ev_matrix(c, zs)]:
         with pytest.raises(WorkbenchError) as err:
-            compute(c, zs)
+            compute()
         assert str(err.value) == "TREE_ONLY: a rooted walk needs a tree"
 
 

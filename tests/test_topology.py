@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (fixture_path, marked_edge, rand_primitive,
-                      random_tree_problem, rebuilt)
+from conftest import (fixture_path, four_valent_and_flat, marked_edge,
+                      rand_primitive, random_tree_problem, rebuilt)
 
 from troplag import domain, topology
 from troplag.curve import Edge, TropicalCurve, validate_curve
@@ -423,63 +423,24 @@ def test_h1_weighted_line_is_not_primitive_boundary():
     assert err.value.code == "NOT_PRIMITIVE_BOUNDARY"
 
 
-def _four_valent_and_flat():
-    """A 4-valent star, a junction whose edges span a line, and a path of
-    three junctions u, w, x (w flat, x 4-valent) listed u, w, x and
-    u, x, w: every curve valid."""
-    star = TropicalCurve(3, [("v", (0, 0, 0))],
-                         [Edge("v", None, (1, 0, 0), 1, 0),
-                          Edge("v", None, (0, 1, 0), 1, 1),
-                          Edge("v", None, (0, 0, 1), 1, 2),
-                          Edge("v", None, (-1, -1, -1), 1, 3)])
-    flat = TropicalCurve(3, [("v", (0, 0, 0))],
-                         [Edge("v", None, (1, 0, 0), 2, 0),
-                          Edge("v", None, (-1, 0, 0), 1, 1),
-                          Edge("v", None, (-1, 0, 0), 1, 2)])
-    where = {"u": (0, 0, 0), "w": (1, 0, 0), "x": (3, 0, 0)}
-    edges = [Edge("u", None, (0, 1, 0), 1, 0),
-             Edge("u", None, (-1, -1, 0), 1, 1),
-             Edge("u", "w", (1, 0, 0)),
-             Edge("w", "x", (1, 0, 0), 2),
-             Edge("w", None, (-1, 0, 0), 1, 2),
-             Edge("x", None, (1, 0, 0), 2, 3),
-             Edge("x", None, (0, 1, 0), 1, 4),
-             Edge("x", None, (0, -1, 0), 1, 5)]
-    path = [TropicalCurve(3, [(v, where[v]) for v in order], edges)
-            for order in ("uwx", "uxw")]
-    curves = [star, flat, *path]
-    assert all(validate_curve(c).ok for c in curves)
-    return curves
-
-
-def test_h1_and_pieces_at_four_valent_and_flat_junctions():
-    """h1 names the first junction, in vertex order, that is not
-    3-valent or whose edges span no plane, with vertex_multiplicity's
-    code and text; pieces reads no junction index and answers."""
-    zs = [(0, 1, 2)] * 6
-    failures = [("v", "NOT_TRIVALENT: vertex v has valence 4"),
-                ("v", "DEGENERATE_VERTEX: edges at v do not span a 2-plane"),
-                ("w", "DEGENERATE_VERTEX: edges at w do not span a 2-plane"),
-                ("x", "NOT_TRIVALENT: vertex x has valence 4")]
-    gluings = [[[0, 1, [0]], [0, 2, [1]], [0, 3, [2]], [0, 4, [3]]],
-               [[0, 1, [0]], [0, 2, [1]], [0, 3, [2]]],
-               [[0, 3, [0]], [0, 4, [1]], [0, 1, [2]], [1, 2, [3]],
-                [1, 5, [4]], [2, 6, [5]], [2, 7, [6]], [2, 8, [7]]]]
-    gluings.append(gluings[-1])
-    for c, (vid, text), gluing in zip(_four_valent_and_flat(), failures,
-                                      gluings):
-        kappa = len(c.ends())
-        with pytest.raises(WorkbenchError) as err:
-            h1_order(c, zs=zs[:kappa])
-        assert str(err.value) == text
-        with pytest.raises(WorkbenchError) as err:
-            vertex_multiplicity(c, vid)
-        assert str(err.value) == text
-        rep = piece_decomposition(c, zs=zs[:kappa]).as_dict()
-        assert [p["kind"] for p in rep["pieces"]] == \
-            ["PANTS_BUNDLE"] * len(c.trivalent_vertices()) + \
-            ["SOLID_TORUS"] * kappa
-        assert rep["gluing"] == gluing
+def test_h1_refuses_a_flat_junction_that_pieces_takes():
+    """A 3-valent junction whose edges span a line: h1 refuses it with
+    vertex_multiplicity's code and text, while pieces, which reads no
+    junction plane, still answers with one pants bundle for it."""
+    c = four_valent_and_flat()["flat"]
+    assert validate_curve(c).ok
+    zs = [(0, 1, 2)] * 3
+    text = "DEGENERATE_VERTEX: edges at v do not span a 2-plane"
+    with pytest.raises(WorkbenchError) as err:
+        h1_order(c, zs=zs)
+    assert str(err.value) == text
+    with pytest.raises(WorkbenchError) as err:
+        vertex_multiplicity(c, "v")
+    assert str(err.value) == text
+    rep = piece_decomposition(c, zs=zs).as_dict()
+    assert [p["kind"] for p in rep["pieces"]] == \
+        ["PANTS_BUNDLE"] + ["SOLID_TORUS"] * 3
+    assert rep["gluing"] == [[0, 1, [0]], [0, 2, [1]], [0, 3, [2]]]
 
 
 def test_h1_vertex_multiplicity_three():
