@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 validation failure (a report is still printed),
-1 internal or input error.  Output is deterministic: canonical JSON by
+1 internal or input error, or a report too large to write
+(OUTPUT_TOO_LARGE).  Output is deterministic: canonical JSON by
 default, a flat key/value table with --format table.
 """
 
@@ -18,7 +19,7 @@ from .domain import (check_even_primitive, suitability_check,
                      validate_delzant, wavefront)
 from .errors import VALIDATION_CODES, WorkbenchError
 from .io_json import (canonical_json, curve_to_dict, load_curve, load_domain,
-                      load_lines)
+                      load_lines, output_too_large)
 from .multiplicity import (DET_KAPPA_CAP, KAPPA_CAP, build_problem,
                            enumerate_count)
 
@@ -67,7 +68,10 @@ def _table(obj, prefix=""):
 
 def _emit(report, fmt):
     if fmt == "table":
-        return "\n".join(_table(report)) + "\n"
+        try:
+            return "\n".join(_table(report)) + "\n"
+        except ValueError as exc:
+            raise output_too_large(exc) from None
     return canonical_json(report)
 
 

@@ -722,10 +722,11 @@ def _edge_pairs(kappa):
 
 
 def _tree_edges(parent, pair):
-    """The sorted edges (a, b), a < b, of a tree hung from leaf 0, taken
-    from the table pair = `_edge_pairs(kappa)`."""
-    return tuple(sorted([pair[x][y] for x, y in enumerate(parent)
-                         if y is not None]))
+    """The sorted edges (a, b), a < b, of a complete tree hung from leaf
+    0, taken from the table pair = `_edge_pairs(kappa)`.  Every node but
+    leaf 0 must have its parent: one edge per node 1.. is read, and a
+    node not yet placed would fail."""
+    return tuple(sorted(map(list.__getitem__, pair[1:], parent[1:])))
 
 
 def _preorder(adj, root):

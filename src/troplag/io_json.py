@@ -403,6 +403,14 @@ def _emit(o, nl, out, seen):
                         f"is not JSON serializable")
 
 
+def output_too_large(exc):
+    """The OUTPUT_TOO_LARGE error for a report holding an int past the
+    interpreter's digit limit: its `ValueError` text, without the advice
+    to raise that limit after the ';'."""
+    return WorkbenchError("OUTPUT_TOO_LARGE", "cannot write the report: "
+                          + str(exc).partition(";")[0])
+
+
 def canonical_json(obj) -> str:
     """obj as the text json.dumps(obj, sort_keys=True, indent=2) + "\n".
 
@@ -412,9 +420,13 @@ def canonical_json(obj) -> str:
     computes without floating point.  A tuple object repeated within obj
     at one indentation, like the edge pairs an enumeration's types
     share, is written once and its text reused (`_emit`); the memo is
-    local to the call.
+    local to the call.  An int past the interpreter's digit limit is an
+    OUTPUT_TOO_LARGE error; the limit stays.
     """
     out = []
-    _emit(obj, "\n", out, {})
+    try:
+        _emit(obj, "\n", out, {})
+    except ValueError as exc:
+        raise output_too_large(exc) from None
     out.append("\n")
     return "".join(out)

@@ -30,11 +30,11 @@ def vec_sub(u, v):
 
 
 def vec_neg(u):
-    return tuple(-a for a in u)
+    return tuple([-a for a in u])
 
 
 def vec_scale(c, u):
-    return tuple(c * a for a in u)
+    return tuple([c * a for a in u])
 
 
 def dot(u, v):
@@ -45,15 +45,12 @@ def dot(u, v):
 
 
 def is_zero(u):
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def content(v) -> int:
     """GCD of the coordinates (nonnegative; 0 for the zero vector)."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
+    return gcd(*v)
 
 
 def primitive_raw(v):
@@ -61,7 +58,7 @@ def primitive_raw(v):
     g = content(v)
     if g == 0:
         return tuple(v)
-    return tuple(a // g for a in v)
+    return tuple([a // g for a in v])
 
 
 def gcd_primitive(v):
@@ -74,7 +71,7 @@ def gcd_primitive(v):
     g = content(v)
     if g == 0:
         return 0, tuple(v)
-    u = tuple(a // g for a in v)
+    u = tuple([a // g for a in v])
     for a in u:
         if a != 0:
             if a < 0:

@@ -157,11 +157,13 @@ class Problem:
                            if a >= kappa and b >= kappa}, key=repr)
         if ref is None:
             root = self.adj[0][0]
+            if root < kappa:
+                # with three ends or more, end 0 meets an end only when
+                # the curve is in pieces, though its b1() reads 0
+                raise WorkbenchError("TREE_ONLY", "the curve is not a tree")
         elif ref in self.junction_ids:
             root = kappa + self.junction_ids.index(ref)
         else:
-            root = None
-        if root is None or root < kappa:
             raise WorkbenchError("BAD_ROOT",
                                  f"reference {ref!r} is not a junction")
         ref = self.junction_ids[root - kappa]
@@ -393,7 +395,14 @@ def enumerate_count(degree, lines: LineConfiguration,
     displacement of the edge parent(x) -> x) and each rooted subtree's
     integer plane (`_subtree_planes`' rule, `_glue`).  Leaf k on the
     edge above x adds the junction m: only m's plane, and the sums and
-    planes on the path from m to leaf 0, change.  The planes at ref
+    planes on the path from m to leaf 0, change.  The last leaf, kappa -
+    1, stops that path below ref and leaves ref's own sum and plane
+    stale, since no type reads them: D and Cramer read the planes of
+    ref's children, the zero-sum test and the lengths run over the
+    junctions below ref, `_inconsistent_type` stops at ref before its
+    sum, and a curve reads the sums of the nodes below ref.  Only a
+    later insertion would read them, and none follows the last leaf;
+    its undo restores just what it saved.  The planes at ref
     give D = n1 . (n2 x n3), +-det of the type's evaluation matrix, and
     ref's position by Cramer's rule.  Walking down a parent-first list
     of the junctions, each bounded edge length follows from a child
@@ -487,8 +496,10 @@ def enumerate_count(degree, lines: LineConfiguration,
         b0, b1, b2 = below[x]
         below[m] = (b0 + d0, b1 + d1, b2 + d2)
         plane[m] = _glue(plane[x], plane[leaf], below[m])
+        # the last leaf leaves ref's sum and plane stale: no type reads them
+        top = ref if leaf == kappa - 1 and y else 0
         old = []
-        while y:
+        while y != top:
             b0, b1, b2 = below[y]
             below[y] = u = (b0 + d0, b1 + d1, b2 + d2)
             a, b = kids[y]

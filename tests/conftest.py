@@ -280,6 +280,22 @@ def triangle_and_tripod():
                       for t, h, d in edges]}
 
 
+def line_and_triangle():
+    """A line of two rays listed first and, apart from it, a triangle
+    with one ray at each corner: b1() reads 3 - 4 + 1 = 0, but the curve
+    is no tree, and end 0's neighbour in the chain tree is end 1."""
+    pos = {"p": ["5", "5", "5"], "a": ["0", "0", "0"], "b": ["1", "0", "0"],
+           "c": ["0", "1", "0"]}
+    edges = [("p", None, (0, 0, 1)), ("p", None, (0, 0, -1)),
+             ("a", "b", (1, 0, 0)), ("b", "c", (-1, 1, 0)),
+             ("c", "a", (0, -1, 0)), ("a", None, (-1, -1, 0)),
+             ("b", None, (2, -1, 0)), ("c", None, (-1, 2, 0))]
+    return {"dim": 3,
+            "vertices": [{"id": v, "pos": p} for v, p in pos.items()],
+            "edges": [{"tail": t, "head": h, "dir": list(d)}
+                      for t, h, d in edges]}
+
+
 def triangle_with_rays():
     """A triangle with one ray at each corner: valid, with b1 = 1."""
     return TropicalCurve(3, [("a", (0, 0, 0)), ("b", (1, 0, 0)),

@@ -31,6 +31,15 @@ def run_json(argv):
     return code, json.loads(text)
 
 
+def run_fresh(argv):
+    """`troplag argv` in a fresh, isolated interpreter on this checkout's
+    source, with stdout and stderr captured."""
+    run = ("import sys; sys.path.insert(0, sys.argv[1]); "
+           "from troplag.cli import main; sys.exit(main(sys.argv[2:]))")
+    return subprocess.run([sys.executable, "-I", "-c", run, str(SRC), *argv],
+                          capture_output=True, text=True)
+
+
 def test_h1_poincare_command():
     code, out = run_json(["h1", "--curve", fixture_path("poincare.curve.json"),
                           "--lines", fixture_path("poincare.lines.json")])
@@ -161,16 +170,39 @@ def test_unreadable_json_is_a_parse_error(tmp_path, content, says):
     report on stdout and nothing on stderr, in a fresh interpreter."""
     path = tmp_path / "bad.curve.json"
     path.write_bytes(content)
-    run = ("import sys; sys.path.insert(0, sys.argv[1]); "
-           "from troplag.cli import main; sys.exit(main(sys.argv[2:]))")
-    proc = subprocess.run([sys.executable, "-I", "-c", run, str(SRC),
-                           "validate", "--curve", str(path)],
-                          capture_output=True, text=True)
+    proc = run_fresh(["validate", "--curve", str(path)])
     assert (proc.returncode, proc.stderr) == (1, "")
     out = json.loads(proc.stdout)
     assert out["error"] == "PARSE_ERROR"
     assert out["message"].startswith(f"PARSE_ERROR at {path}: invalid JSON: ")
     assert says in out["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_an_answer_past_the_digit_limit_is_output_too_large(tmp_path, fmt):
+    """The tripod's lines with every direction scaled by 10^2000 + 7:
+    each input integer has 2,001 digits, but the mixed product is cubic
+    in them, past the interpreter's 4,300-digit limit.  OUTPUT_TOO_LARGE,
+    exit 1, the error report on stdout and nothing on stderr, in a fresh
+    interpreter, in either format."""
+    big = 10 ** 2000 + 7
+    lines = json.loads(Path(fixture_path("simplex_tripod.lines.json"))
+                       .read_text())
+    for line in lines["lines"]:
+        line["dir"] = [big * x for x in line["dir"]]
+    path = tmp_path / "big.lines.json"
+    path.write_text(json.dumps(lines))
+    proc = run_fresh(["multiplicity", "--curve",
+                      fixture_path("simplex_tripod.curve.json"),
+                      "--lines", str(path), "--format", fmt])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    says = ("OUTPUT_TOO_LARGE: cannot write the report: Exceeds the limit "
+            "(4300 digits) for integer string conversion")
+    if fmt == "json":
+        assert json.loads(proc.stdout) == {"error": "OUTPUT_TOO_LARGE",
+                                           "message": says}
+    else:
+        assert proc.stdout == f"error: OUTPUT_TOO_LARGE\nmessage: {says}\n"
 
 
 def test_parse_and_schema_errors(tmp_path):

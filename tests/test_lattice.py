@@ -8,15 +8,45 @@ from exact_oracle import bareiss_echelon_eager, solve_exact
 from troplag.errors import WorkbenchError
 from troplag.lattice import (SnfResult, _bareiss_echelon, content, cross,
                              det_bareiss, elementary_divisors, gcd_primitive,
-                             lattice_index, mixed, rank_exact,
-                             smith_normal_form, solve_bareiss, solve_cross,
-                             solve_dot)
+                             is_zero, lattice_index, mixed, primitive_raw,
+                             rank_exact, smith_normal_form, solve_bareiss,
+                             solve_cross, solve_dot, vec_neg, vec_scale)
 
 
 def test_gcd_primitive_examples():
     assert gcd_primitive((0, 0, 0)) == (0, (0, 0, 0))
     assert gcd_primitive((2, -3, 0)) == (1, (2, -3, 0))
     assert gcd_primitive((-6, 4, -10)) == (2, (3, -2, 5))
+
+
+@pytest.mark.parametrize("v,g,raw,normal,neg,times_minus_two", [
+    ((0, 0, 0), 0, (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ((), 0, (), (), (), ()),
+    ((6, -4, 10), 2, (3, -2, 5), (3, -2, 5), (-6, 4, -10), (-12, 8, -20)),
+    ((-6, 4, -10), 2, (-3, 2, -5), (3, -2, 5), (6, -4, 10), (12, -8, 20)),
+    ((0, -3, 0), 3, (0, -1, 0), (0, 1, 0), (0, 3, 0), (0, 6, 0)),
+    ([4, -6, 8], 2, (2, -3, 4), (2, -3, 4), (-4, 6, -8), (-8, 12, -16)),
+    ([-5], 5, (-1,), (1,), (5,), (10,)),
+    ([0, 0], 0, (0, 0), (0, 0), (0, 0), (0, 0))])
+def test_vector_helpers_pinned(v, g, raw, normal, neg, times_minus_two):
+    """content, primitive_raw, gcd_primitive, vec_neg and vec_scale on
+    zero, empty, mixed-sign and list input: a tuple always comes back,
+    with its type checked as well as its value."""
+    assert content(v) == g
+    got = (primitive_raw(v), gcd_primitive(v)[1], vec_neg(v),
+           vec_scale(-2, v))
+    assert got == (raw, normal, neg, times_minus_two)
+    assert {type(u) for u in got} == {tuple}
+    assert gcd_primitive(v)[0] == g
+    assert is_zero(v) == (g == 0)
+
+
+def test_is_zero_pinned():
+    assert is_zero(()) and is_zero([]) and is_zero((0, 0, 0))
+    assert is_zero((Fraction(0), Fraction(0, 5), 0))
+    assert is_zero([Fraction(0)])
+    assert not is_zero((Fraction(0), Fraction(1, 3)))
+    assert not is_zero((0, 0, -1)) and not is_zero([2])
 
 
 def test_gcd_primitive_roundtrip():

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (all_roots, curve_tree, edge_vectors, fixture_path,
-                      internal_edges, leaf_neighbor, marked_edge,
-                      rand_nonzero, rand_primitive, random_tree_problem,
-                      triangle_and_tripod)
+                      internal_edges, leaf_neighbor, line_and_triangle,
+                      marked_edge, rand_nonzero, rand_primitive,
+                      random_tree_problem, triangle_and_tripod)
 from enumeration_oracle import enumerate_count as per_type_enumerate
 from enumeration_oracle import rooted_sums, singular_type
 from exact_oracle import solve_exact
@@ -386,6 +386,20 @@ def test_a_walk_that_misses_a_component_is_refused():
         with pytest.raises(WorkbenchError) as err:
             compute()
         assert str(err.value) == "TREE_ONLY: a rooted walk needs a tree"
+
+
+def test_a_curve_whose_first_end_meets_an_end_is_refused():
+    """A two-ray line listed before a triangle with rays: b1() reads 0,
+    and end 0's neighbour is end 1, so the default reference of the
+    evaluation matrix is no junction.  Both routes refuse the curve as
+    no tree."""
+    c = curve_from_dict(line_and_triangle())
+    assert c.b1() == 0
+    zs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
+    for compute in (ev_matrix, mixed_h_product):
+        with pytest.raises(WorkbenchError) as err:
+            compute(c, zs)
+        assert err.value.code == "TREE_ONLY"
 
 
 def test_ev_matrix_reference_independence():
@@ -940,17 +954,19 @@ def outcome_record(fn, degree, lines):
 
 @pytest.mark.parametrize("kappa,seed,count,num,den,bound", [
     (4, 31, 40, 20, 5, 1), (5, 32, 15, 20, 5, 2), (6, 33, 5, 300, 40, 2),
-    (7, 34, 2, 20, 5, 1), (8, 35, 1, 300, 40, 2),
+    (7, 34, 2, 20, 5, 1), (8, 40, 1, 300, 40, 1), (8, 35, 1, 300, 40, 2),
     (4, 36, 120, 2, 1, 1), (5, 37, 60, 2, 1, 1), (6, 38, 25, 2, 1, 2),
     (7, 39, 4, 2, 1, 1)], ids=[
-    "4", "5-wide", "6-wide", "7", "8-wide",
+    "4", "5-wide", "6-wide", "7", "8", "8-wide",
     "4-walls", "5-walls", "6-walls-wide", "7-walls"])
 def test_enumerate_matches_the_per_type_route(kappa, seed, count, num, den,
                                               bound):
     """The walk gives the per-type route's total, statuses,
     multiplicities, curves and error texts.  Points with num = 2 and
     den = 1 put many placements on a wall, so the first wall type and
-    its message are compared too."""
+    its message are compared too.  At kappa = 8 both D = 0 statuses
+    occur, so each D = 0 branch runs after a last leaf that left ref's
+    sum and plane stale."""
     rng = random.Random(seed)
     seen = set()
     for _ in range(count):
@@ -963,6 +979,8 @@ def test_enumerate_matches_the_per_type_route(kappa, seed, count, num, den,
         else:
             seen |= {t[1] for t in got[1]}
     assert {"accepted", "rejected"} <= seen
+    if kappa == 8:
+        assert {"degenerate", "singular"} <= seen
     if num == 2:
         assert "singular" in seen
         assert {"NON_GENERIC_CONFIG: zero edge length",
