@@ -872,14 +872,15 @@ class BoundaryPointInfo(Record):
 
 
 def _stratum_direction(domain, active):
-    """Primitive direction of a codimension-2 stratum in a 3-dim domain."""
+    """Primitive direction of a codimension-2 stratum in a 3-dim domain:
+    two of its active normals are independent, so a cross product of
+    two of them is nonzero."""
     normals = [domain.facets[j].normal for j in active]
     for i in range(len(normals)):
         for j in range(i + 1, len(normals)):
             z = cross(normals[i], normals[j])
             if not is_zero(z):
                 return primitive_raw(z)
-    return None
 
 
 def _classify_at(c, domain, point, active, edge_index, outward, end_index):
@@ -910,7 +911,7 @@ def _classify_at(c, domain, point, active, edge_index, outward, end_index):
         if all(m == 1 for _, m in momenta):
             if c.dim == 3:
                 z_dir = _stratum_direction(domain, active)
-                if z_dir is not None and content(cross(dh, z_dir)) == 1:
+                if content(cross(dh, z_dir)) == 1:
                     kind = "BISSECTRICE"
                 else:
                     note = "corner-basis decomposition unavailable"

@@ -87,4 +87,5 @@ VALIDATION_CODES = frozenset({
     "NO_BASIS",
     "SPLIT_DEGENERATE",
     "NOT_BISSECTRICE",
+    "NOT_COMPACT",
 })

@@ -313,11 +313,26 @@ class SnfResult(Record):
         return True
 
 
+def _pair(p, b):
+    """Rows of a 2 x 2 integer matrix of determinant 1 taking (p, b),
+    p != 0, to (gcd(p, b), 0); when p divides b it takes them to (p, 0),
+    so an exact step leaves the pivot as it is."""
+    if b % p == 0:
+        return (1, 0), (-(b // p), 1)
+    g, s, t = _xgcd(p, b)
+    return (s, t), (-b // g, p // g)
+
+
 def smith_normal_form(rows) -> SnfResult:
-    """Smith normal form by elementary row/column operations.
+    """Smith normal form by 2 x 2 unimodular row and column steps.
 
     Pivot selection: smallest nonzero absolute value, ties broken by
     lowest row then column index, which makes the output deterministic.
+    Each step (`_pair`; Kannan-Bachem 1979, Cohen GTM 138 2.4) puts the
+    gcd of the pivot and one entry of its column or row at the pivot and
+    0 at the entry, so |pivot| only shrinks.  An entry right of and below
+    the pivot that it does not divide has its row added to the pivot
+    row, and the next column step shrinks the pivot again.
     """
     a = [list(r) for r in rows]
     nr = len(a)
@@ -325,85 +340,50 @@ def smith_normal_form(rows) -> SnfResult:
     u = _mat_identity(nr)
     v = _mat_identity(nc)
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    def rows_step(i, k, m):
+        # rows i and k of a and u become m times them
+        (e, f), (g, h) = m
+        for w in (a, u):
+            wi, wk = w[i], w[k]
+            w[i] = [e * p + f * q for p, q in zip(wi, wk)]
+            w[k] = [g * p + h * q for p, q in zip(wi, wk)]
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    def cols_step(j, k, m):
+        # columns j and k of a and v become them times m transposed
+        (e, f), (g, h) = m
+        for w in (a, v):
+            for row in w:
+                p, q = row[j], row[k]
+                row[j], row[k] = e * p + f * q, g * p + h * q
 
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # locate pivot
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0:
-                    key = (abs(a[i][j]), i, j)
-                    if best is None or key < best:
-                        best = key
+    for t in range(min(nr, nc)):
+        best = min([(abs(x), i, j) for i in range(t, nr)
+                    for j, x in enumerate(a[i][t:], t) if x], default=None)
         if best is None:
             break
-        _, pi, pj = best
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-
-        # clear row and column t; remainders may reappear, so iterate
+        _, i, j = best
+        if i != t:
+            rows_step(t, i, ((0, 1), (1, 0)))
+        if j != t:
+            cols_step(t, j, ((0, 1), (1, 0)))
         while True:
-            dirty = False
             for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
+                if a[i][t]:
+                    rows_step(t, i, _pair(a[t][t], a[i][t]))
             for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-
-        # enforce divisibility of the remaining block by the pivot
-        pivot = a[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % pivot != 0:
-                    offender = i
+                if a[t][j]:
+                    cols_step(t, j, _pair(a[t][t], a[t][j]))
+            if any([row[t] for row in a[t + 1:]]):
+                continue
+            p = a[t][t]
+            for i in range(t + 1, nr):
+                if any([x % p for x in a[i][t + 1:]]):
+                    rows_step(t, i, ((1, 1), (0, 1)))
                     break
-            if offender is not None:
+            else:
                 break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
         if a[t][t] < 0:
-            negate_row(t)
-        t += 1
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
 
     return SnfResult(tuple(tuple(r) for r in u),
                      tuple(tuple(r) for r in a),

@@ -114,9 +114,7 @@ def self_intersections(c: TropicalCurve,
 
 
 class ComponentReport(Record):
-    __slots__ = ("vertices",
-                 "wedges",  # indices of weight > 1 edges in the component
-                 "b1", "ends", "delta")
+    __slots__ = ("vertices", "b1", "ends", "delta")
 
     def as_dict(self):
         return {"vertices": list(self.vertices), "b1": self.b1,
@@ -195,9 +193,8 @@ def surface_report(c: TropicalCurve, d: PolyhedralDomain,
             if cr["edges"][0] in ke and cr["edges"][1] in ke:
                 delta += cr["weight"]
                 extra -= cr["weight"]
-        components.append(ComponentReport(tuple(kv), tuple(ke),
-                                          len(ke) - len(via) + 1, ends,
-                                          delta))
+        components.append(ComponentReport(tuple(kv), len(ke) - len(via) + 1,
+                                          ends, delta))
         total_nodes += delta
 
     euler = -len(verts) + even.bissectrice

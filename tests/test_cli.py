@@ -138,6 +138,47 @@ def test_unmarked_segment_keeps_both_ends_apart(tmp_path):
         assert h1["product"] == mult["mixedHProduct"] == h1["h1Order"] > 0
 
 
+def octant_problem(where, vertices, edges):
+    """--curve and --domain arguments for a spatial curve with the given
+    vertices {id: position} and edges (tail, head, dir) in the octant
+    x, y, z >= 0."""
+    cpath, dpath = where / "c.curve.json", where / "octant.domain.json"
+    cpath.write_text(json.dumps({
+        "dim": 3,
+        "vertices": [{"id": v, "pos": [str(x) for x in pos]}
+                     for v, pos in vertices.items()],
+        "edges": [{"tail": t, "head": h, "dir": list(d)}
+                  for t, h, d in edges]}))
+    dpath.write_text(json.dumps({"dim": 3, "facets": [
+        {"normal": n, "offset": "0"}
+        for n in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}))
+    return ["--curve", str(cpath), "--domain", str(dpath)]
+
+
+def test_broken_h1_hypotheses_are_validation_errors(tmp_path):
+    """h1 and lens need a compact curve with every end at a bissectrice
+    point.  A segment meeting the facet z = 0 with momentum 2, and a
+    tripod with a ray, both valid in the octant, break that hypothesis:
+    exit 2, like any input that breaks a theorem's hypotheses."""
+    segment = octant_problem(tmp_path, {"a": (0, 0, 2), "b": (1, 1, 0)},
+                             [("a", "b", (1, 1, -2))])
+    assert run_json(["validate"] + segment)[0] == 0
+    for cmd in ("h1", "lens"):
+        assert run_json([cmd] + segment) == (2, {
+            "error": "NOT_BISSECTRICE",
+            "message": "NOT_BISSECTRICE: boundary point (1, 1, 0) is "
+                       "MOMENTUM2"}), cmd
+    tripod = octant_problem(
+        tmp_path, {"o": (1, 1, 1), "p": (0, 0, 1), "q": (0, 1, 0)},
+        [("o", "p", (-1, -1, 0)), ("o", "q", (-1, 0, -1)),
+         ("o", None, (2, 1, 1))])
+    code, out = run_json(["validate"] + tripod)
+    assert code == 0 and out["curve"]["ok"] and out["evenPrimitive"]["ok"]
+    assert run_json(["h1"] + tripod) == (2, {
+        "error": "NOT_COMPACT",
+        "message": "NOT_COMPACT: curve has ends escaping to infinity"})
+
+
 def test_validate_exit_codes(tmp_path):
     code, out = run_json(["validate",
                           "--curve", fixture_path("simplex_tripod.curve.json"),
@@ -340,7 +381,8 @@ def test_planar_curve_with_spatial_lines_is_a_dimension_error():
             "--lines", fixture_path("poincare.lines.json")]
     for cmd, message in (
             ("multiplicity", "rotational momenta need a 3-dim curve"),
-            ("suitability", "line 0 is not 2-dimensional")):
+            ("suitability", "line 0 is not 2-dimensional"),
+            ("enumerate", "degree must be 3-vectors")):
         code, out = run_json([cmd] + args)
         assert code == 1, cmd
         assert out == {"error": "DIMENSION_MISMATCH",
@@ -514,6 +556,12 @@ def test_an_unbalanced_tripod_is_refused(tmp_path):
         code, out = run_json([cmd] + files)
         assert (code, out["error"]) == (2, "INVALID_CURVE"), (cmd, out)
         assert "balancing fails" in out["message"], (cmd, out)
+    # enumerate reads only the end degrees, and refuses their sum
+    code, out = run_json(["enumerate", "--curve", files[1], "--lines",
+                          fixture_path("simplex_tripod.lines.json")])
+    assert (code, out) == (1, {
+        "error": "UNBALANCED_DEGREE",
+        "message": "UNBALANCED_DEGREE: degree does not sum to 0"})
 
 
 # ---------------------------------------------------------------------------

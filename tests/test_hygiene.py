@@ -9,7 +9,8 @@ holds no float literal, names ``float`` only in ``isinstance`` tests
 every CLI process.  ``pyproject.toml`` declares no dependencies, and
 every name in ``troplag.__all__`` is listed once and exists.  Every
 private definition is used, and every public one that only the tests
-reach is listed with its reason in ``TEST_ONLY_PUBLIC``.  The
+reach is listed with its reason in ``TEST_ONLY_PUBLIC``.  Every field
+of a record's ``__slots__`` is read somewhere in the package.  The
 benchmark's layer table (``perfbench/measure.py``, read, not imported)
 names package functions, but for two known gaps, and the names that
 ``perfbench/run.py`` emits (read the same way) are those that
@@ -176,6 +177,48 @@ def test_checker_catches_unused_private_definitions():
     a += "def _imported_only(): pass\n"
     modules = {"a": ast.parse(a), "b": ast.parse(b)}
     assert unused_private(modules) == [("a", "_Orphan"), ("a", "_self_only")]
+
+
+def unread_fields(modules):
+    """(module, class, field) for each name in the `__slots__` of a class
+    of the parsed modules {module: tree} that no module reads as an
+    attribute (`x.field` in a load)."""
+    reads = {node.attr for tree in modules.values()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and
+             isinstance(node.ctx, ast.Load)}
+    unread = []
+    for mod, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and \
+                        any(getattr(t, "id", None) == "__slots__"
+                            for t in node.targets):
+                    unread += [(mod, cls.name, field)
+                               for field in ast.literal_eval(node.value)
+                               if field not in reads]
+    return sorted(unread)
+
+
+def test_every_record_field_is_read():
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert unread_fields(modules) == []
+
+
+def test_checker_catches_unread_fields():
+    a = ("class R:\n    __slots__ = ('read', 'elsewhere', 'written', "
+         "'unread')\n"
+         "    def f(self):\n        self.written = 1\n"
+         "        return self.read\n"
+         "class Empty:\n    __slots__ = ()\n")
+    b = ("def g(r):\n    return r.elsewhere\n"
+         "class S:\n    __slots__ = ('read', 'only_in_b')\n")
+    modules = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert unread_fields(modules) == [("a", "R", "unread"),
+                                      ("a", "R", "written"),
+                                      ("b", "S", "only_in_b")]
 
 
 # Each public function or class that only the tests and `__init__`

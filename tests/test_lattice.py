@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,36 @@ def test_snf_contract_random():
         res = smith_normal_form(m)
         assert isinstance(res, SnfResult)
         assert res.check(m)
+
+
+def _square(seed, n):
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randint(-9, 9) for _ in range(n))
+                 for _ in range(n))
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), or AssertionError once `seconds` of wall time have
+    passed, so that a hang fails the test instead of stalling the run."""
+    def overtime(signum, frame):
+        raise AssertionError(f"not finished in {seconds} s")
+    old = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("n, seed", [(10, 1), (20, 1)] +
+                         [(7, seed) for seed in range(1, 21)])
+def test_snf_contract_large(n, seed):
+    """Dense square matrices with entries in [-9, 9]: each Smith form
+    takes milliseconds, well within the 1 s bound, and meets the
+    U * M * V == D contract."""
+    m = _square(seed, n)
+    assert _within(1, smith_normal_form, m).check(m)
 
 
 def test_lattice_index_examples():

@@ -423,6 +423,22 @@ def test_h1_weighted_line_is_not_primitive_boundary():
     assert err.value.code == "NOT_PRIMITIVE_BOUNDARY"
 
 
+def test_a_direction_per_end_is_required():
+    """Without a domain, h1, pieces and lens read one direction per end
+    of the curve, as the mixed product and the evaluation matrix do, and
+    refuse any other count."""
+    tripod, one = load_curve(fixture_path("poincare.curve.json")), [(1, 0, 0)]
+    for compute, ends in (
+            (lambda: h1_order(tripod, zs=one), 3),
+            (lambda: piece_decomposition(tripod, zs=one), 3),
+            (lambda: lens_parameters(lens_curve(), zs=one), 2),
+            (lambda: mixed_h_product(tripod, one), 3),
+            (lambda: ev_matrix(tripod, one), 3)):
+        with pytest.raises(WorkbenchError) as err:
+            compute()
+        assert str(err.value) == f"MISSING_Z: 1 directions for {ends} ends"
+
+
 def test_h1_refuses_a_flat_junction_that_pieces_takes():
     """A 3-valent junction whose edges span a line: h1 refuses it with
     vertex_multiplicity's code and text, while pieces, which reads no
