@@ -24,9 +24,9 @@ facets, no elimination.  Where the walk cannot certify the domain as
 simple and pointed, and in 2-D, the face search (`_search_faces`) takes
 over: polynomial in the facet count for a fixed dimension, non-simple
 corners included.  Every bound on one parameter there, a fibre of the
-elimination or a line of a 2-face or an edge, goes through one interval
-rule (`_interval`, `_inside`).  A stratum inside a vertex set whose
-normals have |det| = 1 is saturated; only the others need a Smith form.
+elimination or a line of a 2-face, goes through one interval rule
+(`_interval`, `_inside`).  A stratum inside a vertex set whose normals
+have |det| = 1 is saturated; only the others need a Smith form.
 """
 
 from __future__ import annotations
@@ -245,36 +245,31 @@ def _fm_point(ineqs, nvars):
 
 
 def _frame(domain, tight):
-    """Coordinates on the affine span of the points where `tight` is tight.
+    """Coordinates on the affine span of the points where `tight`, a
+    nonempty consistent facet set, is tight.
 
     The span is x0 + sum of y_i * kernel[i] over integer kernel vectors.
     Returns (kernel, rows): the kernel vectors, one per coordinate y_i,
     and rows[j] = (co, rhs), integers meaning co . y >= rhs, for each
-    facet j not in `tight`.  With x0 = num / d from the fraction-free
-    solve and a facet p . x >= a / q, the row is q d (p . k_i) y_i >=
-    a d - q p . num, divided by the gcd of a d - q p . num and q d,
-    taken with the sign of q d.  `tight` must be consistent.
+    facet j not in `tight`.  With x0 = num / d, d > 0, from the
+    fraction-free solve and the domain's row (q p) . x >= m, the row is
+    d (q p . k_i) y_i >= m d - q p . num, divided by the gcd of the
+    right-hand side and d.
     """
-    if tight:
-        # each facet as its integer row (q p) . x >= m
-        tight_rows = [domain.rows[j] for j in tight]
-        d, num, kernel = solve_bareiss([qp for qp, _ in tight_rows],
-                                       [m for _, m in tight_rows])
-        # kernel[i] / d is the reduced-echelon kernel vector; keeping its
-        # orientation keeps the points the face search visits
-        kernel = tuple(primitive_raw(k if d > 0 else vec_neg(k))
-                       for k in kernel)
-    else:
-        d, num = 1, (0,) * domain.dim
-        kernel = tuple(tuple(int(i == j) for i in range(domain.dim))
-                       for j in range(domain.dim))
+    tight_rows = [domain.rows[j] for j in tight]
+    d, num, kernel = solve_bareiss([qp for qp, _ in tight_rows],
+                                   [m for _, m in tight_rows])
+    # kernel[i] / d is the reduced-echelon kernel vector; keeping its
+    # orientation keeps the points the face search visits
+    if d < 0:
+        d, num, kernel = -d, vec_neg(num), [vec_neg(k) for k in kernel]
+    kernel = tuple(primitive_raw(k) for k in kernel)
     rows = {}
-    for j, f in enumerate(domain.facets):
+    for j, (qp, m) in enumerate(domain.rows):
         if j not in tight:
-            a, q = f.offset.numerator, f.offset.denominator
-            rhs, den = a * d - q * dot(f.normal, num), q * d
-            g = gcd(rhs, den) if den > 0 else -gcd(rhs, den)
-            rows[j] = (tuple(dot(f.normal, k) * (den // g) for k in kernel),
+            rhs = m * d - dot(qp, num)
+            g = gcd(rhs, d)
+            rows[j] = (tuple(dot(qp, k) * (d // g) for k in kernel),
                        rhs // g)
     return kernel, rows
 
@@ -291,8 +286,7 @@ def _line_sets(tight, facets, line):
     c s >= b for every (c, b) in line, and at its lower end when it has
     one; none when no s fits.  The i-th pair of line comes from the row
     of the i-th facet in `facets`, and the facets in `tight` hold with
-    equality for every s.  The upper end is the lower end of the mirror
-    line, the pairs (-c, b)."""
+    equality for every s."""
     bounds = _interval(line)
     if bounds is None:
         return ()
@@ -340,17 +334,17 @@ def _face_sets(domain):
 
     The closed active set of a face holds every facet tight on all of
     it; it is the set of facets tight at any relative-interior point.
-    One Fourier-Motzkin pass finds a relative-interior point of the
-    whole domain.  Where no facet is tight there, the domain is full-
-    dimensional, and in dimension >= 3 the vertex walk (`_vertex_walk`)
-    reads every set off the vertex graph.  Otherwise, and where the walk
-    cannot certify the domain as simple and pointed, the face search
-    (`_search_faces`) finds them.  A polygon is left to the search: its
-    one 2-face is a single plane scan, of the walk's order and measured
-    faster than it.
+    One Fourier-Motzkin pass over the domain's rows finds a relative-
+    interior point of the whole domain.  Where no facet is tight there,
+    the domain is full-dimensional, and in dimension >= 3 the vertex
+    walk (`_vertex_walk`) reads every set off the vertex graph.
+    Otherwise, and where the walk cannot certify the domain as simple
+    and pointed, the face search (`_search_faces`) finds them.  A polygon
+    is left to the search: its one 2-face is a single plane scan, of the
+    walk's order and measured faster than it.
     """
-    kernel, rows = _frame(domain, ())
-    top = _fm_point(list(rows.values()), len(kernel))
+    rows = dict(enumerate(domain.rows))
+    top = _fm_point(domain.rows, domain.dim)
     if top is None:
         return None
     root = _tight_at((), rows, top[0])
@@ -363,26 +357,23 @@ def _face_sets(domain):
 
 def _search_faces(domain, rows, root):
     """The face search of `_face_sets`, from the closed set and dimension
-    of the whole domain and its frame rows.
+    of the whole domain and the domain's rows.
 
     The search starts at the whole domain, whose set holds the implicit
     equalities of a lower-dimensional domain.  From each face F of
-    dimension >= 3 with set S it tries each facet j not in S: one
+    dimension 1 or >= 3 with set S it tries each facet j not in S: one
     Fourier-Motzkin pass, in F's own coordinates, finds a relative-
     interior point of the face of F where j is tight, if that face is
     nonempty, and so its set.  Every face is reached, because a maximal
     proper face of F is the face of F where any of its extra facets is
     tight.  A face of dimension 2 needs no pass: `_plane_faces` reads
     the sets of all its edges and vertices off its frame rows in one
-    integer scan per row, and pushes nothing.  Nor does an edge: its
-    frame rows are bounds on its one variable, and `_line_sets` reads
-    the sets at its interior and lower end off them, and at its upper
-    end off their mirror.  The cost is one exact solve per
-    face of positive dimension, n passes in at most dim variables from
-    each face of dimension >= 3, and O(n^2) integer operations per
-    2-face: one pass for an n-gon, n + 1 for a pyramid over an
-    (n - 1)-gon, polynomial in the facet count n for a fixed dimension,
-    even where many facets meet.
+    integer scan per row, and pushes nothing.  The cost is one exact
+    solve per face of positive dimension with a nonempty set, n passes
+    in at most dim variables from each face of dimension 1 or >= 3, and
+    O(n^2) integer operations per 2-face: one pass for an n-gon, n + 1
+    for a pyramid over an (n - 1)-gon, polynomial in the facet count n
+    for a fixed dimension, even where many facets meet.
     """
     nvars = domain.dim
     seen = {root[0]}
@@ -394,14 +385,9 @@ def _search_faces(domain, rows, root):
         if S:
             kernel, rows = _frame(domain, S)
             nvars = len(kernel)
-        # S is empty only at the root, popped first with its frame rows
+        # S is empty only at the root, popped first with the domain's rows
         if dim == 2:
             seen.update(_plane_faces(S, rows))
-            continue
-        if dim == 1:
-            line = [(c, r) for (c,), r in rows.values()]
-            seen.update(_line_sets(S, rows, line))
-            seen.update(_line_sets(S, rows, [(-c, r) for c, r in line]))
             continue
         face = list(rows.values())
         for co, rhs in rows.values():
@@ -619,7 +605,7 @@ def _delzant(d):
         normals = [d.facets[j].normal for j in S]
         divisors = elementary_divisors(normals)
         rank = len(divisors)
-        if rank < len(S) or rank > d.dim or len(S) > d.dim:
+        if rank < len(S):
             failures.append(DelzantFailure(S, "non_simple", None))
             issues.append(f"stratum {S}: non-simple corner")
             continue
@@ -1189,28 +1175,20 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
 
     # boundary edges of the inner polygon, one per facet
     for fidx in range(len(d.facets)):
-        ks = on_facet.get(fidx, [])
+        ks = on_facet[fidx]
         if len(ks) == 2:
             ka, kb = ks
             edges.append(Edge(f"w{ka}", f"w{kb}",
                               _direction(inner[ka], inner[kb]), 1, None))
-        elif len(ks) == 1:
-            # unbounded facet: a ray along the facet line
-            z = rot90(d.facets[fidx].normal)
-            others = [d.facets[m].normal for m in range(len(d.facets))
-                      if m != fidx]
-            if all(dot(p, z) >= 0 for p in others):
-                pass
-            elif all(dot(p, vec_neg(z)) >= 0 for p in others):
-                z = vec_neg(z)
-            else:
-                raise WorkbenchError("INVALID_DOMAIN",
-                                     f"facet {fidx} has one vertex but no "
-                                     f"recession direction")
-            edges.append(Edge(f"w{ks[0]}", None, z, 1, None))
         else:
-            raise WorkbenchError("DELTA_TOO_LARGE",
-                                 f"facet {fidx} supports no inner edge")
+            # unbounded facet: a ray along the facet line, into the
+            # half-plane of the corner's other facet
+            (k,) = ks
+            other = sum(pairs[k]) - fidx
+            z = rot90(d.facets[fidx].normal)
+            if dot(d.facets[other].normal, z) < 0:
+                z = vec_neg(z)
+            edges.append(Edge(f"w{k}", None, z, 1, None))
 
     curve = TropicalCurve(2, vertices, edges, L)
     vrep = validate_curve(curve)

@@ -474,8 +474,6 @@ def lens_parameters(c: TropicalCurve,
         raise WorkbenchError("NOT_A_LINE",
                              "lens parameters need a single-edge curve")
     prob = build_problem(c, _bissectrice_zs(c, domain, zs))
-    if prob.kappa != 2:
-        raise WorkbenchError("NOT_A_LINE", "lens needs exactly two ends")
     u = primitive_raw(prob.chain[0, 1][0])
     a = cross(u, prob.zs[0])
     b = cross(u, prob.zs[1])
@@ -489,9 +487,6 @@ def lens_parameters(c: TropicalCurve,
     if is_zero(cab):
         raise WorkbenchError("SPLIT_DEGENERATE",
                              "kernel classes are parallel: H1 is infinite")
-    if not is_zero(cross(cab, u)):
-        raise WorkbenchError("INCONSISTENT_MOMENTA",
-                             "kernel pairing is not parallel to the edge")
     p = content(cab)
     if p == 1:
         return LensParameters(1, 0)

@@ -139,18 +139,21 @@ def face_sets(domain):
     """Closed active set of every nonempty face, or None for an empty
     domain: from each face of dimension >= 2, one `_fm_point` pass per
     facet not tight on it; an edge reads its endpoints off its frame."""
-    kernel, rows = _frame(domain, ())
-    top = _fm_point(list(rows.values()), len(kernel))
+    rows = dict(enumerate(domain.rows))
+    top = _fm_point(list(rows.values()), domain.dim)
     if top is None:
         return None
     root = (_tight_at((), rows, top[0]), top[1])
+    nvars = domain.dim
     seen = {root[0]}
     stack = [root]
     while stack:
         S, dim = stack.pop()
         if dim == 0:
             continue
-        kernel, rows = _frame(domain, S)
+        if S:   # the root, popped first, keeps the domain's rows
+            kernel, rows = _frame(domain, S)
+            nvars = len(kernel)
         if dim == 1:
             lo = hi = None
             for (c,), r in rows.values():
@@ -165,7 +168,7 @@ def face_sets(domain):
             continue
         face = list(rows.values())
         for co, rhs in rows.values():
-            found = _fm_point(face + [(vec_neg(co), -rhs)], len(kernel))
+            found = _fm_point(face + [(vec_neg(co), -rhs)], nvars)
             if found is None:
                 continue
             closed = _tight_at(S, rows, found[0])

@@ -376,12 +376,12 @@ def test_face_search_polygon_passes_constant(monkeypatch):
     frames = _spy(monkeypatch, "_frame")
     lines = _spy(monkeypatch, "_line_sets")
     assert validate_delzant(d).ok
-    # one pass and one frame for the domain; the polygon is its only
-    # 2-face, whose edges and vertices one integer line scan per facet
-    # reads off; the exhaustive search made 2^n passes, one pass per edge
-    # and facet n^2 + 1, and one per 2-face and facet n + 1 (n = 40)
+    # one pass over the domain's rows and no frame; the polygon is its
+    # only 2-face, whose edges and vertices one integer line scan per
+    # facet reads off; the exhaustive search made 2^n passes, one pass per
+    # edge and facet n^2 + 1, and one per 2-face and facet n + 1 (n = 40)
     assert len(calls) <= 1
-    assert len(frames) <= 1
+    assert frames == []
     # each facet's line gives the set of its edge and of the edge's lower
     # end, so every vertex is read once: 2n sets, not 3n
     assert len(lines) == 40
@@ -406,12 +406,12 @@ def test_pyramid_apex_passes_linear(monkeypatch):
     rep = validate_delzant(d)
     n = m + 1
     # 1 + n from the domain, none from a 2-face (an integer line scan)
-    # or an edge; one frame for the domain and one per 2-face.  One pass
+    # or an edge; one frame per 2-face, none for the domain.  One pass
     # per 2-face and facet made n^2 + 1, one per edge and facet
     # 3n^2 - 6n + 5, and a level-wise search over tight subsets would
     # meet 2^m at the apex
     assert len(calls) <= n + 1
-    assert len(frames) <= n + 1
+    assert len(frames) <= n
     # the pattern of m <= 8: only the apex is non-simple, and every
     # other failure sits on an edge or a base corner of adjacent sides
     non_simple = [f.facets for f in rep.failures if f.problem == "non_simple"]
@@ -460,15 +460,31 @@ def duplicate_facet_domain():
                        ((0, 0, -1), -2), ((0, 1, 0), 0), ((0, 1, 0), 0)])
 
 
-def test_face_sets_match_fm_oracle():
+def _frame_or_root(d, S):
+    """The frame of the face with set S; for S = (), the whole domain's
+    coordinates: the identity kernel and the domain's own rows."""
+    if S:
+        return domain_mod._frame(d, S)
+    kernel = tuple(tuple(int(i == j) for i in range(d.dim))
+                   for j in range(d.dim))
+    return kernel, dict(enumerate(d.rows))
+
+
+def test_face_sets_match_fm_oracle(monkeypatch):
     """The face search against the search that ran one Fourier-Motzkin
-    pass per 2-face and facet: the same closed sets, or None for both."""
+    pass per 2-face and facet and read an edge's ends off its frame: the
+    same closed sets, or None for both."""
     shapes = collections.Counter()
+    frames = _spy(monkeypatch, "_frame")
     for d in _face_oracle_domains():
+        frames.clear()
         sets = domain_mod._face_sets(d)
+        # an edge popped by the search, whose ends the per-row passes find
+        shapes["edge popped"] += any(len(kernel) == 1
+                                     for _, (kernel, _) in frames)
         assert sets == domain_oracle.face_sets(d), d.facets
         for S in sets or ():
-            kernel, rows = domain_mod._frame(d, S)
+            kernel, rows = _frame_or_root(d, S)
             if len(kernel) != 2:
                 continue
             shapes["2-face"] += 1
@@ -483,6 +499,7 @@ def test_face_sets_match_fm_oracle():
     # strips, half-planes and flat domains give the 2-faces without one
     assert shapes["no vertex"] >= 5 and min(shapes.values()) >= 5, shapes
     assert shapes["negative d"] >= 100 and shapes["constant facet"] >= 100
+    assert shapes["edge popped"] >= 20, shapes
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +567,11 @@ def test_descent_tie_at_a_simple_vertex_stays_on_the_walk(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_walk_on_prisms_is_linear(monkeypatch, n):
-    """A simple pointed prism over an n-gon: one pass and one frame for
-    the whole domain, no face search, one ratio test per edge end (at
-    most dim more in the descent), and no Smith form, since every vertex
-    has |det| = 1 and so covers its strata."""
+    """A simple pointed prism over an n-gon: one pass over the domain's
+    own rows and no frame for the whole domain, no face search, one
+    ratio test per edge end (at most dim more in the descent), and no
+    Smith form, since every vertex has |det| = 1 and so covers its
+    strata."""
     d = _domain(3, prism(blown_up_polygon(random.Random(n), n)))
     passes = _spy(monkeypatch, "_fm_point")
     frames = _spy(monkeypatch, "_frame")
@@ -561,7 +579,7 @@ def test_walk_on_prisms_is_linear(monkeypatch, n):
     tests = _spy(monkeypatch, "_blocking")
     smith = _spy(monkeypatch, "elementary_divisors")
     assert validate_delzant(d).ok
-    assert len(passes) == len(frames) == 1 and planes == []
+    assert len(passes) == 1 and frames == planes == []
     # 2n vertices of 3 edges each; the descent tries at most both signs
     # of dim kernel directions
     assert 6 * n <= len(tests) <= 6 * n + 6
@@ -689,7 +707,7 @@ def test_frame_and_face_points_against_fraction_oracle():
         if sets is None:
             continue
         for S in sorted(sets | {()}):
-            kernel, rows = domain_mod._frame(d, S)
+            kernel, rows = _frame_or_root(d, S)
             ref_kernel, ref_rows = domain_oracle.frame(d, S)
             assert kernel == ref_kernel, (d.facets, S)
             assert rows.keys() == ref_rows.keys()
@@ -970,6 +988,17 @@ def test_classify_takes_ray_exits_at_or_past_the_start():
     assert err.value.code == "NOT_A_BOUNDARY_POINT"
     info = classify_boundary_point(tripod((0, 1)), quadrant(), (0, 1))
     assert (info.edge_index, info.active, info.kind) == (0, (0,), "OTHER")
+
+
+def test_classify_refuses_a_boundary_point_outside_the_domain():
+    """The ray along (1, -1) from (-2, 1) crosses y = 0 at (-1, 0),
+    where x >= 0 fails: a curve end there, but outside the quadrant."""
+    c = TropicalCurve(2, [("v", (-2, 1))], [
+        Edge("v", None, (1, -1)), Edge("v", None, (0, 1)),
+        Edge("v", None, (-1, 0))])
+    with pytest.raises(WorkbenchError) as err:
+        classify_boundary_point(c, quadrant(), (-1, 0))
+    assert err.value.code == "OUTSIDE_DOMAIN"
 
 
 def test_check_writes_the_curve_over_one_denominator_once(monkeypatch):

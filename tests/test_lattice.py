@@ -185,6 +185,49 @@ def test_snf_contract_random():
         assert res.check(m)
 
 
+def _tampered(m, spoil):
+    """The Smith form of m with spoil applied to its (U, D, V)."""
+    r = smith_normal_form(m)
+    return SnfResult(*spoil(r.U, r.D, r.V))
+
+
+def _row_times(A, i, k):
+    return tuple(tuple(k * x for x in row) if n == i else row
+                 for n, row in enumerate(A))
+
+
+I2 = ((1, 0), (0, 1))
+# each spoiled result breaks one clause of the contract and keeps the
+# others: (m, spoil, the clause it breaks)
+SNF_SPOILS = [
+    (((2, 0), (0, 3)),
+     lambda U, D, V: (((U[0][0] + U[1][0], U[0][1] + U[1][1]), U[1]), D, V),
+     "U M V != D"),
+    (((0, 0), (0, 0)), lambda U, D, V: (_row_times(U, 0, 2), D, V),
+     "|det U| != 1"),
+    (((0, 0), (0, 0)), lambda U, D, V: (U, D, _row_times(V, 1, 2)),
+     "|det V| != 1"),
+    (((2, 0), (0, 3)),
+     lambda U, D, V: (_row_times(U, 1, -1), _row_times(D, 1, -1), V),
+     "a negative divisor"),
+    (((2, 0), (0, 3)), lambda U, D, V: (I2, ((2, 0), (0, 3)), I2),
+     "2 does not divide 3"),
+    (((0, 0), (0, 1)), lambda U, D, V: (I2, ((0, 0), (0, 1)), I2),
+     "a nonzero divisor after 0"),
+    (((1, 1), (0, 1)), lambda U, D, V: (I2, ((1, 1), (0, 1)), I2),
+     "a nonzero entry off the diagonal"),
+]
+
+
+@pytest.mark.parametrize("m, spoil, clause", SNF_SPOILS,
+                         ids=[c for _, _, c in SNF_SPOILS])
+def test_snf_check_refuses_a_spoiled_result(m, spoil, clause):
+    """check() holds for the Smith form and fails once any one clause of
+    its contract is broken."""
+    assert smith_normal_form(m).check(m)
+    assert not _tampered(m, spoil).check(m)
+
+
 def _square(seed, n):
     rng = random.Random(seed)
     return tuple(tuple(rng.randint(-9, 9) for _ in range(n))

@@ -642,6 +642,16 @@ def test_lens_parameters_table():
         lens_parameters(lens_curve(), zs=[(1, 0, 0), (-3, 5, 0)])
 
 
+@pytest.mark.parametrize("zs", [[(0, 0, 1), (1, 0, 0)],
+                                [(1, 0, 0), (0, 0, -1)]])
+def test_lens_parameters_refuses_a_direction_along_the_edge(zs):
+    """A constraint direction parallel to the segment makes its kernel
+    class u x z vanish, at either end."""
+    with pytest.raises(WorkbenchError) as err:
+        lens_parameters(lens_curve(), zs=zs)
+    assert err.value.code == "DEGENERATE_VERTEX"
+
+
 def looped_canonical_q(p, q):
     """The least of +-q and +-q^-1 mod p, the inverse found by trying
     every residue."""
