@@ -124,7 +124,9 @@ def _as_edge(e):
 
 
 class TropicalCurve:
-    """A curve; never mutated after construction.
+    """A curve; never mutated after construction.  An enumerated type's
+    curve (`multiplicity._SolvedCurve`) finishes its construction on its
+    first read and never changes after that.
 
     `vertices` is a sequence of (id, position).  Without a denominator
     the positions are rationals (Fractions, ints or rational strings)

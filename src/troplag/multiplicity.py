@@ -363,7 +363,8 @@ class TypeOutcome(Record):
     def __init__(self, topology: tuple, status: str, multiplicity: int,
                  curve: TropicalCurve | None):
         self.topology = topology  # tree edges
-        self.status = status      # "accepted" | "rejected" | "degenerate"
+        # "accepted", "rejected", "degenerate" or "singular"
+        self.status = status
         self.multiplicity = multiplicity
         self.curve = curve
 
@@ -402,23 +403,27 @@ def enumerate_count(degree, lines: LineConfiguration,
     junctions below ref, `_inconsistent_type` stops at ref before its
     sum, and a curve reads the sums of the nodes below ref.  Only a
     later insertion would read them, and none follows the last leaf;
-    its undo restores just what it saved.  The planes at ref
-    give D = n1 . (n2 x n3), +-det of the type's evaluation matrix, and
-    ref's position by Cramer's rule.  Walking down a parent-first list
-    of the junctions, each bounded edge length follows from a child
-    plane that is not parallel to the edge, with every position kept as
-    integers over one positive denominator.  The right-hand sides
-    rho_j . q_j are integers over the lines' one denominator
-    (`LineConfiguration`).  A type is kept when all lengths are
-    positive, and the total sums |D| over the kept types (the lattice
-    index of the evaluation map).  An exactly-zero
-    length means the configuration is not generic.  D = 0 has three
+    its undo restores just what it saved.  On the edge above ref the
+    last leaf makes m the ref, so m's sum and plane are not computed
+    at all (one `_glue` saved in every 2 kappa - 5 types).  The planes
+    at ref give D = n1 . (n2 x n3), +-det of the type's evaluation
+    matrix, and ref's position by Cramer's rule.  Walking down a
+    parent-first list of the junctions, each bounded edge length follows
+    from a child plane that is not parallel to the edge, with every
+    position kept as integers over one positive denominator.  The
+    right-hand sides rho_j . q_j are integers over the lines' one
+    denominator (`LineConfiguration`).  A type is kept when all lengths
+    are positive, and the total sums |D| over the kept types (the
+    lattice index of the evaluation map).  An exactly-zero length means
+    the configuration is not generic.  D = 0 has three
     causes: a zero sum on a bounded edge (the type is "degenerate": its
     plane is 0 up to ref), an inconsistent system (a "singular" type
     without curves, decided on the tree by `_inconsistent_type`), or a
     solvable one, which is not generic either.  A line parallel to its
-    leaf (d x z = 0) is rejected before any type.  A kept type's curve
-    is built from the same integers, over one denominator; no Fraction
+    leaf (d x z = 0) is rejected before any type.  An accepted type's
+    curve is built from the same integers, over one denominator, on its
+    first read (`_SolvedCurve`): the type keeps copies of the arrays it
+    needs, and a caller that reads no curve builds none.  No Fraction
     is built.
     """
     degree = [tuple(d) for d in degree]
@@ -454,7 +459,6 @@ def enumerate_count(degree, lines: LineConfiguration,
     x1, y1, z1 = n1
 
     size = 2 * kappa - 2
-    junctions = range(kappa, size)
     parent = [None] * size      # filled by the walk
     pair = _edge_pairs(kappa)
     kids = [None] * size        # the two children of a junction
@@ -493,11 +497,14 @@ def enumerate_count(degree, lines: LineConfiguration,
             order.append(m)
         else:
             order.insert(order.index(x), m)
-        b0, b1, b2 = below[x]
-        below[m] = (b0 + d0, b1 + d1, b2 + d2)
-        plane[m] = _glue(plane[x], plane[leaf], below[m])
-        # the last leaf leaves ref's sum and plane stale: no type reads them
-        top = ref if leaf == kappa - 1 and y else 0
+        # the last leaf leaves ref's sum and plane stale, and skips them
+        # when it makes m the ref: no type reads them
+        last = leaf == kappa - 1
+        if y or not last:
+            b0, b1, b2 = below[x]
+            below[m] = (b0 + d0, b1 + d1, b2 + d2)
+            plane[m] = _glue(plane[x], plane[leaf], below[m])
+        top = ref if last and y else 0
         old = []
         while y != top:
             b0, b1, b2 = below[y]
@@ -566,23 +573,51 @@ def enumerate_count(degree, lines: LineConfiguration,
         if rejected:
             outcomes.append(TypeOutcome(edges, "rejected", det, None))
             continue
-
-        # positions pos[v] / (den[v] scale) over one denominator
-        L = lcm(*{den[v] for v in junctions})
-        verts = [(f"n{v}", vec_scale(L // den[v], pos[v]))
-                 for v in junctions]
-        rays_and_edges = []
-        for a, b in edges:
-            if a < kappa:
-                rays_and_edges.append(Edge(f"n{b}", None, *rays[a], a))
-            else:
-                v = below[b] if parent[b] == a else vec_neg(below[a])
-                rays_and_edges.append(Edge(f"n{a}", f"n{b}", primitive_raw(v),
-                                           content(v), None))
-        curve = TropicalCurve(3, verts, rays_and_edges, L * scale)
+        curve = _SolvedCurve(kappa, edges, parent[:], below[:], pos[:],
+                             den[:], rays, scale)
         outcomes.append(TypeOutcome(edges, "accepted", det, curve))
         total += det
     return EnumerationResult(total, tuple(outcomes))
+
+
+def _solved_curve(kappa, edges, parent, below, pos, den, rays, scale):
+    """The vertices, edges and denominator of an accepted type's curve,
+    from the walk's arrays at that type: each junction v at pos[v] /
+    (den[v] scale), over one denominator, a ray per leaf and each
+    bounded edge along the sum below its lower end."""
+    junctions = range(kappa, 2 * kappa - 2)
+    L = lcm(*{den[v] for v in junctions})
+    verts = [(f"n{v}", vec_scale(L // den[v], pos[v]))
+             for v in junctions]
+    rays_and_edges = []
+    for a, b in edges:
+        if a < kappa:
+            rays_and_edges.append(Edge(f"n{b}", None, *rays[a], a))
+        else:
+            v = below[b] if parent[b] == a else vec_neg(below[a])
+            rays_and_edges.append(Edge(f"n{a}", f"n{b}", primitive_raw(v),
+                                       content(v), None))
+    return verts, rays_and_edges, L * scale
+
+
+class _SolvedCurve(TropicalCurve):
+    """An accepted type's curve, built on its first read.
+
+    It keeps `_solved_curve`'s arguments, with copies of the arrays the
+    walk goes on to change, until an attribute is first looked up; that
+    lookup runs `TropicalCurve.__init__` on them and drops them, so the
+    curve is built once and is then a `TropicalCurve` like any other."""
+
+    def __init__(self, *solution):
+        self._solution = solution
+
+    def __getattr__(self, name):
+        solution = self.__dict__.pop("_solution", None)
+        if solution is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        TropicalCurve.__init__(self, 3, *_solved_curve(*solution))
+        return getattr(self, name)
 
 
 def _glue(plane_a, plane_b, u):

@@ -17,7 +17,8 @@ from troplag.curve import (Edge, TropicalCurve, trivalent_trees,
                            validate_curve)
 from troplag.domain import LineConfiguration
 from troplag.errors import WorkbenchError
-from troplag.io_json import curve_from_dict, load_curve, load_lines
+from troplag.io_json import (canonical_json, curve_from_dict, load_curve,
+                             load_lines)
 from troplag.lattice import (cross, det_bareiss, dot, is_zero, vec_add,
                              vec_neg, vec_scale)
 from troplag.multiplicity import (EvaluationMatrix, Problem, _glue,
@@ -985,6 +986,48 @@ def test_enumerate_matches_the_per_type_route(kappa, seed, count, num, den,
         assert "singular" in seen
         assert {"NON_GENERIC_CONFIG: zero edge length",
                 "NON_GENERIC_CONFIG: singular system"} & seen
+
+
+def test_enumerate_builds_each_accepted_curve_on_its_first_read(
+        monkeypatch):
+    """`enumerate_count`, `as_dict` and `canonical_json` build no curve.
+    Each accepted type's curve is built once, when it is first read,
+    and equals the reference's, also when it is read only after later
+    `enumerate_count` calls."""
+    rng = random.Random(44)
+    problems = [random_enumeration(rng, 6, 20, 5, 2) for _ in range(3)]
+    want = [(reference_enumerate(degree, lines),
+             per_type_enumerate(degree, lines).per_type)
+            for degree, lines in problems]
+    built = []
+    init = TropicalCurve.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(TropicalCurve, "__init__", counted)
+    results = []
+    for degree, lines in problems:
+        res = enumerate_count(degree, lines)
+        canonical_json(res.as_dict())
+        results.append(res)
+    assert built == []
+    curves = []
+    for res, (ref, oracle) in zip(results, want):
+        for t, r, o in zip(res.per_type, ref, oracle):
+            if t.status != "accepted":
+                assert t.curve is None
+                continue
+            curve = t.curve
+            assert dict(curve.vertices) == r[3]
+            assert (curve.coords, curve.denominator, curve.edges,
+                    curve.ends()) == (o.curve.coords, o.curve.denominator,
+                                      o.curve.edges, o.curve.ends())
+            assert curve is t.curve and validate_curve(curve).ok
+            curves.append(curve)
+    assert len(curves) == 30
+    assert list(map(id, built)) == list(map(id, curves))
 
 
 def test_tree_decision_matches_the_echelon_pass(monkeypatch):
