@@ -206,6 +206,22 @@ class TropicalCurve:
             ends.sort(key=lambda x: x.label)
         self._ends = tuple(ends)
 
+    def _key(self):
+        return (self.dim, self.denominator, tuple(self.coords.items()),
+                self.edges)
+
+    def __eq__(self, other):
+        """Curves are equal when they have the same dimension, the same
+        denominator, the same vertices with the same coordinates in the
+        same order, and equal edges; an enumerated curve equals the
+        curve built from its data."""
+        if not isinstance(other, TropicalCurve):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @cached_property
     def vertices(self):
         """{vertex id: position as a tuple of Fractions}, in vertex
@@ -667,14 +683,15 @@ def trivalent_trees(kappa: int):
 def _complete_trees(kappa):
     parent = [None] * (2 * kappa - 2)
     pair = _edge_pairs(kappa)
-    for leaf, _, placed in _insertion_walk(kappa, parent):
+    for leaf, _, placed in _insertion_walk(kappa, parent, pair):
         if placed and leaf == kappa - 1:
             yield TreeTopology(kappa, _tree_edges(parent, pair))
 
 
-def _insertion_walk(kappa, parent):
+def _insertion_walk(kappa, parent, pair):
     """Depth-first walk of the leaf-insertion tree, on one tree held in
-    `parent`, which is filled in place.
+    `parent`, which is filled in place; pair is the caller's table
+    `_edge_pairs(kappa)`, which orders the edges.
 
     The tree hangs from leaf 0: parent[x] is None at leaf 0 and at the
     nodes not yet placed.  The walk starts from the edge 0 - 1.  Leaf
@@ -686,7 +703,6 @@ def _insertion_walk(kappa, parent):
     caller can keep data on the tree in step with it.  The trees on all
     kappa leaves are those after (kappa - 1, x, True).
     """
-    pair = _edge_pairs(kappa)
     parent[1] = 0
     levels = [[2, [1], None]]   # leaf, nodes still to split, node split
     while levels:

@@ -4,19 +4,27 @@ Rationals travel as "p/q" strings (plain integers are accepted);
 floating point numbers are rejected everywhere.  Schema violations
 report a JSON-pointer-style path.
 
-The readers build the final records in one pass.  A curve's vertex
+The readers build the final records in one pass.  When every vertex,
+edge or line is a dict whose fields are in plain form (str ids, tails
+and heads, lists of exact ints as directions, exact int weights and
+labels or null), the fields are gathered with `map` over the items,
+each checked at once by the set of its types and lengths, and the
+records are built by `map`; any other list goes through the per-item
+loop, which converts the accepted forms and raises the first error
+(`_vertex_rows`, `_edges`, `_line_rows`).  A curve's vertex
 positions, and a line configuration's points, are parsed as one list
 of coordinates straight into integers over one common denominator
 (`_rationals`), with no `Fraction` built: when every coordinate is a
 string of ASCII digits with an optional "-" and an optional nonzero "/"
-denominator, the whole list is checked by one regular expression and
-converted by `int`.  Any other list goes coordinate by coordinate
-through `parse_rational`, as a facet offset does: a plain int or string
-is converted directly (`_plain_rational`), and any other value goes
-through `Fraction(str)` and the type checks, which decide what is
-accepted and how it is rejected.  A pointer travels as a tuple
-of keys and indices and is formatted only for an error.  The writers
-print each coordinate X / L reduced, as `str(Fraction)` does.
+denominator, the whole list is checked by one `str.translate` and
+three substring tests and converted by `int` (`_plain`).  Any other
+list goes coordinate by coordinate through `parse_rational`, as a facet
+offset does: a plain int or string is converted directly
+(`_plain_rational`), and any other value goes through `Fraction(str)`
+and the type checks, which decide what is accepted and how it is
+rejected.  A pointer travels as a tuple of keys and indices and is
+formatted only for an error.  The writers print each coordinate X / L
+reduced, as `str(Fraction)` does.
 `canonical_json` writes the reports directly, byte for byte as
 `json.dumps(obj, sort_keys=True, indent=2) + "\n"` would, without the
 stdlib's pure-Python indenting encoder.  Within one call it writes a
@@ -30,19 +38,18 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .curve import Edge, TropicalCurve, over_one_denominator, rational_text
 from .domain import Facet, Line, LineConfiguration, PolyhedralDomain
 from .errors import WorkbenchError
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-_PLAIN_RATIONAL = _RATIONAL.fullmatch
-_PLAIN = r"-?[0-9]+(?:/[0-9]+)?"
-_PLAIN_LIST = re.compile(f"{_PLAIN}(?:,{_PLAIN})*").fullmatch
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+# the characters of a plain coordinate list, which `_plain` deletes
+_PLAIN_CHARS = dict.fromkeys(map(ord, "0123456789-/,"))
 _BLOCK = 64        # rows of coordinates parsed at once (`_rationals`)
 
 
@@ -149,14 +156,21 @@ def _plain(text):
     """The coordinates of rows joined by `_rationals` as (flat, L):
     integers over one L > 0, in order.  None unless every coordinate is
     plain, "n" or "n/d" of ASCII digits with d nonzero and no longer
-    than int() takes."""
-    if not _PLAIN_LIST(text):
+    than int() takes.
+
+    The text may hold nothing but digits, "-", "/" and ",", and no "/"
+    may be followed by "-", by "," or by the end, so that each "/"
+    starts a denominator with no sign; `int` refuses every other
+    malformed part (an empty one, a misplaced "-", a second "/")."""
+    if text.translate(_PLAIN_CHARS) or "/-" in text or "/," in text \
+            or text.endswith("/"):
         return None
+    parts = text.split(",")
     try:
         if "/" not in text:
-            return list(map(int, text.split(","))), 1
-        nums, dens = zip(*_RATIONAL.findall(text))  # den "" if none
-        values = {d: int(d) for d in set(dens) if d}
+            return list(map(int, parts)), 1
+        nums, _, dens = zip(*map(str.partition, parts, repeat("/")))
+        values = {d: int(d) for d in set(dens) if d}   # den "" if none
         if not all(values.values()):
             return None
         L = lcm(*values.values())
@@ -216,29 +230,70 @@ def _load_json(path):
                              path)
 
 
-def curve_from_dict(data) -> TropicalCurve:
-    dim = parse_int(_need(data, "dim", ()), "/dim")
-    raw_vertices = _need(data, "vertices", ())
-    raw_edges = _need(data, "edges", ())
-    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
-        raise _schema_error("/", "vertices and edges must be lists")
+def _pos_at(k, i):
+    return ("vertices", k, "pos", i)
 
-    def pos_at(k, i):
-        return ("vertices", k, "pos", i)
 
+def _vertex_rows(raw, dim):
+    """The ids and the coordinate lists of the vertices raw, a list.
+
+    When every vertex is a dict with a str id and a list of dim
+    coordinates, the fields are read in bulk; anything else goes through
+    the per-vertex loop, which converts an id by `str` and raises the
+    first vertex's error, after the errors of the earlier positions."""
+    if set(map(type, raw)) <= {dict}:
+        try:
+            ids = list(map(itemgetter("id"), raw))
+            rows = list(map(itemgetter("pos"), raw))
+        except KeyError:
+            pass
+        else:
+            if set(map(type, ids)) <= {str} and \
+                    set(map(type, rows)) <= {list} and \
+                    set(map(len, rows)) <= {dim}:
+                return ids, rows
     ids, rows = [], []
     try:
-        for i, v in enumerate(raw_vertices):
+        for i, v in enumerate(raw):
             vid = _need(v, "id", ("vertices", i))
             rows.append(_rational_list(_need(v, "pos", ("vertices", i)),
                                        ("vertices", i, "pos"), dim))
             ids.append(str(vid))
     except WorkbenchError:
-        _rationals(rows, pos_at)    # an earlier vertex's error first
+        _rationals(rows, _pos_at)   # an earlier vertex's error first
         raise
-    X, L = _rationals(rows, pos_at)
+    return ids, rows
+
+
+def _edges(raw, dim):
+    """The `Edge` records of the edges raw, a list.
+
+    When every edge is a dict with a str tail, a str or null head, a
+    list of dim exact ints as its direction, an exact int weight (1 if
+    absent) and an exact int or null leaf label, the records are built
+    in bulk; anything else goes through the per-edge loop, which
+    converts the accepted forms and raises the first edge's error."""
+    if set(map(type, raw)) <= {dict}:
+        try:
+            tails = list(map(itemgetter("tail"), raw))
+            dirs = list(map(itemgetter("dir"), raw))
+        except KeyError:
+            pass
+        else:
+            heads = list(map(dict.get, raw, repeat("head")))
+            weights = list(map(dict.get, raw, repeat("weight"), repeat(1)))
+            labels = list(map(dict.get, raw, repeat("leaf_label")))
+            if set(map(type, tails)) <= {str} and \
+                    set(map(type, heads)) <= {str, type(None)} and \
+                    set(map(type, dirs)) <= {list} and \
+                    set(map(len, dirs)) <= {dim} and \
+                    set(map(type, chain.from_iterable(dirs))) <= {int} and \
+                    set(map(type, weights)) <= {int} and \
+                    set(map(type, labels)) <= {int, type(None)}:
+                return list(map(Edge, tails, heads, map(tuple, dirs),
+                                weights, labels))
     edges = []
-    for i, e in enumerate(raw_edges):
+    for i, e in enumerate(raw):
         where = ("edges", i)
         tail = str(_need(e, "tail", where))
         head = e.get("head")
@@ -250,7 +305,20 @@ def curve_from_dict(data) -> TropicalCurve:
         label = None if label is None else parse_int(
             label, (*where, "leaf_label"))
         edges.append(Edge(tail, head, direction, weight, label))
-    return TropicalCurve(dim, zip(ids, X), edges, L)
+    return edges
+
+
+def curve_from_dict(data) -> TropicalCurve:
+    dim = _need(data, "dim", ())
+    if type(dim) is not int:
+        dim = parse_int(dim, "/dim")
+    raw_vertices = _need(data, "vertices", ())
+    raw_edges = _need(data, "edges", ())
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise _schema_error("/", "vertices and edges must be lists")
+    ids, rows = _vertex_rows(raw_vertices, dim)
+    X, L = _rationals(rows, _pos_at)
+    return TropicalCurve(dim, zip(ids, X), _edges(raw_edges, dim), L)
 
 
 def load_curve(path) -> TropicalCurve:
@@ -295,14 +363,29 @@ def domain_to_dict(d: PolyhedralDomain):
                        for f in d.facets]}
 
 
-def lines_from_dict(data) -> LineConfiguration:
-    raw = _need(data, "lines", ())
-    if not isinstance(raw, list):
-        raise _schema_error("/lines", "expected a list")
+def _point_at(k, i):
+    return ("lines", k, "point", i)
 
-    def point_at(k, i):
-        return ("lines", k, "point", i)
 
+def _line_rows(raw):
+    """The point lists and the direction tuples of the lines raw, a list.
+
+    When every line is a dict with a list as its point and a list of
+    exact ints as its direction, the fields are read in bulk; anything
+    else goes through the per-line loop, which converts the accepted
+    forms and raises the first line's error, after the errors of the
+    earlier points."""
+    if set(map(type, raw)) <= {dict}:
+        try:
+            rows = list(map(itemgetter("point"), raw))
+            dirs = list(map(itemgetter("dir"), raw))
+        except KeyError:
+            pass
+        else:
+            if set(map(type, rows)) <= {list} and \
+                    set(map(type, dirs)) <= {list} and \
+                    set(map(type, chain.from_iterable(dirs))) <= {int}:
+                return rows, list(map(tuple, dirs))
     rows, dirs = [], []
     try:
         for i, l in enumerate(raw):
@@ -311,10 +394,18 @@ def lines_from_dict(data) -> LineConfiguration:
             dirs.append(_int_vector(_need(l, "dir", ("lines", i)),
                                     ("lines", i, "dir")))
     except WorkbenchError:
-        _rationals(rows, point_at)  # an earlier point's error first
+        _rationals(rows, _point_at)  # an earlier point's error first
         raise
-    X, L = _rationals(rows, point_at)
-    return LineConfiguration([Line(x, z, L) for x, z in zip(X, dirs)])
+    return rows, dirs
+
+
+def lines_from_dict(data) -> LineConfiguration:
+    raw = _need(data, "lines", ())
+    if not isinstance(raw, list):
+        raise _schema_error("/lines", "expected a list")
+    rows, dirs = _line_rows(raw)
+    X, L = _rationals(rows, _point_at)
+    return LineConfiguration(list(map(Line, X, dirs, repeat(L))))
 
 
 def load_lines(path) -> LineConfiguration:

@@ -472,7 +472,7 @@ def enumerate_count(degree, lines: LineConfiguration,
     ref = None
     outcomes = []
     total = 0
-    for leaf, x, placed in _insertion_walk(kappa, parent):
+    for leaf, x, placed in _insertion_walk(kappa, parent, pair):
         m = kappa + leaf - 2
         y = parent[m]
         d0, d1, d2 = degree[leaf]

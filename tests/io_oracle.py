@@ -6,18 +6,50 @@ one independent reference reader for the tests: `curve_from_dict` and
 `domain_from_dict` reads a facet offset the same way.  They hand those
 rationals to the package's constructors, which take rationals from
 library callers.
+
+`plain` is the package's reader of a joined coordinate list
+(`io_json._plain`) as it was when one regular expression checked the
+whole text and a second one split it into numerators and denominators.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from troplag.curve import Edge, TropicalCurve
 from troplag.domain import Facet, Line, LineConfiguration, PolyhedralDomain
 from troplag.errors import WorkbenchError
 
-_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_PLAIN_RATIONAL = _RATIONAL.fullmatch
+_PLAIN = r"-?[0-9]+(?:/[0-9]+)?"
+_PLAIN_LIST = re.compile(f"{_PLAIN}(?:,{_PLAIN})*").fullmatch
+
+
+def plain(text):
+    """The comma-joined coordinates text as (flat, L): integers over one
+    L > 0, in order.  None unless every coordinate is plain, "n" or
+    "n/d" of ASCII digits with d nonzero and no longer than int()
+    takes."""
+    if not _PLAIN_LIST(text):
+        return None
+    try:
+        if "/" not in text:
+            return list(map(int, text.split(","))), 1
+        nums, dens = zip(*_RATIONAL.findall(text))  # den "" if none
+        values = {d: int(d) for d in set(dens) if d}
+        if not all(values.values()):
+            return None
+        L = lcm(*values.values())
+        scale = {d: L // v for d, v in values.items()}
+        scale[""] = L
+        return list(map(mul, map(int, nums),
+                        map(scale.__getitem__, dens))), L
+    except ValueError:
+        return None
 
 
 def _pointer(where):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import io_oracle
 from conftest import fixture_path, load_fixture_json
 
+from troplag import io_json
 from troplag.domain import Line, LineConfiguration
 from troplag.errors import WorkbenchError
 from troplag.io_json import (canonical_json, curve_from_dict, curve_to_dict,
@@ -235,18 +236,56 @@ COORDINATES = st.lists(st.one_of(PLAIN, PLAIN, FALLBACK, REJECTED),
                        max_size=4)
 
 
+# an edge's fields: for each key the plain values, read in bulk, and the
+# other values, forms only the per-edge loop converts and values it
+# refuses; ABSENT leaves the key out
+ABSENT = object()
+NOT_DICTS = ["e", None, [], 3]
+ODD_ENTRIES = [True, False, 0.5, "x", " 1 ", None, "1", "-2", Count(1)]
+
+
+def edge_fields(dim):
+    """{key: (plain values, other values)} for edges of dimension dim."""
+    return {
+        "tail": (["v0", "v1", "v9"], [0, 7, None, 1.5, True, ["v0"], ABSENT]),
+        "head": (["v1", "v0", None, ABSENT], [1, False, 2.5, {}]),
+        "dir": (None, [[v] + [0] * (dim - 1) for v in ODD_ENTRIES]
+                + [[0] * (dim - 1) + [v] for v in ODD_ENTRIES]
+                + [[1] * (dim - 1), [1] * (dim + 1), "1", None, 5,
+                   {"x": 1}, ABSENT]),
+        "weight": ([1, 2, 3, ABSENT],
+                   ["2", "-1", " 3", Count(2), None, "x", "", "1" * 5000,
+                    True, False, 1.0, [1]]),
+        "leaf_label": ([0, 1, 3, None, ABSENT],
+                       ["0", "2", Count(1), "x", True, False, 1.5, [0]]),
+    }
+
+
+def _put(edge, key, value):
+    edge.pop(key, None)
+    if value is not ABSENT:
+        edge[key] = value
+
+
 @st.composite
 def curve_documents(draw):
+    """A curve document.  In half of them every position is plain, so
+    that the edges are read.  The edges are all plain, or plain but for
+    one field or one edge that is no dict, or drawn field by field with
+    each field plain 6 times in 7."""
     dim = draw(st.integers(1, 3))
+    plain = draw(st.booleans())
     vertices = []
     for k in range(draw(st.integers(1, 4))):
-        shape = draw(st.sampled_from(["list"] * 6 + ["short", "missing",
-                                                     "string", "no id"]))
-        v = {"id": f"v{k}"}
-        if shape in ("list", "no id"):
-            v["pos"] = draw(st.lists(st.one_of(PLAIN, PLAIN, PLAIN, FALLBACK,
-                                               REJECTED),
-                                     min_size=dim, max_size=dim))
+        shape = draw(st.sampled_from(["list"] * 9 + ["int id"])) if plain \
+            else draw(st.sampled_from(["list"] * 6 + ["short", "missing",
+                                                      "string", "no id"]))
+        v = {"id": k if shape == "int id" else f"v{k}"}
+        if shape in ("list", "int id", "no id"):
+            v["pos"] = draw(st.lists(
+                PLAIN if plain else st.one_of(PLAIN, PLAIN, PLAIN, FALLBACK,
+                                              REJECTED),
+                min_size=dim, max_size=dim))
         elif shape == "short":
             v["pos"] = draw(st.lists(PLAIN, max_size=dim - 1))
         elif shape == "string":
@@ -254,10 +293,61 @@ def curve_documents(draw):
         if shape == "no id":
             del v["id"]
         vertices.append(v)
-    edges = [{"tail": "v0", "dir": [1] + [0] * (dim - 1), "leaf_label": 0}]
-    if len(vertices) > 1:
-        edges.append({"tail": "v0", "head": "v1", "dir": [-1] * dim})
+    fields = edge_fields(dim)
+    plain_dir = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    mix = draw(st.sampled_from(["plain", "one", "one", "each"]))
+    edges = []
+    for _ in range(draw(st.integers(0, 3))):
+        edge = {}
+        for key, (plain_values, others) in fields.items():
+            if mix == "each" and draw(st.integers(0, 6)) == 0:
+                value = draw(st.sampled_from(others))
+            elif plain_values is None:
+                value = draw(plain_dir)
+            else:
+                value = draw(st.sampled_from(plain_values))
+            _put(edge, key, value)
+        edges.append(edge)
+    if mix == "each" and edges and draw(st.integers(0, 11)) == 0:
+        edges[-1] = draw(st.sampled_from(NOT_DICTS))
+    if mix == "one" and edges:
+        k = draw(st.integers(0, len(edges) - 1))
+        key = draw(st.sampled_from([*fields, None]))
+        if key is None:
+            edges[k] = draw(st.sampled_from(NOT_DICTS))
+        else:
+            _put(edges[k], key, draw(st.sampled_from(fields[key][1])))
     return {"dim": dim, "vertices": vertices, "edges": edges}
+
+
+def _plain_curve(dim):
+    return {"dim": dim, "vertices": [{"id": "v0", "pos": ["0"] * dim},
+                                     {"id": "v1", "pos": ["1/2"] * dim}],
+            "edges": [{"tail": "v0", "head": "v1", "dir": [1] * dim},
+                      {"tail": "v0", "dir": [-1] * dim, "weight": 2,
+                       "leaf_label": 0}]}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_curve_reader_matches_oracle_on_each_odd_field(dim):
+    """A plain curve with one edge field, one edge or one vertex id in
+    any other form is read as the oracle reads it, at either edge."""
+    data = _plain_curve(dim)
+    _same_curve(data)
+    for k in (0, 1):
+        for key, (_, others) in edge_fields(dim).items():
+            for value in others:
+                data = _plain_curve(dim)
+                _put(data["edges"][k], key, value)
+                _same_curve(data)
+        for value in NOT_DICTS:
+            data = _plain_curve(dim)
+            data["edges"][k] = value
+            _same_curve(data)
+        for value in (k, None, True):
+            data = _plain_curve(dim)
+            data["vertices"][k]["id"] = value
+            _same_curve(data)
 
 
 @SETTINGS
@@ -266,12 +356,80 @@ def test_curve_reader_matches_oracle_on_drawn_coordinates(data):
     _same_curve(data)
 
 
+PLAIN_TEXTS = st.text(alphabet="0123456789-/, +_٣", max_size=12) \
+    | st.lists(st.sampled_from(["0", "7", "12", "-", "/", ",", "-3", "/4",
+                                "/0", "0/5"]), max_size=8).map("".join) \
+    | st.sampled_from(["", "//", "/-", "-/3", "1/2/3", ",1", "1,", ",",
+                       "/1", "1/", "1/,2", "1//2", "3/-4", "1,,2",
+                       "-0,-0/7,00/01", "1" * 5000, "-" + "9" * 5000,
+                       "2/" + "7" * 5000, "1,2/3,-4/6,5/1"])
+
+
+@SETTINGS
+@given(PLAIN_TEXTS)
+def test_plain_matches_the_regular_expression_reader(text):
+    """`_plain`, which reads a joined coordinate list with no regular
+    expression, accepts what the old grammar accepted and converts it
+    to the same integers over the same denominator."""
+    assert io_json._plain(text) == io_oracle.plain(text)
+
+
+def test_plain_documents_are_read_in_bulk(monkeypatch):
+    """Every curve and line set of the benchmark pools (trees and
+    enumerate, seeds 1-3) and of the fixtures is read in bulk: no field
+    goes through `parse_int` or `parse_rational`, nor through the
+    per-item loops' readers of a position, a point or a direction, so a
+    silent fall back to any of those loops fails here."""
+    reads = [(curve_from_dict, load_fixture_json(n)) for n in CURVE_FIXTURES]
+    reads += [(lines_from_dict, load_fixture_json(n)) for n in LINES_FIXTURES]
+    for p in _perfbench_pools("trees", (1, 2, 3)):
+        reads += [(curve_from_dict, p["curve"]), (lines_from_dict, p["lines"])]
+    reads += [(lines_from_dict, p["lines"])
+              for p in _perfbench_pools("enumerate", (1, 2, 3))]
+    calls = []
+    for name in ("parse_int", "parse_rational", "_rational_list",
+                 "_int_vector"):
+        monkeypatch.setattr(io_json, name,
+                            lambda *args, name=name: calls.append(name))
+    for read, data in reads:
+        assert read(data) is not None and calls == [], data
+    assert len(reads) > 100
+
+
+# line directions the bulk read does not take: converted or refused
+ODD_LINE_DIRS = [[v, 2] for v in ODD_ENTRIES] + [
+    "12", None, 5, {}, {"x": 1}, (1, 2)]
+
+
 @SETTINGS
 @given(st.lists(st.one_of(
     st.builds(lambda p, d: {"point": p, "dir": d}, COORDINATES,
               st.just([1, 2, 3])),
     st.builds(lambda p: {"point": p, "dir": [0, "x"]}, COORDINATES),
     st.builds(lambda p: {"dir": [1]}, COORDINATES),
+    st.builds(lambda p, d: {"point": p, "dir": d}, st.lists(PLAIN, max_size=3),
+              st.sampled_from(ODD_LINE_DIRS)),
     st.just({"point": "0", "dir": [1]})), max_size=4))
 def test_lines_reader_matches_oracle_on_drawn_coordinates(lines):
     _same_lines({"lines": lines})
+
+
+def test_lines_reader_matches_oracle_on_each_odd_field():
+    """Plain lines with one direction, one point or one line in any
+    other form are read as the oracle reads them."""
+    def plain():
+        return {"lines": [{"point": ["1/2", "0"], "dir": [1, 0]},
+                          {"point": ["2", "-1/3"], "dir": [0, 1]}]}
+
+    _same_lines(plain())
+    for k in (0, 1):
+        for key, values in (("dir", ODD_LINE_DIRS + [ABSENT]),
+                            ("point", ["0", None, ("1", "2"), ABSENT])):
+            for value in values:
+                data = plain()
+                _put(data["lines"][k], key, value)
+                _same_lines(data)
+        for value in NOT_DICTS:
+            data = plain()
+            data["lines"][k] = value
+            _same_lines(data)

@@ -924,7 +924,8 @@ def test_enumerate_rejects_a_line_parallel_to_its_leaf(monkeypatch):
                                for j, z in enumerate(dirs)])
     visited = []
     monkeypatch.setattr(multiplicity, "_insertion_walk",
-                        lambda kappa, parent: visited.append(kappa) or [])
+                        lambda kappa, parent, pair:
+                        visited.append(kappa) or [])
     with pytest.raises(WorkbenchError) as err:
         enumerate_count(degree, lines)
     assert err.value.code == "NON_GENERIC_CONFIG"
@@ -1028,6 +1029,48 @@ def test_enumerate_builds_each_accepted_curve_on_its_first_read(
             curves.append(curve)
     assert len(curves) == 30
     assert list(map(id, built)) == list(map(id, curves))
+
+
+def test_enumeration_results_compare_and_hash_by_value(monkeypatch):
+    """Two enumerations of one input with accepted types are equal and
+    hash alike, and comparing them builds each accepted curve once; a
+    changed multiplicity or a moved vertex makes them unequal, and a
+    curve equals the plain curve built from its data."""
+    rng = random.Random(44)
+    problems = [random_enumeration(rng, 6, 20, 5, 2) for _ in range(3)]
+    built = []
+    init = TropicalCurve.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(TropicalCurve, "__init__", counted)
+    for degree, lines in problems:
+        a, b = enumerate_count(degree, lines), enumerate_count(degree, lines)
+        curves = [t.curve for t in a.per_type + b.per_type
+                  if t.status == "accepted"]
+        assert curves and built == []
+        assert a == b and hash(a) == hash(b)
+        assert a.as_dict() == b.as_dict()
+        assert sorted(map(id, built)) == sorted(map(id, curves))
+        built.clear()
+        k, t = next((k, t) for k, t in enumerate(b.per_type)
+                    if t.status == "accepted")
+        changed = list(b.per_type)
+        changed[k] = multiplicity.TypeOutcome(t.topology, t.status,
+                                              t.multiplicity + 1, t.curve)
+        assert a != multiplicity.EnumerationResult(b.total, tuple(changed))
+        c = t.curve
+        same = TropicalCurve(c.dim, c.coords.items(), c.edges, c.denominator)
+        assert same == c and c == same and hash(same) == hash(c)
+        coords = list(c.coords.items())
+        vid, (x, *rest) = coords[0]
+        coords[0] = vid, (x + 1, *rest)
+        moved = TropicalCurve(c.dim, coords, c.edges, c.denominator)
+        assert moved != c and c != moved
+        assert list(map(id, built)) == [id(same), id(moved)]
+        built.clear()
 
 
 def test_tree_decision_matches_the_echelon_pass(monkeypatch):
