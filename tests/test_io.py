@@ -245,18 +245,22 @@ ODD_ENTRIES = [True, False, 0.5, "x", " 1 ", None, "1", "-2", Count(1)]
 
 
 def edge_fields(dim):
-    """{key: (plain values, other values)} for edges of dimension dim."""
+    """{key: (plain values, other values)} for edges of dimension dim:
+    a strategy and a list."""
     return {
-        "tail": (["v0", "v1", "v9"], [0, 7, None, 1.5, True, ["v0"], ABSENT]),
-        "head": (["v1", "v0", None, ABSENT], [1, False, 2.5, {}]),
-        "dir": (None, [[v] + [0] * (dim - 1) for v in ODD_ENTRIES]
+        "tail": (st.sampled_from(["v0", "v1", "v9"]),
+                 [0, 7, None, 1.5, True, ["v0"], ABSENT]),
+        "head": (st.sampled_from(["v1", "v0", None, ABSENT]),
+                 [1, False, 2.5, {}]),
+        "dir": (st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                [[v] + [0] * (dim - 1) for v in ODD_ENTRIES]
                 + [[0] * (dim - 1) + [v] for v in ODD_ENTRIES]
                 + [[1] * (dim - 1), [1] * (dim + 1), "1", None, 5,
                    {"x": 1}, ABSENT]),
-        "weight": ([1, 2, 3, ABSENT],
+        "weight": (st.sampled_from([1, 2, 3, ABSENT]),
                    ["2", "-1", " 3", Count(2), None, "x", "", "1" * 5000,
                     True, False, 1.0, [1]]),
-        "leaf_label": ([0, 1, 3, None, ABSENT],
+        "leaf_label": (st.sampled_from([0, 1, 3, None, ABSENT]),
                        ["0", "2", Count(1), "x", True, False, 1.5, [0]]),
     }
 
@@ -269,10 +273,10 @@ def _put(edge, key, value):
 
 @st.composite
 def curve_documents(draw):
-    """A curve document.  In half of them every position is plain, so
-    that the edges are read.  The edges are all plain, or plain but for
-    one field or one edge that is no dict, or drawn field by field with
-    each field plain 6 times in 7."""
+    """A curve document.  In about half of them every position is
+    plain, so that the edges are read.  The edges are all plain, or
+    plain but for one field or one edge that is no dict, or drawn field
+    by field with most fields plain."""
     dim = draw(st.integers(1, 3))
     plain = draw(st.booleans())
     vertices = []
@@ -294,19 +298,15 @@ def curve_documents(draw):
             del v["id"]
         vertices.append(v)
     fields = edge_fields(dim)
-    plain_dir = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
     mix = draw(st.sampled_from(["plain", "one", "one", "each"]))
     edges = []
     for _ in range(draw(st.integers(0, 3))):
         edge = {}
         for key, (plain_values, others) in fields.items():
             if mix == "each" and draw(st.integers(0, 6)) == 0:
-                value = draw(st.sampled_from(others))
-            elif plain_values is None:
-                value = draw(plain_dir)
+                _put(edge, key, draw(st.sampled_from(others)))
             else:
-                value = draw(st.sampled_from(plain_values))
-            _put(edge, key, value)
+                _put(edge, key, draw(plain_values))
         edges.append(edge)
     if mix == "each" and edges and draw(st.integers(0, 11)) == 0:
         edges[-1] = draw(st.sampled_from(NOT_DICTS))

@@ -1033,9 +1033,9 @@ def test_enumerate_builds_each_accepted_curve_on_its_first_read(
 
 def test_enumeration_results_compare_and_hash_by_value(monkeypatch):
     """Two enumerations of one input with accepted types are equal and
-    hash alike, and comparing them builds each accepted curve once; a
-    changed multiplicity or a moved vertex makes them unequal, and a
-    curve equals the plain curve built from its data."""
+    hash alike, and comparing them builds each accepted curve once.  A
+    changed multiplicity, a moved vertex or reordered edges make them
+    unequal, and a curve equals the plain curve built from its data."""
     rng = random.Random(44)
     problems = [random_enumeration(rng, 6, 20, 5, 2) for _ in range(3)]
     built = []
@@ -1068,8 +1068,10 @@ def test_enumeration_results_compare_and_hash_by_value(monkeypatch):
         vid, (x, *rest) = coords[0]
         coords[0] = vid, (x + 1, *rest)
         moved = TropicalCurve(c.dim, coords, c.edges, c.denominator)
-        assert moved != c and c != moved
-        assert list(map(id, built)) == [id(same), id(moved)]
+        turned = TropicalCurve(c.dim, c.coords.items(), c.edges[::-1],
+                               c.denominator)
+        assert moved != c and c != moved and turned != c
+        assert list(map(id, built)) == [id(same), id(moved), id(turned)]
         built.clear()
 
 
