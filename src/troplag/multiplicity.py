@@ -49,8 +49,8 @@ class Problem:
     computation (the mixed product, the evaluation matrix, the torsion
     recursion) runs on one iterative walk from its root
     (`curve._preorder`), and the momenta follow the enumerator's plane
-    rule (`_glue`, in `_subtree_planes`): O(n) per root, with no
-    recursion limit on the depth of the tree.
+    rule (`_glue`): O(n) per root, with no recursion limit on the depth
+    of the tree.
     """
     __slots__ = ("zs", "rhos", "adj", "chain", "junction_ids")
 
@@ -65,38 +65,30 @@ class Problem:
     def kappa(self):
         return len(self.zs)
 
-    def rooted(self, root):
-        """The tree hung from node `root`: (parent, order, below), parent
-        and the pre-order from `curve._preorder`, and below[x] the
-        displacement dh of the chain parent(x) -> x (None at the root)."""
-        parent, order = _preorder(self.adj, root)
-        below = [None] * len(parent)
-        for x in order[1:]:
-            below[x] = self.chain[parent[x], x][0]
-        return parent, order, below
-
     def momenta(self, root):
         """Momentum flowing towards node `root` along every edge, in one
-        pass.
+        post-order walk.
 
-        Returns (parent, order, mom) with parent and order as in
-        `rooted`, and mom[x] the momentum from the subtree behind x
-        towards its parent (None at the root).  End j sends rhos[j]; a
-        junction receives two momenta m1, m2, from its children in
-        adjacency order, and sends (m1 x m2) x dh_out.  That is the
-        normal of `_subtree_planes` with leaf planes (rho_j, 0), as
-        (m1 x m2) x u = (m1 . u) m2 - (m2 . u) m1 for u = below[x] =
-        -dh_out.  The momenta reaching the root are mom[y] for y in
-        adj[root].
+        Returns (parent, order, mom) with parent and the pre-order from
+        `curve._preorder`, and mom[x] the momentum from the subtree
+        behind x towards its parent (None at the root).  End j sends
+        rhos[j]; a junction x receives two momenta m1, m2, from its
+        children in adjacency order, and sends the normal of the plane
+        rule `_glue` on the planes (m1, 0), (m2, 0) along the
+        displacement u of the chain parent(x) -> x, that is (m2 . u) m1
+        - (m1 . u) m2 = (m1 x m2) x dh_out with dh_out = -u.  The
+        momenta reaching the root are mom[y] for y in adj[root].
         """
-        parent, order, below = self.rooted(root)
-        kids = _subtree_planes(self.kappa, parent, order, below,
-                               [(rho, 0) for rho in self.rhos])
-        # the planes reached each parent in this same order
-        arrivals = [iter(k) for k in kids]
+        kappa, adj, chain = self.kappa, self.adj, self.chain
+        parent, order = _preorder(adj, root)
         mom = [None] * len(parent)
-        for x in order[:0:-1]:
-            mom[x] = next(arrivals[parent[x]])[0]
+        for x in order[:0:-1]:      # children before parents
+            up = parent[x]
+            if x < kappa:
+                mom[x] = self.rhos[x]
+            else:
+                m1, m2 = [mom[y] for y in adj[x] if y != up]
+                mom[x] = _glue((m1, 0), (m2, 0), chain[up, x][0])[0]
         return parent, order, mom
 
     def root_node(self, root=None) -> int:
@@ -143,8 +135,7 @@ class Problem:
     def mixed_product(self, root=None) -> int:
         """`mixed_h_product` of this problem towards `root` (`root_node`)."""
         node = self.root_node(root)
-        mom = self.momenta(node)[2] if self.kappa > 2 else None
-        return self.pair_at(node, mom)
+        return self.pair_at(node, self.momenta(node)[2])
 
     def evaluation_matrix(self, ref=None) -> EvaluationMatrix:
         """`ev_matrix` of this problem, with reference junction `ref`."""
@@ -169,7 +160,10 @@ class Problem:
         ref = self.junction_ids[root - kappa]
 
         # a junction x below the root stands for the chain parent(x) -> x
-        parent, order, below = self.rooted(root)
+        parent, order = _preorder(self.adj, root)
+        below = [None] * len(parent)
+        for x in order[1:]:
+            below[x] = self.chain[parent[x], x][0]
         col_of_chain = {cid: 3 + k for k, cid in enumerate(internal)}
         col_of = {x: col_of_chain[self.chain[parent[x], x][2]]
                   for x in order[1:] if x >= kappa}
@@ -394,9 +388,9 @@ def enumerate_count(degree, lines: LineConfiguration,
     walk keeps, in arrays it updates and undoes, each node's parent,
     the two children of each junction, the balancing sums below[x] (the
     displacement of the edge parent(x) -> x) and each rooted subtree's
-    integer plane (`_subtree_planes`' rule, `_glue`).  Leaf k on the
-    edge above x adds the junction m: only m's plane, and the sums and
-    planes on the path from m to leaf 0, change.  The last leaf, kappa -
+    integer plane (`_glue`).  Leaf k on the edge above x adds the
+    junction m: only m's plane, and the sums and planes on the path
+    from m to leaf 0, change.  The last leaf, kappa -
     1, stops that path below ref and leaves ref's own sum and plane
     stale, since no type reads them: D and Cramer read the planes of
     ref's children, the zero-sum test and the lengths run over the
@@ -639,26 +633,6 @@ def _glue(plane_a, plane_b, u):
     pb = b0 * u0 + b1 * u1 + b2 * u2
     return ((pb * a0 - pa * b0, pb * a1 - pa * b1, pb * a2 - pa * b2),
             pb * ca - pa * cb)
-
-
-def _subtree_planes(kappa, parent, order, below, leaf_planes):
-    """The plane of every rooted subtree of one tree, leaves first.
-
-    Leaf j gives leaf_planes[j] = (rho_j, rho_j . q_j), and a junction
-    x other than the root `order[0]` the `_glue` of its children's
-    planes along below[x], the displacement of the edge parent(x) -> x.
-    Returns kids, kids[x] the planes of x's children in the order of
-    the reversed pre-order: two for a junction, three for a junction
-    root.
-    """
-    kids = [[] for _ in parent]
-    for x in order[:0:-1]:      # children before parents, root skipped
-        if x < kappa:
-            plane = leaf_planes[x]
-        else:
-            plane = _glue(*kids[x], below[x])
-        kids[parent[x]].append(plane)
-    return kids
 
 
 def _inconsistent_type(kappa, order, kids, below, plane):

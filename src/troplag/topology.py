@@ -15,8 +15,8 @@ from .curve import TropicalCurve, _reach, point_text, require_valid
 from .domain import (PolyhedralDomain, curve_self_crossings,
                      is_standard_simplex_3, require_even_primitive)
 from .errors import Record, WorkbenchError
-from .lattice import (content, cross, is_zero, primitive_raw, solve_bareiss,
-                      solve_cross, vec_scale)
+from .lattice import (content, cross, is_zero, primitive_raw, solve_cross,
+                      vec_scale)
 from .multiplicity import Problem, build_problem
 
 
@@ -490,13 +490,13 @@ def lens_parameters(c: TropicalCurve,
     p = content(cab)
     if p == 1:
         return LensParameters(1, 0)
+    # a x c = u makes (a, c) a basis of the lattice u^perp, and then
+    # b = alpha a + beta c gives b x c = alpha u (and a x b = beta u)
     c_vec = solve_cross(a, u)
-    d, num, kernel = solve_bareiss([[a[k], c_vec[k]] for k in range(3)], b)
-    if num is None or kernel:
-        raise WorkbenchError("INTERNAL_INCONSISTENCY",
-                             "kernel basis failed to express b")
-    alpha, beta = num
-    if alpha % d or beta % d or abs(beta // d) != p:
+    bc = cross(b, c_vec)
+    k = next(k for k in range(3) if u[k])
+    alpha = bc[k] // u[k]
+    if cross(a, c_vec) != u or bc != vec_scale(alpha, u):
         raise WorkbenchError("INTERNAL_INCONSISTENCY",
                              "unexpected kernel coordinates")
-    return LensParameters(p, _canonical_q(p, alpha // d))
+    return LensParameters(p, _canonical_q(p, alpha))

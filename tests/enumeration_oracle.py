@@ -4,10 +4,13 @@ leaf-insertion tree, kept as an independent reference for the tests.
 Every type of `trivalent_trees` is rebuilt from its edge list: its
 adjacency, one walk from ref, the junction of leaf 0, and the balancing
 sums (`rooted_sums`); then one integer plane per rooted subtree
-(`troplag.multiplicity._subtree_planes`).  A type with D = 0 is decided
-by one fraction-free echelon pass on its evaluation rows
-(`singular_type`, `is_consistent`).  Adaptations: `rooted_sums` (it
-was `troplag.curve._rooted_sums`) and `singular_type` (it was
+(`subtree_planes`, by the package's plane rule
+`troplag.multiplicity._glue`).  A type with D = 0 is decided by one
+fraction-free echelon pass on its evaluation rows (`singular_type`,
+`is_consistent`).  Adaptations: `rooted_sums` (it was
+`troplag.curve._rooted_sums`), `subtree_planes` (it was
+`troplag.multiplicity._subtree_planes`, which the package's enumerator
+never called) and `singular_type` (it was
 `troplag.multiplicity._singular_type`) lost their leading underscore,
 `is_consistent` left `troplag.lattice`, and `enumerate_count` returns
 the same `EnumerationResult` as the package.
@@ -24,7 +27,7 @@ from troplag.errors import WorkbenchError
 from troplag.lattice import (_bareiss_echelon, _integer_rows, content, cross,
                              dot, primitive_raw, vec_neg)
 from troplag.multiplicity import (EnumerationResult, TypeOutcome,
-                                  _evaluation_rows, _subtree_planes)
+                                  _evaluation_rows, _glue)
 
 
 def rooted_sums(topology: TreeTopology, degree):
@@ -53,6 +56,26 @@ def rooted_sums(topology: TreeTopology, degree):
         sy[up] += sy[x]
         sz[up] += sz[x]
     return parent, order, list(zip(sx, sy, sz))
+
+
+def subtree_planes(kappa, parent, order, below, leaf_planes):
+    """The plane of every rooted subtree of one tree, leaves first.
+
+    Leaf j gives leaf_planes[j] = (rho_j, rho_j . q_j), and a junction
+    x other than the root `order[0]` the `_glue` of its children's
+    planes along below[x], the displacement of the edge parent(x) -> x.
+    Returns kids, kids[x] the planes of x's children in the order of
+    the reversed pre-order: two for a junction, three for a junction
+    root.
+    """
+    kids = [[] for _ in parent]
+    for x in order[:0:-1]:      # children before parents, root skipped
+        if x < kappa:
+            plane = leaf_planes[x]
+        else:
+            plane = _glue(*kids[x], below[x])
+        kids[parent[x]].append(plane)
+    return kids
 
 
 def is_consistent(rows, rhs) -> bool:
@@ -109,7 +132,7 @@ def enumerate_count(degree, lines) -> EnumerationResult:
         if any(below[x] == (0, 0, 0) for x in junctions if x != ref):
             outcomes.append(TypeOutcome(tree.edges, "degenerate", 0, None))
             continue
-        kids = _subtree_planes(kappa, parent, order, below, leaf_planes)
+        kids = subtree_planes(kappa, parent, order, below, leaf_planes)
         (n1, c1), (n2, c2), (n3, c3) = kids[ref]
         m23, m31, m12 = cross(n2, n3), cross(n3, n1), cross(n1, n2)
         det = dot(n1, m23)

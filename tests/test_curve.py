@@ -27,6 +27,21 @@ def simplex_tripod_curve():
         Edge("p", "c", (-1, 0, 2), 1, 2)])
 
 
+def test_dict_edges_build_the_same_curve():
+    """A library caller may give edges as dicts with the JSON format's
+    keys; "head" and "weight" may be left out (a ray, weight 1), and the
+    direction may be a list."""
+    verts = [("p", ("1/4", "1/4", "1/4")), ("a", ("1/4", 0, 0)),
+             ("b", ("1/2", "1/2", 0)), ("c", (0, "1/4", "3/4"))]
+    dicts = [{"tail": "p", "head": "a", "dir": [0, -1, -1], "weight": 1,
+              "leaf_label": 0},
+             {"tail": "p", "head": "b", "dir": (1, 1, -1), "leaf_label": 1},
+             Edge("p", "c", (-1, 0, 2), 1, 2)]
+    assert TropicalCurve(3, verts, dicts) == simplex_tripod_curve()
+    ray = TropicalCurve(2, [("o", (0, 0))], [{"tail": "o", "dir": [1, 0]}])
+    assert ray.edges == (Edge("o", None, (1, 0), 1, None),)
+
+
 def test_validate_single_edge_both_ends_free():
     c = TropicalCurve(3, [("b0", (0, 0, 0)), ("b1", (0, 0, 1))],
                       [Edge("b0", "b1", (0, 0, 1))])

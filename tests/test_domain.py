@@ -1161,6 +1161,23 @@ def test_even_primitive_reraises_other_crossing_errors(monkeypatch):
     assert err.value.code == "INTERNAL_INCONSISTENCY"
 
 
+def test_skew_edges_with_overlapping_boxes_do_not_cross():
+    """(0,0,0)-(2,2,2) and (3,0,1)-(1,2,1) have overlapping boxes and
+    independent directions, but lie on skew lines: s (1,1,1) = (3-t, t,
+    1) gives s = t = 1 and then 3 - t = 2 != 1.  Moving the second edge
+    by -1 in x puts (1,1,1) on both."""
+    def pair(x):
+        return TropicalCurve(3, [("a", (0, 0, 0)), ("b", (2, 2, 2)),
+                                 ("c", (x, 0, 1)), ("d", (x - 2, 2, 1))],
+                             [Edge("a", "b", (1, 1, 1)),
+                              Edge("c", "d", (-1, 1, 0))])
+    assert curve_self_crossings(pair(3)) == []
+    assert domain_mod._meet(((0, 0, 0), (1, 1, 1), 2),
+                            ((3, 0, 1), (-1, 1, 0), 2), 1) is None
+    assert curve_self_crossings(pair(2)) == \
+        [{"edges": (0, 1), "point": (1, 1, 1)}]
+
+
 def test_self_crossing_overlap_detected():
     c = TropicalCurve(2, [("a", (0, 0)), ("b", (2, 0)), ("x", (1, 0)),
                           ("y", (3, 0))],
@@ -1603,6 +1620,25 @@ def test_suitability_parallel_line():
     with pytest.raises(WorkbenchError) as err:
         suitability_check(poincare_curve(), lines)
     assert err.value.code == "NOT_BOUNDARY_CONFIG"
+
+
+def test_suitability_rejects_a_line_behind_its_leaf():
+    """Leaf 0 of poincare_curve is the ray o + t (-1, 0, 0), t >= 0.  The
+    line (1, 0, 0) + s (0, 1, 2) meets the ray's line at s = 0, where t
+    = -1: behind the ray, so it does not meet the leaf.  The line through
+    (-1, 0, 0), the mirror point, meets it at t = 1."""
+    rest = [{"point": (0, -1, 0), "dir": (1, 0, 3)},
+            {"point": (1, 1, 0), "dir": (0, 1, 5)}]
+    behind = LineConfiguration([{"point": (1, 0, 0), "dir": (0, 1, 2)}]
+                               + rest)
+    with pytest.raises(WorkbenchError) as err:
+        suitability_check(poincare_curve(), behind)
+    assert str(err.value) == \
+        "NOT_BOUNDARY_CONFIG: line 0 does not meet its leaf"
+    ahead = LineConfiguration([{"point": (-1, 0, 0), "dir": (0, 1, 2)}]
+                              + rest)
+    assert suitability_check(poincare_curve(), ahead).per_line[0]["point"] \
+        == (-1, 0, 0)
 
 
 def test_suitability_names_a_missed_line_by_its_index():

@@ -14,7 +14,8 @@ of a record's ``__slots__`` is read somewhere in the package.  The
 benchmark's layer table (``perfbench/measure.py``, read, not imported)
 names package functions, but for two known gaps, and the names that
 ``perfbench/run.py`` emits (read the same way) are those that
-``BENCHMARK.json`` declares.
+``BENCHMARK.json`` declares.  Every private name that ``README.md``
+cites is defined in the package.
 """
 
 import ast
@@ -177,6 +178,52 @@ def test_checker_catches_unused_private_definitions():
     a += "def _imported_only(): pass\n"
     modules = {"a": ast.parse(a), "b": ast.parse(b)}
     assert unused_private(modules) == [("a", "_Orphan"), ("a", "_self_only")]
+
+
+def cited_private_names(text):
+    """The _private names a text cites, such as `_glue` or the
+    `_defaults` of `Record._defaults`; dunder names and the tails of
+    names such as BENCH_x are not matched."""
+    return set(re.findall(r"(?<!\w)_[A-Za-z]\w*", text))
+
+
+def defined_names(trees):
+    """The names the parsed modules define: every function and class, at
+    any depth, and every name assigned at module or class level, such as
+    a class attribute."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if not isinstance(node, (ast.Module, ast.ClassDef)):
+                continue
+            for stmt in node.body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target] if isinstance(stmt, ast.AnnAssign) \
+                    else []
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_readme_cites_only_defined_private_names():
+    """A private name the README's layout cites, once renamed or deleted
+    in the package, fails here."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in SOURCES]
+    cited = cited_private_names((ROOT / "README.md").read_text())
+    assert "_glue" in cited
+    assert sorted(cited - defined_names(trees)) == []
+
+
+def test_checker_catches_stale_cited_names():
+    module = ast.parse("def _kept(): pass\n"
+                       "class R:\n    _defaults = ()\n"
+                       "    def _method(self): pass\n"
+                       "_table: dict = {}\n")
+    text = ("_kept, R._defaults, R._method and _table; __slots__ and "
+            "BENCH_x; (_gone) and `_gone_too`")
+    assert sorted(cited_private_names(text) - defined_names([module])) == \
+        ["_gone", "_gone_too"]
 
 
 def unread_fields(modules):

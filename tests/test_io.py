@@ -232,7 +232,16 @@ REJECTED = st.sampled_from(
     ["1/0", "3/-4", "3/00", "", "/", "3/", "--3", "1,2", "1, 2", ",",
      "0x10", "½", "1" * 5000, "1/" + "7" * 5000, True, False, None, 0.5,
      1e30, [], {}, ["1"], Fraction(1, 2)])
-COORDINATES = st.lists(st.one_of(PLAIN, PLAIN, FALLBACK, REJECTED),
+
+
+def weighted(*strategies):
+    """A draw from one of `strategies`, each as often as it is listed:
+    `st.one_of` keeps a repeated strategy once, and splits a union such
+    as PLAIN into its branches, so its weights are not the listed ones."""
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
+COORDINATES = st.lists(weighted(PLAIN, PLAIN, FALLBACK, REJECTED),
                        max_size=4)
 
 
@@ -287,8 +296,8 @@ def curve_documents(draw):
         v = {"id": k if shape == "int id" else f"v{k}"}
         if shape in ("list", "int id", "no id"):
             v["pos"] = draw(st.lists(
-                PLAIN if plain else st.one_of(PLAIN, PLAIN, PLAIN, FALLBACK,
-                                              REJECTED),
+                PLAIN if plain else weighted(PLAIN, PLAIN, PLAIN, FALLBACK,
+                                             REJECTED),
                 min_size=dim, max_size=dim))
         elif shape == "short":
             v["pos"] = draw(st.lists(PLAIN, max_size=dim - 1))

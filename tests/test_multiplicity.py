@@ -9,7 +9,7 @@ from conftest import (all_roots, curve_tree, edge_vectors, fixture_path,
                       marked_edge, rand_nonzero, rand_primitive,
                       random_tree_problem, triangle_and_tripod)
 from enumeration_oracle import enumerate_count as per_type_enumerate
-from enumeration_oracle import rooted_sums, singular_type
+from enumeration_oracle import rooted_sums, singular_type, subtree_planes
 from exact_oracle import solve_exact
 
 from troplag import multiplicity
@@ -22,8 +22,7 @@ from troplag.io_json import (canonical_json, curve_from_dict, load_curve,
 from troplag.lattice import (cross, det_bareiss, dot, is_zero, vec_add,
                              vec_neg, vec_scale)
 from troplag.multiplicity import (EvaluationMatrix, Problem, _glue,
-                                  _subtree_planes, build_problem,
-                                  enumerate_count, ev_matrix,
+                                  build_problem, enumerate_count, ev_matrix,
                                   mixed_h_product, splitting_check)
 from troplag.topology import _junction_indices, vertex_multiplicity
 
@@ -370,6 +369,30 @@ def test_ev_matrix_needs_tree():
     with pytest.raises(WorkbenchError) as err:
         ev_matrix(cyc, [(0, 1, 2)] * 4)
     assert err.value.code == "TREE_ONLY"
+
+
+def test_ev_matrix_needs_three_ends():
+    """A segment has no junction and no bounded edge: its matrix would
+    be 2 x 3, with no determinant, so it is refused by its end count."""
+    segment = TropicalCurve(3, [("m", (0, 0, 0)), ("b0", (0, 0, -1)),
+                                ("b1", (0, 0, 1))],
+                            [Edge("m", "b0", (0, 0, -1), 1, 0),
+                             Edge("m", "b1", (0, 0, 1), 1, 1)])
+    with pytest.raises(WorkbenchError) as err:
+        ev_matrix(segment, [(1, 0, 0), (0, 1, 0)])
+    assert str(err.value) == \
+        "KAPPA_TOO_SMALL: evaluation matrix needs at least three ends"
+
+
+@pytest.mark.parametrize("ref", ["p1", "nowhere", ("end", 0)])
+def test_ev_matrix_reference_must_be_a_junction(ref):
+    """poincare_curve's one junction is "o"; an end vertex, an unknown
+    id and an end root are no reference of the evaluation matrix."""
+    with pytest.raises(WorkbenchError) as err:
+        ev_matrix(poincare_curve(), POINCARE_Z, ref=ref)
+    assert str(err.value) == f"BAD_ROOT: reference {ref!r} is not a junction"
+    assert ev_matrix(poincare_curve(), POINCARE_Z, ref="o") == \
+        ev_matrix(poincare_curve(), POINCARE_Z)
 
 
 def test_a_walk_that_misses_a_component_is_refused():
@@ -879,7 +902,7 @@ def test_subtree_planes_give_the_evaluation_determinant(kappa, seed, count,
         leaf_planes = [(rho, 0) for rho in rhos]
         for tree in trivalent_trees(kappa):
             parent, order, below = rooted_sums(tree, degree)
-            kids = _subtree_planes(kappa, parent, order, below, leaf_planes)
+            kids = subtree_planes(kappa, parent, order, below, leaf_planes)
             (n1, _), (n2, _), (n3, _) = kids[order[0]]
             assert abs(dot(n1, cross(n2, n3))) == \
                 abs(det_bareiss(type_rows(tree, degree, rhos)))

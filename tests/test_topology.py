@@ -10,10 +10,10 @@ from troplag import domain, topology
 from troplag.curve import Edge, TropicalCurve, validate_curve
 from troplag.domain import PolyhedralDomain, wavefront
 from troplag.errors import WorkbenchError
-from troplag.io_json import load_curve, load_domain
+from troplag.io_json import load_curve, load_domain, load_lines
 from troplag.lattice import (content, cross, det_bareiss,
-                             elementary_divisors, lattice_index,
-                             primitive_raw)
+                             elementary_divisors, is_zero, lattice_index,
+                             primitive_raw, solve_bareiss, solve_cross)
 from troplag.multiplicity import Problem, ev_matrix, mixed_h_product
 from troplag.topology import (dual_vertex_delta, h1_order, lens_parameters,
                               piece_decomposition, self_intersections,
@@ -695,6 +695,64 @@ def test_lens_parameters_rejects_off_lattice_kernel_coordinates(
     with pytest.raises(WorkbenchError) as err:
         lens_parameters(lens_curve(), zs=[(1, 0, 0), (-q, p, 0)])
     assert err.value.code == "INTERNAL_INCONSISTENCY"
+
+
+def reference_lens(u, z0, z1):
+    """(p, canonical q) of the segment along the primitive u with
+    constraint directions z0, z1, by a Bareiss solve of b = alpha a +
+    beta c for a = u x z0, b = u x z1 and c = solve_cross(a, u), as the
+    package once computed it; None where the kernel classes vanish, are
+    not primitive or are parallel."""
+    a, b = cross(u, z0), cross(u, z1)
+    if is_zero(a) or is_zero(b) or content(a) != 1 or content(b) != 1 \
+            or is_zero(cross(a, b)):
+        return None
+    p = content(cross(a, b))
+    if p == 1:
+        return 1, 0
+    c = solve_cross(a, u)
+    d, num, kernel = solve_bareiss([[a[k], c[k]] for k in range(3)], b)
+    assert kernel == () and num[0] % d == 0 and abs(num[1] // d) == p
+    return p, looped_canonical_q(p, num[0] // d)
+
+
+def segment(u):
+    """A single-edge curve along u, like lens_curve: end 0 at -u and end
+    1 at u, both through the 2-valent vertex m."""
+    minus = tuple(-x for x in u)
+    return TropicalCurve(3, [("m", (0, 0, 0)), ("b0", minus), ("b1", u)],
+                         [Edge("m", "b0", minus, 1, 0),
+                          Edge("m", "b1", u, 1, 1)])
+
+
+def test_lens_parameters_match_the_bareiss_reference():
+    """On random segments (entries in [-6, 6]) and on the lens fixtures,
+    lens_parameters gives the reference's (p, q), and refuses exactly the
+    draws the reference has no lens for."""
+    rng = random.Random(5)
+    lenses = refused = larger = 0
+    while lenses < 600:
+        u = rand_primitive(rng, -6, 6, 3)
+        z0, z1 = ([rng.randint(-6, 6) for _ in range(3)] for _ in range(2))
+        want = reference_lens(u, z0, z1)
+        try:
+            rep = lens_parameters(segment(u), zs=[z0, z1])
+        except WorkbenchError as err:
+            assert want is None and err.code in (
+                "DEGENERATE_VERTEX", "NOT_BISSECTRICE", "SPLIT_DEGENERATE")
+            refused += 1
+            continue
+        assert (rep.p, rep.q_canonical) == want, (u, z0, z1)
+        lenses += 1
+        larger += rep.p > 2
+    assert refused > 0 and larger > 0
+    curve = load_curve(fixture_path("lens.curve.json"))
+    for p, q in [(1, 0), (2, 1), (5, 2), (7, 3)]:
+        lines = load_lines(fixture_path(f"lens_{p}_{q}.lines.json"))
+        zs = [l.direction for l in lines.lines]
+        rep = lens_parameters(curve, zs=zs)
+        assert (rep.p, rep.q_canonical) == \
+            reference_lens((0, 0, 1), *zs) == (p, looped_canonical_q(p, q))
 
 
 def test_surface_chi_from_pieces():
