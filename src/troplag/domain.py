@@ -18,15 +18,18 @@ integer-only, as are the leaf-line meets and the hull test.  A
 
 The Delzant check visits the faces of the domain, not its facet subsets
 (`_face_sets`).  A full-dimensional domain of dimension >= 3 is first
-walked over its vertex graph (`_vertex_walk`): exact ratio tests from
-vertex to vertex, O(V dim m) integer operations for V vertices and m
-facets, no elimination.  Where the walk cannot certify the domain as
-simple and pointed, and in 2-D, the face search (`_search_faces`) takes
-over: polynomial in the facet count for a fixed dimension, non-simple
-corners included.  Every bound on one parameter there, a fibre of the
-elimination or a line of a 2-face, goes through one interval rule
-(`_interval`, `_inside`).  A stratum inside a vertex set whose normals
-have |det| = 1 is saturated; only the others need a Smith form.
+walked over its vertex graph (`_vertex_walk`): one exact ratio test per
+edge (`_blocking`, products built column by column), O(E m) integer
+operations for E edges and m facets, no elimination.  Where the walk
+cannot certify the domain as simple and pointed, and in 2-D, the face
+search (`_search_faces`) takes over: polynomial in the facet count for
+a fixed dimension, non-simple corners included.  Every bound on one
+parameter there, a fibre of the elimination or a line of a 2-face, goes
+through one interval rule (`_interval`, `_inside`).  The rule also
+reports the rows that attain each bound, so one pass over a line's rows
+gives the closed sets of its edge and of the edge's lower end
+(`_line_sets`).  A stratum inside a vertex set whose normals have
+|det| = 1 is saturated; only the others need a Smith form.
 """
 
 from __future__ import annotations
@@ -154,21 +157,40 @@ class LineConfiguration:
 
 def _interval(rows):
     """The s with c s >= b for every integer pair (c, b) in rows, as
-    (lo, hi), or None when no s fits.  Each end is (num, den) with
-    den > 0, meaning num / den, or None on a side left open."""
+    (lo, hi, flat), or None when no s fits, in one pass over the rows.
+
+    Each end is (num, den, at) with den > 0, meaning num / den, and `at`
+    the positions in rows of the pairs that attain it: c > 0 and
+    b / c = lo at the lower end, c < 0 and b / c = hi at the upper one.
+    An end is None on a side left open.  flat lists the positions of the
+    pairs 0 s >= 0, which hold with equality for every s.  A pair 0 s >= b
+    with b > 0 empties the set at once, and the rows after it are not
+    read.
+    """
     lo = hi = None
-    for c, b in rows:
+    flat = []
+    for i, (c, b) in enumerate(rows):
         if c > 0:
-            if lo is None or b * lo[1] > lo[0] * c:     # b / c > lo
-                lo = (b, c)
+            # the sign of b / c - lo
+            key = 1 if lo is None else b * lo[1] - lo[0] * c
+            if key > 0:
+                lo = (b, c, [i])
+            elif key == 0:
+                lo[2].append(i)
         elif c < 0:
-            if hi is None or b * hi[1] > hi[0] * c:     # b / c < hi
-                hi = (-b, -c)
+            # the sign of hi - b / c
+            key = 1 if hi is None else b * hi[1] - hi[0] * c
+            if key > 0:
+                hi = (-b, -c, [i])
+            elif key == 0:
+                hi[2].append(i)
         elif b > 0:
             return None
+        elif b == 0:
+            flat.append(i)
     if lo is not None and hi is not None and hi[0] * lo[1] < lo[0] * hi[1]:
         return None
-    return lo, hi
+    return lo, hi, flat
 
 
 def _inside(lo, hi, step):
@@ -233,7 +255,7 @@ def _fm_point(ineqs, nvars):
                            for co, rhs in system if co[k])
         if bounds is None:
             return None   # only at k = 0: the later fibres are projections
-        (num, den), fibre_dim = _inside(*bounds, D)
+        (num, den), fibre_dim = _inside(bounds[0], bounds[1], D)
         # y_k = num / (den * D)
         g = gcd(num, den)
         num, den = num // g, den // g
@@ -285,16 +307,24 @@ def _line_sets(tight, facets, line):
     """The closed active sets at a relative-interior point of the s with
     c s >= b for every (c, b) in line, and at its lower end when it has
     one; none when no s fits.  The i-th pair of line comes from the row
-    of the i-th facet in `facets`, and the facets in `tight` hold with
-    equality for every s."""
+    of facets[i], and the facets in `tight` hold with equality for every
+    s.  The one pass of `_interval` over line gives them: the rows 0 s >=
+    0 are tight everywhere, so they alone are tight at an interior point
+    of a segment, and its lower end adds the rows that attain that bound.
+    At a single point both ends' rows are tight.  So each row of line is
+    read once.
+    """
     bounds = _interval(line)
     if bounds is None:
         return ()
-    point, dim = _inside(*bounds, 1)
-    lo = bounds[0]
-    return [tuple(sorted([*tight, *[
-        j for j, (c, b) in zip(facets, line) if c * num == b * den]]))
-        for num, den in ([point, lo] if dim and lo is not None else [point])]
+    lo, hi, flat = bounds
+    inner = [*tight, *[facets[i] for i in flat]]
+    if lo is None:
+        return [tuple(sorted(inner))]
+    at_lo = inner + [facets[i] for i in lo[2]]
+    if hi is not None and hi[0] * lo[1] == lo[0] * hi[1]:
+        return [tuple(sorted(at_lo + [facets[i] for i in hi[2]]))]
+    return [tuple(sorted(inner)), tuple(sorted(at_lo))]
 
 
 def _plane_faces(tight, rows):
@@ -307,25 +337,22 @@ def _plane_faces(tight, rows):
     c s >= b in integers: c = co . t and b = D rhs - co . P.  Every edge
     and vertex of the face lies on the line of some row, and
     `_line_sets` reads the sets at an interior point and the lower end
-    of each.  That is enough: t = rot90(a) orients all edges one way
-    round, so every vertex is the lower end of exactly one edge.  So n
-    rows cost O(n^2) integer operations.
+    of each, in one pass over its rows that stops at the first row
+    showing that the line misses the face.  That is enough: t = rot90(a)
+    orients all edges one way round, so every vertex is the lower end of
+    exactly one edge.  So n rows cost n passes of n integer steps each.
     """
     found = set()
+    facets = list(rows)
     for (a0, a1), r in rows.values():
         if not (a0 or a1):
             continue  # a facet constant on the face, and not tight on it
         t0, t1 = -a1, a0
         D = a0 * a0 + a1 * a1
         p0, p1 = r * a0, r * a1
-        line = []
-        for (c0, c1), rhs in rows.values():
-            c, b = c0 * t0 + c1 * t1, D * rhs - c0 * p0 - c1 * p1
-            if not c and b > 0:
-                break   # the line misses the face: skip its other rows
-            line.append((c, b))
-        else:
-            found.update(_line_sets(tight, rows, line))
+        found.update(_line_sets(tight, facets, (
+            (c0 * t0 + c1 * t1, D * rhs - c0 * p0 - c1 * p1)
+            for (c0, c1), rhs in rows.values())))
     return found
 
 
@@ -368,7 +395,7 @@ def _search_faces(domain, rows, root):
     proper face of F is the face of F where any of its extra facets is
     tight.  A face of dimension 2 needs no pass: `_plane_faces` reads
     the sets of all its edges and vertices off its frame rows in one
-    integer scan per row, and pushes nothing.  The cost is one exact
+    bound pass per row's line, and pushes nothing.  The cost is one exact
     solve per face of positive dimension with a nonempty set, n passes
     in at most dim variables from each face of dimension 1 or >= 3, and
     O(n^2) integer operations per 2-face: one pass for an n-gon, n + 1
@@ -405,16 +432,24 @@ def _search_faces(domain, rows, root):
 # the vertex walk: simple pointed domains of dimension >= 3
 
 
-def _blocking(rows, slacks, e):
+def _blocking(cols, slacks, e):
     """The rows that stop a move along e first, and every row's a . e.
 
-    slacks[j] is a . X - m D for the row (a, m) at the point X / D, up to
-    one positive factor shared by all rows.  A row with a . e < 0 stops
-    the move at t = slacks[j] / -(a . e), in the same units for every
-    row, and the rows with the least t are returned, compared by
-    cross-multiplying: none on a ray, more than one on a tie.
+    cols[i] holds the i-th entries of the rows' normals a, row by row:
+    the products a . e are built column by column, from the nonzero
+    entries of e only, so a move along a coordinate axis, as a prism's
+    side edges are, costs one column.  slacks[j] is a . X - m D for the
+    row (a, m) at the point X / D, up to one positive factor shared by
+    all rows.  A row with a . e < 0 stops the move at t = slacks[j] /
+    -(a . e), in the same units for every row, and the rows with the
+    least t are returned, compared by cross-multiplying: none on a ray,
+    more than one on a tie.
     """
-    cs = [sum(map(mul, a, e)) for a, _ in rows]
+    cs = None
+    for col, x in zip(cols, e):
+        if x:
+            part = col if x == 1 else [x * a for a in col]
+            cs = part if cs is None else list(map(add, cs, part))
     first = []
     best_s, best_c = 1, 0     # t = 1 / 0: nothing stops the move yet
     for j, c in enumerate(cs):
@@ -472,18 +507,32 @@ def _vertex_walk(domain, point):
     exactly dim tight facets with independent normals.  Where facets
     tie, stopping a step at once, all of them become tight, and the
     descent gives up unless the tight normals are still independent
-    (so at most dim).  From each vertex, the ratio test (`_blocking`) along each
-    edge gives the next vertex, or a ray.  The walk gives up at a tie
-    there: the vertex reached would lie on more than dim facets.
-    Without one the domain is pointed and simple: every vertex lies on
-    exactly dim facets, every face holds a vertex, the graph of
-    vertices and edges is connected, and the closed active sets are
-    exactly the subsets of the vertex sets, () the whole domain's.  The cost is O(V dim m) integer operations for V
-    vertices and m facets, and no Fourier-Motzkin pass.
+    (so at most dim).
+
+    From each vertex T, the ratio test (`_blocking`) along the edge that
+    leaves each facet i of T gives the next vertex, or a ray.  The walk
+    gives up at a tie there: the vertex reached would lie on more than
+    dim facets.  Without one the domain is pointed and simple: every
+    vertex lies on exactly dim facets, every face holds a vertex, the
+    graph of vertices and edges is connected, and the closed active
+    sets are exactly the subsets of the vertex sets, () the whole
+    domain's.
+
+    Each edge is tested once, from the end the walk reaches first.  When
+    the edge that leaves facet i at T stops at nxt on facet j alone, the
+    test of the same edge from nxt, leaving j, is skipped.  It could
+    only stop at T, on i alone: the facets of T other than i stay tight
+    along the edge, and every other facet is slack at both ends, since
+    each certified vertex has exactly dim tight facets, and so slack on
+    the whole segment between them.  So the walk makes one ratio test
+    per edge and per ray, plus at most two per step of the descent:
+    O(E m) integer operations for E edges and m facets, and no
+    Fourier-Motzkin pass.
     """
     rows = domain.rows
     normals = [f.normal for f in domain.facets]
     dim = domain.dim
+    cols = list(zip(*[a for a, _ in rows])) or [()] * dim
     slacks = domain._values(*point)
     tight = []
     while len(tight) < dim:
@@ -493,7 +542,7 @@ def _vertex_walk(domain, point):
         else:
             u = (1,) + (0,) * (dim - 1)
         for e in (u, vec_neg(u)):
-            first, cs = _blocking(rows, slacks, e)
+            first, cs = _blocking(cols, slacks, e)
             if first:
                 break
         else:
@@ -507,6 +556,7 @@ def _vertex_walk(domain, point):
     vertex = tuple(sorted(tight))
     sets = set()
     seen = {vertex}
+    tested = set()      # (vertex, facet): edges tested from their other end
     stack = [(vertex, slacks)]
     while stack:
         T, slacks = stack.pop()
@@ -514,15 +564,19 @@ def _vertex_walk(domain, point):
             sets.update(combinations(T, k))
         edges = _edge_directions([normals[j] for j in T])
         for i, e in zip(T, edges):
-            first, cs = _blocking(rows, slacks, e)
+            if (T, i) in tested:
+                continue
+            first, cs = _blocking(cols, slacks, e)
             if not first:
                 continue  # a ray
             if len(first) > 1:
                 return None
-            nxt = tuple(sorted([j for j in T if j != i] + first))
+            j, = first
+            nxt = tuple(sorted([k for k in T if k != i] + first))
+            tested.add((nxt, j))
             if nxt not in seen:
                 seen.add(nxt)
-                stack.append((nxt, _step(slacks, cs, first[0])))
+                stack.append((nxt, _step(slacks, cs, j)))
     return sets
 
 

@@ -281,6 +281,20 @@ class ThreeManifoldReport(Record):
         }
 
 
+def _require_primitive_root(prob: Problem):
+    """NOT_PRIMITIVE_BOUNDARY unless the root edge, the chain at end 0,
+    has weight 1: the one weight check of h1 and lens, made before any
+    momentum, product or lens coordinate is computed (h1 reads its
+    junctions' multiplicities first, so a flat junction keeps its own
+    code).  The torsion recursion glues the root's solid torus along
+    that edge, and the lens space is built on a segment's one edge.
+    Other edges are not read here."""
+    first, = prob.adj[0]
+    if prob.chain[0, first][1] != 1:
+        raise WorkbenchError("NOT_PRIMITIVE_BOUNDARY",
+                             "root edge must have weight 1")
+
+
 def _torsion_recursion(prob: Problem, walk, mults):
     """Torsion recursion along the tree rooted at end 0.
 
@@ -305,9 +319,6 @@ def _torsion_recursion(prob: Problem, walk, mults):
     n_p = content(rho_p)
     mv_p = behind[first]
     glue = content(cross(primitive_raw(rho_p), prob.rhos[0]))
-    if prob.chain[0, first][1] != 1:
-        raise WorkbenchError("NOT_PRIMITIVE_BOUNDARY",
-                             "root edge must have weight 1")
     h1_rec = (n_p // mv_p) * glue
     root_edge = {"rho": list(rho_p), "n": n_p,
                  "torsionAccumulated": n_p // mv_p, "glue": glue}
@@ -330,6 +341,7 @@ def h1_order(c: TropicalCurve, domain: PolyhedralDomain | None = None,
     require_valid(c)
     prob = build_problem(c, _bissectrice_zs(c, domain, zs))
     mults = _junction_indices(prob)
+    _require_primitive_root(prob)
     mv = 1
     for m in mults:
         mv *= m
@@ -474,7 +486,8 @@ def lens_parameters(c: TropicalCurve,
         raise WorkbenchError("NOT_A_LINE",
                              "lens parameters need a single-edge curve")
     prob = build_problem(c, _bissectrice_zs(c, domain, zs))
-    u = primitive_raw(prob.chain[0, 1][0])
+    _require_primitive_root(prob)
+    u = prob.chain[0, 1][0]
     a = cross(u, prob.zs[0])
     b = cross(u, prob.zs[1])
     if is_zero(a) or is_zero(b):

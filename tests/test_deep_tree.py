@@ -3,22 +3,26 @@
 A caterpillar with kappa ends has a spine of kappa - 2 junctions, so any
 recursive walk of it goes kappa frames deep.  KAPPA is well above the
 interpreter's default recursion limit.  A segment through MARKINGS
-collinear 2-valent markings is one chain, walked in linear time.
+collinear 2-valent markings is one chain, walked in linear time.  The
+count gates at the end check that the tree walks take a number of steps
+linear in the number of ends, on the benchmark's own trees.
 """
 
+import importlib.util
 import json
 import random
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from conftest import rand_primitive, random_tree_problem
 
-from troplag import cli
+from troplag import cli, multiplicity, topology
 from troplag.curve import Edge, TropicalCurve, validate_curve
-from troplag.io_json import canonical_json, curve_to_dict
+from troplag.io_json import canonical_json, curve_from_dict, curve_to_dict
 from troplag.lattice import cross, is_zero, vec_add, vec_sub
 from troplag.multiplicity import (DET_KAPPA_CAP, Problem, build_problem,
                                   ev_matrix, mixed_h_product)
@@ -198,3 +202,116 @@ def test_marked_segment_chain_in_linear_time():
     lens, took = timed(lens_parameters, curve, zs=zs)
     assert took < 1.0
     assert lens.as_dict() == {"p": 5, "qCanonical": 2}
+
+
+# ---------------------------------------------------------------------------
+# count gates: the rooted-tree walks are linear in the number of ends
+
+GATE_KAPPAS = (512, 1024, 2048, 4096)
+
+
+def _benchmark_trees():
+    """`tree_problem` of the benchmark's input generator, perfbench/gen.py,
+    loaded from its file without writing bytecode there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        sys.dont_write_bytecode = bytecode
+    return gen.tree_problem
+
+
+def with_markings(curve):
+    """The curve with a 2-valent marking at the midpoint of each bounded
+    edge, so that each of its chains takes one marking step."""
+    vertices = list(curve.vertices.items())
+    edges = []
+    for k, e in enumerate(curve.edges):
+        if e.head is None:
+            edges.append(e)
+            continue
+        mid = f"mk{k}"
+        vertices.append((mid, tuple(
+            (a + b) / 2 for a, b in zip(curve.position(e.tail),
+                                        curve.position(e.head)))))
+        edges += [Edge(e.tail, mid, e.direction, e.weight),
+                  Edge(mid, e.head, e.direction, e.weight)]
+    return TropicalCurve(3, vertices, edges)
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls of owner.name, which still runs as before."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _chain_steps(monkeypatch):
+    """Count the edges `TropicalCurve._chains` takes, one per step of its
+    walk: a chain's first edge, then one per marking it passes."""
+    steps = []
+    real = TropicalCurve._chains
+
+    def counting(self):
+        for chain in real(self):
+            steps.append(len(chain[4]))
+            yield chain
+
+    monkeypatch.setattr(TropicalCurve, "_chains", counting)
+    return steps
+
+
+def _tree_walk_counts(monkeypatch, curve, zs):
+    """(junction steps of Problem.momenta from end 0 and from a junction,
+    steps of the torsion recursion, chain walk steps of build_problem on
+    the curve with every bounded edge marked)."""
+    prob = build_problem(curve, zs)
+    mults = topology._junction_indices(prob)
+    with monkeypatch.context() as m:
+        glues = _counted(m, multiplicity, "_glue")
+        walk = prob.momenta(0)
+        prob.momenta(prob.kappa)
+        momenta = len(glues)
+        contents = _counted(m, topology, "content")
+        topology._torsion_recursion(prob, walk, mults)
+        torsion = len(contents)
+    marked = with_markings(curve)
+    with monkeypatch.context() as m:
+        steps = _chain_steps(m)
+        build_problem(marked, zs)
+        chains = sum(steps)
+    return momenta, torsion, chains
+
+
+@pytest.mark.parametrize("shape", ["caterpillar", "split"])
+def test_tree_walks_are_linear_in_the_ends(monkeypatch, shape):
+    """On the benchmark's caterpillar and split trees with kappa = 512 to
+    4096, the junction steps of Problem.momenta, the steps of the torsion
+    recursion and the steps of the chain walk at most double with each
+    doubling of kappa (ratio <= 2.2), so none is superlinear.  Counts,
+    not times, so the gate holds on any host."""
+    tree_problem = _benchmark_trees()
+    counts = []
+    for kappa in GATE_KAPPAS:
+        doc, lines = tree_problem(random.Random(kappa), kappa, shape, False)
+        curve = curve_from_dict(doc)
+        zs = [tuple(line["dir"]) for line in lines["lines"]]
+        counts.append(_tree_walk_counts(monkeypatch, curve, zs))
+    # one junction step per junction and root, one recursion step per
+    # node below the root, one chain step per edge
+    momenta, torsion, chains = counts[0]
+    kappa = GATE_KAPPAS[0]
+    assert momenta == 2 * (kappa - 2) - 1
+    assert torsion >= 2 * kappa - 3 and chains >= 3 * kappa - 6
+    for small, large in zip(counts, counts[1:]):
+        for a, b in zip(small, large):
+            assert 0 < b <= 2.2 * a, counts

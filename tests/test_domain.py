@@ -389,6 +389,78 @@ def test_face_search_polygon_passes_constant(monkeypatch):
     assert len({S for _, sets in lines for S in sets}) == 80
 
 
+class _CountingLine:
+    """A line's (c, b) rows that count how often they are read."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+        self.reads = 0
+
+    def __iter__(self):
+        for row in self.rows:
+            self.reads += 1
+            yield row
+
+
+def test_face_search_reads_each_line_row_once(monkeypatch):
+    """On the 40-gon of the test above, each facet's line reads its 40
+    rows once: the bound pass of `_interval` gives the line's closed
+    sets, with no second scan per point (two more reads of each row)."""
+    d = _domain(2, blown_up_polygon(random.Random(40), 40))
+    real = domain_mod._line_sets
+    lines = []
+
+    def counted(tight, facets, line):
+        lines.append(_CountingLine(line))
+        return real(tight, facets, lines[-1])
+
+    monkeypatch.setattr(domain_mod, "_line_sets", counted)
+    assert validate_delzant(d).ok
+    assert [line.reads for line in lines] == [40] * 40
+
+
+def test_interval_reports_the_rows_at_each_end():
+    """The rows that attain each bound, in row order, ties included, and
+    the rows 0 s >= 0; a later, strictly tighter bound drops the rows of
+    the earlier one."""
+    rows = [(1, 0), (0, 0), (2, 3), (-1, -4), (4, 6), (0, -1), (-3, -12),
+            (-2, -9), (6, 9)]
+    assert domain_mod._interval(rows) == (
+        (3, 2, [2, 4, 8]), (4, 1, [3, 6]), [1])
+    # a single point: 3/2 from both sides
+    assert domain_mod._interval([(2, 3), (-2, -3), (4, 6), (-4, -6)]) == (
+        (3, 2, [0, 2]), (3, 2, [1, 3]), [])
+
+
+def _ties_domains():
+    """2-D domains whose lines meet several facets at one point: three
+    facet lines through one corner, a repeated facet, and a facet that
+    touches the square at a corner only, with its neighbours repeated."""
+    square = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -2)]
+    return [
+        _domain(2, square + [((1, 1), 0)]),                     # 3 lines
+        _domain(2, square + [((0, 1), 0)]),                     # repeated
+        # a corner touched, its sides repeated
+        _domain(2, square + [((1, 1), 0), ((1, 0), 0), ((0, 1), 0)]),
+        _domain(2, square + [((-1, -1), -4), ((-1, 0), -2)]),
+        # a wedge whose apex a repeated facet touches
+        _domain(2, [((1, 1), 0), ((1, -1), 0), ((1, 0), 0), ((1, 0), 0),
+                    ((-1, 0), -3)]),
+    ]
+
+
+def test_line_ties_match_the_oracles():
+    """Where several facets attain one bound of a line, `_line_sets` reads
+    all of them off `_interval`'s ties: the face sets are the per-face
+    Fourier-Motzkin oracle's and the report is the exhaustive one.  A
+    tie that replaced the rows of an equal bound instead of joining them
+    loses a facet at a corner here."""
+    for d in _ties_domains():
+        assert domain_mod._face_sets(d) == domain_oracle.face_sets(d), \
+            d.facets
+        assert validate_delzant(d) == oracle_validate_delzant(d), d.facets
+
+
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 def test_pyramid_apex_matches_exhaustive(m):
     d = _domain(3, parabola_pyramid(m))
@@ -569,7 +641,7 @@ def test_descent_tie_at_a_simple_vertex_stays_on_the_walk(monkeypatch):
 def test_walk_on_prisms_is_linear(monkeypatch, n):
     """A simple pointed prism over an n-gon: one pass over the domain's
     own rows and no frame for the whole domain, no face search, one
-    ratio test per edge end (at most dim more in the descent), and no
+    ratio test per edge (at most 2 dim more in the descent), and no
     Smith form, since every vertex has |det| = 1 and so covers its
     strata."""
     d = _domain(3, prism(blown_up_polygon(random.Random(n), n)))
@@ -580,9 +652,9 @@ def test_walk_on_prisms_is_linear(monkeypatch, n):
     smith = _spy(monkeypatch, "elementary_divisors")
     assert validate_delzant(d).ok
     assert len(passes) == 1 and frames == planes == []
-    # 2n vertices of 3 edges each; the descent tries at most both signs
-    # of dim kernel directions
-    assert 6 * n <= len(tests) <= 6 * n + 6
+    # 3n edges, each tested from one end only; the descent tries at
+    # most both signs of dim kernel directions
+    assert 3 * n <= len(tests) <= 3 * n + 6
     assert smith == []
 
 
@@ -846,8 +918,9 @@ def test_interval_of_rows_without_the_variable():
     here, so the branch is pinned directly."""
     assert domain_mod._interval([(0, 1)]) is None
     assert domain_mod._interval([(2, 3), (0, 1)]) is None
-    assert domain_mod._interval([(0, 0), (2, 3)]) == ((3, 2), None)
-    assert domain_mod._interval([(0, -1), (-1, -4)]) == (None, (4, 1))
+    assert domain_mod._interval([(0, 0), (2, 3)]) == ((3, 2, [1]), None, [0])
+    assert domain_mod._interval([(0, -1), (-1, -4)]) == (None, (4, 1, [1]),
+                                                         [])
 
 
 def test_face_search_values_are_plain_ints(monkeypatch):

@@ -8,14 +8,15 @@ holds no float literal, names ``float`` only in ``isinstance`` tests
 ``typing`` and ``inspect``, which would add tens of milliseconds to
 every CLI process.  ``pyproject.toml`` declares no dependencies, and
 every name in ``troplag.__all__`` is listed once and exists.  Every
-private definition is used, and every public one that only the tests
-reach is listed with its reason in ``TEST_ONLY_PUBLIC``.  Every field
-of a record's ``__slots__`` is read somewhere in the package.  The
-benchmark's layer table (``perfbench/measure.py``, read, not imported)
-names package functions, but for two known gaps, and the names that
-``perfbench/run.py`` emits (read the same way) are those that
-``BENCHMARK.json`` declares.  Every private name that ``README.md``
-cites is defined in the package.
+module parses with the grammar of the oldest Python that
+``requires-python`` admits.  Every private definition is used, and
+every public one that only the tests reach is listed with its reason
+in ``TEST_ONLY_PUBLIC``.  Every field of a record's ``__slots__`` is
+read somewhere in the package.  The benchmark's layer table
+(``perfbench/measure.py``, read, not imported) names package functions,
+but for two known gaps, and the names that ``perfbench/run.py`` emits
+(read the same way) are those that ``BENCHMARK.json`` declares.  Every
+private name that ``README.md`` cites is defined in the package.
 """
 
 import ast
@@ -94,6 +95,28 @@ def test_checker_catches_floats():
            "from . import typing\nfrom .dataclasses import x\n")
     assert [line for line, _ in banned_uses(ast.parse(src))] == \
         [1, 2, 3, 4, 5, 7, 8, 9, 10, 11]
+
+
+def _floor():
+    """The least Python version pyproject.toml's requires-python admits."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                             text).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sources_parse_at_the_python_floor(path):
+    """Each module parses with the grammar of the oldest Python that
+    requires-python admits, so newer syntax cannot slip in unseen."""
+    assert _floor() == (3, 10)
+    ast.parse(path.read_text(), str(path), feature_version=_floor())
+
+
+def test_floor_check_catches_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=_floor())
 
 
 def test_cli_import_loads_no_heavy_module():

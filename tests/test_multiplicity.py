@@ -940,6 +940,61 @@ def test_matrix_fallback_runs_once_per_singular_type(monkeypatch):
     assert 0 in counts and max(counts) > 0
 
 
+def test_enumerate_glues_once_per_junction_on_the_insertion_path(
+        monkeypatch):
+    """One integer elimination per type: each leaf insertion of the walk
+    makes at most one `_glue` per junction on its path, from the new
+    junction up to the root, and taking a leaf out again makes none.
+    The glues of `_inconsistent_type`, which decides a singular type on
+    its own tree, are not the walk's and are left out."""
+    glues, inside = [], []
+    glue, decide = multiplicity._glue, multiplicity._inconsistent_type
+    walk = multiplicity._insertion_walk
+
+    def counted_glue(*args):
+        if not inside:
+            glues.append(None)
+        return glue(*args)
+
+    def counted_decide(*args):
+        inside.append(None)
+        try:
+            return decide(*args)
+        finally:
+            inside.pop()
+
+    steps = []
+
+    def counted_walk(kappa, parent, pair):
+        for leaf, x, placed in walk(kappa, parent, pair):
+            before = len(glues)
+            yield leaf, x, placed
+            path, y = 0, kappa + leaf - 2
+            while placed and y != 0:
+                path, y = path + 1, parent[y]
+            steps.append((len(glues) - before, path))
+
+    monkeypatch.setattr(multiplicity, "_glue", counted_glue)
+    monkeypatch.setattr(multiplicity, "_inconsistent_type", counted_decide)
+    monkeypatch.setattr(multiplicity, "_insertion_walk", counted_walk)
+    rng = random.Random(27)
+    types = singular = 0
+    for kappa, count in ((4, 10), (5, 6), (6, 4), (7, 2)):
+        for _ in range(count):
+            degree, lines = random_enumeration(rng, kappa, 20, 5, 2)
+            try:
+                res = enumerate_count(degree, lines)
+            except WorkbenchError as err:
+                assert err.code == "NON_GENERIC_CONFIG"
+                continue
+            types += len(res.per_type)
+            singular += [t.status for t in res.per_type].count("singular")
+    assert all(made <= path for made, path in steps)
+    # the bound is reached: some insertions glue along a whole path
+    assert any(made == path > 1 for made, path in steps)
+    assert types > 1000 and singular > 0
+
+
 def test_enumerate_rejects_a_line_parallel_to_its_leaf(monkeypatch):
     degree = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
     dirs = [(0, 1, 1), (1, 0, 2), (1, 0, 0), (1, 0, 1)]

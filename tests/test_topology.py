@@ -423,6 +423,30 @@ def test_h1_weighted_line_is_not_primitive_boundary():
     assert err.value.code == "NOT_PRIMITIVE_BOUNDARY"
 
 
+def weighted_lens_curve(w):
+    """The lens fixture's segment with weight w on both of its edges."""
+    return TropicalCurve(3, [("m", (0, 0, "1/2")), ("b0", (0, 0, 0)),
+                             ("b1", (0, 0, 1))],
+                         [Edge("m", "b0", (0, 0, -1), w, 0),
+                          Edge("m", "b1", (0, 0, 1), w, 1)])
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("zs", [[(1, 0, 0), (-2, 5, 0)],
+                                [(1, 0, 0), (1, 0, 1)]])
+def test_h1_and_lens_refuse_a_weighted_segment(w, zs):
+    """h1 and lens share one check of the root edge's weight, made before
+    any momentum or product: on the lens fixture's segment at weight 2
+    or 3, lens answered as on weight 1, and h1 answered INFINITE_H1
+    (exit 0) on lines along (1, 0, 0) and (1, 0, 1), whose mixed
+    product is 0."""
+    for compute in (h1_order, lens_parameters):
+        with pytest.raises(WorkbenchError) as err:
+            compute(weighted_lens_curve(w), zs=zs)
+        assert str(err.value) == \
+            "NOT_PRIMITIVE_BOUNDARY: root edge must have weight 1"
+
+
 def test_a_direction_per_end_is_required():
     """Without a domain, h1, pieces and lens read one direction per end
     of the curve, as the mixed product and the evaluation matrix do, and
