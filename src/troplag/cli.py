@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import topology
-from .curve import (betti_and_degree, require_valid, toric_degree_of_ends,
-                    validate_curve)
+from .curve import (betti_and_degree, parse_int, parse_rational,
+                    require_valid, toric_degree_of_ends, validate_curve)
 from .domain import (check_even_primitive, suitability_check,
                      validate_delzant, wavefront)
 from .errors import VALIDATION_CODES, WorkbenchError
@@ -99,21 +98,19 @@ def _domain_or_zs(args, curve):
 
 
 def _parse_root(value):
-    if value is None:
-        return None
-    if value.startswith("end:"):
-        try:
-            return ("end", int(value[4:]))
-        except ValueError:
-            raise WorkbenchError("USAGE", f"--root {value!r} is not "
-                                          f"end:<integer>") from None
-    return value
+    if value is None or not value.startswith("end:"):
+        return value
+    try:
+        return ("end", parse_int(value[4:], None))
+    except WorkbenchError:
+        raise WorkbenchError("USAGE", f"--root {value!r} is not "
+                                      f"end:<integer>") from None
 
 
 def _parse_delta(value):
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(value, None)
+    except WorkbenchError:
         raise WorkbenchError("USAGE", f"--delta {value!r} is not a "
                                       f"rational p/q") from None
 

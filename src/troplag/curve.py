@@ -17,28 +17,111 @@ Conventions for graph nodes:
   edge (opposite directions, equal weights); anything else 2-valent is
   rejected as degenerate.
 * edges with head == None are unbounded rays.
+
+Every number from outside the package is read by the JSON reader's rule,
+`parse_rational` and `parse_int`; a library call goes through
+`as_rational`, which also keeps a `Fraction`, and `int_vector`.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import neg
+from operator import is_, neg
 
 from .errors import Record, WorkbenchError
 from .lattice import (gcd_primitive as _sign_normalized, rank_exact,
                       vec_add, vec_neg, vec_scale)
 
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
+def _schema_error(where, message):
+    return WorkbenchError("SCHEMA_ERROR", message, where)
+
+
+def _plain_rational(value):
+    """value as a Fraction if it is an int or a plain "n" / "n/d"
+    string with d nonzero; None for anything else, and for digit strings
+    longer than int() accepts."""
+    t = type(value)
+    if t is int:
+        return Fraction(value)
+    if t is str:
+        m = _PLAIN_RATIONAL(value)
+        if m is not None:
+            num, den = m.groups()
+            try:
+                if den is None:
+                    return Fraction(int(num))
+                den = int(den)
+                if den:
+                    return Fraction(int(num), den)
+            except ValueError:
+                pass
+    return None
+
+
+def parse_rational(value, pointer):
+    x = _plain_rational(value)
+    if x is not None:
+        return x
+    if isinstance(value, bool):
+        raise _schema_error(pointer, "expected a rational, got a boolean")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise _schema_error(pointer,
+                            "floating point numbers are not accepted")
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise WorkbenchError("PARSE_ERROR",
+                                 f"bad rational {value!r}: {exc}", pointer)
+    raise _schema_error(pointer, f"expected a rational, got {type(value).__name__}")
+
+
+def parse_int(value, pointer):
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or isinstance(value, float):
+        raise _schema_error(pointer, "expected an integer")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError as exc:
+            raise WorkbenchError("PARSE_ERROR",
+                                 f"bad integer {value!r}: {exc}", pointer)
+    raise _schema_error(pointer, f"expected an integer, got {type(value).__name__}")
+
 
 def as_rational(x):
-    """x as a Fraction; one already parsed is kept as it is."""
-    return x if type(x) is Fraction else Fraction(x)
+    """x as a Fraction, kept if it is one, else read by `parse_rational`."""
+    return x if type(x) is Fraction else parse_rational(x, None)
+
+
+def int_vector(value, where=None, dim=None):
+    """value as a tuple of ints read by `parse_int`: a list, or a tuple
+    for a library call, of dim entries when dim is given.  where is the
+    pointer of value in a document, None for a library call's value."""
+    if not isinstance(value, list if where else (list, tuple)):
+        raise _schema_error(where, "expected a list of integers")
+    if dim is not None and len(value) != dim:
+        raise _schema_error(where, f"expected {dim} coordinates")
+    if set(map(type, value)) <= {int}:
+        return tuple(value)     # the same tuple when value is one
+    return tuple([parse_int(v, None if where is None else (*where, i))
+                  for i, v in enumerate(value)])
 
 
 def over_one_denominator(points):
-    """Rational points (sequences of Fractions, ints or rational strings)
+    """Rational points (sequences of values that `as_rational` reads)
     as (X, L): integer tuples X[k] and the least L > 0 with X[k] / L the
     point points[k]."""
     points = [tuple(map(as_rational, p)) for p in points]
@@ -112,15 +195,16 @@ class End(Record):
 
 def _as_edge(e):
     """A library caller's edge, an `Edge` or a dict with the keys of the
-    JSON format, as an `Edge` with a tuple direction and an int weight."""
+    JSON format, with its direction, weight (an exact int) and leaf label
+    read as the reader reads them; an `Edge` that holds them so is kept."""
     if not isinstance(e, Edge):
-        return Edge(e["tail"], e.get("head"), tuple(e["dir"]),
-                    int(e.get("weight", 1)), e.get("leaf_label"))
-    if type(e) is Edge and type(e.direction) is tuple and \
-            type(e.weight) is int:
-        return e
-    return Edge(e.tail, e.head, tuple(e.direction), int(e.weight),
-                e.leaf_label)
+        e = Edge(e["tail"], e.get("head"), e["dir"], e.get("weight", 1),
+                 e.get("leaf_label"))
+    tail, head, u, w, label = fields = e._astuple()
+    read = (tail, head, int_vector(u), int(parse_int(w, None)),
+            None if label is None else parse_int(label, None))
+    return e if type(e) is Edge and all(map(is_, read, fields)) \
+        else Edge(*read)
 
 
 class TropicalCurve:
@@ -129,14 +213,14 @@ class TropicalCurve:
     first read and never changes after that.
 
     `vertices` is a sequence of (id, position).  Without a denominator
-    the positions are rationals (Fractions, ints or rational strings)
-    and the edges `Edge` records or dicts with the keys of the JSON
-    format, as library callers pass them.  With a denominator L > 0 the
-    positions are integer tuples X meaning X / L, and the edges `Edge`
-    records with tuple directions and int weights, taken as they are:
-    the readers and the package's own builders pass them so.  Either
-    way the curve keeps `coords[vid]`, an integer tuple, over the least
-    common `denominator`."""
+    the positions are rationals and the edges `Edge` records or dicts
+    with the keys of the JSON format, as library callers pass them,
+    read by the reader's rule (`as_rational`, `_as_edge`).  With a
+    denominator L > 0 the positions are integer tuples X meaning X / L,
+    and the edges `Edge` records with tuple directions and int weights,
+    taken as they are: the readers and the package's own builders pass
+    them so.  Either way the curve keeps `coords[vid]`, an integer
+    tuple, over the least common `denominator`."""
 
     def __init__(self, dim, vertices, edges, denominator=None):
         self.dim = dim
@@ -613,15 +697,14 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
     if not e.bounded:
         raise WorkbenchError("SPLIT_UNBOUNDED",
                              "cannot split an unbounded edge")
-    p = tuple(Fraction(x) for x in p)
+    p = tuple(map(as_rational, p))
     if len(p) != c.dim:
         raise WorkbenchError("DIMENSION_MISMATCH",
                              f"split point has {len(p)} coordinates")
     # p, the tail and the head over one denominator M
     X, L = c.coords, c.denominator
-    M = lcm(L, *(x.denominator for x in p))
-    P = tuple([x.numerator * (M // x.denominator) for x in p])
-    tail, head = (vec_scale(M // L, X[v]) for v in (e.tail, e.head))
+    (P, tail, head), M = over_one_denominator(
+        [p, c.position(e.tail), c.position(e.head)])
     t = _positive_multiple(tail, P, e.direction)
     tot = _positive_multiple(tail, head, e.direction)
     # 0 < t by construction; t < tot compared as integer pairs

@@ -39,8 +39,9 @@ from itertools import chain, combinations
 from math import gcd, lcm
 from operator import add, le, mul
 
-from .curve import (TropicalCurve, Edge, as_rational, least_denominator,
-                    over_one_denominator, point_text, validate_curve)
+from .curve import (TropicalCurve, Edge, as_rational, int_vector,
+                    least_denominator, over_one_denominator, point_text,
+                    validate_curve)
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, dot, elementary_divisors,
                       is_zero, mixed, primitive_raw, rank_exact, rot90,
@@ -65,13 +66,20 @@ def _over(x, L):
     return tuple([v.numerator * (L // v.denominator) for v in x])
 
 
+def _as_facet(f):
+    """A library caller's facet, a `Facet` or a dict with the keys of the
+    JSON format, read as the reader reads it; a `Facet` so read is kept."""
+    if not isinstance(f, Facet):
+        f = Facet(f["normal"], f["offset"])
+    normal, offset = int_vector(f.normal), as_rational(f.offset)
+    return f if normal is f.normal and offset is f.offset \
+        else Facet(normal, offset)
+
+
 class PolyhedralDomain:
     def __init__(self, dim, facets):
         self.dim = dim
-        self.facets = tuple(
-            f if isinstance(f, Facet)
-            else Facet(tuple(f["normal"]), as_rational(f["offset"]))
-            for f in facets)
+        self.facets = tuple(map(_as_facet, facets))
         # each facet p . x >= m / q as the integer row (q p, m)
         self.rows = tuple((vec_scale(f.offset.denominator, f.normal),
                            f.offset.numerator) for f in self.facets)
@@ -115,17 +123,17 @@ class LineConfiguration:
     common denominator, the least one: line j passes through
     lines[j].point / denominator, and each record holds that denominator.
 
-    `lines` are `Line` records, or dicts with the keys of the JSON format
-    whose points are rationals.  Records whose points are exact ints over
-    one denominator, as the reader and every configuration build them,
-    are taken as they are; any other point is read as rationals over its
-    record's denominator."""
+    `lines` are `Line` records, or dicts with the keys of the JSON format.
+    Records whose points and tuple directions hold exact ints, the points
+    over one denominator, as the reader and every configuration build
+    them, are taken as they are; any other point is read by `as_rational`
+    over its record's denominator, and any other direction by `int_vector`."""
 
     def __init__(self, lines):
         lines = [l if isinstance(l, Line)
-                 else Line(tuple(l["point"]), tuple(l["dir"]))
-                 for l in lines]
+                 else Line(tuple(l["point"]), l["dir"]) for l in lines]
         points = [l.point for l in lines]
+        dirs = [l.direction for l in lines]
         dens = {l.denominator for l in lines}
         if len(dens) == 1 and \
                 not set(map(type, chain.from_iterable(points))) - {int}:
@@ -134,10 +142,13 @@ class LineConfiguration:
             points, denominator = over_one_denominator(
                 [[as_rational(x) / l.denominator for x in l.point]
                  for l in lines])
+        if set(map(type, dirs)) - {tuple} or \
+                set(map(type, chain.from_iterable(dirs))) - {int}:
+            dirs = list(map(int_vector, dirs))
         self.lines = tuple(
-            l if l.point is p and l.denominator == denominator
-            else Line(p, l.direction, denominator)
-            for l, p in zip(lines, points))
+            l if l.point is p and l.direction is u and
+            l.denominator == denominator else Line(p, u, denominator)
+            for l, p, u in zip(lines, points, dirs))
         self.denominator = denominator
         if not all(map(any, (l.direction for l in self.lines))):
             raise WorkbenchError("INVALID_LINES", "zero line direction")
@@ -693,17 +704,14 @@ def _common_denominator(c, domain=None):
     the position of vertex vid; and S[i], for edge i along u from its
     tail X, the integer at which its segment (X + s u) / L, 0 <= s <=
     S[i], ends.  That is the head of a bounded edge, read on the first
-    coordinate where u is nonzero, and the point where a ray leaves
-    `domain`; S[i] is None for a ray that never leaves it, and for every
-    ray when no domain is given.  Over a facet row (q p, m) a ray's
-    value (q p) . X - m L falls by s = -(q p) . u per unit of its
-    parameter, so the facet is crossed at v / s, v that value and s > 0;
-    the least such, compared as integer pairs, is the exit.  The curve
-    is kept over its own denominator (`TropicalCurve.coords`); L is that
-    times what makes every S[i] an integer: nothing where each head is a
-    whole multiple of its primitive direction away from its tail, as in
-    a valid curve, and no ray leaves.  An edge with a zero direction has
-    no line and raises INVALID_CURVE.
+    coordinate where u is nonzero, and where a ray leaves `domain`:
+    `_interval`'s upper end of the s with k s >= m L - (q p) . X over
+    its facet rows (q p, m) with k = (q p) . u < 0.  S[i] is None for a
+    ray that never leaves, and for every ray when no domain is given.
+    L is the curve's denominator times what makes every S[i] an integer:
+    nothing when each head is a whole multiple of its primitive
+    direction away from its tail and no ray leaves.  A zero direction
+    is INVALID_CURVE.
     """
     L, X = c.denominator, c.coords
     stops = {}   # edge index: (n, a), its segment ending at s = n / a
@@ -713,18 +721,14 @@ def _common_denominator(c, domain=None):
             raise WorkbenchError("INVALID_CURVE", f"edge {i}: zero direction")
         if e.head is not None:
             a = next(filter(None, u))
-            k = u.index(a)
-            stops[i] = (X[e.head][k] - X[e.tail][k], a)
+            j = u.index(a)
+            stops[i] = (X[e.head][j] - X[e.tail][j], a)
         elif domain is not None:
-            best = None
-            for qp, m in domain.rows:
-                s = -dot(qp, u)
-                if s > 0:
-                    v = dot(qp, X[e.tail]) - m * L
-                    if best is None or v * best[1] < best[0] * s:
-                        best = (v, s)
-            if best is not None:
-                stops[i] = best
+            hi = _interval([(k, m * L - dot(qp, X[e.tail]))
+                            for qp, m in domain.rows
+                            if (k := dot(qp, u)) < 0])[1]
+            if hi is not None:
+                stops[i] = hi[:2]
     scale = lcm(*(abs(a) // gcd(n, a) for n, a in stops.values() if n % a))
     if scale > 1:
         L *= scale
@@ -1002,7 +1006,7 @@ def classify_boundary_point(c: TropicalCurve, d: PolyhedralDomain,
     """Classify the boundary point of the curve at the given position: the
     first end in c.ends() order that meets the boundary there, at or past
     its start (`_boundary_ends`)."""
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(map(as_rational, point))
     L, X, S = _common_denominator(c, d)
     target = _over(point, L)
     if target is not None:
@@ -1194,7 +1198,7 @@ def wavefront(d: PolyhedralDomain, delta) -> TropicalCurve:
     """
     if d.dim != 2:
         raise WorkbenchError("DIMENSION_MISMATCH", "wavefront needs dim 2")
-    delta = Fraction(delta)
+    delta = as_rational(delta)
     if delta <= 0:
         raise WorkbenchError("INVALID_DELTA", "delta must be positive")
     rep, strata = _delzant(d)

@@ -65,6 +65,8 @@ class Record:
 
 class WorkbenchError(Exception):
     def __init__(self, code, message, pointer=None):
+        if type(pointer) is tuple:
+            pointer = "".join(f"/{part}" for part in pointer)
         self.code = code
         self.pointer = pointer
         super().__init__(f"{code}: {message}" if pointer is None
@@ -88,4 +90,5 @@ VALIDATION_CODES = frozenset({
     "SPLIT_DEGENERATE",
     "NOT_BISSECTRICE",
     "NOT_COMPACT",
+    "NOT_PRIMITIVE_BOUNDARY",
 })

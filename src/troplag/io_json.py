@@ -1,8 +1,8 @@
 """JSON input/output for curves, domains and line configurations.
 
-Rationals travel as "p/q" strings (plain integers are accepted);
-floating point numbers are rejected everywhere.  Schema violations
-report a JSON-pointer-style path.
+Rationals travel as "p/q" strings (plain integers are accepted); any
+other form is read by the package's one number rule, `parse_rational`
+and `parse_int`.  Schema violations report a JSON-pointer-style path.
 
 The readers build the final records in one pass.  When every vertex,
 edge or line is a dict whose fields are in plain form (str ids, tails
@@ -19,12 +19,9 @@ string of ASCII digits with an optional "-" and an optional nonzero "/"
 denominator, the whole list is checked by one `str.translate` and
 three substring tests and converted by `int` (`_plain`).  Any other
 list goes coordinate by coordinate through `parse_rational`, as a facet
-offset does: a plain int or string is converted directly
-(`_plain_rational`), and any other value goes through `Fraction(str)`
-and the type checks, which decide what is accepted and how it is
-rejected.  A pointer travels as a tuple of keys and indices and is
-formatted only for an error.  The writers print each coordinate X / L
-reduced, as `str(Fraction)` does.
+offset does.  A pointer travels as a tuple of keys and indices, which
+`WorkbenchError` formats only for an error.  The writers print each
+coordinate X / L reduced, as `str(Fraction)` does.
 `canonical_json` writes the reports directly, byte for byte as
 `json.dumps(obj, sort_keys=True, indent=2) + "\n"` would, without the
 stdlib's pure-Python indenting encoder.  Within one call it writes a
@@ -36,110 +33,26 @@ edge tuples costs one pass per distinct tuple; the bytes do not change.
 from __future__ import annotations
 
 import json
-import re
-from fractions import Fraction
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from operator import itemgetter, mul
 
-from .curve import Edge, TropicalCurve, over_one_denominator, rational_text
+from .curve import (Edge, TropicalCurve, _schema_error,
+                    int_vector as _int_vector, over_one_denominator,
+                    parse_int, parse_rational, rational_text)
 from .domain import Facet, Line, LineConfiguration, PolyhedralDomain
 from .errors import WorkbenchError
 
-_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 # the characters of a plain coordinate list, which `_plain` deletes
 _PLAIN_CHARS = dict.fromkeys(map(ord, "0123456789-/,"))
 _BLOCK = 64        # rows of coordinates parsed at once (`_rationals`)
-
-
-def _pointer(where):
-    """A JSON pointer, given as a string or as a tuple of keys/indices."""
-    if isinstance(where, str):
-        return where
-    return "".join(f"/{part}" for part in where)
-
-
-def _schema_error(where, message):
-    return WorkbenchError("SCHEMA_ERROR", message, _pointer(where))
-
-
-def _plain_rational(value):
-    """value as a Fraction if it is an int or a plain "n" / "n/d"
-    string with d nonzero; None for anything else, and for digit strings
-    longer than int() accepts."""
-    t = type(value)
-    if t is int:
-        return Fraction(value)
-    if t is str:
-        m = _PLAIN_RATIONAL(value)
-        if m is not None:
-            num, den = m.groups()
-            try:
-                if den is None:
-                    return Fraction(int(num))
-                den = int(den)
-                if den:
-                    return Fraction(int(num), den)
-            except ValueError:
-                pass
-    return None
-
-
-def parse_rational(value, pointer):
-    x = _plain_rational(value)
-    if x is not None:
-        return x
-    if isinstance(value, bool):
-        raise _schema_error(pointer, "expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise _schema_error(pointer,
-                            "floating point numbers are not accepted")
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise WorkbenchError("PARSE_ERROR",
-                                 f"bad rational {value!r}: {exc}",
-                                 _pointer(pointer))
-    raise _schema_error(pointer, f"expected a rational, got {type(value).__name__}")
-
-
-def parse_int(value, pointer):
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise _schema_error(pointer, "expected an integer")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise WorkbenchError("PARSE_ERROR",
-                                 f"bad integer {value!r}: {exc}",
-                                 _pointer(pointer))
-    raise _schema_error(pointer, f"expected an integer, got {type(value).__name__}")
 
 
 def _need(obj, key, where):
     if not isinstance(obj, dict) or key not in obj:
         raise _schema_error((*where, key), "missing field")
     return obj[key]
-
-
-def _int_vector(value, where, dim=None):
-    if not isinstance(value, list):
-        raise _schema_error(where, "expected a list of integers")
-    if dim is not None and len(value) != dim:
-        raise _schema_error(where, f"expected {dim} coordinates")
-    for v in value:
-        if type(v) is not int:
-            return tuple([parse_int(v, (*where, i))
-                          for i, v in enumerate(value)])
-    return tuple(value)
 
 
 def _rational_list(value, where, dim=None):

@@ -717,3 +717,25 @@ def test_spatial_domain_commands_answer(drawn_dir, seed, kind):
         for cmd in ("h1", "lens", "pieces"):
             answer([cmd, "--curve", fixture_path(f"{name}.curve.json"),
                     "--domain", str(dpath)])
+
+
+def test_a_weighted_root_edge_exits_2(tmp_path):
+    """A root edge of weight 2 breaks a hypothesis of the theorem, so h1
+    and lens refuse it with NOT_PRIMITIVE_BOUNDARY and exit 2, as other
+    input that breaks one does: h1 on the lens fixture's lines, and lens
+    on lines along (1, 0, 0) and (1, 0, 1)."""
+    data = json.loads(Path(fixture_path("lens.curve.json")).read_text())
+    for e in data["edges"]:
+        e["weight"] = 2
+    curve = tmp_path / "lens_w2.curve.json"
+    curve.write_text(json.dumps(data))
+    lines = tmp_path / "flat.lines.json"
+    lines.write_text(json.dumps({"lines": [
+        {"point": ["0", "0", "0"], "dir": [1, 0, 0]},
+        {"point": ["0", "0", "1"], "dir": [1, 0, 1]}]}))
+    refused = {"error": "NOT_PRIMITIVE_BOUNDARY", "message":
+               "NOT_PRIMITIVE_BOUNDARY: root edge must have weight 1"}
+    for command, lines_file in (("h1", fixture_path("lens_5_2.lines.json")),
+                                ("lens", str(lines))):
+        assert run_json([command, "--curve", str(curve),
+                         "--lines", lines_file]) == (2, refused), command

@@ -7,9 +7,11 @@ holds no float literal, names ``float`` only in ``isinstance`` tests
 ``math`` but ``gcd`` and ``lcm``.  It imports none of ``dataclasses``,
 ``typing`` and ``inspect``, which would add tens of milliseconds to
 every CLI process.  ``pyproject.toml`` declares no dependencies, and
-every name in ``troplag.__all__`` is listed once and exists.  Every
-module parses with the grammar of the oldest Python that
-``requires-python`` admits.  Every private definition is used, and
+every name in ``troplag.__all__`` is listed once and exists.  A number
+from outside the package is read by one rule: no single-argument
+``Fraction(...)`` call appears outside ``_plain_rational`` and
+``parse_rational``.  Every module parses with the grammar of the oldest
+Python that ``requires-python`` admits.  Every private definition is used, and
 every public one that only the tests reach is listed with its reason
 in ``TEST_ONLY_PUBLIC``.  Every field of a record's ``__slots__`` is
 read somewhere in the package.  The benchmark's layer table
@@ -95,6 +97,51 @@ def test_checker_catches_floats():
            "from . import typing\nfrom .dataclasses import x\n")
     assert [line for line, _ in banned_uses(ast.parse(src))] == \
         [1, 2, 3, 4, 5, 7, 8, 9, 10, 11]
+
+
+# the functions that may read a caller's number with Fraction(x)
+RATIONAL_RULE = {"_plain_rational", "parse_rational"}
+
+
+def lenient_fractions(tree):
+    """(line, function) in line order for each call Fraction(x), or
+    fractions.Fraction(x), with one argument and outside RATIONAL_RULE:
+    a conversion of a number by its own rule.  Fraction(n, d) of two
+    ints is allowed everywhere."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and \
+                    getattr(func, "id", getattr(func, "attr", None)) \
+                    == "Fraction" and len(child.args) == 1 and \
+                    not child.keywords and where not in RATIONAL_RULE and \
+                    not isinstance(child.args[0], ast.Starred):
+                found.append((child.lineno, where))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else where)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_numbers_are_read_by_one_rule():
+    found = {p.name: lenient_fractions(ast.parse(p.read_text(), str(p)))
+             for p in SOURCES}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_rule_check_catches_a_lenient_conversion():
+    src = ("def parse_rational(v):\n    return Fraction(v)\n"
+           "def wavefront(d, delta):\n"
+           "    return Fraction(delta), Fraction(1, 2), Fraction(*d)\n"
+           "def _as_edge(e):\n    def weight(w):\n"
+           "        return fractions.Fraction(w)\n"
+           "    return weight(e)\n"
+           "x = Fraction('1/2')\n")
+    assert lenient_fractions(ast.parse(src)) == \
+        [(4, "wavefront"), (7, "weight"), (9, None)]
 
 
 def _floor():

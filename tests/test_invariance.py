@@ -213,3 +213,89 @@ def test_enumeration_invariant(problem, g):
     mapped = ([apply(A, d) for d in degree],
               [(map_point(g, q), apply(A, z)) for q, z in lines])
     assert enumeration_key(*mapped) == enumeration_key(degree, lines)
+
+
+# ---------------------------------------------------------------------------
+# relabelling: the answers that name no end or facet do not change when
+# the ends, facets, vertices or edges are listed in another order
+
+
+def enumeration_total(degree, lines):
+    """The enumerator's total, or the error code (NON_GENERIC_CONFIG on
+    a wall)."""
+    try:
+        return enumerate_count(degree, LineConfiguration(
+            [{"point": q, "dir": z} for q, z in lines])).total
+    except WorkbenchError as err:
+        return err.code
+
+
+@PROPERTY
+@given(enumeration_problems().flatmap(lambda p: st.tuples(
+    st.just(p), st.permutations(range(len(p[0]))))))
+def test_enumeration_total_invariant_under_relabelling(drawn):
+    """Degree entry j goes with line j, so listing both in one new order
+    keeps the total."""
+    (degree, lines), perm = drawn
+    assert enumeration_total([degree[k] for k in perm],
+                             [lines[k] for k in perm]) == \
+        enumeration_total(degree, lines)
+
+
+def delzant_key(rep, perm):
+    """ok and the failures, their facet sets named by the facets' places
+    before perm listed them in a new order."""
+    return rep.ok, {(tuple(sorted(perm[j] for j in f.facets)), f.problem,
+                     f.index) for f in rep.failures}
+
+
+@st.composite
+def facet_lists(draw):
+    """(dim, facets): a blown-up polygon, spoiled half the time, the
+    prism over it, or the pyramid over a polygon (not simple at its
+    apex for 4 or more sides)."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    kind = draw(st.sampled_from(["polygon", "prism", "pyramid"]))
+    if kind == "pyramid":
+        m = draw(st.integers(3, 6))
+        return 3, [((t, t * t - 1, 1), 0) for t in
+                   range(1 - m // 2, m - m // 2 + 1)] + [((0, 0, -1), -1)]
+    facets = blown_up_polygon(rng, rng.randint(4, 9), draw(st.booleans()))
+    if kind == "polygon":
+        return 2, facets
+    return 3, [((u[0], u[1], 0), a) for u, a in facets] + \
+        [((0, 0, 1), Fraction(0)), ((0, 0, -1), Fraction(-3))]
+
+
+@PROPERTY
+@given(facet_lists().flatmap(lambda d: st.tuples(
+    st.just(d), st.permutations(range(len(d[1]))))))
+def test_delzant_report_invariant_under_facet_order(drawn):
+    (dim, facets), perm = drawn
+    d = PolyhedralDomain(dim, [Facet(u, a) for u, a in facets])
+    shuffled = PolyhedralDomain(dim, [d.facets[k] for k in perm])
+    identity = range(len(facets))
+    assert delzant_key(validate_delzant(shuffled), perm) == \
+        delzant_key(validate_delzant(d), identity)
+
+
+def h1_order_or_code(c, zs):
+    try:
+        return h1_order(c, zs=zs).as_dict()["h1Order"]
+    except WorkbenchError as err:
+        return err.code
+
+
+@PROPERTY
+@given(st.integers(0, 10 ** 6), st.integers(3, 9), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_h1_order_invariant_under_vertex_and_edge_order(seed, kappa,
+                                                        primitive, rng):
+    """Every end of the tree is labelled, so reordering its vertices and
+    edges keeps which direction goes with which end."""
+    c, zs = random_tree_problem(random.Random(seed), kappa, primitive)
+    vertices, edges = list(c.coords.items()), list(c.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    shuffled = TropicalCurve(c.dim, vertices, edges, c.denominator)
+    assert h1_order_or_code(shuffled, zs) == h1_order_or_code(c, zs)

@@ -12,7 +12,10 @@ import io_oracle
 from conftest import fixture_path, load_fixture_json
 
 from troplag import io_json
-from troplag.domain import Line, LineConfiguration
+from troplag.cli import run_command
+from troplag.curve import Edge, TropicalCurve, split_at_edge
+from troplag.domain import (Facet, Line, LineConfiguration, PolyhedralDomain,
+                            classify_boundary_point, wavefront)
 from troplag.errors import WorkbenchError
 from troplag.io_json import (canonical_json, curve_from_dict, curve_to_dict,
                              domain_from_dict, domain_to_dict, lines_from_dict,
@@ -220,18 +223,19 @@ def test_plain_fixtures_parse_without_fractions(monkeypatch):
 
 # plain coordinates, forms only the Fraction(str) fallback accepts, and
 # rejected values: each kind anywhere in a list
+PLAIN_FORMS = ["-0", "007", "03/04", "6/8", "-12/4", "0/5", str(10 ** 40),
+               f"-{10 ** 30}/{10 ** 29 + 7}"]
+FALLBACK_VALUES = ["+3", " 4 ", "1.5", "2e1", "1_000", "٣", "3/4 ", "-1.25",
+                   "+3/4", "٣/٤", 0, -7, 10 ** 30, Count(5)]
+REJECTED_VALUES = ["1/0", "3/-4", "3/00", "", "/", "3/", "--3", "1,2", "1, 2",
+                   ",", "0x10", "½", "1" * 5000, "1/" + "7" * 5000, True,
+                   False, None, 0.5, 1e30, [], {}, ["1"], Fraction(1, 2)]
 PLAIN = (st.integers(-10 ** 6, 10 ** 6).map(str)
          | st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(
              lambda t: f"{t[0]}/{t[1]}")
-         | st.sampled_from(["-0", "007", "03/04", "6/8", "-12/4", "0/5",
-                            str(10 ** 40), f"-{10 ** 30}/{10 ** 29 + 7}"]))
-FALLBACK = st.sampled_from(
-    ["+3", " 4 ", "1.5", "2e1", "1_000", "٣", "3/4 ", "-1.25", "+3/4",
-     "٣/٤", 0, -7, 10 ** 30, Count(5)])
-REJECTED = st.sampled_from(
-    ["1/0", "3/-4", "3/00", "", "/", "3/", "--3", "1,2", "1, 2", ",",
-     "0x10", "½", "1" * 5000, "1/" + "7" * 5000, True, False, None, 0.5,
-     1e30, [], {}, ["1"], Fraction(1, 2)])
+         | st.sampled_from(PLAIN_FORMS))
+FALLBACK = st.sampled_from(FALLBACK_VALUES)
+REJECTED = st.sampled_from(REJECTED_VALUES)
 
 
 def weighted(*strategies):
@@ -442,3 +446,137 @@ def test_lines_reader_matches_oracle_on_each_odd_field():
             data = plain()
             data["lines"][k] = value
             _same_lines(data)
+
+
+# ---------------------------------------------------------------------------
+# library calls read a number as the readers do
+
+# every value of the strategies above, but the Fraction objects, which
+# only a library call keeps, and a few drawn plain forms
+LIBRARY_VALUES = ["0", "-12", "1/2", "1/10", "5/7", *PLAIN_FORMS,
+                  *FALLBACK_VALUES,
+                  *(v for v in REJECTED_VALUES if type(v) is not Fraction)]
+
+
+def _answer(fn, *args):
+    """fn(*args), or the code and the message, without the pointer, of
+    the WorkbenchError it raises."""
+    try:
+        return ("ok", fn(*args))
+    except WorkbenchError as err:
+        return ("error", err.code, str(err).partition(": ")[2])
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def _edge_key(c):
+    return [(e, _typed(e.direction), _typed((e.weight, e.leaf_label)))
+            for e in c.edges]
+
+
+def _library_curve(pos, edge):
+    return TropicalCurve(2, [("a", pos), ("b", ("1", "0"))], [edge])
+
+
+def test_library_reads_positions_and_edges_as_the_reader():
+    """A position, an edge weight, a direction entry and a leaf label
+    given to `TropicalCurve` as a dict edge or an `Edge` record give the
+    reader's number, or its error code and message."""
+    for v in LIBRARY_VALUES:
+        data = {"dim": 2, "vertices": [{"id": "a", "pos": [v, "0"]},
+                                       {"id": "b", "pos": ["1", "0"]}],
+                "edges": [{"tail": "a", "head": "b", "dir": [1, 0]}]}
+        read = _answer(lambda: list(curve_from_dict(data).vertices.items()))
+        assert _answer(lambda: list(_library_curve(
+            (v, "0"), Edge("a", "b", (1, 0))).vertices.items())) == read, v
+        for key, dict_value, record in [
+                ("dir", [v, 0], Edge("a", "b", (v, 0))),
+                ("weight", v, Edge("a", "b", (1, 0), v)),
+                ("leaf_label", v, Edge("a", "b", (1, 0), 1, v))]:
+            edge = {"tail": "a", "head": "b", "dir": [1, 0], key: dict_value}
+            data = {"dim": 2, "vertices": [{"id": "a", "pos": ["0", "0"]},
+                                           {"id": "b", "pos": ["1", "0"]}],
+                    "edges": [edge]}
+            read = _answer(lambda: _edge_key(curve_from_dict(data)))
+            for e in (dict(edge), record):
+                assert _answer(lambda: _edge_key(_library_curve(
+                    ("0", "0"), e))) == read, (key, v, e)
+
+
+def _facet_key(d):
+    return [(f, _typed(f.normal), type(f.offset)) for f in d.facets]
+
+
+def _configuration_key(lc):
+    return ([lc.point(j) for j in range(len(lc))],
+            [_typed(l.direction) for l in lc.lines], lc.denominator)
+
+
+def test_library_reads_facets_and_lines_as_the_reader():
+    """A facet offset and a normal entry, a line point and a direction
+    entry, given to `PolyhedralDomain` or `LineConfiguration` as a dict
+    or as a record, give the reader's number, or its error."""
+    for v in LIBRARY_VALUES:
+        for facet, record in [({"normal": [1, 0], "offset": v},
+                               Facet((1, 0), v)),
+                              ({"normal": [v, 0], "offset": "0"},
+                               Facet((v, 0), 0))]:
+            read = _answer(lambda: _facet_key(domain_from_dict(
+                {"dim": 2, "facets": [facet]})))
+            for f in (dict(facet), record):
+                assert _answer(lambda: _facet_key(
+                    PolyhedralDomain(2, [f]))) == read, (facet, f)
+        for line, record in [({"point": [v, "0"], "dir": [1, 0]},
+                              Line((v, "0"), (1, 0))),
+                             ({"point": ["0", "0"], "dir": [v, 1]},
+                              Line((0, 0), (v, 1)))]:
+            read = _answer(lambda: _configuration_key(lines_from_dict(
+                {"lines": [line]})))
+            for l in (dict(line), record):
+                assert _answer(lambda: _configuration_key(
+                    LineConfiguration([l]))) == read, (line, l)
+
+
+def test_library_reads_points_and_deltas_as_the_reader():
+    """`wavefront`'s delta, `split_at_edge`'s point and
+    `classify_boundary_point`'s point give the answer of the number that
+    the reader makes of the value, or the reader's error."""
+    square = load_domain(fixture_path("unit_square.domain.json"))
+    triangle = load_domain(fixture_path("triangle.domain.json"))
+    rp2 = load_curve(fixture_path("rp2.curve.json"))
+    segment = _library_curve(("0", "0"), Edge("a", "b", (1, 0)))
+    for v in LIBRARY_VALUES:
+        parsed = _answer(io_json.parse_rational, v, ("value",))
+        for call in [lambda x: wavefront(square, x),
+                     lambda x: split_at_edge(segment, 0, (x, "0")),
+                     lambda x: classify_boundary_point(rp2, triangle, (x, x))]:
+            want = _answer(call, parsed[1]) if parsed[0] == "ok" else parsed
+            assert _answer(call, v) == want, v
+
+
+def test_cli_refuses_a_delta_or_a_root_end_as_usage():
+    """`--delta` and `--root end:<v>` answer as the number the reader
+    makes of v, and are a USAGE error wherever the reader refuses v.
+    Each is one argument, `--delta=v`, so that argparse takes a v
+    starting with "-" as the option's value."""
+    square = fixture_path("unit_square.domain.json")
+    tripod = ["multiplicity", "--curve",
+              fixture_path("simplex_tripod.curve.json"),
+              "--lines", fixture_path("simplex_tripod.lines.json")]
+    for v in (v for v in LIBRARY_VALUES if type(v) is str):
+        for argv, parse, text in [
+                (["wavefront", "--domain", square, f"--delta={v}"],
+                 io_json.parse_rational, "--delta={}".format),
+                (tripod + [f"--root=end:{v}"], io_json.parse_int,
+                 "--root=end:{}".format)]:
+            got = run_command(argv)
+            try:
+                x = parse(v, ())
+            except WorkbenchError:
+                assert got[0] == 1 and \
+                    json.loads(got[1])["error"] == "USAGE", (argv, got)
+            else:
+                argv[-1] = text(x)
+                assert got == run_command(argv), argv
