@@ -18,9 +18,15 @@ Conventions for graph nodes:
   rejected as degenerate.
 * edges with head == None are unbounded rays.
 
+The ends are listed in one pass over the edges after the incidence
+pass (a ray, else an endpoint end at a 1-valent head, then at a 1-valent
+tail), and ordered by label when every end has one.
+
 Every number from outside the package is read by the JSON reader's rule,
-`parse_rational` and `parse_int`; a library call goes through
-`as_rational`, which also keeps a `Fraction`, and `int_vector`.
+`parse_rational` and `parse_int`.  A library call's number goes through
+`as_rational`, which also keeps a `Fraction`; its point through
+`rational_vector` and its direction through `int_vector`, each a list
+or a tuple; and a required field of its dict record through `_need`.
 """
 
 from __future__ import annotations
@@ -106,6 +112,16 @@ def as_rational(x):
     return x if type(x) is Fraction else parse_rational(x, None)
 
 
+def _need(obj, key, where):
+    """obj[key] of a dict obj, else a missing field at the pointer of key
+    below where, a document's pointer, or None for a library call's
+    record."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise _schema_error(None if where is None else (*where, key),
+                            "missing field")
+    return obj[key]
+
+
 def int_vector(value, where=None, dim=None):
     """value as a tuple of ints read by `parse_int`: a list, or a tuple
     for a library call, of dim entries when dim is given.  where is the
@@ -120,11 +136,24 @@ def int_vector(value, where=None, dim=None):
                   for i, v in enumerate(value)])
 
 
+def rational_vector(value, where=None, dim=None):
+    """value as a tuple of Fractions read by `parse_rational`: a list, or
+    a tuple for a library call, whose `Fraction`s are kept (`as_rational`),
+    of dim entries when dim is given; where is as for `int_vector`."""
+    if not isinstance(value, list if where else (list, tuple)):
+        raise _schema_error(where, "expected a list of rationals")
+    if dim is not None and len(value) != dim:
+        raise _schema_error(where, f"expected {dim} coordinates")
+    if where is None:
+        return tuple(map(as_rational, value))
+    return tuple([parse_rational(v, (*where, i)) for i, v in enumerate(value)])
+
+
 def over_one_denominator(points):
-    """Rational points (sequences of values that `as_rational` reads)
-    as (X, L): integer tuples X[k] and the least L > 0 with X[k] / L the
-    point points[k]."""
-    points = [tuple(map(as_rational, p)) for p in points]
+    """Rational points, each read by `rational_vector`, as (X, L):
+    integer tuples X[k] and the least L > 0 with X[k] / L the point
+    points[k]."""
+    points = list(map(rational_vector, points))
     L = lcm(*{x.denominator for p in points for x in p})
     return [tuple([x.numerator * (L // x.denominator) for x in p])
             for p in points], L
@@ -198,7 +227,8 @@ def _as_edge(e):
     JSON format, with its direction, weight (an exact int) and leaf label
     read as the reader reads them; an `Edge` that holds them so is kept."""
     if not isinstance(e, Edge):
-        e = Edge(e["tail"], e.get("head"), e["dir"], e.get("weight", 1),
+        e = Edge(_need(e, "tail", None), e.get("head"),
+                 _need(e, "dir", None), e.get("weight", 1),
                  e.get("leaf_label"))
     tail, head, u, w, label = fields = e._astuple()
     read = (tail, head, int_vector(u), int(parse_int(w, None)),
@@ -237,11 +267,9 @@ class TropicalCurve:
             raise WorkbenchError("INVALID_CURVE", "duplicate vertex ids")
         self.denominator = denominator
         self.edges = edges = tuple(edges)
-        # the incidence lists and the rays in one pass over the edges,
-        # each bounded edge's direction negated once for its head
+        # the incidence lists in one pass over the edges, each bounded
+        # edge's direction negated once for its head
         inc = {}
-        ends = []
-        flipped = {}
         for i, e in enumerate(edges):
             u, w = e.direction, e.weight
             tail, head = e.tail, e.head
@@ -250,35 +278,27 @@ class TropicalCurve:
                 inc[tail] = [(i, u, w)]
             else:
                 at.append((i, u, w))
+            if head is not None:
+                back = (i, tuple(map(neg, u)), w)
+                at = inc.get(head)
+                if at is None:
+                    inc[head] = [back]
+                else:
+                    at.append(back)
+        self._incident = {vid: tuple(at) for vid, at in inc.items()}
+        # the ends in one pass over the edges: a ray, else an endpoint end
+        # at a 1-valent head, then at a 1-valent tail
+        ends = []
+        for i, e in enumerate(edges):
+            tail, head, u, w = e.tail, e.head, e.direction, e.weight
             if head is None:
                 ends.append(End(i, "ray", tail, u, w, e.leaf_label))
                 continue
-            flipped[i] = back = tuple(map(neg, u))
-            at = inc.get(head)
-            if at is None:
-                inc[head] = [(i, back, w)]
-            else:
-                at.append((i, back, w))
-        self._incident = {vid: tuple(at) for vid, at in inc.items()}
-        # an endpoint end at each 1-valent end of a bounded edge, ordered
-        # as if met edge by edge, the end at the head first
-        tips = []
-        for vid, at in inc.items():
-            if len(at) == 1:
-                i, _, w = at[0]
-                e = edges[i]
-                if e.head == vid:
-                    tips.append(((i, 0), End(i, "endpoint", e.tail,
-                                             e.direction, w, e.leaf_label,
-                                             vid)))
-                elif e.head is not None:
-                    tips.append(((i, 1), End(i, "endpoint", e.head,
-                                             flipped[i], w, e.leaf_label,
-                                             vid)))
-        if tips:
-            tips += [((x.edge_index, 0), x) for x in ends]
-            tips.sort(key=lambda t: t[0])
-            ends = [x for _, x in tips]
+            if len(inc[head]) == 1:
+                ends.append(End(i, "endpoint", tail, u, w, e.leaf_label, head))
+            if len(inc[tail]) == 1:
+                ends.append(End(i, "endpoint", head, tuple(map(neg, u)), w,
+                                e.leaf_label, tail))
         # the ends by label when fully labeled; bad labels are an error
         # of every ends() call
         labels = sorted(x.label for x in ends if x.label is not None)
@@ -697,7 +717,7 @@ def split_at_edge(c: TropicalCurve, edge_index: int, p) -> SplitResult:
     if not e.bounded:
         raise WorkbenchError("SPLIT_UNBOUNDED",
                              "cannot split an unbounded edge")
-    p = tuple(map(as_rational, p))
+    p = rational_vector(p)
     if len(p) != c.dim:
         raise WorkbenchError("DIMENSION_MISMATCH",
                              f"split point has {len(p)} coordinates")

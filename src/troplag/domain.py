@@ -39,9 +39,9 @@ from itertools import chain, combinations
 from math import gcd, lcm
 from operator import add, le, mul
 
-from .curve import (TropicalCurve, Edge, as_rational, int_vector,
+from .curve import (TropicalCurve, Edge, _need, as_rational, int_vector,
                     least_denominator, over_one_denominator, point_text,
-                    validate_curve)
+                    rational_vector, validate_curve)
 from .errors import Record, WorkbenchError
 from .lattice import (content, cross, det_bareiss, dot, elementary_divisors,
                       is_zero, mixed, primitive_raw, rank_exact, rot90,
@@ -70,7 +70,7 @@ def _as_facet(f):
     """A library caller's facet, a `Facet` or a dict with the keys of the
     JSON format, read as the reader reads it; a `Facet` so read is kept."""
     if not isinstance(f, Facet):
-        f = Facet(f["normal"], f["offset"])
+        f = Facet(_need(f, "normal", None), _need(f, "offset", None))
     normal, offset = int_vector(f.normal), as_rational(f.offset)
     return f if normal is f.normal and offset is f.offset \
         else Facet(normal, offset)
@@ -126,21 +126,23 @@ class LineConfiguration:
     `lines` are `Line` records, or dicts with the keys of the JSON format.
     Records whose points and tuple directions hold exact ints, the points
     over one denominator, as the reader and every configuration build
-    them, are taken as they are; any other point is read by `as_rational`
-    over its record's denominator, and any other direction by `int_vector`."""
+    them, are taken as they are; any other point is read by
+    `rational_vector` over its record's denominator, and any other
+    direction by `int_vector`."""
 
     def __init__(self, lines):
-        lines = [l if isinstance(l, Line)
-                 else Line(tuple(l["point"]), l["dir"]) for l in lines]
+        lines = [l if isinstance(l, Line) else
+                 Line(_need(l, "point", None), _need(l, "dir", None))
+                 for l in lines]
         points = [l.point for l in lines]
         dirs = [l.direction for l in lines]
         dens = {l.denominator for l in lines}
-        if len(dens) == 1 and \
-                not set(map(type, chain.from_iterable(points))) - {int}:
+        if len(dens) == 1 and set(map(type, points)) <= {tuple} and \
+                set(map(type, chain.from_iterable(points))) <= {int}:
             points, denominator = least_denominator(points, dens.pop())
         else:
             points, denominator = over_one_denominator(
-                [[as_rational(x) / l.denominator for x in l.point]
+                [[x / l.denominator for x in rational_vector(l.point)]
                  for l in lines])
         if set(map(type, dirs)) - {tuple} or \
                 set(map(type, chain.from_iterable(dirs))) - {int}:
@@ -953,14 +955,12 @@ def _classify_at(c, domain, point, active, edge_index, outward, end_index):
             kind = "MOMENTUM2"
     elif codim == 2:
         if all(m == 1 for _, m in momenta):
+            # in 3-D, dh x z is then primitive, as the corner basis needs:
+            # were a prime p to divide it, dh = t z mod p (z is
+            # primitive), so n . dh = t n . z = 0 mod p, not +-1
+            kind = "BISSECTRICE"
             if c.dim == 3:
                 z_dir = _stratum_direction(domain, active)
-                if content(cross(dh, z_dir)) == 1:
-                    kind = "BISSECTRICE"
-                else:
-                    note = "corner-basis decomposition unavailable"
-            else:
-                kind = "BISSECTRICE"
     else:
         note = f"boundary point of codimension {codim}"
     return BoundaryPointInfo(point, edge_index, active, codim, momenta,
@@ -1006,7 +1006,7 @@ def classify_boundary_point(c: TropicalCurve, d: PolyhedralDomain,
     """Classify the boundary point of the curve at the given position: the
     first end in c.ends() order that meets the boundary there, at or past
     its start (`_boundary_ends`)."""
-    point = tuple(map(as_rational, point))
+    point = rational_vector(point)
     L, X, S = _common_denominator(c, d)
     target = _over(point, L)
     if target is not None:

@@ -4,24 +4,22 @@ Rationals travel as "p/q" strings (plain integers are accepted); any
 other form is read by the package's one number rule, `parse_rational`
 and `parse_int`.  Schema violations report a JSON-pointer-style path.
 
-The readers build the final records in one pass.  When every vertex,
-edge or line is a dict whose fields are in plain form (str ids, tails
-and heads, lists of exact ints as directions, exact int weights and
-labels or null), the fields are gathered with `map` over the items,
-each checked at once by the set of its types and lengths, and the
-records are built by `map`; any other list goes through the per-item
-loop, which converts the accepted forms and raises the first error
-(`_vertex_rows`, `_edges`, `_line_rows`).  A curve's vertex
-positions, and a line configuration's points, are parsed as one list
-of coordinates straight into integers over one common denominator
-(`_rationals`), with no `Fraction` built: when every coordinate is a
-string of ASCII digits with an optional "-" and an optional nonzero "/"
-denominator, the whole list is checked by one `str.translate` and
-three substring tests and converted by `int` (`_plain`).  Any other
-list goes coordinate by coordinate through `parse_rational`, as a facet
-offset does.  A pointer travels as a tuple of keys and indices, which
-`WorkbenchError` formats only for an error.  The writers print each
-coordinate X / L reduced, as `str(Fraction)` does.
+Each document is read by one of two paths.  When every vertex, edge
+or line is a dict whose fields are in plain form (str ids, tails and
+heads, lists of exact ints as directions, exact int weights and labels
+or null, and coordinates that are strings of ASCII digits with an
+optional "-" and an optional nonzero "/" denominator), the fields are
+gathered with `map` over the items, each checked at once by the set of
+its types and lengths, and the positions or points are parsed as one
+list of coordinates straight into integers over one common denominator,
+with no `Fraction` built: one `str.translate`, three substring tests
+and `int` (`_rationals`, `_plain`).  Anything else goes through the
+per-item loop, which reads each item whole, each number by
+`parse_rational` or `parse_int` where it meets it, and so raises the
+first item's error (`_vertices`, `_edges`, `_lines`).  A pointer
+travels as a tuple of keys and indices, which `WorkbenchError` formats
+only for an error.  The writers print each coordinate X / L reduced, as
+`str(Fraction)` does.
 `canonical_json` writes the reports directly, byte for byte as
 `json.dumps(obj, sort_keys=True, indent=2) + "\n"` would, without the
 stdlib's pure-Python indenting encoder.  Within one call it writes a
@@ -38,31 +36,16 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from operator import itemgetter, mul
 
-from .curve import (Edge, TropicalCurve, _schema_error,
+from .curve import (Edge, TropicalCurve, _need, _schema_error,
                     int_vector as _int_vector, over_one_denominator,
-                    parse_int, parse_rational, rational_text)
+                    parse_int, parse_rational, rational_text,
+                    rational_vector as _rational_vector)
 from .domain import Facet, Line, LineConfiguration, PolyhedralDomain
 from .errors import WorkbenchError
 
 # the characters of a plain coordinate list, which `_plain` deletes
 _PLAIN_CHARS = dict.fromkeys(map(ord, "0123456789-/,"))
 _BLOCK = 64        # rows of coordinates parsed at once (`_rationals`)
-
-
-def _need(obj, key, where):
-    if not isinstance(obj, dict) or key not in obj:
-        raise _schema_error((*where, key), "missing field")
-    return obj[key]
-
-
-def _rational_list(value, where, dim=None):
-    """value, checked to be a list of dim coordinates when dim is given;
-    the coordinates are parsed by `_rationals`."""
-    if not isinstance(value, list):
-        raise _schema_error(where, "expected a list of rationals")
-    if dim is not None and len(value) != dim:
-        raise _schema_error(where, f"expected {dim} coordinates")
-    return value
 
 
 def _plain(text):
@@ -95,17 +78,15 @@ def _plain(text):
         return None
 
 
-def _rationals(rows, where):
+def _rationals(rows):
     """The lists of rational coordinates rows[k] as (X, L): integer
-    tuples X[k] over one L > 0, X[k] / L the point rows[k].  where(k, i)
-    is the pointer of rows[k][i], for errors.
+    tuples X[k] over one L > 0, X[k] / L the point rows[k]; None unless
+    every coordinate is a plain string.
 
-    Rows of plain strings are joined by commas and parsed at once
-    (`_plain`), up to _BLOCK rows at a time, which bounds the text and
-    the digit strings alive together; the count of what comes back
-    guards against a coordinate that holds a comma.  Any other rows go
-    through `parse_rational` coordinate by coordinate, which raises the
-    first bad coordinate's error.  L need not be the least denominator;
+    The rows are joined by commas and parsed at once (`_plain`), up to
+    _BLOCK rows at a time, which bounds the text and the digit strings
+    alive together; the count of what comes back guards against a
+    coordinate that holds a comma.  L need not be the least denominator;
     the constructors reduce it."""
     blocks = []
     for start in range(0, len(rows), _BLOCK):
@@ -113,11 +94,9 @@ def _rationals(rows, where):
         try:
             plain = _plain(",".join(map(",".join, block)))
         except TypeError:       # a coordinate that is no str
-            plain = None
+            return None
         if plain is None or len(plain[0]) != sum(map(len, block)):
-            return over_one_denominator(
-                [parse_rational(v, where(k, i)) for i, v in enumerate(row)]
-                for k, row in enumerate(rows))
+            return None
         blocks.append(plain)
     L = lcm(*{b for _, b in blocks})
     it = chain.from_iterable(flat if b == L else map((L // b).__mul__, flat)
@@ -143,39 +122,40 @@ def _load_json(path):
                              path)
 
 
-def _pos_at(k, i):
-    return ("vertices", k, "pos", i)
-
-
-def _vertex_rows(raw, dim):
-    """The ids and the coordinate lists of the vertices raw, a list.
-
-    When every vertex is a dict with a str id and a list of dim
-    coordinates, the fields are read in bulk; anything else goes through
-    the per-vertex loop, which converts an id by `str` and raises the
-    first vertex's error, after the errors of the earlier positions."""
+def _fields(raw, *keys):
+    """For each key, the list of its values over the items of raw, a
+    list, when every item is a dict holding every key; else None for
+    each key."""
     if set(map(type, raw)) <= {dict}:
         try:
-            ids = list(map(itemgetter("id"), raw))
-            rows = list(map(itemgetter("pos"), raw))
+            return [list(map(itemgetter(key), raw)) for key in keys]
         except KeyError:
             pass
-        else:
-            if set(map(type, ids)) <= {str} and \
-                    set(map(type, rows)) <= {list} and \
-                    set(map(len, rows)) <= {dim}:
-                return ids, rows
-    ids, rows = [], []
-    try:
-        for i, v in enumerate(raw):
-            vid = _need(v, "id", ("vertices", i))
-            rows.append(_rational_list(_need(v, "pos", ("vertices", i)),
-                                       ("vertices", i, "pos"), dim))
-            ids.append(str(vid))
-    except WorkbenchError:
-        _rationals(rows, _pos_at)   # an earlier vertex's error first
-        raise
-    return ids, rows
+    return [None] * len(keys)
+
+
+def _vertices(raw, dim):
+    """The ids of the vertices raw, a list, and their positions as
+    (X, L), integer tuples over one L > 0.
+
+    When every vertex is a dict with a str id and a list of dim plain
+    coordinates, the ids are taken and the positions parsed in bulk
+    (`_rationals`); anything else goes through the per-vertex loop, which
+    reads each vertex whole, its id by `str` and its position by
+    `rational_vector`, and so raises the first vertex's error."""
+    ids, rows = _fields(raw, "id", "pos")
+    if ids is not None and set(map(type, ids)) <= {str} and \
+            set(map(type, rows)) <= {list} and \
+            set(map(len, rows)) <= {dim} and \
+            (read := _rationals(rows)) is not None:
+        return ids, read
+    ids, points = [], []
+    for i, v in enumerate(raw):
+        where = ("vertices", i)
+        ids.append(str(_need(v, "id", where)))
+        points.append(_rational_vector(_need(v, "pos", where),
+                                       (*where, "pos"), dim))
+    return ids, over_one_denominator(points)
 
 
 def _edges(raw, dim):
@@ -186,25 +166,20 @@ def _edges(raw, dim):
     absent) and an exact int or null leaf label, the records are built
     in bulk; anything else goes through the per-edge loop, which
     converts the accepted forms and raises the first edge's error."""
-    if set(map(type, raw)) <= {dict}:
-        try:
-            tails = list(map(itemgetter("tail"), raw))
-            dirs = list(map(itemgetter("dir"), raw))
-        except KeyError:
-            pass
-        else:
-            heads = list(map(dict.get, raw, repeat("head")))
-            weights = list(map(dict.get, raw, repeat("weight"), repeat(1)))
-            labels = list(map(dict.get, raw, repeat("leaf_label")))
-            if set(map(type, tails)) <= {str} and \
-                    set(map(type, heads)) <= {str, type(None)} and \
-                    set(map(type, dirs)) <= {list} and \
-                    set(map(len, dirs)) <= {dim} and \
-                    set(map(type, chain.from_iterable(dirs))) <= {int} and \
-                    set(map(type, weights)) <= {int} and \
-                    set(map(type, labels)) <= {int, type(None)}:
-                return list(map(Edge, tails, heads, map(tuple, dirs),
-                                weights, labels))
+    tails, dirs = _fields(raw, "tail", "dir")
+    if tails is not None:
+        heads = list(map(dict.get, raw, repeat("head")))
+        weights = list(map(dict.get, raw, repeat("weight"), repeat(1)))
+        labels = list(map(dict.get, raw, repeat("leaf_label")))
+        if set(map(type, tails)) <= {str} and \
+                set(map(type, heads)) <= {str, type(None)} and \
+                set(map(type, dirs)) <= {list} and \
+                set(map(len, dirs)) <= {dim} and \
+                set(map(type, chain.from_iterable(dirs))) <= {int} and \
+                set(map(type, weights)) <= {int} and \
+                set(map(type, labels)) <= {int, type(None)}:
+            return list(map(Edge, tails, heads, map(tuple, dirs),
+                            weights, labels))
     edges = []
     for i, e in enumerate(raw):
         where = ("edges", i)
@@ -229,8 +204,7 @@ def curve_from_dict(data) -> TropicalCurve:
     raw_edges = _need(data, "edges", ())
     if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
         raise _schema_error("/", "vertices and edges must be lists")
-    ids, rows = _vertex_rows(raw_vertices, dim)
-    X, L = _rationals(rows, _pos_at)
+    ids, (X, L) = _vertices(raw_vertices, dim)
     return TropicalCurve(dim, zip(ids, X), _edges(raw_edges, dim), L)
 
 
@@ -276,49 +250,36 @@ def domain_to_dict(d: PolyhedralDomain):
                        for f in d.facets]}
 
 
-def _point_at(k, i):
-    return ("lines", k, "point", i)
+def _lines(raw):
+    """The `Line` records of the lines raw, a list.
 
-
-def _line_rows(raw):
-    """The point lists and the direction tuples of the lines raw, a list.
-
-    When every line is a dict with a list as its point and a list of
-    exact ints as its direction, the fields are read in bulk; anything
-    else goes through the per-line loop, which converts the accepted
-    forms and raises the first line's error, after the errors of the
-    earlier points."""
-    if set(map(type, raw)) <= {dict}:
-        try:
-            rows = list(map(itemgetter("point"), raw))
-            dirs = list(map(itemgetter("dir"), raw))
-        except KeyError:
-            pass
-        else:
-            if set(map(type, rows)) <= {list} and \
-                    set(map(type, dirs)) <= {list} and \
-                    set(map(type, chain.from_iterable(dirs))) <= {int}:
-                return rows, list(map(tuple, dirs))
-    rows, dirs = [], []
-    try:
-        for i, l in enumerate(raw):
-            rows.append(_rational_list(_need(l, "point", ("lines", i)),
-                                       ("lines", i, "point")))
-            dirs.append(_int_vector(_need(l, "dir", ("lines", i)),
-                                    ("lines", i, "dir")))
-    except WorkbenchError:
-        _rationals(rows, _point_at)  # an earlier point's error first
-        raise
-    return rows, dirs
+    When every line is a dict with a list of plain coordinates as its
+    point and a list of exact ints as its direction, the fields are read
+    in bulk and the points parsed at once into integers over one
+    denominator (`_rationals`); anything else goes through the per-line
+    loop, which reads each line whole, its point as `Fraction`s, and so
+    raises the first line's error."""
+    rows, dirs = _fields(raw, "point", "dir")
+    if rows is not None and set(map(type, rows)) <= {list} and \
+            set(map(type, dirs)) <= {list} and \
+            set(map(type, chain.from_iterable(dirs))) <= {int} and \
+            (read := _rationals(rows)) is not None:
+        X, L = read
+        return list(map(Line, X, map(tuple, dirs), repeat(L)))
+    lines = []
+    for i, l in enumerate(raw):
+        where = ("lines", i)
+        point = _rational_vector(_need(l, "point", where), (*where, "point"))
+        lines.append(Line(point, _int_vector(_need(l, "dir", where),
+                                             (*where, "dir"))))
+    return lines
 
 
 def lines_from_dict(data) -> LineConfiguration:
     raw = _need(data, "lines", ())
     if not isinstance(raw, list):
         raise _schema_error("/lines", "expected a list")
-    rows, dirs = _line_rows(raw)
-    X, L = _rationals(rows, _point_at)
-    return LineConfiguration(list(map(Line, X, dirs, repeat(L))))
+    return LineConfiguration(_lines(raw))
 
 
 def load_lines(path) -> LineConfiguration:

@@ -490,6 +490,14 @@ def test_combinatorial_type_distinguishes():
     assert combinatorial_type(c1) != combinatorial_type(c2)
 
 
+def test_combinatorial_type_of_a_line():
+    """A line, one marking with two opposite rays, smooths to one chain
+    with no node."""
+    line = TropicalCurve(2, [("m", (0, 0))], [Edge("m", None, (1, 0)),
+                                              Edge("m", None, (-1, 0))])
+    assert combinatorial_type(line) == "(2, (('line', (1, 0), 1, ()),))"
+
+
 def test_internal_directions_random_validate():
     rng = random.Random(12)
     for _ in range(25):

@@ -23,8 +23,8 @@ from troplag.io_json import (canonical_json, curve_to_dict, load_curve,
                              load_domain, load_lines)
 from troplag.lattice import (content, cross, det_bareiss, dot,
                              elementary_divisors, is_zero, mixed,
-                             solve_bareiss, vec_add, vec_neg, vec_scale,
-                             vec_sub)
+                             primitive_raw, solve_bareiss, vec_add, vec_neg,
+                             vec_scale, vec_sub)
 
 
 def triangle():
@@ -959,6 +959,26 @@ def test_classify_rp2_points():
     info0 = classify_boundary_point(rp2_curve(), triangle(), (0, 0))
     assert info0.kind == "BISSECTRICE" and info0.codim == 2
     assert dict(info0.momenta) == {0: 1, 1: 1}
+
+
+def test_unit_momenta_on_a_3d_stratum_make_a_primitive_cross():
+    """A 3-D codimension-2 boundary point whose active normals n all have
+    |n . dh| = 1 is BISSECTRICE with no further test: dh x z, z the
+    stratum's primitive direction, is primitive, since a prime dividing
+    it would divide every n . dh.  Checked over every pair of independent
+    primitive normals in [-2, 2]^3 and every dh in [-2, 2]^3."""
+    normals = [n for n in itertools.product(range(-2, 3), repeat=3)
+               if content(n) == 1]
+    checked = 0
+    for dh in itertools.product(range(-2, 3), repeat=3):
+        unit = [n for n in normals if abs(dot(n, dh)) == 1]
+        for n1, n2 in itertools.combinations(unit, 2):
+            z = cross(n1, n2)
+            if not is_zero(z):
+                z = primitive_raw(z)
+                assert content(cross(dh, z)) == 1, (n1, n2, dh)
+                checked += 1
+    assert checked > 30000
 
 
 def test_classify_klein_momentum2():

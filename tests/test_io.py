@@ -389,18 +389,24 @@ def test_plain_matches_the_regular_expression_reader(text):
 
 def test_plain_documents_are_read_in_bulk(monkeypatch):
     """Every curve and line set of the benchmark pools (trees and
-    enumerate, seeds 1-3) and of the fixtures is read in bulk: no field
-    goes through `parse_int` or `parse_rational`, nor through the
-    per-item loops' readers of a position, a point or a direction, so a
-    silent fall back to any of those loops fails here."""
+    enumerate, seeds 1-3), every wave front that the domains pool's
+    `surface` operation reads back (seeds 1-3) and every fixture is read
+    in bulk: no field goes through `parse_int` or `parse_rational`, nor
+    through the per-item loops' readers of a position, a point or a
+    direction, so a silent fall back to any of those loops fails here."""
     reads = [(curve_from_dict, load_fixture_json(n)) for n in CURVE_FIXTURES]
     reads += [(lines_from_dict, load_fixture_json(n)) for n in LINES_FIXTURES]
     for p in _perfbench_pools("trees", (1, 2, 3)):
         reads += [(curve_from_dict, p["curve"]), (lines_from_dict, p["lines"])]
     reads += [(lines_from_dict, p["lines"])
               for p in _perfbench_pools("enumerate", (1, 2, 3))]
+    waves = [(curve_from_dict, curve_to_dict(wavefront(
+        domain_from_dict(p["domain"]), p["delta"])))
+        for p in _perfbench_pools("domains", (1, 2, 3)) if p.get("delta")]
+    assert len(waves) >= 20
+    reads += waves
     calls = []
-    for name in ("parse_int", "parse_rational", "_rational_list",
+    for name in ("parse_int", "parse_rational", "_rational_vector",
                  "_int_vector"):
         monkeypatch.setattr(io_json, name,
                             lambda *args, name=name: calls.append(name))
@@ -458,6 +464,10 @@ LIBRARY_VALUES = ["0", "-12", "1/2", "1/10", "5/7", *PLAIN_FORMS,
                   *(v for v in REJECTED_VALUES if type(v) is not Fraction)]
 
 
+# points that are no list: the readers refuse each whole
+WHOLE_POINTS = ["12", 5, None, {}]
+
+
 def _answer(fn, *args):
     """fn(*args), or the code and the message, without the pointer, of
     the WorkbenchError it raises."""
@@ -503,6 +513,36 @@ def test_library_reads_positions_and_edges_as_the_reader():
             for e in (dict(edge), record):
                 assert _answer(lambda: _edge_key(_library_curve(
                     ("0", "0"), e))) == read, (key, v, e)
+    for v in WHOLE_POINTS:
+        data = {"dim": 2, "vertices": [{"id": "a", "pos": v},
+                                       {"id": "b", "pos": ["1", "0"]}],
+                "edges": [{"tail": "a", "head": "b", "dir": [1, 0]}]}
+        read = _answer(lambda: list(curve_from_dict(data).vertices.items()))
+        assert _answer(lambda: list(_library_curve(
+            v, Edge("a", "b", (1, 0))).vertices.items())) == read, v
+
+
+def test_library_reads_a_missing_field_as_the_reader():
+    """A dict edge, facet or line without one of its required fields is
+    the reader's SCHEMA_ERROR, at no pointer."""
+    pos = {"dim": 2, "vertices": [{"id": "a", "pos": ["0", "0"]},
+                                  {"id": "b", "pos": ["1", "0"]}]}
+    for key in ("tail", "dir"):
+        edge = {"tail": "a", "head": "b", "dir": [1, 0]}
+        del edge[key]
+        read = _answer(curve_from_dict, {**pos, "edges": [edge]})
+        assert read == ("error", "SCHEMA_ERROR", "missing field")
+        assert _answer(_library_curve, ("0", "0"), edge) == read, key
+    for key in ("normal", "offset"):
+        facet = {"normal": [1, 0], "offset": "0"}
+        del facet[key]
+        read = _answer(domain_from_dict, {"dim": 2, "facets": [facet]})
+        assert _answer(PolyhedralDomain, 2, [facet]) == read, key
+    for key in ("point", "dir"):
+        line = {"point": ["0", "0"], "dir": [1, 0]}
+        del line[key]
+        read = _answer(lines_from_dict, {"lines": [line]})
+        assert _answer(LineConfiguration, [line]) == read, key
 
 
 def _facet_key(d):
@@ -537,12 +577,21 @@ def test_library_reads_facets_and_lines_as_the_reader():
             for l in (dict(line), record):
                 assert _answer(lambda: _configuration_key(
                     LineConfiguration([l]))) == read, (line, l)
+    for v in WHOLE_POINTS:
+        line = {"point": v, "dir": [1, 0]}
+        read = _answer(lambda: _configuration_key(lines_from_dict(
+            {"lines": [line]})))
+        for l in (dict(line), Line(v, (1, 0))):
+            assert _answer(lambda: _configuration_key(
+                LineConfiguration([l]))) == read, (line, l)
 
 
 def test_library_reads_points_and_deltas_as_the_reader():
-    """`wavefront`'s delta, `split_at_edge`'s point and
-    `classify_boundary_point`'s point give the answer of the number that
-    the reader makes of the value, or the reader's error."""
+    """`wavefront`'s delta, and the points of `split_at_edge`,
+    `classify_boundary_point` and a domain's `contains` and `active`,
+    give the answer of the number that the reader makes of the value, or
+    the reader's error; a point that is no list is the reader's error
+    for a position that is none."""
     square = load_domain(fixture_path("unit_square.domain.json"))
     triangle = load_domain(fixture_path("triangle.domain.json"))
     rp2 = load_curve(fixture_path("rp2.curve.json"))
@@ -551,9 +600,20 @@ def test_library_reads_points_and_deltas_as_the_reader():
         parsed = _answer(io_json.parse_rational, v, ("value",))
         for call in [lambda x: wavefront(square, x),
                      lambda x: split_at_edge(segment, 0, (x, "0")),
-                     lambda x: classify_boundary_point(rp2, triangle, (x, x))]:
+                     lambda x: classify_boundary_point(rp2, triangle, (x, x)),
+                     lambda x: triangle.contains((x, x)),
+                     lambda x: triangle.active((x, x))]:
             want = _answer(call, parsed[1]) if parsed[0] == "ok" else parsed
             assert _answer(call, v) == want, v
+    for v in WHOLE_POINTS:
+        read = _answer(curve_from_dict, {"dim": 2, "edges": [], "vertices": [
+            {"id": "a", "pos": v}]})
+        assert read == ("error", "SCHEMA_ERROR",
+                        "expected a list of rationals")
+        for call in [lambda x: split_at_edge(segment, 0, x),
+                     lambda x: classify_boundary_point(rp2, triangle, x),
+                     triangle.contains, triangle.active]:
+            assert _answer(call, v) == read, v
 
 
 def test_cli_refuses_a_delta_or_a_root_end_as_usage():

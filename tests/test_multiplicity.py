@@ -579,6 +579,16 @@ def test_splitting_weighted_edge_division_exact():
     assert rep.holds, (rep.lhs, rep.rhs)
 
 
+def test_splitting_refuses_a_ray():
+    tripod = TropicalCurve(3, [("p", (0, 0, 0))], [
+        Edge("p", None, (-1, 0, 0), 1, 0), Edge("p", None, (0, -1, 0), 1, 1),
+        Edge("p", None, (1, 1, 0), 1, 2)])
+    with pytest.raises(WorkbenchError) as err:
+        splitting_check(tripod, 0, [(1, 0, 0)] * 3)
+    assert (err.value.code, str(err.value)) == \
+        ("SPLIT_UNBOUNDED", "SPLIT_UNBOUNDED: edge must be bounded")
+
+
 def test_splitting_degenerate_momentum():
     # both leaf momenta at the first vertex vanish: rho(r1) = 0
     curve = _weighted_caterpillar()
