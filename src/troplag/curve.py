@@ -224,14 +224,16 @@ class End(Record):
 
 def _as_edge(e):
     """A library caller's edge, an `Edge` or a dict with the keys of the
-    JSON format, with its direction, weight (an exact int) and leaf label
-    read as the reader reads them; an `Edge` that holds them so is kept."""
+    JSON format, with its tail and head (by `str`, a null head kept),
+    direction, weight (an exact int) and leaf label read as the reader
+    reads them; an `Edge` that holds them so is kept."""
     if not isinstance(e, Edge):
         e = Edge(_need(e, "tail", None), e.get("head"),
                  _need(e, "dir", None), e.get("weight", 1),
                  e.get("leaf_label"))
     tail, head, u, w, label = fields = e._astuple()
-    read = (tail, head, int_vector(u), int(parse_int(w, None)),
+    read = (str(tail), None if head is None else str(head), int_vector(u),
+            int(parse_int(w, None)),
             None if label is None else parse_int(label, None))
     return e if type(e) is Edge and all(map(is_, read, fields)) \
         else Edge(*read)
@@ -245,12 +247,13 @@ class TropicalCurve:
     `vertices` is a sequence of (id, position).  Without a denominator
     the positions are rationals and the edges `Edge` records or dicts
     with the keys of the JSON format, as library callers pass them,
-    read by the reader's rule (`as_rational`, `_as_edge`).  With a
-    denominator L > 0 the positions are integer tuples X meaning X / L,
-    and the edges `Edge` records with tuple directions and int weights,
-    taken as they are: the readers and the package's own builders pass
-    them so.  Either way the curve keeps `coords[vid]`, an integer
-    tuple, over the least common `denominator`."""
+    read by the reader's rule (ids by `str`, `as_rational`,
+    `_as_edge`).  With a denominator L > 0 the positions are integer
+    tuples X meaning X / L, and the edges `Edge` records with tuple
+    directions and int weights, taken as they are: the readers and the
+    package's own builders pass them so.  Either way the curve keeps
+    `coords[vid]`, an integer tuple, over the least common
+    `denominator`."""
 
     def __init__(self, dim, vertices, edges, denominator=None):
         self.dim = dim
@@ -258,6 +261,7 @@ class TropicalCurve:
         ids = [vid for vid, _ in vertices]
         points = [pos for _, pos in vertices]
         if denominator is None:
+            ids = list(map(str, ids))
             points, denominator = over_one_denominator(points)
             edges = map(_as_edge, edges)
         else:

@@ -25,7 +25,11 @@ only for an error.  The writers print each coordinate X / L reduced, as
 stdlib's pure-Python indenting encoder.  Within one call it writes a
 tuple object that recurs at the same indentation once and copies that
 text for each later occurrence, so a report whose types share their
-edge tuples costs one pass per distinct tuple; the bytes do not change.
+edge tuples costs one pass per distinct tuple.  A list of records that
+share one key set, like an enumeration's types, is written from one key
+template: the keys are sorted, checked and quoted once for the list,
+and each record is written inline with no call of its own.  The bytes
+do not change.
 """
 
 from __future__ import annotations
@@ -294,78 +298,100 @@ def lines_to_dict(lc: LineConfiguration):
 
 def _emit(o, nl, out, seen):
     """Append the JSON text of o to out; nl is a newline followed by the
-    indentation of o's own level.  Containers are tested first: no type
-    is both a container and a scalar, so json's order of tests gives the
-    same answer.  Members that are exact ints or strs, or None, are
-    written in place, anything else by a nested call.  An exact tuple
-    met again as a member of a list or tuple at the same indentation is
-    written from the text its first call built: seen maps its id to
-    (the tuple, its indentation, its text), and holding the tuple keeps
-    the id from being reused while seen lives."""
-    if isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for value in o:
-            t = type(value)
-            if t is int:
-                out.append(sep + int.__repr__(value))
-            elif t is str:
-                out.append(sep + _quote(value))
-            elif value is None:
-                out.append(sep + "null")
-            elif t is tuple:
-                out.append(sep)
-                hit = seen.get(id(value))
-                if hit is not None and hit[1] == inner:
-                    out.append(hit[2])
-                else:
-                    start = len(out)
-                    _emit(value, inner, out, seen)
-                    seen[id(value)] = (value, inner, "".join(out[start:]))
-            else:
-                out.append(sep)
-                _emit(value, inner, out, seen)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(o):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not "
-                                f"{key.__class__.__name__}")
-            value = o[key]
-            t = type(value)
-            if t is int:
-                out.append(sep + _quote(key) + ": " + int.__repr__(value))
-            elif t is str:
-                out.append(sep + _quote(key) + ": " + _quote(value))
-            elif value is None:
-                out.append(sep + _quote(key) + ": null")
-            else:
-                out.append(sep + _quote(key) + ": ")
-                _emit(value, inner, out, seen)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(o, str):
-        out.append(_quote(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
+    indentation of o's own level.
+
+    A dict is written as the one member of a record list with no
+    brackets, so one loop writes every dict.  Members that are exact
+    ints or strs, or None, are written in place; a member dict is
+    written inline from a key template, which holds the sorted keys,
+    each checked to be a str, with each key's head (the separator, the
+    indentation and the quoted key) and the closing text.  The template
+    is built for the first member dict and again whenever a member's key
+    set differs from the previous one, so a list of same-keyed records
+    sorts and quotes its keys once.  Any other member goes to a nested
+    call; no type is both a container and a scalar, so json's order of
+    tests gives the same answer.  An exact tuple met again as a member
+    at the same indentation is written from the text its first call
+    built: seen maps each indentation to a memo from the tuple's id to
+    (the tuple, its text), and holding the tuple keeps the id from being
+    reused while seen lives."""
+    if isinstance(o, dict):
+        members, inner, sep, end, memo = (o,), nl, "", "", None
+    elif not isinstance(o, (list, tuple)):
+        if isinstance(o, str):
+            out.append(_quote(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            f"is not JSON serializable")
+        return
+    elif not o:
+        out.append("[]")
+        return
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        f"is not JSON serializable")
+        inner = nl + "  "
+        members, sep, end = o, "[" + inner, nl + "]"
+        memo = seen.get(inner)
+        if memo is None:
+            memo = seen[inner] = {}
+    comma = "," + inner
+    keys = None         # the key set of the template's dict
+    for value in members:
+        t = type(value)
+        if t is tuple:
+            out.append(sep)
+            hit = memo.get(id(value))
+            if hit is not None:
+                out.append(hit[1])
+            else:
+                start = len(out)
+                _emit(value, inner, out, seen)
+                memo[id(value)] = (value, "".join(out[start:]))
+        elif t is int:
+            out.append(sep + int.__repr__(value))
+        elif t is str:
+            out.append(sep + _quote(value))
+        elif value is None:
+            out.append(sep + "null")
+        elif isinstance(value, dict):
+            if value.keys() != keys:
+                keys = value.keys()
+                ind = inner + "  "
+                lead = "{" + ind
+                heads = []
+                for key in sorted(value):
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not "
+                                        f"{key.__class__.__name__}")
+                    heads.append((key, lead + _quote(key) + ": "))
+                    lead = "," + ind
+                close = inner + "}" if heads else "{}"
+            out.append(sep)
+            for key, head in heads:
+                v = value[key]
+                t = type(v)
+                if t is int:
+                    out.append(head + int.__repr__(v))
+                elif t is str:
+                    out.append(head + _quote(v))
+                elif v is None:
+                    out.append(head + "null")
+                else:
+                    out.append(head)
+                    _emit(v, ind, out, seen)
+            out.append(close)
+        else:
+            out.append(sep)
+            _emit(value, inner, out, seen)
+        sep = comma
+    out.append(end)
 
 
 def output_too_large(exc):
@@ -385,8 +411,10 @@ def canonical_json(obj) -> str:
     computes without floating point.  A tuple object repeated within obj
     at one indentation, like the edge pairs an enumeration's types
     share, is written once and its text reused (`_emit`); the memo is
-    local to the call.  An int past the interpreter's digit limit is an
-    OUTPUT_TOO_LARGE error; the limit stays.
+    local to the call.  The dicts of a list that share one key set, like
+    an enumeration's types, are written from one key template, their
+    keys sorted and quoted once.  An int past the interpreter's digit
+    limit is an OUTPUT_TOO_LARGE error; the limit stays.
     """
     out = []
     try:

@@ -341,20 +341,30 @@ def smith_normal_form(rows) -> SnfResult:
     v = _mat_identity(nc)
 
     def rows_step(i, k, m):
-        # rows i and k of a and u become m times them
+        # rows i and k of a and u become m times them; an exact step,
+        # ((1, 0), (-c, 1)), changes row k alone (every other step here
+        # has f != 0)
         (e, f), (g, h) = m
         for w in (a, u):
             wi, wk = w[i], w[k]
-            w[i] = [e * p + f * q for p, q in zip(wi, wk)]
-            w[k] = [g * p + h * q for p, q in zip(wi, wk)]
+            if f:
+                w[i] = [e * p + f * q for p, q in zip(wi, wk)]
+                w[k] = [g * p + h * q for p, q in zip(wi, wk)]
+            else:
+                w[k] = [q + g * p for p, q in zip(wi, wk)]
 
     def cols_step(j, k, m):
-        # columns j and k of a and v become them times m transposed
+        # columns j and k of a and v become them times m transposed; an
+        # exact step changes column k alone
         (e, f), (g, h) = m
         for w in (a, v):
-            for row in w:
-                p, q = row[j], row[k]
-                row[j], row[k] = e * p + f * q, g * p + h * q
+            if f:
+                for row in w:
+                    p, q = row[j], row[k]
+                    row[j], row[k] = e * p + f * q, g * p + h * q
+            else:
+                for row in w:
+                    row[k] += g * row[j]
 
     for t in range(min(nr, nc)):
         best = min([(abs(x), i, j) for i in range(t, nr)
@@ -362,10 +372,11 @@ def smith_normal_form(rows) -> SnfResult:
         if best is None:
             break
         _, i, j = best
-        if i != t:
-            rows_step(t, i, ((0, 1), (1, 0)))
+        if i != t:      # swap the pivot's row and column into place
+            a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
         if j != t:
-            cols_step(t, j, ((0, 1), (1, 0)))
+            for row in chain(a, v):
+                row[t], row[j] = row[j], row[t]
         while True:
             for i in range(t + 1, nr):
                 if a[i][t]:

@@ -5,6 +5,11 @@ an independent reference for the tests.
 `bareiss_echelon_eager` is that elimination as it was before it left
 alone the rows a pivot does not reach: it updates every row below the
 pivot at every step, dividing by the previous pivot.
+
+`smith_normal_form` is `lattice.smith_normal_form` as it was while it
+made every step, pivot swaps and exact steps included, by multiplying
+two rows or columns by a 2 x 2 matrix; it takes `_pair`, `SnfResult`
+and `_mat_identity` from the package.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from troplag.errors import WorkbenchError
+from troplag.lattice import SnfResult, _mat_identity, _pair
 
 
 @dataclass(frozen=True)
@@ -120,3 +126,70 @@ def bareiss_echelon_eager(a, ncols):
         pivots.append(c)
         r += 1
     return pivots, sign
+
+
+def smith_normal_form(rows) -> SnfResult:
+    """Smith normal form by 2 x 2 unimodular row and column steps.
+
+    Pivot selection: smallest nonzero absolute value, ties broken by
+    lowest row then column index, which makes the output deterministic.
+    Each step (`_pair`; Kannan-Bachem 1979, Cohen GTM 138 2.4) puts the
+    gcd of the pivot and one entry of its column or row at the pivot and
+    0 at the entry, so |pivot| only shrinks.  An entry right of and below
+    the pivot that it does not divide has its row added to the pivot
+    row, and the next column step shrinks the pivot again.
+    """
+    a = [list(r) for r in rows]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    u = _mat_identity(nr)
+    v = _mat_identity(nc)
+
+    def rows_step(i, k, m):
+        # rows i and k of a and u become m times them
+        (e, f), (g, h) = m
+        for w in (a, u):
+            wi, wk = w[i], w[k]
+            w[i] = [e * p + f * q for p, q in zip(wi, wk)]
+            w[k] = [g * p + h * q for p, q in zip(wi, wk)]
+
+    def cols_step(j, k, m):
+        # columns j and k of a and v become them times m transposed
+        (e, f), (g, h) = m
+        for w in (a, v):
+            for row in w:
+                p, q = row[j], row[k]
+                row[j], row[k] = e * p + f * q, g * p + h * q
+
+    for t in range(min(nr, nc)):
+        best = min([(abs(x), i, j) for i in range(t, nr)
+                    for j, x in enumerate(a[i][t:], t) if x], default=None)
+        if best is None:
+            break
+        _, i, j = best
+        if i != t:
+            rows_step(t, i, ((0, 1), (1, 0)))
+        if j != t:
+            cols_step(t, j, ((0, 1), (1, 0)))
+        while True:
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    rows_step(t, i, _pair(a[t][t], a[i][t]))
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    cols_step(t, j, _pair(a[t][t], a[t][j]))
+            if any([row[t] for row in a[t + 1:]]):
+                continue
+            p = a[t][t]
+            for i in range(t + 1, nr):
+                if any([x % p for x in a[i][t + 1:]]):
+                    rows_step(t, i, ((1, 1), (0, 1)))
+                    break
+            else:
+                break
+        if a[t][t] < 0:
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+
+    return SnfResult(tuple(tuple(r) for r in u),
+                     tuple(tuple(r) for r in a),
+                     tuple(tuple(r) for r in v))

@@ -17,6 +17,7 @@ import boundary_oracle as oracle
 import io_oracle
 from conftest import fixture_path, load_fixture_json, random_tree_problem
 from test_golden import CASES, _run
+from test_io import weighted
 from test_multiplicity import random_enumeration
 
 from troplag import cli, io_json
@@ -108,9 +109,75 @@ def test_canonical_json_of_a_value_placed_several_times(v):
     assert io_json.canonical_json(obj) == oracle.canonical_json(obj)
 
 
-def test_canonical_json_writes_each_shared_edge_pair_once(monkeypatch):
-    """A kappa = 6 enumeration report: each type costs its dict and its
-    topology, and each distinct edge pair one call, its first."""
+# record lists: dicts on a few fixed key sets, their keys inserted in a
+# drawn order, with an empty dict, a dict on another key set or any other
+# value between them, nested inside each other
+
+KEY_SETS = [("curve", "multiplicity", "status", "topology"), ("b", "a"),
+            ("", "A", "\ud800", "é"), ("k",)]
+
+
+def _record_lists(values):
+    """Lists and tuples whose members are mostly dicts on one key set,
+    each with its keys in a drawn order."""
+    records = [st.tuples(st.permutations(keys),
+                         st.tuples(*[values] * len(keys))).map(
+                             lambda drawn: dict(zip(*drawn)))
+               for keys in KEY_SETS]
+    other = st.one_of(records)
+    lists = st.one_of([st.lists(weighted(same, same, same, other,
+                                         st.just({}), values), max_size=5)
+                       for same in records])
+    return lists | lists.map(tuple)
+
+
+RECORD_LISTS = _record_lists(st.recursive(
+    weighted(*[SCALARS] * 9, VALUES),
+    lambda inner: _record_lists(inner) | st.dictionaries(TEXT, inner,
+                                                         max_size=3),
+    max_leaves=6))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(RECORD_LISTS)
+def test_canonical_json_of_record_lists(obj):
+    assert io_json.canonical_json(obj) == oracle.canonical_json(obj)
+
+
+def test_canonical_json_named_record_lists():
+    a, b = {"b": 1, "a": "x"}, {"a": None, "b": [2]}
+    objs = [[a, b, a], (a, b), [a, {"c": 3}, b, {}, a, {}, {}, b],
+            [{"n": Count(1)}, {"n": Count(-2)}, {"n": [Count(3)]}],
+            [a, [b, (a, b)], {"k": [a, b]}, b], [{}, {}, a],
+            [{"a": (1, 2)}, {"a": (1, 2)}, {"a": [(1, 2)]}]]
+    for obj in objs:
+        assert io_json.canonical_json(obj) == oracle.canonical_json(obj)
+
+
+@pytest.mark.parametrize("later, message", [
+    ({2: 0}, "keys must be str, not int"),
+    ({None: 0}, "keys must be str, not NoneType"),
+    ({("a",): 0}, "keys must be str, not tuple"),
+    ({"a": 0, 1: 1}, "'<' not supported")])
+def test_canonical_json_refuses_a_non_string_key_in_a_later_record(
+        later, message):
+    with pytest.raises(TypeError, match=message):
+        io_json.canonical_json([{"a": 1}, {"a": 2}, later, {"a": 3}])
+
+
+def test_canonical_json_refuses_a_float_in_a_later_record():
+    obj = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}, {"b": "z", "a": 0.5}]
+    with pytest.raises(TypeError) as err:
+        io_json.canonical_json(obj)
+    assert str(err.value) == "Object of type float is not JSON serializable"
+    with pytest.raises(TypeError) as theirs:
+        oracle.canonical_json([Fraction(1, 2)])
+    assert str(theirs.value) == str(err.value).replace("float", "Fraction")
+
+
+def _enumeration_report():
+    """A kappa = 6 enumeration's result and its report: 105 types, each
+    a dict on the same four keys."""
     rng = random.Random(6)
     while True:
         degree, lines = random_enumeration(rng, 6, 50, 7)
@@ -121,6 +188,15 @@ def test_canonical_json_writes_each_shared_edge_pair_once(monkeypatch):
             pass
     report = rep.as_dict()
     report["kappa"] = 6
+    assert len(rep.per_type) == 105
+    return rep, report
+
+
+def test_canonical_json_writes_each_shared_edge_pair_once(monkeypatch):
+    """Each type of a kappa = 6 enumeration report costs one call, for
+    its topology (its dict is written inline), and each distinct edge
+    pair one call, its first."""
+    rep, report = _enumeration_report()
     pairs = {id(e) for t in rep.per_type for e in t.topology}
     calls = []
     emit = io_json._emit
@@ -131,8 +207,24 @@ def test_canonical_json_writes_each_shared_edge_pair_once(monkeypatch):
 
     monkeypatch.setattr(io_json, "_emit", counted)
     text = io_json.canonical_json(report)
-    assert len(rep.per_type) == 105 and len(pairs) <= 45
-    assert len(calls) <= 2 * len(rep.per_type) + len(pairs) + 4
+    assert len(pairs) <= 45
+    assert len(calls) <= len(rep.per_type) + len(pairs) + 4
+    assert text == oracle.canonical_json(report)
+
+
+def test_canonical_json_sorts_a_record_lists_keys_once(monkeypatch):
+    """The 105 type dicts of a kappa = 6 enumeration report share one key
+    set, so their keys are sorted once, not once per type."""
+    _, report = _enumeration_report()
+    sorts = []
+
+    def counted(*args, **kwargs):
+        sorts.append(args[0])
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(io_json, "sorted", counted, raising=False)
+    text = io_json.canonical_json(report)
+    assert len(sorts) <= 3
     assert text == oracle.canonical_json(report)
 
 

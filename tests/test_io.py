@@ -13,7 +13,7 @@ from conftest import fixture_path, load_fixture_json
 
 from troplag import io_json
 from troplag.cli import run_command
-from troplag.curve import Edge, TropicalCurve, split_at_edge
+from troplag.curve import Edge, TropicalCurve, split_at_edge, validate_curve
 from troplag.domain import (Facet, Line, LineConfiguration, PolyhedralDomain,
                             classify_boundary_point, wavefront)
 from troplag.errors import WorkbenchError
@@ -543,6 +543,32 @@ def test_library_reads_a_missing_field_as_the_reader():
         del line[key]
         read = _answer(lines_from_dict, {"lines": [line]})
         assert _answer(LineConfiguration, [line]) == read, key
+
+
+def test_library_reads_ids_as_the_reader():
+    """Vertex ids, tails and heads given to `TropicalCurve` are read by
+    `str`, as the reader reads them; a null head stays null, and an
+    `Edge` whose ids are strs is kept."""
+    edges = [{"tail": "a", "head": 1, "dir": [1, 0]},
+             {"tail": "a", "dir": [-1, 0]}, {"tail": 1, "dir": [1, 0]}]
+    read = curve_from_dict({"dim": 2, "edges": edges, "vertices": [
+        {"id": "a", "pos": ["0", "0"]}, {"id": 1, "pos": ["1", "0"]}]})
+    library = TropicalCurve(2, [("a", ("0", "0")), (1, ("1", "0"))], edges)
+    assert library == read and validate_curve(library).ok
+    assert [(e.tail, e.head) for e in library.edges] == \
+        [("a", "1"), ("a", None), ("1", None)]
+    vertices = [(0, (0, 0)), (1, (1, 0))]
+    ints = TropicalCurve(2, vertices, [
+        {"tail": 0, "head": 1, "dir": [1, 0]}, {"tail": 0, "dir": [-1, 0]},
+        {"tail": 1, "dir": [1, 0]}])
+    records = TropicalCurve(2, vertices, [
+        Edge(0, 1, (1, 0)), Edge(0, None, (-1, 0)), Edge(1, None, (1, 0))])
+    assert ints == records and validate_curve(ints).ok
+    assert list(ints.coords) == ["0", "1"]
+    assert [(e.tail, e.head) for e in ints.edges] == \
+        [("0", "1"), ("0", None), ("1", None)]
+    kept = Edge("a", "b", (1, 0))
+    assert _library_curve(("0", "0"), kept).edges[0] is kept
 
 
 def _facet_key(d):
